@@ -23,6 +23,10 @@ CacheKey = tuple[int, int, int, str, str]
 _FIELDS = ("n", "k", "r", "method", "engine_version", "count", "created_at")
 
 
+class CacheConflict(RuntimeError):
+    """Raised when a new count disagrees with the stored one for its key."""
+
+
 class CountCache:
     """Cache of CountRecord values backed by a single JSON-lines file."""
 
@@ -77,7 +81,7 @@ class CountCache:
         old = self._index.get(key)
         if old is not None:
             if int(old["count"]) != record.count:
-                raise RuntimeError(
+                raise CacheConflict(
                     f"cache conflict for {key}: stored {old['count']}, "
                     f"new {record.count}")
             return

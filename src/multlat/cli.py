@@ -3,7 +3,8 @@
 Every subcommand writes data rows to stdout and everything else (progress,
 wall-time footers, counterexamples, warnings) to stderr, so captured stdout
 is byte-stable across --jobs settings and across cold/warm cache runs.
-Exit codes: 0 success, 1 verification failure, 2 budget or usage error.
+Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
+cache-conflict error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
-from .cache import CountCache
+from .cache import CacheConflict, CountCache
 from .enumeration import (
     ENGINE_VERSION,
     CountRecord,
@@ -292,21 +293,22 @@ def _cmd_series(args) -> int:
     if args.r_max < 1:
         raise ValueError("need r-max >= 1")
     fn = count_unital if args.family == "unital" else count_full_rank
+    # opened before computing so a bad path fails at once
+    stream = (open(args.out, "w", encoding="utf-8", newline="")
+              if args.out else sys.stdout)
     rows = []
     running = 0
     truncated = False
     t0 = time.monotonic()
-    for r in range(1, args.r_max + 1):
-        try:
-            value = fn(args.n, r, jobs=args.jobs, budget=args.budget)
-        except SearchBudgetExceeded:
-            truncated = True
-            break
-        running += value
-        rows.append((r, value, running))
-    stream = (open(args.out, "w", encoding="utf-8", newline="")
-              if args.out else sys.stdout)
     try:
+        for r in range(1, args.r_max + 1):
+            try:
+                value = fn(args.n, r, jobs=args.jobs, budget=args.budget)
+            except SearchBudgetExceeded:
+                truncated = True
+                break
+            running += value
+            rows.append((r, value, running))
         _emit_rows(fmt, ("r", "f", "N"), rows, stream)
         if truncated:
             if fmt == "json":
@@ -403,6 +405,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except CacheConflict as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,10 +2,10 @@
 
 Two independent routes are implemented for counting multiplicative
 sublattices. The full-rank route walks upper-triangular Hermite bases with a
-prescribed determinant. The co-rank route is a brute-force scan over
-staircase-shaped bases with bounded entries; it never consults the closed
-formula it is later compared against. The verifier pits the two against each
-other cell by cell.
+prescribed determinant. The co-rank route is a brute-force scan over the
+canonical banded bases of `lattice.banded_basis` with bounded entries, so it
+reaches each lattice once; it never consults the closed formula it is later
+compared against. The verifier pits the two against each other cell by cell.
 
 Budgets: both engines count every candidate row they visit and abort with
 SearchBudgetExceeded once the per-worker budget is crossed, so an oversized
@@ -14,14 +14,13 @@ request dies loudly instead of truncating silently.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import multiprocessing
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import prod
 from typing import Optional
 
-from .intlinalg import _xgcd
+from .intlinalg import smith_normal_form
 from .lattice import (
     Lattice,
     has_rigid_columns,
@@ -103,71 +102,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# shared low-level helpers (hot path: plain lists, no object churn)
-
-
-def _insert_row(hnf: list[list[int]], pivots: list[int], v: tuple[int, ...],
-                ambient: int) -> Optional[tuple[list[list[int]], list[int]]]:
-    """Adjoin v to a Hermite basis; None when the rank does not grow.
-
-    Returns the canonical basis and pivots of span(rows + {v}) without
-    mutating the inputs. When v's lead collides with an existing pivot the
-    two rows are combined by a unimodular 2x2 step (the pivot becomes the
-    gcd) and the remainder cascades rightward. None means v sits in the
-    rational row space; such a branch cannot reach full rank and is dead
-    for the scan even when v refines the lattice.
-    """
-    h = [row[:] for row in hnf]
-    piv = pivots[:]
-    w = list(v)
-    while True:
-        for t, c in enumerate(piv):
-            wc = w[c]
-            if wc:
-                row = h[t]
-                q = wc // row[c]
-                if q:
-                    for j in range(c, ambient):
-                        w[j] -= q * row[j]
-        lead = -1
-        for j in range(ambient):
-            if w[j]:
-                lead = j
-                break
-        if lead < 0:
-            return None
-        if w[lead] < 0:
-            for j in range(lead, ambient):
-                w[j] = -w[j]
-            continue
-        t = bisect.bisect_left(piv, lead)
-        if t < len(piv) and piv[t] == lead:
-            row = h[t]
-            d = row[lead]
-            a = w[lead]
-            g, s, u = _xgcd(d, a)
-            dg = d // g
-            ag = a // g
-            h[t] = [s * row[j] + u * w[j] for j in range(ambient)]
-            w = [ag * row[j] - dg * w[j] for j in range(ambient)]
-            continue
-        break
-    pos = bisect.bisect_left(piv, lead)
-    h.insert(pos, w)
-    piv.insert(pos, lead)
-    # one left-to-right pass re-reduces everything above each pivot
-    for t in range(len(piv)):
-        c = piv[t]
-        prow = h[t]
-        d = prow[c]
-        for a_i in range(t):
-            x = h[a_i][c]
-            q = x // d
-            if q:
-                ra = h[a_i]
-                for j in range(c, ambient):
-                    ra[j] -= q * prow[j]
-    return h, piv
+# shared low-level helper (hot path: plain lists, no object churn)
 
 
 def _in_span(hnf: list[list[int]], pivots: list[int], p: list[int],
@@ -320,315 +255,64 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# co-rank oracle: staircase scan with bounded entries
+# co-rank oracle: canonical banded bases with bounded entries
 
 
-def _residual_last(h: list[list[int]], piv: list[int], p: list[int],
-                   last: int) -> Optional[int]:
-    """Eliminate p against an echelon basis whose pivots all sit before `last`.
+def _corank_worker(args: tuple[int, int, int, int, int, int, int]
+                   ) -> list[tuple[tuple[int, ...], ...]]:
+    """One shard's share of the census, as canonical banded bases.
 
-    Returns None when p is rejected at some column before `last` (a failed
-    exact division or a nonzero residual entry); otherwise the residual value
-    in column `last`, so membership in the row span holds exactly when that
-    value is zero. Mutates p. h need not be reduced above its pivots.
+    Rows are built in the reversed column frame, where a banded basis read
+    newest row first is an ordinary Hermite basis: the row of level i has
+    its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
+    rows built so far span L cut down to a coordinate section and
+    `_in_span` decides membership in that span by exact division.
     """
-    amb = last + 1
-    for t, c in enumerate(piv):
-        if c >= last:
-            continue
-        pc = p[c]
-        if pc:
-            row = h[t]
-            d = row[c]
-            if pc % d:
-                return None
-            q = pc // d
-            for j in range(c, amb):
-                p[j] -= q * row[j]
-    for j in range(last):
-        if p[j]:
-            return None
-    return p[last]
-
-
-def _det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for i in range(n):
-        a = m[i][0]
-        if a:
-            sub = [row[1:] for t, row in enumerate(m) if t != i]
-            s = a * _det(sub)
-            total += s if i % 2 == 0 else -s
-    return total
-
-
-def _row_span_torsion(rows: list[list[int]], ambient: int) -> int:
-    # gcd of all maximal minors; for independent rows this is the size of
-    # the quotient of the rational span's integer points by the row span
-    n = len(rows)
-    g = 0
-    for cols in itertools.combinations(range(ambient), n):
-        d = _det([[row[c] for c in cols] for row in rows])
-        if d:
-            g = gcd(g, d)
-            if g == 1:
-                return 1
-    return g
-
-
-def _corank_worker(args: tuple[int, int, int, int, int, int, int]) -> set[tuple[tuple[int, ...], ...]]:
     ambient, corank, torsion, bound, shard, jobs, budget = args
     n = ambient - corank
-    rng = range(bound + 1)
-    found: set[tuple[tuple[int, ...], ...]] = set()
+    found: list[tuple[tuple[int, ...], ...]] = []
     visited = 0
-
-    def finalize(h2: list[list[int]], p2: list[int]) -> None:
-        pivot_prod = 1
-        for t, c in enumerate(p2):
-            pivot_prod *= h2[t][c]
-        # torsion divides every maximal minor, the pivot minor included
-        if pivot_prod % torsion:
-            return
-        if _row_span_torsion(h2, ambient) == torsion:
-            found.add(tuple(tuple(r) for r in h2))
-
-    def scan_final(rows: list[tuple[int, ...]],
-                   h: list[list[int]], piv: list[int]) -> None:
-        # The last row dominates the scan. It is always full width, every
-        # prefix pivot sits left of its last column, and every branch
-        # decision of the insert cascade and of the eliminations happens
-        # left of the last column, so for a fixed head each product's final
-        # residual is a polynomial in the last entry x: affine for cross
-        # products, monic quadratic for the square. The scan extracts the
-        # coefficients by evaluating at x = 0, 1, 2 (asserting polynomial
-        # consistency) and visits only the roots, re-verifying each survivor
-        # through the generic insert-and-check path. Heads whose extra pivot
-        # falls on the last column escape the model and walk the range
-        # directly, after an x-independent pre-rejection.
-        nonlocal visited
-        amb = ambient
-        last = amb - 1
-        m = len(rows)
-        per_head = bound + 1
-
-        def check_candidate(v: tuple[int, ...]) -> None:
-            ins = _insert_row(h, piv, v, amb)
-            if ins is None:
-                return
-            h2, p2 = ins
-            for u in rows:
-                if not _in_span(h2, p2, [a * b for a, b in zip(u, v)], amb):
-                    return
-            if not _in_span(h2, p2, [a * a for a in v], amb):
-                return
-            finalize(h2, p2)
-
-        def residuals(h2: list[list[int]], p2: list[int],
-                      v: tuple[int, ...]) -> Optional[list[int]]:
-            out: list[int] = []
-            for u in rows:
-                res = _residual_last(h2, p2, [a * b for a, b in zip(u, v)], last)
-                if res is None:
-                    return None
-                out.append(res)
-            res = _residual_last(h2, p2, [a * a for a in v], last)
-            if res is None:
-                return None
-            out.append(res)
-            return out
-
-        def eval_at(head: tuple[int, ...], x: int, pivot_col: int
-                    ) -> Optional[list[int]]:
-            v = head + (x,)
-            ins = _insert_row(h, piv, v, amb)
-            if ins is None:
-                raise RuntimeError("internal: insert outcome changed with x")
-            h2, p2 = ins
-            added = p2[-1]
-            for t in range(len(piv)):
-                if p2[t] != piv[t]:
-                    added = p2[t]
-                    break
-            if added != pivot_col:
-                raise RuntimeError("internal: extra pivot moved with x")
-            return residuals(h2, p2, v)
-
-        for head in itertools.product(rng, repeat=last):
-            visited += per_head
-            if visited > budget:
-                raise SearchBudgetExceeded(
-                    f"search budget exhausted after {visited} candidates "
-                    f"(budget {budget})")
-            ins0 = _insert_row(h, piv, head + (0,), amb)
-            pivot_col = -1
-            if ins0 is not None:
-                p2 = ins0[1]
-                pivot_col = p2[-1]
-                for t in range(len(piv)):
-                    if p2[t] != piv[t]:
-                        pivot_col = p2[t]
-                        break
-            if ins0 is None or pivot_col == last:
-                # the extra pivot sits on the last column for every x, so
-                # the last modulus varies with x; pre-reject on the columns
-                # left of it, which do not, then walk the range. A basis
-                # with the extension folded in is required here: a collision
-                # during the insert can shrink prefix pivot values.
-                rep = ins0 if ins0 is not None else _insert_row(
-                    h, piv, head + (1,), amb)
-                if rep is None:
-                    raise RuntimeError(
-                        "internal: head dependent for two distinct tails")
-                h2r, p2r = rep
-                ok = True
-                for u in rows:
-                    if _residual_last(h2r, p2r,
-                                      [a * b for a, b in zip(u, head)] + [0],
-                                      last) is None:
-                        ok = False
-                        break
-                if ok and _residual_last(h2r, p2r,
-                                         [a * a for a in head] + [0],
-                                         last) is None:
-                    ok = False
-                if not ok:
-                    continue
-                for x in rng:
-                    check_candidate(head + (x,))
-                continue
-            r0 = residuals(ins0[0], ins0[1], head + (0,))
-            if r0 is None:
-                continue
-            r1 = eval_at(head, 1, pivot_col)
-            r2 = eval_at(head, 2, pivot_col)
-            if r1 is None or r2 is None:
-                raise RuntimeError(
-                    "internal: rejection verdict depends on the last entry")
-            dead = False
-            allowed: Optional[set[int]] = None
-            for i in range(m):
-                b = r1[i] - r0[i]
-                if r2[i] - r1[i] != b:
-                    raise RuntimeError(
-                        "internal: cross-product residual is not affine")
-                if b == 0:
-                    if r0[i]:
-                        dead = True
-                        break
-                    continue
-                if r0[i] % b:
-                    dead = True
-                    break
-                root = -(r0[i] // b)
-                if allowed is None:
-                    allowed = {root}
-                else:
-                    allowed &= {root}
-                    if not allowed:
-                        dead = True
-                        break
-            if dead:
-                continue
-            if r2[m] - 2 * r1[m] + r0[m] != 2:
-                raise RuntimeError(
-                    "internal: square residual is not a monic quadratic")
-            qb = r1[m] - r0[m] - 1
-            qa = r0[m]
-            disc = qb * qb - 4 * qa
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            roots = set()
-            for numer in (-qb - s, -qb + s):
-                if numer % 2 == 0:
-                    roots.add(numer // 2)
-            if allowed is not None:
-                roots &= allowed
-            for x in sorted(roots):
-                if 0 <= x <= bound:
-                    check_candidate(head + (x,))
-
-    def extend(level: int, rows: list[tuple[int, ...]],
-               hnf: list[list[int]], pivots: list[int]) -> None:
-        nonlocal visited
-        width = min(ambient, level + 1 + corank)
-        tail = (0,) * (ambient - width)
-        for head in itertools.product(rng, repeat=width):
-            visited += 1
-            if visited > budget:
-                raise SearchBudgetExceeded(
-                    f"search budget exhausted after {visited} candidates "
-                    f"(budget {budget})")
-            v = head + tail
-            ins = _insert_row(hnf, pivots, v, ambient)
-            if ins is None:
-                continue
-            h2, p2 = ins
-            ok = True
-            for u in rows:
-                if not _in_span(h2, p2, [x * y for x, y in zip(u, v)], ambient):
-                    ok = False
-                    break
-            if ok and not _in_span(h2, p2, [x * x for x in v], ambient):
-                ok = False
-            if not ok:
-                continue
-            # the prefix span is the final lattice cut down to a coordinate
-            # section, hence a primitive sublattice of it, so its torsion
-            # divides the final torsion
-            if torsion % _row_span_torsion(h2, ambient):
-                continue
-            if level + 2 == n:
-                scan_final(rows + [v], h2, p2)
-            else:
-                extend(level + 1, rows + [v], h2, p2)
-
-    # shard on the first-row candidates
-    width0 = min(ambient, 1 + corank)
-    tail0 = (0,) * (ambient - width0)
-    final0 = n == 1
     idx0 = -1
-    for head in itertools.product(rng, repeat=width0):
-        idx0 += 1
-        if idx0 % jobs != shard:
-            continue
-        visited += 1
-        if visited > budget:
-            raise SearchBudgetExceeded(
-                f"search budget exhausted after {visited} candidates "
-                f"(budget {budget})")
-        v = head + tail0
-        lead = -1
-        for j in range(ambient):
-            if v[j]:
-                lead = j
-                break
-        if lead < 0:
-            continue
-        # rank-1 span is multiplicative iff all nonzero entries are equal
-        val = v[lead]
-        if any(x and x != val for x in v):
-            continue
-        # rank-1 torsion is the common value; it must divide the target
-        if torsion % val:
-            continue
-        hnf1 = [list(v)]
-        piv1 = [lead]
-        if final0:
-            if val == torsion:
-                found.add((v,))
-        elif n == 2:
-            scan_final([v], hnf1, piv1)
-        else:
-            extend(1, [v], hnf1, piv1)
+
+    def extend(level: int, hnf: list[list[int]], pivots: list[int]) -> None:
+        nonlocal visited, idx0
+        pivot_value = {c: row[c] for row, c in zip(hnf, pivots)}
+        top = pivots[0] if pivots else ambient
+        # banded row `level` ends on a column p <= level + corank
+        for q in range(n - 1 - level, top):
+            tail = [range(pivot_value[c]) if c in pivot_value
+                    else range(bound + 1) for c in range(q + 1, ambient)]
+            p2 = [q] + pivots
+            for d in range(1, bound + 1):
+                for rest in itertools.product(*tail):
+                    if level == 0:
+                        idx0 += 1
+                        if idx0 % jobs != shard:
+                            continue
+                    visited += 1
+                    if visited > budget:
+                        raise SearchBudgetExceeded(
+                            f"search budget exhausted after {visited} "
+                            f"candidates (budget {budget})")
+                    v = [0] * q + [d, *rest]
+                    h2 = [v] + hnf
+                    if not all(_in_span(h2, p2, [a * b for a, b in zip(u, v)],
+                                        ambient) for u in h2):
+                        continue
+                    if level + 1 < n:
+                        # a coordinate section of L is a primitive sublattice
+                        # of it, so its torsion divides the final torsion
+                        if torsion % prod(smith_normal_form(h2)) == 0:
+                            extend(level + 1, h2, p2)
+                        continue
+                    # torsion divides every maximal minor, the pivot minor
+                    # included
+                    if (prod(row[c] for row, c in zip(h2, p2)) % torsion == 0
+                            and prod(smith_normal_form(h2)) == torsion):
+                        found.append(tuple(tuple(reversed(row))
+                                           for row in reversed(h2)))
+
+    extend(0, [], [])
     return found
 
 
@@ -637,17 +321,21 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
                             budget: Optional[int] = None) -> list[Lattice]:
     """Brute-force census of multiplicative sublattices by co-rank and torsion.
 
-    Scans every (ambient-corank) x ambient staircase matrix, where row i may
-    be supported only on columns 0..i+corank and entries run over
-    [0, bound_multiplier * torsion], keeping row spans that are full rank on
-    their rows, multiplicative, and of the requested torsion. Duplicate
-    representations collapse through the canonical Hermite basis. The scan
-    prunes branches whose prefix rows are dependent or whose prefix span is
-    not multiplicative; every surviving lattice is re-verified afterwards
-    with the lattice-level membership routine.
+    Scans the (ambient-corank) x ambient matrices in the canonical banded
+    form that `banded_basis` returns, one per lattice: row i ends in a
+    positive pivot d_i at column p_i <= i + corank, with p_0 < p_1 < ...; a
+    later row's entry in column p_i is reduced into [0, d_i); every other
+    entry left of a pivot runs over [0, B]. B = bound_multiplier * torsion
+    bounds the pivots and those other entries. Row spans that are
+    multiplicative and of the requested torsion are kept. Rows 0..i span
+    the lattice cut down to the first p_i + 1 coordinates, so a prefix is
+    pruned as soon as it is not multiplicative or its torsion does not
+    divide the target. A lattice found twice is an internal error, and every
+    lattice is re-verified afterwards with the lattice-level routines.
 
     Raising bound_multiplier widens the entry range; a census that is stable
-    under widening was not an artifact of the bound.
+    under widening was not an artifact of the bound. The budget counts
+    candidate rows per worker, and jobs shards the first-row candidates.
     """
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
@@ -674,8 +362,11 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             shard_results = pool.map(_corank_worker, tasks)
-    bases = sorted(set().union(*shard_results))
-    lats = [Lattice(ambient, b) for b in bases]
+    lats = sorted((lattice_from_rows(ambient, b)
+                   for chunk in shard_results for b in chunk),
+                  key=lambda lat: lat.basis)
+    if len(set(lats)) != len(lats):
+        raise RuntimeError("internal: scan produced a lattice twice")
     _reverify_corank(lats, torsion, n)
     return lats
 

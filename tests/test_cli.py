@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import multlat.cli as cli
-from multlat.enumeration import VerificationReport
+from multlat.enumeration import ENGINE_VERSION, VerificationReport
 from multlat.lattice import lattice_from_rows
 
 
@@ -243,6 +243,42 @@ def test_verify_deposits_oracle_counts(tmp_path, capsys):
     assert out.splitlines()[1] == "2,1,2,oracle,18,ok"
 
 
+def test_cache_directory_exits_two_without_traceback(tmp_path):
+    proc = run_cli(["count", "--n", "1", "--r", "1..2",
+                    "--cache", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("io error:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_unwritable_cache_exits_two(tmp_path, capsys):
+    # the cache file's parent is a regular file, so the first put fails
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc, _, err = run_main(
+        capsys,
+        ["count", "--n", "1", "--r", "1",
+         "--cache", str(blocker / "counts.jsonl")])
+    assert rc == 2
+    assert err.startswith("io error:")
+    assert err.count("\n") == 1
+
+
+def test_cache_conflict_exits_two(tmp_path, capsys):
+    cache = tmp_path / "counts.jsonl"
+    cache.write_text(json.dumps(
+        {"n": 2, "k": 1, "r": 2, "method": "oracle",
+         "engine_version": ENGINE_VERSION, "count": 17,
+         "created_at": "2020-01-01T00:00:00+00:00"}) + "\n")
+    rc, _, err = run_main(
+        capsys,
+        ["verify", "--n", "2", "--k", "1", "--r", "2", "--cache", str(cache)])
+    assert rc == 2
+    assert err.startswith("cache error: cache conflict")
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------- partitions
 
 def test_partitions_listing(capsys):
@@ -310,6 +346,22 @@ def test_series_to_file_with_truncation(tmp_path, capsys):
     assert text.startswith("r,f,N\n")
     assert text.endswith("# truncated\n")
     assert "of 9 coefficients" in err
+
+
+def test_series_bad_out_path_fails_before_computing(tmp_path, capsys,
+                                                   monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("series computed before opening --out")
+
+    monkeypatch.setattr(cli, "count_unital", computed)
+    rc, out, err = run_main(
+        capsys,
+        ["series", "--n", "2", "--r-max", "3",
+         "--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("io error:")
+    assert err.count("\n") == 1
 
 
 def test_series_refuses_large_rank(capsys):

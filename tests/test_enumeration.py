@@ -24,9 +24,9 @@ from multlat.enumeration import (
     reconstruct_from_factorization,
     verify_corank_factorization,
 )
-from multlat.enumeration import _det, _row_span_torsion
 from multlat.lattice import (
     Lattice,
+    banded_basis,
     distinct_nonzero_columns,
     is_multiplicative,
     lattice_from_rows,
@@ -35,13 +35,10 @@ from multlat.lattice import (
 from multlat.partitions import apply_map, enumerate_ordered_maps, stirling2
 
 from refimpl import (
-    bareiss_det,
-    rational_rank,
     ref_canonical_key,
     ref_corank_scan,
     ref_count_full_rank_mult,
     ref_count_unital,
-    torsion_ref,
 )
 
 # computed with the reference scan before the engine was written
@@ -159,6 +156,25 @@ def test_corank_scan_matches_unpruned_reference():
         mine = {lat.basis for lat in lats}
         ref = ref_corank_scan(ambient, corank, torsion, torsion)
         assert mine == ref, (ambient, corank, torsion)
+
+
+def test_corank_scan_matches_unpruned_reference_at_wider_bound():
+    for ambient, corank, torsion in ((2, 1, 3), (3, 2, 2), (3, 1, 2)):
+        lats = enumerate_corank_oracle(ambient, corank, torsion, 2)
+        mine = {lat.basis for lat in lats}
+        ref = ref_corank_scan(ambient, corank, torsion, 2 * torsion)
+        assert mine == ref, (ambient, corank, torsion)
+
+
+def test_corank_census_banded_entries_fit_the_base_bound():
+    # why bound multiplier 1 is complete: the canonical banded basis the
+    # scan enumerates has every entry in [0, torsion], even for lattices
+    # found under a wider bound
+    cells = [(3, 1, 4), (4, 2, 3), (4, 1, 2), (4, 3, 4)]
+    for ambient, corank, torsion in cells:
+        for lat in enumerate_corank_oracle(ambient, corank, torsion, 2):
+            for row in banded_basis(lat):
+                assert all(0 <= x <= torsion for x in row), lat.basis
 
 
 def test_corank_scan_stable_under_wider_bound():
@@ -329,27 +345,6 @@ def test_find_counterexample_clean_cells():
 
 
 # ----------------------------------------------------- low-level internals
-
-def test_det_matches_reference():
-    rng = random.Random(931)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert _det(m) == bareiss_det(m)
-
-
-def test_row_span_torsion_matches_reference():
-    rng = random.Random(932)
-    checked = 0
-    while checked < 200:
-        nrows = rng.randint(1, 3)
-        ncols = rng.randint(nrows, 4)
-        m = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        if rational_rank(m) < nrows:
-            continue
-        assert _row_span_torsion([list(r) for r in m], ncols) == torsion_ref(m)
-        checked += 1
-
 
 def test_canonical_key_matches_package_basis():
     rng = random.Random(933)
