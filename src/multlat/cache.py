@@ -1,10 +1,12 @@
 """Append-only JSON-lines store for counting results.
 
 One file, one JSON object per line, an in-memory index on top. Entries are
-keyed by (n, k, r, method, engine_version), so bumping the engine version
-silently invalidates everything older: stale entries stay in the file but
-can never be returned. Malformed lines (torn writes, manual edits) are
-skipped with a warning instead of poisoning the run.
+keyed by (n, k, r, method, engine_version, bound_multiplier), so bumping
+the engine version silently invalidates everything older: stale entries stay
+in the file but can never be returned. A co-rank census count is only served
+to a request under the bound multiplier it was taken with; a line without
+that field reads as multiplier 1. Malformed lines (torn writes, manual
+edits) are skipped with a warning instead of poisoning the run.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from typing import Optional
 
 from .enumeration import ENGINE_VERSION, CountRecord
 
-CacheKey = tuple[int, int, int, str, str]
-
-_FIELDS = ("n", "k", "r", "method", "engine_version", "count", "created_at")
+CacheKey = tuple[int, int, int, str, str, int]
 
 
 class CacheConflict(RuntimeError):
@@ -60,24 +60,29 @@ class CountCache:
     @staticmethod
     def _key_of(data: dict) -> CacheKey:
         return (int(data["n"]), int(data["k"]), int(data["r"]),
-                str(data["method"]), str(data["engine_version"]))
+                str(data["method"]), str(data["engine_version"]),
+                int(data.get("bound_multiplier", 1)))
 
     def get(self, n: int, k: int, r: int, method: str,
-            engine_version: str = ENGINE_VERSION) -> Optional[int]:
-        data = self._index.get((n, k, r, method, engine_version))
+            engine_version: str = ENGINE_VERSION,
+            bound_multiplier: int = 1) -> Optional[int]:
+        data = self._index.get((n, k, r, method, engine_version,
+                                bound_multiplier))
         return None if data is None else int(data["count"])
 
     def created_at(self, n: int, k: int, r: int, method: str,
-                   engine_version: str = ENGINE_VERSION) -> Optional[str]:
+                   engine_version: str = ENGINE_VERSION,
+                   bound_multiplier: int = 1) -> Optional[str]:
         """Timestamp of the stored entry; how invalidation is observed."""
-        data = self._index.get((n, k, r, method, engine_version))
+        data = self._index.get((n, k, r, method, engine_version,
+                                bound_multiplier))
         return None if data is None else str(data["created_at"])
 
     def put(self, record: CountRecord) -> None:
         """Append one record. Existing keys are immutable: a matching entry
         is left alone, a conflicting count raises."""
         key = (record.n, record.k, record.r, record.method,
-               record.engine_version)
+               record.engine_version, record.bound_multiplier)
         old = self._index.get(key)
         if old is not None:
             if int(old["count"]) != record.count:
@@ -91,6 +96,7 @@ class CountCache:
             "r": record.r,
             "method": record.method,
             "engine_version": record.engine_version,
+            "bound_multiplier": record.bound_multiplier,
             "count": record.count,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }

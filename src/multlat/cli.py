@@ -4,7 +4,8 @@ Every subcommand writes data rows to stdout and everything else (progress,
 wall-time footers, counterexamples, warnings) to stderr, so captured stdout
 is byte-stable across --jobs settings and across cold/warm cache runs.
 Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
-cache-conflict error.
+cache-conflict error, 3 internal error (a self-check of the engines failed,
+which is a bug, not a verdict on the formula).
 """
 
 from __future__ import annotations
@@ -142,6 +143,12 @@ class _StreamEmitter:
 _COUNT_HEADER = ("n", "k", "r", "method", "count", "status")
 
 
+def _cache_bound(k: int, method: str, bound_multiplier: int) -> int:
+    """The bound multiplier a count is cached under: only co-rank census
+    counts depend on it."""
+    return bound_multiplier if k > 0 and method == "oracle" else 1
+
+
 def _count_cells(cells, args, fmt: str) -> int:
     """Shared count/count-corank driver: cells yield (n, k, r, method, fn)."""
     cache = CountCache(args.cache) if args.cache else None
@@ -149,7 +156,9 @@ def _count_cells(cells, args, fmt: str) -> int:
     incomplete = 0
     t0 = time.monotonic()
     for n, k, r, method, compute in cells:
-        cached = cache.get(n, k, r, method) if cache else None
+        bound = _cache_bound(k, method, args.bound_multiplier)
+        cached = (cache.get(n, k, r, method, bound_multiplier=bound)
+                  if cache else None)
         if cached is not None:
             rows.append((n, k, r, method, cached, "ok"))
             continue
@@ -161,7 +170,8 @@ def _count_cells(cells, args, fmt: str) -> int:
             continue
         rows.append((n, k, r, method, value, "ok"))
         if cache is not None:
-            cache.put(CountRecord(n, k, r, value, method, ENGINE_VERSION))
+            cache.put(CountRecord(n, k, r, value, method, ENGINE_VERSION,
+                                  bound))
     _emit_rows(fmt, _COUNT_HEADER, rows, sys.stdout)
     print(f"{len(rows)} cells, {incomplete} incomplete, "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
@@ -237,8 +247,9 @@ def _cmd_verify(args) -> int:
                 data = report.as_dict()
                 emitter.row([data[h] for h in _VERIFY_HEADER])
                 if cache is not None:
-                    cache.put(CountRecord(n, k, r, report.oracle_count,
-                                          "oracle", ENGINE_VERSION))
+                    cache.put(CountRecord(
+                        n, k, r, report.oracle_count, "oracle", ENGINE_VERSION,
+                        _cache_bound(k, "oracle", spec.bound_multiplier)))
                 if report.status != "pass":
                     found = find_counterexample(
                         n, k, r, spec.bound_multiplier, jobs=spec.job_count,
@@ -336,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--bound-multiplier", type=int, default=1, metavar="M",
                         help="widen the oracle entry bound by this factor")
     shared.add_argument("--budget", type=int, default=None, metavar="STEPS",
-                        help="candidate-rows budget per worker")
+                        help="steps per worker: entries tried by the "
+                             "co-rank scan, candidate bases by the full-rank "
+                             "engine")
 
     parser = argparse.ArgumentParser(
         prog="multlat",
@@ -412,6 +425,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CacheConflict as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # after the budget and cache subclasses: what is left is a failed
+        # self-check, e.g. "internal: scan produced a lattice twice"
+        print(f"internal error: {str(exc).removeprefix('internal: ')}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ canonical banded bases of `lattice.banded_basis` with bounded entries, so it
 reaches each lattice once; it never consults the closed formula it is later
 compared against. The verifier pits the two against each other cell by cell.
 
-Budgets: both engines count every candidate row they visit and abort with
-SearchBudgetExceeded once the per-worker budget is crossed, so an oversized
-request dies loudly instead of truncating silently.
+Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
+once the per-worker budget is crossed, so an oversized request dies loudly
+instead of truncating silently. The co-rank scan counts one step per entry
+it tries, lead entries included; the full-rank engine one per candidate
+basis.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .partitions import (
     stirling2,
 )
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.2.0"
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -48,7 +50,12 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One counting result: method is 'oracle', 'formula' or 'unital'."""
+    """One counting result: method is 'oracle', 'formula' or 'unital'.
+
+    bound_multiplier is the census bound a co-rank oracle count (k > 0) was
+    taken under; the command line records 1 for every other count, which
+    does not depend on it.
+    """
 
     n: int
     k: int
@@ -56,6 +63,7 @@ class CountRecord:
     count: int
     method: str
     engine_version: str
+    bound_multiplier: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in ("oracle", "formula", "unital"):
@@ -66,6 +74,8 @@ class CountRecord:
             raise ValueError("count must be nonnegative")
         if self.k == 0 and self.method == "formula":
             raise ValueError("full-rank records are counted directly, not by formula")
+        if self.bound_multiplier < 1:
+            raise ValueError("bound multiplier must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -258,6 +268,66 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 # co-rank oracle: canonical banded bases with bounded entries
 
 
+class _Steps:
+    """One worker's count of entries tried, checked against its budget."""
+
+    __slots__ = ("used", "budget")
+
+    def __init__(self, budget: int) -> None:
+        self.used = 0
+        self.budget = budget
+
+    def spend(self, entries: int) -> None:
+        self.used += entries
+        if self.used > self.budget:
+            raise SearchBudgetExceeded(
+                f"search budget exhausted after {self.used} entries tried "
+                f"(budget {self.budget})")
+
+
+def _square_closed_rows(hnf: list[list[int]], pivots: list[int], q: int,
+                        bound: int, ambient: int, steps: _Steps):
+    """Rows v = 0^q, d, x_(q+1), ..., x_(ambient-1) with v*v in span(v, hnf).
+
+    hnf is a Hermite basis in the reversed frame with pivots right of q. The
+    lead d runs over [1, bound], an entry in a pivot column of hnf over
+    [0, pivot) and every other entry over [0, bound], in lexicographic
+    order. The coefficient of v in v*v is d, so v*v lies in the span exactly
+    when v*v - d*v reduces to zero against hnf. Its column j, less the
+    multiples of the rows pivoting left of j, is fixed once x_q..x_j are, so
+    a partial row is dropped at the first column whose residual is non-zero
+    off a pivot or not divisible by the pivot on one. `acc` carries those
+    multiples forward. Every entry tried is charged to `steps`.
+    """
+    pivot_row = {c: row for row, c in zip(hnf, pivots)}
+    v = [0] * ambient
+
+    def fill(j: int, d: int, acc: list[int]):
+        if j == ambient:
+            yield v[:]
+            return
+        row = pivot_row.get(j)
+        if row is None:
+            steps.spend(bound + 1)
+            for x in range(bound + 1):
+                if x * (x - d) == acc[j]:
+                    v[j] = x
+                    yield from fill(j + 1, d, acc)
+            return
+        p = row[j]
+        steps.spend(p)
+        for x in range(p):
+            m, rem = divmod(x * (x - d) - acc[j], p)
+            if rem == 0:
+                v[j] = x
+                yield from fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
+
+    for d in range(1, bound + 1):
+        steps.spend(1)
+        v[q] = d
+        yield from fill(q + 1, d, [0] * ambient)
+
+
 def _corank_worker(args: tuple[int, int, int, int, int, int, int]
                    ) -> list[tuple[tuple[int, ...], ...]]:
     """One shard's share of the census, as canonical banded bases.
@@ -266,51 +336,44 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     newest row first is an ordinary Hermite basis: the row of level i has
     its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
     rows built so far span L cut down to a coordinate section and
-    `_in_span` decides membership in that span by exact division.
+    `_in_span` decides membership in that span by exact division. A new
+    row's square is tested column by column in `_square_closed_rows`, and
+    its products with the earlier rows only on the rows that pass.
     """
     ambient, corank, torsion, bound, shard, jobs, budget = args
     n = ambient - corank
     found: list[tuple[tuple[int, ...], ...]] = []
-    visited = 0
+    steps = _Steps(budget)
     idx0 = -1
 
     def extend(level: int, hnf: list[list[int]], pivots: list[int]) -> None:
-        nonlocal visited, idx0
-        pivot_value = {c: row[c] for row, c in zip(hnf, pivots)}
+        nonlocal idx0
         top = pivots[0] if pivots else ambient
         # banded row `level` ends on a column p <= level + corank
         for q in range(n - 1 - level, top):
-            tail = [range(pivot_value[c]) if c in pivot_value
-                    else range(bound + 1) for c in range(q + 1, ambient)]
             p2 = [q] + pivots
-            for d in range(1, bound + 1):
-                for rest in itertools.product(*tail):
-                    if level == 0:
-                        idx0 += 1
-                        if idx0 % jobs != shard:
-                            continue
-                    visited += 1
-                    if visited > budget:
-                        raise SearchBudgetExceeded(
-                            f"search budget exhausted after {visited} "
-                            f"candidates (budget {budget})")
-                    v = [0] * q + [d, *rest]
-                    h2 = [v] + hnf
-                    if not all(_in_span(h2, p2, [a * b for a, b in zip(u, v)],
-                                        ambient) for u in h2):
+            for v in _square_closed_rows(hnf, pivots, q, bound, ambient,
+                                         steps):
+                if level == 0:
+                    idx0 += 1
+                    if idx0 % jobs != shard:
                         continue
-                    if level + 1 < n:
-                        # a coordinate section of L is a primitive sublattice
-                        # of it, so its torsion divides the final torsion
-                        if torsion % prod(smith_normal_form(h2)) == 0:
-                            extend(level + 1, h2, p2)
-                        continue
-                    # torsion divides every maximal minor, the pivot minor
-                    # included
-                    if (prod(row[c] for row, c in zip(h2, p2)) % torsion == 0
-                            and prod(smith_normal_form(h2)) == torsion):
-                        found.append(tuple(tuple(reversed(row))
-                                           for row in reversed(h2)))
+                h2 = [v] + hnf
+                if not all(_in_span(h2, p2, [a * b for a, b in zip(u, v)],
+                                    ambient) for u in hnf):
+                    continue
+                if level + 1 < n:
+                    # a coordinate section of L is a primitive sublattice
+                    # of it, so its torsion divides the final torsion
+                    if torsion % prod(smith_normal_form(h2)) == 0:
+                        extend(level + 1, h2, p2)
+                    continue
+                # torsion divides every maximal minor, the pivot minor
+                # included
+                if (prod(row[c] for row, c in zip(h2, p2)) % torsion == 0
+                        and prod(smith_normal_form(h2)) == torsion):
+                    found.append(tuple(tuple(reversed(row))
+                                       for row in reversed(h2)))
 
     extend(0, [], [])
     return found
@@ -335,7 +398,10 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
 
     Raising bound_multiplier widens the entry range; a census that is stable
     under widening was not an artifact of the bound. The budget counts
-    candidate rows per worker, and jobs shards the first-row candidates.
+    entries tried per worker: a row is built one column at a time and
+    dropped at the first entry that leaves its square outside the span, so
+    every lead and every later entry tried costs one step. jobs shards the
+    first rows whose square closes, round-robin.
     """
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")

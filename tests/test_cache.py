@@ -68,6 +68,18 @@ def test_engine_version_is_part_of_the_key(tmp_path):
     assert cache.get(2, 1, 3, "oracle") == 18
 
 
+def test_bound_multiplier_is_part_of_the_key(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    cache = CountCache(path)
+    cache.put(CountRecord(3, 1, 4, 130, "oracle", ENGINE_VERSION, 2))
+    assert cache.get(3, 1, 4, "oracle") is None
+    assert cache.get(3, 1, 4, "oracle", bound_multiplier=2) == 130
+    assert json.loads(path.read_text())["bound_multiplier"] == 2
+    fresh = CountCache(path)
+    assert fresh.get(3, 1, 4, "oracle") is None
+    assert fresh.get(3, 1, 4, "oracle", bound_multiplier=2) == 130
+
+
 def test_created_at_distinguishes_old_and_new(tmp_path):
     cache = CountCache(tmp_path / "counts.jsonl")
     cache.put(rec(version="0.0.9"))

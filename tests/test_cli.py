@@ -279,6 +279,57 @@ def test_cache_conflict_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cache_does_not_serve_another_bound(tmp_path, capsys):
+    cache = str(tmp_path / "counts.jsonl")
+    argv = ["count-corank", "--ambient", "3", "--corank", "1", "--torsion",
+            "4", "--cache", cache, "--format", "csv"]
+    rc, out, _ = run_main(capsys, argv + ["--bound-multiplier", "2"])
+    assert rc == 0
+    assert out.splitlines()[1] == "2,1,4,oracle,24,ok"
+    # a bound-1 request must recompute, so this budget makes it incomplete
+    rc, out, _ = run_main(
+        capsys, argv + ["--bound-multiplier", "1", "--budget", "1"])
+    assert rc == 2
+    assert out.splitlines()[1] == "2,1,4,oracle,,incomplete"
+    # the bound-2 count is still served under bound 2
+    rc, out, _ = run_main(
+        capsys, argv + ["--bound-multiplier", "2", "--budget", "1"])
+    assert rc == 0
+    assert out.splitlines()[1] == "2,1,4,oracle,24,ok"
+
+
+def test_formula_counts_are_cached_under_every_bound(tmp_path, capsys):
+    cache = str(tmp_path / "counts.jsonl")
+    argv = ["count-corank", "--ambient", "3", "--corank", "1", "--torsion",
+            "2", "--method", "formula", "--cache", cache, "--format", "csv"]
+    run_main(capsys, argv)
+    rc, out, _ = run_main(capsys, argv + ["--bound-multiplier", "3"])
+    assert rc == 0
+    assert out.splitlines()[1] == "2,1,2,formula,18,ok"
+    assert len((tmp_path / "counts.jsonl").read_text().splitlines()) == 1
+
+
+# ----------------------------------------------------------- internal errors
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    import multlat.enumeration as enumeration
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal: scan produced a bad lattice")
+
+    monkeypatch.setattr(enumeration, "_reverify_corank", broken)
+    rc, out, err = run_main(
+        capsys, ["verify", "--n", "1", "--k", "1", "--r", "2"])
+    assert rc == 3
+    assert err == "internal error: scan produced a bad lattice\n"
+    rc, out, err = run_main(
+        capsys,
+        ["count-corank", "--ambient", "2", "--corank", "1", "--torsion", "2"])
+    assert rc == 3
+    assert out == ""
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------- partitions
 
 def test_partitions_listing(capsys):

@@ -6,6 +6,7 @@ implementation before the engine existed and must never be edited to make a
 test pass.
 """
 
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from multlat.enumeration import (
     reconstruct_from_factorization,
     verify_corank_factorization,
 )
+from multlat.enumeration import _in_span, _square_closed_rows, _Steps
 from multlat.lattice import (
     Lattice,
     banded_basis,
@@ -247,6 +249,15 @@ def test_budget_exhaustion_raises():
         count_full_rank(3, 8, budget=50)
 
 
+def test_budget_counts_entries_tried():
+    # (3, 1, 1): first rows 0,1,x (1 lead + 2 entries) and 0,0,1 (1 lead);
+    # second rows 1,0,x under 0,1,0 and under 0,1,1 (1 + 1 + 2 each), and
+    # 1,x,y (1 + 2 + 2) and 0,1,0 (1 + 1) under 0,0,1: 4 + 15 steps
+    assert len(enumerate_corank_oracle(3, 1, 1, budget=19)) == 6
+    with pytest.raises(SearchBudgetExceeded, match="after 19 entries"):
+        enumerate_corank_oracle(3, 1, 1, budget=18)
+
+
 def test_budget_large_enough_changes_nothing():
     small = enumerate_corank_oracle(2, 1, 3, budget=10_000)
     assert small == enumerate_corank_oracle(2, 1, 3)
@@ -262,6 +273,13 @@ def test_count_corank_formula_values():
     assert count_corank_formula(2, 0, 4) == 4
     with pytest.raises(ValueError):
         count_corank_formula(-1, 1, 2)
+
+
+def test_count_record_bound_multiplier():
+    assert CountRecord(2, 1, 3, 18, "oracle", "0.1.0").bound_multiplier == 1
+    assert CountRecord(2, 1, 3, 18, "oracle", "0.1.0", 2).bound_multiplier == 2
+    with pytest.raises(ValueError):
+        CountRecord(2, 1, 3, 18, "oracle", "0.1.0", 0)
 
 
 def test_count_record_validation():
@@ -353,3 +371,46 @@ def test_canonical_key_matches_package_basis():
                 for _ in range(rng.randint(1, 3))]
         lat = lattice_from_rows(3, rows)
         assert lat.basis == ref_canonical_key(rows, 3)
+
+
+def _random_reversed_hermite(rng, ambient, bound):
+    """A Hermite basis in the reversed frame (pivots increasing, entries in
+    later pivot columns reduced) and a lead column q left of its pivots."""
+    q = rng.randrange(ambient)
+    pivots = sorted(rng.sample(range(q + 1, ambient),
+                               rng.randint(0, ambient - 1 - q)))
+    pivot_value = {c: rng.randint(1, bound) for c in pivots}
+    hnf = []
+    for c in pivots:
+        row = [0] * ambient
+        row[c] = pivot_value[c]
+        for j in range(c + 1, ambient):
+            row[j] = rng.randrange(pivot_value.get(j, bound + 1))
+        hnf.append(row)
+    return hnf, pivots, q
+
+
+def test_square_closed_rows_match_full_tail_filter():
+    # the column-by-column generator keeps exactly the rows that the
+    # unfiltered product over every entry plus the square check keeps, in
+    # the same order, and tries no more entries than that product has
+    rng = random.Random(20181221)
+    for _ in range(300):
+        ambient = rng.randint(1, 5)
+        bound = rng.randint(1, 4)
+        hnf, pivots, q = _random_reversed_hermite(rng, ambient, bound)
+        pivot_value = {c: row[c] for row, c in zip(hnf, pivots)}
+        tail = [range(pivot_value.get(c, bound + 1))
+                for c in range(q + 1, ambient)]
+        expected = []
+        for d in range(1, bound + 1):
+            for rest in itertools.product(*tail):
+                v = [0] * q + [d, *rest]
+                if _in_span([v] + hnf, [q] + pivots, [x * x for x in v],
+                            ambient):
+                    expected.append(v)
+        steps = _Steps(10 ** 9)
+        got = list(_square_closed_rows(hnf, pivots, q, bound, ambient, steps))
+        assert got == expected, (hnf, pivots, q, bound)
+        full = sum(1 for _ in itertools.product(range(1, bound + 1), *tail))
+        assert bound <= steps.used <= full * (ambient - q)
