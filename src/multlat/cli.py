@@ -348,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="widen the oracle entry bound by this factor")
     shared.add_argument("--budget", type=int, default=None, metavar="STEPS",
                         help="steps per worker: entries tried by the "
-                             "co-rank scan, candidate bases by the full-rank "
-                             "engine")
+                             "co-rank scan, pivots and entries tried by the "
+                             "full-rank engine")
 
     parser = argparse.ArgumentParser(
         prog="multlat",

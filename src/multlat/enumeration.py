@@ -1,22 +1,22 @@
 """Exhaustive enumeration engines and the factorization verifier.
 
 Two independent routes are implemented for counting multiplicative
-sublattices. The full-rank route walks upper-triangular Hermite bases with a
-prescribed determinant. The co-rank route is a brute-force scan over the
-canonical banded bases of `lattice.banded_basis` with bounded entries, so it
-reaches each lattice once; it never consults the closed formula it is later
-compared against. The verifier pits the two against each other cell by cell.
+sublattices. The full-rank route builds upper-triangular Hermite bases with a
+prescribed determinant from the last row up, dropping a partial basis as
+soon as its rows are not closed under products. The co-rank route is a
+brute-force scan over the canonical banded bases of `lattice.banded_basis`
+with bounded entries, so it reaches each lattice once; it never consults the
+closed formula it is later compared against. The verifier pits the two against each other cell by cell.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
 instead of truncating silently. The co-rank scan counts one step per entry
-it tries, lead entries included; the full-rank engine one per candidate
-basis.
+it tries, lead entries included; the full-rank engine one per pivot or
+entry it tries.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from dataclasses import dataclass
 from math import prod
@@ -25,7 +25,7 @@ from typing import Optional
 from .intlinalg import smith_normal_form
 from .lattice import (
     Lattice,
-    has_rigid_columns,
+    distinct_nonzero_columns,
     is_multiplicative,
     lattice_from_rows,
     torsion_size,
@@ -112,7 +112,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# shared low-level helper (hot path: plain lists, no object churn)
+# shared low-level helpers (hot path: plain lists, no object churn)
 
 
 def _in_span(hnf: list[list[int]], pivots: list[int], p: list[int],
@@ -135,67 +135,90 @@ def _in_span(hnf: list[list[int]], pivots: list[int], p: list[int],
     return True
 
 
+class _Steps:
+    """One worker's count of entries tried, checked against its budget."""
+
+    __slots__ = ("used", "budget")
+
+    def __init__(self, budget: int) -> None:
+        self.used = 0
+        self.budget = budget
+
+    def spend(self, entries: int) -> None:
+        self.used += entries
+        if self.used > self.budget:
+            raise SearchBudgetExceeded(
+                f"search budget exhausted after {self.used} entries tried "
+                f"(budget {self.budget})")
+
+
 # ---------------------------------------------------------------------------
 # full-rank enumeration: upper-triangular Hermite bases with fixed determinant
 
 
-def _diagonals(n: int, index: int) -> list[tuple[int, ...]]:
-    """All length-n tuples of positive integers with the given product."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int, acc: list[int]) -> None:
-        if i == n:
-            if rem == 1:
-                out.append(tuple(acc))
-            return
-        d = 1
-        while d <= rem:
-            if rem % d == 0:
-                acc.append(d)
-                rec(i + 1, rem // d, acc)
-                acc.pop()
-            d += 1
-
-    rec(0, index, [])
-    return out
-
-
 def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[int, ...], ...]]:
+    """One shard's share of the full-rank census, as Hermite bases.
+
+    Bases are built bottom-up. Rows i..n-1 of an upper-triangular Hermite
+    basis of L span L cut down to the coordinates i..n-1, which is
+    multiplicative whenever L is, so a suffix that is not closed is dropped
+    with every basis above it. The row of level i is v = 0^i, d, x_(i+1),
+    ..., x_(n-1) with d dividing the index left over (equal to it at i = 0)
+    and x_j in [0, d_j). Every column right of i is a pivot of the suffix,
+    and the coefficient of v in v*v is d, so v*v lies in span(v, suffix)
+    exactly when v*v - d*v reduces to zero against the suffix: its column
+    j, less the multiples of the suffix rows pivoting left of j (carried in
+    `acc`), must be divisible by d_j, and a partial row is dropped at the
+    first column where it is not. Products with the suffix rows are tested
+    by `_in_span` only on the rows that pass. Every pivot and every entry
+    tried costs one step.
+    """
     n, index, shard, jobs, budget = args
-    visited = 0
-    keep: list[tuple[tuple[int, ...], ...]] = []
-    diags = _diagonals(n, index)
-    all_pivots = list(range(n))
-    for di, diag in enumerate(diags):
-        if di % jobs != shard:
-            continue
-        slots = [(i, j) for j in range(n) for i in range(j)]
-        ranges = [range(diag[j]) for (_, j) in slots]
-        for combo in itertools.product(*ranges):
-            visited += 1
-            if visited > budget:
-                raise SearchBudgetExceeded(
-                    f"search budget exhausted after {visited} candidates "
-                    f"(budget {budget})")
-            mat = [[0] * n for _ in range(n)]
-            for i in range(n):
-                mat[i][i] = diag[i]
-            for (i, j), val in zip(slots, combo):
-                mat[i][j] = val
-            ok = True
-            for a in range(n):
-                ra = mat[a]
-                for b in range(a, n):
-                    rb = mat[b]
-                    p = [x * y for x, y in zip(ra, rb)]
-                    if not _in_span(mat, all_pivots, p, n):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                keep.append(tuple(tuple(row) for row in mat))
-    return keep
+    found: list[tuple[tuple[int, ...], ...]] = []
+    steps = _Steps(budget)
+    idx0 = -1
+
+    def square_closed(i: int, hnf: list[list[int]], v: list[int], j: int,
+                      acc: list[int]):
+        if j == n:
+            yield v[:]
+            return
+        row = hnf[j - i - 1]
+        p = row[j]
+        d = v[i]
+        steps.spend(p)
+        for x in range(p):
+            m, rem = divmod(x * (x - d) - acc[j], p)
+            if rem == 0:
+                v[j] = x
+                yield from square_closed(
+                    i, hnf, v, j + 1, [a + m * b for a, b in zip(acc, row)])
+
+    def extend(i: int, left: int, hnf: list[list[int]]) -> None:
+        nonlocal idx0
+        p2 = list(range(i, n))
+        leads = ([left] if i == 0 else
+                 [d for d in range(1, left + 1) if left % d == 0])
+        for d in leads:
+            steps.spend(1)
+            v = [0] * n
+            v[i] = d
+            for top in square_closed(i, hnf, v, i + 1, [0] * n):
+                if i == n - 1:
+                    idx0 += 1
+                    if idx0 % jobs != shard:
+                        continue
+                h2 = [top] + hnf
+                if not all(_in_span(h2, p2, [a * b for a, b in zip(u, top)], n)
+                           for u in hnf):
+                    continue
+                if i:
+                    extend(i - 1, left // d, h2)
+                else:
+                    found.append(tuple(tuple(r) for r in h2))
+
+    extend(n - 1, index, [])
+    return found
 
 
 def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
@@ -204,7 +227,10 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
 
     Iterates upper-triangular Hermite bases (positive diagonal with product
     `index`, entries above a pivot reduced modulo that pivot), keeping the
-    ones closed under coordinatewise products. Each lattice appears exactly
+    ones closed under coordinatewise products. Bases are built from the
+    last row up and dropped at the first row whose span with the rows below
+    is not closed; the budget counts one step per pivot or entry tried.
+    jobs shards the last rows round-robin. Each lattice appears exactly
     once; the result is sorted by basis.
     """
     if n < 1:
@@ -253,36 +279,19 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
         if index < 1:
             raise ValueError("index must be at least 1")
         return 1 if index == 1 else 0
-    ones = (1,) * n
+    ones = [1] * n
+    # a full-rank Hermite basis pivots on the diagonal
+    pivots = list(range(n))
     lats = enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget)
     count = 0
     for lat in lats:
-        if _in_span([list(r) for r in lat.basis],
-                    [next(j for j, x in enumerate(r) if x) for r in lat.basis],
-                    list(ones), n):
+        if _in_span([list(r) for r in lat.basis], pivots, ones, n):
             count += 1
     return count
 
 
 # ---------------------------------------------------------------------------
 # co-rank oracle: canonical banded bases with bounded entries
-
-
-class _Steps:
-    """One worker's count of entries tried, checked against its budget."""
-
-    __slots__ = ("used", "budget")
-
-    def __init__(self, budget: int) -> None:
-        self.used = 0
-        self.budget = budget
-
-    def spend(self, entries: int) -> None:
-        self.used += entries
-        if self.used > self.budget:
-            raise SearchBudgetExceeded(
-                f"search budget exhausted after {self.used} entries tried "
-                f"(budget {self.budget})")
 
 
 def _square_closed_rows(hnf: list[list[int]], pivots: list[int], q: int,
@@ -541,7 +550,8 @@ def verify_corank_factorization(n: int, k: int, r: int,
     checked = 0
     for lat in witnesses:
         checked += 1
-        if not has_rigid_columns(lat):
+        # _reverify_corank has proven every witness multiplicative
+        if distinct_nonzero_columns(lat) != lat.rank:
             ok = False
             continue
         g, core = decompose(lat)
@@ -573,7 +583,7 @@ def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
     witnesses = enumerate_corank_oracle(n + k, k, r, bound_multiplier,
                                         jobs=jobs, budget=budget)
     for lat in witnesses:
-        if not has_rigid_columns(lat):
+        if distinct_nonzero_columns(lat) != lat.rank:
             return lat, "column count differs from rank"
         g, core = decompose(lat)
         if apply_map(g, core) != lat:

@@ -182,10 +182,16 @@ def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[
     exact division, so no intermediate value ever leaves the integers.
     """
     mat = int_matrix(h)
-    ncols = len(mat[0])
-    if len(v) != ncols:
+    if len(v) != len(mat[0]):
         raise ValueError("vector length does not match matrix width")
-    pivots = _pivot_columns(mat)
+    return _solve(mat, _pivot_columns(mat), v)
+
+
+def _solve(mat: IntMatrix, pivots: list[tuple[int, int]],
+           v: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """`solve_in_row_span` on a matrix already validated by `int_matrix`,
+    with its `_pivot_columns` and a vector of matching length."""
+    ncols = len(mat[0])
     residual = list(v)
     coeffs = [0] * len(mat)
     for i, col in pivots:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
-from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form, solve_in_row_span
+from .intlinalg import (
+    IntMatrix,
+    _pivot_columns,
+    _solve,
+    hermite_normal_form,
+    int_matrix,
+    smith_normal_form,
+    solve_in_row_span,
+)
 
 
 @dataclass(frozen=True)
@@ -110,10 +118,15 @@ def is_multiplicative(lat: Lattice) -> bool:
     combinations of rows and the product is bilinear in its two factors.
     """
     rows = lat.basis
+    if not rows:
+        return True
+    # validated once here rather than once per product
+    mat = int_matrix(rows)
+    pivots = _pivot_columns(mat)
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             prod_ij = pointwise_product(rows[i], rows[j])
-            if solve_in_row_span(rows, prod_ij) is None:
+            if _solve(mat, pivots, prod_ij) is None:
                 return False
     return True
 

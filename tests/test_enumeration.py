@@ -37,10 +37,12 @@ from multlat.lattice import (
 from multlat.partitions import apply_map, enumerate_ordered_maps, stirling2
 
 from refimpl import (
+    is_mult_ref,
     ref_canonical_key,
     ref_corank_scan,
     ref_count_full_rank_mult,
     ref_count_unital,
+    ref_full_rank_lattices,
 )
 
 # computed with the reference scan before the engine was written
@@ -70,6 +72,22 @@ def test_full_rank_counts_match_reference_live():
     for n in (1, 2, 3):
         for r in range(1, 7):
             assert count_full_rank(n, r) == ref_count_full_rank_mult(n, r), (n, r)
+
+
+def test_full_rank_engine_matches_unpruned_reference():
+    # the engine drops a basis at its first closure failure; the reference
+    # lists every full-rank lattice and filters afterwards. (3, 18) is the
+    # first cell where a partial row carries a non-zero multiple of a lower
+    # row forward to a later column
+    cells = ([(n, r) for n in (1, 2, 3, 4) for r in range(1, 9)]
+             + [(n, r) for n in (5, 6) for r in (1, 2, 3)] + [(3, 18)])
+    for n, r in cells:
+        ref = {ref_canonical_key(m, n) for m in ref_full_rank_lattices(n, r)
+               if is_mult_ref(m)}
+        mine = {lat.basis for lat in enumerate_full_rank_multiplicative(n, r)}
+        assert mine == ref, (n, r)
+        if n == 6 and r > 1:
+            assert len(mine) == 21
 
 
 def test_full_rank_multiplicativity_is_a_real_constraint():
@@ -256,6 +274,15 @@ def test_budget_counts_entries_tried():
     assert len(enumerate_corank_oracle(3, 1, 1, budget=19)) == 6
     with pytest.raises(SearchBudgetExceeded, match="after 19 entries"):
         enumerate_corank_oracle(3, 1, 1, budget=18)
+
+
+def test_full_rank_budget_counts_entries_tried():
+    # (2, 4): last-row pivots 1, 2, 4 (3 steps); above each, the forced
+    # first pivot 4, 2, 1 (1 step each) and its entry in [0, 1), [0, 2)
+    # and [0, 4) (1 + 2 + 4 steps): 13 steps for 4 lattices
+    assert len(enumerate_full_rank_multiplicative(2, 4, budget=13)) == 4
+    with pytest.raises(SearchBudgetExceeded, match="after 13 entries"):
+        enumerate_full_rank_multiplicative(2, 4, budget=12)
 
 
 def test_budget_large_enough_changes_nothing():

@@ -248,3 +248,10 @@ def test_solve_zero_rows_get_zero_coefficients():
 def test_solve_length_mismatch():
     with pytest.raises(ValueError):
         solve_in_row_span([[1, 0]], (1, 0, 0))
+
+
+def test_solve_rejects_non_hermite_input():
+    # pivots out of order, a negative pivot, a zero row above a nonzero one
+    for h in ([[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[0, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            solve_in_row_span(h, (1, 1))

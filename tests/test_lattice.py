@@ -16,7 +16,7 @@ from multlat.lattice import (
     torsion_size,
 )
 
-from refimpl import int_membership, is_mult_ref, torsion_ref
+from refimpl import int_membership, is_mult_ref, ref_full_rank_lattices, torsion_ref
 
 
 def random_rows(rng, nrows, ncols, lo=-6, hi=6):
@@ -152,6 +152,27 @@ def test_is_multiplicative_matches_reference():
         assert got == is_mult_ref([list(r) for r in lat.basis])
         agree_pos += got
     assert agree_pos > 0, "sample never hit a multiplicative lattice"
+
+
+def test_is_multiplicative_matches_reference_in_ambients_four_and_five():
+    # full-rank lattices drawn from the reference's complete list, and
+    # lower-rank spans of small nonnegative rows: both kinds hold
+    # multiplicative and non-multiplicative lattices
+    rng = random.Random(4145)
+    seen = set()
+    for ambient in (4, 5):
+        pool = [m for r in (2, 3, 4) for m in ref_full_rank_lattices(ambient, r)]
+        samples = rng.sample(pool, 80)
+        samples += [random_rows(rng, rng.randint(1, ambient - 1), ambient,
+                                lo=0, hi=rng.randint(1, 2))
+                    for _ in range(150)]
+        for rows in samples:
+            lat = lattice_from_rows(ambient, rows)
+            got = is_multiplicative(lat)
+            assert got == is_mult_ref([list(r) for r in lat.basis]), lat.basis
+            seen.add((ambient, lat.is_full_rank, got))
+    assert seen == {(a, full, mult) for a in (4, 5) for full in (True, False)
+                    for mult in (True, False)}
 
 
 # ------------------------------------------------------------------ torsion
