@@ -100,11 +100,17 @@ class CountCache:
             "count": record.count,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
+        line = json.dumps(data, sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # a single buffered write + fsync keeps concurrent readers from ever
         # seeing half a line
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(data, sort_keys=True) + "\n")
+        with open(self.path, "a+b") as fh:
+            # a torn last line (no newline) must not swallow this record
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         self._index[key] = data

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .intlinalg import smith_normal_form
+from .intlinalg import _torsion_order
 from .lattice import (
     Lattice,
     distinct_nonzero_columns,
@@ -374,13 +374,13 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
                 if level + 1 < n:
                     # a coordinate section of L is a primitive sublattice
                     # of it, so its torsion divides the final torsion
-                    if torsion % prod(smith_normal_form(h2)) == 0:
+                    if torsion % _torsion_order(h2) == 0:
                         extend(level + 1, h2, p2)
                     continue
                 # torsion divides every maximal minor, the pivot minor
                 # included
                 if (prod(row[c] for row, c in zip(h2, p2)) % torsion == 0
-                        and prod(smith_normal_form(h2)) == torsion):
+                        and _torsion_order(h2) == torsion):
                     found.append(tuple(tuple(reversed(row))
                                        for row in reversed(h2)))
 

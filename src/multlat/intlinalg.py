@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers.
 
 Matrices are immutable tuples of tuples of Python ints, so all arithmetic is
-arbitrary precision and nothing can silently wrap. The two normal forms here
-are the workhorses of the package: the row-style Hermite normal form gives a
-canonical basis for an integer row span, and the Smith normal form diagonal
-gives the invariant factors of the quotient group.
+arbitrary precision and nothing can silently wrap. The row-style Hermite
+normal form is the workhorse of the package: it gives a canonical basis for
+an integer row span, and the pivots of the Hermite form of the transpose
+give the torsion order of the quotient group (`_torsion_order`). The Smith
+normal form diagonal gives the invariant factors of that group one by one;
+no counting or checking path needs them.
 """
 
 from __future__ import annotations
@@ -45,6 +47,40 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _pivot_down(work: list[list[int]], top: int, col: int) -> bool:
+    """Make work[top] the only row from top down that is non-zero in col.
+
+    Unimodular row operations on rows top.. only: a row non-zero in col is
+    swapped up to top and every row below it is cleared by gcd steps, which
+    leaves the gcd of the column, up to sign, at work[top][col]. False, with
+    nothing changed, when the column is zero from top down.
+    """
+    nrows = len(work)
+    piv = None
+    for i in range(top, nrows):
+        if work[i][col] != 0:
+            piv = i
+            break
+    if piv is None:
+        return False
+    if piv != top:
+        work[top], work[piv] = work[piv], work[top]
+    for i in range(top + 1, nrows):
+        if work[i][col] == 0:
+            continue
+        a, b = work[top][col], work[i][col]
+        if b % a == 0:
+            q = b // a
+            work[i] = [x - q * y for x, y in zip(work[i], work[top])]
+        else:
+            g, x, y = _xgcd(a, b)
+            p, q = a // g, b // g
+            rt = [x * u + y * v for u, v in zip(work[top], work[i])]
+            ri = [-q * u + p * v for u, v in zip(work[top], work[i])]
+            work[top], work[i] = rt, ri
+    return True
+
+
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Canonical row-style Hermite normal form of an integer matrix.
 
@@ -55,33 +91,11 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     An all-zero input comes back unchanged.
     """
     mat = int_matrix(m)
-    nrows = len(mat)
-    ncols = len(mat[0])
     work = [list(row) for row in mat]
     top = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(top, nrows):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    for col in range(len(mat[0])):
+        if not _pivot_down(work, top, col):
             continue
-        if piv != top:
-            work[top], work[piv] = work[piv], work[top]
-        for i in range(top + 1, nrows):
-            if work[i][col] == 0:
-                continue
-            a, b = work[top][col], work[i][col]
-            if b % a == 0:
-                q = b // a
-                work[i] = [x - q * y for x, y in zip(work[i], work[top])]
-            else:
-                g, x, y = _xgcd(a, b)
-                p, q = a // g, b // g
-                rt = [x * u + y * v for u, v in zip(work[top], work[i])]
-                ri = [-q * u + p * v for u, v in zip(work[top], work[i])]
-                work[top], work[i] = rt, ri
         if work[top][col] < 0:
             work[top] = [-x for x in work[top]]
         d = work[top][col]
@@ -226,3 +240,24 @@ def _pivot_columns(mat: IntMatrix) -> list[tuple[int, int]]:
         out.append((i, lead))
         last = lead
     return out
+
+
+def _torsion_order(rows: Sequence[Sequence[int]]) -> int:
+    """Order of the torsion subgroup of Z^cols modulo the span of independent
+    integer rows, for entries already known to be ints.
+
+    That order is the gcd of the maximal minors, which integer row
+    operations on the transpose preserve: it is the pivot product of the
+    Hermite form of the transposed rows (H. Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, section 2.4). Pivots are fixed up to
+    sign once the transpose is triangular, so the reduction above them is
+    skipped. No rows gives 1.
+    """
+    work = [list(col) for col in zip(*rows)]
+    order = 1
+    top = 0
+    for t in range(len(rows)):
+        if _pivot_down(work, top, t):
+            order *= abs(work[top][t])
+            top += 1
+    return order

@@ -15,11 +15,9 @@ from typing import Iterable, Sequence
 
 from .intlinalg import (
     IntMatrix,
-    _pivot_columns,
     _solve,
+    _torsion_order,
     hermite_normal_form,
-    int_matrix,
-    smith_normal_form,
     solve_in_row_span,
 )
 
@@ -30,6 +28,10 @@ class Lattice:
 
     basis holds only the nonzero rows; the zero lattice has an empty basis.
     The degenerate ambient_dim 0 lattice is allowed and counts as full rank.
+    The constructor is the one place a basis is validated: every row is a
+    tuple of ambient_dim ints (bool excluded), with a positive pivot right
+    of the pivot above it and every entry above a pivot reduced into
+    [0, pivot). Code holding a Lattice relies on that shape unchecked.
     """
 
     ambient_dim: int
@@ -41,21 +43,25 @@ class Lattice:
         if not isinstance(self.basis, tuple):
             raise ValueError("basis must be a tuple of rows")
         last_pivot = -1
-        for row in self.basis:
+        for i, row in enumerate(self.basis):
             if not isinstance(row, tuple) or len(row) != self.ambient_dim:
                 raise ValueError("basis rows must match the ambient dimension")
-            lead = next((j for j, x in enumerate(row) if x != 0), None)
-            if lead is None:
+            for x in row:
+                # bool passes isinstance(int) but is never a legitimate entry
+                if type(x) is not int:
+                    raise ValueError(f"non-integer entry {x!r}")
+            for lead, d in enumerate(row):
+                if d:
+                    break
+            else:
                 raise ValueError("basis may not contain zero rows")
-            if lead <= last_pivot or row[lead] <= 0:
+            if lead <= last_pivot or d < 0:
                 raise ValueError("basis is not in canonical Hermite form")
-            last_pivot = lead
-        # entries above each pivot must already be reduced
-        for i, row in enumerate(self.basis):
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            for a in range(i):
-                if not 0 <= self.basis[a][lead] < row[lead]:
+            # entries above each pivot must already be reduced
+            for above in self.basis[:i]:
+                if not 0 <= above[lead] < d:
                     raise ValueError("basis is not in canonical Hermite form")
+            last_pivot = lead
 
     @property
     def rank(self) -> int:
@@ -85,13 +91,24 @@ class Lattice:
 
 
 def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattice:
-    """Lattice spanned by the given rows; canonicalizes and drops zero rows."""
-    mat = [tuple(row) for row in rows]
+    """Lattice spanned by the given rows; canonicalizes and drops zero rows.
+
+    Rows that already form a canonical Hermite basis, such as the image of
+    a full-rank lattice under an ordered map, are the unique canonical basis
+    of their span and are kept as they are: the constructor validates them
+    once and no Hermite form is computed. Any other input, a zero row
+    included, goes through `hermite_normal_form`.
+    """
+    mat = tuple(tuple(row) for row in rows)
     for row in mat:
         if len(row) != ambient_dim:
             raise ValueError("row length does not match the ambient dimension")
     if not mat or ambient_dim == 0:
         return Lattice(ambient_dim, ())
+    try:
+        return Lattice(ambient_dim, mat)
+    except ValueError:
+        pass
     hnf = hermite_normal_form(mat)
     return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))
 
@@ -118,24 +135,31 @@ def is_multiplicative(lat: Lattice) -> bool:
     combinations of rows and the product is bilinear in its two factors.
     """
     rows = lat.basis
-    if not rows:
-        return True
-    # validated once here rather than once per product
-    mat = int_matrix(rows)
-    pivots = _pivot_columns(mat)
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            prod_ij = pointwise_product(rows[i], rows[j])
-            if _solve(mat, pivots, prod_ij) is None:
+    # the constructor has validated the basis; each row's pivot is its lead
+    pivots = []
+    for i, row in enumerate(rows):
+        for lead, x in enumerate(row):
+            if x:
+                pivots.append((i, lead))
+                break
+    for i, u in enumerate(rows):
+        for v in rows[i:]:
+            if _solve(rows, pivots, [a * b for a, b in zip(u, v)]) is None:
                 return False
     return True
 
 
 def torsion_size(lat: Lattice) -> int:
-    """Order of the torsion subgroup of Z^ambient modulo the lattice."""
-    if not lat.basis:
-        return 1
-    return prod(d for d in smith_normal_form(lat.basis) if d)
+    """Order of the torsion subgroup of Z^ambient modulo the lattice.
+
+    A full-rank lattice's Hermite basis is triangular, so its torsion is its
+    index, the product of the diagonal. For any other lattice it is the gcd
+    of the maximal minors of the basis, the pivot product of the Hermite
+    form of the transposed basis (`intlinalg._torsion_order`).
+    """
+    if lat.is_full_rank:
+        return prod(row[i] for i, row in enumerate(lat.basis))
+    return _torsion_order(lat.basis)
 
 
 def distinct_nonzero_columns(lat: Lattice) -> int:

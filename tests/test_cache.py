@@ -124,3 +124,31 @@ def test_missing_file_is_empty_cache(tmp_path):
     # first put creates the parent directory
     cache.put(rec())
     assert cache.get(2, 1, 3, "oracle") == 18
+
+
+def test_put_after_torn_last_line_survives_reload(tmp_path, capsys):
+    # a writer killed mid-line leaves a last line with no newline
+    path = tmp_path / "counts.jsonl"
+    path.write_text('{"n": 2, "k": 1, "r"')
+    cache = CountCache(path)
+    cache.put(rec())
+    capsys.readouterr()
+    fresh = CountCache(path)
+    err = capsys.readouterr().err
+    assert err.count("skipping unreadable line") == 1
+    assert "line 1 " in err
+    assert fresh.get(2, 1, 3, "oracle") == 18
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_two_writers_append_without_losing_lines(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    first, second = CountCache(path), CountCache(path)
+    for r in range(1, 7):
+        writer = first if r % 2 else second
+        writer.put(rec(r=r, count=10 + r))
+    fresh = CountCache(path)
+    assert len(fresh) == 6
+    for r in range(1, 7):
+        assert fresh.get(2, 1, r, "oracle") == 10 + r
+    assert len(path.read_text().splitlines()) == 6

@@ -1,12 +1,14 @@
 """Exact integer linear algebra: Hermite form, Smith diagonal, span solving."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlat.intlinalg import (
+    _torsion_order,
     _xgcd,
     hermite_normal_form,
     int_matrix,
@@ -186,6 +188,22 @@ def test_snf_product_is_torsion_size_on_full_rank_rows():
                 prod *= x
         assert prod == torsion_ref(m)
         checked += 1
+
+
+def test_torsion_order_matches_reference_on_independent_rows():
+    # arbitrary independent rows, not only Hermite bases: the scan passes
+    # its prefixes in a reversed column frame
+    rng = random.Random(906)
+    checked = 0
+    while checked < 150:
+        ncols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, ncols), ncols, lo=-6, hi=6)
+        if rational_rank(m) < len(m):
+            continue
+        snf = smith_normal_form(m)
+        assert _torsion_order(m) == torsion_ref(m) == prod(snf), m
+        checked += 1
+    assert _torsion_order([]) == 1
 
 
 def test_snf_invariant_under_row_and_column_swaps():

@@ -1,9 +1,11 @@
 """Lattice objects, canonical bases, and product closure."""
 
 import random
+from math import prod
 
 import pytest
 
+from multlat.intlinalg import hermite_normal_form, smith_normal_form
 from multlat.lattice import (
     Lattice,
     banded_basis,
@@ -54,6 +56,16 @@ def test_constructor_rejects_unreduced_entries():
     Lattice(2, ((1, 1), (0, 2)))
 
 
+def test_constructor_rejects_non_integer_entries():
+    with pytest.raises(ValueError):
+        Lattice(1, ((True,),))
+    with pytest.raises(ValueError):
+        Lattice(1, ((1.5,),))
+    # an entry off the pivot is checked as well
+    with pytest.raises(ValueError):
+        Lattice(2, ((1, 0.0), (0, 2)))
+
+
 def test_constructor_rejects_bad_ambient():
     with pytest.raises(ValueError):
         Lattice(-1, ())
@@ -98,6 +110,52 @@ def test_from_rows_unimodular_invariance():
             c = rng.randint(-3, 3)
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         assert lattice_from_rows(4, rows) == lat
+
+
+def hermite_route(ambient, rows):
+    """The lattice as canonicalized by hermite_normal_form, for comparison."""
+    return Lattice(ambient, tuple(r for r in hermite_normal_form(rows) if any(r)))
+
+
+def test_from_rows_keeps_canonical_rows():
+    rng = random.Random(917)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        basis = lattice_from_rows(n, random_rows(rng, rng.randint(1, n), n)).basis
+        if not basis:
+            continue
+        for rows in (basis, [list(r) for r in basis]):
+            lat = lattice_from_rows(n, rows)
+            assert lat == hermite_route(n, basis)
+            assert lat.basis == basis
+
+
+def test_from_rows_canonicalizes_non_canonical_rows():
+    cases = [
+        # a zero row, at the bottom and in the middle
+        (2, [(1, 1), (0, 0)], ((1, 1),)),
+        (3, [(1, 0, 1), (0, 0, 0), (0, 2, 0)], ((1, 0, 1), (0, 2, 0))),
+        # an entry above a pivot that is not reduced
+        (2, [(1, 3), (0, 2)], ((1, 1), (0, 2))),
+        (2, [(1, -1), (0, 2)], ((1, 1), (0, 2))),
+        # a negative pivot
+        (2, [(-1, 2), (0, 3)], ((1, 1), (0, 3))),
+        (1, [(-4,)], ((4,),)),
+        # swapped rows
+        (2, [(0, 2), (1, 1)], ((1, 1), (0, 2))),
+        (3, [(0, 0, 5), (0, 3, 1), (2, 0, 0)], ((2, 0, 0), (0, 3, 1), (0, 0, 5))),
+    ]
+    for ambient, rows, basis in cases:
+        lat = lattice_from_rows(ambient, rows)
+        assert lat.basis == basis
+        assert lat == hermite_route(ambient, rows)
+
+
+def test_from_rows_still_rejects_non_integer_entries():
+    with pytest.raises(ValueError):
+        lattice_from_rows(1, [(True,)])
+    with pytest.raises(ValueError):
+        lattice_from_rows(2, [(1, 0.5)])
 
 
 def test_dict_round_trip():
@@ -196,6 +254,24 @@ def test_torsion_size_matches_reference():
         if not lat.basis:
             continue
         assert torsion_size(lat) == torsion_ref([list(r) for r in lat.basis])
+
+
+def test_torsion_size_matches_reference_in_ambients_four_to_six():
+    rng = random.Random(4156)
+    for ambient in (4, 5, 6):
+        for corank in range(4):
+            rank = ambient - corank
+            done = 0
+            while done < 25:
+                lat = lattice_from_rows(ambient,
+                                        random_rows(rng, rank, ambient, lo=-4, hi=4))
+                if lat.rank != rank:
+                    continue
+                done += 1
+                rows = [list(r) for r in lat.basis]
+                got = torsion_size(lat)
+                assert got == torsion_ref(rows), lat.basis
+                assert got == prod(d for d in smith_normal_form(lat.basis) if d)
 
 
 def test_torsion_size_multiplicative_under_intersection_scaling():

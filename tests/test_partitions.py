@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from multlat.lattice import lattice_from_rows, torsion_size
+from multlat.intlinalg import hermite_normal_form
+from multlat.lattice import Lattice, lattice_from_rows, torsion_size
 from multlat.partitions import (
     AcceptableMap,
     SetPartition,
@@ -219,3 +220,27 @@ def test_apply_map_rank_and_injectivity():
         images.add(image)
     # distinct ordered maps send a fixed lattice to distinct images
     assert len(images) == stirling2(5, 3)
+
+
+def test_apply_map_unordered_equals_hermite_form_of_image():
+    # relabeled sources put the image rows out of Hermite order, so the
+    # image must be canonicalized, not taken as it is
+    rng = random.Random(2024)
+    reordered = 0
+    for n, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        cores = [lattice_from_rows(n, [[rng.randint(0, 5) for _ in range(n)]
+                                       for _ in range(n)]) for _ in range(30)]
+        cores = [c for c in cores if c.is_full_rank]
+        for ordered in enumerate_ordered_maps(n, n + k):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            g = AcceptableMap(n, n + k,
+                              tuple(perm[a - 1] if a else 0 for a in ordered.assignment))
+            for core in rng.sample(cores, 3):
+                rows = [tuple(row[a - 1] if a else 0 for a in g.assignment)
+                        for row in core.basis]
+                hnf = tuple(r for r in hermite_normal_form(rows) if any(r))
+                image = apply_map(g, core)
+                assert image == Lattice(n + k, hnf)
+                reordered += not is_ordered(g) and image.basis != tuple(rows)
+    assert reordered > 0
