@@ -32,10 +32,9 @@ from .lattice import (
 )
 from .partitions import (
     AcceptableMap,
-    SetPartition,
-    enumerate_ordered_maps,
+    _transport_rows,
     apply_map,
-    partition_to_map,
+    enumerate_ordered_maps,
     stirling2,
 )
 
@@ -479,36 +478,32 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     """Split a multiplicative lattice into an ordered map and a full-rank core.
 
     The canonical basis of a multiplicative lattice has exactly rank-many
-    distinct nonzero columns; grouping equal columns yields the partition
-    behind an ordered acceptable map g, and reading the basis off one
-    representative column per group yields a full-rank multiplicative core L
-    with apply_map(g, L) == lat. The pair is unique.
+    distinct nonzero columns. Reading the columns once and labelling each
+    distinct nonzero column 1, 2, ... by its first use (the zero column is
+    0) gives the assignment of an ordered acceptable map g; the basis
+    restricted to one representative column per label, the first use, is a
+    full-rank multiplicative core L with apply_map(g, L) == lat. The pair is
+    unique. Raises ValueError on non-multiplicative input.
+
+    The re-application is checked on rows: the core rows carried through g
+    must be lat's basis. Both are canonical Hermite bases, so this is the
+    same test as apply_map(g, L) == lat without building a third lattice.
     """
     if not is_multiplicative(lat):
         raise ValueError("lattice is not multiplicative")
-    rank = lat.rank
-    zero_col = (0,) * rank
-    zero_positions: list[int] = []
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for j in range(lat.ambient_dim):
-        col = tuple(row[j] for row in lat.basis)
-        if col == zero_col:
-            zero_positions.append(j + 1)
-        else:
-            groups.setdefault(col, []).append(j + 1)
-    if len(groups) != rank:
+    rank, ambient = lat.rank, lat.ambient_dim
+    # zip yields no columns at all for the zero lattice: its columns are ()
+    columns = zip(*lat.basis) if rank else [()] * ambient
+    labels = {(0,) * rank: 0}
+    assignment = tuple([labels.setdefault(col, len(labels)) for col in columns])
+    if len(labels) != rank + 1:
         raise RuntimeError("internal: column count contradicts the rank")
-    blocks = [tuple([0] + zero_positions)]
-    blocks.extend(sorted((tuple(v) for v in groups.values()), key=lambda b: b[0]))
-    blocks.sort(key=lambda b: b[0])
-    part = SetPartition(lat.ambient_dim + 1, tuple(blocks))
-    g = partition_to_map(part, rank)
-    reps = [block[0] - 1 for block in part.blocks[1:]]
-    core_rows = [tuple(row[j] for j in reps) for row in lat.basis]
-    core = lattice_from_rows(rank, core_rows)
+    g = AcceptableMap(rank, ambient, assignment)
+    # the representative columns in label order, read back as rows
+    core = lattice_from_rows(rank, zip(*list(labels)[1:]))
     if core.rank != rank:
         raise RuntimeError("internal: core lattice lost rank")
-    if apply_map(g, core) != lat:
+    if _transport_rows(g, core.basis) != lat.basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
     return g, core
 
@@ -554,9 +549,8 @@ def verify_corank_factorization(n: int, k: int, r: int,
         if distinct_nonzero_columns(lat) != lat.rank:
             ok = False
             continue
-        g, core = decompose(lat)
-        if apply_map(g, core) != lat:
-            ok = False
+        # decompose raises unless the pair re-applies to lat
+        _, core = decompose(lat)
         if torsion_size(core) != r or torsion_size(lat) != r:
             ok = False
     return VerificationReport(
@@ -585,9 +579,7 @@ def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
     for lat in witnesses:
         if distinct_nonzero_columns(lat) != lat.rank:
             return lat, "column count differs from rank"
-        g, core = decompose(lat)
-        if apply_map(g, core) != lat:
-            return lat, "decomposition does not round-trip"
+        _, core = decompose(lat)
         if torsion_size(core) != r:
             return lat, "core index differs from torsion"
     rebuilt = reconstruct_from_factorization(n, k, r, jobs=jobs, budget=budget)

@@ -29,39 +29,47 @@ class Lattice:
     basis holds only the nonzero rows; the zero lattice has an empty basis.
     The degenerate ambient_dim 0 lattice is allowed and counts as full rank.
     The constructor is the one place a basis is validated: every row is a
-    tuple of ambient_dim ints (bool excluded), with a positive pivot right
-    of the pivot above it and every entry above a pivot reduced into
-    [0, pivot). Code holding a Lattice relies on that shape unchecked.
+    nonzero tuple of ambient_dim ints (bool excluded) whose lead, its pivot,
+    is positive and lies right of the pivot of the row above, and every
+    entry above a pivot is reduced into [0, pivot). It reads each row once
+    for the entry types and once up to its lead, and the rows above at the
+    pivot column only. Code holding a Lattice relies on that shape
+    unchecked.
     """
 
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ambient_dim, int) or self.ambient_dim < 0:
+        n = self.ambient_dim
+        if not isinstance(n, int) or n < 0:
             raise ValueError("ambient_dim must be a nonnegative integer")
-        if not isinstance(self.basis, tuple):
+        basis = self.basis
+        if not isinstance(basis, tuple):
             raise ValueError("basis must be a tuple of rows")
-        last_pivot = -1
-        for i, row in enumerate(self.basis):
-            if not isinstance(row, tuple) or len(row) != self.ambient_dim:
+        start = 0  # one past the pivot of the row above
+        for i, row in enumerate(basis):
+            if not isinstance(row, tuple) or len(row) != n:
                 raise ValueError("basis rows must match the ambient dimension")
             for x in row:
                 # bool passes isinstance(int) but is never a legitimate entry
                 if type(x) is not int:
                     raise ValueError(f"non-integer entry {x!r}")
-            for lead, d in enumerate(row):
-                if d:
-                    break
-            else:
+            lead = 0
+            while lead < n and not row[lead]:
+                lead += 1
+            if lead == n:
                 raise ValueError("basis may not contain zero rows")
-            if lead <= last_pivot or d < 0:
+            d = row[lead]
+            if lead < start or d < 0:
                 raise ValueError("basis is not in canonical Hermite form")
             # entries above each pivot must already be reduced
-            for above in self.basis[:i]:
-                if not 0 <= above[lead] < d:
+            h = 0
+            while h < i:
+                if not 0 <= basis[h][lead] < d:
                     raise ValueError("basis is not in canonical Hermite form")
-            last_pivot = lead
+                h += 1
+            start = lead + 1
 
     @property
     def rank(self) -> int:
@@ -166,7 +174,7 @@ def distinct_nonzero_columns(lat: Lattice) -> int:
     """Number of distinct nonzero columns of the canonical basis."""
     if not lat.basis:
         return 0
-    cols = {tuple(row[j] for row in lat.basis) for j in range(lat.ambient_dim)}
+    cols = set(zip(*lat.basis))
     cols.discard((0,) * lat.rank)
     return len(cols)
 

@@ -187,21 +187,35 @@ def order_map(g: AcceptableMap) -> tuple[AcceptableMap, tuple[int, ...]]:
     return ordered, perm
 
 
+def _transport_rows(g: AcceptableMap, rows: Sequence[tuple[int, ...]]
+                    ) -> tuple[tuple[int, ...], ...]:
+    """Each row carried coordinate by coordinate through the map g.
+
+    Entry j of an image row is row[a - 1] for a = g.assignment[j], or 0 when
+    a is 0. One index list serves every row: a - 1 is -1 for a zeroed
+    coordinate, which picks the 0 appended to the row.
+    """
+    idx = [a - 1 for a in g.assignment]
+    out = []
+    for row in rows:
+        padded = row + (0,)
+        out.append(tuple([padded[i] for i in idx]))
+    return tuple(out)
+
+
 def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
     """Image of a full-rank lattice under an acceptable map.
 
-    Each basis row is transported coordinate by coordinate; the image has the
-    same rank inside Z^target_dim.
+    Each basis row is transported through g (`_transport_rows`); the image has
+    the same rank inside Z^target_dim. For an ordered map the image rows are
+    already the canonical basis of the image; an unordered map's are put into
+    Hermite form by `lattice_from_rows`.
     """
     if lat.ambient_dim != g.source_dim:
         raise ValueError("lattice ambient dimension must equal the map source")
     if not lat.is_full_rank:
         raise ValueError("apply_map needs a full-rank lattice")
-    rows = [
-        tuple(row[a - 1] if a else 0 for a in g.assignment)
-        for row in lat.basis
-    ]
-    return lattice_from_rows(g.target_dim, rows)
+    return lattice_from_rows(g.target_dim, _transport_rows(g, lat.basis))
 
 
 def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[AcceptableMap]:

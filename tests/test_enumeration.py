@@ -34,7 +34,12 @@ from multlat.lattice import (
     lattice_from_rows,
     torsion_size,
 )
-from multlat.partitions import apply_map, enumerate_ordered_maps, stirling2
+from multlat.partitions import (
+    apply_map,
+    enumerate_ordered_maps,
+    is_ordered,
+    stirling2,
+)
 
 from refimpl import (
     is_mult_ref,
@@ -343,6 +348,20 @@ def test_decompose_round_trip_small():
                         assert decompose(lat) == (g, core)
 
 
+def test_decompose_round_trip_three_and_four_dimensional_cores():
+    cells = [(3, k) for k in (0, 1, 2)] + [(4, 1)]
+    for n, k in cells:
+        maps = list(enumerate_ordered_maps(n, n + k))
+        for r in (1, 2, 3, 4):
+            for core in enumerate_full_rank_multiplicative(n, r):
+                for g in maps:
+                    lat = apply_map(g, core)
+                    got_g, got_core = decompose(lat)
+                    assert (got_g, got_core) == (g, core), (n, k, g, core)
+                    assert is_ordered(got_g)
+                    assert torsion_size(got_core) == torsion_size(lat) == r
+
+
 def test_decompose_full_rank_is_identity_map():
     lat = lattice_from_rows(2, [(1, 1), (0, 2)])
     g, core = decompose(lat)
@@ -359,6 +378,15 @@ def test_decompose_zero_lattice():
 def test_decompose_rejects_non_multiplicative():
     with pytest.raises(ValueError):
         decompose(lattice_from_rows(2, [(1, 2)]))
+
+
+def test_decompose_rejects_non_multiplicative_with_rigid_columns():
+    # columns (1,0), (2,3), (2,3): rank-many distinct nonzero columns, yet
+    # (1,2,2)^2 - (1,2,2) = (0,2,2) is not a multiple of (0,3,3)
+    lat = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
+    assert distinct_nonzero_columns(lat) == lat.rank
+    with pytest.raises(ValueError):
+        decompose(lat)
 
 
 def test_reconstruction_matches_census():

@@ -18,7 +18,13 @@ from multlat.lattice import (
     torsion_size,
 )
 
-from refimpl import int_membership, is_mult_ref, ref_full_rank_lattices, torsion_ref
+from refimpl import (
+    int_membership,
+    is_mult_ref,
+    ref_full_rank_lattices,
+    ref_hnf,
+    torsion_ref,
+)
 
 
 def random_rows(rng, nrows, ncols, lo=-6, hi=6):
@@ -71,6 +77,34 @@ def test_constructor_rejects_bad_ambient():
         Lattice(-1, ())
     with pytest.raises(ValueError):
         Lattice(2, ((1, 0, 0),))
+
+
+def test_constructor_accepts_exactly_the_reference_hermite_forms():
+    # half the matrices get a random staircase of zeros below their leads,
+    # so that canonical bases, and bases one check away from canonical
+    # (a negative pivot, an unreduced entry, a lead left of the one above),
+    # all turn up often
+    rng = random.Random(606)
+    accepted = rejected = 0
+    for trial in range(6000):
+        n = rng.randint(1, 5)
+        nrows = rng.randint(1, n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(nrows)]
+        if trial % 2:
+            leads = sorted(rng.sample(range(n), nrows))
+            for row, lead in zip(rows, leads):
+                row[:lead] = [0] * lead
+        rows = tuple(tuple(row) for row in rows)
+        canonical = rows == tuple(r for r in ref_hnf(rows) if any(r))
+        try:
+            Lattice(n, rows)
+        except ValueError:
+            assert not canonical, rows
+            rejected += 1
+        else:
+            assert canonical, rows
+            accepted += 1
+    assert accepted > 500 and rejected > 500
 
 
 def test_zero_lattice_and_empty_ambient():

@@ -244,3 +244,59 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
                 assert image == Lattice(n + k, hnf)
                 reordered += not is_ordered(g) and image.basis != tuple(rows)
     assert reordered > 0
+
+
+def _naive_image_rows(g, core):
+    # target coordinate j copies source coordinate assignment[j], or is 0
+    rows = []
+    for row in core.basis:
+        image = [0] * g.target_dim
+        for j, a in enumerate(g.assignment):
+            if a:
+                image[j] = row[a - 1]
+        rows.append(image)
+    return rows
+
+
+def _random_full_rank_cores(rng, n, count):
+    if n == 0:
+        return [Lattice(0, ())]
+    cores = []
+    while len(cores) < count:
+        lat = lattice_from_rows(n, [[rng.randint(-4, 4) for _ in range(n)]
+                                    for _ in range(n)])
+        if lat.is_full_rank:
+            cores.append(lat)
+    return cores
+
+
+def test_apply_map_equals_naive_transport_for_ordered_maps():
+    rng = random.Random(1717)
+    seen_zero_source = False
+    for total in range(5):
+        for n in range(total + 1):
+            cores = _random_full_rank_cores(rng, n, 6)
+            for g in enumerate_ordered_maps(n, total):
+                seen_zero_source |= n == 0 and total > 0
+                for core in cores:
+                    image = apply_map(g, core)
+                    assert image == lattice_from_rows(total, _naive_image_rows(g, core))
+    assert seen_zero_source
+
+
+def test_apply_map_equals_naive_transport_for_unordered_maps():
+    rng = random.Random(1718)
+    unordered = 0
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        target = rng.randint(n, 6)
+        while True:
+            assignment = tuple(rng.randint(0, n) for _ in range(target))
+            if set(range(1, n + 1)) <= set(assignment):
+                break
+        g = AcceptableMap(n, target, assignment)
+        unordered += not is_ordered(g)
+        for core in _random_full_rank_cores(rng, n, 2):
+            image = apply_map(g, core)
+            assert image == lattice_from_rows(target, _naive_image_rows(g, core))
+    assert unordered > 100
