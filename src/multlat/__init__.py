@@ -25,16 +25,13 @@ from .enumeration import (
     reconstruct_from_factorization,
     verify_corank_factorization,
 )
-from .intlinalg import hermite_normal_form, smith_normal_form, solve_in_row_span
+from .intlinalg import hermite_normal_form
 from .lattice import (
     Lattice,
     banded_basis,
-    contains_vector,
     distinct_nonzero_columns,
-    has_rigid_columns,
     is_multiplicative,
     lattice_from_rows,
-    pointwise_product,
     torsion_size,
 )
 from .partitions import (
@@ -65,7 +62,6 @@ __all__ = [
     "VerificationReport",
     "apply_map",
     "banded_basis",
-    "contains_vector",
     "count_corank_formula",
     "count_full_rank",
     "count_unital",
@@ -76,7 +72,6 @@ __all__ = [
     "enumerate_ordered_maps",
     "enumerate_partitions",
     "find_counterexample",
-    "has_rigid_columns",
     "hermite_normal_form",
     "is_multiplicative",
     "is_ordered",
@@ -86,10 +81,7 @@ __all__ = [
     "map_to_string",
     "order_map",
     "partition_to_map",
-    "pointwise_product",
     "reconstruct_from_factorization",
-    "smith_normal_form",
-    "solve_in_row_span",
     "stirling2",
     "torsion_size",
     "verify_corank_factorization",

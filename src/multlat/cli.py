@@ -5,7 +5,10 @@ wall-time footers, counterexamples, warnings) to stderr, so captured stdout
 is byte-stable across --jobs settings and across cold/warm cache runs.
 Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
 cache-conflict error, 3 internal error (a self-check of the engines failed,
-which is a bug, not a verdict on the formula).
+which is a bug, not a verdict on the formula). A --jobs, --bound-multiplier
+or --budget below 1, an --r or --torsion range reaching below 1, and an
+--n or --k range reaching below 0 are rejected while the arguments are
+parsed (exit 2), before anything is written to stdout.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from functools import partial
+from typing import Callable, Optional, Sequence, TextIO
 
 from .cache import CacheConflict, CountCache
 from .enumeration import (
@@ -38,34 +41,8 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One verification or counting campaign, fully pinned down."""
-
-    n_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-    bound_multiplier: int = 1
-    job_count: int = 1
-    output_format: str = "table"
-    cache_path: Optional[str] = None
-    budget: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not (self.n_values and self.k_values and self.r_values):
-            raise ValueError("all ranges must be nonempty")
-        if any(r < 1 for r in self.r_values):
-            raise ValueError("r must be at least 1 throughout")
-        if self.bound_multiplier < 1:
-            raise ValueError("bound multiplier must be at least 1")
-        if self.job_count < 1:
-            raise ValueError("job count must be at least 1")
-        if self.output_format not in ("table", "csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
-
-
-def _parse_range(text: str) -> tuple[int, ...]:
-    """'a..b' (inclusive) or a single integer."""
+def _parse_range(text: str, least: int = 0) -> tuple[int, ...]:
+    """'a..b' (inclusive) or a single integer, none of them below least."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -77,67 +54,65 @@ def _parse_range(text: str) -> tuple[int, ...]:
             f"expected INT or LO..HI, got {text!r}") from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if lo < least:
+        raise argparse.ArgumentTypeError(
+            f"values must be at least {least}, got {text!r}")
     return tuple(range(lo, hi + 1))
+
+
+# --r and --torsion: a torsion size is at least 1
+_positive_range = partial(_parse_range, least=1)
+
+
+def _positive(text: str) -> int:
+    """A count of jobs, steps or a multiplier: an integer at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected INT, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _cell(value) -> str:
+    return "-" if value is None else str(value)
+
+
+def _row_writer(fmt: str, header: Sequence[str], widths: Sequence[int],
+                stream: TextIO) -> Callable[[Sequence], None]:
+    """Write the header, then return a function that writes one data row.
+
+    A table row is its cells left-aligned in the given column widths; CSV
+    has a header row; JSON is one object per row with sorted keys and no
+    header. A caller that writes rows as it computes them flushes them.
+    """
+    csv_rows = csv.writer(stream, lineterminator="\n")
+
+    def write(row: Sequence) -> None:
+        if fmt == "table":
+            stream.write("  ".join(_cell(c).ljust(w)
+                                   for c, w in zip(row, widths)).rstrip()
+                         + "\n")
+        elif fmt == "csv":
+            csv_rows.writerow(row)
+        else:
+            stream.write(
+                json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+
+    if fmt != "json":
+        write(header)
+    return write
 
 
 def _emit_rows(fmt: str, header: Sequence[str], rows: Sequence[Sequence],
                stream: TextIO) -> None:
-    if fmt == "table":
-        cells = [["-" if c is None else str(c) for c in row] for row in rows]
-        widths = [len(h) for h in header]
-        for row in cells:
-            for i, c in enumerate(row):
-                widths[i] = max(widths[i], len(c))
-        stream.write("  ".join(
-            h.ljust(widths[i]) for i, h in enumerate(header)).rstrip() + "\n")
-        for row in cells:
-            stream.write("  ".join(
-                c.ljust(widths[i]) for i, c in enumerate(row)).rstrip() + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        for row in rows:
-            stream.write(
-                json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
-
-
-class _StreamEmitter:
-    """Row-at-a-time variant of _emit_rows for commands that stream.
-
-    Table mode uses fixed column widths so earlier lines never need
-    realigning.
-    """
-
-    def __init__(self, fmt: str, header: Sequence[str],
-                 stream: TextIO) -> None:
-        self.fmt = fmt
-        self.header = tuple(header)
-        self.stream = stream
-        self.widths = [max(len(h), 5) for h in self.header]
-
-    def start(self) -> None:
-        if self.fmt == "table":
-            self.stream.write("  ".join(
-                h.ljust(self.widths[i])
-                for i, h in enumerate(self.header)).rstrip() + "\n")
-        elif self.fmt == "csv":
-            csv.writer(self.stream, lineterminator="\n").writerow(self.header)
-        self.stream.flush()
-
-    def row(self, row: Sequence) -> None:
-        if self.fmt == "table":
-            cells = ["-" if c is None else str(c) for c in row]
-            self.stream.write("  ".join(
-                c.ljust(self.widths[i])
-                for i, c in enumerate(cells)).rstrip() + "\n")
-        elif self.fmt == "csv":
-            csv.writer(self.stream, lineterminator="\n").writerow(row)
-        else:
-            self.stream.write(
-                json.dumps(dict(zip(self.header, row)), sort_keys=True) + "\n")
-        self.stream.flush()
+    """All rows at once, each table column as wide as its widest cell."""
+    widths = [max(len(_cell(c)) for c in col) for col in zip(header, *rows)]
+    write = _row_writer(fmt, header, widths, stream)
+    for row in rows:
+        write(row)
 
 
 _COUNT_HEADER = ("n", "k", "r", "method", "count", "status")
@@ -225,35 +200,34 @@ _VERIFY_HEADER = ("n", "k", "r", "oracle_count", "formula_count",
 
 
 def _cmd_verify(args) -> int:
-    fmt = args.format or "table"
-    spec = CampaignSpec(tuple(args.n), tuple(args.k), tuple(args.r),
-                        bound_multiplier=args.bound_multiplier,
-                        job_count=args.jobs, output_format=fmt,
-                        cache_path=args.cache, budget=args.budget)
     # verification never trusts the cache; it only deposits fresh oracle
     # counts for later count runs
-    cache = CountCache(spec.cache_path) if spec.cache_path else None
-    emitter = _StreamEmitter(fmt, _VERIFY_HEADER, sys.stdout)
-    emitter.start()
+    cache = CountCache(args.cache) if args.cache else None
+    # rows are written as each cell finishes, so table columns get a fixed
+    # width and earlier lines never need realigning
+    write = _row_writer(args.format or "table", _VERIFY_HEADER,
+                        [max(len(h), 5) for h in _VERIFY_HEADER], sys.stdout)
+    sys.stdout.flush()
     t0 = time.monotonic()
     cells = 0
-    for n in spec.n_values:
-        for k in spec.k_values:
-            for r in spec.r_values:
+    for n in args.n:
+        for k in args.k:
+            for r in args.r:
                 report = verify_corank_factorization(
-                    n, k, r, spec.bound_multiplier, jobs=spec.job_count,
-                    budget=spec.budget)
+                    n, k, r, args.bound_multiplier, jobs=args.jobs,
+                    budget=args.budget)
                 cells += 1
                 data = report.as_dict()
-                emitter.row([data[h] for h in _VERIFY_HEADER])
+                write([data[h] for h in _VERIFY_HEADER])
+                sys.stdout.flush()
                 if cache is not None:
                     cache.put(CountRecord(
                         n, k, r, report.oracle_count, "oracle", ENGINE_VERSION,
-                        _cache_bound(k, "oracle", spec.bound_multiplier)))
+                        _cache_bound(k, "oracle", args.bound_multiplier)))
                 if report.status != "pass":
                     found = find_counterexample(
-                        n, k, r, spec.bound_multiplier, jobs=spec.job_count,
-                        budget=spec.budget)
+                        n, k, r, args.bound_multiplier, jobs=args.jobs,
+                        budget=args.budget)
                     if found is not None:
                         lattice, reason = found
                         print("counterexample: "
@@ -339,14 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--cache", metavar="PATH", default=None,
                         help="JSON-lines count cache file")
-    shared.add_argument("--jobs", type=int, default=1, metavar="N",
+    shared.add_argument("--jobs", type=_positive, default=1, metavar="N",
                         help="worker processes for enumeration (default 1)")
     shared.add_argument("--format", choices=("table", "csv", "json"),
                         default=None,
                         help="output format (default: table; series: csv)")
-    shared.add_argument("--bound-multiplier", type=int, default=1, metavar="M",
+    shared.add_argument("--bound-multiplier", type=_positive, default=1,
+                        metavar="M",
                         help="widen the oracle entry bound by this factor")
-    shared.add_argument("--budget", type=int, default=None, metavar="STEPS",
+    shared.add_argument("--budget", type=_positive, default=None,
+                        metavar="STEPS",
                         help="steps per worker: entries tried by the "
                              "co-rank scan, pivots and entries tried by the "
                              "full-rank engine")
@@ -360,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[shared],
                        help="full-rank counts by rank and index")
     p.add_argument("--n", type=_parse_range, required=True, metavar="RANGE")
-    p.add_argument("--r", type=_parse_range, required=True, metavar="RANGE")
+    p.add_argument("--r", type=_positive_range, required=True,
+                   metavar="RANGE")
     p.add_argument("--method", choices=("oracle", "unital"),
                    default="oracle",
                    help="oracle: all multiplicative sublattices; unital: "
@@ -371,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="co-rank counts by ambient, co-rank and torsion")
     p.add_argument("--ambient", type=int, required=True)
     p.add_argument("--corank", type=int, required=True)
-    p.add_argument("--torsion", type=_parse_range, required=True,
+    p.add_argument("--torsion", type=_positive_range, required=True,
                    metavar="RANGE")
     p.add_argument("--method", choices=("oracle", "formula"),
                    default="oracle",
@@ -383,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pit the census against the closed formula")
     p.add_argument("--n", type=_parse_range, required=True, metavar="RANGE")
     p.add_argument("--k", type=_parse_range, required=True, metavar="RANGE")
-    p.add_argument("--r", type=_parse_range, required=True, metavar="RANGE")
+    p.add_argument("--r", type=_positive_range, required=True,
+                   metavar="RANGE")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("partitions", parents=[shared],

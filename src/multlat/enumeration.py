@@ -151,6 +151,29 @@ class _Steps:
                 f"(budget {self.budget})")
 
 
+def _run_shards(worker, args: tuple, jobs: int,
+                budget: Optional[int]) -> list:
+    """Every shard's results, joined in shard order.
+
+    worker takes args + (shard, jobs, budget) and returns a list. jobs = 1
+    runs it in this process, more jobs run one shard each in a fork pool;
+    budget None means DEFAULT_BUDGET.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    tasks = [(*args, shard, jobs, budget) for shard in range(jobs)]
+    if jobs == 1:
+        shard_results = [worker(tasks[0])]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(jobs) as pool:
+            shard_results = pool.map(worker, tasks)
+    return [item for chunk in shard_results for item in chunk]
+
+
 # ---------------------------------------------------------------------------
 # full-rank enumeration: upper-triangular Hermite bases with fixed determinant
 
@@ -236,19 +259,7 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
         raise ValueError("ambient dimension must be at least 1")
     if index < 1:
         raise ValueError("index must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    tasks = [(n, index, shard, jobs, budget) for shard in range(jobs)]
-    if jobs == 1:
-        shard_results = [_full_rank_worker(tasks[0])]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            shard_results = pool.map(_full_rank_worker, tasks)
-    bases = sorted(b for chunk in shard_results for b in chunk)
+    bases = sorted(_run_shards(_full_rank_worker, (n, index), jobs, budget))
     lats = [Lattice(n, b) for b in bases]
     _reverify(lats, index)
     return lats
@@ -275,9 +286,7 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     subring, of index 1.
     """
     if n == 0:
-        if index < 1:
-            raise ValueError("index must be at least 1")
-        return 1 if index == 1 else 0
+        return count_full_rank(0, index)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
     pivots = list(range(n))
@@ -350,6 +359,9 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     """
     ambient, corank, torsion, bound, shard, jobs, budget = args
     n = ambient - corank
+    if n == 0:
+        # the zero lattice, of torsion 1
+        return [()] if torsion == 1 else []
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
     idx0 = -1
@@ -417,31 +429,15 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
         raise ValueError("torsion must be at least 1")
     if bound_multiplier < 1:
         raise ValueError("bound_multiplier must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    n = ambient - corank
-    if n == 0:
-        lats = [Lattice(ambient, ())] if torsion == 1 else []
-        _reverify_corank(lats, torsion, n)
-        return lats
-    bound = bound_multiplier * torsion
-    tasks = [(ambient, corank, torsion, bound, shard, jobs, budget)
-             for shard in range(jobs)]
-    if jobs == 1:
-        shard_results = [_corank_worker(tasks[0])]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            shard_results = pool.map(_corank_worker, tasks)
-    lats = sorted((lattice_from_rows(ambient, b)
-                   for chunk in shard_results for b in chunk),
+    # rank 0 has nothing to shard: it runs in-process (bad jobs still fail)
+    bases = _run_shards(_corank_worker, (ambient, corank, torsion,
+                                         bound_multiplier * torsion),
+                        jobs if ambient > corank else min(jobs, 1), budget)
+    lats = sorted((lattice_from_rows(ambient, b) for b in bases),
                   key=lambda lat: lat.basis)
     if len(set(lats)) != len(lats):
         raise RuntimeError("internal: scan produced a lattice twice")
-    _reverify_corank(lats, torsion, n)
+    _reverify_corank(lats, torsion, ambient - corank)
     return lats
 
 
@@ -526,6 +522,21 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
     return out
 
 
+def _witness_fault(lat: Lattice, r: int) -> Optional[str]:
+    """Why a census lattice of torsion r breaks the factorization, or None.
+
+    lat is a census witness, which `_reverify_corank` has proven
+    multiplicative of torsion r: its columns must be rigid, and its core
+    must have index r. decompose raises unless the pair re-applies to lat.
+    """
+    if distinct_nonzero_columns(lat) != lat.rank:
+        return "column count differs from rank"
+    _, core = decompose(lat)
+    if torsion_size(core) != r:
+        return "core index differs from torsion"
+    return None
+
+
 def verify_corank_factorization(n: int, k: int, r: int,
                                 bound_multiplier: int = 1, *, jobs: int = 1,
                                 budget: Optional[int] = None) -> VerificationReport:
@@ -541,26 +552,16 @@ def verify_corank_factorization(n: int, k: int, r: int,
     stirling_factor = stirling2(n + k + 1, n + 1)
     full_rank_count = count_full_rank(n, r, jobs=jobs, budget=budget)
     formula_count = stirling_factor * full_rank_count
-    ok = len(witnesses) == formula_count
-    checked = 0
-    for lat in witnesses:
-        checked += 1
-        # _reverify_corank has proven every witness multiplicative
-        if distinct_nonzero_columns(lat) != lat.rank:
-            ok = False
-            continue
-        # decompose raises unless the pair re-applies to lat
-        _, core = decompose(lat)
-        if torsion_size(core) != r or torsion_size(lat) != r:
-            ok = False
+    faults = sum(_witness_fault(lat, r) is not None for lat in witnesses)
     return VerificationReport(
         n=n, k=k, r=r,
         oracle_count=len(witnesses),
         formula_count=formula_count,
         stirling_factor=stirling_factor,
         full_rank_count=full_rank_count,
-        witnesses_checked=checked,
-        status="pass" if ok else "fail",
+        witnesses_checked=len(witnesses),
+        status=("pass" if len(witnesses) == formula_count and not faults
+                else "fail"),
     )
 
 
@@ -577,11 +578,9 @@ def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
     witnesses = enumerate_corank_oracle(n + k, k, r, bound_multiplier,
                                         jobs=jobs, budget=budget)
     for lat in witnesses:
-        if distinct_nonzero_columns(lat) != lat.rank:
-            return lat, "column count differs from rank"
-        _, core = decompose(lat)
-        if torsion_size(core) != r:
-            return lat, "core index differs from torsion"
+        fault = _witness_fault(lat, r)
+        if fault is not None:
+            return lat, fault
     rebuilt = reconstruct_from_factorization(n, k, r, jobs=jobs, budget=budget)
     census = set(witnesses)
     formula_side = set(rebuilt)

@@ -11,6 +11,7 @@ no counting or checking path needs them.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -113,78 +114,33 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Returns min(rows, cols) values d_1 | d_2 | ... with zeros past the rank.
     The product of the nonzero values is the order of the torsion subgroup
     of Z^cols modulo the row span.
+
+    The matrix is brought to row echelon form by `_pivot_down`, then its
+    transpose is, and so on until it is diagonal: the row steps of one pass
+    are the column steps of the next. Each pass leaves a gcd of the first
+    column in the corner, so the corner only shrinks until its row and
+    column are clear, and the same holds for the block below it. The
+    diagonal is then made a divisibility chain by replacing diag(a, b) with
+    the equivalent diag(gcd(a, b), lcm(a, b)).
     """
-    mat = int_matrix(m)
-    nrows = len(mat)
-    ncols = len(mat[0])
-    a = [list(row) for row in mat]
-    lim = min(nrows, ncols)
-    t = 0
-    while t < lim:
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
+    work = [list(row) for row in int_matrix(m)]
+    while True:
+        top = 0
+        for col in range(len(work[0])):
+            if _pivot_down(work, top, col):
+                top += 1
+        work = [list(col) for col in zip(*work)]
+        if not any(x for i, row in enumerate(work)
+                   for j, x in enumerate(row) if i != j):
             break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, nrows):
-                if a[i][t] == 0:
-                    continue
-                p, q = a[t][t], a[i][t]
-                if q % p == 0:
-                    f = q // p
-                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                else:
-                    g, x, y = _xgcd(p, q)
-                    pp, qq = p // g, q // g
-                    rt = [x * u + y * v for u, v in zip(a[t], a[i])]
-                    ri = [-qq * u + pp * v for u, v in zip(a[t], a[i])]
-                    a[t], a[i] = rt, ri
-            for j in range(t + 1, ncols):
-                if a[t][j] == 0:
-                    continue
-                p, q = a[t][t], a[t][j]
-                if q % p == 0:
-                    f = q // p
-                    for row in a:
-                        row[j] -= f * row[t]
-                else:
-                    g, x, y = _xgcd(p, q)
-                    pp, qq = p // g, q // g
-                    for row in a:
-                        ct, cj = row[t], row[j]
-                        row[t] = x * ct + y * cj
-                        row[j] = -qq * ct + pp * cj
-            col_clear = all(a[i][t] == 0 for i in range(t + 1, nrows))
-            row_clear = all(a[t][j] == 0 for j in range(t + 1, ncols))
-            if col_clear and row_clear:
-                # pivot must divide the whole remaining block
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        if a[t][t] < 0:
-            a[t][t] = -a[t][t]
-        t += 1
-    return tuple(abs(a[i][i]) for i in range(lim))
+    diag = [abs(work[i][i]) for i in range(min(len(work), len(work[0])))]
+    for i, a in enumerate(diag):
+        for j in range(i + 1, len(diag)):
+            g = gcd(a, diag[j])
+            if g:
+                a, diag[j] = g, a // g * diag[j]
+        diag[i] = a
+    return tuple(diag)
 
 
 def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple[int, ...]]:

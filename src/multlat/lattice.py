@@ -18,7 +18,6 @@ from .intlinalg import (
     _solve,
     _torsion_order,
     hermite_normal_form,
-    solve_in_row_span,
 )
 
 
@@ -120,21 +119,6 @@ def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattic
     hnf = hermite_normal_form(mat)
     return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))
 
-
-def pointwise_product(v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
-    """Coordinatewise product of two vectors of equal length."""
-    if len(v) != len(w):
-        raise ValueError("vectors must have equal length")
-    return tuple(a * b for a, b in zip(v, w))
-
-
-def contains_vector(lat: Lattice, v: Sequence[int]) -> bool:
-    """Is v an integer combination of the basis rows?"""
-    if len(v) != lat.ambient_dim:
-        raise ValueError("vector length does not match the ambient dimension")
-    if not lat.basis:
-        return not any(v)
-    return solve_in_row_span(lat.basis, v) is not None
 
 def is_multiplicative(lat: Lattice) -> bool:
     """Closure of the lattice under coordinatewise products.

@@ -173,6 +173,36 @@ def test_verify_campaign_csv(capsys):
     assert all(r[-1] == "pass" for r in rows)
 
 
+def test_verify_table_golden(capsys):
+    # streamed rows: every table column is at least five wide
+    rc, out, _ = run_main(
+        capsys, ["verify", "--n", "1..2", "--k", "1", "--r", "2"])
+    assert rc == 0
+    assert out == (
+        "n      k      r      oracle_count  formula_count  stirling_factor"
+        "  full_rank_count  witnesses_checked  status\n"
+        "1      1      2      3             3              3"
+        "                1                3                  pass\n"
+        "2      1      2      18            18             6"
+        "                3                18                 pass\n"
+    )
+
+
+def test_verify_json_golden(capsys):
+    rc, out, _ = run_main(
+        capsys,
+        ["verify", "--n", "1..2", "--k", "1", "--r", "2", "--format", "json"])
+    assert rc == 0
+    assert out == (
+        '{"formula_count": 3, "full_rank_count": 1, "k": 1, "n": 1, '
+        '"oracle_count": 3, "r": 2, "status": "pass", "stirling_factor": 3, '
+        '"witnesses_checked": 3}\n'
+        '{"formula_count": 18, "full_rank_count": 3, "k": 1, "n": 2, '
+        '"oracle_count": 18, "r": 2, "status": "pass", "stirling_factor": 6, '
+        '"witnesses_checked": 18}\n'
+    )
+
+
 def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     # force a failing report to exercise the exit-1 branch; the library
     # itself has no known failing cell
@@ -431,6 +461,42 @@ def test_bad_range_syntax_exits_two():
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "--n", bad, "--r", "1"])
         assert exc.value.code == 2
+
+
+_VALID_ARGV = {
+    "count": ["count", "--n", "1", "--r", "1"],
+    "count-corank": ["count-corank", "--ambient", "2", "--corank", "1",
+                     "--torsion", "1"],
+    "verify": ["verify", "--n", "1", "--k", "1", "--r", "1..2"],
+    "partitions": ["partitions", "--n", "1", "--k", "1"],
+    "series": ["series", "--n", "2", "--r-max", "2"],
+}
+
+_BAD_COUNTS = [[flag, value]
+               for flag in ("--jobs", "--bound-multiplier", "--budget")
+               for value in ("0", "-1")]
+
+
+@pytest.mark.parametrize("argv", (
+    [_VALID_ARGV[cmd] + bad for cmd in _VALID_ARGV for bad in _BAD_COUNTS]
+    + [_VALID_ARGV[cmd] + ["--r", "0..2"] for cmd in ("count", "verify")]
+    + [_VALID_ARGV["count-corank"] + ["--torsion", "0"]]
+    + [_VALID_ARGV["count"] + ["--n", "-1..1"]]
+    + [_VALID_ARGV["verify"] + [flag, "-1"] for flag in ("--n", "--k")]),
+    ids=" ".join)
+def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_valid_argv_of_the_rejection_test_succeeds(capsys):
+    for argv in _VALID_ARGV.values():
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_missing_subcommand_exits_two():

@@ -239,6 +239,7 @@ def test_corank_full_ambient_edge():
     assert enumerate_corank_oracle(2, 2, 1) == [Lattice(2, ())]
     assert enumerate_corank_oracle(2, 2, 2) == []
     assert enumerate_corank_oracle(0, 0, 1) == [Lattice(0, ())]
+    assert enumerate_corank_oracle(2, 2, 1, jobs=3) == [Lattice(2, ())]
 
 
 def test_corank_one_column_structure():
@@ -260,6 +261,12 @@ def test_corank_arg_validation():
         enumerate_corank_oracle(2, 1, 0)
     with pytest.raises(ValueError):
         enumerate_corank_oracle(2, 1, 2, 0)
+    # jobs and budget are checked at every rank, rank 0 included
+    for ambient in (2, 1):
+        with pytest.raises(ValueError):
+            enumerate_corank_oracle(ambient, 1, 1, jobs=0)
+        with pytest.raises(ValueError):
+            enumerate_corank_oracle(ambient, 1, 1, budget=0)
 
 
 # ------------------------------------------------------------------ budget

@@ -1,7 +1,8 @@
 """Exact integer linear algebra: Hermite form, Smith diagonal, span solving."""
 
 import random
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,13 @@ from multlat.intlinalg import (
     solve_in_row_span,
 )
 
-from refimpl import int_membership, rational_rank, ref_hnf, torsion_ref
+from refimpl import (
+    bareiss_det,
+    int_membership,
+    rational_rank,
+    ref_hnf,
+    torsion_ref,
+)
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -156,6 +163,32 @@ def test_snf_known_diagonal():
 
 def test_snf_zero_matrix():
     assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
+
+
+def determinantal_invariant_factors(m):
+    """d_i = D_i / D_(i-1), D_i the gcd of all i x i minors; zeros past the
+    rank, where D_i vanishes."""
+    nrows, ncols = len(m), len(m[0])
+    out = []
+    prev = 1
+    for size in range(1, min(nrows, ncols) + 1):
+        d = 0
+        for rows in combinations(range(nrows), size):
+            for cols in combinations(range(ncols), size):
+                d = gcd(d, bareiss_det([[m[i][j] for j in cols] for i in rows]))
+        out.append(d // prev if d else 0)
+        prev = d or prev
+    return tuple(out)
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(907)
+    for _ in range(2000):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        if rng.random() < 0.5:
+            # sparse matrices reach zero columns, rank drops and equal pivots
+            m = [[x if rng.random() < 0.5 else 0 for x in row] for row in m]
+        assert smith_normal_form(m) == determinantal_invariant_factors(m), m
 
 
 def test_snf_divisibility_chain_seeded():

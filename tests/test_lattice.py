@@ -9,17 +9,14 @@ from multlat.intlinalg import hermite_normal_form, smith_normal_form
 from multlat.lattice import (
     Lattice,
     banded_basis,
-    contains_vector,
     distinct_nonzero_columns,
     has_rigid_columns,
     is_multiplicative,
     lattice_from_rows,
-    pointwise_product,
     torsion_size,
 )
 
 from refimpl import (
-    int_membership,
     is_mult_ref,
     ref_full_rank_lattices,
     ref_hnf,
@@ -112,8 +109,6 @@ def test_zero_lattice_and_empty_ambient():
     assert z.rank == 0 and z.corank == 3
     assert not z.is_full_rank
     assert torsion_size(z) == 1
-    assert contains_vector(z, (0, 0, 0))
-    assert not contains_vector(z, (1, 0, 0))
     degenerate = Lattice(0, ())
     assert degenerate.is_full_rank
 
@@ -199,26 +194,6 @@ def test_dict_round_trip():
     assert Lattice.from_dict(d) == lat
     with pytest.raises(ValueError):
         Lattice.from_dict({"ambient": 3, "rank": 1, "basis": [[1, 0, 2], [0, 3, 3]]})
-
-
-# --------------------------------------------------------------- membership
-
-def test_contains_vector_matches_reference():
-    rng = random.Random(913)
-    for _ in range(250):
-        lat = lattice_from_rows(3, random_rows(rng, rng.randint(1, 3), 3))
-        v = [rng.randint(-9, 9) for _ in range(3)]
-        if lat.basis:
-            expect = int_membership([list(r) for r in lat.basis], v)
-        else:
-            expect = not any(v)
-        assert contains_vector(lat, v) == expect
-
-
-def test_pointwise_product():
-    assert pointwise_product((1, -2, 3), (4, 5, 0)) == (4, -10, 0)
-    with pytest.raises(ValueError):
-        pointwise_product((1,), (1, 2))
 
 
 # ----------------------------------------------------------- multiplicative
