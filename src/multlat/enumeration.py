@@ -17,12 +17,10 @@ entry it tries.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from math import prod
 from typing import Optional
 
-from .intlinalg import _torsion_order
+from .intlinalg import _echelon_torsion
 from .lattice import (
     Lattice,
     distinct_nonzero_columns,
@@ -168,6 +166,8 @@ def _run_shards(worker, args: tuple, jobs: int,
     if jobs == 1:
         shard_results = [worker(tasks[0])]
     else:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             shard_results = pool.map(worker, tasks)
@@ -355,7 +355,11 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. A new
     row's square is tested column by column in `_square_closed_rows`, and
-    its products with the earlier rows only on the rows that pass.
+    its products with the earlier rows only on the rows that pass. A
+    prefix's torsion is the diagonal product of its pivot square when it
+    has exactly as many distinct nonzero columns as rows, a matrix fact
+    checked on each prefix, and otherwise the Hermite path of
+    `intlinalg._echelon_torsion`.
     """
     ambient, corank, torsion, bound, shard, jobs, budget = args
     n = ambient - corank
@@ -385,13 +389,10 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
                 if level + 1 < n:
                     # a coordinate section of L is a primitive sublattice
                     # of it, so its torsion divides the final torsion
-                    if torsion % _torsion_order(h2) == 0:
+                    if torsion % _echelon_torsion(h2) == 0:
                         extend(level + 1, h2, p2)
                     continue
-                # torsion divides every maximal minor, the pivot minor
-                # included
-                if (prod(row[c] for row, c in zip(h2, p2)) % torsion == 0
-                        and _torsion_order(h2) == torsion):
+                if _echelon_torsion(h2) == torsion:
                     found.append(tuple(tuple(reversed(row))
                                        for row in reversed(h2)))
 

@@ -3,10 +3,14 @@
 Matrices are immutable tuples of tuples of Python ints, so all arithmetic is
 arbitrary precision and nothing can silently wrap. The row-style Hermite
 normal form is the workhorse of the package: it gives a canonical basis for
-an integer row span, and the pivots of the Hermite form of the transpose
-give the torsion order of the quotient group (`_torsion_order`). The Smith
-normal form diagonal gives the invariant factors of that group one by one;
-no counting or checking path needs them.
+an integer row span. Echelon rows whose distinct nonzero columns are as
+many as the rows, as every multiplicative basis's are, reduce to the
+triangular square of their pivot columns (`_pivot_square`); the torsion
+order of the quotient group is then the product of its diagonal, and for
+any other rows the pivot product of the Hermite form of the transpose
+(`_echelon_torsion`, `_torsion_order`). The Smith normal form diagonal
+gives the invariant factors of that group one by one; no counting or
+checking path needs them.
 """
 
 from __future__ import annotations
@@ -196,6 +200,45 @@ def _pivot_columns(mat: IntMatrix) -> list[tuple[int, int]]:
         out.append((i, lead))
         last = lead
     return out
+
+
+def _pivot_square(rows: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
+    """The square of pivot columns of independent echelon rows, or None.
+
+    In echelon rows (each row's lead strictly right of the lead of the row
+    above) the pivot columns are distinct and nonzero: each is nonzero at
+    its own row and zero below it. When they are all the distinct nonzero
+    columns there are, every other column is zero or a copy of a pivot
+    column left of it, so the columns in order of first use, zero column
+    dropped, are the pivot columns, and the block they form, returned as
+    rows, is upper triangular with the pivots on its diagonal. The span of
+    the rows is then the image of the span of the block under a map that
+    copies and zeroes coordinates, which is injective and respects
+    coordinatewise products. Any other input gives None. No rows give [].
+    """
+    columns = dict.fromkeys(zip(*rows))
+    columns.pop((0,) * len(rows), None)
+    if len(columns) != len(rows):
+        return None
+    return list(zip(*columns))
+
+
+def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
+    """`_torsion_order` of independent echelon rows, by their pivot square
+    when they have one.
+
+    The order is the gcd of the maximal minors. When `_pivot_square` finds
+    the square, every maximal minor but the square's own has a zero or a
+    repeated column, so the order is the product of its diagonal. Any other
+    input goes through `_torsion_order`.
+    """
+    square = _pivot_square(rows)
+    if square is None:
+        return _torsion_order(rows)
+    order = 1
+    for i, row in enumerate(square):
+        order *= row[i]
+    return abs(order)
 
 
 def _torsion_order(rows: Sequence[Sequence[int]]) -> int:

@@ -15,8 +15,9 @@ from typing import Iterable, Sequence
 
 from .intlinalg import (
     IntMatrix,
+    _echelon_torsion,
+    _pivot_square,
     _solve,
-    _torsion_order,
     hermite_normal_form,
 )
 
@@ -125,8 +126,17 @@ def is_multiplicative(lat: Lattice) -> bool:
 
     Checking products of basis rows is enough: general elements are integer
     combinations of rows and the product is bilinear in its two factors.
+    When the basis has a pivot square (`intlinalg._pivot_square`), its span
+    is the image of the square's span under a coordinate-copying map that
+    is injective and respects products, so the square is tested instead
+    (`_square_closed`). Any other basis has each product solved against the
+    whole basis.
     """
     rows = lat.basis
+    # a full-rank Hermite basis is its own pivot square
+    square = rows if lat.is_full_rank else _pivot_square(rows)
+    if square is not None:
+        return _square_closed(square)
     # the constructor has validated the basis; each row's pivot is its lead
     pivots = []
     for i, row in enumerate(rows):
@@ -141,17 +151,46 @@ def is_multiplicative(lat: Lattice) -> bool:
     return True
 
 
+def _square_closed(square: list[tuple[int, ...]]) -> bool:
+    """Closure under products of the span of an upper-triangular square with
+    nonzero diagonal.
+
+    The product of rows i <= j vanishes left of column j, so it is reduced
+    against the rows j.. from column j on, by exact division at each
+    diagonal entry; the span has full rank, so the product lies in it
+    exactly when every division is exact. The last row is zero but for its
+    diagonal entry, so its products are multiples of it and are not tested.
+    """
+    size = len(square)
+    for j in range(size - 1):
+        v = square[j]
+        for u in square[:j + 1]:
+            w = [a * b for a, b in zip(u, v)]
+            for c in range(j, size):
+                x = w[c]
+                if x:
+                    row = square[c]
+                    d = row[c]
+                    if x % d:
+                        return False
+                    q = x // d
+                    for t in range(c + 1, size):
+                        w[t] -= q * row[t]
+    return True
+
+
 def torsion_size(lat: Lattice) -> int:
     """Order of the torsion subgroup of Z^ambient modulo the lattice.
 
     A full-rank lattice's Hermite basis is triangular, so its torsion is its
     index, the product of the diagonal. For any other lattice it is the gcd
-    of the maximal minors of the basis, the pivot product of the Hermite
-    form of the transposed basis (`intlinalg._torsion_order`).
+    of the maximal minors of the basis: the diagonal product of its pivot
+    square when it has one, else the pivot product of the Hermite form of
+    the transposed basis (`intlinalg._echelon_torsion`).
     """
     if lat.is_full_rank:
         return prod(row[i] for i, row in enumerate(lat.basis))
-    return _torsion_order(lat.basis)
+    return _echelon_torsion(lat.basis)
 
 
 def distinct_nonzero_columns(lat: Lattice) -> int:

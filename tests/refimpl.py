@@ -304,3 +304,53 @@ def ref_corank_scan(ambient, corank, torsion, bound):
             continue
         found.add(ref_canonical_key(mat, ambient))
     return found
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def copied_square_rows(rng, ambient, rank, top):
+    """A canonical Hermite basis whose columns copy or zero a triangular square.
+
+    A random upper-triangular rank x rank square, pivots in [1, top] and
+    entries above each pivot in [0, pivot), goes on rank random pivot
+    columns; every other column is zero or a copy of a pivot column to its
+    left. The basis has exactly rank distinct nonzero columns.
+    """
+    square = [[0] * rank for _ in range(rank)]
+    for c in range(rank):
+        square[c][c] = rng.randint(1, top)
+        for i in range(c):
+            square[i][c] = rng.randrange(square[c][c])
+    pivots = sorted(rng.sample(range(ambient), rank))
+    labels, used = [], 0
+    for c in range(ambient):
+        if used < rank and c == pivots[used]:
+            used += 1
+            labels.append(used)
+        else:
+            labels.append(rng.randint(0, used))
+    return [[square[i][t - 1] if t else 0 for t in labels] for i in range(rank)]
+
+
+def echelon_samples(rng, count):
+    """The zero lattice of each ambient 0-6, then count seeded canonical
+    bases in those ambients, as (ambient, rows).
+
+    Three in five are copied squares (`copied_square_rows`), which are
+    mostly not multiplicative; the rest are the Hermite forms of random
+    small rows, which mostly have more distinct nonzero columns than rows.
+    """
+    for ambient in range(7):
+        yield ambient, []
+    for _ in range(count):
+        ambient = rng.randint(1, 6)
+        rank = rng.randint(1, ambient)
+        if rng.random() < 0.6:
+            top = rng.choice((2, 3, 4, 6, 8, 12))
+            yield ambient, copied_square_rows(rng, ambient, rank, top)
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(ambient)]
+                    for _ in range(rank)]
+            yield ambient, [list(r) for r in ref_hnf(rows) if any(r)]

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlat.intlinalg import (
+    _echelon_torsion,
+    _pivot_square,
     _torsion_order,
     _xgcd,
     hermite_normal_form,
@@ -19,6 +21,7 @@ from multlat.intlinalg import (
 
 from refimpl import (
     bareiss_det,
+    echelon_samples,
     int_membership,
     rational_rank,
     ref_hnf,
@@ -237,6 +240,32 @@ def test_torsion_order_matches_reference_on_independent_rows():
         assert _torsion_order(m) == torsion_ref(m) == prod(snf), m
         checked += 1
     assert _torsion_order([]) == 1
+
+
+def test_pivot_square_and_echelon_torsion_on_seeded_echelon_rows():
+    # canonical bases, and the suffixes of their Hermite forms in reversed
+    # column order: the prefixes the co-rank scan passes, as lists. The
+    # square exists exactly when the distinct nonzero columns are as many
+    # as the rows; it is then the pivot columns, upper triangular
+    seen = set()
+    for _, rows in echelon_samples(random.Random(917), 1500):
+        flipped = [list(r) for r in ref_hnf([row[::-1] for row in rows])
+                   if any(r)]
+        for m in [rows] + [flipped[t:] for t in range(len(flipped))]:
+            assert _echelon_torsion(m) == torsion_ref(m), m
+            square = _pivot_square(m)
+            rigid = len({col for col in zip(*m) if any(col)}) == len(m)
+            seen.add(rigid)
+            if not rigid:
+                assert square is None, m
+                continue
+            leads = [next(j for j, x in enumerate(row) if x) for row in m]
+            assert [list(r) for r in square] == [[row[c] for c in leads]
+                                                 for row in m]
+            assert all(square[i][j] == 0 for i in range(len(m))
+                       for j in range(i))
+    assert seen == {True, False}
+    assert _pivot_square([]) == [] and _echelon_torsion([]) == 1
 
 
 def test_snf_invariant_under_row_and_column_swaps():

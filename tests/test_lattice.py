@@ -17,6 +17,7 @@ from multlat.lattice import (
 )
 
 from refimpl import (
+    echelon_samples,
     is_mult_ref,
     ref_full_rank_lattices,
     ref_hnf,
@@ -240,6 +241,22 @@ def test_is_multiplicative_matches_reference_in_ambients_four_and_five():
             seen.add((ambient, lat.is_full_rank, got))
     assert seen == {(a, full, mult) for a in (4, 5) for full in (True, False)
                     for mult in (True, False)}
+
+
+def test_closure_and_torsion_match_reference_on_copied_squares():
+    # seeded canonical bases in ambients 0-6: copied triangular squares and
+    # Hermite forms of random rows, the zero lattice included
+    kinds = set()
+    for ambient, rows in echelon_samples(random.Random(918), 1500):
+        lat = Lattice(ambient, tuple(tuple(r) for r in rows))
+        mult = is_mult_ref(rows)
+        assert is_multiplicative(lat) == mult, rows
+        assert torsion_size(lat) == torsion_ref(rows), rows
+        rigid = len({col for col in zip(*rows) if any(col)}) == len(rows)
+        kinds.add((rigid, mult))
+    # rigid and multiplicative, rigid and not, and not rigid; a lattice that
+    # is not rigid is never multiplicative
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 # ------------------------------------------------------------------ torsion
