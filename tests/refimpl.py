@@ -338,8 +338,8 @@ def echelon_samples(rng, count):
     """The zero lattice of each ambient 0-6, then count seeded canonical
     bases in those ambients, as (ambient, rows).
 
-    Three in five are copied squares (`copied_square_rows`), which are
-    mostly not multiplicative; the rest are the Hermite forms of random
+    Three in five are copied squares (`copied_square_rows`), many of them
+    not multiplicative; the rest are the Hermite forms of random
     small rows, which mostly have more distinct nonzero columns than rows.
     """
     for ambient in range(7):
