@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import _echelon_torsion
+from .intlinalg import _echelon_torsion, _pivot_square
 from .lattice import (
     Lattice,
-    distinct_nonzero_columns,
     is_multiplicative,
     lattice_from_rows,
     torsion_size,
@@ -475,31 +474,42 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     """Split a multiplicative lattice into an ordered map and a full-rank core.
 
     The canonical basis of a multiplicative lattice has exactly rank-many
-    distinct nonzero columns. Reading the columns once and labelling each
-    distinct nonzero column 1, 2, ... by its first use (the zero column is
-    0) gives the assignment of an ordered acceptable map g; the basis
-    restricted to one representative column per label, the first use, is a
-    full-rank multiplicative core L with apply_map(g, L) == lat. The pair is
-    unique. Raises ValueError on non-multiplicative input.
-
-    The re-application is checked on rows: the core rows carried through g
-    must be lat's basis. Both are canonical Hermite bases, so this is the
-    same test as apply_map(g, L) == lat without building a third lattice.
+    distinct nonzero columns, so it has a pivot square
+    (`intlinalg._pivot_square`); `_split` turns that square into the pair.
+    The core L is the square, and the ordered acceptable map g copies the
+    square's columns to where they occur in lat, with apply_map(g, L) ==
+    lat. The pair is unique. Raises ValueError on non-multiplicative input.
     """
     if not is_multiplicative(lat):
         raise ValueError("lattice is not multiplicative")
+    pair = _split(lat)
+    if pair is None:
+        raise RuntimeError("internal: column count contradicts the rank")
+    return pair
+
+
+def _split(lat: Lattice) -> Optional[tuple[AcceptableMap, Lattice]]:
+    """The ordered map and full-rank core of a basis with a pivot square,
+    or None when the basis has none.
+
+    The core is the square, a canonical Hermite basis in its own right: its
+    entries are lat's entries at the pivot columns. The map labels each
+    column of lat by its position among the square's columns, 1, 2, ..., and
+    the zero column by 0. The re-application is checked on rows: the core
+    rows carried through the map must be lat's basis. Both are canonical
+    Hermite bases, so this is the same test as apply_map(g, core) == lat
+    without building a third lattice.
+    """
     rank, ambient = lat.rank, lat.ambient_dim
+    square = _pivot_square(lat.basis)
+    if square is None:
+        return None
+    position = {col: i for i, col in enumerate(zip(*square), 1)}
+    position[(0,) * rank] = 0
     # zip yields no columns at all for the zero lattice: its columns are ()
     columns = zip(*lat.basis) if rank else [()] * ambient
-    labels = {(0,) * rank: 0}
-    assignment = tuple([labels.setdefault(col, len(labels)) for col in columns])
-    if len(labels) != rank + 1:
-        raise RuntimeError("internal: column count contradicts the rank")
-    g = AcceptableMap(rank, ambient, assignment)
-    # the representative columns in label order, read back as rows
-    core = lattice_from_rows(rank, zip(*list(labels)[1:]))
-    if core.rank != rank:
-        raise RuntimeError("internal: core lattice lost rank")
+    g = AcceptableMap(rank, ambient, tuple([position[col] for col in columns]))
+    core = Lattice(rank, tuple(square))
     if _transport_rows(g, core.basis) != lat.basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
     return g, core
@@ -527,12 +537,14 @@ def _witness_fault(lat: Lattice, r: int) -> Optional[str]:
     """Why a census lattice of torsion r breaks the factorization, or None.
 
     lat is a census witness, which `_reverify_corank` has proven
-    multiplicative of torsion r: its columns must be rigid, and its core
-    must have index r. decompose raises unless the pair re-applies to lat.
+    multiplicative of torsion r, so `_split` is called without `decompose`'s
+    guard. lat must have rigid columns, that is a pivot square, and its core
+    must have index r; `_split` raises unless the pair re-applies to lat.
     """
-    if distinct_nonzero_columns(lat) != lat.rank:
+    pair = _split(lat)
+    if pair is None:
         return "column count differs from rank"
-    _, core = decompose(lat)
+    _, core = pair
     if torsion_size(core) != r:
         return "core index differs from torsion"
     return None

@@ -5,17 +5,17 @@ arbitrary precision and nothing can silently wrap. The row-style Hermite
 normal form is the workhorse of the package: it gives a canonical basis for
 an integer row span. Echelon rows whose distinct nonzero columns are as
 many as the rows, as every multiplicative basis's are, reduce to the
-triangular square of their pivot columns (`_pivot_square`); the torsion
-order of the quotient group is then the product of its diagonal, and for
-any other rows the pivot product of the Hermite form of the transpose
-(`_echelon_torsion`, `_torsion_order`). The Smith normal form diagonal
-gives the invariant factors of that group one by one; no counting or
-checking path needs them.
+triangular square of their pivot columns (`_pivot_square`): the torsion
+order of the quotient group is the product of its diagonal, and for a
+multiplicative basis the square is the full-rank core that
+`enumeration.decompose` returns. Any other rows go through the general
+routines: their torsion order is the product of the Smith normal form
+diagonal, and membership in their span is solved by `solve_in_row_span`.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -156,19 +156,12 @@ def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[
     exact division, so no intermediate value ever leaves the integers.
     """
     mat = int_matrix(h)
-    if len(v) != len(mat[0]):
-        raise ValueError("vector length does not match matrix width")
-    return _solve(mat, _pivot_columns(mat), v)
-
-
-def _solve(mat: IntMatrix, pivots: list[tuple[int, int]],
-           v: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """`solve_in_row_span` on a matrix already validated by `int_matrix`,
-    with its `_pivot_columns` and a vector of matching length."""
     ncols = len(mat[0])
+    if len(v) != ncols:
+        raise ValueError("vector length does not match matrix width")
     residual = list(v)
     coeffs = [0] * len(mat)
-    for i, col in pivots:
+    for i, col in _pivot_columns(mat):
         x = residual[col]
         if x == 0:
             continue
@@ -224,39 +217,18 @@ def _pivot_square(rows: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...
 
 
 def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
-    """`_torsion_order` of independent echelon rows, by their pivot square
-    when they have one.
+    """Order of the torsion subgroup of Z^cols modulo the span of independent
+    echelon rows; 1 for no rows.
 
     The order is the gcd of the maximal minors. When `_pivot_square` finds
     the square, every maximal minor but the square's own has a zero or a
     repeated column, so the order is the product of its diagonal. Any other
-    input goes through `_torsion_order`.
+    rows give the product of their invariant factors (`smith_normal_form`).
     """
     square = _pivot_square(rows)
     if square is None:
-        return _torsion_order(rows)
+        return prod(smith_normal_form(rows))
     order = 1
     for i, row in enumerate(square):
         order *= row[i]
     return abs(order)
-
-
-def _torsion_order(rows: Sequence[Sequence[int]]) -> int:
-    """Order of the torsion subgroup of Z^cols modulo the span of independent
-    integer rows, for entries already known to be ints.
-
-    That order is the gcd of the maximal minors, which integer row
-    operations on the transpose preserve: it is the pivot product of the
-    Hermite form of the transposed rows (H. Cohen, A Course in Computational
-    Algebraic Number Theory, GTM 138, section 2.4). Pivots are fixed up to
-    sign once the transpose is triangular, so the reduction above them is
-    skipped. No rows gives 1.
-    """
-    work = [list(col) for col in zip(*rows)]
-    order = 1
-    top = 0
-    for t in range(len(rows)):
-        if _pivot_down(work, top, t):
-            order *= abs(work[top][t])
-            top += 1
-    return order

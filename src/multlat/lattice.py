@@ -17,8 +17,8 @@ from .intlinalg import (
     IntMatrix,
     _echelon_torsion,
     _pivot_square,
-    _solve,
     hermite_normal_form,
+    solve_in_row_span,
 )
 
 
@@ -28,13 +28,13 @@ class Lattice:
 
     basis holds only the nonzero rows; the zero lattice has an empty basis.
     The degenerate ambient_dim 0 lattice is allowed and counts as full rank.
-    The constructor is the one place a basis is validated: every row is a
-    nonzero tuple of ambient_dim ints (bool excluded) whose lead, its pivot,
-    is positive and lies right of the pivot of the row above, and every
-    entry above a pivot is reduced into [0, pivot). It reads each row once
-    for the entry types and once up to its lead, and the rows above at the
-    pivot column only. Code holding a Lattice relies on that shape
-    unchecked.
+    The constructor is the one place a basis is validated: ambient_dim is a
+    nonnegative int and every row is a nonzero tuple of ambient_dim ints
+    (bool excluded in both) whose lead, its pivot, is positive and lies
+    right of the pivot of the row above, and every entry above a pivot is
+    reduced into [0, pivot). It reads each row once for the entry types and
+    once up to its lead, and the rows above at the pivot column only. Code
+    holding a Lattice relies on that shape unchecked.
     """
 
     ambient_dim: int
@@ -42,7 +42,8 @@ class Lattice:
 
     def __post_init__(self) -> None:
         n = self.ambient_dim
-        if not isinstance(n, int) or n < 0:
+        # bool passes isinstance(int) but is never a dimension
+        if type(n) is not int or n < 0:
             raise ValueError("ambient_dim must be a nonnegative integer")
         basis = self.basis
         if not isinstance(basis, tuple):
@@ -130,23 +131,17 @@ def is_multiplicative(lat: Lattice) -> bool:
     is the image of the square's span under a coordinate-copying map that
     is injective and respects products, so the square is tested instead
     (`_square_closed`). Any other basis has each product solved against the
-    whole basis.
+    whole basis (`intlinalg.solve_in_row_span`), which assumes nothing
+    about its columns.
     """
     rows = lat.basis
     # a full-rank Hermite basis is its own pivot square
     square = rows if lat.is_full_rank else _pivot_square(rows)
     if square is not None:
         return _square_closed(square)
-    # the constructor has validated the basis; each row's pivot is its lead
-    pivots = []
-    for i, row in enumerate(rows):
-        for lead, x in enumerate(row):
-            if x:
-                pivots.append((i, lead))
-                break
     for i, u in enumerate(rows):
         for v in rows[i:]:
-            if _solve(rows, pivots, [a * b for a, b in zip(u, v)]) is None:
+            if solve_in_row_span(rows, [a * b for a, b in zip(u, v)]) is None:
                 return False
     return True
 
@@ -185,8 +180,8 @@ def torsion_size(lat: Lattice) -> int:
     A full-rank lattice's Hermite basis is triangular, so its torsion is its
     index, the product of the diagonal. For any other lattice it is the gcd
     of the maximal minors of the basis: the diagonal product of its pivot
-    square when it has one, else the pivot product of the Hermite form of
-    the transposed basis (`intlinalg._echelon_torsion`).
+    square when it has one, as every multiplicative basis does, else the
+    product of its Smith invariant factors (`intlinalg._echelon_torsion`).
     """
     if lat.is_full_rank:
         return prod(row[i] for i, row in enumerate(lat.basis))

@@ -7,6 +7,7 @@ criteria is enumerated once per module in the fixture below.
 """
 
 import csv
+import os
 import random
 import subprocess
 import sys
@@ -69,9 +70,13 @@ def campaign():
 
 
 def run_cli(argv):
+    # the checkout's src first, so no installed copy answers in its place
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
     return subprocess.run(
         [sys.executable, "-m", "multlat.cli", *argv],
-        capture_output=True, text=True, timeout=1800)
+        capture_output=True, text=True, timeout=1800, env=env)
 
 
 def test_criterion_01_rank_one_counts_are_all_one():

@@ -5,8 +5,10 @@ compare whole invocations byte for byte go through subprocesses.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +18,13 @@ from multlat.lattice import lattice_from_rows
 
 
 def run_cli(argv):
+    # the checkout's src first, so no installed copy answers in its place
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
     return subprocess.run(
         [sys.executable, "-m", "multlat.cli", *argv],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, timeout=600, env=env)
 
 
 def run_main(capsys, argv):
@@ -219,6 +225,26 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     assert out.splitlines()[1].endswith("fail")
     assert 'counterexample: {"ambient": 3' in err
     assert "reason: synthetic reason" in err
+    assert "FAILED at n=2 k=1 r=2" in err
+
+
+def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
+    # a lattice without rigid columns swapped into a real census must fail
+    # the cell through the verifier's own checks, not a forced report
+    import multlat.enumeration as enumeration
+
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    census = enumeration.enumerate_corank_oracle
+    monkeypatch.setattr(enumeration, "enumerate_corank_oracle",
+                        lambda *a, **kw: [non_rigid] + census(*a, **kw)[1:])
+    rc, out, err = run_main(
+        capsys,
+        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
+    assert rc == 1
+    assert out.splitlines()[1].endswith("fail")
+    assert ("counterexample: "
+            + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
+    assert "reason: column count differs from rank" in err
     assert "FAILED at n=2 k=1 r=2" in err
 
 

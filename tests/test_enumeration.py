@@ -25,7 +25,14 @@ from multlat.enumeration import (
     reconstruct_from_factorization,
     verify_corank_factorization,
 )
-from multlat.enumeration import _in_span, _square_closed_rows, _Steps
+import multlat.intlinalg as intlinalg
+import multlat.lattice as lattice
+from multlat.enumeration import (
+    _in_span,
+    _square_closed_rows,
+    _Steps,
+    _witness_fault,
+)
 from multlat.lattice import (
     Lattice,
     banded_basis,
@@ -422,6 +429,44 @@ def test_verify_with_wider_bound():
 def test_find_counterexample_clean_cells():
     assert find_counterexample(1, 1, 3) is None
     assert find_counterexample(2, 1, 2) is None
+
+
+def test_witness_fault_reasons():
+    # columns (1,0), (2,0), (1,2): three distinct nonzero columns at rank 2
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    assert _witness_fault(non_rigid, 2) == "column count differs from rank"
+    # rigid and multiplicative, with a core of index 2
+    rigid = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
+    assert is_multiplicative(rigid)
+    assert _witness_fault(rigid, 3) == "core index differs from torsion"
+    census = enumerate_corank_oracle(3, 1, 2)
+    assert rigid in census
+    for lat in census:
+        assert _witness_fault(lat, 2) is None
+
+
+def test_measured_paths_never_reach_the_general_routines(monkeypatch):
+    # every basis the campaign and the round trip meet has a pivot square,
+    # so the Smith diagonal and the span solver are never needed there
+    def refuse(*args, **kwargs):
+        raise AssertionError("general routine reached")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(lattice, "solve_in_row_span", refuse)
+    for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
+        for bound in (1, 2):
+            rep = verify_corank_factorization(n, k, r, bound)
+            assert rep.status == "pass", (n, k, r, bound)
+    for n in range(5):
+        cores = [(1, Lattice(0, ()))] if n == 0 else [
+            (r, core) for r in range(1, 9)
+            for core in enumerate_full_rank_multiplicative(n, r)]
+        for k in range(5 - n):
+            for g in enumerate_ordered_maps(n, n + k):
+                for r, core in cores:
+                    lat = apply_map(g, core)
+                    assert decompose(lat) == (g, core)
+                    assert torsion_size(lat) == r
 
 
 # ----------------------------------------------------- low-level internals

@@ -68,6 +68,11 @@ def test_constructor_rejects_non_integer_entries():
     # an entry off the pivot is checked as well
     with pytest.raises(ValueError):
         Lattice(2, ((1, 0.0), (0, 2)))
+    # and so is the ambient dimension
+    with pytest.raises(ValueError):
+        Lattice(True, ((1,),))
+    with pytest.raises(ValueError):
+        lattice_from_rows(True, [(2,)])
 
 
 def test_constructor_rejects_bad_ambient():
