@@ -1,4 +1,4 @@
-"""Append-only JSON-lines store for counting results.
+"""Append-only JSON-lines store for counting results, and their record type.
 
 One file, one JSON object per line, an in-memory index on top. Entries are
 keyed by (n, k, r, method, engine_version, bound_multiplier), so bumping
@@ -6,7 +6,12 @@ the engine version silently invalidates everything older: stale entries stay
 in the file but can never be returned. A co-rank census count is only served
 to a request under the bound multiplier it was taken with; a line without
 that field reads as multiplier 1. Malformed lines (torn writes, manual
-edits) are skipped with a warning instead of poisoning the run.
+edits, a count or key field that is not a JSON integer, a negative count)
+are skipped with a warning instead of poisoning the run: a count served
+from here reaches stdout without any engine running.
+
+The module imports nothing from the counting engines, so a command whose
+counts all come from the cache never loads them.
 """
 
 from __future__ import annotations
@@ -16,11 +21,47 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .enumeration import ENGINE_VERSION, CountRecord
+from . import ENGINE_VERSION
 
 CacheKey = tuple[int, int, int, str, str, int]
+
+
+class _CountFields(NamedTuple):
+    n: int
+    k: int
+    r: int
+    count: int
+    method: str
+    engine_version: str
+    bound_multiplier: int = 1
+
+
+class CountRecord(_CountFields):
+    """One counting result: method is 'oracle', 'formula' or 'unital'.
+
+    bound_multiplier is the census bound a co-rank oracle count (k > 0) was
+    taken under; the command line records 1 for every other count, which
+    does not depend on it. Records are immutable and validated on creation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, r: int, count: int, method: str,
+                engine_version: str, bound_multiplier: int = 1) -> CountRecord:
+        if method not in ("oracle", "formula", "unital"):
+            raise ValueError(f"unknown method {method!r}")
+        if r < 1:
+            raise ValueError("torsion size must be at least 1")
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        if k == 0 and method == "formula":
+            raise ValueError("full-rank records are counted directly, not by formula")
+        if bound_multiplier < 1:
+            raise ValueError("bound multiplier must be at least 1")
+        return super().__new__(cls, n, k, r, count, method, engine_version,
+                               bound_multiplier)
 
 
 class CacheConflict(RuntimeError):
@@ -46,7 +87,6 @@ class CountCache:
                 try:
                     data = json.loads(line)
                     key = self._key_of(data)
-                    int(data["count"])
                     str(data["created_at"])
                 except (ValueError, KeyError, TypeError) as exc:
                     print(
@@ -59,16 +99,25 @@ class CountCache:
 
     @staticmethod
     def _key_of(data: dict) -> CacheKey:
-        return (int(data["n"]), int(data["k"]), int(data["r"]),
-                str(data["method"]), str(data["engine_version"]),
-                int(data.get("bound_multiplier", 1)))
+        """The key of a stored line; ValueError unless n, k, r, count and
+        bound_multiplier are JSON integers (no float, no bool) and the count
+        is nonnegative."""
+        n, k, r, count = data["n"], data["k"], data["r"], data["count"]
+        bound = data.get("bound_multiplier", 1)
+        for value in (n, k, r, count, bound):
+            if type(value) is not int:
+                raise ValueError(f"not an integer: {value!r}")
+        if count < 0:
+            raise ValueError(f"negative count {count}")
+        return (n, k, r, str(data["method"]), str(data["engine_version"]),
+                bound)
 
     def get(self, n: int, k: int, r: int, method: str,
             engine_version: str = ENGINE_VERSION,
             bound_multiplier: int = 1) -> Optional[int]:
         data = self._index.get((n, k, r, method, engine_version,
                                 bound_multiplier))
-        return None if data is None else int(data["count"])
+        return None if data is None else data["count"]
 
     def created_at(self, n: int, k: int, r: int, method: str,
                    engine_version: str = ENGINE_VERSION,
@@ -85,7 +134,7 @@ class CountCache:
                record.engine_version, record.bound_multiplier)
         old = self._index.get(key)
         if old is not None:
-            if int(old["count"]) != record.count:
+            if old["count"] != record.count:
                 raise CacheConflict(
                     f"cache conflict for {key}: stored {old['count']}, "
                     f"new {record.count}")

@@ -9,6 +9,11 @@ which is a bug, not a verdict on the formula). A --jobs, --bound-multiplier
 or --budget below 1, an --r or --torsion range reaching below 1, and an
 --n or --k range reaching below 0 are rejected while the arguments are
 parsed (exit 2), before anything is written to stdout.
+
+The counting engines (`enumeration`, and `partitions` for the partition
+listing) are imported when the first cell has to be computed, not when this
+module is: a count or count-corank run whose cells are all served from the
+cache loads only the package root, this module and `cache`.
 """
 
 from __future__ import annotations
@@ -21,24 +26,8 @@ import time
 from functools import partial
 from typing import Callable, Optional, Sequence, TextIO
 
-from .cache import CacheConflict, CountCache
-from .enumeration import (
-    ENGINE_VERSION,
-    CountRecord,
-    SearchBudgetExceeded,
-    count_corank_formula,
-    count_full_rank,
-    count_unital,
-    enumerate_corank_oracle,
-    find_counterexample,
-    verify_corank_factorization,
-)
-from .partitions import (
-    enumerate_ordered_maps,
-    map_to_partition,
-    map_to_string,
-    stirling2,
-)
+from . import ENGINE_VERSION
+from .cache import CacheConflict, CountCache, CountRecord
 
 
 def _parse_range(text: str, least: int = 0) -> tuple[int, ...]:
@@ -125,7 +114,9 @@ def _cache_bound(k: int, method: str, bound_multiplier: int) -> int:
 
 
 def _count_cells(cells, args, fmt: str) -> int:
-    """Shared count/count-corank driver: cells yield (n, k, r, method, fn)."""
+    """Shared count/count-corank driver: cells yield (n, k, r, method,
+    compute), where compute takes the `enumeration` module, which is
+    imported at the first cell the cache does not serve."""
     cache = CountCache(args.cache) if args.cache else None
     rows = []
     incomplete = 0
@@ -137,9 +128,10 @@ def _count_cells(cells, args, fmt: str) -> int:
         if cached is not None:
             rows.append((n, k, r, method, cached, "ok"))
             continue
+        from . import enumeration
         try:
-            value = compute()
-        except SearchBudgetExceeded:
+            value = compute(enumeration)
+        except enumeration.SearchBudgetExceeded:
             incomplete += 1
             rows.append((n, k, r, method, None, "incomplete"))
             continue
@@ -155,14 +147,14 @@ def _count_cells(cells, args, fmt: str) -> int:
 
 def _cmd_count(args) -> int:
     fmt = args.format or "table"
-    fn = count_full_rank if args.method == "oracle" else count_unital
+    name = "count_full_rank" if args.method == "oracle" else "count_unital"
 
     def cells():
         for n in args.n:
             for r in args.r:
                 yield (n, 0, r, args.method,
-                       lambda n=n, r=r: fn(n, r, jobs=args.jobs,
-                                           budget=args.budget))
+                       lambda engine, n=n, r=r: getattr(engine, name)(
+                           n, r, jobs=args.jobs, budget=args.budget))
 
     return _count_cells(cells(), args, fmt)
 
@@ -180,14 +172,15 @@ def _cmd_count_corank(args) -> int:
                 # co-rank 0 is plain full-rank counting whichever method was
                 # asked for; recorded as 'oracle'
                 yield (n, 0, r, "oracle",
-                       lambda r=r: count_full_rank(n, r, jobs=args.jobs,
-                                                   budget=args.budget))
+                       lambda engine, r=r: engine.count_full_rank(
+                           n, r, jobs=args.jobs, budget=args.budget))
             elif args.method == "formula":
                 yield (n, k, r, "formula",
-                       lambda r=r: count_corank_formula(n, k, r))
+                       lambda engine, r=r: engine.count_corank_formula(
+                           n, k, r))
             else:
                 yield (n, k, r, "oracle",
-                       lambda r=r: len(enumerate_corank_oracle(
+                       lambda engine, r=r: len(engine.enumerate_corank_oracle(
                            ambient, k, r, args.bound_multiplier,
                            jobs=args.jobs, budget=args.budget)))
 
@@ -200,6 +193,8 @@ _VERIFY_HEADER = ("n", "k", "r", "oracle_count", "formula_count",
 
 
 def _cmd_verify(args) -> int:
+    from . import enumeration
+
     # verification never trusts the cache; it only deposits fresh oracle
     # counts for later count runs
     cache = CountCache(args.cache) if args.cache else None
@@ -213,7 +208,7 @@ def _cmd_verify(args) -> int:
     for n in args.n:
         for k in args.k:
             for r in args.r:
-                report = verify_corank_factorization(
+                report = enumeration.verify_corank_factorization(
                     n, k, r, args.bound_multiplier, jobs=args.jobs,
                     budget=args.budget)
                 cells += 1
@@ -225,7 +220,7 @@ def _cmd_verify(args) -> int:
                         n, k, r, report.oracle_count, "oracle", ENGINE_VERSION,
                         _cache_bound(k, "oracle", args.bound_multiplier)))
                 if report.status != "pass":
-                    found = find_counterexample(
+                    found = enumeration.find_counterexample(
                         n, k, r, args.bound_multiplier, jobs=args.jobs,
                         budget=args.budget)
                     if found is not None:
@@ -243,23 +238,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
+    from . import partitions
+
     fmt = args.format or "table"
     if args.n < 1 or args.k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    maps = list(enumerate_ordered_maps(args.n, args.n + args.k))
+    maps = list(partitions.enumerate_ordered_maps(args.n, args.n + args.k))
     if args.as_maps:
         header = ("index", "map")
-        rows = [(i, map_to_string(g)) for i, g in enumerate(maps)]
+        rows = [(i, partitions.map_to_string(g)) for i, g in enumerate(maps)]
     else:
         header = ("index", "partition")
         rows = [
             (i, "".join(
                 "{" + ",".join(str(e) for e in block) + "}"
-                for block in map_to_partition(g).blocks))
+                for block in partitions.map_to_partition(g).blocks))
             for i, g in enumerate(maps)
         ]
     _emit_rows(fmt, header, rows, sys.stdout)
-    expected = stirling2(args.n + args.k + 1, args.n + 1)
+    expected = partitions.stirling2(args.n + args.k + 1, args.n + 1)
     print(f"{len(rows)} rows, Stirling value {expected}", file=sys.stderr)
     if len(rows) != expected:
         print("partition count disagrees with the Stirling number",
@@ -269,6 +266,8 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from . import enumeration
+
     fmt = args.format or "csv"
     if args.n < 1:
         raise ValueError("need n >= 1")
@@ -277,7 +276,8 @@ def _cmd_series(args) -> int:
             f"n {args.n} exceeds the configured maximum {args.max_n}")
     if args.r_max < 1:
         raise ValueError("need r-max >= 1")
-    fn = count_unital if args.family == "unital" else count_full_rank
+    fn = (enumeration.count_unital if args.family == "unital"
+          else enumeration.count_full_rank)
     # opened before computing so a bad path fails at once
     stream = (open(args.out, "w", encoding="utf-8", newline="")
               if args.out else sys.stdout)
@@ -289,7 +289,7 @@ def _cmd_series(args) -> int:
         for r in range(1, args.r_max + 1):
             try:
                 value = fn(args.n, r, jobs=args.jobs, budget=args.budget)
-            except SearchBudgetExceeded:
+            except enumeration.SearchBudgetExceeded:
                 truncated = True
                 break
             running += value
@@ -391,9 +391,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SearchBudgetExceeded as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -404,8 +401,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cache error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # after the budget and cache subclasses: what is left is a failed
-        # self-check, e.g. "internal: scan produced a lattice twice"
+        # after the cache subclass, what is left comes from an engine, so
+        # importing its module here loads nothing new
+        from .enumeration import SearchBudgetExceeded
+        if isinstance(exc, SearchBudgetExceeded):
+            print(f"budget error: {exc}", file=sys.stderr)
+            return 2
+        # a failed self-check, e.g. "internal: scan produced a lattice twice"
         print(f"internal error: {str(exc).removeprefix('internal: ')}",
               file=sys.stderr)
         return 3

@@ -35,43 +35,11 @@ from .partitions import (
     stirling2,
 )
 
-ENGINE_VERSION = "0.2.0"
-
 DEFAULT_BUDGET = 50_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when an enumeration hits its per-worker candidate budget."""
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One counting result: method is 'oracle', 'formula' or 'unital'.
-
-    bound_multiplier is the census bound a co-rank oracle count (k > 0) was
-    taken under; the command line records 1 for every other count, which
-    does not depend on it.
-    """
-
-    n: int
-    k: int
-    r: int
-    count: int
-    method: str
-    engine_version: str
-    bound_multiplier: int = 1
-
-    def __post_init__(self) -> None:
-        if self.method not in ("oracle", "formula", "unital"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.r < 1:
-            raise ValueError("torsion size must be at least 1")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-        if self.k == 0 and self.method == "formula":
-            raise ValueError("full-rank records are counted directly, not by formula")
-        if self.bound_multiplier < 1:
-            raise ValueError("bound multiplier must be at least 1")
 
 
 @dataclass(frozen=True)

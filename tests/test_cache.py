@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from multlat.cache import CountCache
-from multlat.enumeration import ENGINE_VERSION, CountRecord
+from multlat import ENGINE_VERSION
+from multlat.cache import CountCache, CountRecord
 
 
 def rec(n=2, k=1, r=3, count=18, method="oracle", version=ENGINE_VERSION):
@@ -96,14 +96,27 @@ def test_malformed_lines_are_skipped(tmp_path, capsys):
     good = {"n": 2, "k": 1, "r": 3, "method": "oracle",
             "engine_version": ENGINE_VERSION, "count": 18,
             "created_at": "2026-01-01T00:00:00+00:00"}
+    # a count or key field that is not a JSON integer, or a negative count,
+    # would otherwise reach stdout as a served count
+    bad = [{**good, "r": 4, "count": 18.9},
+           {**good, "r": 4, "count": -3},
+           {**good, "r": 4, "count": True},
+           {**good, "r": 4, "count": "18"},
+           {**good, "r": 4.0},
+           {**good, "n": True},
+           {**good, "k": "1"},
+           {**good, "r": 4, "bound_multiplier": 1.0},
+           {**good, "r": 4, "bound_multiplier": False}]
     path.write_text(
         "not json at all\n"
         + json.dumps(good) + "\n"
-        + json.dumps({"n": 1}) + "\n")
+        + json.dumps({"n": 1}) + "\n"
+        + "".join(json.dumps(line) + "\n" for line in bad))
     cache = CountCache(path)
     err = capsys.readouterr().err
-    assert err.count("skipping unreadable line") == 2
+    assert err.count("skipping unreadable line") == 2 + len(bad)
     assert cache.get(2, 1, 3, "oracle") == 18
+    assert cache.get(2, 1, 4, "oracle") is None
     assert len(cache) == 1
 
 

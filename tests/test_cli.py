@@ -13,18 +13,23 @@ from pathlib import Path
 import pytest
 
 import multlat.cli as cli
-from multlat.enumeration import ENGINE_VERSION, VerificationReport
+import multlat.enumeration as enumeration
+from multlat import ENGINE_VERSION
+from multlat.enumeration import VerificationReport
 from multlat.lattice import lattice_from_rows
 
 
-def run_cli(argv):
+def run_python(args):
     # the checkout's src first, so no installed copy answers in its place
     src = str(Path(__file__).resolve().parents[1] / "src")
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
-    return subprocess.run(
-        [sys.executable, "-m", "multlat.cli", *argv],
-        capture_output=True, text=True, timeout=600, env=env)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, timeout=600, env=env)
+
+
+def run_cli(argv):
+    return run_python(["-m", "multlat.cli", *argv])
 
 
 def run_main(capsys, argv):
@@ -214,9 +219,9 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     # itself has no known failing cell
     bad = VerificationReport(2, 1, 2, 17, 18, 10, 3, 17, "fail")
     witness = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
-    monkeypatch.setattr(cli, "verify_corank_factorization",
+    monkeypatch.setattr(enumeration, "verify_corank_factorization",
                         lambda *a, **kw: bad)
-    monkeypatch.setattr(cli, "find_counterexample",
+    monkeypatch.setattr(enumeration, "find_counterexample",
                         lambda *a, **kw: (witness, "synthetic reason"))
     rc, out, err = run_main(
         capsys,
@@ -231,8 +236,6 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
 def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
     # a lattice without rigid columns swapped into a real census must fail
     # the cell through the verifier's own checks, not a forced report
-    import multlat.enumeration as enumeration
-
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
     census = enumeration.enumerate_corank_oracle
     monkeypatch.setattr(enumeration, "enumerate_corank_oracle",
@@ -297,6 +300,15 @@ def test_verify_deposits_oracle_counts(tmp_path, capsys):
          "--cache", cache, "--budget", "10", "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[1] == "2,1,2,oracle,18,ok"
+
+
+def test_budget_error_exits_two_in_a_fresh_interpreter():
+    # the engines are imported by the command, not with the cli module
+    proc = run_cli(["verify", "--n", "3", "--k", "0", "--r", "8",
+                    "--budget", "50"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("budget error:")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cache_directory_exits_two_without_traceback(tmp_path):
@@ -368,8 +380,6 @@ def test_formula_counts_are_cached_under_every_bound(tmp_path, capsys):
 # ----------------------------------------------------------- internal errors
 
 def test_internal_error_exits_three(capsys, monkeypatch):
-    import multlat.enumeration as enumeration
-
     def broken(*args, **kwargs):
         raise RuntimeError("internal: scan produced a bad lattice")
 
@@ -460,7 +470,7 @@ def test_series_bad_out_path_fails_before_computing(tmp_path, capsys,
     def computed(*args, **kwargs):
         raise AssertionError("series computed before opening --out")
 
-    monkeypatch.setattr(cli, "count_unital", computed)
+    monkeypatch.setattr(enumeration, "count_unital", computed)
     rc, out, err = run_main(
         capsys,
         ["series", "--n", "2", "--r-max", "3",
@@ -550,3 +560,38 @@ def test_cold_and_warm_runs_match_bytes(tmp_path):
     warm = run_cli(argv)
     assert cold.returncode == warm.returncode == 0
     assert cold.stdout == warm.stdout
+
+
+# ---------------------------------------------------------------- start-up
+
+# a last stderr line naming the package modules loaded and whether
+# dataclasses was
+REPORT = ("print(sorted(m for m in sys.modules if m.startswith('multlat')),"
+          " 'dataclasses' in sys.modules, file=sys.stderr)")
+CLI_ONLY = "['multlat', 'multlat.cache', 'multlat.cli'] False"
+
+
+def test_import_loads_no_engine():
+    proc = run_python(["-c", "import sys, multlat.cli\n" + REPORT])
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == CLI_ONLY
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "2", "--r", "1..3"],
+    ["count-corank", "--ambient", "3", "--corank", "1", "--torsion", "1..3"],
+])
+def test_cache_served_counts_load_no_engine(tmp_path, capsys, argv):
+    cache = str(tmp_path / "counts.jsonl")
+    rc, _, _ = run_main(capsys, ["verify", "--n", "2", "--k", "0..1",
+                                 "--r", "1..3", "--cache", cache])
+    assert rc == 0
+    rc, cold, _ = run_main(capsys, argv)
+    assert rc == 0
+    main = ("import sys, multlat.cli\n"
+            "rc = multlat.cli.main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n" + REPORT + "\nsys.exit(rc)")
+    proc = run_python(["-c", main, *argv, "--cache", cache])
+    assert proc.returncode == 0
+    assert proc.stdout == cold
+    assert proc.stderr.splitlines()[-1] == CLI_ONLY

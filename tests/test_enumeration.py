@@ -11,8 +11,8 @@ import random
 
 import pytest
 
+from multlat.cache import CountRecord
 from multlat.enumeration import (
-    CountRecord,
     SearchBudgetExceeded,
     VerificationReport,
     count_corank_formula,
@@ -329,7 +329,11 @@ def test_count_record_bound_multiplier():
 
 
 def test_count_record_validation():
-    CountRecord(2, 1, 3, 18, "oracle", "0.1.0")
+    record = CountRecord(2, 1, 3, 18, "oracle", "0.1.0")
+    assert record == CountRecord(n=2, k=1, r=3, count=18, method="oracle",
+                                 engine_version="0.1.0", bound_multiplier=1)
+    with pytest.raises(AttributeError):
+        record.count = 19
     with pytest.raises(ValueError):
         CountRecord(2, 1, 3, 18, "guess", "0.1.0")
     with pytest.raises(ValueError):
