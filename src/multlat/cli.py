@@ -114,7 +114,7 @@ def _cache_bound(k: int, method: str, bound_multiplier: int) -> int:
 
 
 def _count_cells(cells, args, fmt: str) -> int:
-    """Shared count/count-corank driver: cells yield (n, k, r, method,
+    """Shared count/count-corank loop: cells yield (n, k, r, method,
     compute), where compute takes the `enumeration` module, which is
     imported at the first cell the cache does not serve."""
     cache = CountCache(args.cache) if args.cache else None
