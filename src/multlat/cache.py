@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -130,6 +129,9 @@ class CountCache:
     def put(self, record: CountRecord) -> None:
         """Append one record. Existing keys are immutable: a matching entry
         is left alone, a conflicting count raises."""
+        # imported here: a run served from the cache never writes
+        from datetime import datetime, timezone
+
         key = (record.n, record.k, record.r, record.method,
                record.engine_version, record.bound_multiplier)
         old = self._index.get(key)

@@ -177,7 +177,7 @@ def _cmd_count_corank(args) -> int:
             elif args.method == "formula":
                 yield (n, k, r, "formula",
                        lambda engine, r=r: engine.count_corank_formula(
-                           n, k, r))
+                           n, k, r, jobs=args.jobs, budget=args.budget))
             else:
                 yield (n, k, r, "oracle",
                        lambda engine, r=r: len(engine.enumerate_corank_oracle(

@@ -6,19 +6,24 @@ prescribed determinant from the last row up, dropping a partial basis as
 soon as its rows are not closed under products. The co-rank route is a
 brute-force scan over the canonical banded bases of `lattice.banded_basis`
 with bounded entries, so it reaches each lattice once; it never consults the
-closed formula it is later compared against. The verifier pits the two against each other cell by cell.
+closed formula it is later compared against. The verifier pits the two
+against each other cell by cell.
+
+One row builder, `_square_closed_rows`, serves both engines: each grows a
+Hermite basis one row at a time and keeps a row only when its square lies
+in the span. Each engine keeps its own leads, shard filter, product check
+and torsion prune, and one `_reverify` checks the output of either.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
-instead of truncating silently. The co-rank scan counts one step per entry
-it tries, lead entries included; the full-rank engine one per pivot or
-entry it tries.
+instead of truncating silently. Both engines count one step per lead and
+one per entry they try.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional
 
 from .intlinalg import _echelon_torsion, _pivot_square
 from .lattice import (
@@ -62,17 +67,7 @@ class VerificationReport:
     status: str
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "r": self.r,
-            "oracle_count": self.oracle_count,
-            "formula_count": self.formula_count,
-            "stirling_factor": self.stirling_factor,
-            "full_rank_count": self.full_rank_count,
-            "witnesses_checked": self.witnesses_checked,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -154,57 +149,35 @@ def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[
     with every basis above it. The row of level i is v = 0^i, d, x_(i+1),
     ..., x_(n-1) with d dividing the index left over (equal to it at i = 0)
     and x_j in [0, d_j). Every column right of i is a pivot of the suffix,
-    and the coefficient of v in v*v is d, so v*v lies in span(v, suffix)
-    exactly when v*v - d*v reduces to zero against the suffix: its column
-    j, less the multiples of the suffix rows pivoting left of j (carried in
-    `acc`), must be divisible by d_j, and a partial row is dropped at the
-    first column where it is not. Products with the suffix rows are tested
-    by `_in_span` only on the rows that pass. Every pivot and every entry
-    tried costs one step.
+    so `_square_closed_rows`, the row builder the co-rank scan uses too,
+    builds v column by column and keeps it only when v*v lies in
+    span(v, suffix); it never meets an off-pivot column. Products with the
+    suffix rows are tested by `_in_span` only on the rows that pass. Every
+    pivot and every entry tried costs one step.
     """
     n, index, shard, jobs, budget = args
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
     idx0 = -1
 
-    def square_closed(i: int, hnf: list[list[int]], v: list[int], j: int,
-                      acc: list[int]):
-        if j == n:
-            yield v[:]
-            return
-        row = hnf[j - i - 1]
-        p = row[j]
-        d = v[i]
-        steps.spend(p)
-        for x in range(p):
-            m, rem = divmod(x * (x - d) - acc[j], p)
-            if rem == 0:
-                v[j] = x
-                yield from square_closed(
-                    i, hnf, v, j + 1, [a + m * b for a, b in zip(acc, row)])
-
     def extend(i: int, left: int, hnf: list[list[int]]) -> None:
         nonlocal idx0
         p2 = list(range(i, n))
         leads = ([left] if i == 0 else
                  [d for d in range(1, left + 1) if left % d == 0])
-        for d in leads:
-            steps.spend(1)
-            v = [0] * n
-            v[i] = d
-            for top in square_closed(i, hnf, v, i + 1, [0] * n):
-                if i == n - 1:
-                    idx0 += 1
-                    if idx0 % jobs != shard:
-                        continue
-                h2 = [top] + hnf
-                if not all(_in_span(h2, p2, [a * b for a, b in zip(u, top)], n)
-                           for u in hnf):
+        for top in _square_closed_rows(hnf, p2[1:], i, leads, 0, n, steps):
+            if i == n - 1:
+                idx0 += 1
+                if idx0 % jobs != shard:
                     continue
-                if i:
-                    extend(i - 1, left // d, h2)
-                else:
-                    found.append(tuple(tuple(r) for r in h2))
+            h2 = [top] + hnf
+            if not all(_in_span(h2, p2, [a * b for a, b in zip(u, top)], n)
+                       for u in hnf):
+                continue
+            if i:
+                extend(i - 1, left // top[i], h2)
+            else:
+                found.append(tuple(tuple(r) for r in h2))
 
     extend(n - 1, index, [])
     return found
@@ -228,7 +201,7 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
         raise ValueError("index must be at least 1")
     bases = sorted(_run_shards(_full_rank_worker, (n, index), jobs, budget))
     lats = [Lattice(n, b) for b in bases]
-    _reverify(lats, index)
+    _reverify(lats, n, index)
     return lats
 
 
@@ -270,27 +243,32 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 
 
 def _square_closed_rows(hnf: list[list[int]], pivots: list[int], q: int,
-                        bound: int, ambient: int, steps: _Steps):
+                        leads: Iterable[int], bound: int, ambient: int,
+                        steps: _Steps):
     """Rows v = 0^q, d, x_(q+1), ..., x_(ambient-1) with v*v in span(v, hnf).
 
-    hnf is a Hermite basis in the reversed frame with pivots right of q. The
-    lead d runs over [1, bound], an entry in a pivot column of hnf over
-    [0, pivot) and every other entry over [0, bound], in lexicographic
+    The one row builder of both engines. hnf is a Hermite basis with pivots
+    right of q (the full-rank suffix, or a scan prefix in the reversed
+    frame). The lead d runs over leads, an entry in a pivot column of hnf
+    over [0, pivot) and every other entry over [0, bound], in lexicographic
     order. The coefficient of v in v*v is d, so v*v lies in the span exactly
     when v*v - d*v reduces to zero against hnf. Its column j, less the
     multiples of the rows pivoting left of j, is fixed once x_q..x_j are, so
     a partial row is dropped at the first column whose residual is non-zero
     off a pivot or not divisible by the pivot on one. `acc` carries those
-    multiples forward. Every entry tried is charged to `steps`.
+    multiples forward. Every lead and every entry tried is charged to
+    `steps`.
     """
-    pivot_row = {c: row for row, c in zip(hnf, pivots)}
+    pivot_row: list[Optional[list[int]]] = [None] * ambient
+    for row, c in zip(hnf, pivots):
+        pivot_row[c] = row
     v = [0] * ambient
 
     def fill(j: int, d: int, acc: list[int]):
         if j == ambient:
             yield v[:]
             return
-        row = pivot_row.get(j)
+        row = pivot_row[j]
         if row is None:
             steps.spend(bound + 1)
             for x in range(bound + 1):
@@ -306,7 +284,7 @@ def _square_closed_rows(hnf: list[list[int]], pivots: list[int], q: int,
                 v[j] = x
                 yield from fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
 
-    for d in range(1, bound + 1):
+    for d in leads:
         steps.spend(1)
         v[q] = d
         yield from fill(q + 1, d, [0] * ambient)
@@ -343,8 +321,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
         # banded row `level` ends on a column p <= level + corank
         for q in range(n - 1 - level, top):
             p2 = [q] + pivots
-            for v in _square_closed_rows(hnf, pivots, q, bound, ambient,
-                                         steps):
+            for v in _square_closed_rows(hnf, pivots, q, range(1, bound + 1),
+                                         bound, ambient, steps):
                 if level == 0:
                     idx0 += 1
                     if idx0 % jobs != shard:
@@ -405,37 +383,32 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
                   key=lambda lat: lat.basis)
     if len(set(lats)) != len(lats):
         raise RuntimeError("internal: scan produced a lattice twice")
-    _reverify_corank(lats, torsion, ambient - corank)
+    _reverify(lats, ambient - corank, torsion)
     return lats
 
 
-def _reverify(lats: list[Lattice], index: int) -> None:
-    """Post-hoc check of the full-rank engine output, via the lattice routines."""
+def _reverify(lats: list[Lattice], rank: int, torsion: int) -> None:
+    """Post-hoc check of either engine's output, independent of its own math:
+    each lattice has the given rank and torsion and is multiplicative."""
     for lat in lats:
-        if not lat.is_full_rank or not is_multiplicative(lat):
+        if lat.rank != rank or not is_multiplicative(lat):
             raise RuntimeError("internal: engine produced a bad lattice")
-        if torsion_size(lat) != index:
-            raise RuntimeError("internal: engine produced a wrong index")
-
-
-def _reverify_corank(lats: list[Lattice], torsion: int, n: int) -> None:
-    """Post-hoc check of the scan output, independent of the scan's own math."""
-    for lat in lats:
-        if lat.rank != n or not is_multiplicative(lat):
-            raise RuntimeError("internal: scan produced a bad lattice")
         if torsion_size(lat) != torsion:
-            raise RuntimeError("internal: scan produced a wrong torsion")
+            raise RuntimeError("internal: engine produced a wrong torsion")
 
 
 # ---------------------------------------------------------------------------
 # the factorization under test
 
 
-def count_corank_formula(n: int, k: int, r: int) -> int:
-    """Closed-form count: stirling2(n+k+1, n+1) times the full-rank count."""
+def count_corank_formula(n: int, k: int, r: int, *, jobs: int = 1,
+                         budget: Optional[int] = None) -> int:
+    """Closed-form count: stirling2(n+k+1, n+1) times the full-rank count,
+    which runs under the given jobs and budget."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    return stirling2(n + k + 1, n + 1) * count_full_rank(n, r)
+    return stirling2(n + k + 1, n + 1) * count_full_rank(n, r, jobs=jobs,
+                                                         budget=budget)
 
 
 def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
@@ -504,10 +477,10 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
 def _witness_fault(lat: Lattice, r: int) -> Optional[str]:
     """Why a census lattice of torsion r breaks the factorization, or None.
 
-    lat is a census witness, which `_reverify_corank` has proven
-    multiplicative of torsion r, so `_split` is called without `decompose`'s
-    guard. lat must have rigid columns, that is a pivot square, and its core
-    must have index r; `_split` raises unless the pair re-applies to lat.
+    lat is a census witness, which `_reverify` has proven multiplicative of
+    torsion r, so `_split` is called without `decompose`'s guard. lat must
+    have rigid columns, that is a pivot square, and its core must have index
+    r; `_split` raises unless the pair re-applies to lat.
     """
     pair = _split(lat)
     if pair is None:

@@ -128,6 +128,17 @@ def test_count_corank_formula_example(capsys):
     assert out.splitlines()[1] == "2,2,2,formula,75,ok"
 
 
+def test_count_corank_formula_honours_budget(capsys):
+    # the formula's full-rank count runs under --budget, as `count` does
+    rc, out, _ = run_main(
+        capsys,
+        ["count-corank", "--ambient", "4", "--corank", "1", "--torsion", "8",
+         "--method", "formula", "--budget", "5"])
+    assert rc == 2
+    assert out.splitlines()[1].split() == \
+        ["3", "1", "8", "formula", "-", "incomplete"]
+
+
 def test_count_corank_oracle_agrees_with_formula(capsys):
     args = ["count-corank", "--ambient", "3", "--corank", "1",
             "--torsion", "1..3", "--format", "csv"]
@@ -383,7 +394,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("internal: scan produced a bad lattice")
 
-    monkeypatch.setattr(enumeration, "_reverify_corank", broken)
+    monkeypatch.setattr(enumeration, "_reverify", broken)
     rc, out, err = run_main(
         capsys, ["verify", "--n", "1", "--k", "1", "--r", "2"])
     assert rc == 3
@@ -565,10 +576,11 @@ def test_cold_and_warm_runs_match_bytes(tmp_path):
 # ---------------------------------------------------------------- start-up
 
 # a last stderr line naming the package modules loaded and whether
-# dataclasses was
+# dataclasses and datetime were
 REPORT = ("print(sorted(m for m in sys.modules if m.startswith('multlat')),"
-          " 'dataclasses' in sys.modules, file=sys.stderr)")
-CLI_ONLY = "['multlat', 'multlat.cache', 'multlat.cli'] False"
+          " 'dataclasses' in sys.modules, 'datetime' in sys.modules,"
+          " file=sys.stderr)")
+CLI_ONLY = "['multlat', 'multlat.cache', 'multlat.cli'] False False"
 
 
 def test_import_loads_no_engine():

@@ -6,8 +6,11 @@ implementation before the engine existed and must never be edited to make a
 test pass.
 """
 
+import ast
+import inspect
 import itertools
 import random
+import textwrap
 
 import pytest
 
@@ -28,6 +31,8 @@ from multlat.enumeration import (
 import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 from multlat.enumeration import (
+    _corank_worker,
+    _full_rank_worker,
     _in_span,
     _square_closed_rows,
     _Steps,
@@ -321,6 +326,13 @@ def test_count_corank_formula_values():
         count_corank_formula(-1, 1, 2)
 
 
+def test_count_corank_formula_honours_jobs_and_budget():
+    assert count_corank_formula(3, 1, 8, jobs=2) == \
+        count_corank_formula(3, 1, 8)
+    with pytest.raises(SearchBudgetExceeded):
+        count_corank_formula(3, 1, 8, budget=5)
+
+
 def test_count_record_bound_multiplier():
     assert CountRecord(2, 1, 3, 18, "oracle", "0.1.0").bound_multiplier == 1
     assert CountRecord(2, 1, 3, 18, "oracle", "0.1.0", 2).bound_multiplier == 2
@@ -484,12 +496,17 @@ def test_canonical_key_matches_package_basis():
         assert lat.basis == ref_canonical_key(rows, 3)
 
 
-def _random_reversed_hermite(rng, ambient, bound):
+def _random_reversed_hermite(rng, ambient, bound, every_column=False):
     """A Hermite basis in the reversed frame (pivots increasing, entries in
-    later pivot columns reduced) and a lead column q left of its pivots."""
+    later pivot columns reduced) and a lead column q left of its pivots;
+    with every_column, every column right of q is a pivot, as in the
+    full-rank engine."""
     q = rng.randrange(ambient)
-    pivots = sorted(rng.sample(range(q + 1, ambient),
-                               rng.randint(0, ambient - 1 - q)))
+    if every_column:
+        pivots = list(range(q + 1, ambient))
+    else:
+        pivots = sorted(rng.sample(range(q + 1, ambient),
+                                   rng.randint(0, ambient - 1 - q)))
     pivot_value = {c: rng.randint(1, bound) for c in pivots}
     hnf = []
     for c in pivots:
@@ -504,24 +521,59 @@ def _random_reversed_hermite(rng, ambient, bound):
 def test_square_closed_rows_match_full_tail_filter():
     # the column-by-column generator keeps exactly the rows that the
     # unfiltered product over every entry plus the square check keeps, in
-    # the same order, and tries no more entries than that product has
+    # the same order, and tries no more entries than that product has: on
+    # scan-shaped inputs (leads [1, bound], some columns off-pivot) and on
+    # full-rank-shaped ones (every column right of q a pivot, the leads the
+    # divisors of an index, no off-pivot bound)
     rng = random.Random(20181221)
-    for _ in range(300):
+    for case in range(600):
         ambient = rng.randint(1, 5)
         bound = rng.randint(1, 4)
-        hnf, pivots, q = _random_reversed_hermite(rng, ambient, bound)
+        if case < 300:
+            hnf, pivots, q = _random_reversed_hermite(rng, ambient, bound)
+            leads = range(1, bound + 1)
+        else:
+            hnf, pivots, q = _random_reversed_hermite(rng, ambient, bound,
+                                                      every_column=True)
+            index = rng.randint(1, 24)
+            leads = [d for d in range(1, index + 1) if index % d == 0]
+            bound = 0
         pivot_value = {c: row[c] for row, c in zip(hnf, pivots)}
         tail = [range(pivot_value.get(c, bound + 1))
                 for c in range(q + 1, ambient)]
         expected = []
-        for d in range(1, bound + 1):
+        for d in leads:
             for rest in itertools.product(*tail):
                 v = [0] * q + [d, *rest]
                 if _in_span([v] + hnf, [q] + pivots, [x * x for x in v],
                             ambient):
                     expected.append(v)
         steps = _Steps(10 ** 9)
-        got = list(_square_closed_rows(hnf, pivots, q, bound, ambient, steps))
-        assert got == expected, (hnf, pivots, q, bound)
-        full = sum(1 for _ in itertools.product(range(1, bound + 1), *tail))
-        assert bound <= steps.used <= full * (ambient - q)
+        got = list(_square_closed_rows(hnf, pivots, q, leads, bound, ambient,
+                                       steps))
+        assert got == expected, (hnf, pivots, q, list(leads), bound)
+        full = sum(1 for _ in itertools.product(leads, *tail))
+        assert len(leads) <= steps.used <= full * (ambient - q)
+
+
+# the names each route must not reach: the scan never touches the formula
+# side, and the full-rank engine never touches the scan
+FORMULA_SIDE = {"stirling2", "count_full_rank", "_full_rank_worker",
+                "decompose", "_split", "apply_map", "enumerate_ordered_maps"}
+SCAN_SIDE = {"_corank_worker", "enumerate_corank_oracle"}
+
+
+def _names_used(func):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_routes_stay_independent():
+    for func in (_corank_worker, _square_closed_rows):
+        assert not _names_used(func) & FORMULA_SIDE, func.__name__
+    assert not _names_used(_full_rank_worker) & SCAN_SIDE
+    # the check reads the bodies it claims to read
+    assert "_square_closed_rows" in _names_used(_corank_worker)
+    assert "_square_closed_rows" in _names_used(_full_rank_worker)
