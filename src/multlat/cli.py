@@ -5,10 +5,13 @@ wall-time footers, counterexamples, warnings) to stderr, so captured stdout
 is byte-stable across --jobs settings and across cold/warm cache runs.
 Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
 cache-conflict error, 3 internal error (a self-check of the engines failed,
-which is a bug, not a verdict on the formula). A --jobs, --bound-multiplier
-or --budget below 1, an --r or --torsion range reaching below 1, and an
---n or --k range reaching below 0 are rejected while the arguments are
-parsed (exit 2), before anything is written to stdout.
+which is a bug, not a verdict on the formula). A subcommand takes only the
+options it reads: all take --format, all but partitions --jobs and --budget,
+all but partitions and series --cache, count-corank and verify
+--bound-multiplier. Any other option, a --jobs, --bound-multiplier or
+--budget below 1, an --r or --torsion range reaching below 1, and an --n or
+--k range reaching below 0 are rejected while the arguments are parsed
+(exit 2), before anything is written to stdout.
 
 The counting engines (`enumeration`, and `partitions` for the partition
 listing) are imported when the first cell has to be computed, not when this
@@ -107,22 +110,34 @@ def _emit_rows(fmt: str, header: Sequence[str], rows: Sequence[Sequence],
 _COUNT_HEADER = ("n", "k", "r", "method", "count", "status")
 
 
-def _cache_bound(k: int, method: str, bound_multiplier: int) -> int:
+def _cache_bound(k: int, method: str, args) -> int:
     """The bound multiplier a count is cached under: only co-rank census
-    counts depend on it."""
-    return bound_multiplier if k > 0 and method == "oracle" else 1
+    counts (k > 0, so never a `count` cell) read --bound-multiplier."""
+    return args.bound_multiplier if k > 0 and method == "oracle" else 1
 
 
-def _count_cells(cells, args, fmt: str) -> int:
-    """Shared count/count-corank loop: cells yield (n, k, r, method,
-    compute), where compute takes the `enumeration` module, which is
-    imported at the first cell the cache does not serve."""
+def _count(engine, n: int, k: int, r: int, method: str, args) -> int:
+    """One count cell, computed by engine, the `enumeration` module."""
+    run = {"jobs": args.jobs, "budget": args.budget}
+    if method == "unital":
+        return engine.count_unital(n, r, **run)
+    if method == "formula":
+        return engine.count_corank_formula(n, k, r, **run)
+    if k == 0:
+        return engine.count_full_rank(n, r, **run)
+    return len(engine.enumerate_corank_oracle(n + k, k, r,
+                                              args.bound_multiplier, **run))
+
+
+def _count_cells(cells, args) -> int:
+    """Shared count/count-corank loop over (n, k, r, method) cells; the
+    engines are imported at the first cell the cache does not serve."""
     cache = CountCache(args.cache) if args.cache else None
     rows = []
     incomplete = 0
     t0 = time.monotonic()
-    for n, k, r, method, compute in cells:
-        bound = _cache_bound(k, method, args.bound_multiplier)
+    for n, k, r, method in cells:
+        bound = _cache_bound(k, method, args)
         cached = (cache.get(n, k, r, method, bound_multiplier=bound)
                   if cache else None)
         if cached is not None:
@@ -130,7 +145,7 @@ def _count_cells(cells, args, fmt: str) -> int:
             continue
         from . import enumeration
         try:
-            value = compute(enumeration)
+            value = _count(enumeration, n, k, r, method, args)
         except enumeration.SearchBudgetExceeded:
             incomplete += 1
             rows.append((n, k, r, method, None, "incomplete"))
@@ -139,52 +154,26 @@ def _count_cells(cells, args, fmt: str) -> int:
         if cache is not None:
             cache.put(CountRecord(n, k, r, value, method, ENGINE_VERSION,
                                   bound))
-    _emit_rows(fmt, _COUNT_HEADER, rows, sys.stdout)
+    _emit_rows(args.format or "table", _COUNT_HEADER, rows, sys.stdout)
     print(f"{len(rows)} cells, {incomplete} incomplete, "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 2 if incomplete else 0
 
 
 def _cmd_count(args) -> int:
-    fmt = args.format or "table"
-    name = "count_full_rank" if args.method == "oracle" else "count_unital"
-
-    def cells():
-        for n in args.n:
-            for r in args.r:
-                yield (n, 0, r, args.method,
-                       lambda engine, n=n, r=r: getattr(engine, name)(
-                           n, r, jobs=args.jobs, budget=args.budget))
-
-    return _count_cells(cells(), args, fmt)
+    return _count_cells([(n, 0, r, args.method)
+                         for n in args.n for r in args.r], args)
 
 
 def _cmd_count_corank(args) -> int:
-    fmt = args.format or "table"
-    ambient, k = args.ambient, args.corank
-    if not 0 <= k <= ambient:
+    k = args.corank
+    if not 0 <= k <= args.ambient:
         raise ValueError("need 0 <= corank <= ambient")
-    n = ambient - k
-
-    def cells():
-        for r in args.torsion:
-            if k == 0:
-                # co-rank 0 is plain full-rank counting whichever method was
-                # asked for; recorded as 'oracle'
-                yield (n, 0, r, "oracle",
-                       lambda engine, r=r: engine.count_full_rank(
-                           n, r, jobs=args.jobs, budget=args.budget))
-            elif args.method == "formula":
-                yield (n, k, r, "formula",
-                       lambda engine, r=r: engine.count_corank_formula(
-                           n, k, r, jobs=args.jobs, budget=args.budget))
-            else:
-                yield (n, k, r, "oracle",
-                       lambda engine, r=r: len(engine.enumerate_corank_oracle(
-                           ambient, k, r, args.bound_multiplier,
-                           jobs=args.jobs, budget=args.budget)))
-
-    return _count_cells(cells(), args, fmt)
+    # co-rank 0 is plain full-rank counting whichever method was asked
+    # for; recorded as 'oracle'
+    method = "oracle" if k == 0 else args.method
+    return _count_cells([(args.ambient - k, k, r, method)
+                         for r in args.torsion], args)
 
 
 _VERIFY_HEADER = ("n", "k", "r", "oracle_count", "formula_count",
@@ -218,7 +207,7 @@ def _cmd_verify(args) -> int:
                 if cache is not None:
                     cache.put(CountRecord(
                         n, k, r, report.oracle_count, "oracle", ENGINE_VERSION,
-                        _cache_bound(k, "oracle", args.bound_multiplier)))
+                        _cache_bound(k, "oracle", args)))
                 if report.status != "pass":
                     found = enumeration.find_counterexample(
                         n, k, r, args.bound_multiplier, jobs=args.jobs,
@@ -310,22 +299,23 @@ def _cmd_series(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cache", metavar="PATH", default=None,
-                        help="JSON-lines count cache file")
-    shared.add_argument("--jobs", type=_positive, default=1, metavar="N",
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "csv", "json"),
+                     help="output format (default: table; series: csv)")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", metavar="PATH",
+                       help="JSON-lines count cache file")
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--jobs", type=_positive, default=1, metavar="N",
                         help="worker processes for enumeration (default 1)")
-    shared.add_argument("--format", choices=("table", "csv", "json"),
-                        default=None,
-                        help="output format (default: table; series: csv)")
-    shared.add_argument("--bound-multiplier", type=_positive, default=1,
-                        metavar="M",
-                        help="widen the oracle entry bound by this factor")
-    shared.add_argument("--budget", type=_positive, default=None,
-                        metavar="STEPS",
+    engine.add_argument("--budget", type=_positive, metavar="STEPS",
                         help="steps per worker: entries tried by the "
                              "co-rank scan, pivots and entries tried by the "
                              "full-rank engine")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--bound-multiplier", type=_positive, default=1,
+                       metavar="M",
+                       help="widen the oracle entry bound by this factor")
 
     parser = argparse.ArgumentParser(
         prog="multlat",
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "co-rank factorization against a brute-force census.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[shared],
+    p = sub.add_parser("count", parents=[cache, engine, fmt],
                        help="full-rank counts by rank and index")
     p.add_argument("--n", type=_parse_range, required=True, metavar="RANGE")
     p.add_argument("--r", type=_positive_range, required=True,
@@ -344,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "only those containing the all-ones vector")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("count-corank", parents=[shared],
+    p = sub.add_parser("count-corank", parents=[cache, engine, fmt, bound],
                        help="co-rank counts by ambient, co-rank and torsion")
     p.add_argument("--ambient", type=int, required=True)
     p.add_argument("--corank", type=int, required=True)
@@ -356,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "times the full-rank count")
     p.set_defaults(func=_cmd_count_corank)
 
-    p = sub.add_parser("verify", parents=[shared],
+    p = sub.add_parser("verify", parents=[cache, engine, fmt, bound],
                        help="pit the census against the closed formula")
     p.add_argument("--n", type=_parse_range, required=True, metavar="RANGE")
     p.add_argument("--k", type=_parse_range, required=True, metavar="RANGE")
@@ -364,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RANGE")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("partitions", parents=[shared],
+    p = sub.add_parser("partitions", parents=[fmt],
                        help="list the ordered maps for one (n, k) cell")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -372,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print assignment patterns instead of partitions")
     p.set_defaults(func=_cmd_partitions)
 
-    p = sub.add_parser("series", parents=[shared],
+    p = sub.add_parser("series", parents=[engine, fmt],
                        help="export a coefficient series with partial sums")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)

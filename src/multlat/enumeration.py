@@ -9,10 +9,10 @@ with bounded entries, so it reaches each lattice once; it never consults the
 closed formula it is later compared against. The verifier pits the two
 against each other cell by cell.
 
-One row builder, `_square_closed_rows`, serves both engines: each grows a
-Hermite basis one row at a time and keeps a row only when its square lies
-in the span. Each engine keeps its own leads, shard filter, product check
-and torsion prune, and one `_reverify` checks the output of either.
+One step, `_closed_extensions`, grows a Hermite basis by one row closed
+under products for both engines; a shard takes its share of the top level's
+extensions by `itertools.islice`. Each engine keeps its own leads and
+torsion prune, and one `_reverify` checks the output of either.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -23,6 +23,7 @@ one per entry they try.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .intlinalg import _echelon_torsion, _pivot_square
@@ -149,37 +150,29 @@ def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[
     with every basis above it. The row of level i is v = 0^i, d, x_(i+1),
     ..., x_(n-1) with d dividing the index left over (equal to it at i = 0)
     and x_j in [0, d_j). Every column right of i is a pivot of the suffix,
-    so `_square_closed_rows`, the row builder the co-rank scan uses too,
-    builds v column by column and keeps it only when v*v lies in
-    span(v, suffix); it never meets an off-pivot column. Products with the
-    suffix rows are tested by `_in_span` only on the rows that pass. Every
-    pivot and every entry tried costs one step.
+    so `_closed_extensions`, the step the co-rank scan takes too, never
+    meets an off-pivot column. The shard takes every jobs-th last row from
+    the shard-th on. Every pivot and every entry tried costs one step.
     """
     n, index, shard, jobs, budget = args
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
-    idx0 = -1
 
-    def extend(i: int, left: int, hnf: list[list[int]]) -> None:
-        nonlocal idx0
-        p2 = list(range(i, n))
+    def extend(i: int, left: int, hnf: list[list[int]], start: int = 0,
+               step: int = 1) -> None:
+        # hnf holds rows i+1..n-1, rows 0..i take the index left over; the
+        # level takes every step-th extension from the start-th on
+        if i < 0:
+            found.append(tuple(tuple(r) for r in hnf))
+            return
         leads = ([left] if i == 0 else
                  [d for d in range(1, left + 1) if left % d == 0])
-        for top in _square_closed_rows(hnf, p2[1:], i, leads, 0, n, steps):
-            if i == n - 1:
-                idx0 += 1
-                if idx0 % jobs != shard:
-                    continue
-            h2 = [top] + hnf
-            if not all(_in_span(h2, p2, [a * b for a, b in zip(u, top)], n)
-                       for u in hnf):
-                continue
-            if i:
-                extend(i - 1, left // top[i], h2)
-            else:
-                found.append(tuple(tuple(r) for r in h2))
+        rows = _closed_extensions(hnf, list(range(i + 1, n)), i, leads, 0, n,
+                                  steps)
+        for h2 in islice(rows, start, None, step):
+            extend(i - 1, left // h2[0][i], h2)
 
-    extend(n - 1, index, [])
+    extend(n - 1, index, [], shard, jobs)
     return found
 
 
@@ -242,31 +235,37 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 # co-rank oracle: canonical banded bases with bounded entries
 
 
-def _square_closed_rows(hnf: list[list[int]], pivots: list[int], q: int,
-                        leads: Iterable[int], bound: int, ambient: int,
-                        steps: _Steps):
-    """Rows v = 0^q, d, x_(q+1), ..., x_(ambient-1) with v*v in span(v, hnf).
+def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
+                       leads: Iterable[int], bound: int, ambient: int,
+                       steps: _Steps):
+    """Bases [v] + hnf, v = 0^q, d, x_(q+1), ..., closed under products.
 
-    The one row builder of both engines. hnf is a Hermite basis with pivots
-    right of q (the full-rank suffix, or a scan prefix in the reversed
-    frame). The lead d runs over leads, an entry in a pivot column of hnf
-    over [0, pivot) and every other entry over [0, bound], in lexicographic
-    order. The coefficient of v in v*v is d, so v*v lies in the span exactly
-    when v*v - d*v reduces to zero against hnf. Its column j, less the
-    multiples of the rows pivoting left of j, is fixed once x_q..x_j are, so
-    a partial row is dropped at the first column whose residual is non-zero
-    off a pivot or not divisible by the pivot on one. `acc` carries those
-    multiples forward. Every lead and every entry tried is charged to
-    `steps`.
+    The one extension step of both engines. hnf is a Hermite basis with
+    pivots right of q (the full-rank suffix, or a scan prefix in the
+    reversed frame). The lead d runs over leads, an entry in a pivot column
+    of hnf over [0, pivot) and every other entry over [0, bound], in
+    lexicographic order. The coefficient of v in v*v is d, so v*v lies in
+    the span exactly when v*v - d*v reduces to zero against hnf. Its column
+    j, less the multiples of the rows pivoting left of j, is fixed once
+    x_q..x_j are, so a partial row is dropped at the first column whose
+    residual is non-zero off a pivot or not divisible by the pivot on one.
+    `acc` carries those multiples forward. A full row is kept when its
+    products with the rows of hnf lie in the span too (`_in_span`), so the
+    span of [v] + hnf is closed when hnf's is. Every lead and every entry
+    tried is charged to `steps`.
     """
     pivot_row: list[Optional[list[int]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
         pivot_row[c] = row
+    p2 = [q] + pivots
     v = [0] * ambient
 
     def fill(j: int, d: int, acc: list[int]):
         if j == ambient:
-            yield v[:]
+            h2 = [v[:]] + hnf
+            if all(_in_span(h2, p2, [a * b for a, b in zip(u, v)], ambient)
+                   for u in hnf):
+                yield h2
             return
         row = pivot_row[j]
         if row is None:
@@ -298,13 +297,12 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     newest row first is an ordinary Hermite basis: the row of level i has
     its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
     rows built so far span L cut down to a coordinate section and
-    `_in_span` decides membership in that span by exact division. A new
-    row's square is tested column by column in `_square_closed_rows`, and
-    its products with the earlier rows only on the rows that pass. A
-    prefix's torsion is the diagonal product of its pivot square when it
-    has exactly as many distinct nonzero columns as rows, a matrix fact
-    checked on each prefix, and otherwise the Hermite path of
-    `intlinalg._echelon_torsion`.
+    `_in_span` decides membership in that span by exact division. New rows
+    come from `_closed_extensions`, the step the full-rank engine takes too;
+    the shard takes every jobs-th first row from the shard-th on. A prefix's
+    torsion is the diagonal product of its pivot square when it has exactly
+    as many distinct nonzero columns as rows, a matrix fact checked on each
+    prefix, and otherwise the Hermite path of `intlinalg._echelon_torsion`.
     """
     ambient, corank, torsion, bound, shard, jobs, budget = args
     n = ambient - corank
@@ -313,35 +311,27 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
         return [()] if torsion == 1 else []
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
-    idx0 = -1
 
-    def extend(level: int, hnf: list[list[int]], pivots: list[int]) -> None:
-        nonlocal idx0
-        top = pivots[0] if pivots else ambient
-        # banded row `level` ends on a column p <= level + corank
-        for q in range(n - 1 - level, top):
-            p2 = [q] + pivots
-            for v in _square_closed_rows(hnf, pivots, q, range(1, bound + 1),
-                                         bound, ambient, steps):
-                if level == 0:
-                    idx0 += 1
-                    if idx0 % jobs != shard:
-                        continue
-                h2 = [v] + hnf
-                if not all(_in_span(h2, p2, [a * b for a, b in zip(u, v)],
-                                    ambient) for u in hnf):
-                    continue
-                if level + 1 < n:
-                    # a coordinate section of L is a primitive sublattice
-                    # of it, so its torsion divides the final torsion
-                    if torsion % _echelon_torsion(h2) == 0:
-                        extend(level + 1, h2, p2)
-                    continue
-                if _echelon_torsion(h2) == torsion:
-                    found.append(tuple(tuple(reversed(row))
-                                       for row in reversed(h2)))
+    def extend(hnf: list[list[int]], pivots: list[int], start: int = 0,
+               step: int = 1) -> None:
+        # the level takes every step-th extension from the start-th on;
+        # banded row len(hnf) ends on a column p <= len(hnf) + corank
+        rows = ((h2, [q] + pivots)
+                for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient)
+                for h2 in _closed_extensions(hnf, pivots, q,
+                                             range(1, bound + 1), bound,
+                                             ambient, steps))
+        for h2, p2 in islice(rows, start, None, step):
+            if len(h2) < n:
+                # a coordinate section of L is a primitive sublattice of it,
+                # so its torsion divides the final torsion
+                if torsion % _echelon_torsion(h2) == 0:
+                    extend(h2, p2)
+            elif _echelon_torsion(h2) == torsion:
+                found.append(tuple(tuple(reversed(row))
+                                   for row in reversed(h2)))
 
-    extend(0, [], [])
+    extend([], [], shard, jobs)
     return found
 
 
@@ -419,14 +409,16 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     (`intlinalg._pivot_square`); `_split` turns that square into the pair.
     The core L is the square, and the ordered acceptable map g copies the
     square's columns to where they occur in lat, with apply_map(g, L) ==
-    lat. The pair is unique. Raises ValueError on non-multiplicative input.
+    lat. The pair is unique. g is injective on L and respects products, so
+    closure is tested on L. Raises ValueError on non-multiplicative input.
     """
-    if not is_multiplicative(lat):
-        raise ValueError("lattice is not multiplicative")
     pair = _split(lat)
     if pair is None:
-        raise RuntimeError("internal: column count contradicts the rank")
-    return pair
+        if is_multiplicative(lat):
+            raise RuntimeError("internal: column count contradicts the rank")
+    elif is_multiplicative(pair[1]):
+        return pair
+    raise ValueError("lattice is not multiplicative")
 
 
 def _split(lat: Lattice) -> Optional[tuple[AcceptableMap, Lattice]]:

@@ -195,7 +195,7 @@ def _pivot_columns(mat: IntMatrix) -> list[tuple[int, int]]:
     return out
 
 
-def _pivot_square(rows: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
+def _pivot_square(rows: Sequence[Sequence[int]]) -> Optional[Sequence[Sequence[int]]]:
     """The square of pivot columns of independent echelon rows, or None.
 
     In echelon rows (each row's lead strictly right of the lead of the row
@@ -207,8 +207,11 @@ def _pivot_square(rows: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...
     rows, is upper triangular with the pivots on its diagonal. The span of
     the rows is then the image of the span of the block under a map that
     copies and zeroes coordinates, which is injective and respects
-    coordinatewise products. Any other input gives None. No rows give [].
+    coordinatewise products. As many rows as columns are their own square.
+    Any other input gives None. No rows give [].
     """
+    if rows and len(rows) == len(rows[0]):
+        return rows
     columns = dict.fromkeys(zip(*rows))
     columns.pop((0,) * len(rows), None)
     if len(columns) != len(rows):

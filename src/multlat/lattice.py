@@ -10,7 +10,6 @@ counting that rigid multiplicative bases exhibit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -135,8 +134,7 @@ def is_multiplicative(lat: Lattice) -> bool:
     about its columns.
     """
     rows = lat.basis
-    # a full-rank Hermite basis is its own pivot square
-    square = rows if lat.is_full_rank else _pivot_square(rows)
+    square = _pivot_square(rows)
     if square is not None:
         return _square_closed(square)
     for i, u in enumerate(rows):
@@ -146,7 +144,7 @@ def is_multiplicative(lat: Lattice) -> bool:
     return True
 
 
-def _square_closed(square: list[tuple[int, ...]]) -> bool:
+def _square_closed(square: Sequence[Sequence[int]]) -> bool:
     """Closure under products of the span of an upper-triangular square with
     nonzero diagonal.
 
@@ -177,14 +175,11 @@ def _square_closed(square: list[tuple[int, ...]]) -> bool:
 def torsion_size(lat: Lattice) -> int:
     """Order of the torsion subgroup of Z^ambient modulo the lattice.
 
-    A full-rank lattice's Hermite basis is triangular, so its torsion is its
-    index, the product of the diagonal. For any other lattice it is the gcd
-    of the maximal minors of the basis: the diagonal product of its pivot
-    square when it has one, as every multiplicative basis does, else the
-    product of its Smith invariant factors (`intlinalg._echelon_torsion`).
+    It is the gcd of the maximal minors of the basis: the diagonal product
+    of its pivot square when it has one, as every multiplicative or
+    full-rank basis does, else the product of its Smith invariant factors
+    (`intlinalg._echelon_torsion`).
     """
-    if lat.is_full_rank:
-        return prod(row[i] for i, row in enumerate(lat.basis))
     return _echelon_torsion(lat.basis)
 
 

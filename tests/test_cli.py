@@ -540,6 +540,20 @@ def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_options_a_subcommand_never_reads_exit_two(tmp_path, capsys):
+    # each of these used to be accepted and ignored
+    cache = tmp_path / "counts.jsonl"
+    for argv in (_VALID_ARGV["series"] + ["--cache", str(cache)],
+                 _VALID_ARGV["partitions"] + ["--jobs", "2"],
+                 _VALID_ARGV["count"] + ["--bound-multiplier", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err, argv
+    assert not cache.exists()
+
+
 def test_valid_argv_of_the_rejection_test_succeeds(capsys):
     for argv in _VALID_ARGV.values():
         assert cli.main(argv) == 0, argv

@@ -31,10 +31,10 @@ from multlat.enumeration import (
 import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 from multlat.enumeration import (
+    _closed_extensions,
     _corank_worker,
     _full_rank_worker,
     _in_span,
-    _square_closed_rows,
     _Steps,
     _witness_fault,
 )
@@ -519,12 +519,13 @@ def _random_reversed_hermite(rng, ambient, bound, every_column=False):
 
 
 def test_square_closed_rows_match_full_tail_filter():
-    # the column-by-column generator keeps exactly the rows that the
-    # unfiltered product over every entry plus the square check keeps, in
-    # the same order, and tries no more entries than that product has: on
-    # scan-shaped inputs (leads [1, bound], some columns off-pivot) and on
-    # full-rank-shaped ones (every column right of q a pivot, the leads the
-    # divisors of an index, no off-pivot bound)
+    # the column-by-column step keeps exactly the rows that the unfiltered
+    # product over every entry plus the square check and the check of the
+    # products with every prefix row keeps, in the same order, each as the
+    # prefix extended by it, and tries no more entries than that product
+    # has: on scan-shaped inputs (leads [1, bound], some columns off-pivot)
+    # and on full-rank-shaped ones (every column right of q a pivot, the
+    # leads the divisors of an index, no off-pivot bound)
     rng = random.Random(20181221)
     for case in range(600):
         ambient = rng.randint(1, 5)
@@ -545,12 +546,13 @@ def test_square_closed_rows_match_full_tail_filter():
         for d in leads:
             for rest in itertools.product(*tail):
                 v = [0] * q + [d, *rest]
-                if _in_span([v] + hnf, [q] + pivots, [x * x for x in v],
-                            ambient):
-                    expected.append(v)
+                if all(_in_span([v] + hnf, [q] + pivots,
+                                [a * b for a, b in zip(u, v)], ambient)
+                       for u in [v] + hnf):
+                    expected.append([v] + hnf)
         steps = _Steps(10 ** 9)
-        got = list(_square_closed_rows(hnf, pivots, q, leads, bound, ambient,
-                                       steps))
+        got = list(_closed_extensions(hnf, pivots, q, leads, bound, ambient,
+                                      steps))
         assert got == expected, (hnf, pivots, q, list(leads), bound)
         full = sum(1 for _ in itertools.product(leads, *tail))
         assert len(leads) <= steps.used <= full * (ambient - q)
@@ -571,9 +573,9 @@ def _names_used(func):
 
 
 def test_routes_stay_independent():
-    for func in (_corank_worker, _square_closed_rows):
+    for func in (_corank_worker, _closed_extensions):
         assert not _names_used(func) & FORMULA_SIDE, func.__name__
     assert not _names_used(_full_rank_worker) & SCAN_SIDE
     # the check reads the bodies it claims to read
-    assert "_square_closed_rows" in _names_used(_corank_worker)
-    assert "_square_closed_rows" in _names_used(_full_rank_worker)
+    assert "_closed_extensions" in _names_used(_corank_worker)
+    assert "_closed_extensions" in _names_used(_full_rank_worker)
