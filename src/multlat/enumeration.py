@@ -11,7 +11,7 @@ against each other cell by cell.
 
 One step, `_closed_extensions`, grows a Hermite basis by one row closed
 under products for both engines; a shard takes its share of the top level's
-extensions by `itertools.islice`. Each engine keeps its own leads and
+extensions by slicing their list. Each engine keeps its own leads and
 torsion prune, and one `_reverify` checks the output of either.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
@@ -23,7 +23,6 @@ one per entry they try.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import islice
 from typing import Iterable, Optional
 
 from .intlinalg import _echelon_torsion, _pivot_square
@@ -169,7 +168,7 @@ def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[
                  [d for d in range(1, left + 1) if left % d == 0])
         rows = _closed_extensions(hnf, list(range(i + 1, n)), i, leads, 0, n,
                                   steps)
-        for h2 in islice(rows, start, None, step):
+        for h2 in rows[start::step]:
             extend(i - 1, left // h2[0][i], h2)
 
     extend(n - 1, index, [], shard, jobs)
@@ -237,35 +236,37 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 
 def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
                        leads: Iterable[int], bound: int, ambient: int,
-                       steps: _Steps):
-    """Bases [v] + hnf, v = 0^q, d, x_(q+1), ..., closed under products.
+                       steps: _Steps) -> list[list[list[int]]]:
+    """The bases [v] + hnf, v = 0^q, d, x_(q+1), ..., closed under products.
 
     The one extension step of both engines. hnf is a Hermite basis with
     pivots right of q (the full-rank suffix, or a scan prefix in the
     reversed frame). The lead d runs over leads, an entry in a pivot column
     of hnf over [0, pivot) and every other entry over [0, bound], in
-    lexicographic order. The coefficient of v in v*v is d, so v*v lies in
-    the span exactly when v*v - d*v reduces to zero against hnf. Its column
-    j, less the multiples of the rows pivoting left of j, is fixed once
-    x_q..x_j are, so a partial row is dropped at the first column whose
-    residual is non-zero off a pivot or not divisible by the pivot on one.
-    `acc` carries those multiples forward. A full row is kept when its
-    products with the rows of hnf lie in the span too (`_in_span`), so the
-    span of [v] + hnf is closed when hnf's is. Every lead and every entry
-    tried is charged to `steps`.
+    lexicographic order, and the bases come back as a list in that order.
+    The coefficient of v in v*v is d, so v*v lies in the span exactly when
+    v*v - d*v reduces to zero against hnf. Its column j, less the multiples
+    of the rows pivoting left of j, is fixed once x_q..x_j are, so a partial
+    row is dropped at the first column whose residual is non-zero off a
+    pivot or not divisible by the pivot on one. `acc` carries those
+    multiples forward. A full row is kept when its products with the rows
+    of hnf lie in the span too (`_in_span`), so the span of [v] + hnf is
+    closed when hnf's is. Every lead and every entry tried is charged to
+    `steps`.
     """
     pivot_row: list[Optional[list[int]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
         pivot_row[c] = row
     p2 = [q] + pivots
     v = [0] * ambient
+    out: list[list[list[int]]] = []
 
-    def fill(j: int, d: int, acc: list[int]):
+    def fill(j: int, d: int, acc: list[int]) -> None:
         if j == ambient:
             h2 = [v[:]] + hnf
             if all(_in_span(h2, p2, [a * b for a, b in zip(u, v)], ambient)
                    for u in hnf):
-                yield h2
+                out.append(h2)
             return
         row = pivot_row[j]
         if row is None:
@@ -273,7 +274,7 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
             for x in range(bound + 1):
                 if x * (x - d) == acc[j]:
                     v[j] = x
-                    yield from fill(j + 1, d, acc)
+                    fill(j + 1, d, acc)
             return
         p = row[j]
         steps.spend(p)
@@ -281,12 +282,37 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
             m, rem = divmod(x * (x - d) - acc[j], p)
             if rem == 0:
                 v[j] = x
-                yield from fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
+                fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
 
     for d in leads:
         steps.spend(1)
         v[q] = d
-        yield from fill(q + 1, d, [0] * ambient)
+        fill(q + 1, d, [0] * ambient)
+    return out
+
+
+def _carried_torsion(rows: list[list[int]], q: int, labels: list[int],
+                     product: int) -> tuple[int, list[int], int]:
+    """Torsion of the echelon rows [v] + prefix, v's lead at column q, and
+    the column labels and lead product that the rows carry on.
+
+    labels classes the prefix's columns: equal columns share a label, and
+    the zero column (every column, for no rows) has label 0; product is the
+    prefix's lead product. Column j of the rows is the pair (v[j], prefix
+    column j), so the pairs (v[j], labels[j]) class them, numbered in order
+    of first use after the zero pair (0, 0). When the non-zero classes are
+    as many as the rows, the rows have a pivot square with the leads on its
+    diagonal, so the torsion is the lead product (the fact
+    `intlinalg._echelon_torsion` uses); any other rows go to
+    `_echelon_torsion`.
+    """
+    classes = {(0, 0): 0}
+    labels = [classes.setdefault(pair, len(classes))
+              for pair in zip(rows[0], labels)]
+    product *= rows[0][q]
+    if len(classes) == len(rows) + 1:
+        return product, labels, product
+    return _echelon_torsion(rows), labels, product
 
 
 def _corank_worker(args: tuple[int, int, int, int, int, int, int]
@@ -299,10 +325,14 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. New rows
     come from `_closed_extensions`, the step the full-rank engine takes too;
-    the shard takes every jobs-th first row from the shard-th on. A prefix's
-    torsion is the diagonal product of its pivot square when it has exactly
-    as many distinct nonzero columns as rows, a matrix fact checked on each
-    prefix, and otherwise the Hermite path of `intlinalg._echelon_torsion`.
+    the shard takes every jobs-th first row from the shard-th on. A level-0
+    row that is closed has every entry in {0, d}, so its torsion is its lead
+    d, which must divide the target: level 0 tries the divisors of the
+    torsion as leads, deeper levels every lead in [1, bound]. Each prefix
+    carries its column labels and lead product forward, and its torsion
+    comes from `_carried_torsion`: the lead product when the prefix has
+    exactly as many distinct nonzero columns as rows, and otherwise
+    `intlinalg._echelon_torsion`.
     """
     ambient, corank, torsion, bound, shard, jobs, budget = args
     n = ambient - corank
@@ -311,27 +341,30 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
         return [()] if torsion == 1 else []
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
+    divisors = [d for d in range(1, torsion + 1) if torsion % d == 0]
+    deeper = range(1, bound + 1)
 
-    def extend(hnf: list[list[int]], pivots: list[int], start: int = 0,
-               step: int = 1) -> None:
+    def extend(hnf: list[list[int]], pivots: list[int], labels: list[int],
+               product: int, start: int = 0, step: int = 1) -> None:
         # the level takes every step-th extension from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
-        rows = ((h2, [q] + pivots)
+        rows = [(h2, q)
                 for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient)
                 for h2 in _closed_extensions(hnf, pivots, q,
-                                             range(1, bound + 1), bound,
-                                             ambient, steps))
-        for h2, p2 in islice(rows, start, None, step):
+                                             deeper if hnf else divisors,
+                                             bound, ambient, steps)]
+        for h2, q in rows[start::step]:
+            t, labels2, product2 = _carried_torsion(h2, q, labels, product)
             if len(h2) < n:
                 # a coordinate section of L is a primitive sublattice of it,
                 # so its torsion divides the final torsion
-                if torsion % _echelon_torsion(h2) == 0:
-                    extend(h2, p2)
-            elif _echelon_torsion(h2) == torsion:
+                if torsion % t == 0:
+                    extend(h2, [q] + pivots, labels2, product2)
+            elif t == torsion:
                 found.append(tuple(tuple(reversed(row))
                                    for row in reversed(h2)))
 
-    extend([], [], shard, jobs)
+    extend([], [], [0] * ambient, 1, shard, jobs)
     return found
 
 
@@ -345,12 +378,15 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     positive pivot d_i at column p_i <= i + corank, with p_0 < p_1 < ...; a
     later row's entry in column p_i is reduced into [0, d_i); every other
     entry left of a pivot runs over [0, B]. B = bound_multiplier * torsion
-    bounds the pivots and those other entries. Row spans that are
-    multiplicative and of the requested torsion are kept. Rows 0..i span
-    the lattice cut down to the first p_i + 1 coordinates, so a prefix is
-    pruned as soon as it is not multiplicative or its torsion does not
-    divide the target. A lattice found twice is an internal error, and every
-    lattice is re-verified afterwards with the lattice-level routines.
+    bounds the pivots of rows 1, 2, ... and those other entries. The pivot
+    d_0 runs over the divisors of torsion: a closed row 0 has every entry in
+    {0, d_0}, so its span, a coordinate section of the lattice, has torsion
+    d_0, which divides the target. Row spans that are multiplicative and of
+    the requested torsion are kept. Rows 0..i span the lattice cut down to
+    the first p_i + 1 coordinates, so a prefix is pruned as soon as it is
+    not multiplicative or its torsion does not divide the target. A lattice
+    found twice is an internal error, and every lattice is re-verified
+    afterwards with the lattice-level routines.
 
     Raising bound_multiplier widens the entry range; a census that is stable
     under widening was not an artifact of the bound. The budget counts

@@ -519,25 +519,46 @@ _VALID_ARGV = {
     "series": ["series", "--n", "2", "--r-max", "2"],
 }
 
-_BAD_COUNTS = [[flag, value]
-               for flag in ("--jobs", "--bound-multiplier", "--budget")
-               for value in ("0", "-1")]
+# the value-checked options each subcommand takes, as the cli docstring lists
+_COUNT_OPTIONS = {
+    "count": ("--jobs", "--budget"),
+    "count-corank": ("--jobs", "--bound-multiplier", "--budget"),
+    "verify": ("--jobs", "--bound-multiplier", "--budget"),
+    "partitions": (),
+    "series": ("--jobs", "--budget"),
+}
+_COUNT_FLAGS = ("--jobs", "--bound-multiplier", "--budget")
 
 
-@pytest.mark.parametrize("argv", (
-    [_VALID_ARGV[cmd] + bad for cmd in _VALID_ARGV for bad in _BAD_COUNTS]
-    + [_VALID_ARGV[cmd] + ["--r", "0..2"] for cmd in ("count", "verify")]
-    + [_VALID_ARGV["count-corank"] + ["--torsion", "0"]]
-    + [_VALID_ARGV["count"] + ["--n", "-1..1"]]
-    + [_VALID_ARGV["verify"] + [flag, "-1"] for flag in ("--n", "--k")]),
-    ids=" ".join)
-def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv):
-    try:
-        rc = cli.main(argv)
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == 2
-    assert capsys.readouterr().out == ""
+def _rejection(argv, message):
+    return pytest.param(argv, message, id=" ".join(argv))
+
+
+# a bad count is rejected by the value check where the subcommand takes the
+# option, and as an unknown option where it does not
+@pytest.mark.parametrize("argv, message", (
+    [_rejection(_VALID_ARGV[cmd] + [flag, value],
+                "must be at least 1" if flag in _COUNT_OPTIONS[cmd]
+                else "unrecognized arguments")
+     for cmd in _VALID_ARGV for flag in _COUNT_FLAGS for value in ("0", "-1")]
+    + [_rejection(_VALID_ARGV[cmd] + ["--r", "0..2"], "must be at least 1")
+       for cmd in ("count", "verify")]
+    + [_rejection(_VALID_ARGV["count-corank"] + ["--torsion", "0"],
+                  "must be at least 1")]
+    # argparse takes "-1..1" for an option unless it is joined to its flag
+    + [_rejection(_VALID_ARGV["count"] + ["--n", "-1..1"],
+                  "expected one argument"),
+       _rejection(_VALID_ARGV["count"] + ["--n=-1..1"], "must be at least 0")]
+    + [_rejection(_VALID_ARGV["verify"] + [flag, "-1"], "must be at least 0")
+       for flag in ("--n", "--k")]))
+def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv,
+                                                           message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err.splitlines()[-1], err
 
 
 def test_options_a_subcommand_never_reads_exit_two(tmp_path, capsys):

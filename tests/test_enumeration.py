@@ -9,6 +9,7 @@ test pass.
 import ast
 import inspect
 import itertools
+import math
 import random
 import textwrap
 
@@ -28,9 +29,11 @@ from multlat.enumeration import (
     reconstruct_from_factorization,
     verify_corank_factorization,
 )
+import multlat.enumeration as enumeration
 import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 from multlat.enumeration import (
+    _carried_torsion,
     _closed_extensions,
     _corank_worker,
     _full_rank_worker,
@@ -300,6 +303,16 @@ def test_budget_counts_entries_tried():
         enumerate_corank_oracle(3, 1, 1, budget=18)
 
 
+def test_budget_counts_divisor_leads():
+    # (2, 1, 4), B = 4: level 0 is the only level and tries the divisors
+    # 1, 2, 4 of the torsion as leads, never 3; at column 0 each lead costs
+    # 1 + 5 (its column-1 entry over [0, 4]), at column 1 it costs 1: 21
+    # steps for the 3 lattices
+    assert len(enumerate_corank_oracle(2, 1, 4, budget=21)) == 3
+    with pytest.raises(SearchBudgetExceeded, match="after 21 entries"):
+        enumerate_corank_oracle(2, 1, 4, budget=20)
+
+
 def test_full_rank_budget_counts_entries_tried():
     # (2, 4): last-row pivots 1, 2, 4 (3 steps); above each, the forced
     # first pivot 4, 2, 1 (1 step each) and its entry in [0, 1), [0, 2)
@@ -558,6 +571,57 @@ def test_square_closed_rows_match_full_tail_filter():
         assert len(leads) <= steps.used <= full * (ambient - q)
 
 
+def _carry_down(rows):
+    """_carried_torsion folded over echelon rows from the last one up, as
+    the scan builds them; the torsion of all the rows."""
+    labels, product, torsion = [0] * len(rows[0]), 1, 1
+    for i in range(len(rows) - 1, -1, -1):
+        q = next(j for j, x in enumerate(rows[i]) if x)
+        torsion, labels, product = _carried_torsion(rows[i:], q, labels,
+                                                    product)
+    return torsion
+
+
+def test_carried_torsion_on_every_scan_prefix(monkeypatch):
+    # every prefix the scan builds, each given its torsion and its labels:
+    # equal columns share a label, and the zero column is labelled 0
+    carried = _carried_torsion
+    seen = []
+
+    def checked(rows, q, labels, product):
+        out = carried(rows, q, labels, product)
+        assert out[0] == intlinalg._echelon_torsion(rows), rows
+        label_of = dict(zip(zip(*rows), out[1]))
+        assert len(label_of) == len(set(out[1])), rows
+        assert label_of.get((0,) * len(rows), 0) == 0, rows
+        seen.append(len(rows))
+        return out
+
+    monkeypatch.setattr(enumeration, "_carried_torsion", checked)
+    for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
+        for bound in (1, 2):
+            enumerate_corank_oracle(n + k, k, r, bound)
+    assert len(seen) > 1000 and max(seen) == 3
+
+
+def test_carried_torsion_takes_the_smith_path():
+    # rows with more distinct nonzero columns than rows have no pivot
+    # square, and their torsion is not the lead product
+    rows = [[0, 2, 1, 1], [0, 0, 1, 0]]
+    assert _carry_down(rows) == intlinalg._echelon_torsion(rows) == 1
+    rng = random.Random(1357)
+    differ = 0
+    for _ in range(600):
+        hnf, _, _ = _random_reversed_hermite(rng, rng.randint(3, 6), 4)
+        if not hnf:
+            continue
+        expected = intlinalg._echelon_torsion(hnf)
+        assert _carry_down(hnf) == expected, hnf
+        product = math.prod(next(x for x in row if x) for row in hnf)
+        differ += expected != product
+    assert differ > 20
+
+
 # the names each route must not reach: the scan never touches the formula
 # side, and the full-rank engine never touches the scan
 FORMULA_SIDE = {"stirling2", "count_full_rank", "_full_rank_worker",
@@ -573,7 +637,7 @@ def _names_used(func):
 
 
 def test_routes_stay_independent():
-    for func in (_corank_worker, _closed_extensions):
+    for func in (_corank_worker, _closed_extensions, _carried_torsion):
         assert not _names_used(func) & FORMULA_SIDE, func.__name__
     assert not _names_used(_full_rank_worker) & SCAN_SIDE
     # the check reads the bodies it claims to read
