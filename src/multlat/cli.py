@@ -309,13 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--jobs", type=_positive, default=1, metavar="N",
                         help="worker processes for enumeration (default 1)")
     engine.add_argument("--budget", type=_positive, metavar="STEPS",
-                        help="steps per worker: entries tried by the "
-                             "co-rank scan, pivots and entries tried by the "
+                        help="steps per worker: leads, pivot-column "
+                             "entries and off-pivot columns of the co-rank "
+                             "scan, pivots and entries tried by the "
                              "full-rank engine")
     bound = argparse.ArgumentParser(add_help=False)
     bound.add_argument("--bound-multiplier", type=_positive, default=1,
                        metavar="M",
-                       help="widen the oracle entry bound by this factor")
+                       help="bound the oracle's pivots after its first "
+                            "row by M times the torsion (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="multlat",

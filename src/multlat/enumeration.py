@@ -5,7 +5,7 @@ sublattices. The full-rank route builds upper-triangular Hermite bases with a
 prescribed determinant from the last row up, dropping a partial basis as
 soon as its rows are not closed under products. The co-rank route is a
 brute-force scan over the canonical banded bases of `lattice.banded_basis`
-with bounded entries, so it reaches each lattice once; it never consults the
+with bounded pivots, so it reaches each lattice once; it never consults the
 closed formula it is later compared against. The verifier pits the two
 against each other cell by cell.
 
@@ -16,13 +16,15 @@ torsion prune, and one `_reverify` checks the output of either.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
-instead of truncating silently. Both engines count one step per lead and
-one per entry they try.
+instead of truncating silently. Both engines count one step per lead, one
+per entry they try in a pivot column, and one per off-pivot column, whose
+entries are the exact roots of a quadratic rather than a range scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import isqrt
 from typing import Iterable, Optional
 
 from .intlinalg import _echelon_torsion, _pivot_square
@@ -166,7 +168,7 @@ def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[
             return
         leads = ([left] if i == 0 else
                  [d for d in range(1, left + 1) if left % d == 0])
-        rows = _closed_extensions(hnf, list(range(i + 1, n)), i, leads, 0, n,
+        rows = _closed_extensions(hnf, list(range(i + 1, n)), i, leads, n,
                                   steps)
         for h2 in rows[start::step]:
             extend(i - 1, left // h2[0][i], h2)
@@ -235,23 +237,27 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 
 
 def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
-                       leads: Iterable[int], bound: int, ambient: int,
+                       leads: Iterable[int], ambient: int,
                        steps: _Steps) -> list[list[list[int]]]:
     """The bases [v] + hnf, v = 0^q, d, x_(q+1), ..., closed under products.
 
     The one extension step of both engines. hnf is a Hermite basis with
     pivots right of q (the full-rank suffix, or a scan prefix in the
     reversed frame). The lead d runs over leads, an entry in a pivot column
-    of hnf over [0, pivot) and every other entry over [0, bound], in
+    of hnf over [0, pivot), and every other entry over the integers, in
     lexicographic order, and the bases come back as a list in that order.
     The coefficient of v in v*v is d, so v*v lies in the span exactly when
     v*v - d*v reduces to zero against hnf. Its column j, less the multiples
     of the rows pivoting left of j, is fixed once x_q..x_j are, so a partial
     row is dropped at the first column whose residual is non-zero off a
     pivot or not divisible by the pivot on one. `acc` carries those
-    multiples forward. A full row is kept when its products with the rows
-    of hnf lie in the span too (`_in_span`), so the span of [v] + hnf is
-    closed when hnf's is. Every lead and every entry tried is charged to
+    multiples forward. Off a pivot the residual x(x - d) - acc[j] must
+    vanish, so x runs over its roots (d - s)/2 <= (d + s)/2, s =
+    isqrt(d*d + 4*acc[j]), when d*d + 4*acc[j] is a perfect square; then
+    s = d mod 2, so both roots are integers. A full row is kept when its
+    products with the rows of hnf lie in the span too (`_in_span`), so the
+    span of [v] + hnf is closed when hnf's is. Every lead, every entry tried
+    in a pivot column and every off-pivot column is charged one step to
     `steps`.
     """
     pivot_row: list[Optional[list[int]]] = [None] * ambient
@@ -270,9 +276,11 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
             return
         row = pivot_row[j]
         if row is None:
-            steps.spend(bound + 1)
-            for x in range(bound + 1):
-                if x * (x - d) == acc[j]:
+            steps.spend(1)
+            disc = d * d + 4 * acc[j]
+            s = isqrt(disc) if disc > 0 else 0
+            if s * s == disc:
+                for x in ((d - s) // 2, (d + s) // 2) if s else (d // 2,):
                     v[j] = x
                     fill(j + 1, d, acc)
             return
@@ -328,7 +336,9 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     the shard takes every jobs-th first row from the shard-th on. A level-0
     row that is closed has every entry in {0, d}, so its torsion is its lead
     d, which must divide the target: level 0 tries the divisors of the
-    torsion as leads, deeper levels every lead in [1, bound]. Each prefix
+    torsion as leads, deeper levels every lead in [1, bound]. bound bounds
+    nothing else: off-pivot entries are the integer roots that
+    `_closed_extensions` solves for, at one step per column. Each prefix
     carries its column labels and lead product forward, and its torsion
     comes from `_carried_torsion`: the lead product when the prefix has
     exactly as many distinct nonzero columns as rows, and otherwise
@@ -352,7 +362,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
                 for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient)
                 for h2 in _closed_extensions(hnf, pivots, q,
                                              deeper if hnf else divisors,
-                                             bound, ambient, steps)]
+                                             ambient, steps)]
         for h2, q in rows[start::step]:
             t, labels2, product2 = _carried_torsion(h2, q, labels, product)
             if len(h2) < n:
@@ -377,23 +387,26 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     form that `banded_basis` returns, one per lattice: row i ends in a
     positive pivot d_i at column p_i <= i + corank, with p_0 < p_1 < ...; a
     later row's entry in column p_i is reduced into [0, d_i); every other
-    entry left of a pivot runs over [0, B]. B = bound_multiplier * torsion
-    bounds the pivots of rows 1, 2, ... and those other entries. The pivot
-    d_0 runs over the divisors of torsion: a closed row 0 has every entry in
-    {0, d_0}, so its span, a coordinate section of the lattice, has torsion
-    d_0, which divides the target. Row spans that are multiplicative and of
-    the requested torsion are kept. Rows 0..i span the lattice cut down to
-    the first p_i + 1 coordinates, so a prefix is pruned as soon as it is
-    not multiplicative or its torsion does not divide the target. A lattice
-    found twice is an internal error, and every lattice is re-verified
-    afterwards with the lattice-level routines.
+    entry left of a pivot must solve x(x - d) = c for the row's pivot d and
+    a c fixed by the entries before it, so it runs over the integer roots,
+    not over a range. B = bound_multiplier * torsion bounds only the pivots
+    of rows 1, 2, ...; the pivot d_0 runs over the divisors of torsion: a
+    closed row 0 has every entry in {0, d_0}, so its span, a coordinate
+    section of the lattice, has torsion d_0, which divides the target. Row
+    spans that are multiplicative and of the requested torsion are kept.
+    Rows 0..i span the lattice cut down to the first p_i + 1 coordinates,
+    so a prefix is pruned as soon as it is not multiplicative or its
+    torsion does not divide the target. A lattice found twice is an internal
+    error, and every lattice is re-verified afterwards with the
+    lattice-level routines.
 
-    Raising bound_multiplier widens the entry range; a census that is stable
-    under widening was not an artifact of the bound. The budget counts
-    entries tried per worker: a row is built one column at a time and
-    dropped at the first entry that leaves its square outside the span, so
-    every lead and every later entry tried costs one step. jobs shards the
-    first rows whose square closes, round-robin.
+    Raising bound_multiplier widens the range of those deeper pivots; a
+    census that is stable under widening was not an artifact of the bound.
+    The budget counts entries tried per worker: a row is built one column at
+    a time and dropped at the first entry that leaves its square outside the
+    span, so every lead, every entry tried in a pivot column and every
+    off-pivot column costs one step. jobs shards the first rows whose
+    square closes, round-robin.
     """
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")

@@ -28,6 +28,7 @@ from multlat.enumeration import (
 from multlat.lattice import (
     distinct_nonzero_columns,
     has_rigid_columns,
+    lattice_from_rows,
     torsion_size,
 )
 from multlat.partitions import (
@@ -243,3 +244,19 @@ def test_criterion_10_byte_level_determinism(tmp_path):
             chunks.append(proc.stdout)
         runs.append("".join(chunks))
     assert runs[0] == runs[1]
+
+
+def test_criterion_11_census_closed_under_coordinate_permutations(campaign):
+    # permuting coordinates is a ring automorphism of Z^m, so it keeps
+    # multiplicativity, rank and torsion, and each cell's census is closed
+    # under the transposition (0 1) and the m-cycle, which generate every
+    # permutation; a scan that misses a lattice in one coordinate order but
+    # not in another fails here without reading any formula
+    for (n, k, r), lats in campaign.items():
+        m = n + k
+        census = set(lats)
+        for perm in ((1, 0, *range(2, m)), (*range(1, m), 0)):
+            for lat in lats:
+                image = lattice_from_rows(
+                    m, [[row[j] for j in perm] for row in lat.basis])
+                assert image in census, ((n, k, r), lat.basis, perm)

@@ -207,9 +207,10 @@ def test_corank_scan_matches_unpruned_reference_at_wider_bound():
 
 
 def test_corank_census_banded_entries_fit_the_base_bound():
-    # why bound multiplier 1 is complete: the canonical banded basis the
-    # scan enumerates has every entry in [0, torsion], even for lattices
-    # found under a wider bound
+    # the scan solves for its off-pivot entries over all the integers and
+    # bounds only the pivots after row 0, yet every lattice it finds, under
+    # the wider bound too, has every banded entry in [0, torsion]: its
+    # pivots never need more than multiplier 1, and no entry is negative
     cells = [(3, 1, 4), (4, 2, 3), (4, 1, 2), (4, 3, 4)]
     for ambient, corank, torsion in cells:
         for lat in enumerate_corank_oracle(ambient, corank, torsion, 2):
@@ -295,22 +296,27 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_counts_entries_tried():
-    # (3, 1, 1): first rows 0,1,x (1 lead + 2 entries) and 0,0,1 (1 lead);
-    # second rows 1,0,x under 0,1,0 and under 0,1,1 (1 + 1 + 2 each), and
-    # 1,x,y (1 + 2 + 2) and 0,1,0 (1 + 1) under 0,0,1: 4 + 15 steps
-    assert len(enumerate_corank_oracle(3, 1, 1, budget=19)) == 6
-    with pytest.raises(SearchBudgetExceeded, match="after 19 entries"):
-        enumerate_corank_oracle(3, 1, 1, budget=18)
+    # (3, 1, 1) in the reversed frame, one step per lead, per entry tried in
+    # a pivot column and per off-pivot column (its roots are solved for).
+    # Level 0: 0,1,x costs 1 at column 1 and 1 at column 2, 0,0,1 costs 1 at
+    # column 2: 3 steps. Level 1: 1,0,x under 0,1,0 and under 0,1,1 cost 1
+    # at column 0, 1 at column 1 and 1 at column 2 each (6); 1,x,y under
+    # 0,0,1 costs 1 at column 0, 1 at column 1 and 1 at column 2 for each
+    # root x in {0, 1} (4); 0,1,0 under 0,0,1 costs 1 at column 1 and 1 at
+    # column 2 (2): 12 steps. 15 in all
+    assert len(enumerate_corank_oracle(3, 1, 1, budget=15)) == 6
+    with pytest.raises(SearchBudgetExceeded, match="after 15 entries"):
+        enumerate_corank_oracle(3, 1, 1, budget=14)
 
 
 def test_budget_counts_divisor_leads():
-    # (2, 1, 4), B = 4: level 0 is the only level and tries the divisors
-    # 1, 2, 4 of the torsion as leads, never 3; at column 0 each lead costs
-    # 1 + 5 (its column-1 entry over [0, 4]), at column 1 it costs 1: 21
-    # steps for the 3 lattices
-    assert len(enumerate_corank_oracle(2, 1, 4, budget=21)) == 3
-    with pytest.raises(SearchBudgetExceeded, match="after 21 entries"):
-        enumerate_corank_oracle(2, 1, 4, budget=20)
+    # (2, 1, 4): level 0 is the only level and tries the divisors 1, 2, 4
+    # of the torsion as leads, never 3. A lead at column 0 costs 1 at column
+    # 0 and 1 at column 1, which is off-pivot (6); a lead at column 1 costs
+    # 1 (3): 9 steps for the 3 lattices
+    assert len(enumerate_corank_oracle(2, 1, 4, budget=9)) == 3
+    with pytest.raises(SearchBudgetExceeded, match="after 9 entries"):
+        enumerate_corank_oracle(2, 1, 4, budget=8)
 
 
 def test_full_rank_budget_counts_entries_tried():
@@ -536,9 +542,11 @@ def test_square_closed_rows_match_full_tail_filter():
     # product over every entry plus the square check and the check of the
     # products with every prefix row keeps, in the same order, each as the
     # prefix extended by it, and tries no more entries than that product
-    # has: on scan-shaped inputs (leads [1, bound], some columns off-pivot)
-    # and on full-rank-shaped ones (every column right of q a pivot, the
-    # leads the divisors of an index, no off-pivot bound)
+    # has: on scan-shaped inputs (leads [1, bound], some columns off-pivot,
+    # where the step solves for the entries and the filter tries a box well
+    # outside the [0, bound] the prefixes are drawn from) and on
+    # full-rank-shaped ones (every column right of q a pivot, the leads the
+    # divisors of an index)
     rng = random.Random(20181221)
     for case in range(600):
         ambient = rng.randint(1, 5)
@@ -551,9 +559,9 @@ def test_square_closed_rows_match_full_tail_filter():
                                                       every_column=True)
             index = rng.randint(1, 24)
             leads = [d for d in range(1, index + 1) if index % d == 0]
-            bound = 0
         pivot_value = {c: row[c] for row, c in zip(hnf, pivots)}
-        tail = [range(pivot_value.get(c, bound + 1))
+        box = range(-bound - 2, 2 * bound + 3)
+        tail = [range(pivot_value[c]) if c in pivot_value else box
                 for c in range(q + 1, ambient)]
         expected = []
         for d in leads:
@@ -564,8 +572,7 @@ def test_square_closed_rows_match_full_tail_filter():
                        for u in [v] + hnf):
                     expected.append([v] + hnf)
         steps = _Steps(10 ** 9)
-        got = list(_closed_extensions(hnf, pivots, q, leads, bound, ambient,
-                                      steps))
+        got = _closed_extensions(hnf, pivots, q, leads, ambient, steps)
         assert got == expected, (hnf, pivots, q, list(leads), bound)
         full = sum(1 for _ in itertools.product(leads, *tail))
         assert len(leads) <= steps.used <= full * (ambient - q)
