@@ -316,8 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     bound = argparse.ArgumentParser(add_help=False)
     bound.add_argument("--bound-multiplier", type=_positive, default=1,
                        metavar="M",
-                       help="bound the oracle's pivots after its first "
-                            "row by M times the torsion (default 1)")
+                       help="bound multiplier (default 1); every pivot "
+                            "divides the torsion, so M changes neither the "
+                            "census nor the work, and is kept as part of "
+                            "the cache key")
 
     parser = argparse.ArgumentParser(
         prog="multlat",

@@ -4,15 +4,16 @@ Two independent routes are implemented for counting multiplicative
 sublattices. The full-rank route builds upper-triangular Hermite bases with a
 prescribed determinant from the last row up, dropping a partial basis as
 soon as its rows are not closed under products. The co-rank route is a
-brute-force scan over the canonical banded bases of `lattice.banded_basis`
-with bounded pivots, so it reaches each lattice once; it never consults the
+brute-force scan over the canonical banded bases of `lattice.banded_basis`,
+one per lattice, whose pivots divide the torsion; it never consults the
 closed formula it is later compared against. The verifier pits the two
 against each other cell by cell.
 
 One step, `_closed_extensions`, grows a Hermite basis by one row closed
 under products for both engines; a shard takes its share of the top level's
-extensions by slicing their list. Each engine keeps its own leads and
-torsion prune, and one `_reverify` checks the output of either.
+extensions by slicing their list. Both engines take each lead from the
+divisors of the index or torsion left over, the last lead being the
+quotient itself, and one `_reverify` checks the output of either.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Iterable, Optional
 
-from .intlinalg import _echelon_torsion, _pivot_square
+from .intlinalg import _pivot_square
 from .lattice import (
     Lattice,
     is_multiplicative,
@@ -233,7 +234,7 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# co-rank oracle: canonical banded bases with bounded entries
+# co-rank oracle: canonical banded bases, pivots dividing the torsion
 
 
 def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
@@ -299,31 +300,7 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
     return out
 
 
-def _carried_torsion(rows: list[list[int]], q: int, labels: list[int],
-                     product: int) -> tuple[int, list[int], int]:
-    """Torsion of the echelon rows [v] + prefix, v's lead at column q, and
-    the column labels and lead product that the rows carry on.
-
-    labels classes the prefix's columns: equal columns share a label, and
-    the zero column (every column, for no rows) has label 0; product is the
-    prefix's lead product. Column j of the rows is the pair (v[j], prefix
-    column j), so the pairs (v[j], labels[j]) class them, numbered in order
-    of first use after the zero pair (0, 0). When the non-zero classes are
-    as many as the rows, the rows have a pivot square with the leads on its
-    diagonal, so the torsion is the lead product (the fact
-    `intlinalg._echelon_torsion` uses); any other rows go to
-    `_echelon_torsion`.
-    """
-    classes = {(0, 0): 0}
-    labels = [classes.setdefault(pair, len(classes))
-              for pair in zip(rows[0], labels)]
-    product *= rows[0][q]
-    if len(classes) == len(rows) + 1:
-        return product, labels, product
-    return _echelon_torsion(rows), labels, product
-
-
-def _corank_worker(args: tuple[int, int, int, int, int, int, int]
+def _corank_worker(args: tuple[int, int, int, int, int, int]
                    ) -> list[tuple[tuple[int, ...], ...]]:
     """One shard's share of the census, as canonical banded bases.
 
@@ -333,48 +310,51 @@ def _corank_worker(args: tuple[int, int, int, int, int, int, int]
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. New rows
     come from `_closed_extensions`, the step the full-rank engine takes too;
-    the shard takes every jobs-th first row from the shard-th on. A level-0
-    row that is closed has every entry in {0, d}, so its torsion is its lead
-    d, which must divide the target: level 0 tries the divisors of the
-    torsion as leads, deeper levels every lead in [1, bound]. bound bounds
-    nothing else: off-pivot entries are the integer roots that
-    `_closed_extensions` solves for, at one step per column. Each prefix
-    carries its column labels and lead product forward, and its torsion
-    comes from `_carried_torsion`: the lead product when the prefix has
-    exactly as many distinct nonzero columns as rows, and otherwise
-    `intlinalg._echelon_torsion`.
+    the shard takes every jobs-th first row from the shard-th on.
+
+    Every prefix that `_closed_extensions` returns spans a multiplicative
+    lattice, so its Q-span is a subalgebra of Q^m. That subalgebra has no
+    nilpotents, so it is spanned by orthogonal idempotents, which are 0/1
+    vectors: it is fixed by a partition of the coordinates that are not
+    identically zero, as the vectors constant on each block and zero off
+    them. Each row lies in it, so the prefix has exactly rank-many distinct
+    nonzero columns, hence a pivot square (`intlinalg._pivot_square`), and
+    its torsion is its lead product. A prefix spans a coordinate section of
+    L, a primitive sublattice of it, so that torsion divides the final
+    torsion r. Level i therefore tries as leads only the divisors of the
+    torsion left over, r over the lead product so far, and the last level
+    tries that quotient alone, which completes r; no torsion is tested. Off-pivot entries are the integer roots that
+    `_closed_extensions` solves for, at one step per column, so nothing in
+    the scan needs a bound. At co-rank 0 the scan takes the full-rank
+    engine's leads and steps.
     """
-    ambient, corank, torsion, bound, shard, jobs, budget = args
+    ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
     if n == 0:
         # the zero lattice, of torsion 1
         return [()] if torsion == 1 else []
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
-    divisors = [d for d in range(1, torsion + 1) if torsion % d == 0]
-    deeper = range(1, bound + 1)
 
-    def extend(hnf: list[list[int]], pivots: list[int], labels: list[int],
-               product: int, start: int = 0, step: int = 1) -> None:
+    def extend(hnf: list[list[int]], pivots: list[int], left: int,
+               start: int = 0, step: int = 1) -> None:
         # the level takes every step-th extension from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
+        last = len(hnf) == n - 1
+        leads = ([left] if last else
+                 [d for d in range(1, left + 1) if left % d == 0])
         rows = [(h2, q)
                 for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient)
-                for h2 in _closed_extensions(hnf, pivots, q,
-                                             deeper if hnf else divisors,
-                                             ambient, steps)]
+                for h2 in _closed_extensions(hnf, pivots, q, leads, ambient,
+                                             steps)]
         for h2, q in rows[start::step]:
-            t, labels2, product2 = _carried_torsion(h2, q, labels, product)
-            if len(h2) < n:
-                # a coordinate section of L is a primitive sublattice of it,
-                # so its torsion divides the final torsion
-                if torsion % t == 0:
-                    extend(h2, [q] + pivots, labels2, product2)
-            elif t == torsion:
+            if last:
                 found.append(tuple(tuple(reversed(row))
                                    for row in reversed(h2)))
+            else:
+                extend(h2, [q] + pivots, left // h2[0][q])
 
-    extend([], [], [0] * ambient, 1, shard, jobs)
+    extend([], [], torsion, shard, jobs)
     return found
 
 
@@ -389,24 +369,22 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     later row's entry in column p_i is reduced into [0, d_i); every other
     entry left of a pivot must solve x(x - d) = c for the row's pivot d and
     a c fixed by the entries before it, so it runs over the integer roots,
-    not over a range. B = bound_multiplier * torsion bounds only the pivots
-    of rows 1, 2, ...; the pivot d_0 runs over the divisors of torsion: a
-    closed row 0 has every entry in {0, d_0}, so its span, a coordinate
-    section of the lattice, has torsion d_0, which divides the target. Row
-    spans that are multiplicative and of the requested torsion are kept.
-    Rows 0..i span the lattice cut down to the first p_i + 1 coordinates,
-    so a prefix is pruned as soon as it is not multiplicative or its
-    torsion does not divide the target. A lattice found twice is an internal
-    error, and every lattice is re-verified afterwards with the
+    not over a range. Rows 0..i span the lattice cut down to the first
+    p_i + 1 coordinates, a primitive sublattice of it, so a prefix is
+    pruned as soon as it is not multiplicative. A multiplicative prefix has
+    a pivot square, so its torsion is d_0 * ... * d_i, which divides the
+    target: d_i runs over the divisors of torsion / (d_0 * ... * d_(i-1)),
+    and the last pivot is that quotient itself. A lattice found twice is an
+    internal error, and every lattice is re-verified afterwards with the
     lattice-level routines.
 
-    Raising bound_multiplier widens the range of those deeper pivots; a
-    census that is stable under widening was not an artifact of the bound.
-    The budget counts entries tried per worker: a row is built one column at
-    a time and dropped at the first entry that leaves its square outside the
-    span, so every lead, every entry tried in a pivot column and every
-    off-pivot column costs one step. jobs shards the first rows whose
-    square closes, round-robin.
+    bound_multiplier is validated and otherwise unused: every pivot divides
+    the torsion, so no pivot or entry reaches a bound, and a multiplier
+    changes neither the census nor the work. The budget counts entries
+    tried per worker: a row is built one column at a time and dropped at
+    the first entry that leaves its square outside the span, so every lead,
+    every entry tried in a pivot column and every off-pivot column costs
+    one step. jobs shards the first rows whose square closes, round-robin.
     """
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
@@ -415,8 +393,7 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     if bound_multiplier < 1:
         raise ValueError("bound_multiplier must be at least 1")
     # rank 0 has nothing to shard: it runs in-process (bad jobs still fail)
-    bases = _run_shards(_corank_worker, (ambient, corank, torsion,
-                                         bound_multiplier * torsion),
+    bases = _run_shards(_corank_worker, (ambient, corank, torsion),
                         jobs if ambient > corank else min(jobs, 1), budget)
     lats = sorted((lattice_from_rows(ambient, b) for b in bases),
                   key=lambda lat: lat.basis)

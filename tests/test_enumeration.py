@@ -33,7 +33,6 @@ import multlat.enumeration as enumeration
 import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 from multlat.enumeration import (
-    _carried_torsion,
     _closed_extensions,
     _corank_worker,
     _full_rank_worker,
@@ -64,6 +63,7 @@ from refimpl import (
     ref_count_unital,
     ref_full_rank_lattices,
 )
+from test_acceptance import CAMPAIGN_CELLS
 
 # computed with the reference scan before the engine was written
 FULL_RANK_2 = [1, 3, 3, 4, 3, 9, 3, 6, 4, 9, 3, 12, 3, 9, 9, 10]
@@ -298,25 +298,34 @@ def test_budget_exhaustion_raises():
 def test_budget_counts_entries_tried():
     # (3, 1, 1) in the reversed frame, one step per lead, per entry tried in
     # a pivot column and per off-pivot column (its roots are solved for).
-    # Level 0: 0,1,x costs 1 at column 1 and 1 at column 2, 0,0,1 costs 1 at
-    # column 2: 3 steps. Level 1: 1,0,x under 0,1,0 and under 0,1,1 cost 1
-    # at column 0, 1 at column 1 and 1 at column 2 each (6); 1,x,y under
-    # 0,0,1 costs 1 at column 0, 1 at column 1 and 1 at column 2 for each
-    # root x in {0, 1} (4); 0,1,0 under 0,0,1 costs 1 at column 1 and 1 at
-    # column 2 (2): 12 steps. 15 in all
+    # r = 1 leaves every level the single lead 1. Level 0: 0,1,x costs 1 at
+    # column 1 and 1 at column 2, 0,0,1 costs 1 at column 2: 3 steps.
+    # Level 1: 1,0,x under 0,1,0 and under 0,1,1 cost 1 at column 0, 1 at
+    # column 1 and 1 at column 2 each (6); 1,x,y under 0,0,1 costs 1 at
+    # column 0, 1 at column 1 and 1 at column 2 for each root x in {0, 1}
+    # (4); 0,1,0 under 0,0,1 costs 1 at column 1 and 1 at column 2 (2): 12
+    # steps. 15 in all
     assert len(enumerate_corank_oracle(3, 1, 1, budget=15)) == 6
     with pytest.raises(SearchBudgetExceeded, match="after 15 entries"):
         enumerate_corank_oracle(3, 1, 1, budget=14)
 
 
 def test_budget_counts_divisor_leads():
-    # (2, 1, 4): level 0 is the only level and tries the divisors 1, 2, 4
-    # of the torsion as leads, never 3. A lead at column 0 costs 1 at column
-    # 0 and 1 at column 1, which is off-pivot (6); a lead at column 1 costs
-    # 1 (3): 9 steps for the 3 lattices
-    assert len(enumerate_corank_oracle(2, 1, 4, budget=9)) == 3
-    with pytest.raises(SearchBudgetExceeded, match="after 9 entries"):
-        enumerate_corank_oracle(2, 1, 4, budget=8)
+    # (2, 1, 4): level 0 is the last level, so its only lead is the torsion
+    # left over, 4. The lead at column 0 costs 1 at column 0 and 1 at column
+    # 1, which is off-pivot with the roots 0 and 4 (2); the lead at column
+    # 1 costs 1 at column 1 (1): 3 steps for the 3 lattices
+    assert len(enumerate_corank_oracle(2, 1, 4, budget=3)) == 3
+    with pytest.raises(SearchBudgetExceeded, match="after 3 entries"):
+        enumerate_corank_oracle(2, 1, 4, budget=2)
+    # (2, 0, 4): level 0 leads at column 1 with the divisors 1, 2, 4 of the
+    # torsion (3 steps). Level 1, the last, leads at column 0 with the
+    # torsion left over, 4, 2 and 1 (1 step each, 3), and tries its entry
+    # at column 1, a pivot column, in [0, 1), [0, 2) and [0, 4) (1 + 2 + 4
+    # steps, 7): 13 steps for the 4 lattices, as the full-rank engine takes
+    assert len(enumerate_corank_oracle(2, 0, 4, budget=13)) == 4
+    with pytest.raises(SearchBudgetExceeded, match="after 13 entries"):
+        enumerate_corank_oracle(2, 0, 4, budget=12)
 
 
 def test_full_rank_budget_counts_entries_tried():
@@ -326,6 +335,43 @@ def test_full_rank_budget_counts_entries_tried():
     assert len(enumerate_full_rank_multiplicative(2, 4, budget=13)) == 4
     with pytest.raises(SearchBudgetExceeded, match="after 13 entries"):
         enumerate_full_rank_multiplicative(2, 4, budget=12)
+
+
+@pytest.fixture
+def step_totals(monkeypatch):
+    """Each `_Steps` the engines make from now on, for reading `used`."""
+    made = []
+
+    class Recorded(_Steps):
+        def __init__(self, budget):
+            super().__init__(budget)
+            made.append(self)
+
+    monkeypatch.setattr(enumeration, "_Steps", Recorded)
+    return made
+
+
+def test_corank_zero_scan_costs_what_the_full_rank_engine_costs(step_totals):
+    # at co-rank 0 the scan takes the full-rank engine's leads, the
+    # divisors of the index left over and the quotient itself last, and
+    # the same entries, so each charges the same steps
+    for n in range(1, 5):
+        for r in range(1, 13):
+            _corank_worker((n, 0, r, 0, 1, 10 ** 9))
+            _full_rank_worker((n, r, 0, 1, 10 ** 9))
+            scan, full = step_totals[-2:]
+            assert scan.used == full.used, (n, r)
+
+
+def test_bound_multiplier_changes_no_step(step_totals):
+    # every lead divides the torsion, so the multiplier reaches no step
+    for n, k, r in CAMPAIGN_CELLS:
+        totals = []
+        for bound in (1, 2):
+            step_totals.clear()
+            enumerate_corank_oracle(n + k, k, r, bound)
+            totals.append(sum(s.used for s in step_totals))
+        assert totals[0] == totals[1] > 0, (n, k, r)
 
 
 def test_budget_large_enough_changes_nothing():
@@ -578,55 +624,29 @@ def test_square_closed_rows_match_full_tail_filter():
         assert len(leads) <= steps.used <= full * (ambient - q)
 
 
-def _carry_down(rows):
-    """_carried_torsion folded over echelon rows from the last one up, as
-    the scan builds them; the torsion of all the rows."""
-    labels, product, torsion = [0] * len(rows[0]), 1, 1
-    for i in range(len(rows) - 1, -1, -1):
-        q = next(j for j, x in enumerate(rows[i]) if x)
-        torsion, labels, product = _carried_torsion(rows[i:], q, labels,
-                                                    product)
-    return torsion
-
-
-def test_carried_torsion_on_every_scan_prefix(monkeypatch):
-    # every prefix the scan builds, each given its torsion and its labels:
-    # equal columns share a label, and the zero column is labelled 0
-    carried = _carried_torsion
+def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
+    # the fact the scan's leads rest on: every prefix `_closed_extensions`
+    # returns to the scan has a pivot square, so its torsion is its lead
+    # product, and that torsion divides r
+    extensions = _closed_extensions
     seen = []
 
-    def checked(rows, q, labels, product):
-        out = carried(rows, q, labels, product)
-        assert out[0] == intlinalg._echelon_torsion(rows), rows
-        label_of = dict(zip(zip(*rows), out[1]))
-        assert len(label_of) == len(set(out[1])), rows
-        assert label_of.get((0,) * len(rows), 0) == 0, rows
-        seen.append(len(rows))
+    def checked(hnf, pivots, q, leads, ambient, steps):
+        out = extensions(hnf, pivots, q, leads, ambient, steps)
+        for rows in out:
+            assert intlinalg._pivot_square(rows) is not None, rows
+            torsion = intlinalg._echelon_torsion(rows)
+            assert torsion == math.prod(next(x for x in row if x)
+                                        for row in rows), rows
+            assert r % torsion == 0, (rows, r)
+            seen.append(len(rows))
         return out
 
-    monkeypatch.setattr(enumeration, "_carried_torsion", checked)
+    monkeypatch.setattr(enumeration, "_closed_extensions", checked)
     for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
         for bound in (1, 2):
             enumerate_corank_oracle(n + k, k, r, bound)
-    assert len(seen) > 1000 and max(seen) == 3
-
-
-def test_carried_torsion_takes_the_smith_path():
-    # rows with more distinct nonzero columns than rows have no pivot
-    # square, and their torsion is not the lead product
-    rows = [[0, 2, 1, 1], [0, 0, 1, 0]]
-    assert _carry_down(rows) == intlinalg._echelon_torsion(rows) == 1
-    rng = random.Random(1357)
-    differ = 0
-    for _ in range(600):
-        hnf, _, _ = _random_reversed_hermite(rng, rng.randint(3, 6), 4)
-        if not hnf:
-            continue
-        expected = intlinalg._echelon_torsion(hnf)
-        assert _carry_down(hnf) == expected, hnf
-        product = math.prod(next(x for x in row if x) for row in hnf)
-        differ += expected != product
-    assert differ > 20
+    assert len(seen) > 800 and max(seen) == 3
 
 
 # the names each route must not reach: the scan never touches the formula
@@ -644,7 +664,7 @@ def _names_used(func):
 
 
 def test_routes_stay_independent():
-    for func in (_corank_worker, _closed_extensions, _carried_torsion):
+    for func in (_corank_worker, _closed_extensions):
         assert not _names_used(func) & FORMULA_SIDE, func.__name__
     assert not _names_used(_full_rank_worker) & SCAN_SIDE
     # the check reads the bodies it claims to read

@@ -265,6 +265,33 @@ def test_pivot_square_and_echelon_torsion_on_seeded_echelon_rows():
     assert _pivot_square([]) == [] and _echelon_torsion([]) == 1
 
 
+def test_echelon_torsion_without_a_square_takes_the_smith_path():
+    # echelon rows in the reversed frame, entries in later pivot columns
+    # reduced: rows with more distinct nonzero columns than rows have no
+    # pivot square, and their torsion is the Smith product, often not the
+    # lead product
+    rows = [[0, 2, 1, 1], [0, 0, 1, 0]]
+    assert _pivot_square(rows) is None and _echelon_torsion(rows) == 1
+    rng = random.Random(1357)
+    differ = 0
+    for _ in range(600):
+        ambient = rng.randint(3, 6)
+        pivots = sorted(rng.sample(range(ambient), rng.randint(1, ambient)))
+        pivot_value = {c: rng.randint(1, 4) for c in pivots}
+        rows = []
+        for c in pivots:
+            row = [0] * ambient
+            row[c] = pivot_value[c]
+            for j in range(c + 1, ambient):
+                row[j] = rng.randrange(pivot_value.get(j, 5))
+            rows.append(row)
+        torsion = _echelon_torsion(rows)
+        assert torsion == prod(smith_normal_form(rows)), rows
+        if _pivot_square(rows) is None:
+            differ += torsion != prod(pivot_value.values())
+    assert differ > 200
+
+
 def test_snf_invariant_under_row_and_column_swaps():
     rng = random.Random(905)
     for _ in range(100):
