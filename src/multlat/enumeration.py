@@ -6,14 +6,17 @@ prescribed determinant from the last row up, dropping a partial basis as
 soon as its rows are not closed under products. The co-rank route is a
 brute-force scan over the canonical banded bases of `lattice.banded_basis`,
 one per lattice, whose pivots divide the torsion; it never consults the
-closed formula it is later compared against. The verifier pits the two
+closed formula it is later compared against. It builds each banded basis
+in the reversed column frame and lists the lattices with their coordinates
+reversed, which is the same census. The verifier pits the two routes
 against each other cell by cell.
 
 One step, `_closed_extensions`, grows a Hermite basis by one row closed
 under products for both engines; a shard takes its share of the top level's
 extensions by slicing their list. Both engines take each lead from the
 divisors of the index or torsion left over, the last lead being the
-quotient itself, and one `_reverify` checks the output of either.
+quotient itself, and one `_reverify` checks the output of either; the
+verifier re-verifies and splits each witness from one pivot square.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -25,14 +28,14 @@ entries are the exact roots of a quadratic rather than a range scanned.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isqrt
-from typing import Iterable, Optional
+from math import isqrt, prod
+from typing import Iterable, Optional, Sequence
 
 from .intlinalg import _pivot_square
 from .lattice import (
     Lattice,
+    _square_closed,
     is_multiplicative,
-    lattice_from_rows,
     torsion_size,
 )
 from .partitions import (
@@ -302,7 +305,8 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
 
 def _corank_worker(args: tuple[int, int, int, int, int, int]
                    ) -> list[tuple[tuple[int, ...], ...]]:
-    """One shard's share of the census, as canonical banded bases.
+    """One shard's share of the census, as canonical Hermite bases of the
+    reversed lattices.
 
     Rows are built in the reversed column frame, where a banded basis read
     newest row first is an ordinary Hermite basis: the row of level i has
@@ -310,7 +314,9 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. New rows
     come from `_closed_extensions`, the step the full-rank engine takes too;
-    the shard takes every jobs-th first row from the shard-th on.
+    the shard takes every jobs-th first row from the shard-th on. A complete
+    basis, newest row first, is the canonical Hermite basis of rev(L), L
+    with its coordinates reversed, and is returned as built.
 
     Every prefix that `_closed_extensions` returns spans a multiplicative
     lattice, so its Q-span is a subalgebra of Q^m. That subalgebra has no
@@ -323,10 +329,10 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     L, a primitive sublattice of it, so that torsion divides the final
     torsion r. Level i therefore tries as leads only the divisors of the
     torsion left over, r over the lead product so far, and the last level
-    tries that quotient alone, which completes r; no torsion is tested. Off-pivot entries are the integer roots that
-    `_closed_extensions` solves for, at one step per column, so nothing in
-    the scan needs a bound. At co-rank 0 the scan takes the full-rank
-    engine's leads and steps.
+    tries that quotient alone, which completes r; no torsion is tested.
+    Off-pivot entries are the integer roots that `_closed_extensions` solves
+    for, at one step per column, so nothing in the scan needs a bound. At
+    co-rank 0 the scan takes the full-rank engine's leads and steps.
     """
     ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
@@ -349,8 +355,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
                                              steps)]
         for h2, q in rows[start::step]:
             if last:
-                found.append(tuple(tuple(reversed(row))
-                                   for row in reversed(h2)))
+                found.append(tuple(tuple(row) for row in h2))
             else:
                 extend(h2, [q] + pivots, left // h2[0][q])
 
@@ -367,25 +372,36 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     form that `banded_basis` returns, one per lattice: row i ends in a
     positive pivot d_i at column p_i <= i + corank, with p_0 < p_1 < ...; a
     later row's entry in column p_i is reduced into [0, d_i); every other
-    entry left of a pivot must solve x(x - d) = c for the row's pivot d and
-    a c fixed by the entries before it, so it runs over the integer roots,
-    not over a range. Rows 0..i span the lattice cut down to the first
-    p_i + 1 coordinates, a primitive sublattice of it, so a prefix is
-    pruned as soon as it is not multiplicative. A multiplicative prefix has
-    a pivot square, so its torsion is d_0 * ... * d_i, which divides the
-    target: d_i runs over the divisors of torsion / (d_0 * ... * d_(i-1)),
-    and the last pivot is that quotient itself. A lattice found twice is an
-    internal error, and every lattice is re-verified afterwards with the
-    lattice-level routines.
+    entry left of a pivot is an integer root of x(x - d) = c for the row's
+    pivot d and a c fixed by the entries before it. Rows 0..i span the
+    lattice cut down to its first p_i + 1 coordinates, a primitive
+    sublattice of it, so a prefix is pruned as soon as it is not
+    multiplicative. A multiplicative prefix has a pivot square, so its
+    torsion d_0 * ... * d_i divides the target: d_i runs over the divisors
+    of what is left, and the last pivot is that quotient (`_corank_worker`).
 
-    bound_multiplier is validated and otherwise unused: every pivot divides
-    the torsion, so no pivot or entry reaches a bound, and a multiplier
-    changes neither the census nor the work. The budget counts entries
-    tried per worker: a row is built one column at a time and dropped at
-    the first entry that leaves its square outside the span, so every lead,
-    every entry tried in a pivot column and every off-pivot column costs
-    one step. jobs shards the first rows whose square closes, round-robin.
+    The scan's rows are the canonical Hermite basis of rev(L), L with its
+    coordinates reversed, and the census lists those lattices, so no
+    Hermite form is computed. Reversal permutes coordinates, so it is a ring
+    automorphism and its own inverse that keeps rank, torsion and closure
+    under products: it maps the census bijectively onto itself, and the
+    sorted rev(L) are the sorted census. A lattice found twice is an
+    internal error, and every lattice is re-verified (`_reverify`).
+
+    bound_multiplier is validated and otherwise unused: no pivot or entry
+    reaches a bound. The budget counts steps per worker, one per lead, per
+    entry tried in a pivot column and per off-pivot column. jobs shards the
+    first rows whose square closes, round-robin.
     """
+    lats = _census(ambient, corank, torsion, bound_multiplier, jobs=jobs,
+                   budget=budget)
+    _reverify(lats, ambient - corank, torsion)
+    return lats
+
+
+def _census(ambient: int, corank: int, torsion: int, bound_multiplier: int,
+            *, jobs: int, budget: Optional[int]) -> list[Lattice]:
+    """`enumerate_corank_oracle` without its re-verification."""
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
@@ -393,24 +409,44 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     if bound_multiplier < 1:
         raise ValueError("bound_multiplier must be at least 1")
     # rank 0 has nothing to shard: it runs in-process (bad jobs still fail)
-    bases = _run_shards(_corank_worker, (ambient, corank, torsion),
-                        jobs if ambient > corank else min(jobs, 1), budget)
-    lats = sorted((lattice_from_rows(ambient, b) for b in bases),
-                  key=lambda lat: lat.basis)
-    if len(set(lats)) != len(lats):
+    bases = sorted(_run_shards(_corank_worker, (ambient, corank, torsion),
+                               jobs if ambient > corank else min(jobs, 1),
+                               budget))
+    if len(set(bases)) != len(bases):
         raise RuntimeError("internal: scan produced a lattice twice")
-    _reverify(lats, ambient - corank, torsion)
-    return lats
+    return [Lattice(ambient, b) for b in bases]
 
 
 def _reverify(lats: list[Lattice], rank: int, torsion: int) -> None:
     """Post-hoc check of either engine's output, independent of its own math:
     each lattice has the given rank and torsion and is multiplicative."""
     for lat in lats:
-        if lat.rank != rank or not is_multiplicative(lat):
+        _checked_square(lat, rank, torsion)
+
+
+def _checked_square(lat: Lattice, rank: int, torsion: int
+                    ) -> Optional[Sequence[Sequence[int]]]:
+    """An engine's lattice re-verified: its pivot square, or None.
+
+    The square, built once from lat's own basis and never from the engine's
+    data, shows the rank, closure (`_square_closed`) and torsion (its
+    diagonal product). A basis without one goes through `is_multiplicative`
+    and `torsion_size` and gives None. A failed check raises RuntimeError.
+    """
+    if lat.rank != rank:
+        raise RuntimeError("internal: engine produced a bad lattice")
+    square = _pivot_square(lat.basis)
+    if square is None:
+        if not is_multiplicative(lat):
             raise RuntimeError("internal: engine produced a bad lattice")
         if torsion_size(lat) != torsion:
             raise RuntimeError("internal: engine produced a wrong torsion")
+        return None
+    if not _square_closed(square):
+        raise RuntimeError("internal: engine produced a bad lattice")
+    if prod(row[i] for i, row in enumerate(square)) != torsion:
+        raise RuntimeError("internal: engine produced a wrong torsion")
+    return square
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +474,19 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     lat. The pair is unique. g is injective on L and respects products, so
     closure is tested on L. Raises ValueError on non-multiplicative input.
     """
-    pair = _split(lat)
-    if pair is None:
+    square = _pivot_square(lat.basis)
+    if square is None:
         if is_multiplicative(lat):
             raise RuntimeError("internal: column count contradicts the rank")
-    elif is_multiplicative(pair[1]):
-        return pair
+    elif _square_closed(square):
+        return _split(lat, square)
     raise ValueError("lattice is not multiplicative")
 
 
-def _split(lat: Lattice) -> Optional[tuple[AcceptableMap, Lattice]]:
-    """The ordered map and full-rank core of a basis with a pivot square,
-    or None when the basis has none.
+def _split(lat: Lattice, square: Sequence[Sequence[int]]
+           ) -> tuple[AcceptableMap, Lattice]:
+    """The ordered map and full-rank core of a basis, given its pivot square
+    (`intlinalg._pivot_square`).
 
     The core is the square, a canonical Hermite basis in its own right: its
     entries are lat's entries at the pivot columns. The map labels each
@@ -460,9 +497,6 @@ def _split(lat: Lattice) -> Optional[tuple[AcceptableMap, Lattice]]:
     without building a third lattice.
     """
     rank, ambient = lat.rank, lat.ambient_dim
-    square = _pivot_square(lat.basis)
-    if square is None:
-        return None
     position = {col: i for i, col in enumerate(zip(*square), 1)}
     position[(0,) * rank] = 0
     # zip yields no columns at all for the zero lattice: its columns are ()
@@ -492,18 +526,17 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
     return out
 
 
-def _witness_fault(lat: Lattice, r: int) -> Optional[str]:
-    """Why a census lattice of torsion r breaks the factorization, or None.
+def _check_witness(lat: Lattice, rank: int, r: int) -> Optional[str]:
+    """Why a census witness breaks the factorization, or None.
 
-    lat is a census witness, which `_reverify` has proven multiplicative of
-    torsion r, so `_split` is called without `decompose`'s guard. lat must
-    have rigid columns, that is a pivot square, and its core must have index
-    r; `_split` raises unless the pair re-applies to lat.
+    `_checked_square` re-verifies lat and hands its square to `_split`,
+    which raises unless the pair re-applies to lat. lat must have a pivot
+    square (rigid columns), and its core must have index r.
     """
-    pair = _split(lat)
-    if pair is None:
+    square = _checked_square(lat, rank, r)
+    if square is None:
         return "column count differs from rank"
-    _, core = pair
+    _, core = _split(lat, square)
     if torsion_size(core) != r:
         return "core index differs from torsion"
     return None
@@ -517,14 +550,15 @@ def verify_corank_factorization(n: int, k: int, r: int,
     Checks, for the cell (n, k, r): the census count equals
     stirling2(n+k+1, n+1) * count_full_rank(n, r); every censused lattice has
     rigid columns; decomposing and re-applying reproduces it; and its torsion
-    equals the index of its core.
+    equals the index of its core. `_check_witness` re-verifies and splits
+    each witness in one pass.
     """
-    witnesses = enumerate_corank_oracle(n + k, k, r, bound_multiplier,
-                                        jobs=jobs, budget=budget)
+    witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
+                        budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     full_rank_count = count_full_rank(n, r, jobs=jobs, budget=budget)
     formula_count = stirling_factor * full_rank_count
-    faults = sum(_witness_fault(lat, r) is not None for lat in witnesses)
+    faults = sum(_check_witness(lat, n, r) is not None for lat in witnesses)
     return VerificationReport(
         n=n, k=k, r=r,
         oracle_count=len(witnesses),
@@ -547,10 +581,10 @@ def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
     element of the symmetric difference between the census and the
     reconstruction through maps.
     """
-    witnesses = enumerate_corank_oracle(n + k, k, r, bound_multiplier,
-                                        jobs=jobs, budget=budget)
+    witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
+                        budget=budget)
     for lat in witnesses:
-        fault = _witness_fault(lat, r)
+        fault = _check_witness(lat, n, r)
         if fault is not None:
             return lat, fault
     rebuilt = reconstruct_from_factorization(n, k, r, jobs=jobs, budget=budget)

@@ -244,13 +244,23 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     assert "FAILED at n=2 k=1 r=2" in err
 
 
+def _swap_into_census(monkeypatch, lat):
+    # the verifier takes its witnesses from the census before any check
+    census = enumeration._census
+    monkeypatch.setattr(enumeration, "_census",
+                        lambda *a, **kw: [lat] + census(*a, **kw)[1:])
+
+
 def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
     # a lattice without rigid columns swapped into a real census must fail
-    # the cell through the verifier's own checks, not a forced report
+    # the cell through the verifier's own checks, not a forced report; no
+    # multiplicative lattice lacks rigid columns, so this one is accepted
+    # as multiplicative by hand
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
-    census = enumeration.enumerate_corank_oracle
-    monkeypatch.setattr(enumeration, "enumerate_corank_oracle",
-                        lambda *a, **kw: [non_rigid] + census(*a, **kw)[1:])
+    _swap_into_census(monkeypatch, non_rigid)
+    accept = enumeration.is_multiplicative
+    monkeypatch.setattr(enumeration, "is_multiplicative",
+                        lambda lat: lat == non_rigid or accept(lat))
     rc, out, err = run_main(
         capsys,
         ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
@@ -260,6 +270,19 @@ def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
             + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
     assert "reason: column count differs from rank" in err
     assert "FAILED at n=2 k=1 r=2" in err
+
+
+def test_verify_rejects_a_non_multiplicative_witness(capsys, monkeypatch):
+    # a witness that is not closed under products is an engine fault, not
+    # a counterexample: its pivot square fails the re-verification
+    not_closed = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
+    _swap_into_census(monkeypatch, not_closed)
+    rc, out, err = run_main(
+        capsys,
+        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
+    assert rc == 3
+    assert out.splitlines()[1:] == []  # the CSV header, no report
+    assert err == "internal error: engine produced a bad lattice\n"
 
 
 def test_verify_budget_error(capsys):

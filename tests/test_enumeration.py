@@ -38,7 +38,8 @@ from multlat.enumeration import (
     _full_rank_worker,
     _in_span,
     _Steps,
-    _witness_fault,
+    _census,
+    _check_witness,
 )
 from multlat.lattice import (
     Lattice,
@@ -512,18 +513,56 @@ def test_find_counterexample_clean_cells():
     assert find_counterexample(2, 1, 2) is None
 
 
-def test_witness_fault_reasons():
-    # columns (1,0), (2,0), (1,2): three distinct nonzero columns at rank 2
-    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
-    assert _witness_fault(non_rigid, 2) == "column count differs from rank"
+def test_check_witness_from_one_square(monkeypatch):
     # rigid and multiplicative, with a core of index 2
     rigid = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
-    assert is_multiplicative(rigid)
-    assert _witness_fault(rigid, 3) == "core index differs from torsion"
+    # a pivot square that is not closed: (1, 2)^2 = (1, 4) is not in it
+    open_square = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
+    assert intlinalg._pivot_square(open_square.basis) is not None
+    # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    assert intlinalg._pivot_square(non_rigid.basis) is None
+    # each re-verification error, with the square and on the general route
+    with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
+        _check_witness(rigid, 1, 2)
+    with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
+        _check_witness(open_square, 2, 3)
+    with pytest.raises(RuntimeError, match="engine produced a wrong torsion"):
+        _check_witness(rigid, 2, 3)
+    with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
+        _check_witness(non_rigid, 2, 2)
     census = enumerate_corank_oracle(3, 1, 2)
     assert rigid in census
     for lat in census:
-        assert _witness_fault(lat, 2) is None
+        assert _check_witness(lat, 2, 2) is None
+    # the faults: no multiplicative lattice lacks a square, so one is
+    # accepted by hand, and the core's index is misreported by hand
+    accept = enumeration.is_multiplicative
+    monkeypatch.setattr(enumeration, "is_multiplicative",
+                        lambda lat: lat == non_rigid or accept(lat))
+    assert _check_witness(non_rigid, 2, 2) == "column count differs from rank"
+    with pytest.raises(RuntimeError, match="engine produced a wrong torsion"):
+        _check_witness(non_rigid, 2, 4)
+    torsion = enumeration.torsion_size
+    monkeypatch.setattr(enumeration, "torsion_size",
+                        lambda lat: 3 if lat.is_full_rank else torsion(lat))
+    assert _check_witness(rigid, 2, 2) == "core index differs from torsion"
+
+
+def test_census_is_closed_under_reversing_coordinates():
+    # the scan lists each lattice L as rev(L), L with its coordinates
+    # reversed, by the canonical basis its reversed frame builds; read
+    # backwards, rows and columns, that basis is L's banded basis, and the
+    # lattices those bases span are the census again
+    for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (5, 1, 4)]:
+        census = enumerate_corank_oracle(n + k, k, r)
+        back = []
+        for lat in census:
+            rows = tuple(row[::-1] for row in lat.basis[::-1])
+            back.append(lattice_from_rows(n + k, rows))
+            if n + k <= 4:
+                assert banded_basis(back[-1]) == rows, lat.basis
+        assert sorted(back, key=lambda lat: lat.basis) == census, (n, k, r)
 
 
 def test_measured_paths_never_reach_the_general_routines(monkeypatch):
@@ -534,10 +573,13 @@ def test_measured_paths_never_reach_the_general_routines(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
     monkeypatch.setattr(lattice, "solve_in_row_span", refuse)
-    for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
-        for bound in (1, 2):
-            rep = verify_corank_factorization(n, k, r, bound)
-            assert rep.status == "pass", (n, k, r, bound)
+    # nor does verify put any witness into Hermite form
+    with monkeypatch.context() as verify_only:
+        verify_only.setattr(lattice, "hermite_normal_form", refuse)
+        for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
+            for bound in (1, 2):
+                rep = verify_corank_factorization(n, k, r, bound)
+                assert rep.status == "pass", (n, k, r, bound)
     for n in range(5):
         cores = [(1, Lattice(0, ()))] if n == 0 else [
             (r, core) for r in range(1, 9)
@@ -653,7 +695,7 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
 # side, and the full-rank engine never touches the scan
 FORMULA_SIDE = {"stirling2", "count_full_rank", "_full_rank_worker",
                 "decompose", "_split", "apply_map", "enumerate_ordered_maps"}
-SCAN_SIDE = {"_corank_worker", "enumerate_corank_oracle"}
+SCAN_SIDE = {"_corank_worker", "_census", "enumerate_corank_oracle"}
 
 
 def _names_used(func):
@@ -664,7 +706,7 @@ def _names_used(func):
 
 
 def test_routes_stay_independent():
-    for func in (_corank_worker, _closed_extensions):
+    for func in (_corank_worker, _closed_extensions, _census):
         assert not _names_used(func) & FORMULA_SIDE, func.__name__
     assert not _names_used(_full_rank_worker) & SCAN_SIDE
     # the check reads the bodies it claims to read
