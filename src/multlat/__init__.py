@@ -16,7 +16,7 @@ cache never loads the engines.
 
 from importlib import import_module
 
-ENGINE_VERSION = "0.2.0"
+ENGINE_VERSION = "0.3.0"
 
 __version__ = ENGINE_VERSION
 

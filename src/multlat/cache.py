@@ -1,14 +1,14 @@
 """Append-only JSON-lines store for counting results, and their record type.
 
 One file, one JSON object per line, an in-memory index on top. Entries are
-keyed by (n, k, r, method, engine_version, bound_multiplier), so bumping
-the engine version silently invalidates everything older: stale entries stay
-in the file but can never be returned. A co-rank census count is only served
-to a request under the bound multiplier it was taken with; a line without
-that field reads as multiplier 1. Malformed lines (torn writes, manual
-edits, a count or key field that is not a JSON integer, a negative count)
-are skipped with a warning instead of poisoning the run: a count served
-from here reaches stdout without any engine running.
+keyed by (n, k, r, method, engine_version), so bumping the engine version
+silently invalidates everything older: stale entries stay in the file but
+can never be returned. That is how the lines of engine 0.2.0 and earlier,
+which also recorded a census bound multiplier, are left behind. Malformed
+lines (torn writes, manual edits, bytes that are not UTF-8, a count or key
+field that is not a JSON integer, a negative count) are skipped with a
+warning instead of poisoning the run: a count served from here reaches
+stdout without any engine running.
 
 The module imports nothing from the counting engines, so a command whose
 counts all come from the cache never loads them.
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from . import ENGINE_VERSION
 
-CacheKey = tuple[int, int, int, str, str, int]
+CacheKey = tuple[int, int, int, str, str]
 
 
 class _CountFields(NamedTuple):
@@ -34,21 +34,20 @@ class _CountFields(NamedTuple):
     count: int
     method: str
     engine_version: str
-    bound_multiplier: int = 1
 
 
 class CountRecord(_CountFields):
     """One counting result: method is 'oracle', 'formula' or 'unital'.
 
-    bound_multiplier is the census bound a co-rank oracle count (k > 0) was
-    taken under; the command line records 1 for every other count, which
-    does not depend on it. Records are immutable and validated on creation.
+    No search bound is recorded: every pivot the co-rank census tries
+    divides the torsion, so no bound changes a count. Records are immutable
+    and validated on creation.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, r: int, count: int, method: str,
-                engine_version: str, bound_multiplier: int = 1) -> CountRecord:
+                engine_version: str) -> CountRecord:
         if method not in ("oracle", "formula", "unital"):
             raise ValueError(f"unknown method {method!r}")
         if r < 1:
@@ -57,10 +56,7 @@ class CountRecord(_CountFields):
             raise ValueError("count must be nonnegative")
         if k == 0 and method == "formula":
             raise ValueError("full-rank records are counted directly, not by formula")
-        if bound_multiplier < 1:
-            raise ValueError("bound multiplier must be at least 1")
-        return super().__new__(cls, n, k, r, count, method, engine_version,
-                               bound_multiplier)
+        return super().__new__(cls, n, k, r, count, method, engine_version)
 
 
 class CacheConflict(RuntimeError):
@@ -78,13 +74,14 @@ class CountCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    data = json.loads(line)
+                    # a UnicodeDecodeError is a ValueError: the line alone
+                    # is skipped
+                    data = json.loads(line.decode("utf-8"))
                     key = self._key_of(data)
                     str(data["created_at"])
                 except (ValueError, KeyError, TypeError) as exc:
@@ -98,33 +95,30 @@ class CountCache:
 
     @staticmethod
     def _key_of(data: dict) -> CacheKey:
-        """The key of a stored line; ValueError unless n, k, r, count and
-        bound_multiplier are JSON integers (no float, no bool) and the count
-        is nonnegative."""
+        """The key of a stored line; ValueError unless n, k, r and count are
+        JSON integers (no float, no bool) and the count is nonnegative."""
         n, k, r, count = data["n"], data["k"], data["r"], data["count"]
-        bound = data.get("bound_multiplier", 1)
-        for value in (n, k, r, count, bound):
+        for value in (n, k, r, count):
             if type(value) is not int:
                 raise ValueError(f"not an integer: {value!r}")
         if count < 0:
             raise ValueError(f"negative count {count}")
-        return (n, k, r, str(data["method"]), str(data["engine_version"]),
-                bound)
+        return (n, k, r, str(data["method"]), str(data["engine_version"]))
+
+    def _entry(self, n: int, k: int, r: int, method: str,
+               engine_version: str, field: str):
+        data = self._index.get((n, k, r, method, engine_version))
+        return None if data is None else data[field]
 
     def get(self, n: int, k: int, r: int, method: str,
-            engine_version: str = ENGINE_VERSION,
-            bound_multiplier: int = 1) -> Optional[int]:
-        data = self._index.get((n, k, r, method, engine_version,
-                                bound_multiplier))
-        return None if data is None else data["count"]
+            engine_version: str = ENGINE_VERSION) -> Optional[int]:
+        return self._entry(n, k, r, method, engine_version, "count")
 
     def created_at(self, n: int, k: int, r: int, method: str,
-                   engine_version: str = ENGINE_VERSION,
-                   bound_multiplier: int = 1) -> Optional[str]:
+                   engine_version: str = ENGINE_VERSION) -> Optional[str]:
         """Timestamp of the stored entry; how invalidation is observed."""
-        data = self._index.get((n, k, r, method, engine_version,
-                                bound_multiplier))
-        return None if data is None else str(data["created_at"])
+        created = self._entry(n, k, r, method, engine_version, "created_at")
+        return None if created is None else str(created)
 
     def put(self, record: CountRecord) -> None:
         """Append one record. Existing keys are immutable: a matching entry
@@ -133,7 +127,7 @@ class CountCache:
         from datetime import datetime, timezone
 
         key = (record.n, record.k, record.r, record.method,
-               record.engine_version, record.bound_multiplier)
+               record.engine_version)
         old = self._index.get(key)
         if old is not None:
             if old["count"] != record.count:
@@ -147,7 +141,6 @@ class CountCache:
             "r": record.r,
             "method": record.method,
             "engine_version": record.engine_version,
-            "bound_multiplier": record.bound_multiplier,
             "count": record.count,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }

@@ -7,8 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
 cache-conflict error, 3 internal error (a self-check of the engines failed,
 which is a bug, not a verdict on the formula). A subcommand takes only the
 options it reads: all take --format, all but partitions --jobs and --budget,
-all but partitions and series --cache, count-corank and verify
---bound-multiplier. Any other option, a --jobs, --bound-multiplier or
+all but partitions and series --cache. Any other option, a --jobs or
 --budget below 1, an --r or --torsion range reaching below 1, and an --n or
 --k range reaching below 0 are rejected while the arguments are parsed
 (exit 2), before anything is written to stdout.
@@ -57,7 +56,7 @@ _positive_range = partial(_parse_range, least=1)
 
 
 def _positive(text: str) -> int:
-    """A count of jobs, steps or a multiplier: an integer at least 1."""
+    """A count of jobs or steps: an integer at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -110,12 +109,6 @@ def _emit_rows(fmt: str, header: Sequence[str], rows: Sequence[Sequence],
 _COUNT_HEADER = ("n", "k", "r", "method", "count", "status")
 
 
-def _cache_bound(k: int, method: str, args) -> int:
-    """The bound multiplier a count is cached under: only co-rank census
-    counts (k > 0, so never a `count` cell) read --bound-multiplier."""
-    return args.bound_multiplier if k > 0 and method == "oracle" else 1
-
-
 def _count(engine, n: int, k: int, r: int, method: str, args) -> int:
     """One count cell, computed by engine, the `enumeration` module."""
     run = {"jobs": args.jobs, "budget": args.budget}
@@ -125,8 +118,7 @@ def _count(engine, n: int, k: int, r: int, method: str, args) -> int:
         return engine.count_corank_formula(n, k, r, **run)
     if k == 0:
         return engine.count_full_rank(n, r, **run)
-    return len(engine.enumerate_corank_oracle(n + k, k, r,
-                                              args.bound_multiplier, **run))
+    return len(engine.enumerate_corank_oracle(n + k, k, r, **run))
 
 
 def _count_cells(cells, args) -> int:
@@ -137,9 +129,7 @@ def _count_cells(cells, args) -> int:
     incomplete = 0
     t0 = time.monotonic()
     for n, k, r, method in cells:
-        bound = _cache_bound(k, method, args)
-        cached = (cache.get(n, k, r, method, bound_multiplier=bound)
-                  if cache else None)
+        cached = cache.get(n, k, r, method) if cache else None
         if cached is not None:
             rows.append((n, k, r, method, cached, "ok"))
             continue
@@ -152,8 +142,7 @@ def _count_cells(cells, args) -> int:
             continue
         rows.append((n, k, r, method, value, "ok"))
         if cache is not None:
-            cache.put(CountRecord(n, k, r, value, method, ENGINE_VERSION,
-                                  bound))
+            cache.put(CountRecord(n, k, r, value, method, ENGINE_VERSION))
     _emit_rows(args.format or "table", _COUNT_HEADER, rows, sys.stdout)
     print(f"{len(rows)} cells, {incomplete} incomplete, "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
@@ -198,20 +187,18 @@ def _cmd_verify(args) -> int:
         for k in args.k:
             for r in args.r:
                 report = enumeration.verify_corank_factorization(
-                    n, k, r, args.bound_multiplier, jobs=args.jobs,
-                    budget=args.budget)
+                    n, k, r, jobs=args.jobs, budget=args.budget)
                 cells += 1
                 data = report.as_dict()
                 write([data[h] for h in _VERIFY_HEADER])
                 sys.stdout.flush()
                 if cache is not None:
                     cache.put(CountRecord(
-                        n, k, r, report.oracle_count, "oracle", ENGINE_VERSION,
-                        _cache_bound(k, "oracle", args)))
+                        n, k, r, report.oracle_count, "oracle",
+                        ENGINE_VERSION))
                 if report.status != "pass":
                     found = enumeration.find_counterexample(
-                        n, k, r, args.bound_multiplier, jobs=args.jobs,
-                        budget=args.budget)
+                        n, k, r, jobs=args.jobs, budget=args.budget)
                     if found is not None:
                         lattice, reason = found
                         print("counterexample: "
@@ -313,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "entries and off-pivot columns of the co-rank "
                              "scan, pivots and entries tried by the "
                              "full-rank engine")
-    bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--bound-multiplier", type=_positive, default=1,
-                       metavar="M",
-                       help="bound multiplier (default 1); every pivot "
-                            "divides the torsion, so M changes neither the "
-                            "census nor the work, and is kept as part of "
-                            "the cache key")
 
     parser = argparse.ArgumentParser(
         prog="multlat",
@@ -338,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "only those containing the all-ones vector")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("count-corank", parents=[cache, engine, fmt, bound],
+    p = sub.add_parser("count-corank", parents=[cache, engine, fmt],
                        help="co-rank counts by ambient, co-rank and torsion")
     p.add_argument("--ambient", type=int, required=True)
     p.add_argument("--corank", type=int, required=True)
@@ -350,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "times the full-rank count")
     p.set_defaults(func=_cmd_count_corank)
 
-    p = sub.add_parser("verify", parents=[cache, engine, fmt, bound],
+    p = sub.add_parser("verify", parents=[cache, engine, fmt],
                        help="pit the census against the closed formula")
     p.add_argument("--n", type=_parse_range, required=True, metavar="RANGE")
     p.add_argument("--k", type=_parse_range, required=True, metavar="RANGE")

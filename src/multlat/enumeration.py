@@ -389,9 +389,12 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     internal error, and every lattice is re-verified (`_reverify`).
 
     bound_multiplier is validated and otherwise unused: no pivot or entry
-    reaches a bound. The budget counts steps per worker, one per lead, per
-    entry tried in a pivot column and per off-pivot column. jobs shards the
-    first rows whose square closes, round-robin.
+    reaches a bound. It stays a parameter here and in the verifier only for
+    callers that pass one, the campaign benchmark (`perfbench/worker.py`,
+    bounds 1 and 2) among them; the command line and the count cache take
+    none. The budget counts steps per worker, one per lead, per entry tried
+    in a pivot column and per off-pivot column. jobs shards the first rows
+    whose square closes, round-robin.
     """
     lats = _census(ambient, corank, torsion, bound_multiplier, jobs=jobs,
                    budget=budget)
@@ -531,14 +534,14 @@ def _check_witness(lat: Lattice, rank: int, r: int) -> Optional[str]:
 
     `_checked_square` re-verifies lat and hands its square to `_split`,
     which raises unless the pair re-applies to lat. lat must have a pivot
-    square (rigid columns), and its core must have index r.
+    square (rigid columns). The core is that square, a full-rank Hermite
+    basis whose index is its diagonal product, which `_checked_square` has
+    just compared with r, so the core's index is r.
     """
     square = _checked_square(lat, rank, r)
     if square is None:
         return "column count differs from rank"
-    _, core = _split(lat, square)
-    if torsion_size(core) != r:
-        return "core index differs from torsion"
+    _split(lat, square)
     return None
 
 
@@ -550,8 +553,9 @@ def verify_corank_factorization(n: int, k: int, r: int,
     Checks, for the cell (n, k, r): the census count equals
     stirling2(n+k+1, n+1) * count_full_rank(n, r); every censused lattice has
     rigid columns; decomposing and re-applying reproduces it; and its torsion
-    equals the index of its core. `_check_witness` re-verifies and splits
-    each witness in one pass.
+    equals the index of its core, both being its pivot square's diagonal
+    product. `_check_witness` re-verifies and splits each witness in one
+    pass.
     """
     witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
                         budget=budget)

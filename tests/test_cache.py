@@ -68,16 +68,25 @@ def test_engine_version_is_part_of_the_key(tmp_path):
     assert cache.get(2, 1, 3, "oracle") == 18
 
 
-def test_bound_multiplier_is_part_of_the_key(tmp_path):
+def test_lines_that_carry_a_bound_multiplier_are_left_behind(tmp_path):
+    # engine 0.2.0 also keyed each line by the census bound multiplier; the
+    # version bump leaves its lines, under either multiplier, unserved and
+    # untouched, and a fresh line records no multiplier
     path = tmp_path / "counts.jsonl"
+    old = {"n": 2, "k": 1, "r": 3, "method": "oracle",
+           "engine_version": "0.2.0", "count": 18,
+           "created_at": "2026-01-01T00:00:00+00:00"}
+    text = "".join(json.dumps({**old, "bound_multiplier": bound}) + "\n"
+                   for bound in (1, 2))
+    path.write_text(text)
     cache = CountCache(path)
-    cache.put(CountRecord(3, 1, 4, 130, "oracle", ENGINE_VERSION, 2))
-    assert cache.get(3, 1, 4, "oracle") is None
-    assert cache.get(3, 1, 4, "oracle", bound_multiplier=2) == 130
-    assert json.loads(path.read_text())["bound_multiplier"] == 2
-    fresh = CountCache(path)
-    assert fresh.get(3, 1, 4, "oracle") is None
-    assert fresh.get(3, 1, 4, "oracle", bound_multiplier=2) == 130
+    assert cache.get(2, 1, 3, "oracle") is None
+    cache.put(rec())
+    assert path.read_text().startswith(text)
+    new = json.loads(path.read_text().splitlines()[-1])
+    assert "bound_multiplier" not in new
+    assert new["engine_version"] == ENGINE_VERSION
+    assert CountCache(path).get(2, 1, 3, "oracle") == 18
 
 
 def test_created_at_distinguishes_old_and_new(tmp_path):
@@ -104,9 +113,7 @@ def test_malformed_lines_are_skipped(tmp_path, capsys):
            {**good, "r": 4, "count": "18"},
            {**good, "r": 4.0},
            {**good, "n": True},
-           {**good, "k": "1"},
-           {**good, "r": 4, "bound_multiplier": 1.0},
-           {**good, "r": 4, "bound_multiplier": False}]
+           {**good, "k": "1"}]
     path.write_text(
         "not json at all\n"
         + json.dumps(good) + "\n"

@@ -381,34 +381,21 @@ def test_cache_conflict_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_cache_does_not_serve_another_bound(tmp_path, capsys):
-    cache = str(tmp_path / "counts.jsonl")
-    argv = ["count-corank", "--ambient", "3", "--corank", "1", "--torsion",
-            "4", "--cache", cache, "--format", "csv"]
-    rc, out, _ = run_main(capsys, argv + ["--bound-multiplier", "2"])
+def test_cache_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    cache = tmp_path / "counts.jsonl"
+    # a count no engine gives, so the row shows the line was served
+    good = {"n": 1, "k": 0, "r": 1, "method": "oracle",
+            "engine_version": ENGINE_VERSION, "count": 7,
+            "created_at": "2026-01-01T00:00:00+00:00"}
+    cache.write_bytes(b"\xff\xfe garbage\n" + json.dumps(good).encode()
+                      + b"\n")
+    rc, out, err = run_main(
+        capsys, ["count", "--n", "1", "--r", "1", "--cache", str(cache),
+                 "--format", "csv"])
     assert rc == 0
-    assert out.splitlines()[1] == "2,1,4,oracle,24,ok"
-    # a bound-1 request must recompute, so this budget makes it incomplete
-    rc, out, _ = run_main(
-        capsys, argv + ["--bound-multiplier", "1", "--budget", "1"])
-    assert rc == 2
-    assert out.splitlines()[1] == "2,1,4,oracle,,incomplete"
-    # the bound-2 count is still served under bound 2
-    rc, out, _ = run_main(
-        capsys, argv + ["--bound-multiplier", "2", "--budget", "1"])
-    assert rc == 0
-    assert out.splitlines()[1] == "2,1,4,oracle,24,ok"
-
-
-def test_formula_counts_are_cached_under_every_bound(tmp_path, capsys):
-    cache = str(tmp_path / "counts.jsonl")
-    argv = ["count-corank", "--ambient", "3", "--corank", "1", "--torsion",
-            "2", "--method", "formula", "--cache", cache, "--format", "csv"]
-    run_main(capsys, argv)
-    rc, out, _ = run_main(capsys, argv + ["--bound-multiplier", "3"])
-    assert rc == 0
-    assert out.splitlines()[1] == "2,1,2,formula,18,ok"
-    assert len((tmp_path / "counts.jsonl").read_text().splitlines()) == 1
+    assert out.splitlines()[1] == "1,0,1,oracle,7,ok"
+    assert err.count("skipping unreadable line") == 1
+    assert "line 1 " in err
 
 
 # ----------------------------------------------------------- internal errors
@@ -545,11 +532,12 @@ _VALID_ARGV = {
 # the value-checked options each subcommand takes, as the cli docstring lists
 _COUNT_OPTIONS = {
     "count": ("--jobs", "--budget"),
-    "count-corank": ("--jobs", "--bound-multiplier", "--budget"),
-    "verify": ("--jobs", "--bound-multiplier", "--budget"),
+    "count-corank": ("--jobs", "--budget"),
+    "verify": ("--jobs", "--budget"),
     "partitions": (),
     "series": ("--jobs", "--budget"),
 }
+# --bound-multiplier is taken by none: every pivot divides the torsion
 _COUNT_FLAGS = ("--jobs", "--bound-multiplier", "--budget")
 
 
@@ -585,11 +573,13 @@ def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv,
 
 
 def test_options_a_subcommand_never_reads_exit_two(tmp_path, capsys):
-    # each of these used to be accepted and ignored
+    # each of these used to be accepted and ignored, or read to no effect
     cache = tmp_path / "counts.jsonl"
     for argv in (_VALID_ARGV["series"] + ["--cache", str(cache)],
                  _VALID_ARGV["partitions"] + ["--jobs", "2"],
-                 _VALID_ARGV["count"] + ["--bound-multiplier", "2"]):
+                 *(_VALID_ARGV[cmd] + ["--cache", str(cache),
+                                       "--bound-multiplier", "2"]
+                   for cmd in ("count", "count-corank", "verify"))):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv

@@ -227,6 +227,46 @@ def test_corank_scan_stable_under_wider_bound():
         assert narrow == wide, (ambient, corank, torsion)
 
 
+def _scan_by_smith_torsion(ambient, corank, torsion, bound):
+    """The census's bases from every lead in [1, bound] at every level.
+
+    The scan's own step and lead columns, but none of its premises: no
+    lead is pruned by the torsion left over, the last level is not given
+    the quotient, and a complete basis is kept when the product of its
+    nonzero Smith invariants, not of its leads, is the torsion.
+    """
+    n = ambient - corank
+    found = []
+    steps = _Steps(10 ** 9)
+
+    def extend(hnf, pivots):
+        if len(hnf) == n:
+            if math.prod(d for d in intlinalg.smith_normal_form(hnf)
+                         if d) == torsion:
+                found.append(tuple(tuple(row) for row in hnf))
+            return
+        for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
+            for h2 in _closed_extensions(hnf, pivots, q, range(1, bound + 1),
+                                         ambient, steps):
+                extend(h2, [q] + pivots)
+
+    extend([], [])
+    return sorted(found)
+
+
+def test_corank_scan_needs_no_pivot_square_premise():
+    # the scan tries only divisors of the torsion left over because a
+    # closed prefix has a pivot square, the premise the formula rests on
+    # too; a scan without it, with every pivot up to r and up to 2r, finds
+    # the same bases on every campaign cell, so no pivot above r is missed
+    for n, k, r in CAMPAIGN_CELLS:
+        census = [lat.basis
+                  for lat in _census(n + k, k, r, 1, jobs=1, budget=None)]
+        for bound in (r, 2 * r):
+            assert _scan_by_smith_torsion(n + k, k, r, bound) == census, \
+                (n, k, r, bound)
+
+
 def test_corank_scan_jobs_split_agrees():
     for cell in ((3, 1, 3), (4, 2, 2)):
         ambient, corank, torsion = cell
@@ -399,17 +439,10 @@ def test_count_corank_formula_honours_jobs_and_budget():
         count_corank_formula(3, 1, 8, budget=5)
 
 
-def test_count_record_bound_multiplier():
-    assert CountRecord(2, 1, 3, 18, "oracle", "0.1.0").bound_multiplier == 1
-    assert CountRecord(2, 1, 3, 18, "oracle", "0.1.0", 2).bound_multiplier == 2
-    with pytest.raises(ValueError):
-        CountRecord(2, 1, 3, 18, "oracle", "0.1.0", 0)
-
-
 def test_count_record_validation():
     record = CountRecord(2, 1, 3, 18, "oracle", "0.1.0")
     assert record == CountRecord(n=2, k=1, r=3, count=18, method="oracle",
-                                 engine_version="0.1.0", bound_multiplier=1)
+                                 engine_version="0.1.0")
     with pytest.raises(AttributeError):
         record.count = 19
     with pytest.raises(ValueError):
@@ -535,18 +568,14 @@ def test_check_witness_from_one_square(monkeypatch):
     assert rigid in census
     for lat in census:
         assert _check_witness(lat, 2, 2) is None
-    # the faults: no multiplicative lattice lacks a square, so one is
-    # accepted by hand, and the core's index is misreported by hand
+    # the fault: no multiplicative lattice lacks a square, so one is
+    # accepted by hand
     accept = enumeration.is_multiplicative
     monkeypatch.setattr(enumeration, "is_multiplicative",
                         lambda lat: lat == non_rigid or accept(lat))
     assert _check_witness(non_rigid, 2, 2) == "column count differs from rank"
     with pytest.raises(RuntimeError, match="engine produced a wrong torsion"):
         _check_witness(non_rigid, 2, 4)
-    torsion = enumeration.torsion_size
-    monkeypatch.setattr(enumeration, "torsion_size",
-                        lambda lat: 3 if lat.is_full_rank else torsion(lat))
-    assert _check_witness(rigid, 2, 2) == "core index differs from torsion"
 
 
 def test_census_is_closed_under_reversing_coordinates():

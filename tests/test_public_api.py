@@ -60,3 +60,12 @@ def test_every_exported_name_resolves():
     assert set(multlat.__all__) <= set(dir(multlat))
     with pytest.raises(AttributeError):
         multlat.no_such_name
+
+
+def test_project_version_is_the_package_version():
+    # read with a regex: Python 3.10, which pyproject.toml allows, has no
+    # tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == multlat.__version__
