@@ -6,7 +6,7 @@ silently invalidates everything older: stale entries stay in the file but
 can never be returned. That is how the lines of engine 0.2.0 and earlier,
 which also recorded a census bound multiplier, are left behind. Malformed
 lines (torn writes, manual edits, bytes that are not UTF-8, a count or key
-field that is not a JSON integer, a negative count) are skipped with a
+field that is not a JSON integer or is out of range) are skipped with a
 warning instead of poisoning the run: a count served from here reaches
 stdout without any engine running.
 
@@ -25,6 +25,21 @@ from typing import NamedTuple, Optional
 from . import ENGINE_VERSION
 
 CacheKey = tuple[int, int, int, str, str]
+
+
+def _check_fields(n: int, k: int, r: int, count: int) -> None:
+    """ValueError unless n, k, r and count are integers (no float, no bool)
+    with n >= 0, k >= 0, r >= 1 and count >= 0: one rule for the records
+    `put` writes and the lines `_load` serves."""
+    for value in (n, k, r, count):
+        if type(value) is not int:
+            raise ValueError(f"not an integer: {value!r}")
+    if n < 0 or k < 0:
+        raise ValueError(f"negative dimension n={n}, k={k}")
+    if r < 1:
+        raise ValueError("torsion size must be at least 1")
+    if count < 0:
+        raise ValueError(f"negative count {count}")
 
 
 class _CountFields(NamedTuple):
@@ -50,10 +65,7 @@ class CountRecord(_CountFields):
                 engine_version: str) -> CountRecord:
         if method not in ("oracle", "formula", "unital"):
             raise ValueError(f"unknown method {method!r}")
-        if r < 1:
-            raise ValueError("torsion size must be at least 1")
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        _check_fields(n, k, r, count)
         if k == 0 and method == "formula":
             raise ValueError("full-rank records are counted directly, not by formula")
         return super().__new__(cls, n, k, r, count, method, engine_version)
@@ -95,14 +107,10 @@ class CountCache:
 
     @staticmethod
     def _key_of(data: dict) -> CacheKey:
-        """The key of a stored line; ValueError unless n, k, r and count are
-        JSON integers (no float, no bool) and the count is nonnegative."""
-        n, k, r, count = data["n"], data["k"], data["r"], data["count"]
-        for value in (n, k, r, count):
-            if type(value) is not int:
-                raise ValueError(f"not an integer: {value!r}")
-        if count < 0:
-            raise ValueError(f"negative count {count}")
+        """The key of a stored line; ValueError unless its n, k, r and count
+        pass `_check_fields`."""
+        n, k, r = data["n"], data["k"], data["r"]
+        _check_fields(n, k, r, data["count"])
         return (n, k, r, str(data["method"]), str(data["engine_version"]))
 
     def _entry(self, n: int, k: int, r: int, method: str,

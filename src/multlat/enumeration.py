@@ -15,8 +15,11 @@ One step, `_closed_extensions`, grows a Hermite basis by one row closed
 under products for both engines; a shard takes its share of the top level's
 extensions by slicing their list. Both engines take each lead from the
 divisors of the index or torsion left over, the last lead being the
-quotient itself, and one `_reverify` checks the output of either; the
-verifier re-verifies and splits each witness from one pivot square.
+quotient itself, and one `_reverify` checks the output of either. The
+verifier makes one pass over the census (`_witness_faults`): it re-verifies
+and splits the first witness of each pivot square in full, and checks every
+later witness of that square by its own map carried back to the stored
+core.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import isqrt, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .intlinalg import _pivot_square
 from .lattice import (
@@ -493,22 +496,40 @@ def _split(lat: Lattice, square: Sequence[Sequence[int]]
 
     The core is the square, a canonical Hermite basis in its own right: its
     entries are lat's entries at the pivot columns. The map labels each
-    column of lat by its position among the square's columns, 1, 2, ..., and
-    the zero column by 0. The re-application is checked on rows: the core
-    rows carried through the map must be lat's basis. Both are canonical
-    Hermite bases, so this is the same test as apply_map(g, core) == lat
-    without building a third lattice.
+    column of lat by its position among the square's columns (`_core`) and
+    is checked by re-application (`_place`).
     """
-    rank, ambient = lat.rank, lat.ambient_dim
+    core, position = _core(square, lat.rank)
+    return _place(lat, _columns(lat), core, position), core
+
+
+def _core(square: Sequence[Sequence[int]], rank: int
+          ) -> tuple[Lattice, dict[tuple[int, ...], int]]:
+    """The core a pivot square spans, and the label of each of its columns:
+    1, 2, ... in order, and 0 for the zero column."""
     position = {col: i for i, col in enumerate(zip(*square), 1)}
     position[(0,) * rank] = 0
-    # zip yields no columns at all for the zero lattice: its columns are ()
-    columns = zip(*lat.basis) if rank else [()] * ambient
-    g = AcceptableMap(rank, ambient, tuple([position[col] for col in columns]))
-    core = Lattice(rank, tuple(square))
+    return Lattice(rank, tuple(square)), position
+
+
+def _columns(lat: Lattice) -> list[tuple[int, ...]]:
+    """The columns of lat's basis; zip yields none at all for the zero
+    lattice, whose columns are ()."""
+    return list(zip(*lat.basis)) if lat.rank else [()] * lat.ambient_dim
+
+
+def _place(lat: Lattice, columns: list[tuple[int, ...]], core: Lattice,
+           position: dict[tuple[int, ...], int]) -> AcceptableMap:
+    """The ordered map that labels lat's columns by position, checked by
+    re-application on rows: the core rows carried through the map must be
+    lat's basis. Both are canonical Hermite bases, so this is the same test
+    as apply_map(g, core) == lat without building a third lattice.
+    """
+    g = AcceptableMap(lat.rank, lat.ambient_dim,
+                      tuple([position[col] for col in columns]))
     if _transport_rows(g, core.basis) != lat.basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
-    return g, core
+    return g
 
 
 def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
@@ -532,17 +553,50 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
 def _check_witness(lat: Lattice, rank: int, r: int) -> Optional[str]:
     """Why a census witness breaks the factorization, or None.
 
-    `_checked_square` re-verifies lat and hands its square to `_split`,
-    which raises unless the pair re-applies to lat. lat must have a pivot
-    square (rigid columns). The core is that square, a full-rank Hermite
+    `_checked_square` re-verifies lat and raises RuntimeError if it has the
+    wrong rank, is not closed under products or has the wrong torsion. A
+    basis without a pivot square (no rigid columns) that passes those
+    checks gives "column count differs from rank". Otherwise the square is
+    split into core and map (`_core`, `_place`), which raises unless the
+    pair re-applies to lat. The core is that square, a full-rank Hermite
     basis whose index is its diagonal product, which `_checked_square` has
-    just compared with r, so the core's index is r.
+    just compared with r, so the core's index is r. This is
+    `_witness_faults` on lat alone.
     """
-    square = _checked_square(lat, rank, r)
-    if square is None:
-        return "column count differs from rank"
-    _split(lat, square)
-    return None
+    return next(_witness_faults([lat], rank, r))
+
+
+def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
+                    ) -> Iterator[Optional[str]]:
+    """Each witness's fault (`_check_witness`), in order, checked once per
+    core.
+
+    A witness is keyed by its distinct nonzero columns in order of first
+    use, which for a rigid basis are its pivot square's columns. The first
+    witness of a key is checked in full: `_checked_square`, then the split
+    into core and map. A key with a pivot square keeps its core and column
+    labels (`_core`) for the rest of the call. A later witness of that key has the same square, so the same
+    rank (the height of its columns), closure verdict and diagonal product;
+    its own map, built from its own columns and validated, must still carry
+    the stored core back to its basis (`_place`). A key without a square
+    keeps nothing. The cores live for this call only.
+    """
+    cores: dict[tuple[tuple[int, ...], ...],
+                tuple[Lattice, dict[tuple[int, ...], int]]] = {}
+    for lat in witnesses:
+        columns = _columns(lat)
+        distinct = dict.fromkeys(columns)
+        distinct.pop((0,) * lat.rank, None)
+        key = tuple(distinct)
+        known = cores.get(key)
+        if known is None:
+            square = _checked_square(lat, rank, r)
+            if square is None:
+                yield "column count differs from rank"
+                continue
+            known = cores[key] = _core(square, rank)
+        _place(lat, columns, *known)
+        yield None
 
 
 def verify_corank_factorization(n: int, k: int, r: int,
@@ -554,15 +608,20 @@ def verify_corank_factorization(n: int, k: int, r: int,
     stirling2(n+k+1, n+1) * count_full_rank(n, r); every censused lattice has
     rigid columns; decomposing and re-applying reproduces it; and its torsion
     equals the index of its core, both being its pivot square's diagonal
-    product. `_check_witness` re-verifies and splits each witness in one
-    pass.
+    product. One pass over the census (`_witness_faults`) does this once per
+    core: witnesses with the same distinct nonzero columns share a pivot
+    square, so closure and torsion are tested on the first of them, and
+    each witness's own map is still built, validated and re-applied to the
+    core. When the factorization holds there is one core per full-rank
+    lattice of index r.
     """
     witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
                         budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     full_rank_count = count_full_rank(n, r, jobs=jobs, budget=budget)
     formula_count = stirling_factor * full_rank_count
-    faults = sum(_check_witness(lat, n, r) is not None for lat in witnesses)
+    faults = sum(fault is not None
+                 for fault in _witness_faults(witnesses, n, r))
     return VerificationReport(
         n=n, k=k, r=r,
         oracle_count=len(witnesses),
@@ -587,8 +646,7 @@ def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
     """
     witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
                         budget=budget)
-    for lat in witnesses:
-        fault = _check_witness(lat, n, r)
+    for lat, fault in zip(witnesses, _witness_faults(witnesses, n, r)):
         if fault is not None:
             return lat, fault
     rebuilt = reconstruct_from_factorization(n, k, r, jobs=jobs, budget=budget)

@@ -172,3 +172,38 @@ def test_two_writers_append_without_losing_lines(tmp_path):
     for r in range(1, 7):
         assert fresh.get(2, 1, r, "oracle") == 10 + r
     assert len(path.read_text().splitlines()) == 6
+
+
+@pytest.mark.parametrize("fields", [
+    dict(n=-1), dict(k=-2), dict(r=0), dict(count=-1),
+    dict(n=1.5), dict(k=1.0), dict(r=3.0), dict(count=18.0),
+    dict(n=True), dict(k=False), dict(r=True), dict(count=True),
+    dict(count="18"),
+])
+def test_count_record_validates_what_the_loader_validates(tmp_path, capsys,
+                                                          fields):
+    # a record put() could write must be one _load() serves again: each bad
+    # record is refused on creation, and the same fields written as a line
+    # are skipped on load
+    with pytest.raises(ValueError):
+        rec(**fields)
+    path = tmp_path / "counts.jsonl"
+    line = {"n": 2, "k": 1, "r": 3, "method": "oracle",
+            "engine_version": ENGINE_VERSION, "count": 18,
+            "created_at": "2026-01-01T00:00:00+00:00", **fields}
+    path.write_text(json.dumps(line) + "\n")
+    assert len(CountCache(path)) == 0
+    assert capsys.readouterr().err.count("skipping unreadable line") == 1
+
+
+@pytest.mark.parametrize("fields", [
+    dict(), dict(n=0, k=0, r=1, count=1, method="unital"),
+    dict(n=0, k=3, r=1, count=1), dict(count=0),
+])
+def test_every_record_put_writes_is_served_after_reload(tmp_path, fields):
+    path = tmp_path / "counts.jsonl"
+    record = rec(**fields)
+    CountCache(path).put(record)
+    fresh = CountCache(path)
+    assert fresh.get(record.n, record.k, record.r, record.method) \
+        == record.count

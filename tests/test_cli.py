@@ -244,11 +244,15 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     assert "FAILED at n=2 k=1 r=2" in err
 
 
-def _swap_into_census(monkeypatch, lat):
-    # the verifier takes its witnesses from the census before any check
+def _swap_into_census(monkeypatch, lat, last=False):
+    # the verifier takes its witnesses from the census before any check;
+    # lat replaces the first witness, or with last the last one, so that
+    # every closed witness before it has been checked
     census = enumeration._census
-    monkeypatch.setattr(enumeration, "_census",
-                        lambda *a, **kw: [lat] + census(*a, **kw)[1:])
+    monkeypatch.setattr(
+        enumeration, "_census",
+        lambda *a, **kw: (census(*a, **kw)[:-1] + [lat] if last
+                          else [lat] + census(*a, **kw)[1:]))
 
 
 def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
@@ -282,6 +286,37 @@ def test_verify_rejects_a_non_multiplicative_witness(capsys, monkeypatch):
         ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
     assert rc == 3
     assert out.splitlines()[1:] == []  # the CSV header, no report
+    assert err == "internal error: engine produced a bad lattice\n"
+
+
+def test_verify_reports_a_non_rigid_witness_after_closed_ones(capsys,
+                                                             monkeypatch):
+    # the verifier checks each core once; a witness after every closed one
+    # is still checked on its own
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    _swap_into_census(monkeypatch, non_rigid, last=True)
+    accept = enumeration.is_multiplicative
+    monkeypatch.setattr(enumeration, "is_multiplicative",
+                        lambda lat: lat == non_rigid or accept(lat))
+    rc, out, err = run_main(
+        capsys,
+        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
+    assert rc == 1
+    assert out.splitlines()[1].endswith("fail")
+    assert ("counterexample: "
+            + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
+    assert "reason: column count differs from rank" in err
+
+
+def test_verify_rejects_a_non_multiplicative_witness_after_closed_ones(
+        capsys, monkeypatch):
+    not_closed = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
+    _swap_into_census(monkeypatch, not_closed, last=True)
+    rc, out, err = run_main(
+        capsys,
+        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
+    assert rc == 3
+    assert out.splitlines()[1:] == []
     assert err == "internal error: engine produced a bad lattice\n"
 
 

@@ -40,6 +40,7 @@ from multlat.enumeration import (
     _Steps,
     _census,
     _check_witness,
+    _witness_faults,
 )
 from multlat.lattice import (
     Lattice,
@@ -576,6 +577,50 @@ def test_check_witness_from_one_square(monkeypatch):
     assert _check_witness(non_rigid, 2, 2) == "column count differs from rank"
     with pytest.raises(RuntimeError, match="engine produced a wrong torsion"):
         _check_witness(non_rigid, 2, 4)
+
+
+def test_witness_pass_matches_per_witness_checks(monkeypatch):
+    # one pass over the census tests closure once per core, and there is
+    # one core per full-rank lattice of index r; every witness gets the same
+    # verdict as when it is checked alone
+    closure = enumeration._square_closed
+    tested = []
+
+    def counted(square):
+        tested.append(square)
+        return closure(square)
+
+    for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (4, 2, 4), (5, 1, 4)]:
+        census = _census(n + k, k, r, 1, jobs=1, budget=None)
+        alone = [_check_witness(lat, n, r) for lat in census]
+        del tested[:]
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, "_square_closed", counted)
+            faults = list(_witness_faults(census, n, r))
+        assert faults == alone == [None] * len(census), (n, k, r)
+        assert len(tested) == count_full_rank(n, r), (n, k, r)
+        cores = {tuple(map(tuple, square)) for square in tested}
+        assert len(cores) == len(tested), (n, k, r)
+
+
+def test_witness_pass_reports_faults_where_they_are(monkeypatch):
+    # witnesses that are not rigid or not closed, placed among closed ones,
+    # get the verdict they get alone, at their own place
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    not_closed = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
+    accept = enumeration.is_multiplicative
+    monkeypatch.setattr(enumeration, "is_multiplicative",
+                        lambda lat: lat == non_rigid or accept(lat))
+    census = enumerate_corank_oracle(3, 1, 2)
+    for at in (0, 5, len(census)):
+        mixed = census[:at] + [non_rigid] + census[at:] + [non_rigid]
+        faults = list(_witness_faults(mixed, 2, 2))
+        assert faults == [_check_witness(lat, 2, 2) for lat in mixed]
+        assert [i for i, f in enumerate(faults) if f] == [at, len(mixed) - 1]
+        assert faults[at] == "column count differs from rank"
+        with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
+            list(_witness_faults(census[:at] + [not_closed] + census[at:],
+                                 2, 2))
 
 
 def test_census_is_closed_under_reversing_coordinates():

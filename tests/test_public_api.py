@@ -3,12 +3,16 @@
 The README's Library block and the scripts in demos/ import names from
 `multlat`; each such name must be in `multlat.__all__`, and every name in
 `__all__` must resolve, lazily, to the object its defining module holds.
-Imports are read with `ast`, so nothing documented is run.
+Imports are read with `ast`; each demo is also run once, in a fresh
+interpreter against the checkout's `src`.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,17 @@ def test_project_version_is_the_package_version():
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
     assert declared is not None
     assert declared.group(1) == multlat.__version__
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                        (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    # the checkout's src first, so no installed copy answers in its place
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src")
+               + (os.pathsep + old if old else ""))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
