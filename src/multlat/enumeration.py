@@ -263,13 +263,16 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
     isqrt(d*d + 4*acc[j]), when d*d + 4*acc[j] is a perfect square; then
     s = d mod 2, so both roots are integers. A full row is kept when its
     products with the rows of hnf lie in the span too (`_in_span`), so the
-    span of [v] + hnf is closed when hnf's is. Every lead, every entry tried
-    in a pivot column and every off-pivot column is charged one step to
-    `steps`.
+    span of [v] + hnf is closed when hnf's is. A row u = d*e_c of hnf, zero
+    right of its pivot c, needs no test: u*v = v[c]*u lies in the span, so
+    only the rows with a nonzero entry right of their pivot are listed, once
+    per call. Every lead, every entry tried in a pivot column and every
+    off-pivot column is charged one step to `steps`.
     """
     pivot_row: list[Optional[list[int]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
         pivot_row[c] = row
+    tested = [row for row, c in zip(hnf, pivots) if any(row[c + 1:])]
     p2 = [q] + pivots
     v = [0] * ambient
     out: list[list[list[int]]] = []
@@ -277,9 +280,11 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
     def fill(j: int, d: int, acc: list[int]) -> None:
         if j == ambient:
             h2 = [v[:]] + hnf
-            if all(_in_span(h2, p2, [a * b for a, b in zip(u, v)], ambient)
-                   for u in hnf):
-                out.append(h2)
+            for u in tested:
+                if not _in_span(h2, p2, [a * b for a, b in zip(u, v)],
+                                ambient):
+                    return
+            out.append(h2)
             return
         row = pivot_row[j]
         if row is None:
@@ -472,50 +477,50 @@ def count_corank_formula(n: int, k: int, r: int, *, jobs: int = 1,
 def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     """Split a multiplicative lattice into an ordered map and a full-rank core.
 
-    The canonical basis of a multiplicative lattice has exactly rank-many
-    distinct nonzero columns, so it has a pivot square
-    (`intlinalg._pivot_square`); `_split` turns that square into the pair.
-    The core L is the square, and the ordered acceptable map g copies the
-    square's columns to where they occur in lat, with apply_map(g, L) ==
-    lat. The pair is unique. g is injective on L and respects products, so
-    closure is tested on L. Raises ValueError on non-multiplicative input.
+    One pass over lat's columns (`_columns`) gives everything. The canonical
+    basis of a multiplicative lattice has exactly rank-many distinct nonzero
+    columns, and then, in order of first use, they are its pivot columns,
+    so they form its pivot square (`intlinalg._pivot_square`). The core L
+    is that square, and the ordered acceptable map g labels each column of
+    lat by its position among them (`_core`), so g copies the square's
+    columns to where they occur in lat, with apply_map(g, L) == lat, which
+    `_place` checks. The pair is unique. g is injective on L and respects
+    products, so closure is tested on L (`_square_closed`, which skips the
+    rows with a single nonzero entry, since their products are multiples
+    of them). Raises ValueError on non-multiplicative input.
     """
-    square = _pivot_square(lat.basis)
-    if square is None:
-        if is_multiplicative(lat):
-            raise RuntimeError("internal: column count contradicts the rank")
-    elif _square_closed(square):
-        return _split(lat, square)
+    columns, distinct = _columns(lat)
+    if len(distinct) == lat.rank:
+        core, position = _core(distinct, lat.rank)
+        if _square_closed(core.basis):
+            return _place(lat, columns, core, position), core
+    elif is_multiplicative(lat):
+        raise RuntimeError("internal: column count contradicts the rank")
     raise ValueError("lattice is not multiplicative")
 
 
-def _split(lat: Lattice, square: Sequence[Sequence[int]]
-           ) -> tuple[AcceptableMap, Lattice]:
-    """The ordered map and full-rank core of a basis, given its pivot square
-    (`intlinalg._pivot_square`).
-
-    The core is the square, a canonical Hermite basis in its own right: its
-    entries are lat's entries at the pivot columns. The map labels each
-    column of lat by its position among the square's columns (`_core`) and
-    is checked by re-application (`_place`).
-    """
-    core, position = _core(square, lat.rank)
-    return _place(lat, _columns(lat), core, position), core
-
-
-def _core(square: Sequence[Sequence[int]], rank: int
-          ) -> tuple[Lattice, dict[tuple[int, ...], int]]:
-    """The core a pivot square spans, and the label of each of its columns:
-    1, 2, ... in order, and 0 for the zero column."""
-    position = {col: i for i, col in enumerate(zip(*square), 1)}
-    position[(0,) * rank] = 0
-    return Lattice(rank, tuple(square)), position
-
-
-def _columns(lat: Lattice) -> list[tuple[int, ...]]:
-    """The columns of lat's basis; zip yields none at all for the zero
+def _columns(lat: Lattice
+             ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """The columns of lat's basis, and its distinct nonzero columns in order
+    of first use, from one `zip`; zip yields none at all for the zero
     lattice, whose columns are ()."""
-    return list(zip(*lat.basis)) if lat.rank else [()] * lat.ambient_dim
+    columns = list(zip(*lat.basis)) if lat.rank else [()] * lat.ambient_dim
+    distinct = dict.fromkeys(columns)
+    distinct.pop((0,) * lat.rank, None)
+    return columns, tuple(distinct)
+
+
+def _core(distinct: tuple[tuple[int, ...], ...], rank: int
+          ) -> tuple[Lattice, dict[tuple[int, ...], int]]:
+    """The core spanned by a pivot square given by its columns, and the
+    label of each column: 1, 2, ... in order, and 0 for the zero column.
+
+    The square is a canonical Hermite basis in its own right: its entries
+    are the basis's entries at the pivot columns.
+    """
+    position = {col: i for i, col in enumerate(distinct, 1)}
+    position[(0,) * rank] = 0
+    return Lattice(rank, tuple(zip(*distinct))), position
 
 
 def _place(lat: Lattice, columns: list[tuple[int, ...]], core: Lattice,
@@ -572,29 +577,26 @@ def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
     core.
 
     A witness is keyed by its distinct nonzero columns in order of first
-    use, which for a rigid basis are its pivot square's columns. The first
-    witness of a key is checked in full: `_checked_square`, then the split
-    into core and map. A key with a pivot square keeps its core and column
-    labels (`_core`) for the rest of the call. A later witness of that key has the same square, so the same
-    rank (the height of its columns), closure verdict and diagonal product;
-    its own map, built from its own columns and validated, must still carry
-    the stored core back to its basis (`_place`). A key without a square
-    keeps nothing. The cores live for this call only.
+    use (`_columns`), which for a rigid basis are its pivot square's
+    columns. The first witness of a key is checked in full:
+    `_checked_square`, then the split into core and map. A key with a pivot
+    square keeps its core and column labels (`_core`) for the rest of the
+    call. A later witness of that key has the same square, so the same rank
+    (the height of its columns), closure verdict and diagonal product; its
+    own map, built from its own columns and validated, must still carry the
+    stored core back to its basis (`_place`). A key without a square keeps
+    nothing. The cores live for this call only.
     """
     cores: dict[tuple[tuple[int, ...], ...],
                 tuple[Lattice, dict[tuple[int, ...], int]]] = {}
     for lat in witnesses:
-        columns = _columns(lat)
-        distinct = dict.fromkeys(columns)
-        distinct.pop((0,) * lat.rank, None)
-        key = tuple(distinct)
+        columns, key = _columns(lat)
         known = cores.get(key)
         if known is None:
-            square = _checked_square(lat, rank, r)
-            if square is None:
+            if _checked_square(lat, rank, r) is None:
                 yield "column count differs from rank"
                 continue
-            known = cores[key] = _core(square, rank)
+            known = cores[key] = _core(key, rank)
         _place(lat, columns, *known)
         yield None
 

@@ -105,9 +105,12 @@ def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattic
     a full-rank lattice under an ordered map, are the unique canonical basis
     of their span and are kept as they are: the constructor validates them
     once and no Hermite form is computed. Any other input, a zero row
-    included, goes through `hermite_normal_form`.
+    included, goes through `hermite_normal_form`. A tuple of rows, such as
+    `partitions._transport_rows` returns, reaches the constructor as it is;
+    other rows are copied into tuples first. A tuple that holds rows of
+    another type fails the constructor's check and is put in Hermite form.
     """
-    mat = tuple(tuple(row) for row in rows)
+    mat = rows if type(rows) is tuple else tuple(map(tuple, rows))
     for row in mat:
         if len(row) != ambient_dim:
             raise ValueError("row length does not match the ambient dimension")
@@ -148,21 +151,25 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
     """Closure under products of the span of an upper-triangular square with
     nonzero diagonal.
 
-    The product of rows i <= j vanishes left of column j, so it is reduced
-    against the rows j.. from column j on, by exact division at each
-    diagonal entry; the span has full rank, so the product lies in it
-    exactly when every division is exact. The last row is zero but for its
-    diagonal entry, so its products are multiples of it and are not tested.
+    The product of rows i <= j vanishes left of column j, so it is formed
+    and reduced against the rows j.. from column j on, by exact division at
+    each diagonal entry; the span has full rank, so the product lies in it
+    exactly when every division is exact. A row v = d*e_j, zero right of its
+    diagonal entry, needs no test: u*v = u[j]*v is a multiple of it. The
+    last row is always such a row.
     """
-    size = len(square)
-    for j in range(size - 1):
-        v = square[j]
+    for j in range(len(square) - 1):
+        if not any(square[j][j + 1:]):
+            continue
+        # rows j.. from column j on: an upper-triangular square again
+        tail = [row[j:] for row in square[j:]]
+        v = tail[0]
+        size = len(tail)
         for u in square[:j + 1]:
-            w = [a * b for a, b in zip(u, v)]
-            for c in range(j, size):
+            w = [a * b for a, b in zip(u[j:], v)]
+            for c, row in enumerate(tail):
                 x = w[c]
                 if x:
-                    row = square[c]
                     d = row[c]
                     if x % d:
                         return False

@@ -12,6 +12,7 @@ zeroed coordinates. Example: the partition {{0,3,4},{1,5},{2,7,8},{6}} of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .lattice import Lattice, lattice_from_rows
@@ -193,14 +194,16 @@ def _transport_rows(g: AcceptableMap, rows: Sequence[tuple[int, ...]]
 
     Entry j of an image row is row[a - 1] for a = g.assignment[j], or 0 when
     a is 0. One index list serves every row: a - 1 is -1 for a zeroed
-    coordinate, which picks the 0 appended to the row.
+    coordinate, which picks the 0 appended to the row. With two or more
+    target coordinates one `itemgetter` picks a row's entries as a tuple;
+    with fewer it would return a bare entry or refuse, so those rows are
+    picked one index at a time.
     """
     idx = [a - 1 for a in g.assignment]
-    out = []
-    for row in rows:
-        padded = row + (0,)
-        out.append(tuple([padded[i] for i in idx]))
-    return tuple(out)
+    if len(idx) < 2:
+        return tuple(tuple([(row + (0,))[i] for i in idx]) for row in rows)
+    pick = itemgetter(*idx)
+    return tuple([pick(row + (0,)) for row in rows])
 
 
 def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
@@ -208,8 +211,9 @@ def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
 
     Each basis row is transported through g (`_transport_rows`); the image has
     the same rank inside Z^target_dim. For an ordered map the image rows are
-    already the canonical basis of the image; an unordered map's are put into
-    Hermite form by `lattice_from_rows`.
+    already the canonical basis of the image, and `lattice_from_rows` hands
+    them to the constructor uncopied; an unordered map's fail its check and
+    are put into Hermite form.
     """
     if lat.ambient_dim != g.source_dim:
         raise ValueError("lattice ambient dimension must equal the map source")

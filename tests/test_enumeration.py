@@ -51,6 +51,7 @@ from multlat.lattice import (
     torsion_size,
 )
 from multlat.partitions import (
+    AcceptableMap,
     apply_map,
     enumerate_ordered_maps,
     is_ordered,
@@ -497,16 +498,23 @@ def test_decompose_full_rank_is_identity_map():
     g, core = decompose(lat)
     assert g.assignment == (1, 2)
     assert core == lat
+    for n in (1, 2, 3):
+        for r in range(1, 7):
+            for lat in enumerate_full_rank_multiplicative(n, r):
+                assert decompose(lat) == (
+                    AcceptableMap(n, n, tuple(range(1, n + 1))), lat)
 
 
 def test_decompose_zero_lattice():
-    g, core = decompose(Lattice(3, ()))
-    assert g.assignment == (0, 0, 0)
-    assert core == Lattice(0, ())
+    # ambient 0 included: no columns at all, and a core with no rows
+    for ambient in range(4):
+        g, core = decompose(Lattice(ambient, ()))
+        assert g == AcceptableMap(0, ambient, (0,) * ambient)
+        assert core == Lattice(0, ())
 
 
 def test_decompose_rejects_non_multiplicative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lattice is not multiplicative$"):
         decompose(lattice_from_rows(2, [(1, 2)]))
 
 
@@ -515,7 +523,20 @@ def test_decompose_rejects_non_multiplicative_with_rigid_columns():
     # (1,2,2)^2 - (1,2,2) = (0,2,2) is not a multiple of (0,3,3)
     lat = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
     assert distinct_nonzero_columns(lat) == lat.rank
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lattice is not multiplicative$"):
+        decompose(lat)
+
+
+def test_decompose_rejects_non_rigid_columns(monkeypatch):
+    # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2;
+    # such a basis is never multiplicative, and if the closure test said it
+    # were, the split reports the contradiction as an internal error
+    lat = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    with pytest.raises(ValueError, match="^lattice is not multiplicative$"):
+        decompose(lat)
+    monkeypatch.setattr(enumeration, "is_multiplicative", lambda lat: True)
+    with pytest.raises(RuntimeError,
+                       match="^internal: column count contradicts the rank$"):
         decompose(lat)
 
 
@@ -708,8 +729,11 @@ def test_square_closed_rows_match_full_tail_filter():
     # where the step solves for the entries and the filter tries a box well
     # outside the [0, bound] the prefixes are drawn from) and on
     # full-rank-shaped ones (every column right of q a pivot, the leads the
-    # divisors of an index)
+    # divisors of an index). The step tests no product with a prefix row
+    # that is zero right of its pivot, so both kinds of prefix are counted:
+    # with such a row, and non-empty without one
     rng = random.Random(20181221)
+    single = without = 0
     for case in range(600):
         ambient = rng.randint(1, 5)
         bound = rng.randint(1, 4)
@@ -722,6 +746,10 @@ def test_square_closed_rows_match_full_tail_filter():
             index = rng.randint(1, 24)
             leads = [d for d in range(1, index + 1) if index % d == 0]
         pivot_value = {c: row[c] for row, c in zip(hnf, pivots)}
+        if any(not any(row[c + 1:]) for row, c in zip(hnf, pivots)):
+            single += 1
+        elif hnf:
+            without += 1
         box = range(-bound - 2, 2 * bound + 3)
         tail = [range(pivot_value[c]) if c in pivot_value else box
                 for c in range(q + 1, ambient)]
@@ -738,6 +766,7 @@ def test_square_closed_rows_match_full_tail_filter():
         assert got == expected, (hnf, pivots, q, list(leads), bound)
         full = sum(1 for _ in itertools.product(leads, *tail))
         assert len(leads) <= steps.used <= full * (ambient - q)
+    assert single >= 200 and without >= 10, (single, without)
 
 
 def test_every_scan_prefix_has_a_pivot_square(monkeypatch):

@@ -1,5 +1,6 @@
 """Lattice objects, canonical bases, and product closure."""
 
+import itertools
 import random
 from math import prod
 
@@ -8,6 +9,7 @@ import pytest
 from multlat.intlinalg import hermite_normal_form, smith_normal_form
 from multlat.lattice import (
     Lattice,
+    _square_closed,
     banded_basis,
     distinct_nonzero_columns,
     has_rigid_columns,
@@ -262,6 +264,45 @@ def test_closure_and_torsion_match_reference_on_copied_squares():
     # rigid and multiplicative, rigid and not, and not rigid; a lattice that
     # is not rigid is never multiplicative
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _canonical_squares(size, top):
+    """Every canonical upper-triangular square of the given size whose
+    diagonal product is at most top: positive diagonal, and each entry above
+    a diagonal entry in [0, that entry)."""
+    def diagonals(left, top):
+        if not left:
+            yield ()
+            return
+        for d in range(1, top + 1):
+            for rest in diagonals(left - 1, top // d):
+                yield (d, *rest)
+
+    above = [(i, j) for j in range(size) for i in range(j)]
+    for diag in diagonals(size, top):
+        for values in itertools.product(*(range(diag[j]) for _, j in above)):
+            square = [[0] * size for _ in range(size)]
+            for i, d in enumerate(diag):
+                square[i][i] = d
+            for (i, j), x in zip(above, values):
+                square[i][j] = x
+            yield tuple(map(tuple, square))
+
+
+def test_square_closed_matches_every_row_product_on_small_squares():
+    # every canonical square of size <= 3 and determinant <= 12 against the
+    # reference, which solves every row product, single-entry rows included
+    verdicts = set()
+    single_above_last = 0
+    for size in range(4):
+        for square in _canonical_squares(size, 12):
+            got = _square_closed(square)
+            assert got == is_mult_ref([list(row) for row in square]), square
+            verdicts.add(got)
+            single_above_last += any(not any(row[i + 1:])
+                                     for i, row in enumerate(square[:-1]))
+    assert verdicts == {True, False}
+    assert single_above_last >= 100, single_above_last
 
 
 # ------------------------------------------------------------------ torsion

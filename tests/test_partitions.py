@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import multlat.lattice as lattice
+import multlat.partitions as partitions
 from multlat.intlinalg import hermite_normal_form
 from multlat.lattice import Lattice, lattice_from_rows, torsion_size
 from multlat.partitions import (
     AcceptableMap,
     SetPartition,
+    _transport_rows,
     apply_map,
     enumerate_ordered_maps,
     enumerate_partitions,
@@ -244,6 +247,41 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
                 assert image == Lattice(n + k, hnf)
                 reordered += not is_ordered(g) and image.basis != tuple(rows)
     assert reordered > 0
+
+
+def test_transport_and_apply_map_edge_cases(monkeypatch):
+    # target dimensions 0 and 1, where no itemgetter picks the entries
+    assert _transport_rows(AcceptableMap(0, 0, ()), ()) == ()
+    assert apply_map(AcceptableMap(0, 0, ()), Lattice(0, ())) == Lattice(0, ())
+    assert _transport_rows(AcceptableMap(0, 1, (0,)), ()) == ()
+    assert apply_map(AcceptableMap(0, 1, (0,)), Lattice(0, ())) == Lattice(1, ())
+    assert _transport_rows(AcceptableMap(1, 1, (1,)), ((3,),)) == ((3,),)
+    assert apply_map(AcceptableMap(1, 1, (1,)),
+                     Lattice(1, ((3,),))) == Lattice(1, ((3,),))
+    # zero-labelled columns pick 0, first, last and between copies
+    g = AcceptableMap(2, 5, (0, 1, 0, 2, 0))
+    core = Lattice(2, ((2, 1), (0, 3)))
+    image_rows = ((0, 2, 0, 1, 0), (0, 0, 0, 3, 0))
+    assert _transport_rows(g, core.basis) == image_rows
+    # an ordered map's rows reach the constructor uncopied, with no Hermite
+    # form; an unordered map's rows go through the Hermite form
+    hnf_inputs = []
+    hnf = lattice.hermite_normal_form
+    monkeypatch.setattr(lattice, "hermite_normal_form",
+                        lambda m: hnf_inputs.append(m) or hnf(m))
+    transported = []
+    transport = partitions._transport_rows
+    monkeypatch.setattr(partitions, "_transport_rows",
+                        lambda g, rows: transported.append(transport(g, rows))
+                        or transported[-1])
+    image = apply_map(g, core)
+    assert image.basis == image_rows and image.basis is transported[-1]
+    assert hnf_inputs == []
+    unordered = AcceptableMap(2, 3, (2, 1, 2))
+    assert not is_ordered(unordered)
+    image = apply_map(unordered, core)
+    assert hnf_inputs == [((1, 2, 1), (3, 0, 3))]
+    assert image.basis == ((1, 2, 1), (0, 6, 0))
 
 
 def _naive_image_rows(g, core):
