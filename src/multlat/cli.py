@@ -381,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(exc, SearchBudgetExceeded):
             print(f"budget error: {exc}", file=sys.stderr)
             return 2
-        # a failed self-check, e.g. "internal: scan produced a lattice twice"
+        # a failed self-check, e.g. "internal: engine produced a lattice twice"
         print(f"internal error: {str(exc).removeprefix('internal: ')}",
               file=sys.stderr)
         return 3

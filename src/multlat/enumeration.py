@@ -15,11 +15,14 @@ One step, `_closed_extensions`, grows a Hermite basis by one row closed
 under products for both engines; a shard takes its share of the top level's
 extensions by slicing their list. Both engines take each lead from the
 divisors of the index or torsion left over, the last lead being the
-quotient itself, and one `_reverify` checks the output of either. The
-verifier makes one pass over the census (`_witness_faults`): it re-verifies
-and splits the first witness of each pivot square in full, and checks every
-later witness of that square by its own map carried back to the stored
-core.
+quotient itself; one `_run_shards` sorts either's bases and rejects a
+repeat. One `_reverify` checks the output of either through the lattice
+predicates alone (`is_multiplicative`, `torsion_size`), once per lattice
+for the full-rank engine and once per pivot square for the scan. The
+verifier makes one pass over the census (`_witness_faults`): it
+re-verifies and splits the first witness of each pivot square, and checks
+every later witness of that square by its own map carried back to the
+stored core.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -31,16 +34,10 @@ entries are the exact roots of a quadratic rather than a range scanned.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isqrt, prod
+from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .intlinalg import _pivot_square
-from .lattice import (
-    Lattice,
-    _square_closed,
-    is_multiplicative,
-    torsion_size,
-)
+from .lattice import Lattice, is_multiplicative, torsion_size
 from .partitions import (
     AcceptableMap,
     _transport_rows,
@@ -83,7 +80,7 @@ class VerificationReport:
 # shared low-level helpers (hot path: plain lists, no object churn)
 
 
-def _in_span(hnf: list[list[int]], pivots: list[int], p: list[int],
+def _in_span(hnf: Sequence[Sequence[int]], pivots: list[int], p: list[int],
              ambient: int) -> bool:
     """Membership of p in the row span of a Hermite basis, by exact division."""
     w = p[:]
@@ -121,12 +118,14 @@ class _Steps:
 
 
 def _run_shards(worker, args: tuple, jobs: int,
-                budget: Optional[int]) -> list:
-    """Every shard's results, joined in shard order.
+                budget: Optional[int]) -> list[Lattice]:
+    """Every shard's lattices, sorted by basis.
 
-    worker takes args + (shard, jobs, budget) and returns a list. jobs = 1
-    runs it in this process, more jobs run one shard each in a fork pool;
-    budget None means DEFAULT_BUDGET.
+    worker takes args + (shard, jobs, budget) and returns a list of
+    canonical bases in Z^args[0]. jobs = 1 runs it in this process, more
+    jobs run one shard each in a fork pool; budget None means
+    DEFAULT_BUDGET. A basis found twice, in one shard or two, is an
+    internal error: each engine lists every lattice once.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -142,7 +141,10 @@ def _run_shards(worker, args: tuple, jobs: int,
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             shard_results = pool.map(worker, tasks)
-    return [item for chunk in shard_results for item in chunk]
+    bases = sorted(item for chunk in shard_results for item in chunk)
+    if len(set(bases)) != len(bases):
+        raise RuntimeError("internal: engine produced a lattice twice")
+    return [Lattice(args[0], b) for b in bases]
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +196,15 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
     last row up and dropped at the first row whose span with the rows below
     is not closed; the budget counts one step per pivot or entry tried.
     jobs shards the last rows round-robin. Each lattice appears exactly
-    once; the result is sorted by basis.
+    once, a repeat being an internal error; the result is sorted by basis.
+    Each lattice is its own pivot square, so unlike the scan's census it is
+    re-verified (`_reverify`) lattice by lattice.
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
     if index < 1:
         raise ValueError("index must be at least 1")
-    bases = sorted(_run_shards(_full_rank_worker, (n, index), jobs, budget))
-    lats = [Lattice(n, b) for b in bases]
+    lats = _run_shards(_full_rank_worker, (n, index), jobs, budget)
     _reverify(lats, n, index)
     return lats
 
@@ -234,7 +237,7 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     lats = enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget)
     count = 0
     for lat in lats:
-        if _in_span([list(r) for r in lat.basis], pivots, ones, n):
+        if _in_span(lat.basis, pivots, ones, n):
             count += 1
     return count
 
@@ -394,7 +397,12 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     automorphism and its own inverse that keeps rank, torsion and closure
     under products: it maps the census bijectively onto itself, and the
     sorted rev(L) are the sorted census. A lattice found twice is an
-    internal error, and every lattice is re-verified (`_reverify`).
+    internal error. The census is re-verified (`_reverify`) on one lattice
+    per pivot square, keyed by its distinct nonzero columns in order of
+    first use (`_columns`), as the verifier keys its witnesses: lattices
+    with the same key are images of one lattice under injective,
+    product-respecting coordinate copies, so they share rank, closure and
+    torsion.
 
     bound_multiplier is validated and otherwise unused: no pivot or entry
     reaches a bound. It stays a parameter here and in the verifier only for
@@ -406,7 +414,10 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     """
     lats = _census(ambient, corank, torsion, bound_multiplier, jobs=jobs,
                    budget=budget)
-    _reverify(lats, ambient - corank, torsion)
+    # keys keep the order of first use, so the first failing key is the
+    # first failing lattice's
+    _reverify({_columns(lat)[1]: lat for lat in lats}.values(),
+              ambient - corank, torsion)
     return lats
 
 
@@ -420,44 +431,23 @@ def _census(ambient: int, corank: int, torsion: int, bound_multiplier: int,
     if bound_multiplier < 1:
         raise ValueError("bound_multiplier must be at least 1")
     # rank 0 has nothing to shard: it runs in-process (bad jobs still fail)
-    bases = sorted(_run_shards(_corank_worker, (ambient, corank, torsion),
-                               jobs if ambient > corank else min(jobs, 1),
-                               budget))
-    if len(set(bases)) != len(bases):
-        raise RuntimeError("internal: scan produced a lattice twice")
-    return [Lattice(ambient, b) for b in bases]
+    return _run_shards(_corank_worker, (ambient, corank, torsion),
+                       jobs if ambient > corank else min(jobs, 1), budget)
 
 
-def _reverify(lats: list[Lattice], rank: int, torsion: int) -> None:
-    """Post-hoc check of either engine's output, independent of its own math:
-    each lattice has the given rank and torsion and is multiplicative."""
-    for lat in lats:
-        _checked_square(lat, rank, torsion)
+def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:
+    """Post-hoc check of either engine's output, independent of its own math.
 
-
-def _checked_square(lat: Lattice, rank: int, torsion: int
-                    ) -> Optional[Sequence[Sequence[int]]]:
-    """An engine's lattice re-verified: its pivot square, or None.
-
-    The square, built once from lat's own basis and never from the engine's
-    data, shows the rank, closure (`_square_closed`) and torsion (its
-    diagonal product). A basis without one goes through `is_multiplicative`
-    and `torsion_size` and gives None. A failed check raises RuntimeError.
+    Each lattice must have the given rank, be closed under products
+    (`is_multiplicative`) and have the given torsion (`torsion_size`),
+    tested in that order on its own basis; the first failure raises
+    RuntimeError.
     """
-    if lat.rank != rank:
-        raise RuntimeError("internal: engine produced a bad lattice")
-    square = _pivot_square(lat.basis)
-    if square is None:
-        if not is_multiplicative(lat):
+    for lat in lats:
+        if lat.rank != rank or not is_multiplicative(lat):
             raise RuntimeError("internal: engine produced a bad lattice")
         if torsion_size(lat) != torsion:
             raise RuntimeError("internal: engine produced a wrong torsion")
-        return None
-    if not _square_closed(square):
-        raise RuntimeError("internal: engine produced a bad lattice")
-    if prod(row[i] for i, row in enumerate(square)) != torsion:
-        raise RuntimeError("internal: engine produced a wrong torsion")
-    return square
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +475,14 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     lat by its position among them (`_core`), so g copies the square's
     columns to where they occur in lat, with apply_map(g, L) == lat, which
     `_place` checks. The pair is unique. g is injective on L and respects
-    products, so closure is tested on L (`_square_closed`, which skips the
-    rows with a single nonzero entry, since their products are multiples
-    of them). Raises ValueError on non-multiplicative input.
+    products, so closure is tested on L (`is_multiplicative`, which tests a
+    full-rank basis as its own pivot square). Raises ValueError on
+    non-multiplicative input.
     """
     columns, distinct = _columns(lat)
     if len(distinct) == lat.rank:
         core, position = _core(distinct, lat.rank)
-        if _square_closed(core.basis):
+        if is_multiplicative(core):
             return _place(lat, columns, core, position), core
     elif is_multiplicative(lat):
         raise RuntimeError("internal: column count contradicts the rank")
@@ -555,37 +545,26 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
     return out
 
 
-def _check_witness(lat: Lattice, rank: int, r: int) -> Optional[str]:
-    """Why a census witness breaks the factorization, or None.
-
-    `_checked_square` re-verifies lat and raises RuntimeError if it has the
-    wrong rank, is not closed under products or has the wrong torsion. A
-    basis without a pivot square (no rigid columns) that passes those
-    checks gives "column count differs from rank". Otherwise the square is
-    split into core and map (`_core`, `_place`), which raises unless the
-    pair re-applies to lat. The core is that square, a full-rank Hermite
-    basis whose index is its diagonal product, which `_checked_square` has
-    just compared with r, so the core's index is r. This is
-    `_witness_faults` on lat alone.
-    """
-    return next(_witness_faults([lat], rank, r))
-
-
 def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
                     ) -> Iterator[Optional[str]]:
-    """Each witness's fault (`_check_witness`), in order, checked once per
-    core.
+    """Why each witness breaks the factorization, or None, in order,
+    checked once per core.
 
     A witness is keyed by its distinct nonzero columns in order of first
     use (`_columns`), which for a rigid basis are its pivot square's
-    columns. The first witness of a key is checked in full:
-    `_checked_square`, then the split into core and map. A key with a pivot
-    square keeps its core and column labels (`_core`) for the rest of the
-    call. A later witness of that key has the same square, so the same rank
-    (the height of its columns), closure verdict and diagonal product; its
+    columns. The first witness of a key is re-verified (`_reverify`), which
+    raises RuntimeError on the wrong rank, a lattice not closed under
+    products or the wrong torsion. A key with as many columns as the rank
+    is a pivot square, which is split into core and column labels
+    (`_core`), kept for the rest of the call; any other key (no rigid
+    columns) gives "column count differs from rank" and keeps nothing. The
+    core is the square, a full-rank Hermite basis whose index is its
+    diagonal product, which is the witness's torsion, so the core's index
+    is r. A later witness of a key with a core has the same square, so the
+    same rank (the height of its columns), closure verdict and torsion; its
     own map, built from its own columns and validated, must still carry the
-    stored core back to its basis (`_place`). A key without a square keeps
-    nothing. The cores live for this call only.
+    stored core back to its basis (`_place`), which raises if it does not.
+    The cores live for this call only.
     """
     cores: dict[tuple[tuple[int, ...], ...],
                 tuple[Lattice, dict[tuple[int, ...], int]]] = {}
@@ -593,7 +572,8 @@ def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
         columns, key = _columns(lat)
         known = cores.get(key)
         if known is None:
-            if _checked_square(lat, rank, r) is None:
+            _reverify([lat], rank, r)
+            if len(key) != rank:
                 yield "column count differs from rank"
                 continue
             known = cores[key] = _core(key, rank)
@@ -612,10 +592,11 @@ def verify_corank_factorization(n: int, k: int, r: int,
     equals the index of its core, both being its pivot square's diagonal
     product. One pass over the census (`_witness_faults`) does this once per
     core: witnesses with the same distinct nonzero columns share a pivot
-    square, so closure and torsion are tested on the first of them, and
-    each witness's own map is still built, validated and re-applied to the
-    core. When the factorization holds there is one core per full-rank
-    lattice of index r.
+    square, so rank, closure and torsion are re-verified (`_reverify`) on
+    the first of them, and each witness's own map is still built,
+    validated and re-applied to the core. The census is taken without the
+    oracle's own re-verification, which would repeat that. When the
+    factorization holds there is one core per full-rank lattice of index r.
     """
     witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
                         budget=budget)

@@ -452,6 +452,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_a_lattice_found_twice_exits_three(capsys, monkeypatch):
+    # either engine's repeat is a failed self-check, at exit status 3
+    for name, argv in (
+            ("_full_rank_worker", ["count", "--n", "2", "--r", "2"]),
+            ("_corank_worker", ["count-corank", "--ambient", "3",
+                                "--corank", "1", "--torsion", "2"])):
+        worker = getattr(enumeration, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, name,
+                            lambda args, worker=worker: worker(args) * 2)
+            rc, out, err = run_main(capsys, argv)
+        assert rc == 3, name
+        assert out == ""
+        assert err == "internal error: engine produced a lattice twice\n"
+
+
 # -------------------------------------------------------------- partitions
 
 def test_partitions_listing(capsys):

@@ -39,7 +39,6 @@ from multlat.enumeration import (
     _in_span,
     _Steps,
     _census,
-    _check_witness,
     _witness_faults,
 )
 from multlat.lattice import (
@@ -568,6 +567,11 @@ def test_find_counterexample_clean_cells():
     assert find_counterexample(2, 1, 2) is None
 
 
+def _check_witness(lat, rank, r):
+    # one witness's verdict: the verifier's pass over lat alone
+    return next(_witness_faults([lat], rank, r))
+
+
 def test_check_witness_from_one_square(monkeypatch):
     # rigid and multiplicative, with a core of index 2
     rigid = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
@@ -604,7 +608,7 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
     # one pass over the census tests closure once per core, and there is
     # one core per full-rank lattice of index r; every witness gets the same
     # verdict as when it is checked alone
-    closure = enumeration._square_closed
+    closure = lattice._square_closed
     tested = []
 
     def counted(square):
@@ -616,7 +620,7 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
         alone = [_check_witness(lat, n, r) for lat in census]
         del tested[:]
         with monkeypatch.context() as patched:
-            patched.setattr(enumeration, "_square_closed", counted)
+            patched.setattr(lattice, "_square_closed", counted)
             faults = list(_witness_faults(census, n, r))
         assert faults == alone == [None] * len(census), (n, k, r)
         assert len(tested) == count_full_rank(n, r), (n, k, r)
@@ -642,6 +646,81 @@ def test_witness_pass_reports_faults_where_they_are(monkeypatch):
         with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
             list(_witness_faults(census[:at] + [not_closed] + census[at:],
                                  2, 2))
+
+
+def test_oracle_reverifies_once_per_pivot_square(monkeypatch):
+    # the oracle re-verifies one lattice per distinct-column key, so it
+    # tests closure once per core, one per full-rank lattice of index r
+    closure = lattice._square_closed
+    tested = []
+
+    def counted(square):
+        tested.append(square)
+        return closure(square)
+
+    for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (4, 2, 4), (5, 1, 4)]:
+        cores = count_full_rank(n, r)
+        del tested[:]
+        with monkeypatch.context() as patched:
+            patched.setattr(lattice, "_square_closed", counted)
+            lats = enumerate_corank_oracle(n + k, k, r)
+        assert len(tested) == cores, (n, k, r)
+        assert len({tuple(map(tuple, square)) for square in tested}) == cores
+        assert len(lats) == stirling2(n + k + 1, n + 1) * cores, (n, k, r)
+
+
+def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
+    # a lattice with a pivot square of its own is re-verified wherever the
+    # census puts it, with the message each failed check gives
+    census = _census(3, 1, 2, 1, jobs=1, budget=None)
+    cases = [
+        # a pivot square that is not closed: (1, 2)^2 = (1, 4) is not in it
+        (lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)]), "bad lattice"),
+        # rigid and closed, of torsion 3
+        (lattice_from_rows(3, [(1, 1, 0), (0, 0, 3)]), "wrong torsion"),
+        # rigid and closed, of rank 1
+        (lattice_from_rows(3, [(1, 1, 1)]), "bad lattice"),
+    ]
+    for bad, fault in cases:
+        assert bad not in census
+        for at in (0, len(census) // 2, len(census)):
+            mixed = census[:at] + [bad] + census[at:]
+            with monkeypatch.context() as patched:
+                patched.setattr(enumeration, "_census",
+                                lambda *args, **kwargs: mixed)
+                with pytest.raises(RuntimeError,
+                                   match=f"^internal: engine produced a "
+                                         f"{fault}$"):
+                    enumerate_corank_oracle(3, 1, 2)
+
+
+def _all_shards_in_each(args):
+    # a sharding fault: every shard lists the whole full-rank census
+    *head, _shard, _jobs, budget = args
+    return _full_rank_worker((*head, 0, 1, budget))
+
+
+TWICE = "^internal: engine produced a lattice twice$"
+
+
+def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
+    for name, run in (
+            ("_full_rank_worker",
+             lambda: enumerate_full_rank_multiplicative(3, 4)),
+            ("_corank_worker", lambda: enumerate_corank_oracle(3, 1, 2)),
+            ("_corank_worker", lambda: verify_corank_factorization(2, 1, 2))):
+        worker = getattr(enumeration, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, name,
+                            lambda args, worker=worker:
+                            worker(args) + worker(args)[-1:])
+            with pytest.raises(RuntimeError, match=TWICE):
+                run()
+    # the same lattice from two shards
+    monkeypatch.setattr(enumeration, "_full_rank_worker", _all_shards_in_each)
+    assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
+    with pytest.raises(RuntimeError, match=TWICE):
+        enumerate_full_rank_multiplicative(3, 4, jobs=2)
 
 
 def test_census_is_closed_under_reversing_coordinates():
@@ -797,7 +876,8 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
 # the names each route must not reach: the scan never touches the formula
 # side, and the full-rank engine never touches the scan
 FORMULA_SIDE = {"stirling2", "count_full_rank", "_full_rank_worker",
-                "decompose", "_split", "apply_map", "enumerate_ordered_maps"}
+                "decompose", "_core", "_place", "apply_map",
+                "enumerate_ordered_maps"}
 SCAN_SIDE = {"_corank_worker", "_census", "enumerate_corank_oracle"}
 
 
