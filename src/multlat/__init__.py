@@ -41,7 +41,6 @@ _EXPORTS = {
     "lattice": (
         "Lattice",
         "banded_basis",
-        "distinct_nonzero_columns",
         "is_multiplicative",
         "lattice_from_rows",
         "torsion_size",
@@ -52,11 +51,8 @@ _EXPORTS = {
         "apply_map",
         "enumerate_ordered_maps",
         "enumerate_partitions",
-        "is_ordered",
-        "map_from_string",
         "map_to_partition",
         "map_to_string",
-        "order_map",
         "partition_to_map",
         "stirling2",
     ),

@@ -113,20 +113,10 @@ class CountCache:
         _check_fields(n, k, r, data["count"])
         return (n, k, r, str(data["method"]), str(data["engine_version"]))
 
-    def _entry(self, n: int, k: int, r: int, method: str,
-               engine_version: str, field: str):
-        data = self._index.get((n, k, r, method, engine_version))
-        return None if data is None else data[field]
-
     def get(self, n: int, k: int, r: int, method: str,
             engine_version: str = ENGINE_VERSION) -> Optional[int]:
-        return self._entry(n, k, r, method, engine_version, "count")
-
-    def created_at(self, n: int, k: int, r: int, method: str,
-                   engine_version: str = ENGINE_VERSION) -> Optional[str]:
-        """Timestamp of the stored entry; how invalidation is observed."""
-        created = self._entry(n, k, r, method, engine_version, "created_at")
-        return None if created is None else str(created)
+        data = self._index.get((n, k, r, method, engine_version))
+        return None if data is None else data["count"]
 
     def put(self, record: CountRecord) -> None:
         """Append one record. Existing keys are immutable: a matching entry

@@ -117,6 +117,17 @@ class _Steps:
                 f"(budget {self.budget})")
 
 
+def _checked_budget(jobs: int, budget: Optional[int]) -> int:
+    """The per-worker budget, None meaning DEFAULT_BUDGET, once it and jobs
+    are checked to be at least 1."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    return budget
+
+
 def _run_shards(worker, args: tuple, jobs: int,
                 budget: Optional[int]) -> list[Lattice]:
     """Every shard's lattices, sorted by basis.
@@ -127,11 +138,7 @@ def _run_shards(worker, args: tuple, jobs: int,
     DEFAULT_BUDGET. A basis found twice, in one shard or two, is an
     internal error: each engine lists every lattice once.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _checked_budget(jobs, budget)
     tasks = [(*args, shard, jobs, budget) for shard in range(jobs)]
     if jobs == 1:
         shard_results = [worker(tasks[0])]
@@ -218,6 +225,7 @@ def count_full_rank(n: int, index: int, *, jobs: int = 1,
     if n == 0:
         if index < 1:
             raise ValueError("index must be at least 1")
+        _checked_budget(jobs, budget)
         return 1 if index == 1 else 0
     return len(enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget))
 
@@ -230,7 +238,7 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     subring, of index 1.
     """
     if n == 0:
-        return count_full_rank(0, index)
+        return count_full_rank(0, index, jobs=jobs, budget=budget)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
     pivots = list(range(n))
@@ -374,8 +382,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     return found
 
 
-def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
-                            bound_multiplier: int = 1, *, jobs: int = 1,
+def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
+                            jobs: int = 1,
                             budget: Optional[int] = None) -> list[Lattice]:
     """Brute-force census of multiplicative sublattices by co-rank and torsion.
 
@@ -404,16 +412,12 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     product-respecting coordinate copies, so they share rank, closure and
     torsion.
 
-    bound_multiplier is validated and otherwise unused: no pivot or entry
-    reaches a bound. It stays a parameter here and in the verifier only for
-    callers that pass one, the campaign benchmark (`perfbench/worker.py`,
-    bounds 1 and 2) among them; the command line and the count cache take
-    none. The budget counts steps per worker, one per lead, per entry tried
-    in a pivot column and per off-pivot column. jobs shards the first rows
-    whose square closes, round-robin.
+    No pivot or entry reaches a bound, so the scan takes none. The budget
+    counts steps per worker, one per lead, per entry tried in a pivot
+    column and per off-pivot column. jobs shards the first rows whose
+    square closes, round-robin.
     """
-    lats = _census(ambient, corank, torsion, bound_multiplier, jobs=jobs,
-                   budget=budget)
+    lats = _census(ambient, corank, torsion, jobs=jobs, budget=budget)
     # keys keep the order of first use, so the first failing key is the
     # first failing lattice's
     _reverify({_columns(lat)[1]: lat for lat in lats}.values(),
@@ -421,15 +425,13 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int,
     return lats
 
 
-def _census(ambient: int, corank: int, torsion: int, bound_multiplier: int,
-            *, jobs: int, budget: Optional[int]) -> list[Lattice]:
+def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
+            budget: Optional[int]) -> list[Lattice]:
     """`enumerate_corank_oracle` without its re-verification."""
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
         raise ValueError("torsion must be at least 1")
-    if bound_multiplier < 1:
-        raise ValueError("bound_multiplier must be at least 1")
     # rank 0 has nothing to shard: it runs in-process (bad jobs still fail)
     return _run_shards(_corank_worker, (ambient, corank, torsion),
                        jobs if ambient > corank else min(jobs, 1), budget)
@@ -535,7 +537,8 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
     the factorization holds this list matches the co-rank census exactly.
     """
     if n == 0:
-        cores = [Lattice(0, ())] if r == 1 else []
+        cores = [Lattice(0, ())] * count_full_rank(0, r, jobs=jobs,
+                                                   budget=budget)
     else:
         cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
     out: list[Lattice] = []
@@ -597,9 +600,13 @@ def verify_corank_factorization(n: int, k: int, r: int,
     validated and re-applied to the core. The census is taken without the
     oracle's own re-verification, which would repeat that. When the
     factorization holds there is one core per full-rank lattice of index r.
+
+    bound_multiplier raises ValueError below 1 and is otherwise ignored, as
+    no scan reaches a bound; the campaign benchmark still passes 1 and 2.
     """
-    witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
-                        budget=budget)
+    if bound_multiplier < 1:
+        raise ValueError("bound_multiplier must be at least 1")
+    witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     full_rank_count = count_full_rank(n, r, jobs=jobs, budget=budget)
     formula_count = stirling_factor * full_rank_count
@@ -617,8 +624,8 @@ def verify_corank_factorization(n: int, k: int, r: int,
     )
 
 
-def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
-                        jobs: int = 1, budget: Optional[int] = None
+def find_counterexample(n: int, k: int, r: int, *, jobs: int = 1,
+                        budget: Optional[int] = None
                         ) -> Optional[tuple[Lattice, str]]:
     """First offending lattice of a failing cell, with a reason; None if clean.
 
@@ -627,8 +634,7 @@ def find_counterexample(n: int, k: int, r: int, bound_multiplier: int = 1, *,
     element of the symmetric difference between the census and the
     reconstruction through maps.
     """
-    witnesses = _census(n + k, k, r, bound_multiplier, jobs=jobs,
-                        budget=budget)
+    witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
     for lat, fault in zip(witnesses, _witness_faults(witnesses, n, r)):
         if fault is not None:
             return lat, fault

@@ -3,8 +3,8 @@
 A Lattice is stored by its canonical Hermite basis with zero rows dropped, so
 two objects are equal exactly when they describe the same subgroup of Z^n.
 The multiplicative notions live here: closure of the row span under the
-coordinatewise (Hadamard) product, torsion of the quotient, and the column
-counting that rigid multiplicative bases exhibit.
+coordinatewise (Hadamard) product, torsion of the quotient, and the rigid
+columns that every multiplicative basis has.
 """
 
 from __future__ import annotations
@@ -89,13 +89,6 @@ class Lattice:
             "rank": self.rank,
             "basis": [list(row) for row in self.basis],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Lattice":
-        lat = lattice_from_rows(data["ambient"], data["basis"])
-        if lat.rank != data.get("rank", lat.rank):
-            raise ValueError("rank field disagrees with the basis")
-        return lat
 
 
 def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattice:
@@ -190,26 +183,18 @@ def torsion_size(lat: Lattice) -> int:
     return _echelon_torsion(lat.basis)
 
 
-def distinct_nonzero_columns(lat: Lattice) -> int:
-    """Number of distinct nonzero columns of the canonical basis."""
-    if not lat.basis:
-        return 0
-    cols = set(zip(*lat.basis))
-    cols.discard((0,) * lat.rank)
-    return len(cols)
-
-
 def has_rigid_columns(lat: Lattice) -> bool:
     """Does the canonical basis have exactly rank-many distinct nonzero columns?
 
     Multiplicative lattices always do, and the distinct-column count of any
     basis matrix of such a lattice is invariant under integer row operations.
-    Raises on non-multiplicative input since the question is only meaningful
-    there.
+    That count is the rank exactly when the basis has a pivot square
+    (`intlinalg._pivot_square`). Raises on non-multiplicative input since
+    the question is only meaningful there.
     """
     if not is_multiplicative(lat):
         raise ValueError("lattice is not multiplicative")
-    return distinct_nonzero_columns(lat) == lat.rank
+    return _pivot_square(lat.basis) is not None
 
 
 def banded_basis(lat: Lattice) -> IntMatrix:

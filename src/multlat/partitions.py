@@ -157,37 +157,6 @@ def map_to_partition(g: AcceptableMap) -> SetPartition:
     return SetPartition(g.target_dim + 1, tuple(tuple(b) for b in blocks))
 
 
-def is_ordered(g: AcceptableMap) -> bool:
-    """Do the sources appear for the first time in the order 1, 2, ..., n?"""
-    seen: list[int] = []
-    for a in g.assignment:
-        if a and a not in seen:
-            seen.append(a)
-    return seen == list(range(1, g.source_dim + 1))
-
-
-def order_map(g: AcceptableMap) -> tuple[AcceptableMap, tuple[int, ...]]:
-    """Relabel the sources of g so their first uses come in increasing order.
-
-    Returns (ordered, perm) where perm[i-1] is the new label of source i.
-    The two maps agree after permuting source coordinates: composing g with
-    x -> (x[perm[1]-1], ..., x[perm[n]-1]) on the source side yields the
-    ordered map, and the relabeling with this property is unique.
-    """
-    first_use: list[int] = []
-    for a in g.assignment:
-        if a and a not in first_use:
-            first_use.append(a)
-    relabel = {old: new + 1 for new, old in enumerate(first_use)}
-    ordered = AcceptableMap(
-        g.source_dim,
-        g.target_dim,
-        tuple(relabel[a] if a else 0 for a in g.assignment),
-    )
-    perm = tuple(relabel[i] for i in range(1, g.source_dim + 1))
-    return ordered, perm
-
-
 def _transport_rows(g: AcceptableMap, rows: Sequence[tuple[int, ...]]
                     ) -> tuple[tuple[int, ...], ...]:
     """Each row carried coordinate by coordinate through the map g.
@@ -245,20 +214,3 @@ def map_to_string(g: AcceptableMap) -> str:
         else:
             out.append(f"s{a}")
     return ",".join(out)
-
-
-def map_from_string(text: str) -> AcceptableMap:
-    """Parse the assignment pattern produced by map_to_string."""
-    entries = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "0":
-            entries.append(0)
-        elif tok.startswith("s") and tok[1:].isdigit():
-            entries.append(int(tok[1:]))
-        elif len(tok) == 1 and "a" <= tok <= "z":
-            entries.append(ord(tok) - ord("a") + 1)
-        else:
-            raise ValueError(f"bad assignment token {tok!r}")
-    source_dim = max(entries, default=0)
-    return AcceptableMap(source_dim, len(entries), tuple(entries))

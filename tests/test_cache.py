@@ -90,14 +90,15 @@ def test_lines_that_carry_a_bound_multiplier_are_left_behind(tmp_path):
 
 
 def test_created_at_distinguishes_old_and_new(tmp_path):
-    cache = CountCache(tmp_path / "counts.jsonl")
+    path = tmp_path / "counts.jsonl"
+    cache = CountCache(path)
     cache.put(rec(version="0.0.9"))
     cache.put(rec())
-    old = cache.created_at(2, 1, 3, "oracle", engine_version="0.0.9")
-    new = cache.created_at(2, 1, 3, "oracle")
-    assert old is not None and new is not None
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [data["engine_version"] for data in lines] == ["0.0.9",
+                                                          ENGINE_VERSION]
+    old, new = (data["created_at"] for data in lines)
     assert old <= new
-    assert cache.created_at(9, 9, 9, "oracle") is None
 
 
 def test_malformed_lines_are_skipped(tmp_path, capsys):

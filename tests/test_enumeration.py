@@ -44,7 +44,6 @@ from multlat.enumeration import (
 from multlat.lattice import (
     Lattice,
     banded_basis,
-    distinct_nonzero_columns,
     is_multiplicative,
     lattice_from_rows,
     torsion_size,
@@ -53,7 +52,8 @@ from multlat.partitions import (
     AcceptableMap,
     apply_map,
     enumerate_ordered_maps,
-    is_ordered,
+    map_to_partition,
+    partition_to_map,
     stirling2,
 )
 
@@ -154,6 +154,26 @@ def test_count_full_rank_dimension_zero_convention():
         count_full_rank(0, 0)
 
 
+def test_formula_side_checks_jobs_and_budget_at_rank_zero():
+    # no worker runs at n = 0, yet bad jobs and budgets fail there as they
+    # do at every other rank and in the scan at rank 0
+    calls = [
+        lambda **run: count_full_rank(0, 1, **run),
+        lambda **run: count_unital(0, 1, **run),
+        lambda **run: count_corank_formula(0, 2, 1, **run),
+        lambda **run: reconstruct_from_factorization(0, 1, 1, **run),
+        lambda **run: enumerate_corank_oracle(1, 1, 1, **run),
+    ]
+    for call in calls:
+        for bad in ({"jobs": 0}, {"budget": 0}):
+            with pytest.raises(ValueError):
+                call(**bad)
+    assert [call() for call in calls[:3]] == [1, 1, 1]
+    assert reconstruct_from_factorization(0, 1, 1) == [Lattice(1, ())]
+    with pytest.raises(ValueError):
+        enumerate_full_rank_multiplicative(0, 1)
+
+
 # ------------------------------------------------------------------ unital
 
 def test_count_unital_matches_reference():
@@ -202,7 +222,7 @@ def test_corank_scan_matches_unpruned_reference():
 
 def test_corank_scan_matches_unpruned_reference_at_wider_bound():
     for ambient, corank, torsion in ((2, 1, 3), (3, 2, 2), (3, 1, 2)):
-        lats = enumerate_corank_oracle(ambient, corank, torsion, 2)
+        lats = enumerate_corank_oracle(ambient, corank, torsion)
         mine = {lat.basis for lat in lats}
         ref = ref_corank_scan(ambient, corank, torsion, 2 * torsion)
         assert mine == ref, (ambient, corank, torsion)
@@ -210,22 +230,13 @@ def test_corank_scan_matches_unpruned_reference_at_wider_bound():
 
 def test_corank_census_banded_entries_fit_the_base_bound():
     # the scan solves for its off-pivot entries over all the integers and
-    # bounds only the pivots after row 0, yet every lattice it finds, under
-    # the wider bound too, has every banded entry in [0, torsion]: its
-    # pivots never need more than multiplier 1, and no entry is negative
+    # takes only divisors of the torsion as pivots, yet every lattice it
+    # finds has every banded entry in [0, torsion]: no entry is negative
     cells = [(3, 1, 4), (4, 2, 3), (4, 1, 2), (4, 3, 4)]
     for ambient, corank, torsion in cells:
-        for lat in enumerate_corank_oracle(ambient, corank, torsion, 2):
+        for lat in enumerate_corank_oracle(ambient, corank, torsion):
             for row in banded_basis(lat):
                 assert all(0 <= x <= torsion for x in row), lat.basis
-
-
-def test_corank_scan_stable_under_wider_bound():
-    cells = [(2, 1, 4), (3, 1, 3), (3, 2, 4), (4, 2, 2)]
-    for ambient, corank, torsion in cells:
-        narrow = enumerate_corank_oracle(ambient, corank, torsion, 1)
-        wide = enumerate_corank_oracle(ambient, corank, torsion, 2)
-        assert narrow == wide, (ambient, corank, torsion)
 
 
 def _scan_by_smith_torsion(ambient, corank, torsion, bound):
@@ -262,7 +273,7 @@ def test_corank_scan_needs_no_pivot_square_premise():
     # the same bases on every campaign cell, so no pivot above r is missed
     for n, k, r in CAMPAIGN_CELLS:
         census = [lat.basis
-                  for lat in _census(n + k, k, r, 1, jobs=1, budget=None)]
+                  for lat in _census(n + k, k, r, jobs=1, budget=None)]
         for bound in (r, 2 * r):
             assert _scan_by_smith_torsion(n + k, k, r, bound) == census, \
                 (n, k, r, bound)
@@ -289,7 +300,7 @@ def test_corank_census_properties():
         assert is_multiplicative(lat)
         assert torsion_size(lat) == 2
         # rigidity: exactly rank-many distinct nonzero columns
-        assert distinct_nonzero_columns(lat) == lat.rank
+        assert len({c for c in zip(*lat.basis) if any(c)}) == lat.rank
 
 
 def test_corank_full_ambient_edge():
@@ -318,7 +329,7 @@ def test_corank_arg_validation():
     with pytest.raises(ValueError):
         enumerate_corank_oracle(2, 1, 0)
     with pytest.raises(ValueError):
-        enumerate_corank_oracle(2, 1, 2, 0)
+        verify_corank_factorization(1, 1, 2, 0)
     # jobs and budget are checked at every rank, rank 0 included
     for ambient in (2, 1):
         with pytest.raises(ValueError):
@@ -405,17 +416,6 @@ def test_corank_zero_scan_costs_what_the_full_rank_engine_costs(step_totals):
             assert scan.used == full.used, (n, r)
 
 
-def test_bound_multiplier_changes_no_step(step_totals):
-    # every lead divides the torsion, so the multiplier reaches no step
-    for n, k, r in CAMPAIGN_CELLS:
-        totals = []
-        for bound in (1, 2):
-            step_totals.clear()
-            enumerate_corank_oracle(n + k, k, r, bound)
-            totals.append(sum(s.used for s in step_totals))
-        assert totals[0] == totals[1] > 0, (n, k, r)
-
-
 def test_budget_large_enough_changes_nothing():
     small = enumerate_corank_oracle(2, 1, 3, budget=10_000)
     assert small == enumerate_corank_oracle(2, 1, 3)
@@ -488,7 +488,8 @@ def test_decompose_round_trip_three_and_four_dimensional_cores():
                     lat = apply_map(g, core)
                     got_g, got_core = decompose(lat)
                     assert (got_g, got_core) == (g, core), (n, k, g, core)
-                    assert is_ordered(got_g)
+                    assert partition_to_map(map_to_partition(got_g),
+                                            n) == got_g
                     assert torsion_size(got_core) == torsion_size(lat) == r
 
 
@@ -521,7 +522,7 @@ def test_decompose_rejects_non_multiplicative_with_rigid_columns():
     # columns (1,0), (2,3), (2,3): rank-many distinct nonzero columns, yet
     # (1,2,2)^2 - (1,2,2) = (0,2,2) is not a multiple of (0,3,3)
     lat = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
-    assert distinct_nonzero_columns(lat) == lat.rank
+    assert len({c for c in zip(*lat.basis) if any(c)}) == lat.rank
     with pytest.raises(ValueError, match="^lattice is not multiplicative$"):
         decompose(lat)
 
@@ -616,7 +617,7 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
         return closure(square)
 
     for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (4, 2, 4), (5, 1, 4)]:
-        census = _census(n + k, k, r, 1, jobs=1, budget=None)
+        census = _census(n + k, k, r, jobs=1, budget=None)
         alone = [_check_witness(lat, n, r) for lat in census]
         del tested[:]
         with monkeypatch.context() as patched:
@@ -672,7 +673,7 @@ def test_oracle_reverifies_once_per_pivot_square(monkeypatch):
 def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
     # a lattice with a pivot square of its own is re-verified wherever the
     # census puts it, with the message each failed check gives
-    census = _census(3, 1, 2, 1, jobs=1, budget=None)
+    census = _census(3, 1, 2, jobs=1, budget=None)
     cases = [
         # a pivot square that is not closed: (1, 2)^2 = (1, 4) is not in it
         (lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)]), "bad lattice"),
@@ -868,9 +869,8 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_closed_extensions", checked)
     for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
-        for bound in (1, 2):
-            enumerate_corank_oracle(n + k, k, r, bound)
-    assert len(seen) > 800 and max(seen) == 3
+        enumerate_corank_oracle(n + k, k, r)
+    assert len(seen) > 400 and max(seen) == 3
 
 
 # the names each route must not reach: the scan never touches the formula

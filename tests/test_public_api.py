@@ -3,8 +3,9 @@
 The README's Library block and the scripts in demos/ import names from
 `multlat`; each such name must be in `multlat.__all__`, and every name in
 `__all__` must resolve, lazily, to the object its defining module holds.
-Imports are read with `ast`; each demo is also run once, in a fresh
-interpreter against the checkout's `src`.
+The README's count of those names must match `__all__`. Imports are read
+with `ast`; each demo is also run once, in a fresh interpreter against the
+checkout's `src`.
 """
 
 import ast
@@ -64,6 +65,15 @@ def test_every_exported_name_resolves():
     assert set(multlat.__all__) <= set(dir(multlat))
     with pytest.raises(AttributeError):
         multlat.no_such_name
+
+
+def test_readme_counts_the_exported_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    total = re.search(r"Of the (\d+) names in\s+`multlat\.__all__`", readme)
+    others = re.search(r"each of the other\s+(\d+)", readme)
+    assert total is not None and others is not None
+    assert int(total.group(1)) == len(multlat.__all__)
+    assert int(others.group(1)) == len(multlat.__all__) - 1
 
 
 def test_project_version_is_the_package_version():
