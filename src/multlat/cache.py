@@ -156,6 +156,3 @@ class CountCache:
             fh.flush()
             os.fsync(fh.fileno())
         self._index[key] = data
-
-    def __len__(self) -> int:
-        return len(self._index)

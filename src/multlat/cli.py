@@ -129,7 +129,7 @@ def _count_cells(cells, args) -> int:
     incomplete = 0
     t0 = time.monotonic()
     for n, k, r, method in cells:
-        cached = cache.get(n, k, r, method) if cache else None
+        cached = cache.get(n, k, r, method) if cache is not None else None
         if cached is not None:
             rows.append((n, k, r, method, cached, "ok"))
             continue

@@ -22,7 +22,8 @@ for the full-rank engine and once per pivot square for the scan. The
 verifier makes one pass over the census (`_witness_faults`): it
 re-verifies and splits the first witness of each pivot square, and checks
 every later witness of that square by its own map carried back to the
-stored core.
+stored core. Its outcome is a VerificationReport, a NamedTuple as
+`cache.CountRecord` is.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -33,9 +34,8 @@ entries are the exact roots of a quadratic rather than a range scanned.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import isqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lattice import Lattice, is_multiplicative, torsion_size
 from .partitions import (
@@ -53,8 +53,7 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when an enumeration hits its per-worker candidate budget."""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verification cell.
 
     status is 'pass' exactly when the scan count equals the formula count and
@@ -73,7 +72,7 @@ class VerificationReport:
     status: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------

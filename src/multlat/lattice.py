@@ -4,12 +4,13 @@ A Lattice is stored by its canonical Hermite basis with zero rows dropped, so
 two objects are equal exactly when they describe the same subgroup of Z^n.
 The multiplicative notions live here: closure of the row span under the
 coordinatewise (Hadamard) product, torsion of the quotient, and the rigid
-columns that every multiplicative basis has.
+columns that every multiplicative basis has. `_Frozen`, the base of Lattice
+and of the partitions module's value types, makes them immutable values
+without importing `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -21,8 +22,39 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class Lattice:
+class _Frozen:
+    """Immutable value whose fields are its class's `__slots__`.
+
+    Assigning or deleting a field raises AttributeError, and pickle and
+    copy rebuild a value through its constructor, so they run its
+    validation again. A subclass validates its fields before it stores them
+    with `object.__setattr__`, and writes its own `__eq__` (class-strict,
+    over its fields in order) and `__hash__` (of the same tuple): these
+    cost what a frozen dataclass's do, and a generic pair here, reading the
+    fields through `__slots__`, is slower per call.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Lattice(_Frozen):
     """A subgroup of Z^ambient_dim given by its canonical Hermite basis.
 
     basis holds only the nonzero rows; the zero lattice has an empty basis.
@@ -36,15 +68,16 @@ class Lattice:
     holding a Lattice relies on that shape unchecked.
     """
 
+    __slots__ = ("ambient_dim", "basis")
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = self.ambient_dim
+    def __init__(self, ambient_dim: int,
+                 basis: tuple[tuple[int, ...], ...]) -> None:
+        n = ambient_dim
         # bool passes isinstance(int) but is never a dimension
         if type(n) is not int or n < 0:
             raise ValueError("ambient_dim must be a nonnegative integer")
-        basis = self.basis
         if not isinstance(basis, tuple):
             raise ValueError("basis must be a tuple of rows")
         start = 0  # one past the pivot of the row above
@@ -70,6 +103,17 @@ class Lattice:
                     raise ValueError("basis is not in canonical Hermite form")
                 h += 1
             start = lead + 1
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.ambient_dim, self.basis)
+                    == (other.ambient_dim, other.basis))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
 
     @property
     def rank(self) -> int:

@@ -7,30 +7,47 @@ maps (up to relabeling of the sources) correspond to partitions of the set
 source it copies, and the block containing the ghost element 0 collects the
 zeroed coordinates. Example: the partition {{0,3,4},{1,5},{2,7,8},{6}} of
 {0..8} corresponds to the map (a,b,c) -> (a,b,0,0,a,c,b,b).
+
+SetPartition and AcceptableMap are immutable values on the lattice module's
+`_Frozen` base; each constructor checks the types of its fields as well as
+the shape of the partition or map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .lattice import Lattice, lattice_from_rows
+from .lattice import Lattice, _Frozen, lattice_from_rows
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {0, ..., ground_size-1} into sorted blocks ordered by minimum."""
+class SetPartition(_Frozen):
+    """Partition of {0, ..., ground_size-1} into sorted blocks ordered by minimum.
 
+    ground_size is an int and blocks a tuple of tuples of ints (bool
+    excluded in both).
+    """
+
+    __slots__ = ("ground_size", "blocks")
     ground_size: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
+    def __init__(self, ground_size: int,
+                 blocks: tuple[tuple[int, ...], ...]) -> None:
+        if type(ground_size) is not int:
+            raise ValueError("ground_size must be an integer")
+        if ground_size < 1:
             raise ValueError("ground set must be nonempty")
+        if not isinstance(blocks, tuple):
+            raise ValueError("blocks must be a tuple of blocks")
         seen: set[int] = set()
         prev_min = -1
-        for block in self.blocks:
+        for block in blocks:
+            if not isinstance(block, tuple):
+                raise ValueError("each block must be a tuple")
+            for x in block:
+                if type(x) is not int:
+                    raise ValueError(f"non-integer element {x!r}")
             if not block:
                 raise ValueError("empty block")
             if list(block) != sorted(block):
@@ -39,42 +56,75 @@ class SetPartition:
                 raise ValueError("blocks must be ordered by their minimum")
             prev_min = block[0]
             seen.update(block)
-        if seen != set(range(self.ground_size)):
+        if seen != set(range(ground_size)):
             raise ValueError("blocks must partition the ground set exactly")
-        if sum(len(b) for b in self.blocks) != self.ground_size:
+        if sum(len(b) for b in blocks) != ground_size:
             raise ValueError("blocks overlap")
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.ground_size, self.blocks)
+                    == (other.ground_size, other.blocks))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ground_size, self.blocks))
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class AcceptableMap:
+class AcceptableMap(_Frozen):
     """Map Z^source_dim -> Z^target_dim given by one entry per target coordinate.
 
     assignment[j] is 0 when target coordinate j is identically zero, and
     i in 1..source_dim when it copies source coordinate i. Every source index
-    must appear at least once, which makes the map injective.
+    must appear at least once, which makes the map injective. Both
+    dimensions are ints and assignment is a tuple of ints (bool excluded).
     """
 
+    __slots__ = ("source_dim", "target_dim", "assignment")
     source_dim: int
     target_dim: int
     assignment: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.source_dim < 0 or self.target_dim < self.source_dim:
+    def __init__(self, source_dim: int, target_dim: int,
+                 assignment: tuple[int, ...]) -> None:
+        if type(source_dim) is not int or type(target_dim) is not int:
+            raise ValueError("source_dim and target_dim must be integers")
+        if source_dim < 0 or target_dim < source_dim:
             raise ValueError("need 0 <= source_dim <= target_dim")
-        if len(self.assignment) != self.target_dim:
+        if not isinstance(assignment, tuple):
+            raise ValueError("assignment must be a tuple")
+        if len(assignment) != target_dim:
             raise ValueError("assignment length must equal target_dim")
-        used = set()
-        for a in self.assignment:
-            if not 0 <= a <= self.source_dim:
-                raise ValueError(f"assignment entry {a} out of range")
-            if a:
-                used.add(a)
-        if used != set(range(1, self.source_dim + 1)):
+        for a in assignment:
+            # bool passes isinstance(int) but is never a source index
+            if type(a) is not int:
+                raise ValueError(f"non-integer assignment entry {a!r}")
+        used = set(assignment)
+        used.discard(0)
+        if used != set(range(1, source_dim + 1)):
+            # an entry out of range is reported before a source left unused
+            for a in assignment:
+                if not 0 <= a <= source_dim:
+                    raise ValueError(f"assignment entry {a} out of range")
             raise ValueError("every source coordinate must be used")
+        object.__setattr__(self, "source_dim", source_dim)
+        object.__setattr__(self, "target_dim", target_dim)
+        object.__setattr__(self, "assignment", assignment)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.source_dim, self.target_dim, self.assignment)
+                    == (other.source_dim, other.target_dim, other.assignment))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source_dim, self.target_dim, self.assignment))
 
 
 def stirling2(u: int, v: int) -> int:

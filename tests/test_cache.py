@@ -17,7 +17,7 @@ def test_put_then_get(tmp_path):
     assert cache.get(2, 1, 3, "oracle") is None
     cache.put(rec())
     assert cache.get(2, 1, 3, "oracle") == 18
-    assert len(cache) == 1
+    assert len(cache._index) == 1
 
 
 def test_reload_from_disk(tmp_path):
@@ -125,7 +125,7 @@ def test_malformed_lines_are_skipped(tmp_path, capsys):
     assert err.count("skipping unreadable line") == 2 + len(bad)
     assert cache.get(2, 1, 3, "oracle") == 18
     assert cache.get(2, 1, 4, "oracle") is None
-    assert len(cache) == 1
+    assert len(cache._index) == 1
 
 
 def test_last_entry_wins_on_replay(tmp_path):
@@ -141,7 +141,7 @@ def test_last_entry_wins_on_replay(tmp_path):
 
 def test_missing_file_is_empty_cache(tmp_path):
     cache = CountCache(tmp_path / "nope" / "counts.jsonl")
-    assert len(cache) == 0
+    assert len(cache._index) == 0
     # first put creates the parent directory
     cache.put(rec())
     assert cache.get(2, 1, 3, "oracle") == 18
@@ -169,7 +169,7 @@ def test_two_writers_append_without_losing_lines(tmp_path):
         writer = first if r % 2 else second
         writer.put(rec(r=r, count=10 + r))
     fresh = CountCache(path)
-    assert len(fresh) == 6
+    assert len(fresh._index) == 6
     for r in range(1, 7):
         assert fresh.get(2, 1, r, "oracle") == 10 + r
     assert len(path.read_text().splitlines()) == 6
@@ -193,7 +193,7 @@ def test_count_record_validates_what_the_loader_validates(tmp_path, capsys,
             "engine_version": ENGINE_VERSION, "count": 18,
             "created_at": "2026-01-01T00:00:00+00:00", **fields}
     path.write_text(json.dumps(line) + "\n")
-    assert len(CountCache(path)) == 0
+    assert len(CountCache(path)._index) == 0
     assert capsys.readouterr().err.count("skipping unreadable line") == 1
 
 

@@ -675,11 +675,19 @@ def test_cold_and_warm_runs_match_bytes(tmp_path):
 # ---------------------------------------------------------------- start-up
 
 # a last stderr line naming the package modules loaded and whether
-# dataclasses and datetime were
+# dataclasses, datetime and inspect were
 REPORT = ("print(sorted(m for m in sys.modules if m.startswith('multlat')),"
           " 'dataclasses' in sys.modules, 'datetime' in sys.modules,"
-          " file=sys.stderr)")
-CLI_ONLY = "['multlat', 'multlat.cache', 'multlat.cli'] False False"
+          " 'inspect' in sys.modules, file=sys.stderr)")
+CLI_ONLY = "['multlat', 'multlat.cache', 'multlat.cli'] False False False"
+# a computing run loads every package module, and still neither
+# dataclasses nor inspect
+COMPUTING = ("['multlat', 'multlat.cache', 'multlat.cli', 'multlat.enumeration',"
+             " 'multlat.intlinalg', 'multlat.lattice', 'multlat.partitions']"
+             " False False False")
+MAIN = ("import sys, multlat.cli\n"
+        "rc = multlat.cli.main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n" + REPORT + "\nsys.exit(rc)")
 
 
 def test_import_loads_no_engine():
@@ -699,10 +707,16 @@ def test_cache_served_counts_load_no_engine(tmp_path, capsys, argv):
     assert rc == 0
     rc, cold, _ = run_main(capsys, argv)
     assert rc == 0
-    main = ("import sys, multlat.cli\n"
-            "rc = multlat.cli.main(sys.argv[1:])\n"
-            "sys.stdout.flush()\n" + REPORT + "\nsys.exit(rc)")
-    proc = run_python(["-c", main, *argv, "--cache", cache])
+    proc = run_python(["-c", MAIN, *argv, "--cache", cache])
     assert proc.returncode == 0
     assert proc.stdout == cold
     assert proc.stderr.splitlines()[-1] == CLI_ONLY
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_computing_run_loads_neither_dataclasses_nor_inspect(jobs):
+    proc = run_python(["-c", MAIN, "verify", "--n", "1", "--k", "1..2",
+                       "--r", "1..4", "--jobs", jobs])
+    assert proc.returncode == 0
+    assert proc.stdout.count("pass") == 8
+    assert proc.stderr.splitlines()[-1] == COMPUTING

@@ -1,6 +1,8 @@
 """Lattice objects, canonical bases, and product closure."""
 
+import copy
 import itertools
+import pickle
 import random
 from math import prod
 
@@ -199,6 +201,39 @@ def test_dict_round_trip():
     d = lat.as_dict()
     assert d == {"ambient": 3, "rank": 2, "basis": [[1, 0, 2], [0, 3, 3]]}
     assert lattice_from_rows(d["ambient"], d["basis"]) == lat
+
+
+@pytest.mark.parametrize("lat", [
+    Lattice(0, ()), Lattice(3, ()), Lattice(2, ((1, 1),)),
+    Lattice(3, ((2, 0, 1), (0, 1, 1))),
+])
+def test_lattice_is_an_immutable_value(lat):
+    twin = Lattice(lat.ambient_dim, tuple(tuple(row) for row in lat.basis))
+    assert twin == lat and hash(twin) == hash(lat)
+    assert Lattice(basis=lat.basis, ambient_dim=lat.ambient_dim) == lat
+    assert eval(repr(lat)) == lat
+    assert pickle.loads(pickle.dumps(lat)) == lat
+    assert copy.deepcopy(lat) == lat
+    # equality is class-strict: a tuple of the same fields is not equal
+    assert lat != (lat.ambient_dim, lat.basis)
+    with pytest.raises(AttributeError):
+        lat.basis = ()
+    with pytest.raises(AttributeError):
+        del lat.ambient_dim
+    assert twin == lat
+
+
+def test_lattice_repr():
+    assert repr(Lattice(2, ((1, 1),))) == "Lattice(ambient_dim=2, basis=((1, 1),))"
+
+
+def test_unpickling_validates_the_basis():
+    # the pivot 3 is the one K\x03 (a one-byte int) of the payload; as 0 it
+    # leaves a row (0, 1) above (0, 2), not a Hermite basis
+    payload = pickle.dumps(Lattice(2, ((3, 1), (0, 2))))
+    assert payload.count(b"K\x03") == 1
+    with pytest.raises(ValueError, match="canonical Hermite form"):
+        pickle.loads(payload.replace(b"K\x03", b"K\x00"))
 
 
 # ----------------------------------------------------------- multiplicative

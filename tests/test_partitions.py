@@ -1,6 +1,8 @@
 """Set partitions, acceptable coordinate maps, and the subset-count table."""
 
+import copy
 import csv
+import pickle
 import random
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 import multlat.lattice as lattice
 import multlat.partitions as partitions
+from multlat.enumeration import VerificationReport
 from multlat.intlinalg import hermite_normal_form
 from multlat.lattice import Lattice, lattice_from_rows, torsion_size
 from multlat.partitions import (
@@ -120,6 +123,65 @@ def test_map_validation():
         AcceptableMap(2, 1, (1,))  # target smaller than source
     with pytest.raises(ValueError):
         AcceptableMap(2, 4, (1, 2))  # wrong length
+
+
+@pytest.mark.parametrize("cls, args", [
+    (AcceptableMap, (1, 2, [1, 0])),  # a list never hashes
+    (AcceptableMap, (1, 2, (1.0, 0))),  # a float never indexes a row
+    (AcceptableMap, (1, 2, (True, 0))),
+    (AcceptableMap, (True, 1, (1,))),
+    (AcceptableMap, (1, 2.0, (1, 0))),
+    (SetPartition, (2, [[0], [1]])),
+    (SetPartition, (2, ([0], (1,)))),
+    (SetPartition, (3, ((0, 1.0), (2,)))),
+    (SetPartition, (2, ((False,), (1,)))),
+    (SetPartition, (True, ((0,),))),
+])
+def test_constructors_reject_fields_of_the_wrong_type(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+# ------------------------------------------------------------- value types
+
+@pytest.mark.parametrize("cls, fields", [
+    (SetPartition, dict(ground_size=1, blocks=((0,),))),
+    (SetPartition, dict(ground_size=9,
+                        blocks=((0, 3, 4), (1, 5), (2, 7, 8), (6,)))),
+    (AcceptableMap, dict(source_dim=0, target_dim=0, assignment=())),
+    (AcceptableMap, dict(source_dim=2, target_dim=4, assignment=(1, 0, 2, 1))),
+    (VerificationReport, dict(n=2, k=1, r=2, oracle_count=18,
+                              formula_count=18, stirling_factor=6,
+                              full_rank_count=3, witnesses_checked=18,
+                              status="pass")),
+])
+def test_value_type_contract(cls, fields):
+    value = cls(**fields)
+    twin = cls(*fields.values())
+    assert twin == value and hash(twin) == hash(value)
+    assert eval(repr(value)) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    for name, field in fields.items():
+        assert getattr(value, name) == field
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+    if cls is not VerificationReport:
+        # equality is class-strict: a tuple of the same fields is not equal
+        assert value != tuple(fields.values())
+
+
+@pytest.mark.parametrize("value, old, new", [
+    # the ground size 3 as 4: the blocks no longer cover the ground set
+    (SetPartition(3, ((0, 2), (1,))), b"K\x03", b"K\x04"),
+    # the target dimension 4 as 5: the assignment is one entry short
+    (AcceptableMap(2, 4, (1, 0, 2, 1)), b"K\x04", b"K\x05"),
+])
+def test_unpickling_validates_the_fields(value, old, new):
+    payload = pickle.dumps(value)
+    assert payload.count(old) == 1
+    with pytest.raises(ValueError):
+        pickle.loads(payload.replace(old, new))
 
 
 def test_partition_map_round_trip():

@@ -85,6 +85,24 @@ def test_project_version_is_the_package_version():
     assert declared.group(1) == multlat.__version__
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    # feature_version makes the parser refuse syntax newer than the floor,
+    # such as an except* clause (3.11) under 3.10
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject,
+                      re.MULTILINE)
+    assert floor is not None
+    version = (int(floor.group(1)), int(floor.group(2)))
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=version)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=version)
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in
                                         (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
