@@ -294,9 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON-lines count cache file")
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--jobs", type=_positive, default=1, metavar="N",
-                        help="worker processes for enumeration (default 1)")
+                        help="shards per enumeration, run on at most one "
+                             "process per core (default 1)")
     engine.add_argument("--budget", type=_positive, metavar="STEPS",
-                        help="steps per worker: leads, pivot-column "
+                        help="steps per shard: leads, pivot-column "
                              "entries and off-pivot columns of the co-rank "
                              "scan, pivots and entries tried by the "
                              "full-rank engine")

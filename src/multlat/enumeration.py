@@ -15,10 +15,11 @@ One step, `_closed_extensions`, grows a Hermite basis by one row closed
 under products for both engines; a shard takes its share of the top level's
 extensions by slicing their list. Both engines take each lead from the
 divisors of the index or torsion left over, the last lead being the
-quotient itself; one `_run_shards` sorts either's bases and rejects a
-repeat. One `_reverify` checks the output of either through the lattice
-predicates alone (`is_multiplicative`, `torsion_size`), once per lattice
-for the full-rank engine and once per pivot square for the scan. The
+quotient itself; one `_run_shards` answers rank 0 for both, sorts
+either's bases and rejects a repeat. One `_reverify` checks the output of
+either through the lattice predicates alone (`is_multiplicative`,
+`torsion_size`), once per lattice for the full-rank engine and once per
+pivot square for the scan. The
 verifier makes one pass over the census (`_witness_faults`): it
 re-verifies and splits the first witness of each pivot square, and checks
 every later witness of that square by its own map carried back to the
@@ -34,9 +35,11 @@ entries are the exact roots of a quadratic rather than a range scanned.
 
 from __future__ import annotations
 
+import os
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .intlinalg import _in_span
 from .lattice import Lattice, is_multiplicative, torsion_size
 from .partitions import (
     AcceptableMap,
@@ -79,26 +82,6 @@ class VerificationReport(NamedTuple):
 # shared low-level helpers (hot path: plain lists, no object churn)
 
 
-def _in_span(hnf: Sequence[Sequence[int]], pivots: list[int], p: list[int],
-             ambient: int) -> bool:
-    """Membership of p in the row span of a Hermite basis, by exact division."""
-    w = p[:]
-    for idx, c in enumerate(pivots):
-        wc = w[c]
-        if wc:
-            row = hnf[idx]
-            d = row[c]
-            if wc % d:
-                return False
-            q = wc // d
-            for j in range(c, ambient):
-                w[j] -= q * row[j]
-    for x in w:
-        if x:
-            return False
-    return True
-
-
 class _Steps:
     """One worker's count of entries tried, checked against its budget."""
 
@@ -116,28 +99,28 @@ class _Steps:
                 f"(budget {self.budget})")
 
 
-def _checked_budget(jobs: int, budget: Optional[int]) -> int:
-    """The per-worker budget, None meaning DEFAULT_BUDGET, once it and jobs
-    are checked to be at least 1."""
+def _run_shards(worker, args: tuple, rank: int, jobs: int,
+                budget: Optional[int]) -> list[Lattice]:
+    """Every shard's lattices of the given rank, sorted by basis.
+
+    args[0] is the ambient dimension and args[-1] the index or torsion.
+    worker takes args + (shard, jobs, budget) and returns a list of
+    canonical bases in Z^args[0]. jobs and budget are checked first, budget
+    None meaning DEFAULT_BUDGET. At rank 0 the only lattice is the zero
+    lattice, of torsion 1, so the answer is [Lattice(args[0], ())] when
+    args[-1] is 1 and [] otherwise, and no worker runs. Otherwise jobs = 1
+    runs the worker in this process, and more jobs run jobs shards, each
+    with its own budget, in a fork pool of min(jobs, os.cpu_count())
+    processes. A basis found twice, in one shard or two, is an internal
+    error: each engine lists every lattice once.
+    """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    return budget
-
-
-def _run_shards(worker, args: tuple, jobs: int,
-                budget: Optional[int]) -> list[Lattice]:
-    """Every shard's lattices, sorted by basis.
-
-    worker takes args + (shard, jobs, budget) and returns a list of
-    canonical bases in Z^args[0]. jobs = 1 runs it in this process, more
-    jobs run one shard each in a fork pool; budget None means
-    DEFAULT_BUDGET. A basis found twice, in one shard or two, is an
-    internal error: each engine lists every lattice once.
-    """
-    budget = _checked_budget(jobs, budget)
+    if rank == 0:
+        return [Lattice(args[0], ())] if args[-1] == 1 else []
     tasks = [(*args, shard, jobs, budget) for shard in range(jobs)]
     if jobs == 1:
         shard_results = [worker(tasks[0])]
@@ -145,7 +128,7 @@ def _run_shards(worker, args: tuple, jobs: int,
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
+        with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
             shard_results = pool.map(worker, tasks)
     bases = sorted(item for chunk in shard_results for item in chunk)
     if len(set(bases)) != len(bases):
@@ -204,13 +187,14 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
     jobs shards the last rows round-robin. Each lattice appears exactly
     once, a repeat being an internal error; the result is sorted by basis.
     Each lattice is its own pivot square, so unlike the scan's census it is
-    re-verified (`_reverify`) lattice by lattice.
+    re-verified (`_reverify`) lattice by lattice. Z^0 is the one lattice
+    at n = 0, of index 1 (`_run_shards`).
     """
-    if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
+    if n < 0:
+        raise ValueError("ambient dimension must be nonnegative")
     if index < 1:
         raise ValueError("index must be at least 1")
-    lats = _run_shards(_full_rank_worker, (n, index), jobs, budget)
+    lats = _run_shards(_full_rank_worker, (n, index), n, jobs, budget)
     _reverify(lats, n, index)
     return lats
 
@@ -219,13 +203,8 @@ def count_full_rank(n: int, index: int, *, jobs: int = 1,
                     budget: Optional[int] = None) -> int:
     """Number of full-rank multiplicative sublattices of Z^n of given index.
 
-    The n = 0 convention: exactly one such lattice for index 1, none else.
+    At n = 0 that is 1 for index 1, Z^0 itself, and 0 for any other.
     """
-    if n == 0:
-        if index < 1:
-            raise ValueError("index must be at least 1")
-        _checked_budget(jobs, budget)
-        return 1 if index == 1 else 0
     return len(enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget))
 
 
@@ -233,11 +212,10 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
                  budget: Optional[int] = None) -> int:
     """Number of index-`index` subrings of Z^n containing (1, ..., 1).
 
-    For n = 0 the empty product convention makes Z^0 itself the single
-    subring, of index 1.
+    Membership of the ones vector is decided by exact division
+    (`intlinalg._in_span`). For n = 0 the empty product convention makes
+    Z^0 itself the single subring, of index 1.
     """
-    if n == 0:
-        return count_full_rank(0, index, jobs=jobs, budget=budget)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
     pivots = list(range(n))
@@ -350,13 +328,12 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     tries that quotient alone, which completes r; no torsion is tested.
     Off-pivot entries are the integer roots that `_closed_extensions` solves
     for, at one step per column, so nothing in the scan needs a bound. At
-    co-rank 0 the scan takes the full-rank engine's leads and steps.
+    co-rank 0 the scan takes the full-rank engine's leads and steps. The
+    rank n = ambient - corank is at least 1: `_run_shards` answers rank 0
+    without a worker.
     """
     ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
-    if n == 0:
-        # the zero lattice, of torsion 1
-        return [()] if torsion == 1 else []
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
 
@@ -431,9 +408,8 @@ def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
         raise ValueError("torsion must be at least 1")
-    # rank 0 has nothing to shard: it runs in-process (bad jobs still fail)
     return _run_shards(_corank_worker, (ambient, corank, torsion),
-                       jobs if ambient > corank else min(jobs, 1), budget)
+                       ambient - corank, jobs, budget)
 
 
 def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:
@@ -535,11 +511,7 @@ def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
     Returns the flat list (duplicates included, deterministic order); when
     the factorization holds this list matches the co-rank census exactly.
     """
-    if n == 0:
-        cores = [Lattice(0, ())] * count_full_rank(0, r, jobs=jobs,
-                                                   budget=budget)
-    else:
-        cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
+    cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
     out: list[Lattice] = []
     for g in enumerate_ordered_maps(n, n + k):
         for core in cores:

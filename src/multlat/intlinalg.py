@@ -8,7 +8,10 @@ many as the rows, as every multiplicative basis's are, reduce to the
 triangular square of their pivot columns (`_pivot_square`): the torsion
 order of the quotient group is the product of its diagonal, and for a
 multiplicative basis the square is the full-rank core that
-`enumeration.decompose` returns. Any other rows go through the general
+`enumeration.decompose` returns. Membership in the span of a Hermite
+basis whose pivot columns are known is decided by exact division alone
+(`_in_span`); the engines' extension step, the unital count and the
+square's closure test share it. Any other rows go through the general
 routines: their torsion order is the product of the Smith normal form
 diagonal, and membership in their span is solved by `solve_in_row_span`.
 """
@@ -176,6 +179,30 @@ def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[
     if any(residual):
         return None
     return tuple(coeffs)
+
+
+def _in_span(hnf: Sequence[Sequence[int]], pivots: Sequence[int],
+             p: list[int], ambient: int) -> bool:
+    """Membership of p in the row span of a Hermite basis, by exact division.
+
+    Row i of hnf pivots at column pivots[i], and rows and p are ambient
+    long. Nothing is validated and p is not changed.
+    """
+    w = p[:]
+    for idx, c in enumerate(pivots):
+        wc = w[c]
+        if wc:
+            row = hnf[idx]
+            d = row[c]
+            if wc % d:
+                return False
+            q = wc // d
+            for j in range(c, ambient):
+                w[j] -= q * row[j]
+    for x in w:
+        if x:
+            return False
+    return True
 
 
 def _pivot_columns(mat: IntMatrix) -> list[tuple[int, int]]:

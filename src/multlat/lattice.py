@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .intlinalg import (
     IntMatrix,
     _echelon_torsion,
+    _in_span,
     _pivot_square,
     hermite_normal_form,
     solve_in_row_span,
@@ -188,31 +189,22 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
     """Closure under products of the span of an upper-triangular square with
     nonzero diagonal.
 
-    The product of rows i <= j vanishes left of column j, so it is formed
-    and reduced against the rows j.. from column j on, by exact division at
-    each diagonal entry; the span has full rank, so the product lies in it
-    exactly when every division is exact. A row v = d*e_j, zero right of its
-    diagonal entry, needs no test: u*v = u[j]*v is a multiple of it. The
-    last row is always such a row.
+    The product of rows i <= j vanishes left of column j, so it lies in the
+    span exactly when it lies in the span of the rows j.., which
+    `intlinalg._in_span` decides by exact division at each diagonal entry.
+    A row v = d*e_j, zero right of its diagonal entry, needs no test: u*v =
+    u[j]*v is a multiple of it. The last row is always such a row.
     """
-    for j in range(len(square) - 1):
-        if not any(square[j][j + 1:]):
+    size = len(square)
+    for j in range(size - 1):
+        v = square[j]
+        if not any(v[j + 1:]):
             continue
-        # rows j.. from column j on: an upper-triangular square again
-        tail = [row[j:] for row in square[j:]]
-        v = tail[0]
-        size = len(tail)
+        rows, pivots = square[j:], range(j, size)
         for u in square[:j + 1]:
-            w = [a * b for a, b in zip(u[j:], v)]
-            for c, row in enumerate(tail):
-                x = w[c]
-                if x:
-                    d = row[c]
-                    if x % d:
-                        return False
-                    q = x // d
-                    for t in range(c + 1, size):
-                        w[t] -= q * row[t]
+            if not _in_span(rows, pivots, [a * b for a, b in zip(u, v)],
+                            size):
+                return False
     return True
 
 

@@ -10,8 +10,11 @@ import ast
 import inspect
 import itertools
 import math
+import multiprocessing
+import os
 import random
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
@@ -136,9 +139,43 @@ def test_enumerate_full_rank_jobs_split_agrees():
             enumerate_full_rank_multiplicative(n, r, jobs=3)
 
 
+def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
+    # jobs=64 still makes 64 shards, each with its own budget, but pools
+    # no more processes than there are cores; the fake pool records its
+    # size and maps in this process, so no process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sharded = enumerate_full_rank_multiplicative(3, 4, jobs=64)
+    assert len(step_totals) == 64
+    assert sharded == enumerate_full_rank_multiplicative(3, 4, jobs=1)
+    assert enumerate_corank_oracle(3, 1, 2, jobs=64) == \
+        enumerate_corank_oracle(3, 1, 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    enumerate_full_rank_multiplicative(3, 4, jobs=5)
+    # rank 0 is answered without a pool
+    assert enumerate_corank_oracle(2, 2, 1, jobs=64) == [Lattice(2, ())]
+    assert sizes == [3, 3, 1]
+
+
 def test_enumerate_full_rank_arg_validation():
     with pytest.raises(ValueError):
-        enumerate_full_rank_multiplicative(0, 1)
+        enumerate_full_rank_multiplicative(-1, 1)
     with pytest.raises(ValueError):
         enumerate_full_rank_multiplicative(2, 0)
     with pytest.raises(ValueError):
@@ -163,6 +200,7 @@ def test_formula_side_checks_jobs_and_budget_at_rank_zero():
         lambda **run: count_corank_formula(0, 2, 1, **run),
         lambda **run: reconstruct_from_factorization(0, 1, 1, **run),
         lambda **run: enumerate_corank_oracle(1, 1, 1, **run),
+        lambda **run: enumerate_full_rank_multiplicative(0, 1, **run),
     ]
     for call in calls:
         for bad in ({"jobs": 0}, {"budget": 0}):
@@ -170,8 +208,7 @@ def test_formula_side_checks_jobs_and_budget_at_rank_zero():
                 call(**bad)
     assert [call() for call in calls[:3]] == [1, 1, 1]
     assert reconstruct_from_factorization(0, 1, 1) == [Lattice(1, ())]
-    with pytest.raises(ValueError):
-        enumerate_full_rank_multiplicative(0, 1)
+    assert enumerate_full_rank_multiplicative(0, 1) == [Lattice(0, ())]
 
 
 # ------------------------------------------------------------------ unital
@@ -287,9 +324,10 @@ def test_corank_scan_jobs_split_agrees():
 
 
 def test_corank_zero_equals_full_rank_census():
-    for n, r in ((2, 4), (3, 3)):
-        assert enumerate_corank_oracle(n, 0, r) == \
-            enumerate_full_rank_multiplicative(n, r)
+    for n, r in ((2, 4), (3, 3), (0, 1), (0, 2), (0, 3)):
+        for jobs in (1, 2):
+            assert enumerate_corank_oracle(n, 0, r, jobs=jobs) == \
+                enumerate_full_rank_multiplicative(n, r, jobs=jobs)
 
 
 def test_corank_census_properties():

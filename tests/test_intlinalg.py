@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multlat.intlinalg as intlinalg
 from multlat.intlinalg import (
     _echelon_torsion,
     _pivot_square,
@@ -341,6 +342,11 @@ def test_solve_agrees_with_reference_membership():
         v = [rng.randint(-8, 8) for _ in range(3)]
         got = solve_in_row_span(h, v)
         assert (got is not None) == int_membership(gens, v)
+        # the exact-division kernel the engines share gives the same verdict
+        pivots = [next(j for j, x in enumerate(row) if x) for row in gens]
+        width = len(v)
+        assert intlinalg._in_span(h, pivots, list(v), width) == \
+            (got is not None)
 
 
 def test_solve_zero_rows_get_zero_coefficients():
