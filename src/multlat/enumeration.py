@@ -16,14 +16,13 @@ under products for both engines; a shard takes its share of the top level's
 extensions by slicing their list. Both engines take each lead from the
 divisors of the index or torsion left over, the last lead being the
 quotient itself; one `_run_shards` answers rank 0 for both, sorts
-either's bases and rejects a repeat. One `_reverify` checks the output of
-either through the lattice predicates alone (`is_multiplicative`,
-`torsion_size`), once per lattice for the full-rank engine and once per
-pivot square for the scan. The
-verifier makes one pass over the census (`_witness_faults`): it
-re-verifies and splits the first witness of each pivot square, and checks
-every later witness of that square by its own map carried back to the
-stored core. Its outcome is a VerificationReport, a NamedTuple as
+either's bases and rejects a repeat or a basis that fails validation. One
+`_reverify` checks the output of either through the lattice predicates
+alone (`is_multiplicative`, `torsion_size`), once per lattice for the
+full-rank engine and once per pivot square for the scan. The verifier
+makes one pass over the census (`_witness_faults`): it re-verifies and
+splits the first witness of each pivot square, and checks every later
+witness of that square by its own map carried back to the stored core. Its outcome is a VerificationReport, a NamedTuple as
 `cache.CountRecord` is.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
@@ -36,7 +35,9 @@ entries are the exact roots of a quadratic rather than a range scanned.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from math import isqrt
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlinalg import _in_span
@@ -112,7 +113,12 @@ def _run_shards(worker, args: tuple, rank: int, jobs: int,
     runs the worker in this process, and more jobs run jobs shards, each
     with its own budget, in a fork pool of min(jobs, os.cpu_count())
     processes. A basis found twice, in one shard or two, is an internal
-    error: each engine lists every lattice once.
+    error: each engine lists every lattice once, and the sort puts copies
+    next to each other, so comparing each basis with the next finds every
+    repeat. So is a basis the Lattice constructor rejects: its ValueError,
+    which the command line would report as a usage error (exit 2), is
+    raised again as RuntimeError "internal: engine produced a bad lattice",
+    a failed self-check (exit 3).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -130,10 +136,13 @@ def _run_shards(worker, args: tuple, rank: int, jobs: int,
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
             shard_results = pool.map(worker, tasks)
-    bases = sorted(item for chunk in shard_results for item in chunk)
-    if len(set(bases)) != len(bases):
+    bases = sorted([item for chunk in shard_results for item in chunk])
+    if any(map(eq, bases, islice(bases, 1, None))):
         raise RuntimeError("internal: engine produced a lattice twice")
-    return [Lattice(args[0], b) for b in bases]
+    try:
+        return [Lattice(args[0], b) for b in bases]
+    except ValueError as exc:
+        raise RuntimeError("internal: engine produced a bad lattice") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +171,7 @@ def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[
         # hnf holds rows i+1..n-1, rows 0..i take the index left over; the
         # level takes every step-th extension from the start-th on
         if i < 0:
-            found.append(tuple(tuple(r) for r in hnf))
+            found.append(tuple(map(tuple, hnf)))
             return
         leads = ([left] if i == 0 else
                  [d for d in range(1, left + 1) if left % d == 0])
@@ -249,30 +258,34 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
     multiples forward. Off a pivot the residual x(x - d) - acc[j] must
     vanish, so x runs over its roots (d - s)/2 <= (d + s)/2, s =
     isqrt(d*d + 4*acc[j]), when d*d + 4*acc[j] is a perfect square; then
-    s = d mod 2, so both roots are integers. A full row is kept when its
-    products with the rows of hnf lie in the span too (`_in_span`), so the
-    span of [v] + hnf is closed when hnf's is. A row u = d*e_c of hnf, zero
-    right of its pivot c, needs no test: u*v = v[c]*u lies in the span, so
-    only the rows with a nonzero entry right of their pivot are listed, once
-    per call. Every lead, every entry tried in a pivot column and every
-    off-pivot column is charged one step to `steps`.
+    s = d mod 2, so both roots are integers. On a pivot column the residual
+    is tested for divisibility before it is divided, and a residual of 0
+    adds no multiple, so the entry passes `acc` on as it is; no `acc` is
+    ever changed in place, so entries share one freely. A full row is kept
+    when its products with the rows of hnf lie in the span too, so the span
+    of [v] + hnf is closed when hnf's is. Every row u of hnf pivots right
+    of q, so u*v vanishes at column q and v's coefficient in it is 0: the
+    product is tested against hnf alone (`_in_span`), and [v] + hnf is built
+    only for a row that is kept. A row u = d*e_c of hnf, zero right of its
+    pivot c, needs no test: u*v = v[c]*u lies in the span, so only the rows
+    with a nonzero entry right of their pivot are listed, once per call.
+    Every lead, every entry tried in a pivot column and every off-pivot
+    column is charged one step to `steps`.
     """
     pivot_row: list[Optional[list[int]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
         pivot_row[c] = row
     tested = [row for row, c in zip(hnf, pivots) if any(row[c + 1:])]
-    p2 = [q] + pivots
     v = [0] * ambient
     out: list[list[list[int]]] = []
 
     def fill(j: int, d: int, acc: list[int]) -> None:
         if j == ambient:
-            h2 = [v[:]] + hnf
             for u in tested:
-                if not _in_span(h2, p2, [a * b for a, b in zip(u, v)],
+                if not _in_span(hnf, pivots, [a * b for a, b in zip(u, v)],
                                 ambient):
                     return
-            out.append(h2)
+            out.append([v[:]] + hnf)
             return
         row = pivot_row[j]
         if row is None:
@@ -286,11 +299,16 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
             return
         p = row[j]
         steps.spend(p)
+        aj = acc[j]
         for x in range(p):
-            m, rem = divmod(x * (x - d) - acc[j], p)
-            if rem == 0:
+            res = x * (x - d) - aj
+            if res % p == 0:
                 v[j] = x
-                fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
+                if res:
+                    m = res // p
+                    fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
+                else:
+                    fill(j + 1, d, acc)
 
     for d in leads:
         steps.spend(1)
@@ -350,7 +368,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
                                              steps)]
         for h2, q in rows[start::step]:
             if last:
-                found.append(tuple(tuple(row) for row in h2))
+                found.append(tuple(map(tuple, h2)))
             else:
                 extend(h2, [q] + pivots, left // h2[0][q])
 

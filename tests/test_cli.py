@@ -17,6 +17,7 @@ import multlat.enumeration as enumeration
 from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
 from multlat.lattice import lattice_from_rows
+from test_enumeration import _rows_added
 
 
 def run_python(args):
@@ -466,6 +467,27 @@ def test_a_lattice_found_twice_exits_three(capsys, monkeypatch):
         assert rc == 3, name
         assert out == ""
         assert err == "internal error: engine produced a lattice twice\n"
+
+
+def test_a_bad_engine_lattice_exits_three(capsys, monkeypatch):
+    # a basis that fails the Lattice constructor is the engine's fault, not
+    # the user's: exit 3, not the usage error's 2; verify has printed its
+    # table header by then, and no row
+    for name, argv, lines in (
+            ("_full_rank_worker", ["count", "--n", "2", "--r", "2"], 0),
+            ("_corank_worker", ["count-corank", "--ambient", "3",
+                                "--corank", "1", "--torsion", "2"], 0),
+            ("_corank_worker", ["verify", "--n", "2", "--k", "1",
+                                "--r", "2"], 1)):
+        worker = getattr(enumeration, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, name,
+                            lambda args, worker=worker:
+                            _rows_added(worker(args)))
+            rc, out, err = run_main(capsys, argv)
+        assert rc == 3, argv
+        assert out.count("\n") == lines, argv
+        assert err == "internal error: engine produced a bad lattice\n"
 
 
 # -------------------------------------------------------------- partitions

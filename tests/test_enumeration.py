@@ -7,6 +7,7 @@ test pass.
 """
 
 import ast
+import functools
 import inspect
 import itertools
 import math
@@ -454,6 +455,32 @@ def test_corank_zero_scan_costs_what_the_full_rank_engine_costs(step_totals):
             assert scan.used == full.used, (n, r)
 
 
+def test_campaign_step_totals_are_pinned(step_totals):
+    # steps are what the budget counts, so a change to the extension step
+    # that keeps the census but tries other entries shows here: over the
+    # campaign cells at jobs 1 the scan takes 3,825 steps and the formula
+    # side's full-rank count 343
+    for n, k, r in CAMPAIGN_CELLS:
+        _census(n + k, k, r, jobs=1, budget=None)
+    assert sum(steps.used for steps in step_totals) == 3825
+    step_totals.clear()
+    for n, k, r in CAMPAIGN_CELLS:
+        count_full_rank(n, r)
+    assert sum(steps.used for steps in step_totals) == 343
+
+
+def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
+    for run, used in (
+            (lambda budget: _census(4, 1, 4, jobs=1, budget=budget), 540),
+            (lambda budget: count_full_rank(3, 8, budget=budget), 141)):
+        expected = run(None)
+        assert step_totals[-1].used == used
+        assert run(used) == expected
+        with pytest.raises(SearchBudgetExceeded,
+                           match=f"after {used} entries"):
+            run(used - 1)
+
+
 def test_budget_large_enough_changes_nothing():
     small = enumerate_corank_oracle(2, 1, 3, budget=10_000)
     assert small == enumerate_corank_oracle(2, 1, 3)
@@ -739,27 +766,81 @@ def _all_shards_in_each(args):
     return _full_rank_worker((*head, 0, 1, budget))
 
 
+def _first_basis_again_in_last_shard(name, args):
+    # a sharding fault: the last shard lists shard 0's first basis after
+    # its own bases, far from where the sort puts it; module level, so a
+    # fork pool can take it
+    worker = {"full": _full_rank_worker, "scan": _corank_worker}[name]
+    *head, shard, jobs, budget = args
+    found = worker(args)
+    if shard == jobs - 1:
+        found = found + worker((*head, 0, jobs, budget))[:1]
+    return found
+
+
 TWICE = "^internal: engine produced a lattice twice$"
 
 
 def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
+    runs = (
+        ("_full_rank_worker", lambda: enumerate_full_rank_multiplicative(3, 4)),
+        ("_corank_worker", lambda: enumerate_corank_oracle(3, 1, 2)),
+        ("_corank_worker", lambda: verify_corank_factorization(2, 1, 2)))
+    # the repeat next to its first copy, and the first basis appended last
+    for again in (slice(-1, None), slice(None, 1)):
+        for name, run in runs:
+            worker = getattr(enumeration, name)
+            with monkeypatch.context() as patched:
+                patched.setattr(enumeration, name,
+                                lambda args, worker=worker:
+                                worker(args) + worker(args)[again])
+                with pytest.raises(RuntimeError, match=TWICE):
+                    run()
+    # the same lattice from two shards, at non-adjacent places in their
+    # outputs: the sort must still bring the copies together
+    for name, key, run in (
+            ("_full_rank_worker", "full",
+             lambda jobs: enumerate_full_rank_multiplicative(3, 4, jobs=jobs)),
+            ("_corank_worker", "scan",
+             lambda jobs: enumerate_corank_oracle(3, 1, 2, jobs=jobs))):
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, name, functools.partial(
+                _first_basis_again_in_last_shard, key))
+            for jobs in (1, 2):
+                with pytest.raises(RuntimeError, match=TWICE):
+                    run(jobs)
+    # every shard lists the whole census
+    monkeypatch.setattr(enumeration, "_full_rank_worker", _all_shards_in_each)
+    assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
+    with pytest.raises(RuntimeError, match=TWICE):
+        enumerate_full_rank_multiplicative(3, 4, jobs=2)
+
+
+def _rows_added(bases):
+    # an engine fault: the first basis's top row gains the row below it,
+    # so its entry above that row's pivot is no longer reduced
+    (top, below, *rest), *others = bases
+    return [(tuple(a + b for a, b in zip(top, below)), below, *rest), *others]
+
+
+def test_a_basis_failing_validation_is_an_internal_error(monkeypatch):
+    # the Lattice constructor's ValueError would read as a usage error;
+    # _run_shards turns it into the engines' failed self-check
     for name, run in (
             ("_full_rank_worker",
              lambda: enumerate_full_rank_multiplicative(3, 4)),
-            ("_corank_worker", lambda: enumerate_corank_oracle(3, 1, 2)),
+            ("_corank_worker", lambda: _census(3, 1, 2, jobs=1, budget=None)),
             ("_corank_worker", lambda: verify_corank_factorization(2, 1, 2))):
         worker = getattr(enumeration, name)
         with monkeypatch.context() as patched:
             patched.setattr(enumeration, name,
                             lambda args, worker=worker:
-                            worker(args) + worker(args)[-1:])
-            with pytest.raises(RuntimeError, match=TWICE):
+                            _rows_added(worker(args)))
+            with pytest.raises(RuntimeError,
+                               match="^internal: engine produced a bad "
+                                     "lattice$") as exc:
                 run()
-    # the same lattice from two shards
-    monkeypatch.setattr(enumeration, "_full_rank_worker", _all_shards_in_each)
-    assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
-    with pytest.raises(RuntimeError, match=TWICE):
-        enumerate_full_rank_multiplicative(3, 4, jobs=2)
+        assert isinstance(exc.value.__cause__, ValueError), name
 
 
 def test_census_is_closed_under_reversing_coordinates():
