@@ -1,14 +1,14 @@
 """Append-only JSON-lines store for counting results, and their record type.
 
-One file, one JSON object per line, an in-memory index on top. Entries are
-keyed by (n, k, r, method, engine_version), so bumping the engine version
-silently invalidates everything older: stale entries stay in the file but
-can never be returned. That is how the lines of engine 0.2.0 and earlier,
-which also recorded a census bound multiplier, are left behind. Malformed
-lines (torn writes, manual edits, bytes that are not UTF-8, a count or key
-field that is not a JSON integer or is out of range) are skipped with a
-warning instead of poisoning the run: a count served from here reaches
-stdout without any engine running.
+One file, one JSON object per line, an in-memory index of the counts on
+top. Entries are keyed by (n, k, r, method, engine_version), so bumping the
+engine version silently invalidates everything older: stale entries stay in
+the file but can never be returned. That is how the lines of engine 0.2.0
+and earlier, which also recorded a census bound multiplier, are left behind.
+Malformed lines (torn writes, manual edits, bytes that are not UTF-8, a
+count or key field that is not a JSON integer or is out of range) are
+skipped with a warning instead of poisoning the run: a count served from
+here reaches stdout without any engine running.
 
 The module imports nothing from the counting engines, so a command whose
 counts all come from the cache never loads them.
@@ -80,7 +80,7 @@ class CountCache:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._index: dict[CacheKey, dict] = {}
+        self._index: dict[CacheKey, int] = {}
         self._load()
 
     def _load(self) -> None:
@@ -103,20 +103,19 @@ class CountCache:
                         file=sys.stderr)
                     continue
                 # last entry wins on replay; put() never appends duplicates
-                self._index[key] = data
+                self._index[key] = data["count"]
 
     @staticmethod
     def _key_of(data: dict) -> CacheKey:
-        """The key of a stored line; ValueError unless its n, k, r and count
-        pass `_check_fields`."""
+        """The key of a stored line or a record's fields; ValueError unless
+        its n, k, r and count pass `_check_fields`."""
         n, k, r = data["n"], data["k"], data["r"]
         _check_fields(n, k, r, data["count"])
         return (n, k, r, str(data["method"]), str(data["engine_version"]))
 
-    def get(self, n: int, k: int, r: int, method: str,
-            engine_version: str = ENGINE_VERSION) -> Optional[int]:
-        data = self._index.get((n, k, r, method, engine_version))
-        return None if data is None else data["count"]
+    def get(self, n: int, k: int, r: int, method: str) -> Optional[int]:
+        """The count this engine version stored for the key, or None."""
+        return self._index.get((n, k, r, method, ENGINE_VERSION))
 
     def put(self, record: CountRecord) -> None:
         """Append one record. Existing keys are immutable: a matching entry
@@ -124,25 +123,17 @@ class CountCache:
         # imported here: a run served from the cache never writes
         from datetime import datetime, timezone
 
-        key = (record.n, record.k, record.r, record.method,
-               record.engine_version)
+        fields = record._asdict()
+        key = self._key_of(fields)
         old = self._index.get(key)
         if old is not None:
-            if old["count"] != record.count:
-                raise CacheConflict(
-                    f"cache conflict for {key}: stored {old['count']}, "
-                    f"new {record.count}")
+            if old != record.count:
+                raise CacheConflict(f"cache conflict for {key}: stored "
+                                    f"{old}, new {record.count}")
             return
-        data = {
-            "n": record.n,
-            "k": record.k,
-            "r": record.r,
-            "method": record.method,
-            "engine_version": record.engine_version,
-            "count": record.count,
-            "created_at": datetime.now(timezone.utc).isoformat(),
-        }
-        line = json.dumps(data, sort_keys=True) + "\n"
+        line = json.dumps(
+            {**fields, "created_at": datetime.now(timezone.utc).isoformat()},
+            sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # a single buffered write + fsync keeps concurrent readers from ever
         # seeing half a line
@@ -155,4 +146,4 @@ class CountCache:
             fh.write(line.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
-        self._index[key] = data
+        self._index[key] = record.count

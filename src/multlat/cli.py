@@ -7,10 +7,11 @@ Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
 cache-conflict error, 3 internal error (a self-check of the engines failed,
 which is a bug, not a verdict on the formula). A subcommand takes only the
 options it reads: all take --format, all but partitions --jobs and --budget,
-all but partitions and series --cache. Any other option, a --jobs or
---budget below 1, an --r or --torsion range reaching below 1, and an --n or
---k range reaching below 0 are rejected while the arguments are parsed
-(exit 2), before anything is written to stdout.
+all but partitions and series --cache. Any other option, and any number
+below its least value, is rejected while the arguments are parsed (exit 2),
+before anything is written to stdout: below 1 for --jobs, --budget, --r,
+--torsion, --r-max and the --n of partitions and series, below 0 for every
+other --n, --k, --ambient and --corank.
 
 The counting engines (`enumeration`, and `partitions` for the partition
 listing) are imported when the first cell has to be computed, not when this
@@ -55,16 +56,23 @@ def _parse_range(text: str, least: int = 0) -> tuple[int, ...]:
 _positive_range = partial(_parse_range, least=1)
 
 
-def _positive(text: str) -> int:
-    """A count of jobs or steps: an integer at least 1."""
+def _at_least(least: int, text: str) -> int:
+    """An integer, not below least."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected INT, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {least}, got {text!r}")
     return value
+
+
+# a count of jobs or steps, a rank or a top index is at least 1; a co-rank
+# or an ambient dimension at least 0
+_positive = partial(_at_least, 1)
+_nonnegative = partial(_at_least, 0)
 
 
 def _cell(value) -> str:
@@ -156,7 +164,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_count_corank(args) -> int:
     k = args.corank
-    if not 0 <= k <= args.ambient:
+    if k > args.ambient:
         raise ValueError("need 0 <= corank <= ambient")
     # co-rank 0 is plain full-rank counting whichever method was asked
     # for; recorded as 'oracle'
@@ -165,21 +173,17 @@ def _cmd_count_corank(args) -> int:
                          for r in args.torsion], args)
 
 
-_VERIFY_HEADER = ("n", "k", "r", "oracle_count", "formula_count",
-                  "stirling_factor", "full_rank_count", "witnesses_checked",
-                  "status")
-
-
 def _cmd_verify(args) -> int:
     from . import enumeration
 
     # verification never trusts the cache; it only deposits fresh oracle
     # counts for later count runs
     cache = CountCache(args.cache) if args.cache else None
-    # rows are written as each cell finishes, so table columns get a fixed
-    # width and earlier lines never need realigning
-    write = _row_writer(args.format or "table", _VERIFY_HEADER,
-                        [max(len(h), 5) for h in _VERIFY_HEADER], sys.stdout)
+    # a report is its row; rows are written as each cell finishes, so table
+    # columns get a fixed width and earlier lines never need realigning
+    header = enumeration.VerificationReport._fields
+    write = _row_writer(args.format or "table", header,
+                        [max(len(h), 5) for h in header], sys.stdout)
     sys.stdout.flush()
     t0 = time.monotonic()
     cells = 0
@@ -189,8 +193,7 @@ def _cmd_verify(args) -> int:
                 report = enumeration.verify_corank_factorization(
                     n, k, r, jobs=args.jobs, budget=args.budget)
                 cells += 1
-                data = report.as_dict()
-                write([data[h] for h in _VERIFY_HEADER])
+                write(report)
                 sys.stdout.flush()
                 if cache is not None:
                     cache.put(CountRecord(
@@ -217,8 +220,6 @@ def _cmd_partitions(args) -> int:
     from . import partitions
 
     fmt = args.format or "table"
-    if args.n < 1 or args.k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
     maps = list(partitions.enumerate_ordered_maps(args.n, args.n + args.k))
     if args.as_maps:
         header = ("index", "map")
@@ -245,13 +246,6 @@ def _cmd_series(args) -> int:
     from . import enumeration
 
     fmt = args.format or "csv"
-    if args.n < 1:
-        raise ValueError("need n >= 1")
-    if args.n > args.max_n:
-        raise ValueError(
-            f"n {args.n} exceeds the configured maximum {args.max_n}")
-    if args.r_max < 1:
-        raise ValueError("need r-max >= 1")
     fn = (enumeration.count_unital if args.family == "unital"
           else enumeration.count_full_rank)
     # opened before computing so a bad path fails at once
@@ -321,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-corank", parents=[cache, engine, fmt],
                        help="co-rank counts by ambient, co-rank and torsion")
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--corank", type=int, required=True)
+    p.add_argument("--ambient", type=_nonnegative, required=True)
+    p.add_argument("--corank", type=_nonnegative, required=True)
     p.add_argument("--torsion", type=_positive_range, required=True,
                    metavar="RANGE")
     p.add_argument("--method", choices=("oracle", "formula"),
@@ -341,22 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partitions", parents=[fmt],
                        help="list the ordered maps for one (n, k) cell")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--as-maps", action="store_true",
                    help="print assignment patterns instead of partitions")
     p.set_defaults(func=_cmd_partitions)
 
     p = sub.add_parser("series", parents=[engine, fmt],
                        help="export a coefficient series with partial sums")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--r-max", type=_positive, required=True)
     p.add_argument("--family", choices=("unital", "full-rank"),
                    default="unital")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write to this file instead of stdout")
-    p.add_argument("--max-n", type=int, default=4,
-                   help="refuse ranks above this (default 4)")
     p.set_defaults(func=_cmd_series)
 
     return parser

@@ -20,9 +20,10 @@ either's bases and rejects a repeat or a basis that fails validation. One
 `_reverify` checks the output of either through the lattice predicates
 alone (`is_multiplicative`, `torsion_size`), once per lattice for the
 full-rank engine and once per pivot square for the scan. The verifier
-makes one pass over the census (`_witness_faults`): it re-verifies and
-splits the first witness of each pivot square, and checks every later
-witness of that square by its own map carried back to the stored core. Its outcome is a VerificationReport, a NamedTuple as
+makes one pass over the census (`_witness_faults`): it splits the first
+witness of each pivot square and re-verifies its core, and checks every
+later witness of that square by its own map carried back to the stored
+core. Its outcome is a VerificationReport, a NamedTuple as
 `cache.CountRecord` is.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
@@ -117,8 +118,8 @@ def _run_shards(worker, args: tuple, rank: int, jobs: int,
     next to each other, so comparing each basis with the next finds every
     repeat. So is a basis the Lattice constructor rejects: its ValueError,
     which the command line would report as a usage error (exit 2), is
-    raised again as RuntimeError "internal: engine produced a bad lattice",
-    a failed self-check (exit 3).
+    raised again as RuntimeError "internal: engine produced an invalid
+    basis: ..." with the constructor's reason, a failed self-check (exit 3).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -142,7 +143,8 @@ def _run_shards(worker, args: tuple, rank: int, jobs: int,
     try:
         return [Lattice(args[0], b) for b in bases]
     except ValueError as exc:
-        raise RuntimeError("internal: engine produced a bad lattice") from exc
+        raise RuntimeError(
+            f"internal: engine produced an invalid basis: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +546,21 @@ def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
 
     A witness is keyed by its distinct nonzero columns in order of first
     use (`_columns`), which for a rigid basis are its pivot square's
-    columns. The first witness of a key is re-verified (`_reverify`), which
-    raises RuntimeError on the wrong rank, a lattice not closed under
-    products or the wrong torsion. A key with as many columns as the rank
-    is a pivot square, which is split into core and column labels
-    (`_core`), kept for the rest of the call; any other key (no rigid
-    columns) gives "column count differs from rank" and keeps nothing. The
-    core is the square, a full-rank Hermite basis whose index is its
-    diagonal product, which is the witness's torsion, so the core's index
-    is r. A later witness of a key with a core has the same square, so the
-    same rank (the height of its columns), closure verdict and torsion; its
-    own map, built from its own columns and validated, must still carry the
-    stored core back to its basis (`_place`), which raises if it does not.
-    The cores live for this call only.
+    columns. A key with as many columns as the rank is a pivot square,
+    which is split into core and column labels (`_core`), kept for the rest
+    of the call; the core is re-verified (`_reverify`), which raises
+    RuntimeError on the wrong rank, a lattice not closed under products or
+    the wrong torsion. The core is the square: it has the witness's rank,
+    is closed exactly when the witness is, and its index, its diagonal
+    product, is the witness's torsion, so its verdict is the first
+    witness's, reached by the square shortcut of the lattice predicates.
+    Any other key (no rigid columns) has its first witness re-verified on
+    its own basis, then gives "column count differs from rank" and keeps
+    nothing. A later witness of a key with a core has the same square, so
+    the same rank (the height of its columns), closure verdict and torsion;
+    its own map, built from its own columns and validated, must still carry
+    the stored core back to its basis (`_place`), which raises if it does
+    not. The cores live for this call only.
     """
     cores: dict[tuple[tuple[int, ...], ...],
                 tuple[Lattice, dict[tuple[int, ...], int]]] = {}
@@ -564,11 +568,12 @@ def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
         columns, key = _columns(lat)
         known = cores.get(key)
         if known is None:
-            _reverify([lat], rank, r)
             if len(key) != rank:
+                _reverify([lat], rank, r)
                 yield "column count differs from rank"
                 continue
             known = cores[key] = _core(key, rank)
+            _reverify([known[0]], rank, r)
         _place(lat, columns, *known)
         yield None
 
@@ -584,8 +589,8 @@ def verify_corank_factorization(n: int, k: int, r: int,
     equals the index of its core, both being its pivot square's diagonal
     product. One pass over the census (`_witness_faults`) does this once per
     core: witnesses with the same distinct nonzero columns share a pivot
-    square, so rank, closure and torsion are re-verified (`_reverify`) on
-    the first of them, and each witness's own map is still built,
+    square, so rank, closure and torsion are re-verified (`_reverify`) once,
+    on that square as their core, and each witness's own map is still built,
     validated and re-applied to the core. The census is taken without the
     oracle's own re-verification, which would repeat that. When the
     factorization holds there is one core per full-rank lattice of index r.
@@ -630,8 +635,9 @@ def find_counterexample(n: int, k: int, r: int, *, jobs: int = 1,
     rebuilt = reconstruct_from_factorization(n, k, r, jobs=jobs, budget=budget)
     census = set(witnesses)
     formula_side = set(rebuilt)
-    for lat in sorted(census.symmetric_difference(formula_side),
-                      key=lambda l: (l.rank, l.basis)):
+    differ = census.symmetric_difference(formula_side)
+    if differ:
+        lat = min(differ, key=lambda l: (l.rank, l.basis))
         if lat in census:
             return lat, "censused but not reachable through any map"
         return lat, "reachable through a map but missed by the census"

@@ -61,7 +61,7 @@ def test_engine_version_is_part_of_the_key(tmp_path):
     cache.put(rec(version="0.0.9"))
     # an entry written by another engine version is invisible by default
     assert cache.get(2, 1, 3, "oracle") is None
-    assert cache.get(2, 1, 3, "oracle", engine_version="0.0.9") == 18
+    assert cache._index[(2, 1, 3, "oracle", "0.0.9")] == 18
     # storing under the current version leaves the old line in the file
     cache.put(rec())
     assert len(path.read_text().splitlines()) == 2

@@ -487,7 +487,8 @@ def test_a_bad_engine_lattice_exits_three(capsys, monkeypatch):
             rc, out, err = run_main(capsys, argv)
         assert rc == 3, argv
         assert out.count("\n") == lines, argv
-        assert err == "internal error: engine produced a bad lattice\n"
+        assert err == ("internal error: engine produced an invalid basis: "
+                       "basis is not in canonical Hermite form\n")
 
 
 # -------------------------------------------------------------- partitions
@@ -575,13 +576,20 @@ def test_series_bad_out_path_fails_before_computing(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-def test_series_refuses_large_rank(capsys):
-    rc, _, err = run_main(capsys, ["series", "--n", "5", "--r-max", "3"])
-    assert rc == 2
-    assert "usage error" in err
-    rc, _, _ = run_main(
-        capsys, ["series", "--n", "5", "--r-max", "3", "--max-n", "5"])
+def test_series_has_no_rank_cap(capsys):
+    # series computes count's cells: no rank cap, only --budget bounds it
+    rc, out, _ = run_main(capsys, ["series", "--n", "5", "--r-max", "3"])
     assert rc == 0
+    rc, counted, _ = run_main(
+        capsys, ["count", "--n", "5", "--r", "1..3", "--method", "unital",
+                 "--format", "csv"])
+    assert rc == 0
+    assert ([line.split(",")[1] for line in out.splitlines()[1:]]
+            == [line.split(",")[4] for line in counted.splitlines()[1:]])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--n", "5", "--r-max", "3", "--max-n", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- bad arguments
@@ -634,7 +642,16 @@ def _rejection(argv, message):
                   "expected one argument"),
        _rejection(_VALID_ARGV["count"] + ["--n=-1..1"], "must be at least 0")]
     + [_rejection(_VALID_ARGV["verify"] + [flag, "-1"], "must be at least 0")
-       for flag in ("--n", "--k")]))
+       for flag in ("--n", "--k")]
+    + [_rejection(_VALID_ARGV["partitions"] + ["--n", "0"],
+                  "must be at least 1"),
+       _rejection(_VALID_ARGV["partitions"] + ["--k", "-1"],
+                  "must be at least 0")]
+    + [_rejection(_VALID_ARGV["series"] + [flag, "0"], "must be at least 1")
+       for flag in ("--n", "--r-max")]
+    + [_rejection(_VALID_ARGV["count-corank"] + [f"{flag}=-1"],
+                  "must be at least 0")
+       for flag in ("--ambient", "--corank")]))
 def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv,
                                                            message):
     with pytest.raises(SystemExit) as exc:

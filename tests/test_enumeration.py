@@ -633,6 +633,32 @@ def test_find_counterexample_clean_cells():
     assert find_counterexample(2, 1, 2) is None
 
 
+def test_find_counterexample_names_where_the_two_sides_part(monkeypatch):
+    # each way the census and the images of the maps can disagree on cell
+    # (2, 1, 2) gives the smallest lattice it concerns, with its own reason
+    census = _census(3, 1, 2, jobs=1, budget=None)
+    maps = list(enumerate_ordered_maps(2, 3))
+    cores = enumerate_full_rank_multiplicative(2, 2)
+    with monkeypatch.context() as patched:
+        patched.setattr(enumeration, "_census",
+                        lambda *a, **kw: census[:7] + census[8:])
+        assert verify_corank_factorization(2, 1, 2).status == "fail"
+        assert find_counterexample(2, 1, 2) == (
+            census[7], "reachable through a map but missed by the census")
+    first_images = [apply_map(maps[0], core) for core in cores]
+    with monkeypatch.context() as patched:
+        patched.setattr(enumeration, "enumerate_ordered_maps",
+                        lambda *a: iter(maps[1:]))
+        assert find_counterexample(2, 1, 2) == (
+            min(first_images, key=lambda lat: lat.basis),
+            "censused but not reachable through any map")
+    with monkeypatch.context() as patched:
+        patched.setattr(enumeration, "enumerate_ordered_maps",
+                        lambda *a: iter([*maps, maps[0]]))
+        assert find_counterexample(2, 1, 2) == (
+            first_images[0], "reached through two different map/core pairs")
+
+
 def _check_witness(lat, rank, r):
     # one witness's verdict: the verifier's pass over lat alone
     return next(_witness_faults([lat], rank, r))
@@ -825,7 +851,8 @@ def _rows_added(bases):
 
 def test_a_basis_failing_validation_is_an_internal_error(monkeypatch):
     # the Lattice constructor's ValueError would read as a usage error;
-    # _run_shards turns it into the engines' failed self-check
+    # _run_shards turns it into the engines' failed self-check, with the
+    # constructor's reason
     for name, run in (
             ("_full_rank_worker",
              lambda: enumerate_full_rank_multiplicative(3, 4)),
@@ -837,8 +864,9 @@ def test_a_basis_failing_validation_is_an_internal_error(monkeypatch):
                             lambda args, worker=worker:
                             _rows_added(worker(args)))
             with pytest.raises(RuntimeError,
-                               match="^internal: engine produced a bad "
-                                     "lattice$") as exc:
+                               match="^internal: engine produced an invalid "
+                                     "basis: basis is not in canonical "
+                                     "Hermite form$") as exc:
                 run()
         assert isinstance(exc.value.__cause__, ValueError), name
 
