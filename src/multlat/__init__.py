@@ -33,8 +33,6 @@ _EXPORTS = {
         "decompose",
         "enumerate_corank_oracle",
         "enumerate_full_rank_multiplicative",
-        "find_counterexample",
-        "reconstruct_from_factorization",
         "verify_corank_factorization",
     ),
     "intlinalg": ("hermite_normal_form",),

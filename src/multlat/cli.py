@@ -190,7 +190,7 @@ def _cmd_verify(args) -> int:
     for n in args.n:
         for k in args.k:
             for r in args.r:
-                report = enumeration.verify_corank_factorization(
+                report, found = enumeration._verify(
                     n, k, r, jobs=args.jobs, budget=args.budget)
                 cells += 1
                 write(report)
@@ -200,8 +200,6 @@ def _cmd_verify(args) -> int:
                         n, k, r, report.oracle_count, "oracle",
                         ENGINE_VERSION))
                 if report.status != "pass":
-                    found = enumeration.find_counterexample(
-                        n, k, r, jobs=args.jobs, budget=args.budget)
                     if found is not None:
                         lattice, reason = found
                         print("counterexample: "

@@ -20,11 +20,13 @@ either's bases and rejects a repeat or a basis that fails validation. One
 `_reverify` checks the output of either through the lattice predicates
 alone (`is_multiplicative`, `torsion_size`), once per lattice for the
 full-rank engine and once per pivot square for the scan. The verifier
-makes one pass over the census (`_witness_faults`): it splits the first
-witness of each pivot square and re-verifies its core, and checks every
-later witness of that square by its own map carried back to the stored
-core. Its outcome is a VerificationReport, a NamedTuple as
-`cache.CountRecord` is.
+(`_verify`) takes each cell's census and full-rank lattices once and makes
+one pass over the census (`_witness_faults`): it splits the first witness
+of each pivot square and re-verifies its core, and checks every later
+witness of that square by its own map carried back to the stored core.
+Only a failing cell is searched for its first offending lattice, on the
+lattices already taken. Its outcome is a VerificationReport, a NamedTuple
+as `cache.CountRecord` is.
 
 Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
 once the per-worker budget is crossed, so an oversized request dies loudly
@@ -524,21 +526,6 @@ def _place(lat: Lattice, columns: list[tuple[int, ...]], core: Lattice,
     return g
 
 
-def reconstruct_from_factorization(n: int, k: int, r: int, *, jobs: int = 1,
-                                   budget: Optional[int] = None) -> list[Lattice]:
-    """Images of every full-rank index-r lattice under every ordered map.
-
-    Returns the flat list (duplicates included, deterministic order); when
-    the factorization holds this list matches the co-rank census exactly.
-    """
-    cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    out: list[Lattice] = []
-    for g in enumerate_ordered_maps(n, n + k):
-        for core in cores:
-            out.append(apply_map(g, core))
-    return out
-
-
 def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
                     ) -> Iterator[Optional[str]]:
     """Why each witness breaks the factorization, or None, in order,
@@ -587,7 +574,8 @@ def verify_corank_factorization(n: int, k: int, r: int,
     stirling2(n+k+1, n+1) * count_full_rank(n, r); every censused lattice has
     rigid columns; decomposing and re-applying reproduces it; and its torsion
     equals the index of its core, both being its pivot square's diagonal
-    product. One pass over the census (`_witness_faults`) does this once per
+    product. The cell takes one census and one full-rank census (`_verify`).
+    One pass over the census (`_witness_faults`) does the checks once per
     core: witnesses with the same distinct nonzero columns share a pivot
     square, so rank, closure and torsion are re-verified (`_reverify`) once,
     on that square as their core, and each witness's own map is still built,
@@ -600,51 +588,53 @@ def verify_corank_factorization(n: int, k: int, r: int,
     """
     if bound_multiplier < 1:
         raise ValueError("bound_multiplier must be at least 1")
+    return _verify(n, k, r, jobs=jobs, budget=budget)[0]
+
+
+def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
+            ) -> tuple[VerificationReport, Optional[tuple[Lattice, str]]]:
+    """The cell's report, and on a failing cell its first offending lattice
+    with a reason, or None.
+
+    The census and the full-rank lattices are each taken once. The offender
+    is the first witness that `_witness_faults` faults; the pass runs to its
+    end, so an engine fault in any witness raises. A cell that fails with no
+    such witness fails on its count, and only then are the census and the
+    images of the full-rank lattices under the ordered maps compared: the
+    least lattice on one side only, else the first image reached twice.
+    """
     witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
-    full_rank_count = count_full_rank(n, r, jobs=jobs, budget=budget)
-    formula_count = stirling_factor * full_rank_count
-    faults = sum(fault is not None
-                 for fault in _witness_faults(witnesses, n, r))
-    return VerificationReport(
+    cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
+    formula_count = stirling_factor * len(cores)
+    found = None
+    for lat, fault in zip(witnesses, _witness_faults(witnesses, n, r)):
+        if fault is not None and found is None:
+            found = lat, fault
+    passed = len(witnesses) == formula_count and found is None
+    report = VerificationReport(
         n=n, k=k, r=r,
         oracle_count=len(witnesses),
         formula_count=formula_count,
         stirling_factor=stirling_factor,
-        full_rank_count=full_rank_count,
+        full_rank_count=len(cores),
         witnesses_checked=len(witnesses),
-        status=("pass" if len(witnesses) == formula_count and not faults
-                else "fail"),
+        status="pass" if passed else "fail",
     )
-
-
-def find_counterexample(n: int, k: int, r: int, *, jobs: int = 1,
-                        budget: Optional[int] = None
-                        ) -> Optional[tuple[Lattice, str]]:
-    """First offending lattice of a failing cell, with a reason; None if clean.
-
-    Used by the command line to print something concrete when a verification
-    cell fails: either a witness failing one of the per-lattice checks, or an
-    element of the symmetric difference between the census and the
-    reconstruction through maps.
-    """
-    witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
-    for lat, fault in zip(witnesses, _witness_faults(witnesses, n, r)):
-        if fault is not None:
-            return lat, fault
-    rebuilt = reconstruct_from_factorization(n, k, r, jobs=jobs, budget=budget)
+    if passed or found is not None:
+        return report, found
+    rebuilt = [apply_map(g, core)
+               for g in enumerate_ordered_maps(n, n + k) for core in cores]
     census = set(witnesses)
-    formula_side = set(rebuilt)
-    differ = census.symmetric_difference(formula_side)
+    differ = census.symmetric_difference(rebuilt)
     if differ:
         lat = min(differ, key=lambda l: (l.rank, l.basis))
         if lat in census:
-            return lat, "censused but not reachable through any map"
-        return lat, "reachable through a map but missed by the census"
-    if len(rebuilt) != len(formula_side):
-        seen: set[Lattice] = set()
-        for lat in rebuilt:
-            if lat in seen:
-                return lat, "reached through two different map/core pairs"
-            seen.add(lat)
-    return None
+            return report, (lat, "censused but not reachable through any map")
+        return report, (lat, "reachable through a map but missed by the census")
+    seen: set[Lattice] = set()
+    for lat in rebuilt:
+        if lat in seen:
+            return report, (lat, "reached through two different map/core pairs")
+        seen.add(lat)
+    return report, None

@@ -22,7 +22,6 @@ from multlat.enumeration import (
     decompose,
     enumerate_corank_oracle,
     enumerate_full_rank_multiplicative,
-    reconstruct_from_factorization,
     verify_corank_factorization,
 )
 from multlat.lattice import (
@@ -196,7 +195,9 @@ def test_criterion_08_decomposition_is_a_bijection(campaign):
                     assert decompose(lat) == (g, core), (n, k)
     # and on every campaign cell the images reproduce the census exactly
     for (n, k, r), lats in campaign.items():
-        rebuilt = reconstruct_from_factorization(n, k, r)
+        rebuilt = [apply_map(g, core)
+                   for g in enumerate_ordered_maps(n, n + k)
+                   for core in enumerate_full_rank_multiplicative(n, r)]
         assert len(rebuilt) == len(set(rebuilt)), (n, k, r)
         assert set(rebuilt) == set(lats), (n, k, r)
 

@@ -231,10 +231,8 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     # itself has no known failing cell
     bad = VerificationReport(2, 1, 2, 17, 18, 10, 3, 17, "fail")
     witness = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
-    monkeypatch.setattr(enumeration, "verify_corank_factorization",
-                        lambda *a, **kw: bad)
-    monkeypatch.setattr(enumeration, "find_counterexample",
-                        lambda *a, **kw: (witness, "synthetic reason"))
+    monkeypatch.setattr(enumeration, "_verify", lambda *a, **kw: (
+        bad, (witness, "synthetic reason")))
     rc, out, err = run_main(
         capsys,
         ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
@@ -243,6 +241,42 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
     assert 'counterexample: {"ambient": 3' in err
     assert "reason: synthetic reason" in err
     assert "FAILED at n=2 k=1 r=2" in err
+
+
+def test_a_failing_cell_takes_one_census(capsys, monkeypatch):
+    # a census missing a lattice fails the cell on its count; the verifier
+    # and the command line name the lattice from the census and full-rank
+    # lattices they already took, each taken once
+    census = enumeration._census(3, 1, 2, jobs=1, budget=None)
+    full_rank = enumeration.enumerate_full_rank_multiplicative
+    calls = []
+
+    def dropped(*a, **kw):
+        calls.append("_census")
+        return census[:7] + census[8:]
+
+    def counted(*a, **kw):
+        calls.append("full_rank")
+        return full_rank(*a, **kw)
+
+    monkeypatch.setattr(enumeration, "_census", dropped)
+    monkeypatch.setattr(enumeration, "enumerate_full_rank_multiplicative",
+                        counted)
+    report, found = enumeration._verify(2, 1, 2, jobs=1, budget=None)
+    assert report.status == "fail"
+    assert found == (census[7],
+                     "reachable through a map but missed by the census")
+    assert sorted(calls) == ["_census", "full_rank"]
+    calls.clear()
+    rc, out, err = run_main(
+        capsys,
+        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
+    assert rc == 1
+    assert out.splitlines()[1].endswith("fail")
+    assert ("counterexample: "
+            + json.dumps(census[7].as_dict(), sort_keys=True)) in err
+    assert "reason: reachable through a map but missed by the census" in err
+    assert sorted(calls) == ["_census", "full_rank"]
 
 
 def _swap_into_census(monkeypatch, lat, last=False):

@@ -29,8 +29,6 @@ from multlat.enumeration import (
     decompose,
     enumerate_corank_oracle,
     enumerate_full_rank_multiplicative,
-    find_counterexample,
-    reconstruct_from_factorization,
     verify_corank_factorization,
 )
 import multlat.enumeration as enumeration
@@ -43,6 +41,7 @@ from multlat.enumeration import (
     _in_span,
     _Steps,
     _census,
+    _verify,
     _witness_faults,
 )
 from multlat.lattice import (
@@ -199,7 +198,7 @@ def test_formula_side_checks_jobs_and_budget_at_rank_zero():
         lambda **run: count_full_rank(0, 1, **run),
         lambda **run: count_unital(0, 1, **run),
         lambda **run: count_corank_formula(0, 2, 1, **run),
-        lambda **run: reconstruct_from_factorization(0, 1, 1, **run),
+        lambda **run: verify_corank_factorization(0, 1, 1, **run),
         lambda **run: enumerate_corank_oracle(1, 1, 1, **run),
         lambda **run: enumerate_full_rank_multiplicative(0, 1, **run),
     ]
@@ -208,7 +207,8 @@ def test_formula_side_checks_jobs_and_budget_at_rank_zero():
             with pytest.raises(ValueError):
                 call(**bad)
     assert [call() for call in calls[:3]] == [1, 1, 1]
-    assert reconstruct_from_factorization(0, 1, 1) == [Lattice(1, ())]
+    report = verify_corank_factorization(0, 1, 1)
+    assert report.status == "pass" and report.oracle_count == 1
     assert enumerate_full_rank_multiplicative(0, 1) == [Lattice(0, ())]
 
 
@@ -605,14 +605,6 @@ def test_decompose_rejects_non_rigid_columns(monkeypatch):
         decompose(lat)
 
 
-def test_reconstruction_matches_census():
-    for n, k, r in ((1, 1, 4), (1, 2, 3), (2, 1, 2), (2, 2, 2)):
-        rebuilt = reconstruct_from_factorization(n, k, r)
-        census = enumerate_corank_oracle(n + k, k, r)
-        assert len(rebuilt) == len(set(rebuilt)), "duplicate image"
-        assert set(rebuilt) == set(census), (n, k, r)
-
-
 def test_verify_passes_on_small_cells():
     for n, k, r in ((1, 1, 5), (1, 2, 2), (2, 1, 3), (2, 2, 2)):
         rep = verify_corank_factorization(n, k, r)
@@ -628,35 +620,44 @@ def test_verify_with_wider_bound():
     assert rep.oracle_count == 18
 
 
-def test_find_counterexample_clean_cells():
-    assert find_counterexample(1, 1, 3) is None
-    assert find_counterexample(2, 1, 2) is None
+def test_verify_names_no_offender_on_clean_cells():
+    for n, k, r in ((1, 1, 3), (2, 1, 2)):
+        report, found = _verify(n, k, r, jobs=1, budget=None)
+        assert report == verify_corank_factorization(n, k, r)
+        assert report.status == "pass" and found is None
 
 
-def test_find_counterexample_names_where_the_two_sides_part(monkeypatch):
+def test_verify_names_where_the_two_sides_part(monkeypatch):
     # each way the census and the images of the maps can disagree on cell
-    # (2, 1, 2) gives the smallest lattice it concerns, with its own reason
+    # (2, 1, 2) gives the smallest lattice it concerns, with its own reason;
+    # only a failing cell is searched, so a fault on the formula side comes
+    # with a Stirling factor that no longer matches the census
     census = _census(3, 1, 2, jobs=1, budget=None)
     maps = list(enumerate_ordered_maps(2, 3))
     cores = enumerate_full_rank_multiplicative(2, 2)
     with monkeypatch.context() as patched:
         patched.setattr(enumeration, "_census",
                         lambda *a, **kw: census[:7] + census[8:])
-        assert verify_corank_factorization(2, 1, 2).status == "fail"
-        assert find_counterexample(2, 1, 2) == (
-            census[7], "reachable through a map but missed by the census")
+        report, found = _verify(2, 1, 2, jobs=1, budget=None)
+        assert report.status == "fail"
+        assert found == (census[7],
+                         "reachable through a map but missed by the census")
     first_images = [apply_map(maps[0], core) for core in cores]
-    with monkeypatch.context() as patched:
-        patched.setattr(enumeration, "enumerate_ordered_maps",
-                        lambda *a: iter(maps[1:]))
-        assert find_counterexample(2, 1, 2) == (
-            min(first_images, key=lambda lat: lat.basis),
-            "censused but not reachable through any map")
-    with monkeypatch.context() as patched:
-        patched.setattr(enumeration, "enumerate_ordered_maps",
-                        lambda *a: iter([*maps, maps[0]]))
-        assert find_counterexample(2, 1, 2) == (
-            first_images[0], "reached through two different map/core pairs")
+    for wrong_maps, reason, lat in (
+            (maps[1:], "censused but not reachable through any map",
+             min(first_images, key=lambda lat: lat.basis)),
+            ([*maps, maps[0]], "reached through two different map/core pairs",
+             first_images[0])):
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, "enumerate_ordered_maps",
+                            lambda *a: iter(wrong_maps))
+            # the counts agree, so the cell passes and is not searched
+            assert _verify(2, 1, 2, jobs=1, budget=None) == (
+                verify_corank_factorization(2, 1, 2), None)
+            patched.setattr(enumeration, "stirling2", lambda *a: 7)
+            report, found = _verify(2, 1, 2, jobs=1, budget=None)
+            assert (report.formula_count, report.status) == (21, "fail")
+            assert found == (lat, reason)
 
 
 def _check_witness(lat, rank, r):
@@ -1023,8 +1024,8 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
 # the names each route must not reach: the scan never touches the formula
 # side, and the full-rank engine never touches the scan
 FORMULA_SIDE = {"stirling2", "count_full_rank", "_full_rank_worker",
-                "decompose", "_core", "_place", "apply_map",
-                "enumerate_ordered_maps"}
+                "enumerate_full_rank_multiplicative", "decompose", "_core",
+                "_place", "apply_map", "enumerate_ordered_maps"}
 SCAN_SIDE = {"_corank_worker", "_census", "enumerate_corank_oracle"}
 
 
