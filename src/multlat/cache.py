@@ -135,8 +135,8 @@ class CountCache:
             {**fields, "created_at": datetime.now(timezone.utc).isoformat()},
             sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # a single buffered write + fsync keeps concurrent readers from ever
-        # seeing half a line
+        # the whole line goes out in one append, so a concurrent reader never
+        # sees half of it; the fsync makes the line durable
         with open(self.path, "a+b") as fh:
             # a torn last line (no newline) must not swallow this record
             if fh.seek(0, os.SEEK_END):

@@ -16,13 +16,13 @@ other --n, --k, --ambient and --corank.
 The counting engines (`enumeration`, and `partitions` for the partition
 listing) are imported when the first cell has to be computed, not when this
 module is: a count or count-corank run whose cells are all served from the
-cache loads only the package root, this module and `cache`.
+cache loads only the package root, this module and `cache`. The `csv`
+module is likewise imported only when CSV is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -87,18 +87,18 @@ def _row_writer(fmt: str, header: Sequence[str], widths: Sequence[int],
     has a header row; JSON is one object per row with sorted keys and no
     header. A caller that writes rows as it computes them flushes them.
     """
-    csv_rows = csv.writer(stream, lineterminator="\n")
-
-    def write(row: Sequence) -> None:
-        if fmt == "table":
-            stream.write("  ".join(_cell(c).ljust(w)
-                                   for c, w in zip(row, widths)).rstrip()
-                         + "\n")
-        elif fmt == "csv":
-            csv_rows.writerow(row)
-        else:
-            stream.write(
-                json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+    if fmt == "csv":
+        import csv
+        write = csv.writer(stream, lineterminator="\n").writerow
+    else:
+        def write(row: Sequence) -> None:
+            if fmt == "table":
+                stream.write("  ".join(_cell(c).ljust(w)
+                                       for c, w in zip(row, widths)).rstrip()
+                             + "\n")
+            else:
+                stream.write(
+                    json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
 
     if fmt != "json":
         write(header)
@@ -244,35 +244,25 @@ def _cmd_series(args) -> int:
     from . import enumeration
 
     fmt = args.format or "csv"
-    fn = (enumeration.count_unital if args.family == "unital"
-          else enumeration.count_full_rank)
-    # opened before computing so a bad path fails at once
-    stream = (open(args.out, "w", encoding="utf-8", newline="")
-              if args.out else sys.stdout)
+    # a full-rank coefficient is count's oracle cell at co-rank 0
+    method = "unital" if args.family == "unital" else "oracle"
     rows = []
     running = 0
     truncated = False
     t0 = time.monotonic()
-    try:
-        for r in range(1, args.r_max + 1):
-            try:
-                value = fn(args.n, r, jobs=args.jobs, budget=args.budget)
-            except enumeration.SearchBudgetExceeded:
-                truncated = True
-                break
-            running += value
-            rows.append((r, value, running))
-        _emit_rows(fmt, ("r", "f", "N"), rows, stream)
-        if truncated:
-            if fmt == "json":
-                stream.write(json.dumps({"truncated": True}) + "\n")
-            else:
-                stream.write("# truncated\n")
-    finally:
-        if args.out:
-            stream.close()
-    where = args.out if args.out else "stdout"
-    print(f"{len(rows)} of {args.r_max} coefficients to {where}, "
+    for r in range(1, args.r_max + 1):
+        try:
+            value = _count(enumeration, args.n, 0, r, method, args)
+        except enumeration.SearchBudgetExceeded:
+            truncated = True
+            break
+        running += value
+        rows.append((r, value, running))
+    _emit_rows(fmt, ("r", "f", "N"), rows, sys.stdout)
+    if truncated:
+        print(json.dumps({"truncated": True}) if fmt == "json"
+              else "# truncated")
+    print(f"{len(rows)} of {args.r_max} coefficients, "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 2 if truncated else 0
 
@@ -345,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_positive, required=True)
     p.add_argument("--family", choices=("unital", "full-rank"),
                    default="unital")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write to this file instead of stdout")
     p.set_defaults(func=_cmd_series)
 
     return parser

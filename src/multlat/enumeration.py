@@ -44,7 +44,7 @@ from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlinalg import _in_span
-from .lattice import Lattice, is_multiplicative, torsion_size
+from .lattice import Lattice, _square_closed, is_multiplicative, torsion_size
 from .partitions import (
     AcceptableMap,
     _transport_rows,
@@ -474,14 +474,14 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     lat by its position among them (`_core`), so g copies the square's
     columns to where they occur in lat, with apply_map(g, L) == lat, which
     `_place` checks. The pair is unique. g is injective on L and respects
-    products, so closure is tested on L (`is_multiplicative`, which tests a
-    full-rank basis as its own pivot square). Raises ValueError on
+    products, so closure is tested on L, a full-rank basis and so its own
+    pivot square (`_square_closed`). Raises ValueError on
     non-multiplicative input.
     """
     columns, distinct = _columns(lat)
     if len(distinct) == lat.rank:
         core, position = _core(distinct, lat.rank)
-        if is_multiplicative(core):
+        if _square_closed(core.basis):
             return _place(lat, columns, core, position), core
     elif is_multiplicative(lat):
         raise RuntimeError("internal: column count contradicts the rank")

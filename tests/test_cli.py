@@ -580,34 +580,23 @@ def test_series_full_rank_family(capsys):
         "1,1,1", "2,3,4", "3,3,7", "4,4,11", "5,3,14", "6,9,23"]
 
 
-def test_series_to_file_with_truncation(tmp_path, capsys):
-    out_path = tmp_path / "series.csv"
-    rc, out, err = run_main(
-        capsys,
-        ["series", "--n", "3", "--r-max", "9", "--family", "full-rank",
-         "--budget", "50", "--out", str(out_path)])
+def test_series_truncation_marker_follows_the_rows(capsys):
+    argv = ["series", "--n", "3", "--r-max", "9", "--family", "full-rank",
+            "--budget", "50"]
+    rc, out, err = run_main(capsys, argv)
     assert rc == 2
-    assert out == ""
-    text = out_path.read_text()
-    assert text.startswith("r,f,N\n")
-    assert text.endswith("# truncated\n")
+    lines = out.splitlines()
+    assert lines[0] == "r,f,N" and len(lines) > 2
+    assert all(line.count(",") == 2 for line in lines[1:-1])
+    assert lines[-1] == "# truncated"
     assert "of 9 coefficients" in err
-
-
-def test_series_bad_out_path_fails_before_computing(tmp_path, capsys,
-                                                   monkeypatch):
-    def computed(*args, **kwargs):
-        raise AssertionError("series computed before opening --out")
-
-    monkeypatch.setattr(enumeration, "count_unital", computed)
-    rc, out, err = run_main(
-        capsys,
-        ["series", "--n", "2", "--r-max", "3",
-         "--out", str(tmp_path / "missing" / "x.csv")])
+    rc, out, _ = run_main(capsys, argv + ["--format", "json"])
     assert rc == 2
-    assert out == ""
-    assert err.startswith("io error:")
-    assert err.count("\n") == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    # the same rows without the CSV header, then the marker
+    assert len(rows) == len(lines) - 1
+    assert all(sorted(row) == ["N", "f", "r"] for row in rows[:-1])
+    assert rows[-1] == {"truncated": True}
 
 
 def test_series_has_no_rank_cap(capsys):
@@ -697,9 +686,12 @@ def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv,
 
 
 def test_options_a_subcommand_never_reads_exit_two(tmp_path, capsys):
-    # each of these used to be accepted and ignored, or read to no effect
+    # each of these used to be accepted and ignored, or read to no effect;
+    # series --out is gone, as series writes its rows to stdout
     cache = tmp_path / "counts.jsonl"
+    out_file = tmp_path / "series.csv"
     for argv in (_VALID_ARGV["series"] + ["--cache", str(cache)],
+                 _VALID_ARGV["series"] + ["--out", str(out_file)],
                  _VALID_ARGV["partitions"] + ["--jobs", "2"],
                  *(_VALID_ARGV[cmd] + ["--cache", str(cache),
                                        "--bound-multiplier", "2"]
@@ -709,7 +701,7 @@ def test_options_a_subcommand_never_reads_exit_two(tmp_path, capsys):
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments" in err, argv
-    assert not cache.exists()
+    assert not cache.exists() and not out_file.exists()
 
 
 def test_valid_argv_of_the_rejection_test_succeeds(capsys):
@@ -748,16 +740,17 @@ def test_cold_and_warm_runs_match_bytes(tmp_path):
 # ---------------------------------------------------------------- start-up
 
 # a last stderr line naming the package modules loaded and whether
-# dataclasses, datetime and inspect were
+# dataclasses, datetime, inspect and csv were
 REPORT = ("print(sorted(m for m in sys.modules if m.startswith('multlat')),"
           " 'dataclasses' in sys.modules, 'datetime' in sys.modules,"
-          " 'inspect' in sys.modules, file=sys.stderr)")
-CLI_ONLY = "['multlat', 'multlat.cache', 'multlat.cli'] False False False"
+          " 'inspect' in sys.modules, 'csv' in sys.modules, file=sys.stderr)")
+CLI_ONLY = ("['multlat', 'multlat.cache', 'multlat.cli']"
+            " False False False False")
 # a computing run loads every package module, and still neither
-# dataclasses nor inspect
+# dataclasses nor inspect; a table run never loads csv
 COMPUTING = ("['multlat', 'multlat.cache', 'multlat.cli', 'multlat.enumeration',"
              " 'multlat.intlinalg', 'multlat.lattice', 'multlat.partitions']"
-             " False False False")
+             " False False False False")
 MAIN = ("import sys, multlat.cli\n"
         "rc = multlat.cli.main(sys.argv[1:])\n"
         "sys.stdout.flush()\n" + REPORT + "\nsys.exit(rc)")
