@@ -279,10 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shards per enumeration, run on at most one "
                              "process per core (default 1)")
     engine.add_argument("--budget", type=_positive, metavar="STEPS",
-                        help="steps per shard: leads, pivot-column "
-                             "entries and off-pivot columns of the co-rank "
-                             "scan, pivots and entries tried by the "
-                             "full-rank engine")
+                        help="steps per shard: one per lead, pivot-column "
+                             "entry or off-pivot column tried (co-rank 0 "
+                             "has no off-pivot columns)")
 
     parser = argparse.ArgumentParser(
         prog="multlat",

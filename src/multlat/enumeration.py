@@ -1,25 +1,26 @@
 """Exhaustive enumeration engines and the factorization verifier.
 
-Two independent routes are implemented for counting multiplicative
-sublattices. The full-rank route builds upper-triangular Hermite bases with a
-prescribed determinant from the last row up, dropping a partial basis as
-soon as its rows are not closed under products. The co-rank route is a
-brute-force scan over the canonical banded bases of `lattice.banded_basis`,
-one per lattice, whose pivots divide the torsion; it never consults the
-closed formula it is later compared against. It builds each banded basis
-in the reversed column frame and lists the lattices with their coordinates
-reversed, which is the same census. The verifier pits the two routes
-against each other cell by cell.
+One worker, `_corank_worker`, lists the multiplicative sublattices of Z^m
+of a given co-rank and torsion. It is a brute-force scan over the
+canonical banded bases of `lattice.banded_basis`, one per lattice, whose
+pivots divide the torsion, and it never consults the closed formula it is
+later compared against. It builds each banded basis in the reversed column
+frame and lists the lattices with their coordinates reversed, which is the
+same census. At co-rank 0 the torsion is the index and the bases it builds
+are the upper-triangular Hermite bases, from the last row up, so the same
+worker is the full-rank engine (`enumerate_full_rank_multiplicative`).
+The verifier pits the census at co-rank k against the Stirling factor
+times the census at co-rank 0, cell by cell.
 
-One step, `_closed_extensions`, grows a Hermite basis by one row closed
-under products for both engines; a shard takes its share of the top level's
-extensions by slicing their list. Both engines take each lead from the
-divisors of the index or torsion left over, the last lead being the
-quotient itself; one `_run_shards` answers rank 0 for both, sorts
-either's bases and rejects a repeat or a basis that fails validation. One
-`_reverify` checks the output of either through the lattice predicates
-alone (`is_multiplicative`, `torsion_size`), once per lattice for the
-full-rank engine and once per pivot square for the scan. The verifier
+The worker grows a Hermite basis by one row closed under products at a
+time (`_closed_extensions`), so a partial basis is dropped as soon as its
+rows are not closed; a shard takes its share of the top level's extensions
+by slicing their list. Each lead is a divisor of the torsion left over,
+the last lead being the quotient itself. `_run_shards` answers rank 0,
+runs the shards, sorts their bases and rejects a repeat or a basis that
+fails validation. One `_reverify` checks either census through the
+lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
+lattice at full rank and once per pivot square otherwise. The verifier
 (`_verify`) takes each cell's census and full-rank lattices once and makes
 one pass over the census (`_witness_faults`): it splits the first witness
 of each pivot square and re-verifies its core, and checks every later
@@ -28,11 +29,12 @@ Only a failing cell is searched for its first offending lattice, on the
 lattices already taken. Its outcome is a VerificationReport, a NamedTuple
 as `cache.CountRecord` is.
 
-Budgets: each worker counts its steps and aborts with SearchBudgetExceeded
-once the per-worker budget is crossed, so an oversized request dies loudly
-instead of truncating silently. Both engines count one step per lead, one
-per entry they try in a pivot column, and one per off-pivot column, whose
-entries are the exact roots of a quadratic rather than a range scanned.
+Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
+once the per-shard budget is crossed, so an oversized request dies loudly
+instead of truncating silently. A step is one lead, one entry tried in a
+pivot column or one off-pivot column, whose entries are the exact roots of
+a quadratic rather than a range scanned; co-rank 0 has no off-pivot
+columns.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import os
 from itertools import islice
 from math import isqrt
 from operator import eq
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .intlinalg import _in_span
 from .lattice import Lattice, _square_closed, is_multiplicative, torsion_size
@@ -103,20 +105,19 @@ class _Steps:
                 f"(budget {self.budget})")
 
 
-def _run_shards(worker, args: tuple, rank: int, jobs: int,
+def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 budget: Optional[int]) -> list[Lattice]:
-    """Every shard's lattices of the given rank, sorted by basis.
+    """Every shard's lattices of the given co-rank and torsion, sorted by
+    basis: the census of both engines, the full-rank one at co-rank 0.
 
-    args[0] is the ambient dimension and args[-1] the index or torsion.
-    worker takes args + (shard, jobs, budget) and returns a list of
-    canonical bases in Z^args[0]. jobs and budget are checked first, budget
-    None meaning DEFAULT_BUDGET. At rank 0 the only lattice is the zero
-    lattice, of torsion 1, so the answer is [Lattice(args[0], ())] when
-    args[-1] is 1 and [] otherwise, and no worker runs. Otherwise jobs = 1
-    runs the worker in this process, and more jobs run jobs shards, each
+    jobs and budget are checked first, budget None meaning DEFAULT_BUDGET.
+    At rank 0 (ambient == corank) the only lattice is the zero lattice, of
+    torsion 1, so the answer is [Lattice(ambient, ())] when torsion is 1
+    and [] otherwise, and no worker runs. Otherwise jobs = 1 runs
+    `_corank_worker` in this process, and more jobs run jobs shards, each
     with its own budget, in a fork pool of min(jobs, os.cpu_count())
     processes. A basis found twice, in one shard or two, is an internal
-    error: each engine lists every lattice once, and the sort puts copies
+    error: the worker lists every lattice once, and the sort puts copies
     next to each other, so comparing each basis with the next finds every
     repeat. So is a basis the Lattice constructor rejects: its ValueError,
     which the command line would report as a usage error (exit 2), is
@@ -128,22 +129,23 @@ def _run_shards(worker, args: tuple, rank: int, jobs: int,
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if rank == 0:
-        return [Lattice(args[0], ())] if args[-1] == 1 else []
-    tasks = [(*args, shard, jobs, budget) for shard in range(jobs)]
+    if ambient == corank:
+        return [Lattice(ambient, ())] if torsion == 1 else []
+    tasks = [(ambient, corank, torsion, shard, jobs, budget)
+             for shard in range(jobs)]
     if jobs == 1:
-        shard_results = [worker(tasks[0])]
+        shard_results = [_corank_worker(tasks[0])]
     else:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
-            shard_results = pool.map(worker, tasks)
+            shard_results = pool.map(_corank_worker, tasks)
     bases = sorted([item for chunk in shard_results for item in chunk])
     if any(map(eq, bases, islice(bases, 1, None))):
         raise RuntimeError("internal: engine produced a lattice twice")
     try:
-        return [Lattice(args[0], b) for b in bases]
+        return [Lattice(ambient, b) for b in bases]
     except ValueError as exc:
         raise RuntimeError(
             f"internal: engine produced an invalid basis: {exc}") from exc
@@ -153,61 +155,27 @@ def _run_shards(worker, args: tuple, rank: int, jobs: int,
 # full-rank enumeration: upper-triangular Hermite bases with fixed determinant
 
 
-def _full_rank_worker(args: tuple[int, int, int, int, int]) -> list[tuple[tuple[int, ...], ...]]:
-    """One shard's share of the full-rank census, as Hermite bases.
-
-    Bases are built bottom-up. Rows i..n-1 of an upper-triangular Hermite
-    basis of L span L cut down to the coordinates i..n-1, which is
-    multiplicative whenever L is, so a suffix that is not closed is dropped
-    with every basis above it. The row of level i is v = 0^i, d, x_(i+1),
-    ..., x_(n-1) with d dividing the index left over (equal to it at i = 0)
-    and x_j in [0, d_j). Every column right of i is a pivot of the suffix,
-    so `_closed_extensions`, the step the co-rank scan takes too, never
-    meets an off-pivot column. The shard takes every jobs-th last row from
-    the shard-th on. Every pivot and every entry tried costs one step.
-    """
-    n, index, shard, jobs, budget = args
-    found: list[tuple[tuple[int, ...], ...]] = []
-    steps = _Steps(budget)
-
-    def extend(i: int, left: int, hnf: list[list[int]], start: int = 0,
-               step: int = 1) -> None:
-        # hnf holds rows i+1..n-1, rows 0..i take the index left over; the
-        # level takes every step-th extension from the start-th on
-        if i < 0:
-            found.append(tuple(map(tuple, hnf)))
-            return
-        leads = ([left] if i == 0 else
-                 [d for d in range(1, left + 1) if left % d == 0])
-        rows = _closed_extensions(hnf, list(range(i + 1, n)), i, leads, n,
-                                  steps)
-        for h2 in rows[start::step]:
-            extend(i - 1, left // h2[0][i], h2)
-
-    extend(n - 1, index, [], shard, jobs)
-    return found
-
-
 def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
                                        budget: Optional[int] = None) -> list[Lattice]:
     """All full-rank multiplicative sublattices of Z^n with the given index.
 
-    Iterates upper-triangular Hermite bases (positive diagonal with product
-    `index`, entries above a pivot reduced modulo that pivot), keeping the
-    ones closed under coordinatewise products. Bases are built from the
-    last row up and dropped at the first row whose span with the rows below
-    is not closed; the budget counts one step per pivot or entry tried.
-    jobs shards the last rows round-robin. Each lattice appears exactly
-    once, a repeat being an internal error; the result is sorted by basis.
-    Each lattice is its own pivot square, so unlike the scan's census it is
-    re-verified (`_reverify`) lattice by lattice. Z^0 is the one lattice
-    at n = 0, of index 1 (`_run_shards`).
+    The co-rank scan at co-rank 0 (`_run_shards`), whose banded bases are
+    the upper-triangular Hermite bases: a positive diagonal with product
+    `index`, entries above a pivot reduced modulo that pivot. Bases are
+    built from the last row up and dropped at the first row whose span with
+    the rows below is not closed under coordinatewise products; the budget
+    counts one step per lead or entry tried, as every column right of a
+    lead is a pivot. jobs shards the last rows round-robin. Each lattice
+    appears exactly once, a repeat being an internal error; the result is
+    sorted by basis. Each lattice is its own pivot square, so unlike the
+    co-rank census it is re-verified (`_reverify`) lattice by lattice. Z^0
+    is the one lattice at n = 0, of index 1.
     """
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
     if index < 1:
         raise ValueError("index must be at least 1")
-    lats = _run_shards(_full_rank_worker, (n, index), n, jobs, budget)
+    lats = _run_shards(n, 0, index, jobs, budget)
     _reverify(lats, n, index)
     return lats
 
@@ -249,11 +217,11 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
                        steps: _Steps) -> list[list[list[int]]]:
     """The bases [v] + hnf, v = 0^q, d, x_(q+1), ..., closed under products.
 
-    The one extension step of both engines. hnf is a Hermite basis with
-    pivots right of q (the full-rank suffix, or a scan prefix in the
-    reversed frame). The lead d runs over leads, an entry in a pivot column
-    of hnf over [0, pivot), and every other entry over the integers, in
-    lexicographic order, and the bases come back as a list in that order.
+    The worker's one extension step, at every co-rank. hnf is a Hermite
+    basis with pivots right of q, a prefix in the reversed frame. The lead d
+    runs over leads, an entry in a pivot column of hnf over [0, pivot), and
+    every other entry over the integers, in lexicographic order, and the
+    bases come back as a list in that order.
     The coefficient of v in v*v is d, so v*v lies in the span exactly when
     v*v - d*v reduces to zero against hnf. Its column j, less the multiples
     of the rows pivoting left of j, is fixed once x_q..x_j are, so a partial
@@ -323,16 +291,17 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
 
 def _corank_worker(args: tuple[int, int, int, int, int, int]
                    ) -> list[tuple[tuple[int, ...], ...]]:
-    """One shard's share of the census, as canonical Hermite bases of the
-    reversed lattices.
+    """One shard's share of the census, full-rank or not, as canonical
+    Hermite bases of the reversed lattices.
 
     Rows are built in the reversed column frame, where a banded basis read
     newest row first is an ordinary Hermite basis: the row of level i has
     its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. New rows
-    come from `_closed_extensions`, the step the full-rank engine takes too;
-    the shard takes every jobs-th first row from the shard-th on. A complete
+    come from `_closed_extensions`; each child's pivot list is built once
+    per lead column q and shared by every child pivoting there. The shard
+    takes every jobs-th first row from the shard-th on. A complete
     basis, newest row first, is the canonical Hermite basis of rev(L), L
     with its coordinates reversed, and is returned as built.
 
@@ -350,9 +319,11 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     tries that quotient alone, which completes r; no torsion is tested.
     Off-pivot entries are the integer roots that `_closed_extensions` solves
     for, at one step per column, so nothing in the scan needs a bound. At
-    co-rank 0 the scan takes the full-rank engine's leads and steps. The
-    rank n = ambient - corank is at least 1: `_run_shards` answers rank 0
-    without a worker.
+    co-rank 0 each level has one lead column, q_i = ambient - 1 - i, and
+    every column right of it is a pivot, so the worker builds the
+    upper-triangular Hermite bases of index r from the last row up: the
+    full-rank census. The rank n = ambient - corank is at least 1:
+    `_run_shards` answers rank 0 without a worker.
     """
     ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
@@ -366,15 +337,16 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
         last = len(hnf) == n - 1
         leads = ([left] if last else
                  [d for d in range(1, left + 1) if left % d == 0])
-        rows = [(h2, q)
-                for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient)
-                for h2 in _closed_extensions(hnf, pivots, q, leads, ambient,
-                                             steps)]
-        for h2, q in rows[start::step]:
+        rows = []
+        for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
+            below = [q] + pivots
+            rows += [(h2, below) for h2 in _closed_extensions(
+                hnf, pivots, q, leads, ambient, steps)]
+        for h2, below in rows[start::step]:
             if last:
                 found.append(tuple(map(tuple, h2)))
             else:
-                extend(h2, [q] + pivots, left // h2[0][q])
+                extend(h2, below, left // h2[0][below[0]])
 
     extend([], [], torsion, shard, jobs)
     return found
@@ -430,8 +402,7 @@ def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
         raise ValueError("torsion must be at least 1")
-    return _run_shards(_corank_worker, (ambient, corank, torsion),
-                       ambient - corank, jobs, budget)
+    return _run_shards(ambient, corank, torsion, jobs, budget)
 
 
 def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:

@@ -489,16 +489,14 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 
 def test_a_lattice_found_twice_exits_three(capsys, monkeypatch):
     # either engine's repeat is a failed self-check, at exit status 3
-    for name, argv in (
-            ("_full_rank_worker", ["count", "--n", "2", "--r", "2"]),
-            ("_corank_worker", ["count-corank", "--ambient", "3",
-                                "--corank", "1", "--torsion", "2"])):
-        worker = getattr(enumeration, name)
-        with monkeypatch.context() as patched:
-            patched.setattr(enumeration, name,
-                            lambda args, worker=worker: worker(args) * 2)
-            rc, out, err = run_main(capsys, argv)
-        assert rc == 3, name
+    worker = enumeration._corank_worker
+    monkeypatch.setattr(enumeration, "_corank_worker",
+                        lambda args: worker(args) * 2)
+    for argv in (["count", "--n", "2", "--r", "2"],
+                 ["count-corank", "--ambient", "3", "--corank", "1",
+                  "--torsion", "2"]):
+        rc, out, err = run_main(capsys, argv)
+        assert rc == 3, argv
         assert out == ""
         assert err == "internal error: engine produced a lattice twice\n"
 
@@ -507,18 +505,15 @@ def test_a_bad_engine_lattice_exits_three(capsys, monkeypatch):
     # a basis that fails the Lattice constructor is the engine's fault, not
     # the user's: exit 3, not the usage error's 2; verify has printed its
     # table header by then, and no row
-    for name, argv, lines in (
-            ("_full_rank_worker", ["count", "--n", "2", "--r", "2"], 0),
-            ("_corank_worker", ["count-corank", "--ambient", "3",
-                                "--corank", "1", "--torsion", "2"], 0),
-            ("_corank_worker", ["verify", "--n", "2", "--k", "1",
-                                "--r", "2"], 1)):
-        worker = getattr(enumeration, name)
-        with monkeypatch.context() as patched:
-            patched.setattr(enumeration, name,
-                            lambda args, worker=worker:
-                            _rows_added(worker(args)))
-            rc, out, err = run_main(capsys, argv)
+    worker = enumeration._corank_worker
+    monkeypatch.setattr(enumeration, "_corank_worker",
+                        lambda args: _rows_added(worker(args)))
+    for argv, lines in (
+            (["count", "--n", "2", "--r", "2"], 0),
+            (["count-corank", "--ambient", "3", "--corank", "1",
+              "--torsion", "2"], 0),
+            (["verify", "--n", "2", "--k", "1", "--r", "2"], 1)):
+        rc, out, err = run_main(capsys, argv)
         assert rc == 3, argv
         assert out.count("\n") == lines, argv
         assert err == ("internal error: engine produced an invalid basis: "

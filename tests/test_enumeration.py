@@ -7,7 +7,6 @@ test pass.
 """
 
 import ast
-import functools
 import inspect
 import itertools
 import math
@@ -37,10 +36,10 @@ import multlat.lattice as lattice
 from multlat.enumeration import (
     _closed_extensions,
     _corank_worker,
-    _full_rank_worker,
     _in_span,
     _Steps,
     _census,
+    _run_shards,
     _verify,
     _witness_faults,
 )
@@ -443,18 +442,6 @@ def step_totals(monkeypatch):
     return made
 
 
-def test_corank_zero_scan_costs_what_the_full_rank_engine_costs(step_totals):
-    # at co-rank 0 the scan takes the full-rank engine's leads, the
-    # divisors of the index left over and the quotient itself last, and
-    # the same entries, so each charges the same steps
-    for n in range(1, 5):
-        for r in range(1, 13):
-            _corank_worker((n, 0, r, 0, 1, 10 ** 9))
-            _full_rank_worker((n, r, 0, 1, 10 ** 9))
-            scan, full = step_totals[-2:]
-            assert scan.used == full.used, (n, r)
-
-
 def test_campaign_step_totals_are_pinned(step_totals):
     # steps are what the budget counts, so a change to the extension step
     # that keeps the census but tries other entries shows here: over the
@@ -788,20 +775,19 @@ def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
 
 
 def _all_shards_in_each(args):
-    # a sharding fault: every shard lists the whole full-rank census
+    # a sharding fault: every shard lists the whole census
     *head, _shard, _jobs, budget = args
-    return _full_rank_worker((*head, 0, 1, budget))
+    return _corank_worker((*head, 0, 1, budget))
 
 
-def _first_basis_again_in_last_shard(name, args):
+def _first_basis_again_in_last_shard(args):
     # a sharding fault: the last shard lists shard 0's first basis after
     # its own bases, far from where the sort puts it; module level, so a
     # fork pool can take it
-    worker = {"full": _full_rank_worker, "scan": _corank_worker}[name]
     *head, shard, jobs, budget = args
-    found = worker(args)
+    found = _corank_worker(args)
     if shard == jobs - 1:
-        found = found + worker((*head, 0, jobs, budget))[:1]
+        found = found + _corank_worker((*head, 0, jobs, budget))[:1]
     return found
 
 
@@ -809,35 +795,30 @@ TWICE = "^internal: engine produced a lattice twice$"
 
 
 def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
-    runs = (
-        ("_full_rank_worker", lambda: enumerate_full_rank_multiplicative(3, 4)),
-        ("_corank_worker", lambda: enumerate_corank_oracle(3, 1, 2)),
-        ("_corank_worker", lambda: verify_corank_factorization(2, 1, 2)))
+    runs = (lambda: enumerate_full_rank_multiplicative(3, 4),
+            lambda: enumerate_corank_oracle(3, 1, 2),
+            lambda: verify_corank_factorization(2, 1, 2))
     # the repeat next to its first copy, and the first basis appended last
     for again in (slice(-1, None), slice(None, 1)):
-        for name, run in runs:
-            worker = getattr(enumeration, name)
-            with monkeypatch.context() as patched:
-                patched.setattr(enumeration, name,
-                                lambda args, worker=worker:
-                                worker(args) + worker(args)[again])
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, "_corank_worker",
+                            lambda args: (_corank_worker(args)
+                                          + _corank_worker(args)[again]))
+            for run in runs:
                 with pytest.raises(RuntimeError, match=TWICE):
                     run()
     # the same lattice from two shards, at non-adjacent places in their
     # outputs: the sort must still bring the copies together
-    for name, key, run in (
-            ("_full_rank_worker", "full",
-             lambda jobs: enumerate_full_rank_multiplicative(3, 4, jobs=jobs)),
-            ("_corank_worker", "scan",
-             lambda jobs: enumerate_corank_oracle(3, 1, 2, jobs=jobs))):
-        with monkeypatch.context() as patched:
-            patched.setattr(enumeration, name, functools.partial(
-                _first_basis_again_in_last_shard, key))
-            for jobs in (1, 2):
-                with pytest.raises(RuntimeError, match=TWICE):
-                    run(jobs)
+    with monkeypatch.context() as patched:
+        patched.setattr(enumeration, "_corank_worker",
+                        _first_basis_again_in_last_shard)
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match=TWICE):
+                enumerate_full_rank_multiplicative(3, 4, jobs=jobs)
+            with pytest.raises(RuntimeError, match=TWICE):
+                enumerate_corank_oracle(3, 1, 2, jobs=jobs)
     # every shard lists the whole census
-    monkeypatch.setattr(enumeration, "_full_rank_worker", _all_shards_in_each)
+    monkeypatch.setattr(enumeration, "_corank_worker", _all_shards_in_each)
     assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
     with pytest.raises(RuntimeError, match=TWICE):
         enumerate_full_rank_multiplicative(3, 4, jobs=2)
@@ -854,22 +835,17 @@ def test_a_basis_failing_validation_is_an_internal_error(monkeypatch):
     # the Lattice constructor's ValueError would read as a usage error;
     # _run_shards turns it into the engines' failed self-check, with the
     # constructor's reason
-    for name, run in (
-            ("_full_rank_worker",
-             lambda: enumerate_full_rank_multiplicative(3, 4)),
-            ("_corank_worker", lambda: _census(3, 1, 2, jobs=1, budget=None)),
-            ("_corank_worker", lambda: verify_corank_factorization(2, 1, 2))):
-        worker = getattr(enumeration, name)
-        with monkeypatch.context() as patched:
-            patched.setattr(enumeration, name,
-                            lambda args, worker=worker:
-                            _rows_added(worker(args)))
-            with pytest.raises(RuntimeError,
-                               match="^internal: engine produced an invalid "
-                                     "basis: basis is not in canonical "
-                                     "Hermite form$") as exc:
-                run()
-        assert isinstance(exc.value.__cause__, ValueError), name
+    monkeypatch.setattr(enumeration, "_corank_worker",
+                        lambda args: _rows_added(_corank_worker(args)))
+    for run in (lambda: enumerate_full_rank_multiplicative(3, 4),
+                lambda: _census(3, 1, 2, jobs=1, budget=None),
+                lambda: verify_corank_factorization(2, 1, 2)):
+        with pytest.raises(RuntimeError,
+                           match="^internal: engine produced an invalid "
+                                 "basis: basis is not in canonical "
+                                 "Hermite form$") as exc:
+            run()
+        assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_census_is_closed_under_reversing_coordinates():
@@ -1021,12 +997,13 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
     assert len(seen) > 400 and max(seen) == 3
 
 
-# the names each route must not reach: the scan never touches the formula
-# side, and the full-rank engine never touches the scan
-FORMULA_SIDE = {"stirling2", "count_full_rank", "_full_rank_worker",
+# the names the scan must not reach: it never touches the formula side, the
+# Stirling factor or the maps and cores that rebuild the census. The
+# full-rank census is the scan at co-rank 0, so the formula side does reach
+# the scan, through `_run_shards`
+FORMULA_SIDE = {"stirling2", "count_full_rank",
                 "enumerate_full_rank_multiplicative", "decompose", "_core",
                 "_place", "apply_map", "enumerate_ordered_maps"}
-SCAN_SIDE = {"_corank_worker", "_census", "enumerate_corank_oracle"}
 
 
 def _names_used(func):
@@ -1037,9 +1014,7 @@ def _names_used(func):
 
 
 def test_routes_stay_independent():
-    for func in (_corank_worker, _closed_extensions, _census):
+    for func in (_corank_worker, _closed_extensions, _census, _run_shards):
         assert not _names_used(func) & FORMULA_SIDE, func.__name__
-    assert not _names_used(_full_rank_worker) & SCAN_SIDE
     # the check reads the bodies it claims to read
     assert "_closed_extensions" in _names_used(_corank_worker)
-    assert "_closed_extensions" in _names_used(_full_rank_worker)

@@ -1,11 +1,13 @@
 """The full-rank census against a listing that shares no step with it.
 
-Both engines grow their bases through one extension step, so a lattice that
-step misses could go missing from both sides of the factorization at once.
-Here every upper-triangular Hermite basis of determinant r is listed
-outright, pivots and reduced entries alike, and kept when the lattice
-predicates accept it; the set must be the engine's census, basis for basis.
-The cells are beyond the reach of refimpl's rational filter.
+The full-rank census is the co-rank scan at co-rank 0, so both engines run
+one worker, and a lattice that the worker misses could go missing from both
+sides of the factorization at once. Here every upper-triangular Hermite
+basis of determinant r is listed outright, pivots and reduced entries
+alike, and kept when the lattice predicates accept it; the set must be the
+engine's census, basis for basis. This listing is the one check of the
+formula side that shares no code with the scan. The cells are beyond the
+reach of refimpl's rational filter.
 """
 
 import itertools

@@ -103,6 +103,35 @@ def test_sources_parse_at_the_declared_python_floor():
                   feature_version=version)
 
 
+def unused_imports(source):
+    """The names an import binds in source that no name in it reads; a
+    `from __future__` import binds none."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used():
+    # a lint that needs no linter installed
+    assert unused_imports("from __future__ import annotations\n"
+                          "import os.path\n"
+                          "from typing import Optional, Sequence\n"
+                          "def f(x: Optional[int]) -> None:\n"
+                          "    os.path.join(x)\n") == {"Sequence"}
+    sources = sorted((ROOT / "src" / "multlat").glob("*.py"))
+    assert sources
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+              for path in sources}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in
                                         (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
