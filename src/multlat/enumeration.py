@@ -22,12 +22,13 @@ fails validation. One `_reverify` checks either census through the
 lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
 lattice at full rank and once per pivot square otherwise. The verifier
 (`_verify`) takes each cell's census and full-rank lattices once and makes
-one pass over the census (`_witness_faults`): it splits the first witness
-of each pivot square and re-verifies its core, and checks every later
-witness of that square by its own map carried back to the stored core.
-Only a failing cell is searched for its first offending lattice, on the
-lattices already taken. Its outcome is a VerificationReport, a NamedTuple
-as `cache.CountRecord` is.
+one pass over the census (`_witness_faults`): it places each witness on the
+full-rank lattice that is its pivot square, by its own map carried back to
+that lattice, and re-verifies only a stray, a witness with no such lattice,
+which fails the cell. A cell that fails on its count alone is searched on
+the lattices already taken, and only on the full-rank lattices that hold
+other than the Stirling factor of witnesses. Its outcome is a
+VerificationReport, a NamedTuple as `cache.CountRecord` is.
 
 Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
 once the per-shard budget is crossed, so an oversized request dies loudly
@@ -441,19 +442,19 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     basis of a multiplicative lattice has exactly rank-many distinct nonzero
     columns, and then, in order of first use, they are its pivot columns,
     so they form its pivot square (`intlinalg._pivot_square`). The core L
-    is that square, and the ordered acceptable map g labels each column of
-    lat by its position among them (`_core`), so g copies the square's
-    columns to where they occur in lat, with apply_map(g, L) == lat, which
-    `_place` checks. The pair is unique. g is injective on L and respects
-    products, so closure is tested on L, a full-rank basis and so its own
-    pivot square (`_square_closed`). Raises ValueError on
-    non-multiplicative input.
+    is that square, a canonical Hermite basis in its own right, and the
+    ordered acceptable map g labels each column of lat by its position among
+    them, so g copies the square's columns to where they occur in lat, with
+    apply_map(g, L) == lat; `_place` builds g and checks that. The pair is
+    unique. g is injective on L and respects products, so closure is tested
+    on L, a full-rank basis and so its own pivot square (`_square_closed`).
+    Raises ValueError on non-multiplicative input.
     """
     columns, distinct = _columns(lat)
     if len(distinct) == lat.rank:
-        core, position = _core(distinct, lat.rank)
+        core = Lattice(lat.rank, tuple(zip(*distinct)))
         if _square_closed(core.basis):
-            return _place(lat, columns, core, position), core
+            return _place(lat, columns, core, _labels(core)), core
     elif is_multiplicative(lat):
         raise RuntimeError("internal: column count contradicts the rank")
     raise ValueError("lattice is not multiplicative")
@@ -470,69 +471,59 @@ def _columns(lat: Lattice
     return columns, tuple(distinct)
 
 
-def _core(distinct: tuple[tuple[int, ...], ...], rank: int
-          ) -> tuple[Lattice, dict[tuple[int, ...], int]]:
-    """The core spanned by a pivot square given by its columns, and the
-    label of each column: 1, 2, ... in order, and 0 for the zero column.
-
-    The square is a canonical Hermite basis in its own right: its entries
-    are the basis's entries at the pivot columns.
-    """
-    position = {col: i for i, col in enumerate(distinct, 1)}
-    position[(0,) * rank] = 0
-    return Lattice(rank, tuple(zip(*distinct))), position
+def _labels(core: Lattice) -> dict[tuple[int, ...], int]:
+    """The label of each column an ordered map copies from a full-rank core:
+    0 for the zero column, i for the core's i-th column."""
+    zero = (0,) * core.rank
+    return {col: i for i, col in enumerate((zero, *zip(*core.basis)))}
 
 
 def _place(lat: Lattice, columns: list[tuple[int, ...]], core: Lattice,
-           position: dict[tuple[int, ...], int]) -> AcceptableMap:
-    """The ordered map that labels lat's columns by position, checked by
-    re-application on rows: the core rows carried through the map must be
-    lat's basis. Both are canonical Hermite bases, so this is the same test
-    as apply_map(g, core) == lat without building a third lattice.
+           labels: dict[tuple[int, ...], int]) -> AcceptableMap:
+    """The ordered map that labels lat's columns as the core's (`_labels`),
+    checked by re-application on rows: the core rows carried through the
+    map must be lat's basis. Both are canonical Hermite bases, so this is
+    the same test as apply_map(g, core) == lat without building a third
+    lattice.
     """
     g = AcceptableMap(lat.rank, lat.ambient_dim,
-                      tuple([position[col] for col in columns]))
+                      tuple([labels[col] for col in columns]))
     if _transport_rows(g, core.basis) != lat.basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
     return g
 
 
-def _witness_faults(witnesses: Iterable[Lattice], rank: int, r: int
-                    ) -> Iterator[Optional[str]]:
-    """Why each witness breaks the factorization, or None, in order,
-    checked once per core.
+def _witness_faults(witnesses: Iterable[Lattice],
+                    cores: dict[tuple, tuple[Lattice, dict, list[Lattice]]],
+                    rank: int, r: int) -> Iterator[Optional[str]]:
+    """Why each witness breaks the factorization, or None, in order.
 
-    A witness is keyed by its distinct nonzero columns in order of first
-    use (`_columns`), which for a rigid basis are its pivot square's
-    columns. A key with as many columns as the rank is a pivot square,
-    which is split into core and column labels (`_core`), kept for the rest
-    of the call; the core is re-verified (`_reverify`), which raises
+    cores holds each full-rank lattice under its key, its columns
+    (`_columns`), with its column labels (`_labels`) and a list of the
+    witnesses placed on it. A witness's key is its distinct nonzero columns
+    in order of first use, for a rigid basis its pivot square's columns. A
+    witness with a core's key has that core as its square, so the same
+    rank, closure verdict and torsion, which the full-rank census
+    re-verified; its own map, built from its own columns and validated,
+    must still carry the core back to its basis (`_place`, which raises if
+    it does not), and the witness joins the core's list. Any other witness
+    is a stray, re-verified on its own basis (`_reverify`), which raises
     RuntimeError on the wrong rank, a lattice not closed under products or
-    the wrong torsion. The core is the square: it has the witness's rank,
-    is closed exactly when the witness is, and its index, its diagonal
-    product, is the witness's torsion, so its verdict is the first
-    witness's, reached by the square shortcut of the lattice predicates.
-    Any other key (no rigid columns) has its first witness re-verified on
-    its own basis, then gives "column count differs from rank" and keeps
-    nothing. A later witness of a key with a core has the same square, so
-    the same rank (the height of its columns), closure verdict and torsion;
-    its own map, built from its own columns and validated, must still carry
-    the stored core back to its basis (`_place`), which raises if it does
-    not. The cores live for this call only.
+    the wrong torsion; it then gives "column count differs from rank" when
+    it has no pivot square, else "censused but not reachable through any
+    map".
     """
-    cores: dict[tuple[tuple[int, ...], ...],
-                tuple[Lattice, dict[tuple[int, ...], int]]] = {}
     for lat in witnesses:
         columns, key = _columns(lat)
         known = cores.get(key)
         if known is None:
-            if len(key) != rank:
-                _reverify([lat], rank, r)
-                yield "column count differs from rank"
-                continue
-            known = cores[key] = _core(key, rank)
-            _reverify([known[0]], rank, r)
-        _place(lat, columns, *known)
+            _reverify([lat], rank, r)
+            yield ("column count differs from rank" if len(key) != rank
+                   else "censused but not reachable through any map")
+            continue
+        core, labels, placed = known
+        _place(lat, columns, core, labels)
+        placed.append(lat)
         yield None
 
 
@@ -546,13 +537,14 @@ def verify_corank_factorization(n: int, k: int, r: int,
     rigid columns; decomposing and re-applying reproduces it; and its torsion
     equals the index of its core, both being its pivot square's diagonal
     product. The cell takes one census and one full-rank census (`_verify`).
-    One pass over the census (`_witness_faults`) does the checks once per
-    core: witnesses with the same distinct nonzero columns share a pivot
-    square, so rank, closure and torsion are re-verified (`_reverify`) once,
-    on that square as their core, and each witness's own map is still built,
-    validated and re-applied to the core. The census is taken without the
-    oracle's own re-verification, which would repeat that. When the
-    factorization holds there is one core per full-rank lattice of index r.
+    One pass over the census (`_witness_faults`) places each witness on the
+    full-rank lattice that is its pivot square, whose rank, closure and
+    torsion its census re-verified (`_reverify`); each witness's own map is
+    still built, validated and re-applied to that lattice. A witness with
+    no such lattice is re-verified on its own and fails the cell. The
+    census is taken without the oracle's own re-verification, which would
+    repeat that. When the factorization holds each full-rank lattice of
+    index r has stirling2(n+k+1, n+1) witnesses.
 
     bound_multiplier raises ValueError below 1 and is otherwise ignored, as
     no scan reaches a bound; the campaign benchmark still passes 1 and 2.
@@ -568,18 +560,23 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     with a reason, or None.
 
     The census and the full-rank lattices are each taken once. The offender
-    is the first witness that `_witness_faults` faults; the pass runs to its
-    end, so an engine fault in any witness raises. A cell that fails with no
-    such witness fails on its count, and only then are the census and the
-    images of the full-rank lattices under the ordered maps compared: the
-    least lattice on one side only, else the first image reached twice.
+    is the first witness that `_witness_faults` faults, a stray included;
+    the pass runs to its end, so an engine fault in any witness raises. A
+    cell that fails with no such witness fails on its count, with every
+    witness placed on a full-rank lattice, and some lattice holds other
+    than stirling2(n+k+1, n+1) of them. Only those suspect lattices are
+    searched: their witnesses are compared with their images under the
+    ordered maps, the least lattice on one side only, else the first image
+    reached twice. Any other lattice's witnesses are its images, each once,
+    so it adds nothing to either side.
     """
     witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
+    keyed = {_columns(core)[1]: (core, _labels(core), []) for core in cores}
     formula_count = stirling_factor * len(cores)
     found = None
-    for lat, fault in zip(witnesses, _witness_faults(witnesses, n, r)):
+    for lat, fault in zip(witnesses, _witness_faults(witnesses, keyed, n, r)):
         if fault is not None and found is None:
             found = lat, fault
     passed = len(witnesses) == formula_count and found is None
@@ -594,9 +591,11 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     )
     if passed or found is not None:
         return report, found
-    rebuilt = [apply_map(g, core)
-               for g in enumerate_ordered_maps(n, n + k) for core in cores]
-    census = set(witnesses)
+    suspects = [(core, placed) for core, _, placed in keyed.values()
+                if len(placed) != stirling_factor]
+    rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
+               for core, _ in suspects]
+    census = {lat for _, placed in suspects for lat in placed}
     differ = census.symmetric_difference(rebuilt)
     if differ:
         lat = min(differ, key=lambda l: (l.rank, l.basis))

@@ -313,7 +313,8 @@ def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
 
 def test_verify_rejects_a_non_multiplicative_witness(capsys, monkeypatch):
     # a witness that is not closed under products is an engine fault, not
-    # a counterexample: its pivot square fails the re-verification
+    # a counterexample: its pivot square is no full-rank lattice of the
+    # census, so it is re-verified on its own basis, and fails
     not_closed = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
     _swap_into_census(monkeypatch, not_closed)
     rc, out, err = run_main(
@@ -326,8 +327,8 @@ def test_verify_rejects_a_non_multiplicative_witness(capsys, monkeypatch):
 
 def test_verify_reports_a_non_rigid_witness_after_closed_ones(capsys,
                                                              monkeypatch):
-    # the verifier checks each core once; a witness after every closed one
-    # is still checked on its own
+    # the verifier places the closed witnesses on full-rank lattices; a
+    # witness after every closed one is still checked on its own
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
     _swap_into_census(monkeypatch, non_rigid, last=True)
     accept = enumeration.is_multiplicative

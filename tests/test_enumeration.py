@@ -7,6 +7,7 @@ test pass.
 """
 
 import ast
+import functools
 import inspect
 import itertools
 import math
@@ -35,7 +36,9 @@ import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 from multlat.enumeration import (
     _closed_extensions,
+    _columns,
     _corank_worker,
+    _labels,
     _in_span,
     _Steps,
     _census,
@@ -622,13 +625,37 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
     census = _census(3, 1, 2, jobs=1, budget=None)
     maps = list(enumerate_ordered_maps(2, 3))
     cores = enumerate_full_rank_multiplicative(2, 2)
+    imaged = []
+
+    def counted(g, core):
+        imaged.append(core)
+        return apply_map(g, core)
+
     with monkeypatch.context() as patched:
         patched.setattr(enumeration, "_census",
                         lambda *a, **kw: census[:7] + census[8:])
+        patched.setattr(enumeration, "apply_map", counted)
         report, found = _verify(2, 1, 2, jobs=1, budget=None)
         assert report.status == "fail"
         assert found == (census[7],
                          "reachable through a map but missed by the census")
+        # only the core that came up short has its maps applied
+        assert imaged == [decompose(census[7])[1]] * len(maps)
+    # a core missed by the full-rank side leaves its witnesses with none; the
+    # pass names the least of them, and no map is applied
+    for at, core in enumerate(cores):
+        with monkeypatch.context() as patched:
+            patched.setattr(enumeration, "enumerate_full_rank_multiplicative",
+                            lambda *a, **kw: cores[:at] + cores[at + 1:])
+            patched.setattr(enumeration, "apply_map", counted)
+            del imaged[:]
+            report, found = _verify(2, 1, 2, jobs=1, budget=None)
+            assert (report.full_rank_count, report.status) == (2, "fail")
+            assert found == (
+                min((lat for lat in census if decompose(lat)[1] == core),
+                    key=lambda lat: lat.basis),
+                "censused but not reachable through any map")
+            assert imaged == []
     first_images = [apply_map(maps[0], core) for core in cores]
     for wrong_maps, reason, lat in (
             (maps[1:], "censused but not reachable through any map",
@@ -647,9 +674,22 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
             assert found == (lat, reason)
 
 
+@functools.lru_cache(maxsize=None)
+def _full_rank_keys(rank, r):
+    return tuple((_columns(core)[1], core, _labels(core))
+                 for core in enumerate_full_rank_multiplicative(rank, r))
+
+
+def _keyed(rank, r):
+    # the full-rank lattices of index r under their keys, each with its
+    # column labels and an empty witness list, as the verifier holds them
+    return {key: (core, labels, [])
+            for key, core, labels in _full_rank_keys(rank, r)}
+
+
 def _check_witness(lat, rank, r):
     # one witness's verdict: the verifier's pass over lat alone
-    return next(_witness_faults([lat], rank, r))
+    return next(_witness_faults([lat], _keyed(rank, r), rank, r))
 
 
 def test_check_witness_from_one_square(monkeypatch):
@@ -685,9 +725,10 @@ def test_check_witness_from_one_square(monkeypatch):
 
 
 def test_witness_pass_matches_per_witness_checks(monkeypatch):
-    # one pass over the census tests closure once per core, and there is
-    # one core per full-rank lattice of index r; every witness gets the same
-    # verdict as when it is checked alone
+    # a cell tests closure once per full-rank lattice of index r, when the
+    # full-rank census is re-verified, and the pass tests none: it places
+    # each witness on one of those lattices, stirling2(n+k+1, n+1) on each,
+    # and every witness gets the same verdict as when it is checked alone
     closure = lattice._square_closed
     tested = []
 
@@ -698,11 +739,15 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
     for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (4, 2, 4), (5, 1, 4)]:
         census = _census(n + k, k, r, jobs=1, budget=None)
         alone = [_check_witness(lat, n, r) for lat in census]
+        keyed = _keyed(n, r)
+        faults = list(_witness_faults(census, keyed, n, r))
+        assert faults == alone == [None] * len(census), (n, k, r)
+        assert [len(placed) for _, _, placed in keyed.values()] == [
+            stirling2(n + k + 1, n + 1)] * len(keyed), (n, k, r)
         del tested[:]
         with monkeypatch.context() as patched:
             patched.setattr(lattice, "_square_closed", counted)
-            faults = list(_witness_faults(census, n, r))
-        assert faults == alone == [None] * len(census), (n, k, r)
+            assert _verify(n, k, r, jobs=1, budget=None)[1] is None
         assert len(tested) == count_full_rank(n, r), (n, k, r)
         cores = {tuple(map(tuple, square)) for square in tested}
         assert len(cores) == len(tested), (n, k, r)
@@ -719,13 +764,13 @@ def test_witness_pass_reports_faults_where_they_are(monkeypatch):
     census = enumerate_corank_oracle(3, 1, 2)
     for at in (0, 5, len(census)):
         mixed = census[:at] + [non_rigid] + census[at:] + [non_rigid]
-        faults = list(_witness_faults(mixed, 2, 2))
+        faults = list(_witness_faults(mixed, _keyed(2, 2), 2, 2))
         assert faults == [_check_witness(lat, 2, 2) for lat in mixed]
         assert [i for i, f in enumerate(faults) if f] == [at, len(mixed) - 1]
         assert faults[at] == "column count differs from rank"
         with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
             list(_witness_faults(census[:at] + [not_closed] + census[at:],
-                                 2, 2))
+                                 _keyed(2, 2), 2, 2))
 
 
 def test_oracle_reverifies_once_per_pivot_square(monkeypatch):
@@ -1002,7 +1047,7 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
 # full-rank census is the scan at co-rank 0, so the formula side does reach
 # the scan, through `_run_shards`
 FORMULA_SIDE = {"stirling2", "count_full_rank",
-                "enumerate_full_rank_multiplicative", "decompose", "_core",
+                "enumerate_full_rank_multiplicative", "decompose", "_labels",
                 "_place", "apply_map", "enumerate_ordered_maps"}
 
 

@@ -5,7 +5,9 @@ The README's Library block and the scripts in demos/ import names from
 `__all__` must resolve, lazily, to the object its defining module holds.
 The README's count of those names must match `__all__`. Imports are read
 with `ast`; each demo is also run once, in a fresh interpreter against the
-checkout's `src`.
+checkout's `src`. Two lints by `ast` need no linter installed: every name a
+module under `src/multlat/` imports is read in that module, and every
+module-level private name defined there is read elsewhere in the package.
 """
 
 import ast
@@ -130,6 +132,55 @@ def test_every_import_is_used():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sources}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def unread_private_names(sources):
+    """The private names (`_x`, no dunder) that a module-level def, class or
+    assignment in one of sources binds and that no other module-level
+    statement of any of them reads, as a name, an attribute or an import."""
+    statements = [stmt for source in sources
+                  for stmt in ast.parse(source).body]
+    reads = [{node.id if isinstance(node, ast.Name) else
+              node.attr if isinstance(node, ast.Attribute) else node.name
+              for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              or isinstance(node, (ast.Attribute, ast.alias))}
+             for stmt in statements]
+    unread = set()
+    for i, stmt in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            bound = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            bound = {node.id for target in targets
+                     for node in ast.walk(target) if isinstance(node, ast.Name)}
+        else:
+            continue
+        unread.update(
+            name for name in bound
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in names
+                        for j, names in enumerate(reads) if j != i))
+    return unread
+
+
+def test_every_private_name_is_read():
+    # a dead-code lint that needs no linter installed
+    assert unread_private_names([
+        "_read = 1\n_dead = 2\n__dunder__ = 3\n"
+        "def _called():\n    return _read\n"
+        "def _recursive():\n    return _recursive()\n"
+        "class _Unused:\n    _attr = 4\n",
+        "from m import _imported\n"
+        "_imported()\nm._by_attribute\n"
+        "def _by_attribute():\n    pass\n"
+        "_other: int = _called()\n"]) == {"_dead", "_recursive", "_Unused",
+                                          "_other"}
+    sources = sorted((ROOT / "src" / "multlat").glob("*.py"))
+    assert sources
+    assert unread_private_names(
+        [path.read_text(encoding="utf-8") for path in sources]) == set()
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in
