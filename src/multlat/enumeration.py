@@ -47,7 +47,8 @@ from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .intlinalg import _in_span
-from .lattice import Lattice, _square_closed, is_multiplicative, torsion_size
+from .lattice import (Lattice, _columns, _square_closed, is_multiplicative,
+                      torsion_size)
 from .partitions import (
     AcceptableMap,
     _transport_rows,
@@ -307,13 +308,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     with its coordinates reversed, and is returned as built.
 
     Every prefix that `_closed_extensions` returns spans a multiplicative
-    lattice, so its Q-span is a subalgebra of Q^m. That subalgebra has no
-    nilpotents, so it is spanned by orthogonal idempotents, which are 0/1
-    vectors: it is fixed by a partition of the coordinates that are not
-    identically zero, as the vectors constant on each block and zero off
-    them. Each row lies in it, so the prefix has exactly rank-many distinct
-    nonzero columns, hence a pivot square (`intlinalg._pivot_square`), and
-    its torsion is its lead product. A prefix spans a coordinate section of
+    lattice, so it has a pivot square (`lattice._pivot_square`), and its
+    torsion is its lead product. A prefix spans a coordinate section of
     L, a primitive sublattice of it, so that torsion divides the final
     torsion r. Level i therefore tries as leads only the divisors of the
     torsion left over, r over the lead product so far, and the last level
@@ -378,10 +374,10 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
     sorted rev(L) are the sorted census. A lattice found twice is an
     internal error. The census is re-verified (`_reverify`) on one lattice
     per pivot square, keyed by its distinct nonzero columns in order of
-    first use (`_columns`), as the verifier keys its witnesses: lattices
-    with the same key are images of one lattice under injective,
-    product-respecting coordinate copies, so they share rank, closure and
-    torsion.
+    first use (`lattice._columns`), as the verifier keys its witnesses:
+    lattices with the same key are images of one square under injective,
+    product-respecting coordinate copies (`lattice._pivot_square`), so they
+    share rank, closure and torsion.
 
     No pivot or entry reaches a bound, so the scan takes none. The budget
     counts steps per worker, one per lead, per entry tried in a pivot
@@ -391,7 +387,7 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
     lats = _census(ambient, corank, torsion, jobs=jobs, budget=budget)
     # keys keep the order of first use, so the first failing key is the
     # first failing lattice's
-    _reverify({_columns(lat)[1]: lat for lat in lats}.values(),
+    _reverify({_columns(lat.basis, ambient)[1]: lat for lat in lats}.values(),
               ambient - corank, torsion)
     return lats
 
@@ -438,44 +434,31 @@ def count_corank_formula(n: int, k: int, r: int, *, jobs: int = 1,
 def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     """Split a multiplicative lattice into an ordered map and a full-rank core.
 
-    One pass over lat's columns (`_columns`) gives everything. The canonical
-    basis of a multiplicative lattice has exactly rank-many distinct nonzero
-    columns, and then, in order of first use, they are its pivot columns,
-    so they form its pivot square (`intlinalg._pivot_square`). The core L
-    is that square, a canonical Hermite basis in its own right, and the
-    ordered acceptable map g labels each column of lat by its position among
-    them, so g copies the square's columns to where they occur in lat, with
+    One pass over lat's columns (`lattice._columns`) gives everything: a
+    multiplicative basis's distinct nonzero columns form its pivot square
+    (`lattice._pivot_square`), the core L, and the ordered acceptable map g
+    labels each column of lat by its position among them (`_labels`), so g
+    copies the square's columns to where they occur in lat, with
     apply_map(g, L) == lat; `_place` builds g and checks that. The pair is
-    unique. g is injective on L and respects products, so closure is tested
-    on L, a full-rank basis and so its own pivot square (`_square_closed`).
-    Raises ValueError on non-multiplicative input.
+    unique. Closure is tested on L, a full-rank basis and so its own pivot
+    square (`_square_closed`). Raises ValueError on non-multiplicative input.
     """
-    columns, distinct = _columns(lat)
+    columns, distinct = _columns(lat.basis, lat.ambient_dim)
     if len(distinct) == lat.rank:
         core = Lattice(lat.rank, tuple(zip(*distinct)))
         if _square_closed(core.basis):
-            return _place(lat, columns, core, _labels(core)), core
+            return _place(lat, columns, core, _labels(distinct)), core
     elif is_multiplicative(lat):
         raise RuntimeError("internal: column count contradicts the rank")
     raise ValueError("lattice is not multiplicative")
 
 
-def _columns(lat: Lattice
-             ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
-    """The columns of lat's basis, and its distinct nonzero columns in order
-    of first use, from one `zip`; zip yields none at all for the zero
-    lattice, whose columns are ()."""
-    columns = list(zip(*lat.basis)) if lat.rank else [()] * lat.ambient_dim
-    distinct = dict.fromkeys(columns)
-    distinct.pop((0,) * lat.rank, None)
-    return columns, tuple(distinct)
-
-
-def _labels(core: Lattice) -> dict[tuple[int, ...], int]:
-    """The label of each column an ordered map copies from a full-rank core:
-    0 for the zero column, i for the core's i-th column."""
-    zero = (0,) * core.rank
-    return {col: i for i, col in enumerate((zero, *zip(*core.basis)))}
+def _labels(distinct: tuple[tuple[int, ...], ...]
+            ) -> dict[tuple[int, ...], int]:
+    """The label of each column an ordered map copies from a full-rank core
+    whose columns are distinct: 0 for the zero column, i for the i-th."""
+    zero = (0,) * len(distinct)
+    return {col: i for i, col in enumerate((zero, *distinct))}
 
 
 def _place(lat: Lattice, columns: list[tuple[int, ...]], core: Lattice,
@@ -499,11 +482,11 @@ def _witness_faults(witnesses: Iterable[Lattice],
     """Why each witness breaks the factorization, or None, in order.
 
     cores holds each full-rank lattice under its key, its columns
-    (`_columns`), with its column labels (`_labels`) and a list of the
-    witnesses placed on it. A witness's key is its distinct nonzero columns
-    in order of first use, for a rigid basis its pivot square's columns. A
-    witness with a core's key has that core as its square, so the same
-    rank, closure verdict and torsion, which the full-rank census
+    (`lattice._columns`), with its column labels (`_labels`) and a list of
+    the witnesses placed on it. A witness's key is its distinct nonzero
+    columns in order of first use, for a rigid basis its pivot square's
+    columns. A witness with a core's key has that core as its square, so
+    the same rank, closure verdict and torsion, which the full-rank census
     re-verified; its own map, built from its own columns and validated,
     must still carry the core back to its basis (`_place`, which raises if
     it does not), and the witness joins the core's list. Any other witness
@@ -514,7 +497,7 @@ def _witness_faults(witnesses: Iterable[Lattice],
     map".
     """
     for lat in witnesses:
-        columns, key = _columns(lat)
+        columns, key = _columns(lat.basis, lat.ambient_dim)
         known = cores.get(key)
         if known is None:
             _reverify([lat], rank, r)
@@ -573,7 +556,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    keyed = {_columns(core)[1]: (core, _labels(core), []) for core in cores}
+    keys = [_columns(core.basis, n)[1] for core in cores]
+    keyed = {key: (core, _labels(key), []) for key, core in zip(keys, cores)}
     formula_count = stirling_factor * len(cores)
     found = None
     for lat, fault in zip(witnesses, _witness_faults(witnesses, keyed, n, r)):

@@ -3,22 +3,16 @@
 Matrices are immutable tuples of tuples of Python ints, so all arithmetic is
 arbitrary precision and nothing can silently wrap. The row-style Hermite
 normal form is the workhorse of the package: it gives a canonical basis for
-an integer row span. Echelon rows whose distinct nonzero columns are as
-many as the rows, as every multiplicative basis's are, reduce to the
-triangular square of their pivot columns (`_pivot_square`): the torsion
-order of the quotient group is the product of its diagonal, and for a
-multiplicative basis the square is the full-rank core that
-`enumeration.decompose` returns. Membership in the span of a Hermite
-basis whose pivot columns are known is decided by exact division alone
-(`_in_span`); the engines' extension step, the unital count and the
-square's closure test share it. Any other rows go through the general
-routines: their torsion order is the product of the Smith normal form
-diagonal, and membership in their span is solved by `solve_in_row_span`.
+an integer row span. Membership in the span of a Hermite basis whose pivot
+columns are known is decided by exact division alone (`_in_span`); the
+engines' extension step, the unital count and the square's closure test
+share it. Any other rows go through the Smith normal form and
+`solve_in_row_span`, which assume nothing about their columns.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 from typing import Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -220,45 +214,3 @@ def _pivot_columns(mat: IntMatrix) -> list[tuple[int, int]]:
         out.append((i, lead))
         last = lead
     return out
-
-
-def _pivot_square(rows: Sequence[Sequence[int]]) -> Optional[Sequence[Sequence[int]]]:
-    """The square of pivot columns of independent echelon rows, or None.
-
-    In echelon rows (each row's lead strictly right of the lead of the row
-    above) the pivot columns are distinct and nonzero: each is nonzero at
-    its own row and zero below it. When they are all the distinct nonzero
-    columns there are, every other column is zero or a copy of a pivot
-    column left of it, so the columns in order of first use, zero column
-    dropped, are the pivot columns, and the block they form, returned as
-    rows, is upper triangular with the pivots on its diagonal. The span of
-    the rows is then the image of the span of the block under a map that
-    copies and zeroes coordinates, which is injective and respects
-    coordinatewise products. As many rows as columns are their own square.
-    Any other input gives None. No rows give [].
-    """
-    if rows and len(rows) == len(rows[0]):
-        return rows
-    columns = dict.fromkeys(zip(*rows))
-    columns.pop((0,) * len(rows), None)
-    if len(columns) != len(rows):
-        return None
-    return list(zip(*columns))
-
-
-def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
-    """Order of the torsion subgroup of Z^cols modulo the span of independent
-    echelon rows; 1 for no rows.
-
-    The order is the gcd of the maximal minors. When `_pivot_square` finds
-    the square, every maximal minor but the square's own has a zero or a
-    repeated column, so the order is the product of its diagonal. Any other
-    rows give the product of their invariant factors (`smith_normal_form`).
-    """
-    square = _pivot_square(rows)
-    if square is None:
-        return prod(smith_normal_form(rows))
-    order = 1
-    for i, row in enumerate(square):
-        order *= row[i]
-    return abs(order)

@@ -4,21 +4,22 @@ A Lattice is stored by its canonical Hermite basis with zero rows dropped, so
 two objects are equal exactly when they describe the same subgroup of Z^n.
 The multiplicative notions live here: closure of the row span under the
 coordinatewise (Hadamard) product, torsion of the quotient, and the rigid
-columns that every multiplicative basis has. `_Frozen`, the base of Lattice
+columns that every multiplicative basis has, all three read off the pivot
+square of the basis (`_pivot_square`). `_Frozen`, the base of Lattice
 and of the partitions module's value types, makes them immutable values
 without importing `dataclasses`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from math import prod
+from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     IntMatrix,
-    _echelon_torsion,
     _in_span,
-    _pivot_square,
     hermite_normal_form,
+    smith_normal_form,
     solve_in_row_span,
 )
 
@@ -162,17 +163,59 @@ def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattic
     return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))
 
 
+def _columns(rows: Sequence[Sequence[int]], width: int
+             ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """The width columns of rows, and their distinct nonzero columns in order
+    of first use, from one `zip`; zip yields no columns at all for no rows,
+    whose width columns are ()."""
+    columns = list(zip(*rows)) if rows else [()] * width
+    distinct = dict.fromkeys(columns)
+    distinct.pop((0,) * len(rows), None)
+    return columns, tuple(distinct)
+
+
+def _pivot_square(rows: Sequence[Sequence[int]]
+                  ) -> Optional[Sequence[Sequence[int]]]:
+    """The square of pivot columns of independent echelon rows, or None.
+
+    In echelon rows (each row's lead strictly right of the lead of the row
+    above) the pivot columns are distinct and nonzero: each is nonzero at
+    its own row and zero below it. When they are all the distinct nonzero
+    columns there are (`_columns`), every other column is zero or a copy of
+    a pivot column left of it, so the columns in order of first use, zero
+    column dropped, are the pivot columns, and the block they form,
+    returned as rows, is upper triangular with the pivots on its diagonal.
+    The span of the rows is then the image of the block's span under a map
+    that copies and zeroes coordinates, which is injective and respects
+    coordinatewise products: the rows' span is closed under products
+    exactly when the block's is (`_square_closed`), and every maximal minor
+    of the rows but the block's own has a zero or a repeated column, so
+    their torsion order is its diagonal product (`_echelon_torsion`).
+
+    The rows of a multiplicative lattice always have a square: their Q-span
+    is a subalgebra of Q^m with no nilpotents, so it is spanned by
+    orthogonal idempotents, which are 0/1 vectors. It is fixed by a
+    partition of the coordinates that are not identically zero, as the
+    vectors constant on each block and zero off them, and each row lies in
+    it, so the rows have exactly rank-many distinct nonzero columns. No
+    rows, or as many rows as columns, are their own square; any other input
+    gives None.
+    """
+    if not rows or len(rows) == len(rows[0]):
+        return rows
+    distinct = _columns(rows, len(rows[0]))[1]
+    return list(zip(*distinct)) if len(distinct) == len(rows) else None
+
+
 def is_multiplicative(lat: Lattice) -> bool:
     """Closure of the lattice under coordinatewise products.
 
     Checking products of basis rows is enough: general elements are integer
     combinations of rows and the product is bilinear in its two factors.
-    When the basis has a pivot square (`intlinalg._pivot_square`), its span
-    is the image of the square's span under a coordinate-copying map that
-    is injective and respects products, so the square is tested instead
-    (`_square_closed`). Any other basis has each product solved against the
-    whole basis (`intlinalg.solve_in_row_span`), which assumes nothing
-    about its columns.
+    When the basis has a pivot square (`_pivot_square`), the square is
+    tested instead (`_square_closed`). Any other basis has each product
+    solved against the whole basis (`intlinalg.solve_in_row_span`), which
+    assumes nothing about its columns.
     """
     rows = lat.basis
     square = _pivot_square(rows)
@@ -209,14 +252,28 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
 
 
 def torsion_size(lat: Lattice) -> int:
-    """Order of the torsion subgroup of Z^ambient modulo the lattice.
-
-    It is the gcd of the maximal minors of the basis: the diagonal product
-    of its pivot square when it has one, as every multiplicative or
-    full-rank basis does, else the product of its Smith invariant factors
-    (`intlinalg._echelon_torsion`).
-    """
+    """Order of the torsion subgroup of Z^ambient modulo the lattice: the
+    diagonal product of the basis's pivot square when it has one, as every
+    multiplicative or full-rank basis does, else the product of its Smith
+    invariant factors (`_echelon_torsion`)."""
     return _echelon_torsion(lat.basis)
+
+
+def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
+    """Order of the torsion subgroup of Z^cols modulo the span of independent
+    echelon rows; 1 for no rows.
+
+    The order is the gcd of the maximal minors: the product of the diagonal
+    of the rows' pivot square (`_pivot_square`) when they have one, else the
+    product of their invariant factors (`smith_normal_form`).
+    """
+    square = _pivot_square(rows)
+    if square is None:
+        return prod(smith_normal_form(rows))
+    order = 1
+    for i, row in enumerate(square):
+        order *= row[i]
+    return abs(order)
 
 
 def has_rigid_columns(lat: Lattice) -> bool:
@@ -225,7 +282,7 @@ def has_rigid_columns(lat: Lattice) -> bool:
     Multiplicative lattices always do, and the distinct-column count of any
     basis matrix of such a lattice is invariant under integer row operations.
     That count is the rank exactly when the basis has a pivot square
-    (`intlinalg._pivot_square`). Raises on non-multiplicative input since
+    (`_pivot_square`). Raises on non-multiplicative input since
     the question is only meaningful there.
     """
     if not is_multiplicative(lat):

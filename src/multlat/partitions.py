@@ -6,7 +6,10 @@ maps (up to relabeling of the sources) correspond to partitions of the set
 {0, ..., n+k} into n+1 blocks: target coordinate j sits in the block of the
 source it copies, and the block containing the ghost element 0 collects the
 zeroed coordinates. Example: the partition {{0,3,4},{1,5},{2,7,8},{6}} of
-{0..8} corresponds to the map (a,b,c) -> (a,b,0,0,a,c,b,b).
+{0..8} corresponds to the map (a,b,c) -> (a,b,0,0,a,c,b,b). An ordered
+map's assignment is its partition's restricted-growth string, which labels
+each element with its block's place in the order by minimum, with the
+ghost 0's label dropped: (1,2,0,0,1,3,2,2) above.
 
 SetPartition and AcceptableMap are immutable values on the lattice module's
 `_Frozen` base; each constructor checks the types of its fields as well as
@@ -150,29 +153,13 @@ def enumerate_partitions(ground_size: int, block_count: int) -> Iterator[SetPart
     """All partitions of {0..ground_size-1} into block_count blocks.
 
     Deterministic order: lexicographic in the restricted-growth string that
-    assigns each element its block label.
+    assigns each element its block label, as their maps are listed
+    (`enumerate_ordered_maps`).
     """
     if not 1 <= block_count <= ground_size:
         raise ValueError("need 1 <= block_count <= ground_size")
-    labels = [0] * ground_size
-
-    def rec(i: int, used: int) -> Iterator[SetPartition]:
-        if i == ground_size:
-            if used == block_count:
-                blocks: list[list[int]] = [[] for _ in range(block_count)]
-                for elem, lab in enumerate(labels):
-                    blocks[lab].append(elem)
-                yield SetPartition(ground_size, tuple(tuple(b) for b in blocks))
-            return
-        # still need block_count - used fresh labels among the remaining slots
-        if used + (ground_size - i) < block_count:
-            return
-        top = min(used, block_count - 1)
-        for lab in range(top + 1):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    yield from rec(0, 0)
+    for g in enumerate_ordered_maps(block_count - 1, ground_size - 1):
+        yield map_to_partition(g)
 
 
 def partition_to_map(p: SetPartition, source_dim: int) -> AcceptableMap:
@@ -245,12 +232,28 @@ def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[Accepta
     """All ordered acceptable maps Z^source_dim -> Z^target_dim.
 
     There are stirling2(target_dim + 1, source_dim + 1) of them, one per
-    partition of {0..target_dim} into source_dim + 1 blocks.
+    partition of {0..target_dim} into source_dim + 1 blocks, listed by
+    their growth strings in lexicographic order: an entry is at most one
+    more than the largest before it, the ghost 0 counting as the first, and
+    a string is dropped once too few entries are left to use every label.
     """
     if source_dim < 0 or target_dim < source_dim:
         raise ValueError("need 0 <= source_dim <= target_dim")
-    for p in enumerate_partitions(target_dim + 1, source_dim + 1):
-        yield partition_to_map(p, source_dim)
+    labels = [0] * target_dim
+
+    def rec(j: int, used: int) -> Iterator[AcceptableMap]:
+        # labels 0..used-1 are taken, and each of the target_dim - j entries
+        # left can take one more
+        if used + target_dim - j <= source_dim:
+            return
+        if j == target_dim:
+            yield AcceptableMap(source_dim, target_dim, tuple(labels))
+            return
+        for lab in range(min(used, source_dim) + 1):
+            labels[j] = lab
+            yield from rec(j + 1, max(used, lab + 1))
+
+    yield from rec(0, 1)
 
 
 def map_to_string(g: AcceptableMap) -> str:

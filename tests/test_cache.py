@@ -115,8 +115,10 @@ def test_malformed_lines_are_skipped(tmp_path, capsys):
            {**good, "r": 4.0},
            {**good, "n": True},
            {**good, "k": "1"}]
+    # a blank line is skipped with no warning
     path.write_text(
         "not json at all\n"
+        + "\n \n"
         + json.dumps(good) + "\n"
         + json.dumps({"n": 1}) + "\n"
         + "".join(json.dumps(line) + "\n" for line in bad))

@@ -488,6 +488,17 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_a_witness_its_map_does_not_rebuild_exits_three(capsys, monkeypatch):
+    # verify prints its table header, then fails on the first witness
+    monkeypatch.setattr(enumeration, "_transport_rows", lambda g, rows: ())
+    rc, out, err = run_main(
+        capsys, ["verify", "--n", "2", "--k", "1", "--r", "2"])
+    assert rc == 3
+    assert out.count("\n") == 1
+    assert err == ("internal error: decomposition does not reproduce the "
+                   "lattice\n")
+
+
 def test_a_lattice_found_twice_exits_three(capsys, monkeypatch):
     # either engine's repeat is a failed self-check, at exit status 3
     worker = enumeration._corank_worker
@@ -529,6 +540,20 @@ def test_partitions_listing(capsys):
     lines = out.splitlines()
     assert len(lines) == 4
     assert "3 rows, Stirling value 3" in err
+
+
+def test_partitions_listing_that_disagrees_with_stirling_exits_one(
+        capsys, monkeypatch):
+    # the listing is printed in full, and the disagreement fails the run
+    import multlat.partitions as partitions
+
+    monkeypatch.setattr(partitions, "stirling2", lambda u, v: 4)
+    rc, out, err = run_main(capsys, ["partitions", "--n", "1", "--k", "1"])
+    assert rc == 1
+    assert len(out.splitlines()) == 4
+    assert err.splitlines() == [
+        "3 rows, Stirling value 4",
+        "partition count disagrees with the Stirling number"]
 
 
 def test_partitions_as_maps_json(capsys):
@@ -670,7 +695,9 @@ def _rejection(argv, message):
        for flag in ("--n", "--r-max")]
     + [_rejection(_VALID_ARGV["count-corank"] + [f"{flag}=-1"],
                   "must be at least 0")
-       for flag in ("--ambient", "--corank")]))
+       for flag in ("--ambient", "--corank")]
+    + [_rejection(_VALID_ARGV["count"] + ["--jobs", "x"],
+                  "expected INT, got 'x'")]))
 def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv,
                                                            message):
     with pytest.raises(SystemExit) as exc:

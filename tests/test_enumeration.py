@@ -36,7 +36,6 @@ import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 from multlat.enumeration import (
     _closed_extensions,
-    _columns,
     _corank_worker,
     _labels,
     _in_span,
@@ -48,6 +47,7 @@ from multlat.enumeration import (
 )
 from multlat.lattice import (
     Lattice,
+    _columns,
     banded_basis,
     is_multiplicative,
     lattice_from_rows,
@@ -582,6 +582,19 @@ def test_decompose_rejects_non_multiplicative_with_rigid_columns():
         decompose(lat)
 
 
+def test_a_map_that_does_not_rebuild_its_witness_is_an_internal_error(
+        monkeypatch):
+    # each placed witness's map is re-applied to its core; a transport that
+    # loses the rows fails decompose and the verifier alike
+    lat = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
+    monkeypatch.setattr(enumeration, "_transport_rows", lambda g, rows: ())
+    for check in (lambda: decompose(lat),
+                  lambda: verify_corank_factorization(2, 1, 2)):
+        with pytest.raises(RuntimeError, match="^internal: decomposition "
+                           "does not reproduce the lattice$"):
+            check()
+
+
 def test_decompose_rejects_non_rigid_columns(monkeypatch):
     # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2;
     # such a basis is never multiplicative, and if the closure test said it
@@ -657,11 +670,15 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
                 "censused but not reachable through any map")
             assert imaged == []
     first_images = [apply_map(maps[0], core) for core in cores]
-    for wrong_maps, reason, lat in (
-            (maps[1:], "censused but not reachable through any map",
-             min(first_images, key=lambda lat: lat.basis)),
-            ([*maps, maps[0]], "reached through two different map/core pairs",
-             first_images[0])):
+    for wrong_maps, named in (
+            (maps[1:], (min(first_images, key=lambda lat: lat.basis),
+                        "censused but not reachable through any map")),
+            ([*maps, maps[0]], (first_images[0],
+                                "reached through two different map/core "
+                                "pairs")),
+            # the true maps reach each witness once: the cell fails on its
+            # count alone, and no lattice is to blame
+            (maps, None)):
         with monkeypatch.context() as patched:
             patched.setattr(enumeration, "enumerate_ordered_maps",
                             lambda *a: iter(wrong_maps))
@@ -671,13 +688,14 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
             patched.setattr(enumeration, "stirling2", lambda *a: 7)
             report, found = _verify(2, 1, 2, jobs=1, budget=None)
             assert (report.formula_count, report.status) == (21, "fail")
-            assert found == (lat, reason)
+            assert found == named
 
 
 @functools.lru_cache(maxsize=None)
 def _full_rank_keys(rank, r):
-    return tuple((_columns(core)[1], core, _labels(core))
-                 for core in enumerate_full_rank_multiplicative(rank, r))
+    keys = [(_columns(core.basis, rank)[1], core)
+            for core in enumerate_full_rank_multiplicative(rank, r)]
+    return tuple((key, core, _labels(key)) for key, core in keys)
 
 
 def _keyed(rank, r):
@@ -697,10 +715,10 @@ def test_check_witness_from_one_square(monkeypatch):
     rigid = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
     # a pivot square that is not closed: (1, 2)^2 = (1, 4) is not in it
     open_square = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
-    assert intlinalg._pivot_square(open_square.basis) is not None
+    assert lattice._pivot_square(open_square.basis) is not None
     # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
-    assert intlinalg._pivot_square(non_rigid.basis) is None
+    assert lattice._pivot_square(non_rigid.basis) is None
     # each re-verification error, with the square and on the general route
     with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
         _check_witness(rigid, 1, 2)
@@ -915,8 +933,11 @@ def test_measured_paths_never_reach_the_general_routines(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("general routine reached")
 
-    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
     monkeypatch.setattr(lattice, "solve_in_row_span", refuse)
+    # the patches are live: a basis with no pivot square reaches them
+    with pytest.raises(AssertionError, match="general routine reached"):
+        torsion_size(lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)]))
     # nor does verify put any witness into Hermite form
     with monkeypatch.context() as verify_only:
         verify_only.setattr(lattice, "hermite_normal_form", refuse)
@@ -1028,8 +1049,8 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
     def checked(hnf, pivots, q, leads, ambient, steps):
         out = extensions(hnf, pivots, q, leads, ambient, steps)
         for rows in out:
-            assert intlinalg._pivot_square(rows) is not None, rows
-            torsion = intlinalg._echelon_torsion(rows)
+            assert lattice._pivot_square(rows) is not None, rows
+            torsion = lattice._echelon_torsion(rows)
             assert torsion == math.prod(next(x for x in row if x)
                                         for row in rows), rows
             assert r % torsion == 0, (rows, r)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 import multlat.intlinalg as intlinalg
 from multlat.intlinalg import (
-    _echelon_torsion,
-    _pivot_square,
     _xgcd,
     hermite_normal_form,
     int_matrix,
@@ -21,7 +19,6 @@ from multlat.intlinalg import (
 
 from refimpl import (
     bareiss_det,
-    echelon_samples,
     int_membership,
     rational_rank,
     ref_hnf,
@@ -238,59 +235,6 @@ def test_torsion_order_matches_reference_on_independent_rows():
             continue
         assert torsion_ref(m) == prod(smith_normal_form(m)), m
         checked += 1
-
-
-def test_pivot_square_and_echelon_torsion_on_seeded_echelon_rows():
-    # canonical bases, and the suffixes of their Hermite forms in reversed
-    # column order: the prefixes the co-rank scan passes, as lists. The
-    # square exists exactly when the distinct nonzero columns are as many
-    # as the rows; it is then the pivot columns, upper triangular
-    seen = set()
-    for _, rows in echelon_samples(random.Random(917), 1500):
-        flipped = [list(r) for r in ref_hnf([row[::-1] for row in rows])
-                   if any(r)]
-        for m in [rows] + [flipped[t:] for t in range(len(flipped))]:
-            assert _echelon_torsion(m) == torsion_ref(m), m
-            square = _pivot_square(m)
-            rigid = len({col for col in zip(*m) if any(col)}) == len(m)
-            seen.add(rigid)
-            if not rigid:
-                assert square is None, m
-                continue
-            leads = [next(j for j, x in enumerate(row) if x) for row in m]
-            assert [list(r) for r in square] == [[row[c] for c in leads]
-                                                 for row in m]
-            assert all(square[i][j] == 0 for i in range(len(m))
-                       for j in range(i))
-    assert seen == {True, False}
-    assert _pivot_square([]) == [] and _echelon_torsion([]) == 1
-
-
-def test_echelon_torsion_without_a_square_takes_the_smith_path():
-    # echelon rows in the reversed frame, entries in later pivot columns
-    # reduced: rows with more distinct nonzero columns than rows have no
-    # pivot square, and their torsion is the Smith product, often not the
-    # lead product
-    rows = [[0, 2, 1, 1], [0, 0, 1, 0]]
-    assert _pivot_square(rows) is None and _echelon_torsion(rows) == 1
-    rng = random.Random(1357)
-    differ = 0
-    for _ in range(600):
-        ambient = rng.randint(3, 6)
-        pivots = sorted(rng.sample(range(ambient), rng.randint(1, ambient)))
-        pivot_value = {c: rng.randint(1, 4) for c in pivots}
-        rows = []
-        for c in pivots:
-            row = [0] * ambient
-            row[c] = pivot_value[c]
-            for j in range(c + 1, ambient):
-                row[j] = rng.randrange(pivot_value.get(j, 5))
-            rows.append(row)
-        torsion = _echelon_torsion(rows)
-        assert torsion == prod(smith_normal_form(rows)), rows
-        if _pivot_square(rows) is None:
-            differ += torsion != prod(pivot_value.values())
-    assert differ > 200
 
 
 def test_snf_invariant_under_row_and_column_swaps():

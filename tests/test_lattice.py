@@ -1,4 +1,5 @@
-"""Lattice objects, canonical bases, and product closure."""
+"""Lattice objects, canonical bases, product closure, torsion and the pivot
+square that both are read from."""
 
 import copy
 import itertools
@@ -11,6 +12,8 @@ import pytest
 from multlat.intlinalg import hermite_normal_form, smith_normal_form
 from multlat.lattice import (
     Lattice,
+    _echelon_torsion,
+    _pivot_square,
     _square_closed,
     banded_basis,
     has_rigid_columns,
@@ -83,6 +86,8 @@ def test_constructor_rejects_bad_ambient():
         Lattice(-1, ())
     with pytest.raises(ValueError):
         Lattice(2, ((1, 0, 0),))
+    with pytest.raises(ValueError, match="^basis must be a tuple of rows$"):
+        Lattice(2, [(1, 0), (0, 1)])
 
 
 def test_constructor_accepts_exactly_the_reference_hermite_forms():
@@ -126,6 +131,8 @@ def test_from_rows_canonicalizes():
     lat = lattice_from_rows(2, [(2, 4), (3, 5)])
     assert lat.basis == ((1, 1), (0, 2))
     assert lattice_from_rows(2, [(0, 0)]).basis == ()
+    with pytest.raises(ValueError, match="^row length does not match"):
+        lattice_from_rows(2, [(1, 0), (1, 2, 3)])
 
 
 def test_from_rows_row_order_invariance():
@@ -383,6 +390,59 @@ def test_torsion_size_multiplicative_under_intersection_scaling():
     lat = lattice_from_rows(2, [(1, 1), (0, 2)])
     scaled = lattice_from_rows(2, [(3, 3), (0, 6)])
     assert torsion_size(scaled) == torsion_size(lat) * 9
+
+
+def test_pivot_square_and_echelon_torsion_on_seeded_echelon_rows():
+    # canonical bases, and the suffixes of their Hermite forms in reversed
+    # column order: the prefixes the co-rank scan passes, as lists. The
+    # square exists exactly when the distinct nonzero columns are as many
+    # as the rows; it is then the pivot columns, upper triangular
+    seen = set()
+    for _, rows in echelon_samples(random.Random(917), 1500):
+        flipped = [list(r) for r in ref_hnf([row[::-1] for row in rows])
+                   if any(r)]
+        for m in [rows] + [flipped[t:] for t in range(len(flipped))]:
+            assert _echelon_torsion(m) == torsion_ref(m), m
+            square = _pivot_square(m)
+            rigid = len({col for col in zip(*m) if any(col)}) == len(m)
+            seen.add(rigid)
+            if not rigid:
+                assert square is None, m
+                continue
+            leads = [next(j for j, x in enumerate(row) if x) for row in m]
+            assert [list(r) for r in square] == [[row[c] for c in leads]
+                                                 for row in m]
+            assert all(square[i][j] == 0 for i in range(len(m))
+                       for j in range(i))
+    assert seen == {True, False}
+    assert _pivot_square([]) == [] and _echelon_torsion([]) == 1
+
+
+def test_echelon_torsion_without_a_square_takes_the_smith_path():
+    # echelon rows in the reversed frame, entries in later pivot columns
+    # reduced: rows with more distinct nonzero columns than rows have no
+    # pivot square, and their torsion is the Smith product, often not the
+    # lead product
+    rows = [[0, 2, 1, 1], [0, 0, 1, 0]]
+    assert _pivot_square(rows) is None and _echelon_torsion(rows) == 1
+    rng = random.Random(1357)
+    differ = 0
+    for _ in range(600):
+        ambient = rng.randint(3, 6)
+        pivots = sorted(rng.sample(range(ambient), rng.randint(1, ambient)))
+        pivot_value = {c: rng.randint(1, 4) for c in pivots}
+        rows = []
+        for c in pivots:
+            row = [0] * ambient
+            row[c] = pivot_value[c]
+            for j in range(c + 1, ambient):
+                row[j] = rng.randrange(pivot_value.get(j, 5))
+            rows.append(row)
+        torsion = _echelon_torsion(rows)
+        assert torsion == prod(smith_normal_form(rows)), rows
+        if _pivot_square(rows) is None:
+            differ += torsion != prod(pivot_value.values())
+    assert differ > 200
 
 
 # ------------------------------------------------------------ column counts

@@ -80,6 +80,8 @@ def test_partition_validation():
         SetPartition(3, ((2, 0), (1,)))  # block not sorted
     with pytest.raises(ValueError):
         SetPartition(0, ())
+    with pytest.raises(ValueError, match="^empty block$"):
+        SetPartition(2, ((0, 1), ()))
 
 
 def test_enumerate_partitions_counts():
@@ -107,8 +109,11 @@ def test_enumerate_partitions_deterministic_and_distinct():
 def test_enumerate_partitions_bad_args():
     with pytest.raises(ValueError):
         list(enumerate_partitions(3, 0))
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(3, 4))
+    # a generator: the arguments are refused on first iteration
+    partitions = enumerate_partitions(3, 4)
+    with pytest.raises(ValueError,
+                       match="^need 1 <= block_count <= ground_size$"):
+        next(partitions)
 
 
 # --------------------------------------------------------------------- maps
@@ -197,6 +202,12 @@ def test_docstring_example_partition():
     g = partition_to_map(p, 3)
     assert g.assignment == (1, 2, 0, 0, 1, 3, 2, 2)
     assert map_to_string(g) == "a,b,0,0,a,c,b,b"
+    with pytest.raises(ValueError,
+                       match="^partition must have source_dim \\+ 1 blocks$"):
+        partition_to_map(p, 2)
+    # past z, a source is named by its number
+    wide = AcceptableMap(27, 27, tuple(range(1, 28)))
+    assert map_to_string(wide).split(",")[-2:] == ["z", "s27"]
 
 
 def test_enumerate_ordered_maps_counts():
@@ -206,6 +217,7 @@ def test_enumerate_ordered_maps_counts():
                 continue
             maps = list(enumerate_ordered_maps(n, t))
             assert len(maps) == stirling2(t + 1, n + 1), (n, t)
+            assert maps == sorted(maps, key=lambda g: g.assignment)
             assert len(set(maps)) == len(maps)
             assert all(partition_to_map(map_to_partition(g), n) == g
                        for g in maps)
@@ -216,6 +228,11 @@ def test_enumerate_ordered_maps_identity_case():
     # repeats, ordered, i.e. exactly one map
     maps = list(enumerate_ordered_maps(3, 3))
     assert maps == [AcceptableMap(3, 3, (1, 2, 3))]
+    # a smaller target has none: refused on first iteration
+    maps = enumerate_ordered_maps(2, 1)
+    with pytest.raises(ValueError,
+                       match="^need 0 <= source_dim <= target_dim$"):
+        next(maps)
 
 
 # ---------------------------------------------------------------- apply_map

@@ -5,9 +5,10 @@ The README's Library block and the scripts in demos/ import names from
 `__all__` must resolve, lazily, to the object its defining module holds.
 The README's count of those names must match `__all__`. Imports are read
 with `ast`; each demo is also run once, in a fresh interpreter against the
-checkout's `src`. Two lints by `ast` need no linter installed: every name a
-module under `src/multlat/` imports is read in that module, and every
-module-level private name defined there is read elsewhere in the package.
+checkout's `src`. Three lints by `ast` need no linter installed: every name
+a module under `src/multlat/` imports is read in that module, every
+module-level private name defined there is read elsewhere in the package,
+and each module imports only the modules below it in its layer.
 """
 
 import ast
@@ -181,6 +182,89 @@ def test_every_private_name_is_read():
     assert sources
     assert unread_private_names(
         [path.read_text(encoding="utf-8") for path in sources]) == set()
+
+
+# the package's layers, each module with the modules it may import: the
+# engines' chain intlinalg <- lattice <- partitions <- enumeration, and the
+# command line's chain, the root <- cache <- cli; "multlat" is the root
+BELOW = {"intlinalg": set(),
+         "lattice": {"intlinalg"},
+         "partitions": {"intlinalg", "lattice"},
+         "enumeration": {"intlinalg", "lattice", "partitions"},
+         "multlat": set(),
+         "cache": {"multlat"},
+         "cli": {"multlat", "cache"}}
+# the engines the command line imports only inside a function, so that a
+# run served from the cache loads none of them
+LAZY = {"cli": {"enumeration", "partitions"}}
+
+
+def package_imports(source, modules):
+    """(module, inside a function) for each import of a package module in
+    source, relative or absolute; `from . import x` imports x when x is one
+    of modules, else the root."""
+    tree = ast.parse(source)
+    nested = {id(node) for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names
+                     if alias.name.partition(".")[0] == "multlat"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0]
+                == "multlat"):
+            base = (node.module or "") if node.level else \
+                node.module.partition(".")[2]
+            names = ([base] if base else
+                     [alias.name for alias in node.names])
+        else:
+            continue
+        for name in names:
+            name = name.rpartition(".")[2]
+            found.add((name if name in modules else "multlat",
+                       id(node) in nested))
+    return found
+
+
+def layering_faults(sources):
+    """The (module, imported module, inside a function) imports of sources,
+    a dict of module name to source, that break BELOW and LAZY."""
+    return {(module, name, lazy) for module, source in sources.items()
+            for name, lazy in package_imports(source, set(BELOW))
+            if name not in BELOW[module]
+            and not (lazy and name in LAZY.get(module, ()))}
+
+
+def test_modules_import_only_downward():
+    assert package_imports(
+        "from . import ENGINE_VERSION, cache\n"
+        "from .lattice import Lattice\n"
+        "import multlat.intlinalg\n"
+        "import os\n"
+        "def f():\n"
+        "    from . import enumeration\n"
+        "    from multlat.partitions import stirling2\n",
+        set(BELOW)) == {("multlat", False), ("cache", False),
+                        ("lattice", False), ("intlinalg", False),
+                        ("enumeration", True), ("partitions", True)}
+    assert layering_faults({
+        "intlinalg": "from . import ENGINE_VERSION\n",
+        "lattice": "from .partitions import AcceptableMap\n",
+        "enumeration": "from .cache import CountCache\n",
+        "cache": "def f():\n    from .enumeration import decompose\n",
+        "cli": "from . import enumeration\n"
+               "def f():\n    from . import partitions, lattice\n"}) == {
+        ("intlinalg", "multlat", False), ("lattice", "partitions", False),
+        ("enumeration", "cache", False), ("cache", "enumeration", True),
+        ("cli", "enumeration", False), ("cli", "lattice", True)}
+    package = ROOT / "src" / "multlat"
+    sources = {("multlat" if path.stem == "__init__" else path.stem):
+               path.read_text(encoding="utf-8")
+               for path in package.glob("*.py")}
+    assert set(sources) == set(BELOW)
+    assert layering_faults(sources) == set()
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in
