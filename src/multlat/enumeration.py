@@ -17,18 +17,20 @@ time (`_closed_extensions`), so a partial basis is dropped as soon as its
 rows are not closed; a shard takes its share of the top level's extensions
 by slicing their list. Each lead is a divisor of the torsion left over,
 the last lead being the quotient itself. `_run_shards` answers rank 0,
-runs the shards, sorts their bases and rejects a repeat or a basis that
-fails validation. One `_reverify` checks either census through the
-lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
-lattice at full rank and once per pivot square otherwise. The verifier
-(`_verify`) takes each cell's census and full-rank lattices once and makes
-one pass over the census (`_witness_faults`): it places each witness on the
+runs the shards, sorts their bases and rejects a repeat, and `_lattices`
+turns the bases of both engines into validated Lattices. One `_reverify`
+checks either census through the lattice predicates alone
+(`is_multiplicative`, `torsion_size`), once per lattice at full rank and
+once per pivot square otherwise. The verifier (`_verify`) takes each
+cell's census, as bases, and its full-rank lattices once and makes one
+pass over the census (`_witness_faults`): it places each witness on the
 full-rank lattice that is its pivot square, by its own map carried back to
-that lattice, and re-verifies only a stray, a witness with no such lattice,
-which fails the cell. A cell that fails on its count alone is searched on
-the lattices already taken, and only on the full-rank lattices that hold
-other than the Stirling factor of witnesses. Its outcome is a
-VerificationReport, a NamedTuple as `cache.CountRecord` is.
+that lattice, which proves the witness canonical without the Lattice
+constructor, and builds and re-verifies only a stray, a witness with no
+such lattice, which fails the cell. A cell that fails on its count alone
+is searched on the lattices already taken, and only on the full-rank
+lattices that hold other than the Stirling factor of witnesses. Its
+outcome is a VerificationReport, a NamedTuple as `cache.CountRecord` is.
 
 Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
 once the per-shard budget is crossed, so an oversized request dies loudly
@@ -108,23 +110,19 @@ class _Steps:
 
 
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
-                budget: Optional[int]) -> list[Lattice]:
-    """Every shard's lattices of the given co-rank and torsion, sorted by
-    basis: the census of both engines, the full-rank one at co-rank 0.
+                budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every shard's bases of the given co-rank and torsion, sorted: the
+    census of both engines, the full-rank one at co-rank 0.
 
     jobs and budget are checked first, budget None meaning DEFAULT_BUDGET.
     At rank 0 (ambient == corank) the only lattice is the zero lattice, of
-    torsion 1, so the answer is [Lattice(ambient, ())] when torsion is 1
-    and [] otherwise, and no worker runs. Otherwise jobs = 1 runs
-    `_corank_worker` in this process, and more jobs run jobs shards, each
-    with its own budget, in a fork pool of min(jobs, os.cpu_count())
-    processes. A basis found twice, in one shard or two, is an internal
-    error: the worker lists every lattice once, and the sort puts copies
-    next to each other, so comparing each basis with the next finds every
-    repeat. So is a basis the Lattice constructor rejects: its ValueError,
-    which the command line would report as a usage error (exit 2), is
-    raised again as RuntimeError "internal: engine produced an invalid
-    basis: ..." with the constructor's reason, a failed self-check (exit 3).
+    torsion 1, so the answer is [()] when torsion is 1 and [] otherwise,
+    and no worker runs. Otherwise jobs = 1 runs `_corank_worker` in this
+    process, and more jobs run jobs shards, each with its own budget, in a
+    fork pool of min(jobs, os.cpu_count()) processes. A basis found twice,
+    in one shard or two, is an internal error: the worker lists every
+    lattice once, and the sort puts copies next to each other, so comparing
+    each basis with the next finds every repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -132,7 +130,7 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if ambient == corank:
-        return [Lattice(ambient, ())] if torsion == 1 else []
+        return [()] if torsion == 1 else []
     tasks = [(ambient, corank, torsion, shard, jobs, budget)
              for shard in range(jobs)]
     if jobs == 1:
@@ -146,6 +144,18 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     bases = sorted([item for chunk in shard_results for item in chunk])
     if any(map(eq, bases, islice(bases, 1, None))):
         raise RuntimeError("internal: engine produced a lattice twice")
+    return bases
+
+
+def _lattices(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]]
+              ) -> list[Lattice]:
+    """The engine's bases as Lattices, each validated by the constructor.
+
+    A basis the constructor rejects is an internal error: its ValueError,
+    which the command line would report as a usage error (exit 2), is
+    raised again as RuntimeError "internal: engine produced an invalid
+    basis: ..." with the constructor's reason, a failed self-check (exit 3).
+    """
     try:
         return [Lattice(ambient, b) for b in bases]
     except ValueError as exc:
@@ -177,7 +187,7 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
         raise ValueError("ambient dimension must be nonnegative")
     if index < 1:
         raise ValueError("index must be at least 1")
-    lats = _run_shards(n, 0, index, jobs, budget)
+    lats = _lattices(n, _run_shards(n, 0, index, jobs, budget))
     _reverify(lats, n, index)
     return lats
 
@@ -384,7 +394,8 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
     column and per off-pivot column. jobs shards the first rows whose
     square closes, round-robin.
     """
-    lats = _census(ambient, corank, torsion, jobs=jobs, budget=budget)
+    lats = _lattices(ambient, _census(ambient, corank, torsion, jobs=jobs,
+                                      budget=budget))
     # keys keep the order of first use, so the first failing key is the
     # first failing lattice's
     _reverify({_columns(lat.basis, ambient)[1]: lat for lat in lats}.values(),
@@ -393,8 +404,9 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
 
 
 def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
-            budget: Optional[int]) -> list[Lattice]:
-    """`enumerate_corank_oracle` without its re-verification."""
+            budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """The sorted, repeat-free bases `enumerate_corank_oracle` validates
+    and re-verifies, and `_verify` places."""
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
@@ -442,12 +454,20 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     apply_map(g, L) == lat; `_place` builds g and checks that. The pair is
     unique. Closure is tested on L, a full-rank basis and so its own pivot
     square (`_square_closed`). Raises ValueError on non-multiplicative input.
+
+    L is stored without the constructor (`_Frozen._trusted`): lat's basis
+    is a validated canonical one, so its pivot columns are distinct and
+    nonzero, and when there are rank many distinct nonzero columns they
+    are exactly those, in pivot order, as the columns left of a pivot are
+    zero from that pivot's row down. L is then upper triangular with lat's
+    positive pivots on its diagonal and the entries above them, already
+    reduced, in its rows, all ints: the shape the constructor checks.
     """
     columns, distinct = _columns(lat.basis, lat.ambient_dim)
     if len(distinct) == lat.rank:
-        core = Lattice(lat.rank, tuple(zip(*distinct)))
+        core = Lattice._trusted(lat.rank, tuple(zip(*distinct)))
         if _square_closed(core.basis):
-            return _place(lat, columns, core, _labels(distinct)), core
+            return _place(lat.basis, columns, core, _labels(distinct)), core
     elif is_multiplicative(lat):
         raise RuntimeError("internal: column count contradicts the rank")
     raise ValueError("lattice is not multiplicative")
@@ -461,52 +481,65 @@ def _labels(distinct: tuple[tuple[int, ...], ...]
     return {col: i for i, col in enumerate((zero, *distinct))}
 
 
-def _place(lat: Lattice, columns: list[tuple[int, ...]], core: Lattice,
+def _place(basis: tuple[tuple[int, ...], ...],
+           columns: list[tuple[int, ...]], core: Lattice,
            labels: dict[tuple[int, ...], int]) -> AcceptableMap:
-    """The ordered map that labels lat's columns as the core's (`_labels`),
-    checked by re-application on rows: the core rows carried through the
-    map must be lat's basis. Both are canonical Hermite bases, so this is
-    the same test as apply_map(g, core) == lat without building a third
-    lattice.
+    """The ordered map that labels the columns of basis as the core's
+    (`_labels`), checked by re-application on rows: the core rows carried
+    through the map must be basis. The core's rows are a canonical Hermite
+    basis and an ordered map carries them to one, so this is the same test
+    as apply_map(g, core) == Lattice(len(columns), basis) without building
+    either lattice.
+
+    labels holds the core's distinct columns, which are also the distinct
+    nonzero columns of basis, so every column has a label in 0..rank and
+    every label from 1 on is used: g is stored without the constructor
+    (`_Frozen._trusted`).
     """
-    g = AcceptableMap(lat.rank, lat.ambient_dim,
-                      tuple([labels[col] for col in columns]))
-    if _transport_rows(g, core.basis) != lat.basis:
+    g = AcceptableMap._trusted(core.rank, len(columns),
+                               tuple([labels[col] for col in columns]))
+    if _transport_rows(g, core.basis) != basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
     return g
 
 
-def _witness_faults(witnesses: Iterable[Lattice],
-                    cores: dict[tuple, tuple[Lattice, dict, list[Lattice]]],
+def _witness_faults(ambient: int,
+                    witnesses: Iterable[tuple[tuple[int, ...], ...]],
+                    cores: dict[tuple, tuple[Lattice, dict, list]],
                     rank: int, r: int) -> Iterator[Optional[str]]:
-    """Why each witness breaks the factorization, or None, in order.
+    """Why each witness basis of Z^ambient breaks the factorization, or
+    None, in order.
 
     cores holds each full-rank lattice under its key, its columns
     (`lattice._columns`), with its column labels (`_labels`) and a list of
-    the witnesses placed on it. A witness's key is its distinct nonzero
+    the witness bases placed on it. A witness's key is its distinct nonzero
     columns in order of first use, for a rigid basis its pivot square's
-    columns. A witness with a core's key has that core as its square, so
-    the same rank, closure verdict and torsion, which the full-rank census
-    re-verified; its own map, built from its own columns and validated,
-    must still carry the core back to its basis (`_place`, which raises if
-    it does not), and the witness joins the core's list. Any other witness
-    is a stray, re-verified on its own basis (`_reverify`), which raises
-    RuntimeError on the wrong rank, a lattice not closed under products or
-    the wrong torsion; it then gives "column count differs from rank" when
-    it has no pivot square, else "censused but not reachable through any
-    map".
+    columns. A witness of rank rows and ambient columns with a core's key
+    must be that core carried by its own ordered map (`_place`, which raises
+    if it is not); it then equals a canonical Hermite basis with that core
+    as its square, so the same rank, closure verdict and torsion, which the
+    full-rank census re-verified, and it joins the core's list without the
+    Lattice constructor. Equal as a value: an entry True or 1.0 compares
+    equal to 1, and only the constructor, which `_verify` runs on every
+    witness it returns, refuses it. Any other witness is a stray: it is
+    validated (`_lattices`) and re-verified on its own basis (`_reverify`),
+    which raise RuntimeError on an invalid basis, the wrong rank, a lattice
+    not closed under products or the wrong torsion; it then gives "column
+    count differs from rank" when it has no pivot square, else "censused but
+    not reachable through any map".
     """
-    for lat in witnesses:
-        columns, key = _columns(lat.basis, lat.ambient_dim)
-        known = cores.get(key)
+    for basis in witnesses:
+        columns, key = _columns(basis, ambient)
+        known = (cores.get(key) if len(basis) == rank
+                 and len(columns) == ambient else None)
         if known is None:
-            _reverify([lat], rank, r)
+            _reverify(_lattices(ambient, [basis]), rank, r)
             yield ("column count differs from rank" if len(key) != rank
                    else "censused but not reachable through any map")
             continue
         core, labels, placed = known
-        _place(lat, columns, core, labels)
-        placed.append(lat)
+        _place(basis, columns, core, labels)
+        placed.append(basis)
         yield None
 
 
@@ -523,11 +556,12 @@ def verify_corank_factorization(n: int, k: int, r: int,
     One pass over the census (`_witness_faults`) places each witness on the
     full-rank lattice that is its pivot square, whose rank, closure and
     torsion its census re-verified (`_reverify`); each witness's own map is
-    still built, validated and re-applied to that lattice. A witness with
-    no such lattice is re-verified on its own and fails the cell. The
-    census is taken without the oracle's own re-verification, which would
-    repeat that. When the factorization holds each full-rank lattice of
-    index r has stirling2(n+k+1, n+1) witnesses.
+    still built from its columns and re-applied to that lattice, which
+    proves the witness canonical. A witness with no such lattice is
+    validated and re-verified on its own and fails the cell. The census is
+    taken as bases, without the oracle's own validation and re-verification,
+    which would repeat that. When the factorization holds each full-rank
+    lattice of index r has stirling2(n+k+1, n+1) witnesses.
 
     bound_multiplier raises ValueError below 1 and is otherwise ignored, as
     no scan reaches a bound; the campaign benchmark still passes 1 and 2.
@@ -542,27 +576,32 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     """The cell's report, and on a failing cell its first offending lattice
     with a reason, or None.
 
-    The census and the full-rank lattices are each taken once. The offender
-    is the first witness that `_witness_faults` faults, a stray included;
-    the pass runs to its end, so an engine fault in any witness raises. A
-    cell that fails with no such witness fails on its count, with every
-    witness placed on a full-rank lattice, and some lattice holds other
-    than stirling2(n+k+1, n+1) of them. Only those suspect lattices are
-    searched: their witnesses are compared with their images under the
-    ordered maps, the least lattice on one side only, else the first image
-    reached twice. Any other lattice's witnesses are its images, each once,
-    so it adds nothing to either side.
+    The census, sorted bases with no repeat, and the full-rank lattices are
+    each taken once. The offender is the first witness that
+    `_witness_faults` faults, a stray included; the pass runs to its end,
+    so an engine fault in any witness raises. A cell that fails with no
+    such witness fails on its count, with every witness placed on a
+    full-rank lattice, and some lattice holds other than stirling2(n+k+1,
+    n+1) of them. Only those suspect lattices are searched: their witnesses
+    are compared with their images under the ordered maps, the least
+    lattice on one side only, else the first image reached twice. Any other
+    lattice's witnesses are its images, each once, so it adds nothing to
+    either side. A witness becomes a Lattice, through the constructor
+    (`_lattices`), only as a stray, the offender or a suspect's witness, so
+    every lattice this returns is validated.
     """
-    witnesses = _census(n + k, k, r, jobs=jobs, budget=budget)
+    ambient = n + k
+    witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
     keys = [_columns(core.basis, n)[1] for core in cores]
     keyed = {key: (core, _labels(key), []) for key, core in zip(keys, cores)}
     formula_count = stirling_factor * len(cores)
     found = None
-    for lat, fault in zip(witnesses, _witness_faults(witnesses, keyed, n, r)):
+    for basis, fault in zip(witnesses, _witness_faults(ambient, witnesses,
+                                                       keyed, n, r)):
         if fault is not None and found is None:
-            found = lat, fault
+            found = _lattices(ambient, [basis])[0], fault
     passed = len(witnesses) == formula_count and found is None
     report = VerificationReport(
         n=n, k=k, r=r,
@@ -579,7 +618,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
                 if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
                for core, _ in suspects]
-    census = {lat for _, placed in suspects for lat in placed}
+    census = set(_lattices(ambient, [basis for _, placed in suspects
+                                     for basis in placed]))
     differ = census.symmetric_difference(rebuilt)
     if differ:
         lat = min(differ, key=lambda l: (l.rank, l.basis))

@@ -33,7 +33,9 @@ class _Frozen:
     with `object.__setattr__`, and writes its own `__eq__` (class-strict,
     over its fields in order) and `__hash__` (of the same tuple): these
     cost what a frozen dataclass's do, and a generic pair here, reading the
-    fields through `__slots__`, is slower per call.
+    fields through `__slots__`, is slower per call. `_trusted` stores
+    fields without running the constructor, for a caller that has proved
+    they pass its validation.
     """
 
     __slots__ = ()
@@ -55,19 +57,32 @@ class _Frozen:
     def __reduce__(self) -> tuple:
         return type(self), self._values()
 
+    @classmethod
+    def _trusted(cls, *values: object) -> _Frozen:
+        """The value whose fields, in `__slots__` order, are values, stored
+        as they are: the constructor does not run, so the caller must hold
+        a proof that it would accept them."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, values):
+            object.__setattr__(value, name, field)
+        return value
+
 
 class Lattice(_Frozen):
     """A subgroup of Z^ambient_dim given by its canonical Hermite basis.
 
     basis holds only the nonzero rows; the zero lattice has an empty basis.
     The degenerate ambient_dim 0 lattice is allowed and counts as full rank.
-    The constructor is the one place a basis is validated: ambient_dim is a
-    nonnegative int and every row is a nonzero tuple of ambient_dim ints
-    (bool excluded in both) whose lead, its pivot, is positive and lies
-    right of the pivot of the row above, and every entry above a pivot is
-    reduced into [0, pivot). It reads each row once for the entry types and
-    once up to its lead, and the rows above at the pivot column only. Code
-    holding a Lattice relies on that shape unchecked.
+    The constructor validates a basis: ambient_dim is a nonnegative int and
+    every row is a nonzero tuple of ambient_dim ints (bool excluded in
+    both) whose lead, its pivot, is positive and lies right of the pivot of
+    the row above, and every entry above a pivot is reduced into [0,
+    pivot). It reads each row once for the entry types and once up to its
+    lead, and the rows above at the pivot column only. Code holding a
+    Lattice relies on that shape unchecked. The one Lattice built without
+    the constructor (`_Frozen._trusted`) is the core `enumeration.decompose`
+    reads off a validated basis, its pivot square, which has that shape by
+    construction.
     """
 
     __slots__ = ("ambient_dim", "basis")

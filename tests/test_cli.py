@@ -16,7 +16,7 @@ import multlat.cli as cli
 import multlat.enumeration as enumeration
 from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
-from multlat.lattice import lattice_from_rows
+from multlat.lattice import Lattice, lattice_from_rows
 from test_enumeration import _rows_added
 
 
@@ -246,8 +246,9 @@ def test_verify_failure_path_prints_counterexample(capsys, monkeypatch):
 def test_a_failing_cell_takes_one_census(capsys, monkeypatch):
     # a census missing a lattice fails the cell on its count; the verifier
     # and the command line name the lattice from the census and full-rank
-    # lattices they already took, each taken once
+    # lattices they already took, each taken once; the census is bases
     census = enumeration._census(3, 1, 2, jobs=1, budget=None)
+    missed = Lattice(3, census[7])
     full_rank = enumeration.enumerate_full_rank_multiplicative
     calls = []
 
@@ -264,7 +265,7 @@ def test_a_failing_cell_takes_one_census(capsys, monkeypatch):
                         counted)
     report, found = enumeration._verify(2, 1, 2, jobs=1, budget=None)
     assert report.status == "fail"
-    assert found == (census[7],
+    assert found == (missed,
                      "reachable through a map but missed by the census")
     assert sorted(calls) == ["_census", "full_rank"]
     calls.clear()
@@ -274,20 +275,20 @@ def test_a_failing_cell_takes_one_census(capsys, monkeypatch):
     assert rc == 1
     assert out.splitlines()[1].endswith("fail")
     assert ("counterexample: "
-            + json.dumps(census[7].as_dict(), sort_keys=True)) in err
+            + json.dumps(missed.as_dict(), sort_keys=True)) in err
     assert "reason: reachable through a map but missed by the census" in err
     assert sorted(calls) == ["_census", "full_rank"]
 
 
 def _swap_into_census(monkeypatch, lat, last=False):
-    # the verifier takes its witnesses from the census before any check;
-    # lat replaces the first witness, or with last the last one, so that
-    # every closed witness before it has been checked
+    # the verifier takes its witnesses from the census, as bases, before
+    # any check; lat's basis replaces the first witness, or with last the
+    # last one, so that every closed witness before it has been checked
     census = enumeration._census
     monkeypatch.setattr(
         enumeration, "_census",
-        lambda *a, **kw: (census(*a, **kw)[:-1] + [lat] if last
-                          else [lat] + census(*a, **kw)[1:]))
+        lambda *a, **kw: (census(*a, **kw)[:-1] + [lat.basis] if last
+                          else [lat.basis] + census(*a, **kw)[1:]))
 
 
 def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
@@ -530,6 +531,51 @@ def test_a_bad_engine_lattice_exits_three(capsys, monkeypatch):
         assert out.count("\n") == lines, argv
         assert err == ("internal error: engine produced an invalid basis: "
                        "basis is not in canonical Hermite form\n")
+
+
+def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
+    # the verifier builds no Lattice for a witness it places, yet a census
+    # basis the constructor would refuse still fails verify at exit 3, with
+    # the full-rank side left whole: a stray, whose key is no core's, is
+    # refused by the constructor; a basis one entry too wide in its top row
+    # keeps the key of the basis it came from, and its map, one entry
+    # narrower, does not rebuild it; a basis one entry too wide in every row
+    # also keeps its key, and its map would rebuild it, so a witness of the
+    # wrong width or row count is a stray
+    worker = enumeration._corank_worker
+
+    def top_row_widened(bases):
+        (top, *rest), *others = bases
+        return [(top + (0,), *rest), *others]
+
+    def all_rows_widened(bases):
+        first, *others = bases
+        return [tuple(row + (0,) for row in first), *others]
+
+    for fault, reason in (
+            (_rows_added, "engine produced an invalid basis: basis is not "
+                          "in canonical Hermite form"),
+            (top_row_widened, "decomposition does not reproduce the "
+                              "lattice"),
+            (all_rows_widened, "engine produced an invalid basis: basis "
+                               "rows must match the ambient dimension")):
+        monkeypatch.setattr(enumeration, "_corank_worker",
+                            lambda args: (fault(worker(args)) if args[1]
+                                          else worker(args)))
+        rc, out, err = run_main(
+            capsys, ["verify", "--n", "2", "--k", "1", "--r", "2"])
+        assert rc == 3, reason
+        assert out.count("\n") == 1
+        assert err == f"internal error: {reason}\n"
+    # at rank 0 every column is zero, so a zero row keeps the zero lattice's
+    # key; no worker runs there, so the census itself carries the fault
+    monkeypatch.setattr(enumeration, "_census", lambda *a, **kw: [((0,),)])
+    rc, out, err = run_main(
+        capsys, ["verify", "--n", "0", "--k", "1", "--r", "1"])
+    assert rc == 3
+    assert out.count("\n") == 1
+    assert err == ("internal error: engine produced an invalid basis: basis "
+                   "may not contain zero rows\n")
 
 
 # -------------------------------------------------------------- partitions

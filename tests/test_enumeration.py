@@ -312,8 +312,7 @@ def test_corank_scan_needs_no_pivot_square_premise():
     # too; a scan without it, with every pivot up to r and up to 2r, finds
     # the same bases on every campaign cell, so no pivot above r is missed
     for n, k, r in CAMPAIGN_CELLS:
-        census = [lat.basis
-                  for lat in _census(n + k, k, r, jobs=1, budget=None)]
+        census = _census(n + k, k, r, jobs=1, budget=None)
         for bound in (r, 2 * r):
             assert _scan_by_smith_torsion(n + k, k, r, bound) == census, \
                 (n, k, r, bound)
@@ -595,6 +594,54 @@ def test_a_map_that_does_not_rebuild_its_witness_is_an_internal_error(
             check()
 
 
+def test_decompose_returns_what_the_constructors_build():
+    # decompose stores its core and map without running their constructors;
+    # on every image of a full-rank lattice of index <= 8 under an ordered
+    # map with n + k <= 4, both are the values the constructors accept and
+    # build from the same fields, and the pair that made the image
+    for n in range(5):
+        cores = [core for r in range(1, 9)
+                 for core in enumerate_full_rank_multiplicative(n, r)]
+        for k in range(5 - n):
+            for g in enumerate_ordered_maps(n, n + k):
+                for core in cores:
+                    got_g, got_core = decompose(apply_map(g, core))
+                    assert got_core == Lattice(got_core.ambient_dim,
+                                               got_core.basis) == core
+                    assert got_g == AcceptableMap(
+                        got_g.source_dim, got_g.target_dim,
+                        got_g.assignment) == g
+
+
+def test_a_witness_equal_to_a_canonical_basis_leaves_only_validated(
+        monkeypatch):
+    # the verifier places a witness once its map rebuilds it, which proves
+    # it == a canonical basis of ints; a twin holding True for 1 compares
+    # equal, so it is placed and counted as that basis is, and the cell
+    # passes. No lattice leaves the verifier without the constructor: when
+    # the cell fails on its count, the twin's core is a suspect, its
+    # witnesses become Lattices, and the twin is refused
+    bases = _census(3, 1, 2, jobs=1, budget=None)
+    at = next(i for i, basis in enumerate(bases) if 1 in basis[0])
+    twin = tuple(tuple(True if x == 1 else x for x in row)
+                 for row in bases[at])
+    key = _columns(bases[at], 3)[1]
+    other = next(i for i, basis in enumerate(bases)
+                 if i != at and _columns(basis, 3)[1] == key)
+    passing = _verify(2, 1, 2, jobs=1, budget=None)
+    with monkeypatch.context() as patched:
+        patched.setattr(enumeration, "_census", lambda *a, **kw: [
+            twin if i == at else basis for i, basis in enumerate(bases)])
+        assert _verify(2, 1, 2, jobs=1, budget=None) == passing
+    monkeypatch.setattr(enumeration, "_census", lambda *a, **kw: [
+        twin if i == at else basis for i, basis in enumerate(bases)
+        if i != other])
+    with pytest.raises(RuntimeError,
+                       match="^internal: engine produced an invalid basis: "
+                             "non-integer entry True$"):
+        _verify(2, 1, 2, jobs=1, budget=None)
+
+
 def test_decompose_rejects_non_rigid_columns(monkeypatch):
     # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2;
     # such a basis is never multiplicative, and if the closure test said it
@@ -634,8 +681,10 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
     # each way the census and the images of the maps can disagree on cell
     # (2, 1, 2) gives the smallest lattice it concerns, with its own reason;
     # only a failing cell is searched, so a fault on the formula side comes
-    # with a Stirling factor that no longer matches the census
-    census = _census(3, 1, 2, jobs=1, budget=None)
+    # with a Stirling factor that no longer matches the census; the
+    # verifier reads the census as bases
+    bases = _census(3, 1, 2, jobs=1, budget=None)
+    census = [Lattice(3, basis) for basis in bases]
     maps = list(enumerate_ordered_maps(2, 3))
     cores = enumerate_full_rank_multiplicative(2, 2)
     imaged = []
@@ -646,7 +695,7 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(enumeration, "_census",
-                        lambda *a, **kw: census[:7] + census[8:])
+                        lambda *a, **kw: bases[:7] + bases[8:])
         patched.setattr(enumeration, "apply_map", counted)
         report, found = _verify(2, 1, 2, jobs=1, budget=None)
         assert report.status == "fail"
@@ -706,8 +755,9 @@ def _keyed(rank, r):
 
 
 def _check_witness(lat, rank, r):
-    # one witness's verdict: the verifier's pass over lat alone
-    return next(_witness_faults([lat], _keyed(rank, r), rank, r))
+    # one witness's verdict: the verifier's pass over lat's basis alone
+    return next(_witness_faults(lat.ambient_dim, [lat.basis], _keyed(rank, r),
+                                rank, r))
 
 
 def test_check_witness_from_one_square(monkeypatch):
@@ -756,9 +806,10 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
 
     for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (4, 2, 4), (5, 1, 4)]:
         census = _census(n + k, k, r, jobs=1, budget=None)
-        alone = [_check_witness(lat, n, r) for lat in census]
+        alone = [_check_witness(Lattice(n + k, basis), n, r)
+                 for basis in census]
         keyed = _keyed(n, r)
-        faults = list(_witness_faults(census, keyed, n, r))
+        faults = list(_witness_faults(n + k, census, keyed, n, r))
         assert faults == alone == [None] * len(census), (n, k, r)
         assert [len(placed) for _, _, placed in keyed.values()] == [
             stirling2(n + k + 1, n + 1)] * len(keyed), (n, k, r)
@@ -782,12 +833,14 @@ def test_witness_pass_reports_faults_where_they_are(monkeypatch):
     census = enumerate_corank_oracle(3, 1, 2)
     for at in (0, 5, len(census)):
         mixed = census[:at] + [non_rigid] + census[at:] + [non_rigid]
-        faults = list(_witness_faults(mixed, _keyed(2, 2), 2, 2))
+        faults = list(_witness_faults(3, [lat.basis for lat in mixed],
+                                      _keyed(2, 2), 2, 2))
         assert faults == [_check_witness(lat, 2, 2) for lat in mixed]
         assert [i for i, f in enumerate(faults) if f] == [at, len(mixed) - 1]
         assert faults[at] == "column count differs from rank"
+        closed_and_not = census[:at] + [not_closed] + census[at:]
         with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
-            list(_witness_faults(census[:at] + [not_closed] + census[at:],
+            list(_witness_faults(3, [lat.basis for lat in closed_and_not],
                                  _keyed(2, 2), 2, 2))
 
 
@@ -814,7 +867,7 @@ def test_oracle_reverifies_once_per_pivot_square(monkeypatch):
 
 def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
     # a lattice with a pivot square of its own is re-verified wherever the
-    # census puts it, with the message each failed check gives
+    # census puts its basis, with the message each failed check gives
     census = _census(3, 1, 2, jobs=1, budget=None)
     cases = [
         # a pivot square that is not closed: (1, 2)^2 = (1, 4) is not in it
@@ -825,9 +878,9 @@ def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
         (lattice_from_rows(3, [(1, 1, 1)]), "bad lattice"),
     ]
     for bad, fault in cases:
-        assert bad not in census
+        assert bad.basis not in census
         for at in (0, len(census) // 2, len(census)):
-            mixed = census[:at] + [bad] + census[at:]
+            mixed = census[:at] + [bad.basis] + census[at:]
             with monkeypatch.context() as patched:
                 patched.setattr(enumeration, "_census",
                                 lambda *args, **kwargs: mixed)
@@ -901,7 +954,7 @@ def test_a_basis_failing_validation_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(enumeration, "_corank_worker",
                         lambda args: _rows_added(_corank_worker(args)))
     for run in (lambda: enumerate_full_rank_multiplicative(3, 4),
-                lambda: _census(3, 1, 2, jobs=1, budget=None),
+                lambda: enumerate_corank_oracle(3, 1, 2),
                 lambda: verify_corank_factorization(2, 1, 2)):
         with pytest.raises(RuntimeError,
                            match="^internal: engine produced an invalid "

@@ -5,10 +5,12 @@ The README's Library block and the scripts in demos/ import names from
 `__all__` must resolve, lazily, to the object its defining module holds.
 The README's count of those names must match `__all__`. Imports are read
 with `ast`; each demo is also run once, in a fresh interpreter against the
-checkout's `src`. Three lints by `ast` need no linter installed: every name
+checkout's `src`. Four lints by `ast` need no linter installed: every name
 a module under `src/multlat/` imports is read in that module, every
 module-level private name defined there is read elsewhere in the package,
-and each module imports only the modules below it in its layer.
+each module imports only the modules below it in its layer, and every name
+a test patches on a package module is one that the package reads from that
+module, so no patch goes unseen.
 """
 
 import ast
@@ -265,6 +267,83 @@ def test_modules_import_only_downward():
                for path in package.glob("*.py")}
     assert set(sources) == set(BELOW)
     assert layering_faults(sources) == set()
+
+
+def patched_seams(source):
+    """The (module, name) of each `<patcher>.setattr(module, "name", ...)`
+    in a test's source whose module is a package module the test imports
+    under a name of its own (`import multlat.m as m`, `from multlat import
+    m`)."""
+    tree = ast.parse(source)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.rpartition(".")[2])
+                           for alias in node.names
+                           if alias.asname and alias.name.startswith("multlat."))
+        elif isinstance(node, ast.ImportFrom) and node.module == "multlat":
+            modules.update((alias.asname or alias.name, alias.name)
+                           for alias in node.names)
+    return {(modules[node.args[0].id], node.args[1].value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setattr" and len(node.args) > 2
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in modules
+            and isinstance(node.args[1], ast.Constant)}
+
+
+def unread_seams(seams, sources):
+    """The seams, (module, name) pairs, that the package never reads from
+    that module: as a global inside one of the module's functions, or as
+    `module.name` anywhere in sources, a dict of module name to source."""
+    reads = {module: set() for module in sources}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads[module].update(
+                    node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in reads):
+                reads[node.value.id].add(node.attr)
+    return {(module, name) for module, name in seams
+            if name not in reads.get(module, ())}
+
+
+def test_every_patched_seam_is_read():
+    # a fault injected through a name nothing reads injects nothing, and a
+    # test that expects no fault then passes without checking anything
+    assert patched_seams(
+        "import os\nimport multlat.lattice as lat\n"
+        "from multlat import enumeration\n"
+        "def test(monkeypatch):\n"
+        "    monkeypatch.setattr(lat, 'hermite_normal_form', None)\n"
+        "    monkeypatch.setattr(os, 'cpu_count', None)\n"
+        "    with monkeypatch.context() as patched:\n"
+        "        patched.setattr(enumeration, '_census', None)\n"
+        "    setattr(lat, 'ignored', None)\n") == {
+        ("lattice", "hermite_normal_form"), ("enumeration", "_census")}
+    package = ROOT / "src" / "multlat"
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in package.glob("*.py")}
+    # the Smith form is read through `lattice`, which imports it by name,
+    # so a patch of `intlinalg.smith_normal_form` is never seen
+    assert unread_seams({("intlinalg", "smith_normal_form"),
+                         ("lattice", "smith_normal_form"),
+                         ("enumeration", "_verify"),
+                         ("enumeration", "_gone")}, sources) == {
+        ("intlinalg", "smith_normal_form"), ("enumeration", "_gone")}
+    seams = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        seams |= patched_seams(path.read_text(encoding="utf-8"))
+    assert ("enumeration", "_census") in seams
+    assert unread_seams(seams, sources) == set()
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in
