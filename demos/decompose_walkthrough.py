@@ -23,7 +23,7 @@ def show(lat) -> None:
     for row in lat.basis:
         print(f"    {list(row)}")
     g, core = decompose(lat)
-    blocks = map_to_partition(g).blocks
+    blocks = map_to_partition(g)
     print(f"  map   {map_to_string(g)}")
     print(f"  blocks {' '.join('{' + ','.join(map(str, b)) + '}' for b in blocks)}")
     print(f"  core basis {[list(r) for r in core.basis]}")

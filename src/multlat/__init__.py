@@ -45,13 +45,10 @@ _EXPORTS = {
     ),
     "partitions": (
         "AcceptableMap",
-        "SetPartition",
         "apply_map",
         "enumerate_ordered_maps",
-        "enumerate_partitions",
         "map_to_partition",
         "map_to_string",
-        "partition_to_map",
         "stirling2",
     ),
 }

@@ -227,7 +227,7 @@ def _cmd_partitions(args) -> int:
         rows = [
             (i, "".join(
                 "{" + ",".join(str(e) for e in block) + "}"
-                for block in partitions.map_to_partition(g).blocks))
+                for block in partitions.map_to_partition(g)))
             for i, g in enumerate(maps)
         ]
     _emit_rows(fmt, header, rows, sys.stdout)

@@ -6,7 +6,7 @@ The multiplicative notions live here: closure of the row span under the
 coordinatewise (Hadamard) product, torsion of the quotient, and the rigid
 columns that every multiplicative basis has, all three read off the pivot
 square of the basis (`_pivot_square`). `_Frozen`, the base of Lattice
-and of the partitions module's value types, makes them immutable values
+and of the partitions module's AcceptableMap, makes them immutable values
 without importing `dataclasses`.
 """
 

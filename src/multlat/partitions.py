@@ -1,4 +1,4 @@
-"""Set partitions and coordinate-assignment maps between Z^n and Z^(n+k).
+"""Coordinate-assignment maps between Z^n and Z^(n+k), and set partitions.
 
 An acceptable map sends each target coordinate either to a fixed source
 coordinate or to zero, with every source coordinate used at least once. Such
@@ -9,11 +9,12 @@ zeroed coordinates. Example: the partition {{0,3,4},{1,5},{2,7,8},{6}} of
 {0..8} corresponds to the map (a,b,c) -> (a,b,0,0,a,c,b,b). An ordered
 map's assignment is its partition's restricted-growth string, which labels
 each element with its block's place in the order by minimum, with the
-ghost 0's label dropped: (1,2,0,0,1,3,2,2) above.
+ghost 0's label dropped: (1,2,0,0,1,3,2,2) above. The ordered maps are the
+one listing of the partitions; `map_to_partition` gives a map's blocks.
 
-SetPartition and AcceptableMap are immutable values on the lattice module's
-`_Frozen` base; each constructor checks the types of its fields as well as
-the shape of the partition or map.
+AcceptableMap is an immutable value on the lattice module's `_Frozen` base;
+its constructor checks the types of its fields as well as the shape of the
+map.
 """
 
 from __future__ import annotations
@@ -22,62 +23,6 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .lattice import Lattice, _Frozen, lattice_from_rows
-
-
-class SetPartition(_Frozen):
-    """Partition of {0, ..., ground_size-1} into sorted blocks ordered by minimum.
-
-    ground_size is an int and blocks a tuple of tuples of ints (bool
-    excluded in both).
-    """
-
-    __slots__ = ("ground_size", "blocks")
-    ground_size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, ground_size: int,
-                 blocks: tuple[tuple[int, ...], ...]) -> None:
-        if type(ground_size) is not int:
-            raise ValueError("ground_size must be an integer")
-        if ground_size < 1:
-            raise ValueError("ground set must be nonempty")
-        if not isinstance(blocks, tuple):
-            raise ValueError("blocks must be a tuple of blocks")
-        seen: set[int] = set()
-        prev_min = -1
-        for block in blocks:
-            if not isinstance(block, tuple):
-                raise ValueError("each block must be a tuple")
-            for x in block:
-                if type(x) is not int:
-                    raise ValueError(f"non-integer element {x!r}")
-            if not block:
-                raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError("blocks must be sorted")
-            if block[0] <= prev_min:
-                raise ValueError("blocks must be ordered by their minimum")
-            prev_min = block[0]
-            seen.update(block)
-        if seen != set(range(ground_size)):
-            raise ValueError("blocks must partition the ground set exactly")
-        if sum(len(b) for b in blocks) != ground_size:
-            raise ValueError("blocks overlap")
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.ground_size, self.blocks)
-                    == (other.ground_size, other.blocks))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ground_size, self.blocks))
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 class AcceptableMap(_Frozen):
@@ -149,49 +94,18 @@ def stirling2(u: int, v: int) -> int:
     return prev[v]
 
 
-def enumerate_partitions(ground_size: int, block_count: int) -> Iterator[SetPartition]:
-    """All partitions of {0..ground_size-1} into block_count blocks.
+def map_to_partition(g: AcceptableMap) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the partition of {0..target_dim} that a map encodes.
 
-    Deterministic order: lexicographic in the restricted-growth string that
-    assigns each element its block label, as their maps are listed
-    (`enumerate_ordered_maps`).
-    """
-    if not 1 <= block_count <= ground_size:
-        raise ValueError("need 1 <= block_count <= ground_size")
-    for g in enumerate_ordered_maps(block_count - 1, ground_size - 1):
-        yield map_to_partition(g)
-
-
-def partition_to_map(p: SetPartition, source_dim: int) -> AcceptableMap:
-    """Ordered acceptable map encoded by a partition with source_dim+1 blocks.
-
-    The block containing 0 marks the zeroed target coordinates; the remaining
-    blocks, in order of their minima, give the coordinates copying sources
-    1..source_dim.
-    """
-    if p.block_count != source_dim + 1:
-        raise ValueError("partition must have source_dim + 1 blocks")
-    target_dim = p.ground_size - 1
-    assignment = [0] * target_dim
-    for label, block in enumerate(p.blocks):
-        if label == 0:
-            continue
-        for elem in block:
-            assignment[elem - 1] = label
-    return AcceptableMap(source_dim, target_dim, tuple(assignment))
-
-
-def map_to_partition(g: AcceptableMap) -> SetPartition:
-    """Partition of {0..target_dim} encoded by a map; inverts partition_to_map.
-
-    For an unordered map this still produces a valid partition, whose image
-    under partition_to_map is the ordered form of g.
+    Each block is a sorted tuple, and the blocks are ordered by their
+    minimum: ((0, 3, 4), (1, 5), (2, 7, 8), (6,)) for the assignment
+    (1, 2, 0, 0, 1, 3, 2, 2). An unordered map gives the blocks of its
+    ordered form.
     """
     groups: dict[int, list[int]] = {0: [0]}
     for j, a in enumerate(g.assignment):
         groups.setdefault(a, []).append(j + 1)
-    blocks = sorted(groups.values(), key=lambda b: b[0])
-    return SetPartition(g.target_dim + 1, tuple(tuple(b) for b in blocks))
+    return tuple(sorted(tuple(b) for b in groups.values()))
 
 
 def _transport_rows(g: AcceptableMap, rows: Sequence[tuple[int, ...]]

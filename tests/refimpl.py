@@ -183,6 +183,17 @@ def partitions_ref(ground_size, block_count):
     return out
 
 
+def is_growth_string(assignment):
+    """Whether an assignment is a restricted-growth string, the ghost 0 put
+    in front: each entry is at most one more than the largest before it."""
+    top = 0
+    for a in assignment:
+        if a > top + 1:
+            return False
+        top = max(top, a)
+    return True
+
+
 def divisors(x):
     return [d for d in range(1, x + 1) if x % d == 0]
 

@@ -19,8 +19,8 @@ from multlat.enumeration import enumerate_full_rank_multiplicative
 from multlat.lattice import Lattice, is_multiplicative
 
 # (n, r) -> number of full-rank multiplicative sublattices of Z^n of index r
-CELLS = {(4, 8): 85, (4, 16): 201, (5, 4): 80, (5, 6): 225, (5, 8): 255,
-         (6, 4): 161, (6, 8): 686}
+CELLS = {(4, 8): 85, (4, 16): 201, (5, 2): 15, (5, 4): 80, (5, 6): 225,
+         (5, 8): 255, (6, 2): 21, (6, 4): 161, (6, 8): 686}
 
 
 def hermite_bases(n, r):

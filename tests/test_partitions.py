@@ -1,4 +1,4 @@
-"""Set partitions, acceptable coordinate maps, and the subset-count table."""
+"""Acceptable coordinate maps, their set partitions, and the subset-count table."""
 
 import copy
 import csv
@@ -15,18 +15,15 @@ from multlat.intlinalg import hermite_normal_form
 from multlat.lattice import Lattice, lattice_from_rows, torsion_size
 from multlat.partitions import (
     AcceptableMap,
-    SetPartition,
     _transport_rows,
     apply_map,
     enumerate_ordered_maps,
-    enumerate_partitions,
     map_to_partition,
     map_to_string,
-    partition_to_map,
     stirling2,
 )
 
-from refimpl import partitions_ref, stirling_ref
+from refimpl import is_growth_string, partitions_ref, stirling_ref
 
 GOLDEN = Path(__file__).parent / "data" / "a008277.csv"
 
@@ -66,56 +63,6 @@ def test_stirling2_matches_golden_table():
         assert stirling2(u, v) == value, (u, v)
 
 
-# --------------------------------------------------------------- partitions
-
-def test_partition_validation():
-    SetPartition(3, ((0, 2), (1,)))
-    with pytest.raises(ValueError):
-        SetPartition(3, ((0,), (2,)))  # element 1 missing
-    with pytest.raises(ValueError):
-        SetPartition(3, ((0, 1), (1, 2)))  # overlap
-    with pytest.raises(ValueError):
-        SetPartition(3, ((1,), (0, 2)))  # not ordered by minimum
-    with pytest.raises(ValueError):
-        SetPartition(3, ((2, 0), (1,)))  # block not sorted
-    with pytest.raises(ValueError):
-        SetPartition(0, ())
-    with pytest.raises(ValueError, match="^empty block$"):
-        SetPartition(2, ((0, 1), ()))
-
-
-def test_enumerate_partitions_counts():
-    for u in range(1, 9):
-        for v in range(1, u + 1):
-            got = sum(1 for _ in enumerate_partitions(u, v))
-            assert got == stirling2(u, v), (u, v)
-
-
-def test_enumerate_partitions_matches_reference_sets():
-    for u in range(1, 8):
-        for v in range(1, u + 1):
-            mine = {p.blocks for p in enumerate_partitions(u, v)}
-            ref = set(partitions_ref(u, v))
-            assert mine == ref, (u, v)
-
-
-def test_enumerate_partitions_deterministic_and_distinct():
-    first = list(enumerate_partitions(6, 3))
-    second = list(enumerate_partitions(6, 3))
-    assert first == second
-    assert len({p.blocks for p in first}) == len(first)
-
-
-def test_enumerate_partitions_bad_args():
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(3, 0))
-    # a generator: the arguments are refused on first iteration
-    partitions = enumerate_partitions(3, 4)
-    with pytest.raises(ValueError,
-                       match="^need 1 <= block_count <= ground_size$"):
-        next(partitions)
-
-
 # --------------------------------------------------------------------- maps
 
 def test_map_validation():
@@ -136,11 +83,6 @@ def test_map_validation():
     (AcceptableMap, (1, 2, (True, 0))),
     (AcceptableMap, (True, 1, (1,))),
     (AcceptableMap, (1, 2.0, (1, 0))),
-    (SetPartition, (2, [[0], [1]])),
-    (SetPartition, (2, ([0], (1,)))),
-    (SetPartition, (3, ((0, 1.0), (2,)))),
-    (SetPartition, (2, ((False,), (1,)))),
-    (SetPartition, (True, ((0,),))),
 ])
 def test_constructors_reject_fields_of_the_wrong_type(cls, args):
     with pytest.raises(ValueError):
@@ -150,9 +92,6 @@ def test_constructors_reject_fields_of_the_wrong_type(cls, args):
 # ------------------------------------------------------------- value types
 
 @pytest.mark.parametrize("cls, fields", [
-    (SetPartition, dict(ground_size=1, blocks=((0,),))),
-    (SetPartition, dict(ground_size=9,
-                        blocks=((0, 3, 4), (1, 5), (2, 7, 8), (6,)))),
     (AcceptableMap, dict(source_dim=0, target_dim=0, assignment=())),
     (AcceptableMap, dict(source_dim=2, target_dim=4, assignment=(1, 0, 2, 1))),
     (VerificationReport, dict(n=2, k=1, r=2, oracle_count=18,
@@ -177,8 +116,6 @@ def test_value_type_contract(cls, fields):
 
 
 @pytest.mark.parametrize("value, old, new", [
-    # the ground size 3 as 4: the blocks no longer cover the ground set
-    (SetPartition(3, ((0, 2), (1,))), b"K\x03", b"K\x04"),
     # the target dimension 4 as 5: the assignment is one entry short
     (AcceptableMap(2, 4, (1, 0, 2, 1)), b"K\x04", b"K\x05"),
 ])
@@ -189,22 +126,23 @@ def test_unpickling_validates_the_fields(value, old, new):
         pickle.loads(payload.replace(old, new))
 
 
-def test_partition_map_round_trip():
-    for u in range(1, 8):
+def test_ordered_maps_give_the_reference_partitions():
+    # the ordered maps list every partition once, in the order of the
+    # reference's placement of each element into an earlier or a new block
+    for u in range(1, 9):
         for v in range(1, u + 1):
-            for p in enumerate_partitions(u, v):
-                g = partition_to_map(p, v - 1)
-                assert map_to_partition(g) == p
+            blocks = [map_to_partition(g)
+                      for g in enumerate_ordered_maps(v - 1, u - 1)]
+            assert blocks == partitions_ref(u, v), (u, v)
+    # an unordered map gives the blocks of its ordered form
+    assert map_to_partition(AcceptableMap(2, 3, (2, 1, 2))) == (
+        (0,), (1, 3), (2,))
 
 
 def test_docstring_example_partition():
-    p = SetPartition(9, ((0, 3, 4), (1, 5), (2, 7, 8), (6,)))
-    g = partition_to_map(p, 3)
-    assert g.assignment == (1, 2, 0, 0, 1, 3, 2, 2)
+    g = AcceptableMap(3, 8, (1, 2, 0, 0, 1, 3, 2, 2))
+    assert map_to_partition(g) == ((0, 3, 4), (1, 5), (2, 7, 8), (6,))
     assert map_to_string(g) == "a,b,0,0,a,c,b,b"
-    with pytest.raises(ValueError,
-                       match="^partition must have source_dim \\+ 1 blocks$"):
-        partition_to_map(p, 2)
     # past z, a source is named by its number
     wide = AcceptableMap(27, 27, tuple(range(1, 28)))
     assert map_to_string(wide).split(",")[-2:] == ["z", "s27"]
@@ -219,8 +157,7 @@ def test_enumerate_ordered_maps_counts():
             assert len(maps) == stirling2(t + 1, n + 1), (n, t)
             assert maps == sorted(maps, key=lambda g: g.assignment)
             assert len(set(maps)) == len(maps)
-            assert all(partition_to_map(map_to_partition(g), n) == g
-                       for g in maps)
+            assert all(is_growth_string(g.assignment) for g in maps)
 
 
 def test_enumerate_ordered_maps_identity_case():
@@ -285,7 +222,7 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
                 hnf = tuple(r for r in hermite_normal_form(rows) if any(r))
                 image = apply_map(g, core)
                 assert image == Lattice(n + k, hnf)
-                reordered += (partition_to_map(map_to_partition(g), n) != g
+                reordered += (not is_growth_string(g.assignment)
                               and image.basis != tuple(rows))
     assert reordered > 0
 
@@ -319,7 +256,7 @@ def test_transport_and_apply_map_edge_cases(monkeypatch):
     assert image.basis == image_rows and image.basis is transported[-1]
     assert hnf_inputs == []
     unordered = AcceptableMap(2, 3, (2, 1, 2))
-    assert partition_to_map(map_to_partition(unordered), 2) != unordered
+    assert not is_growth_string(unordered.assignment)
     image = apply_map(unordered, core)
     assert hnf_inputs == [((1, 2, 1), (3, 0, 3))]
     assert image.basis == ((1, 2, 1), (0, 6, 0))
@@ -374,7 +311,7 @@ def test_apply_map_equals_naive_transport_for_unordered_maps():
             if set(range(1, n + 1)) <= set(assignment):
                 break
         g = AcceptableMap(n, target, assignment)
-        unordered += partition_to_map(map_to_partition(g), n) != g
+        unordered += not is_growth_string(g.assignment)
         for core in _random_full_rank_cores(rng, n, 2):
             image = apply_map(g, core)
             assert image == lattice_from_rows(target, _naive_image_rows(g, core))
