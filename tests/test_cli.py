@@ -4,6 +4,7 @@ In-process main() calls cover the fast paths; the determinism checks that
 compare whole invocations byte for byte go through subprocesses.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ import multlat.enumeration as enumeration
 from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
 from multlat.lattice import Lattice, lattice_from_rows
+from refimpl import partitions_ref
 from test_enumeration import _rows_added
 
 
@@ -620,6 +622,25 @@ def test_partitions_blocks_cover_ground_set(capsys):
     lines = out.splitlines()
     assert len(lines) == 6  # stirling2(4, 3)
     assert json.loads(lines[0])["partition"] == "{0,1}{2}{3}"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_partitions_listing_is_the_reference_listing(capsys, fmt):
+    # each format prints, in order, the partitions of {0..4} into 3 blocks
+    rc, out, _ = run_main(
+        capsys, ["partitions", "--n", "2", "--k", "2", "--format", fmt])
+    assert rc == 0
+    lines = out.splitlines()
+    if fmt == "table":
+        cells = [line.split()[1] for line in lines[1:]]
+    elif fmt == "csv":
+        cells = [row[1] for row in csv.reader(lines[1:])]
+    else:
+        cells = [json.loads(line)["partition"] for line in lines]
+    listed = [tuple(tuple(int(e) for e in block.split(","))
+                    for block in cell[1:-1].split("}{"))
+              for cell in cells]
+    assert listed == partitions_ref(5, 3)
 
 
 # ------------------------------------------------------------------ series

@@ -4,6 +4,8 @@ import copy
 import csv
 import pickle
 import random
+from itertools import product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,8 @@ def test_constructors_reject_fields_of_the_wrong_type(cls, args):
 @pytest.mark.parametrize("cls, fields", [
     (AcceptableMap, dict(source_dim=0, target_dim=0, assignment=())),
     (AcceptableMap, dict(source_dim=2, target_dim=4, assignment=(1, 0, 2, 1))),
+    (AcceptableMap, dict(source_dim=3, target_dim=8,
+                         assignment=(1, 2, 0, 0, 1, 3, 2, 2))),
     (VerificationReport, dict(n=2, k=1, r=2, oracle_count=18,
                               formula_count=18, stirling_factor=6,
                               full_rank_count=3, witnesses_checked=18,
@@ -118,6 +122,10 @@ def test_value_type_contract(cls, fields):
 @pytest.mark.parametrize("value, old, new", [
     # the target dimension 4 as 5: the assignment is one entry short
     (AcceptableMap(2, 4, (1, 0, 2, 1)), b"K\x04", b"K\x05"),
+    # the zeroed coordinate as 3: an entry past the two sources
+    (AcceptableMap(2, 4, (1, 0, 2, 1)), b"K\x00", b"K\x03"),
+    # the one copy of source 2 as source 1: source 2 is left unused
+    (AcceptableMap(3, 4, (1, 2, 3, 3)), b"K\x02", b"K\x01"),
 ])
 def test_unpickling_validates_the_fields(value, old, new):
     payload = pickle.dumps(value)
@@ -137,6 +145,30 @@ def test_ordered_maps_give_the_reference_partitions():
     # an unordered map gives the blocks of its ordered form
     assert map_to_partition(AcceptableMap(2, 3, (2, 1, 2))) == (
         (0,), (1, 3), (2,))
+
+
+def test_map_to_partition_identifies_exactly_the_relabelings():
+    # over every map, ordered or not: the blocks partition {0..t} into n + 1
+    # sorted blocks ordered by minimum, the n! relabelings of the sources
+    # share their blocks, and no two partitions' maps do
+    for n in range(0, 4):
+        for t in range(n, 6):
+            classes = {}
+            for assignment in product(range(n + 1), repeat=t):
+                if set(range(1, n + 1)) - set(assignment):
+                    continue
+                g = AcceptableMap(n, t, assignment)
+                blocks = map_to_partition(g)
+                assert len(blocks) == n + 1, (g, blocks)
+                assert sorted(e for b in blocks for e in b) == list(
+                    range(t + 1))
+                assert all(list(b) == sorted(b) for b in blocks)
+                assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+                classes.setdefault(blocks, []).append(g)
+            assert len(classes) == stirling2(t + 1, n + 1), (n, t)
+            for blocks, maps in classes.items():
+                assert len(maps) == factorial(n), (n, t, blocks)
+                assert sum(is_growth_string(g.assignment) for g in maps) == 1
 
 
 def test_docstring_example_partition():
