@@ -1,14 +1,16 @@
 """Append-only JSON-lines store for counting results, and their record type.
 
 One file, one JSON object per line, an in-memory index of the counts on
-top. Entries are keyed by (n, k, r, method, engine_version), so bumping the
-engine version silently invalidates everything older: stale entries stay in
-the file but can never be returned. That is how the lines of engine 0.2.0
-and earlier, which also recorded a census bound multiplier, are left behind.
-Malformed lines (torn writes, manual edits, bytes that are not UTF-8, a
-count or key field that is not a JSON integer or is out of range) are
-skipped with a warning instead of poisoning the run: a count served from
-here reaches stdout without any engine running.
+top. Each line records the engine version that wrote it, and only the
+lines of this version are indexed, keyed by (n, k, r, method): bumping the
+engine version silently invalidates everything older, whose lines stay in
+the file but are never returned. That is how the lines of engine 0.2.0 and
+earlier, which also recorded a census bound multiplier, are left behind.
+Malformed lines of any version (torn writes, manual edits, bytes that are
+not UTF-8, a missing field, a count or key field that is not a JSON
+integer or is out of range) are skipped with a warning instead of
+poisoning the run: a count served from here reaches stdout without any
+engine running.
 
 The module imports nothing from the counting engines, so a command whose
 counts all come from the cache never loads them.
@@ -24,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from . import ENGINE_VERSION
 
-CacheKey = tuple[int, int, int, str, str]
+CacheKey = tuple[int, int, int, str]
 
 
 def _check_fields(n: int, k: int, r: int, count: int) -> None:
@@ -48,27 +50,27 @@ class _CountFields(NamedTuple):
     r: int
     count: int
     method: str
-    engine_version: str
 
 
 class CountRecord(_CountFields):
     """One counting result: method is 'oracle', 'formula' or 'unital'.
 
     No search bound is recorded: every pivot the co-rank census tries
-    divides the torsion, so no bound changes a count. Records are immutable
-    and validated on creation.
+    divides the torsion, so no bound changes a count. Nor is the engine
+    version: `CountCache.put` stamps it on the line it writes. Records are
+    immutable and validated on creation.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, k: int, r: int, count: int, method: str,
-                engine_version: str) -> CountRecord:
+    def __new__(cls, n: int, k: int, r: int, count: int,
+                method: str) -> CountRecord:
         if method not in ("oracle", "formula", "unital"):
             raise ValueError(f"unknown method {method!r}")
         _check_fields(n, k, r, count)
         if k == 0 and method == "formula":
             raise ValueError("full-rank records are counted directly, not by formula")
-        return super().__new__(cls, n, k, r, count, method, engine_version)
+        return super().__new__(cls, n, k, r, count, method)
 
 
 class CacheConflict(RuntimeError):
@@ -95,6 +97,7 @@ class CountCache:
                     # is skipped
                     data = json.loads(line.decode("utf-8"))
                     key = self._key_of(data)
+                    version = str(data["engine_version"])
                     str(data["created_at"])
                 except (ValueError, KeyError, TypeError) as exc:
                     print(
@@ -103,7 +106,8 @@ class CountCache:
                         file=sys.stderr)
                     continue
                 # last entry wins on replay; put() never appends duplicates
-                self._index[key] = data["count"]
+                if version == ENGINE_VERSION:
+                    self._index[key] = data["count"]
 
     @staticmethod
     def _key_of(data: dict) -> CacheKey:
@@ -111,11 +115,11 @@ class CountCache:
         its n, k, r and count pass `_check_fields`."""
         n, k, r = data["n"], data["k"], data["r"]
         _check_fields(n, k, r, data["count"])
-        return (n, k, r, str(data["method"]), str(data["engine_version"]))
+        return (n, k, r, str(data["method"]))
 
     def get(self, n: int, k: int, r: int, method: str) -> Optional[int]:
         """The count this engine version stored for the key, or None."""
-        return self._index.get((n, k, r, method, ENGINE_VERSION))
+        return self._index.get((n, k, r, method))
 
     def put(self, record: CountRecord) -> None:
         """Append one record. Existing keys are immutable: a matching entry
@@ -132,7 +136,8 @@ class CountCache:
                                     f"{old}, new {record.count}")
             return
         line = json.dumps(
-            {**fields, "created_at": datetime.now(timezone.utc).isoformat()},
+            {**fields, "engine_version": ENGINE_VERSION,
+             "created_at": datetime.now(timezone.utc).isoformat()},
             sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # the whole line goes out in one append, so a concurrent reader never

@@ -29,7 +29,6 @@ import time
 from functools import partial
 from typing import Callable, Optional, Sequence, TextIO
 
-from . import ENGINE_VERSION
 from .cache import CacheConflict, CountCache, CountRecord
 
 
@@ -150,7 +149,7 @@ def _count_cells(cells, args) -> int:
             continue
         rows.append((n, k, r, method, value, "ok"))
         if cache is not None:
-            cache.put(CountRecord(n, k, r, value, method, ENGINE_VERSION))
+            cache.put(CountRecord(n, k, r, value, method))
     _emit_rows(args.format or "table", _COUNT_HEADER, rows, sys.stdout)
     print(f"{len(rows)} cells, {incomplete} incomplete, "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
@@ -197,8 +196,7 @@ def _cmd_verify(args) -> int:
                 sys.stdout.flush()
                 if cache is not None:
                     cache.put(CountRecord(
-                        n, k, r, report.oracle_count, "oracle",
-                        ENGINE_VERSION))
+                        n, k, r, report.oracle_count, "oracle"))
                 if report.status != "pass":
                     if found is not None:
                         lattice, reason = found

@@ -493,11 +493,10 @@ def _place(basis: tuple[tuple[int, ...], ...],
 
     labels holds the core's distinct columns, which are also the distinct
     nonzero columns of basis, so every column has a label in 0..rank and
-    every label from 1 on is used: g is stored without the constructor
-    (`_Frozen._trusted`).
+    every label from 1 to rank is used: g, which is its assignment alone,
+    is stored without the constructor (`_Frozen._trusted`).
     """
-    g = AcceptableMap._trusted(core.rank, len(columns),
-                               tuple([labels[col] for col in columns]))
+    g = AcceptableMap._trusted(tuple([labels[col] for col in columns]))
     if _transport_rows(g, core.basis) != basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
     return g

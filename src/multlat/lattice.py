@@ -31,7 +31,7 @@ class _Frozen:
     copy rebuild a value through its constructor, so they run its
     validation again. A subclass validates its fields before it stores them
     with `object.__setattr__`, and writes its own `__eq__` (class-strict,
-    over its fields in order) and `__hash__` (of the same tuple): these
+    over its fields in order) and `__hash__` (of the same fields): these
     cost what a frozen dataclass's do, and a generic pair here, reading the
     fields through `__slots__`, is slower per call. `_trusted` stores
     fields without running the constructor, for a caller that has proved

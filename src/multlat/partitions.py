@@ -12,9 +12,10 @@ each element with its block's place in the order by minimum, with the
 ghost 0's label dropped: (1,2,0,0,1,3,2,2) above. The ordered maps are the
 one listing of the partitions; `map_to_partition` gives a map's blocks.
 
-AcceptableMap is an immutable value on the lattice module's `_Frozen` base;
-its constructor checks the types of its fields as well as the shape of the
-map.
+AcceptableMap is an immutable value on the lattice module's `_Frozen` base.
+It stores its assignment alone, whose length and largest label are the
+map's two dimensions; its constructor checks the assignment's type as well
+as the shape of the map.
 """
 
 from __future__ import annotations
@@ -29,50 +30,47 @@ class AcceptableMap(_Frozen):
     """Map Z^source_dim -> Z^target_dim given by one entry per target coordinate.
 
     assignment[j] is 0 when target coordinate j is identically zero, and
-    i in 1..source_dim when it copies source coordinate i. Every source index
-    must appear at least once, which makes the map injective. Both
-    dimensions are ints and assignment is a tuple of ints (bool excluded).
+    i >= 1 when it copies source coordinate i. Every source index must
+    appear at least once, which makes the map injective, so the map is its
+    assignment: target_dim is its length and source_dim its largest entry
+    (0 for a map with no source). The assignment is a tuple of nonnegative
+    ints (bool excluded) whose nonzero entries are exactly 1..max.
     """
 
-    __slots__ = ("source_dim", "target_dim", "assignment")
-    source_dim: int
-    target_dim: int
+    __slots__ = ("assignment",)
     assignment: tuple[int, ...]
 
-    def __init__(self, source_dim: int, target_dim: int,
-                 assignment: tuple[int, ...]) -> None:
-        if type(source_dim) is not int or type(target_dim) is not int:
-            raise ValueError("source_dim and target_dim must be integers")
-        if source_dim < 0 or target_dim < source_dim:
-            raise ValueError("need 0 <= source_dim <= target_dim")
+    def __init__(self, assignment: tuple[int, ...]) -> None:
         if not isinstance(assignment, tuple):
             raise ValueError("assignment must be a tuple")
-        if len(assignment) != target_dim:
-            raise ValueError("assignment length must equal target_dim")
         for a in assignment:
             # bool passes isinstance(int) but is never a source index
             if type(a) is not int:
                 raise ValueError(f"non-integer assignment entry {a!r}")
+            if a < 0:
+                raise ValueError(f"negative assignment entry {a}")
         used = set(assignment)
         used.discard(0)
-        if used != set(range(1, source_dim + 1)):
-            # an entry out of range is reported before a source left unused
-            for a in assignment:
-                if not 0 <= a <= source_dim:
-                    raise ValueError(f"assignment entry {a} out of range")
+        # m distinct positive labels are 1..m exactly when m is the largest
+        if len(used) != max(used, default=0):
             raise ValueError("every source coordinate must be used")
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
         object.__setattr__(self, "assignment", assignment)
+
+    @property
+    def source_dim(self) -> int:
+        return max(self.assignment, default=0)
+
+    @property
+    def target_dim(self) -> int:
+        return len(self.assignment)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return ((self.source_dim, self.target_dim, self.assignment)
-                    == (other.source_dim, other.target_dim, other.assignment))
+            return self.assignment == other.assignment
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.source_dim, self.target_dim, self.assignment))
+        return hash(self.assignment)
 
 
 def stirling2(u: int, v: int) -> int:
@@ -161,7 +159,7 @@ def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[Accepta
         if used + target_dim - j <= source_dim:
             return
         if j == target_dim:
-            yield AcceptableMap(source_dim, target_dim, tuple(labels))
+            yield AcceptableMap(tuple(labels))
             return
         for lab in range(min(used, source_dim) + 1):
             labels[j] = lab

@@ -1,15 +1,43 @@
 """The append-only count store and its invalidation behavior."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import multlat
 from multlat import ENGINE_VERSION
 from multlat.cache import CountCache, CountRecord
 
 
-def rec(n=2, k=1, r=3, count=18, method="oracle", version=ENGINE_VERSION):
-    return CountRecord(n, k, r, count, method, version)
+def rec(n=2, k=1, r=3, count=18, method="oracle"):
+    return CountRecord(n, k, r, count, method)
+
+
+def line(**fields):
+    """A stored line as put() writes it, with fields replaced."""
+    return {"n": 2, "k": 1, "r": 3, "method": "oracle",
+            "engine_version": ENGINE_VERSION, "count": 18,
+            "created_at": "2026-01-01T00:00:00+00:00", **fields}
+
+
+def test_a_record_holds_no_engine_version():
+    assert CountRecord._fields == ("n", "k", "r", "count", "method")
+
+
+def test_only_the_cache_reads_the_engine_version():
+    # the package defines it; of its modules, only the cache stamps and
+    # compares it
+    def reads(path):
+        return any(isinstance(node, ast.Name) and node.id == "ENGINE_VERSION"
+                   or isinstance(node, ast.alias)
+                   and node.name == "ENGINE_VERSION"
+                   for node in ast.walk(ast.parse(path.read_text())))
+
+    package = Path(multlat.__file__).parent
+    assert sorted(path.name for path in package.glob("*.py")
+                  if reads(path)) == ["__init__.py", "cache.py"]
 
 
 def test_put_then_get(tmp_path):
@@ -34,9 +62,12 @@ def test_file_is_json_lines_with_sorted_keys(tmp_path):
     cache.put(rec(r=4, count=39))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    for line in lines:
-        data = json.loads(line)
-        assert list(data) == sorted(data)
+    for text in lines:
+        data = json.loads(text)
+        assert list(data) == ["count", "created_at", "engine_version", "k",
+                              "method", "n", "r"]
+        # put() stamps the version the record itself does not carry
+        assert data["engine_version"] == ENGINE_VERSION
         assert data["created_at"].endswith("+00:00")
 
 
@@ -57,15 +88,21 @@ def test_conflicting_count_raises(tmp_path):
 
 def test_engine_version_is_part_of_the_key(tmp_path):
     path = tmp_path / "counts.jsonl"
+    old = json.dumps(line(engine_version="0.0.9", count=17)) + "\n"
+    path.write_text(old)
     cache = CountCache(path)
-    cache.put(rec(version="0.0.9"))
-    # an entry written by another engine version is invisible by default
+    # an entry written by another engine version is never served, nor
+    # indexed
     assert cache.get(2, 1, 3, "oracle") is None
-    assert cache._index[(2, 1, 3, "oracle", "0.0.9")] == 18
-    # storing under the current version leaves the old line in the file
-    cache.put(rec())
+    assert cache._index == {}
+    # so a current count that differs from it is no conflict, and storing
+    # it leaves the old line in the file
+    cache.put(rec(count=18))
+    assert path.read_text().startswith(old)
     assert len(path.read_text().splitlines()) == 2
     assert cache.get(2, 1, 3, "oracle") == 18
+    fresh = CountCache(path)
+    assert fresh._index == {(2, 1, 3, "oracle"): 18}
 
 
 def test_lines_that_carry_a_bound_multiplier_are_left_behind(tmp_path):
@@ -73,9 +110,7 @@ def test_lines_that_carry_a_bound_multiplier_are_left_behind(tmp_path):
     # version bump leaves its lines, under either multiplier, unserved and
     # untouched, and a fresh line records no multiplier
     path = tmp_path / "counts.jsonl"
-    old = {"n": 2, "k": 1, "r": 3, "method": "oracle",
-           "engine_version": "0.2.0", "count": 18,
-           "created_at": "2026-01-01T00:00:00+00:00"}
+    old = line(engine_version="0.2.0")
     text = "".join(json.dumps({**old, "bound_multiplier": bound}) + "\n"
                    for bound in (1, 2))
     path.write_text(text)
@@ -91,9 +126,10 @@ def test_lines_that_carry_a_bound_multiplier_are_left_behind(tmp_path):
 
 def test_created_at_distinguishes_old_and_new(tmp_path):
     path = tmp_path / "counts.jsonl"
-    cache = CountCache(path)
-    cache.put(rec(version="0.0.9"))
-    cache.put(rec())
+    path.write_text(json.dumps(line(engine_version="0.0.9",
+                                    created_at="2000-01-01T00:00:00+00:00"))
+                    + "\n")
+    CountCache(path).put(rec())
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [data["engine_version"] for data in lines] == ["0.0.9",
                                                           ENGINE_VERSION]
@@ -103,9 +139,7 @@ def test_created_at_distinguishes_old_and_new(tmp_path):
 
 def test_malformed_lines_are_skipped(tmp_path, capsys):
     path = tmp_path / "counts.jsonl"
-    good = {"n": 2, "k": 1, "r": 3, "method": "oracle",
-            "engine_version": ENGINE_VERSION, "count": 18,
-            "created_at": "2026-01-01T00:00:00+00:00"}
+    good = line()
     # a count or key field that is not a JSON integer, or a negative count,
     # would otherwise reach stdout as a served count
     bad = [{**good, "r": 4, "count": 18.9},
@@ -130,14 +164,35 @@ def test_malformed_lines_are_skipped(tmp_path, capsys):
     assert len(cache._index) == 1
 
 
+def test_lines_of_other_versions_are_checked_as_current_ones(tmp_path,
+                                                             capsys):
+    # every line is checked before its version is read, so a malformed line
+    # of another version warns exactly as a current one does, and a line
+    # with no version at all is malformed
+    path = tmp_path / "counts.jsonl"
+    bad = [line(engine_version="0.0.9", count=18.9),
+           line(engine_version="0.0.9", n=True),
+           line(engine_version="0.0.9", r=0)]
+    missing = line()
+    del missing["engine_version"]
+    path.write_text("".join(json.dumps(data) + "\n"
+                            for data in (*bad, missing)))
+    cache = CountCache(path)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"cache: skipping unreadable line 1 of {path}: not an integer: 18.9",
+        f"cache: skipping unreadable line 2 of {path}: not an integer: True",
+        f"cache: skipping unreadable line 3 of {path}: torsion size must "
+        "be at least 1",
+        f"cache: skipping unreadable line 4 of {path}: 'engine_version'"]
+    assert cache._index == {}
+
+
 def test_last_entry_wins_on_replay(tmp_path):
     path = tmp_path / "counts.jsonl"
-    base = {"n": 2, "k": 1, "r": 3, "method": "oracle",
-            "engine_version": ENGINE_VERSION,
-            "created_at": "2026-01-01T00:00:00+00:00"}
     with open(path, "w") as fh:
-        fh.write(json.dumps({**base, "count": 7}) + "\n")
-        fh.write(json.dumps({**base, "count": 18}) + "\n")
+        fh.write(json.dumps(line(count=7)) + "\n")
+        fh.write(json.dumps(line(count=18)) + "\n")
     assert CountCache(path).get(2, 1, 3, "oracle") == 18
 
 
@@ -191,10 +246,7 @@ def test_count_record_validates_what_the_loader_validates(tmp_path, capsys,
     with pytest.raises(ValueError):
         rec(**fields)
     path = tmp_path / "counts.jsonl"
-    line = {"n": 2, "k": 1, "r": 3, "method": "oracle",
-            "engine_version": ENGINE_VERSION, "count": 18,
-            "created_at": "2026-01-01T00:00:00+00:00", **fields}
-    path.write_text(json.dumps(line) + "\n")
+    path.write_text(json.dumps(line(**fields)) + "\n")
     assert len(CountCache(path)._index) == 0
     assert capsys.readouterr().err.count("skipping unreadable line") == 1
 

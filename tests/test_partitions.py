@@ -67,37 +67,68 @@ def test_stirling2_matches_golden_table():
 
 # --------------------------------------------------------------------- maps
 
+def _is_acceptable(assignment):
+    # written out here, not taken from the package: a map's nonzero labels
+    # are exactly 1..max, so every source up to the largest is used
+    labels = {a for a in assignment if a}
+    return labels == set(range(1, max(assignment, default=0) + 1))
+
+
 def test_map_validation():
-    AcceptableMap(2, 4, (1, 0, 2, 1))
-    with pytest.raises(ValueError):
-        AcceptableMap(2, 4, (1, 0, 1, 1))  # source 2 never used
-    with pytest.raises(ValueError):
-        AcceptableMap(2, 4, (1, 0, 3, 2))  # entry out of range
-    with pytest.raises(ValueError):
-        AcceptableMap(2, 1, (1,))  # target smaller than source
-    with pytest.raises(ValueError):
-        AcceptableMap(2, 4, (1, 2))  # wrong length
+    # every tuple with entries 0..4 and length <= 5: the constructor accepts
+    # the acceptable ones, and reads both dimensions off the assignment
+    accepted = 0
+    for length in range(6):
+        for assignment in product(range(5), repeat=length):
+            if not _is_acceptable(assignment):
+                with pytest.raises(ValueError,
+                                   match="^every source coordinate must "
+                                         "be used$"):
+                    AcceptableMap(assignment)
+                continue
+            g = AcceptableMap(assignment)
+            assert g.assignment == assignment
+            assert g.source_dim == max(assignment, default=0)
+            assert g.target_dim == len(assignment)
+            accepted += 1
+    # n! relabelings of each partition of {0..t} into n + 1 blocks
+    assert accepted == sum(factorial(n) * stirling2(t + 1, n + 1)
+                           for t in range(6) for n in range(min(t, 4) + 1))
+
+
+def test_map_dimensions_are_read_only():
+    g = AcceptableMap((1, 0, 2, 1))
+    assert AcceptableMap.__slots__ == ("assignment",)
+    for name in ("source_dim", "target_dim", "assignment"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 3)
+    # the dimensions are not arguments
+    with pytest.raises(TypeError):
+        AcceptableMap(2, 4, (1, 0, 2, 1))
+    # a map is not its assignment
+    assert g != (1, 0, 2, 1)
 
 
 @pytest.mark.parametrize("cls, args", [
-    (AcceptableMap, (1, 2, [1, 0])),  # a list never hashes
-    (AcceptableMap, (1, 2, (1.0, 0))),  # a float never indexes a row
-    (AcceptableMap, (1, 2, (True, 0))),
-    (AcceptableMap, (True, 1, (1,))),
-    (AcceptableMap, (1, 2.0, (1, 0))),
+    (AcceptableMap, ([1, 0],)),  # a list never hashes
+    (AcceptableMap, ((1.0, 0),)),  # a float never indexes a row
+    (AcceptableMap, ((True, 0),)),
+    (AcceptableMap, ((1, -1),)),  # a negative entry names no source
+    (AcceptableMap, ((-1,),)),
 ])
 def test_constructors_reject_fields_of_the_wrong_type(cls, args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^(assignment must be a tuple|"
+                       "non-integer assignment entry|negative assignment "
+                       "entry)"):
         cls(*args)
 
 
 # ------------------------------------------------------------- value types
 
 @pytest.mark.parametrize("cls, fields", [
-    (AcceptableMap, dict(source_dim=0, target_dim=0, assignment=())),
-    (AcceptableMap, dict(source_dim=2, target_dim=4, assignment=(1, 0, 2, 1))),
-    (AcceptableMap, dict(source_dim=3, target_dim=8,
-                         assignment=(1, 2, 0, 0, 1, 3, 2, 2))),
+    (AcceptableMap, dict(assignment=())),
+    (AcceptableMap, dict(assignment=(1, 0, 2, 1))),
+    (AcceptableMap, dict(assignment=(1, 2, 0, 0, 1, 3, 2, 2))),
     (VerificationReport, dict(n=2, k=1, r=2, oracle_count=18,
                               formula_count=18, stirling_factor=6,
                               full_rank_count=3, witnesses_checked=18,
@@ -120,12 +151,12 @@ def test_value_type_contract(cls, fields):
 
 
 @pytest.mark.parametrize("value, old, new", [
-    # the target dimension 4 as 5: the assignment is one entry short
-    (AcceptableMap(2, 4, (1, 0, 2, 1)), b"K\x04", b"K\x05"),
-    # the zeroed coordinate as 3: an entry past the two sources
-    (AcceptableMap(2, 4, (1, 0, 2, 1)), b"K\x00", b"K\x03"),
+    # the one copy of source 2 as source 3: source 2 is left unused
+    (AcceptableMap((1, 0, 2, 1)), b"K\x02", b"K\x03"),
+    # the assignment's closing TUPLE as LIST: the assignment is a list
+    (AcceptableMap((1, 0, 2, 1)), b"K\x01t", b"K\x01l"),
     # the one copy of source 2 as source 1: source 2 is left unused
-    (AcceptableMap(3, 4, (1, 2, 3, 3)), b"K\x02", b"K\x01"),
+    (AcceptableMap((1, 2, 3, 3)), b"K\x02", b"K\x01"),
 ])
 def test_unpickling_validates_the_fields(value, old, new):
     payload = pickle.dumps(value)
@@ -143,7 +174,7 @@ def test_ordered_maps_give_the_reference_partitions():
                       for g in enumerate_ordered_maps(v - 1, u - 1)]
             assert blocks == partitions_ref(u, v), (u, v)
     # an unordered map gives the blocks of its ordered form
-    assert map_to_partition(AcceptableMap(2, 3, (2, 1, 2))) == (
+    assert map_to_partition(AcceptableMap((2, 1, 2))) == (
         (0,), (1, 3), (2,))
 
 
@@ -157,7 +188,8 @@ def test_map_to_partition_identifies_exactly_the_relabelings():
             for assignment in product(range(n + 1), repeat=t):
                 if set(range(1, n + 1)) - set(assignment):
                     continue
-                g = AcceptableMap(n, t, assignment)
+                g = AcceptableMap(assignment)
+                assert (g.source_dim, g.target_dim) == (n, t)
                 blocks = map_to_partition(g)
                 assert len(blocks) == n + 1, (g, blocks)
                 assert sorted(e for b in blocks for e in b) == list(
@@ -172,11 +204,11 @@ def test_map_to_partition_identifies_exactly_the_relabelings():
 
 
 def test_docstring_example_partition():
-    g = AcceptableMap(3, 8, (1, 2, 0, 0, 1, 3, 2, 2))
+    g = AcceptableMap((1, 2, 0, 0, 1, 3, 2, 2))
     assert map_to_partition(g) == ((0, 3, 4), (1, 5), (2, 7, 8), (6,))
     assert map_to_string(g) == "a,b,0,0,a,c,b,b"
     # past z, a source is named by its number
-    wide = AcceptableMap(27, 27, tuple(range(1, 28)))
+    wide = AcceptableMap(tuple(range(1, 28)))
     assert map_to_string(wide).split(",")[-2:] == ["z", "s27"]
 
 
@@ -196,7 +228,7 @@ def test_enumerate_ordered_maps_identity_case():
     # square case: only the identity-shaped assignments with no zeros and no
     # repeats, ordered, i.e. exactly one map
     maps = list(enumerate_ordered_maps(3, 3))
-    assert maps == [AcceptableMap(3, 3, (1, 2, 3))]
+    assert maps == [AcceptableMap((1, 2, 3))]
     # a smaller target has none: refused on first iteration
     maps = enumerate_ordered_maps(2, 1)
     with pytest.raises(ValueError,
@@ -208,7 +240,7 @@ def test_enumerate_ordered_maps_identity_case():
 
 def test_apply_map_diagonal_example():
     lat = lattice_from_rows(2, [(2, 0), (0, 3)])
-    g = AcceptableMap(2, 4, (1, 1, 0, 2))
+    g = AcceptableMap((1, 1, 0, 2))
     image = apply_map(g, lat)
     assert image.ambient_dim == 4
     assert image.basis == ((2, 2, 0, 0), (0, 0, 0, 3))
@@ -216,7 +248,7 @@ def test_apply_map_diagonal_example():
 
 
 def test_apply_map_requires_full_rank_and_matching_source():
-    g = AcceptableMap(2, 3, (1, 2, 0))
+    g = AcceptableMap((1, 2, 0))
     with pytest.raises(ValueError):
         apply_map(g, lattice_from_rows(2, [(1, 1)]))
     with pytest.raises(ValueError):
@@ -246,8 +278,8 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
         for ordered in enumerate_ordered_maps(n, n + k):
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            g = AcceptableMap(n, n + k,
-                              tuple(perm[a - 1] if a else 0 for a in ordered.assignment))
+            g = AcceptableMap(tuple(perm[a - 1] if a else 0
+                                    for a in ordered.assignment))
             for core in rng.sample(cores, 3):
                 rows = [tuple(row[a - 1] if a else 0 for a in g.assignment)
                         for row in core.basis]
@@ -261,15 +293,15 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
 
 def test_transport_and_apply_map_edge_cases(monkeypatch):
     # target dimensions 0 and 1, where no itemgetter picks the entries
-    assert _transport_rows(AcceptableMap(0, 0, ()), ()) == ()
-    assert apply_map(AcceptableMap(0, 0, ()), Lattice(0, ())) == Lattice(0, ())
-    assert _transport_rows(AcceptableMap(0, 1, (0,)), ()) == ()
-    assert apply_map(AcceptableMap(0, 1, (0,)), Lattice(0, ())) == Lattice(1, ())
-    assert _transport_rows(AcceptableMap(1, 1, (1,)), ((3,),)) == ((3,),)
-    assert apply_map(AcceptableMap(1, 1, (1,)),
+    assert _transport_rows(AcceptableMap(()), ()) == ()
+    assert apply_map(AcceptableMap(()), Lattice(0, ())) == Lattice(0, ())
+    assert _transport_rows(AcceptableMap((0,)), ()) == ()
+    assert apply_map(AcceptableMap((0,)), Lattice(0, ())) == Lattice(1, ())
+    assert _transport_rows(AcceptableMap((1,)), ((3,),)) == ((3,),)
+    assert apply_map(AcceptableMap((1,)),
                      Lattice(1, ((3,),))) == Lattice(1, ((3,),))
     # zero-labelled columns pick 0, first, last and between copies
-    g = AcceptableMap(2, 5, (0, 1, 0, 2, 0))
+    g = AcceptableMap((0, 1, 0, 2, 0))
     core = Lattice(2, ((2, 1), (0, 3)))
     image_rows = ((0, 2, 0, 1, 0), (0, 0, 0, 3, 0))
     assert _transport_rows(g, core.basis) == image_rows
@@ -287,7 +319,7 @@ def test_transport_and_apply_map_edge_cases(monkeypatch):
     image = apply_map(g, core)
     assert image.basis == image_rows and image.basis is transported[-1]
     assert hnf_inputs == []
-    unordered = AcceptableMap(2, 3, (2, 1, 2))
+    unordered = AcceptableMap((2, 1, 2))
     assert not is_growth_string(unordered.assignment)
     image = apply_map(unordered, core)
     assert hnf_inputs == [((1, 2, 1), (3, 0, 3))]
@@ -342,7 +374,7 @@ def test_apply_map_equals_naive_transport_for_unordered_maps():
             assignment = tuple(rng.randint(0, n) for _ in range(target))
             if set(range(1, n + 1)) <= set(assignment):
                 break
-        g = AcceptableMap(n, target, assignment)
+        g = AcceptableMap(assignment)
         unordered += not is_growth_string(g.assignment)
         for core in _random_full_rank_cores(rng, n, 2):
             image = apply_map(g, core)
