@@ -455,7 +455,7 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     unique. Closure is tested on L, a full-rank basis and so its own pivot
     square (`_square_closed`). Raises ValueError on non-multiplicative input.
 
-    L is stored without the constructor (`_Frozen._trusted`): lat's basis
+    L is stored without the constructor (`Lattice._trusted`): lat's basis
     is a validated canonical one, so its pivot columns are distinct and
     nonzero, and when there are rank many distinct nonzero columns they
     are exactly those, in pivot order, as the columns left of a pivot are
@@ -487,14 +487,15 @@ def _place(basis: tuple[tuple[int, ...], ...],
     """The ordered map that labels the columns of basis as the core's
     (`_labels`), checked by re-application on rows: the core rows carried
     through the map must be basis. The core's rows are a canonical Hermite
-    basis and an ordered map carries them to one, so this is the same test
-    as apply_map(g, core) == Lattice(len(columns), basis) without building
-    either lattice.
+    basis and an ordered map carries them to one (the proof is in
+    `partitions.apply_map`, which stores that image unchecked), so this is
+    the same test as apply_map(g, core) == Lattice(len(columns), basis)
+    without building either lattice.
 
     labels holds the core's distinct columns, which are also the distinct
     nonzero columns of basis, so every column has a label in 0..rank and
     every label from 1 to rank is used: g, which is its assignment alone,
-    is stored without the constructor (`_Frozen._trusted`).
+    is stored without the constructor (`AcceptableMap._trusted`).
     """
     g = AcceptableMap._trusted(tuple([labels[col] for col in columns]))
     if _transport_rows(g, core.basis) != basis:

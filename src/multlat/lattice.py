@@ -33,9 +33,10 @@ class _Frozen:
     with `object.__setattr__`, and writes its own `__eq__` (class-strict,
     over its fields in order) and `__hash__` (of the same fields): these
     cost what a frozen dataclass's do, and a generic pair here, reading the
-    fields through `__slots__`, is slower per call. `_trusted` stores
-    fields without running the constructor, for a caller that has proved
-    they pass its validation.
+    fields through `__slots__`, is slower per call. For the same reason a
+    subclass that is built unchecked writes its own `_trusted` classmethod,
+    which stores the named fields one by one without running the
+    constructor, for a caller that has proved they pass its validation.
     """
 
     __slots__ = ()
@@ -57,16 +58,6 @@ class _Frozen:
     def __reduce__(self) -> tuple:
         return type(self), self._values()
 
-    @classmethod
-    def _trusted(cls, *values: object) -> _Frozen:
-        """The value whose fields, in `__slots__` order, are values, stored
-        as they are: the constructor does not run, so the caller must hold
-        a proof that it would accept them."""
-        value = object.__new__(cls)
-        for name, field in zip(cls.__slots__, values):
-            object.__setattr__(value, name, field)
-        return value
-
 
 class Lattice(_Frozen):
     """A subgroup of Z^ambient_dim given by its canonical Hermite basis.
@@ -79,10 +70,11 @@ class Lattice(_Frozen):
     the row above, and every entry above a pivot is reduced into [0,
     pivot). It reads each row once for the entry types and once up to its
     lead, and the rows above at the pivot column only. Code holding a
-    Lattice relies on that shape unchecked. The one Lattice built without
-    the constructor (`_Frozen._trusted`) is the core `enumeration.decompose`
-    reads off a validated basis, its pivot square, which has that shape by
-    construction.
+    Lattice relies on that shape unchecked. Two Lattices are built without
+    the constructor (`_trusted`), each from a validated basis that gives
+    that shape by construction: the core `enumeration.decompose` reads off
+    a basis, its pivot square, and the image `partitions.apply_map` carries
+    a full-rank basis to through an ordered map.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -123,6 +115,17 @@ class Lattice(_Frozen):
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "basis", basis)
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int,
+                 basis: tuple[tuple[int, ...], ...]) -> Lattice:
+        """The Lattice with these fields, stored as they are: the
+        constructor does not run, so the caller must hold a proof that it
+        would accept them."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "ambient_dim", ambient_dim)
+        object.__setattr__(value, "basis", basis)
+        return value
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return ((self.ambient_dim, self.basis)
@@ -155,11 +158,14 @@ class Lattice(_Frozen):
 def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattice:
     """Lattice spanned by the given rows; canonicalizes and drops zero rows.
 
-    Rows that already form a canonical Hermite basis, such as the image of
-    a full-rank lattice under an ordered map, are the unique canonical basis
-    of their span and are kept as they are: the constructor validates them
-    once and no Hermite form is computed. Any other input, a zero row
-    included, goes through `hermite_normal_form`. A tuple of rows, such as
+    Rows that already form a canonical Hermite basis are the unique
+    canonical basis of their span and are kept as they are: the
+    constructor validates them once and no Hermite form is computed. Any
+    other input, a zero row included, goes through `hermite_normal_form`.
+    So does every image of a full-rank lattice under an unordered map,
+    which `partitions.apply_map` sends here: the leads of its rows
+    strictly increase only if each label first appears after every
+    smaller one, as in an ordered map. A tuple of rows, such as
     `partitions._transport_rows` returns, reaches the constructor as it is;
     other rows are copied into tuples first. A tuple that holds rows of
     another type fails the constructor's check and is put in Hermite form.

@@ -56,6 +56,15 @@ class AcceptableMap(_Frozen):
             raise ValueError("every source coordinate must be used")
         object.__setattr__(self, "assignment", assignment)
 
+    @classmethod
+    def _trusted(cls, assignment: tuple[int, ...]) -> AcceptableMap:
+        """The map with this assignment, stored as it is: the constructor
+        does not run, so the caller must hold a proof that it would accept
+        it."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "assignment", assignment)
+        return value
+
     @property
     def source_dim(self) -> int:
         return max(self.assignment, default=0)
@@ -124,20 +133,43 @@ def _transport_rows(g: AcceptableMap, rows: Sequence[tuple[int, ...]]
     return tuple([pick(row + (0,)) for row in rows])
 
 
+def _is_ordered(assignment: tuple[int, ...]) -> bool:
+    """Whether an assignment is a growth string: each label first appears
+    after every smaller label has, so no entry exceeds the largest before
+    it by more than one."""
+    top = 0
+    for a in assignment:
+        if a > top:
+            if a != top + 1:
+                return False
+            top = a
+    return True
+
+
 def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
     """Image of a full-rank lattice under an acceptable map.
 
     Each basis row is transported through g (`_transport_rows`); the image has
-    the same rank inside Z^target_dim. For an ordered map the image rows are
-    already the canonical basis of the image, and `lattice_from_rows` hands
-    them to the constructor uncopied; an unordered map's fail its check and
-    are put into Hermite form.
+    the same rank inside Z^target_dim. For an ordered map (`_is_ordered`)
+    the image rows are already the canonical Hermite basis of the image,
+    and they are stored without the constructor (`Lattice._trusted`). Say
+    label i + 1 first appears at target coordinate f_i, so f_0 < f_1 < ...
+    Left of f_i every label is at most i, and lat's basis is upper
+    triangular, so image row i is zero there: it leads at f_i with lat's
+    pivot i, which is positive, and the leads strictly increase. The entry
+    of row h < i above that lead is lat's entry above pivot i, already
+    reduced into [0, pivot). Every entry is an int copied from lat, and
+    each row a tuple of target_dim entries. An unordered map's rows go to
+    `lattice_from_rows`, which puts them into Hermite form.
     """
     if lat.ambient_dim != g.source_dim:
         raise ValueError("lattice ambient dimension must equal the map source")
     if not lat.is_full_rank:
         raise ValueError("apply_map needs a full-rank lattice")
-    return lattice_from_rows(g.target_dim, _transport_rows(g, lat.basis))
+    rows = _transport_rows(g, lat.basis)
+    if _is_ordered(g.assignment):
+        return Lattice._trusted(g.target_dim, rows)
+    return lattice_from_rows(g.target_dim, rows)
 
 
 def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[AcceptableMap]:

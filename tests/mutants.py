@@ -1,0 +1,178 @@
+"""A catalogue of text mutants of the package, and a runner that checks the
+suite kills each one.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named mutants only
+
+A mutant replaces one piece of text, which occurs exactly once in src/, by
+a faulty version. The runner copies the checkout to a temporary directory
+once, runs the union of the mutants' tests there on the clean copy (they
+must pass, or no kill means anything), then applies one mutant at a time
+and runs its tests under `pytest -x`, one pytest process at a time,
+restoring the file afterwards. A mutant whose tests all pass gets the
+whole suite; if that passes too, the mutant survived. The last line is
+`killed K of N`; the exit status is 0 when every mutant was killed by its
+own tests, 1 otherwise. Standard library only; the suite's own
+`tests/test_mutant_catalogue.py` checks the catalogue's texts and test
+names without running any mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# one pytest run, named tests or the whole suite, ends well inside this
+TIMEOUT_S = 1800
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+MUTANTS = (
+    Mutant(
+        "order-check-always-trusts", "src/multlat/partitions.py",
+        "    if _is_ordered(g.assignment):\n",
+        "    if True:\n",
+        ("tests/test_partitions.py::"
+         "test_apply_map_unordered_equals_hermite_form_of_image",)),
+    Mutant(
+        "order-check-stops-after-three-labels", "src/multlat/partitions.py",
+        "    for a in assignment:\n        if a > top:\n",
+        "    for a in assignment:\n"
+        "        if top == 3 and len(assignment) > 4:\n"
+        "            return True\n"
+        "        if a > top:\n",
+        ("tests/test_partitions.py::"
+         "test_apply_map_reads_the_order_of_every_label",)),
+    Mutant(
+        "scan-skips-x1-at-pivot-2-from-ambient-7", "src/multlat/enumeration.py",
+        "        for x in range(p):\n",
+        "        for x in range(p):\n"
+        "            if p == 2 and x == 1 and ambient >= 7:\n"
+        "                continue\n",
+        ("tests/test_frontier.py", "tests/test_irreducible_blocks.py")),
+    Mutant(
+        "scan-takes-one-off-pivot-root", "src/multlat/enumeration.py",
+        "for x in ((d - s) // 2, (d + s) // 2) if s else (d // 2,):",
+        "for x in ((d + s) // 2,):",
+        ("tests/test_enumeration.py::"
+         "test_corank_scan_matches_unpruned_reference",)),
+    Mutant(
+        "scan-drops-the-pivot-multiple", "src/multlat/enumeration.py",
+        "fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])",
+        "fill(j + 1, d, acc)",
+        ("tests/test_enumeration.py::"
+         "test_full_rank_engine_matches_unpruned_reference",)),
+    Mutant(
+        "in-span-ignores-the-last-column", "src/multlat/intlinalg.py",
+        "    for x in w:\n",
+        "    for x in w[:-1]:\n",
+        ("tests/test_intlinalg.py",)),
+    Mutant(
+        "place-drops-reapplication-check", "src/multlat/enumeration.py",
+        "    if _transport_rows(g, core.basis) != basis:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
+    Mutant(
+        "transport-picks-a-for-a-minus-1", "src/multlat/partitions.py",
+        "idx = [a - 1 for a in g.assignment]",
+        "idx = [a for a in g.assignment]",
+        ("tests/test_partitions.py::test_apply_map_diagonal_example",)),
+    Mutant(
+        "ordered-maps-keep-unfinished-strings", "src/multlat/partitions.py",
+        "if used + target_dim - j <= source_dim:",
+        "if used + target_dim - j < source_dim:",
+        ("tests/test_partitions.py::test_enumerate_ordered_maps_counts",)),
+    Mutant(
+        "stirling2-off-by-one-at-u10-v3", "src/multlat/partitions.py",
+        "    return prev[v]\n",
+        "    return prev[v] + (u >= 10 and v == 3)\n",
+        ("tests/test_partitions.py::test_stirling2_matches_golden_table",)),
+    Mutant(
+        "reverify-skips-torsion", "src/multlat/enumeration.py",
+        "        if torsion_size(lat) != torsion:\n",
+        "        if False:\n",
+        ("tests/test_enumeration.py::test_check_witness_from_one_square",)),
+    Mutant(
+        "duplicate-check-dropped", "src/multlat/enumeration.py",
+        "    if any(map(eq, bases, islice(bases, 1, None))):\n",
+        "    if False:\n",
+        ("tests/test_enumeration.py::"
+         "test_each_engine_rejects_a_lattice_found_twice",)),
+)
+
+
+def _pytest(tree: Path, args: list[str]) -> tuple[bool, float, str]:
+    """Run pytest in the tree; whether it passed, its time and its summary
+    line, with the first failing test."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *args], cwd=tree, env=env, capture_output=True, text=True,
+        timeout=TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    failed = [line.split(" - ")[0] for line in lines
+              if line.startswith("FAILED ")]
+    summary = lines[-1] if lines else proc.stderr.strip()[-200:]
+    return (proc.returncode == 0, time.perf_counter() - start,
+            "; ".join([summary, *failed[:1]]))
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="multlat-mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench-*"))
+        named = sorted({t for m in chosen for t in m.tests})
+        ok, took, last = _pytest(tree, named)
+        print(f"clean copy, named tests: {last} ({took:.1f} s)")
+        if not ok:
+            print("the named tests fail on the clean copy")
+            return 1
+        killed = 0
+        for m in chosen:
+            path = tree / m.path
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"{m.name}: old text occurs {text.count(m.old)} times")
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            try:
+                ok, took, last = _pytest(tree, ["-x", *m.tests])
+                if not ok:
+                    killed += 1
+                    verdict = "killed"
+                else:
+                    ok, more, last = _pytest(tree, ["-x"])
+                    took += more
+                    verdict = ("survived" if ok else
+                               "killed, but only by the whole suite")
+            finally:
+                path.write_text(text, encoding="utf-8")
+            print(f"{m.name}: {verdict} ({took:.1f} s): {last}")
+    print(f"killed {killed} of {len(chosen)}")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

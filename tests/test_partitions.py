@@ -12,11 +12,15 @@ import pytest
 
 import multlat.lattice as lattice
 import multlat.partitions as partitions
-from multlat.enumeration import VerificationReport
+from multlat.enumeration import (
+    VerificationReport,
+    enumerate_full_rank_multiplicative,
+)
 from multlat.intlinalg import hermite_normal_form
 from multlat.lattice import Lattice, lattice_from_rows, torsion_size
 from multlat.partitions import (
     AcceptableMap,
+    _is_ordered,
     _transport_rows,
     apply_map,
     enumerate_ordered_maps,
@@ -165,6 +169,47 @@ def test_unpickling_validates_the_fields(value, old, new):
         pickle.loads(payload.replace(old, new))
 
 
+@pytest.mark.parametrize("cls, fields", [
+    (Lattice, (0, ())),
+    (Lattice, (3, ())),
+    (Lattice, (2, ((1, 1),))),
+    (Lattice, (3, ((2, 0, 1), (0, 1, 1)))),
+    (Lattice, (4, ((2, 2, 0, 0), (0, 0, 0, 3)))),
+    (AcceptableMap, ((),)),
+    (AcceptableMap, ((1, 0, 2, 1),)),
+    (AcceptableMap, ((1, 2, 0, 0, 1, 3, 2, 2),)),
+])
+def test_trusted_store_builds_what_the_constructor_builds(cls, fields,
+                                                          monkeypatch):
+    built = cls(*fields)
+    trusted = cls._trusted(*fields)
+    assert type(trusted) is cls
+    assert trusted == built and hash(trusted) == hash(built)
+    assert repr(trusted) == repr(built)
+    for name, field in zip(cls.__slots__, fields):
+        assert getattr(trusted, name) is field
+        with pytest.raises(AttributeError):
+            setattr(trusted, name, field)
+    # unpickling a trusted value runs the constructor
+    calls = []
+    init = cls.__init__
+    monkeypatch.setattr(cls, "__init__",
+                        lambda self, *a: calls.append(a) or init(self, *a))
+    assert pickle.loads(pickle.dumps(trusted)) == built
+    assert calls == [fields]
+
+
+def test_trusted_stores_are_written_per_class():
+    # the base keeps no generic store; each class stores its own fields, and
+    # a trusted value the constructor would refuse is refused on unpickling
+    assert not hasattr(lattice._Frozen, "_trusted")
+    assert "_trusted" in vars(Lattice) and "_trusted" in vars(AcceptableMap)
+    with pytest.raises(ValueError, match="canonical Hermite form"):
+        pickle.loads(pickle.dumps(Lattice._trusted(2, ((0, 1), (1, 0)))))
+    with pytest.raises(ValueError, match="every source coordinate"):
+        pickle.loads(pickle.dumps(AcceptableMap._trusted((2, 0))))
+
+
 def test_ordered_maps_give_the_reference_partitions():
     # the ordered maps list every partition once, in the order of the
     # reference's placement of each element into an earlier or a new block
@@ -305,12 +350,17 @@ def test_transport_and_apply_map_edge_cases(monkeypatch):
     core = Lattice(2, ((2, 1), (0, 3)))
     image_rows = ((0, 2, 0, 1, 0), (0, 0, 0, 3, 0))
     assert _transport_rows(g, core.basis) == image_rows
-    # an ordered map's rows reach the constructor uncopied, with no Hermite
-    # form; an unordered map's rows go through the Hermite form
+    # an ordered map's rows are the image's basis as transported, stored
+    # without the constructor and with no Hermite form; an unordered map's
+    # rows go through the Hermite form
     hnf_inputs = []
     hnf = lattice.hermite_normal_form
     monkeypatch.setattr(lattice, "hermite_normal_form",
                         lambda m: hnf_inputs.append(m) or hnf(m))
+    inits = []
+    init = Lattice.__init__
+    monkeypatch.setattr(Lattice, "__init__",
+                        lambda self, *a: inits.append(a) or init(self, *a))
     transported = []
     transport = partitions._transport_rows
     monkeypatch.setattr(partitions, "_transport_rows",
@@ -318,12 +368,14 @@ def test_transport_and_apply_map_edge_cases(monkeypatch):
                         or transported[-1])
     image = apply_map(g, core)
     assert image.basis == image_rows and image.basis is transported[-1]
-    assert hnf_inputs == []
+    assert image.ambient_dim == 5
+    assert hnf_inputs == [] and inits == []
     unordered = AcceptableMap((2, 1, 2))
     assert not is_growth_string(unordered.assignment)
     image = apply_map(unordered, core)
     assert hnf_inputs == [((1, 2, 1), (3, 0, 3))]
     assert image.basis == ((1, 2, 1), (0, 6, 0))
+    assert inits[-1] == (3, ((1, 2, 1), (0, 6, 0)))
 
 
 def _naive_image_rows(g, core):
@@ -350,6 +402,11 @@ def _random_full_rank_cores(rng, n, count):
     return cores
 
 
+def _accepted(image):
+    # the image is a value the validating constructor builds as it is
+    return Lattice(image.ambient_dim, image.basis) == image
+
+
 def test_apply_map_equals_naive_transport_for_ordered_maps():
     rng = random.Random(1717)
     seen_zero_source = False
@@ -361,15 +418,42 @@ def test_apply_map_equals_naive_transport_for_ordered_maps():
                 for core in cores:
                     image = apply_map(g, core)
                     assert image == lattice_from_rows(total, _naive_image_rows(g, core))
+                    assert _accepted(image)
     assert seen_zero_source
+
+
+def test_ordered_images_of_the_cores_are_canonical():
+    # every ordered map with n + k <= 5 on every full-rank multiplicative
+    # core of index <= 8: the image, stored unchecked, is what the
+    # constructor accepts
+    pairs = 0
+    for n in range(6):
+        cores = ([Lattice(0, ())] if n == 0 else
+                 [core for r in range(1, 9)
+                  for core in enumerate_full_rank_multiplicative(n, r)])
+        for total in range(n, 6):
+            for g in enumerate_ordered_maps(n, total):
+                for core in cores:
+                    image = apply_map(g, core)
+                    assert image.rank == n and _accepted(image), (g, core)
+                    pairs += 1
+    assert pairs == 16687
+
+
+def test_order_check_is_the_growth_string_test():
+    # every tuple of labels 0..3 of length <= 6, maps or not
+    for length in range(7):
+        for assignment in product(range(4), repeat=length):
+            assert _is_ordered(assignment) == is_growth_string(assignment), (
+                assignment)
 
 
 def test_apply_map_equals_naive_transport_for_unordered_maps():
     rng = random.Random(1718)
     unordered = 0
     for _ in range(400):
-        n = rng.randint(0, 4)
-        target = rng.randint(n, 6)
+        n = rng.randint(0, 6)
+        target = rng.randint(n, 8)
         while True:
             assignment = tuple(rng.randint(0, n) for _ in range(target))
             if set(range(1, n + 1)) <= set(assignment):
@@ -379,4 +463,29 @@ def test_apply_map_equals_naive_transport_for_unordered_maps():
         for core in _random_full_rank_cores(rng, n, 2):
             image = apply_map(g, core)
             assert image == lattice_from_rows(target, _naive_image_rows(g, core))
-    assert unordered > 100
+            assert _accepted(image)
+    assert unordered > 200
+
+
+def test_apply_map_reads_the_order_of_every_label():
+    # sources 5 and 6 relabeled past the first three: the first labels of
+    # the assignment are in order, and only a later one is not
+    rng = random.Random(1719)
+    late = 0
+    for n in (5, 6):
+        cores = _random_full_rank_cores(rng, n, 3)
+        for target in (n, n + 1, n + 2):
+            maps = list(enumerate_ordered_maps(n, target))
+            for ordered in rng.sample(maps, min(len(maps), 12)):
+                tail = list(range(4, n + 1))
+                rng.shuffle(tail)
+                perm = [1, 2, 3] + tail
+                g = AcceptableMap(tuple(perm[a - 1] if a else 0
+                                        for a in ordered.assignment))
+                late += not is_growth_string(g.assignment)
+                for core in cores:
+                    image = apply_map(g, core)
+                    assert image == lattice_from_rows(
+                        target, _naive_image_rows(g, core))
+                    assert _accepted(image)
+    assert late > 20
