@@ -6,11 +6,12 @@ lines of this version are indexed, keyed by (n, k, r, method): bumping the
 engine version silently invalidates everything older, whose lines stay in
 the file but are never returned. That is how the lines of engine 0.2.0 and
 earlier, which also recorded a census bound multiplier, are left behind.
-Malformed lines of any version (torn writes, manual edits, bytes that are
-not UTF-8, a missing field, a count or key field that is not a JSON
-integer or is out of range) are skipped with a warning instead of
-poisoning the run: a count served from here reaches stdout without any
-engine running.
+Each line is read as the CountRecord it stores, so a line of any version
+that `put` could not have written (a torn write, a manual edit, bytes that
+are not UTF-8, a missing field, a count or key field that is not a JSON
+integer or is out of range, an unknown method, a co-rank 0 formula
+record) is skipped with a warning instead of poisoning the run: a count
+served from here reaches stdout without any engine running.
 
 The module imports nothing from the counting engines, so a command whose
 counts all come from the cache never loads them.
@@ -29,21 +30,6 @@ from . import ENGINE_VERSION
 CacheKey = tuple[int, int, int, str]
 
 
-def _check_fields(n: int, k: int, r: int, count: int) -> None:
-    """ValueError unless n, k, r and count are integers (no float, no bool)
-    with n >= 0, k >= 0, r >= 1 and count >= 0: one rule for the records
-    `put` writes and the lines `_load` serves."""
-    for value in (n, k, r, count):
-        if type(value) is not int:
-            raise ValueError(f"not an integer: {value!r}")
-    if n < 0 or k < 0:
-        raise ValueError(f"negative dimension n={n}, k={k}")
-    if r < 1:
-        raise ValueError("torsion size must be at least 1")
-    if count < 0:
-        raise ValueError(f"negative count {count}")
-
-
 class _CountFields(NamedTuple):
     n: int
     k: int
@@ -58,7 +44,10 @@ class CountRecord(_CountFields):
     No search bound is recorded: every pivot the co-rank census tries
     divides the torsion, so no bound changes a count. Nor is the engine
     version: `CountCache.put` stamps it on the line it writes. Records are
-    immutable and validated on creation.
+    immutable and validated on creation, by the one rule for the records
+    `put` writes and the lines `_load` reads: n, k, r and count are
+    integers (no float, no bool) with n >= 0, k >= 0, r >= 1 and
+    count >= 0, and a co-rank 0 record is never a formula's.
     """
 
     __slots__ = ()
@@ -67,7 +56,15 @@ class CountRecord(_CountFields):
                 method: str) -> CountRecord:
         if method not in ("oracle", "formula", "unital"):
             raise ValueError(f"unknown method {method!r}")
-        _check_fields(n, k, r, count)
+        for value in (n, k, r, count):
+            if type(value) is not int:
+                raise ValueError(f"not an integer: {value!r}")
+        if n < 0 or k < 0:
+            raise ValueError(f"negative dimension n={n}, k={k}")
+        if r < 1:
+            raise ValueError("torsion size must be at least 1")
+        if count < 0:
+            raise ValueError(f"negative count {count}")
         if k == 0 and method == "formula":
             raise ValueError("full-rank records are counted directly, not by formula")
         return super().__new__(cls, n, k, r, count, method)
@@ -96,7 +93,8 @@ class CountCache:
                     # a UnicodeDecodeError is a ValueError: the line alone
                     # is skipped
                     data = json.loads(line.decode("utf-8"))
-                    key = self._key_of(data)
+                    record = CountRecord(data["n"], data["k"], data["r"],
+                                         data["count"], data["method"])
                     version = str(data["engine_version"])
                     str(data["created_at"])
                 except (ValueError, KeyError, TypeError) as exc:
@@ -107,15 +105,8 @@ class CountCache:
                     continue
                 # last entry wins on replay; put() never appends duplicates
                 if version == ENGINE_VERSION:
-                    self._index[key] = data["count"]
-
-    @staticmethod
-    def _key_of(data: dict) -> CacheKey:
-        """The key of a stored line or a record's fields; ValueError unless
-        its n, k, r and count pass `_check_fields`."""
-        n, k, r = data["n"], data["k"], data["r"]
-        _check_fields(n, k, r, data["count"])
-        return (n, k, r, str(data["method"]))
+                    self._index[(record.n, record.k, record.r,
+                                 record.method)] = record.count
 
     def get(self, n: int, k: int, r: int, method: str) -> Optional[int]:
         """The count this engine version stored for the key, or None."""
@@ -127,8 +118,7 @@ class CountCache:
         # imported here: a run served from the cache never writes
         from datetime import datetime, timezone
 
-        fields = record._asdict()
-        key = self._key_of(fields)
+        key = (record.n, record.k, record.r, record.method)
         old = self._index.get(key)
         if old is not None:
             if old != record.count:
@@ -136,7 +126,7 @@ class CountCache:
                                     f"{old}, new {record.count}")
             return
         line = json.dumps(
-            {**fields, "engine_version": ENGINE_VERSION,
+            {**record._asdict(), "engine_version": ENGINE_VERSION,
              "created_at": datetime.now(timezone.utc).isoformat()},
             sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)

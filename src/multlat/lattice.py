@@ -70,11 +70,14 @@ class Lattice(_Frozen):
     the row above, and every entry above a pivot is reduced into [0,
     pivot). It reads each row once for the entry types and once up to its
     lead, and the rows above at the pivot column only. Code holding a
-    Lattice relies on that shape unchecked. Two Lattices are built without
-    the constructor (`_trusted`), each from a validated basis that gives
-    that shape by construction: the core `enumeration.decompose` reads off
-    a basis, its pivot square, and the image `partitions.apply_map` carries
-    a full-rank basis to through an ordered map.
+    Lattice relies on that shape unchecked.
+
+    There are three routes to a Lattice, each with one job. The constructor
+    validates a basis. `_trusted` stores, unchecked, a basis that a proof
+    covers: the core `enumeration.decompose` reads off a basis, its pivot
+    square, and the image `partitions.apply_map` carries a full-rank basis
+    to through an ordered map, each read off a validated basis that gives
+    that shape by construction. `lattice_from_rows` canonicalizes any rows.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -158,28 +161,20 @@ class Lattice(_Frozen):
 def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattice:
     """Lattice spanned by the given rows; canonicalizes and drops zero rows.
 
-    Rows that already form a canonical Hermite basis are the unique
-    canonical basis of their span and are kept as they are: the
-    constructor validates them once and no Hermite form is computed. Any
-    other input, a zero row included, goes through `hermite_normal_form`.
-    So does every image of a full-rank lattice under an unordered map,
-    which `partitions.apply_map` sends here: the leads of its rows
-    strictly increase only if each label first appears after every
-    smaller one, as in an ordered map. A tuple of rows, such as
-    `partitions._transport_rows` returns, reaches the constructor as it is;
-    other rows are copied into tuples first. A tuple that holds rows of
-    another type fails the constructor's check and is put in Hermite form.
+    The rows always go through `hermite_normal_form`, and the constructor
+    validates the form's nonzero rows, once. The Hermite form of a span is
+    unique, so rows that already form a canonical basis come back as they
+    are. `partitions.apply_map` sends here the image of a full-rank lattice
+    under an unordered map, which is never canonical: the leads of its rows
+    strictly increase only if each label first appears after every smaller
+    one, as in an ordered map.
     """
-    mat = rows if type(rows) is tuple else tuple(map(tuple, rows))
+    mat = tuple(map(tuple, rows))
     for row in mat:
         if len(row) != ambient_dim:
             raise ValueError("row length does not match the ambient dimension")
     if not mat or ambient_dim == 0:
         return Lattice(ambient_dim, ())
-    try:
-        return Lattice(ambient_dim, mat)
-    except ValueError:
-        pass
     hnf = hermite_normal_form(mat)
     return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))
 

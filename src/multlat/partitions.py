@@ -159,8 +159,9 @@ def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
     pivot i, which is positive, and the leads strictly increase. The entry
     of row h < i above that lead is lat's entry above pivot i, already
     reduced into [0, pivot). Every entry is an int copied from lat, and
-    each row a tuple of target_dim entries. An unordered map's rows go to
-    `lattice_from_rows`, which puts them into Hermite form.
+    each row a tuple of target_dim entries. An unordered map's rows are
+    never canonical, so they go to `lattice_from_rows`, which puts them
+    into Hermite form and validates that once.
     """
     if lat.ambient_dim != g.source_dim:
         raise ValueError("lattice ambient dimension must equal the map source")

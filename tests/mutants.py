@@ -75,7 +75,8 @@ MUTANTS = (
         "fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])",
         "fill(j + 1, d, acc)",
         ("tests/test_enumeration.py::"
-         "test_full_rank_engine_matches_unpruned_reference",)),
+         "test_full_rank_engine_matches_unpruned_reference",
+         "tests/test_full_rank_census.py")),
     Mutant(
         "in-span-ignores-the-last-column", "src/multlat/intlinalg.py",
         "    for x in w:\n",
@@ -112,6 +113,37 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_enumeration.py::"
          "test_each_engine_rejects_a_lattice_found_twice",)),
+    Mutant(
+        "rows-keep-the-hermite-zero-rows", "src/multlat/lattice.py",
+        "    return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))\n",
+        "    return Lattice(ambient_dim, hnf)\n",
+        ("tests/test_lattice.py::test_from_rows_canonicalizes",
+         "tests/test_lattice.py::test_from_rows_runs_the_constructor_once")),
+    Mutant(
+        "count-record-accepts-any-method", "src/multlat/cache.py",
+        '        if method not in ("oracle", "formula", "unital"):\n',
+        "        if False:\n",
+        ("tests/test_cache.py::test_lines_put_could_not_write_are_skipped",)),
+    Mutant(
+        "count-record-accepts-a-negative-count", "src/multlat/cache.py",
+        "        if count < 0:\n",
+        "        if False:\n",
+        ("tests/test_cache.py::"
+         "test_count_record_validates_what_the_loader_validates",
+         "tests/test_cache.py::test_malformed_lines_are_skipped")),
+    Mutant(
+        "columns-keep-the-zero-column", "src/multlat/lattice.py",
+        "    distinct.pop((0,) * len(rows), None)\n",
+        "",
+        ("tests/test_enumeration.py::test_decompose_zero_lattice",
+         "tests/test_enumeration.py::test_decompose_round_trip_small")),
+    Mutant(
+        "rank-zero-census-at-every-torsion", "src/multlat/enumeration.py",
+        "        return [()] if torsion == 1 else []\n",
+        "        return [()]\n",
+        ("tests/test_enumeration.py::"
+         "test_count_full_rank_dimension_zero_convention",
+         "tests/test_enumeration.py::test_corank_full_ambient_edge")),
 )
 
 

@@ -188,6 +188,30 @@ def test_lines_of_other_versions_are_checked_as_current_ones(tmp_path,
     assert cache._index == {}
 
 
+def test_lines_put_could_not_write_are_skipped(tmp_path, capsys):
+    # a line is read as the CountRecord it stores: an unknown method and a
+    # co-rank 0 formula record each warn once, with the record's own
+    # reason, and neither is served
+    path = tmp_path / "counts.jsonl"
+    bad = [line(method="Oracle"), line(k=0, method="formula")]
+    reasons = []
+    for data in bad:
+        with pytest.raises(ValueError) as exc:
+            rec(data["n"], data["k"], data["r"], data["count"],
+                data["method"])
+        reasons.append(str(exc.value))
+    path.write_text("".join(json.dumps(data) + "\n"
+                            for data in (*bad, line())))
+    cache = CountCache(path)
+    assert capsys.readouterr().err.splitlines() == [
+        f"cache: skipping unreadable line {lineno} of {path}: {reason}"
+        for lineno, reason in enumerate(reasons, 1)]
+    assert cache.get(2, 1, 3, "Oracle") is None
+    assert cache.get(2, 0, 3, "formula") is None
+    assert cache.get(2, 1, 3, "oracle") == 18
+    assert len(cache._index) == 1
+
+
 def test_last_entry_wins_on_replay(tmp_path):
     path = tmp_path / "counts.jsonl"
     with open(path, "w") as fh:

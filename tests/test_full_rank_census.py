@@ -7,7 +7,9 @@ basis of determinant r is listed outright, pivots and reduced entries
 alike, and kept when the lattice predicates accept it; the set must be the
 engine's census, basis for basis. This listing is the one check of the
 formula side that shares no code with the scan. The cells are beyond the
-reach of refimpl's rational filter.
+reach of refimpl's rational filter. Three of them mix primes, (5, 6),
+(3, 18) and (4, 12); a scan that drops the multiple a pivot entry carries
+to the rows it builds misses a lattice at (3, 18) alone.
 """
 
 import itertools
@@ -19,8 +21,9 @@ from multlat.enumeration import enumerate_full_rank_multiplicative
 from multlat.lattice import Lattice, is_multiplicative
 
 # (n, r) -> number of full-rank multiplicative sublattices of Z^n of index r
-CELLS = {(4, 8): 85, (4, 16): 201, (5, 2): 15, (5, 4): 80, (5, 6): 225,
-         (5, 8): 255, (6, 2): 21, (6, 4): 161, (6, 8): 686}
+CELLS = {(3, 18): 78, (4, 8): 85, (4, 12): 350, (4, 16): 201, (5, 2): 15,
+         (5, 4): 80, (5, 6): 225, (5, 8): 255, (6, 2): 21, (6, 4): 161,
+         (6, 8): 686}
 
 
 def hermite_bases(n, r):

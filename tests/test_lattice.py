@@ -196,6 +196,36 @@ def test_from_rows_canonicalizes_non_canonical_rows():
         assert lat == hermite_route(ambient, rows)
 
 
+def test_from_rows_runs_the_constructor_once(monkeypatch):
+    # one route, the Hermite form, for canonical and non-canonical rows
+    # alike: no trial construction on the raw rows comes first
+    calls = []
+    init = Lattice.__init__
+
+    def counting(self, ambient_dim, basis):
+        calls.append(basis)
+        init(self, ambient_dim, basis)
+
+    monkeypatch.setattr(Lattice, "__init__", counting)
+    rng = random.Random(918)
+    cases = [(3, [(1, 0, 1), (0, 2, 0)]),
+             (3, ((1, 0, 1), (0, 2, 0))),
+             (3, [(1, 0, 1), (0, 0, 0), (0, 2, 0)]),
+             (2, [(2, 4), (3, 5)]),
+             (2, [(0, 2), (1, 1)])]
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        rows = random_rows(rng, rng.randint(1, n), n)
+        basis = hermite_route(n, rows).basis
+        cases += [(n, rows), (n, basis)] if basis else [(n, rows)]
+    for ambient, rows in cases:
+        calls.clear()
+        lat = lattice_from_rows(ambient, rows)
+        assert len(calls) == 1
+        assert lat.basis == tuple(r for r in hermite_normal_form(rows)
+                                  if any(r))
+
+
 def test_from_rows_still_rejects_non_integer_entries():
     with pytest.raises(ValueError):
         lattice_from_rows(1, [(True,)])

@@ -5,12 +5,14 @@ The README's Library block and the scripts in demos/ import names from
 `__all__` must resolve, lazily, to the object its defining module holds.
 The README's count of those names must match `__all__`. Imports are read
 with `ast`; each demo is also run once, in a fresh interpreter against the
-checkout's `src`. Four lints by `ast` need no linter installed: every name
+checkout's `src`. Six lints by `ast` need no linter installed: every name
 a module under `src/multlat/` imports is read in that module, every
 module-level private name defined there is read elsewhere in the package,
-each module imports only the modules below it in its layer, and every name
+each module imports only the modules below it in its layer, every name
 a test patches on a package module is one that the package reads from that
-module, so no patch goes unseen.
+module, so no patch goes unseen, only the three functions that hold a
+proof build a value unchecked, and no exception is swallowed by a bare
+`pass`.
 """
 
 import ast
@@ -344,6 +346,72 @@ def test_every_patched_seam_is_read():
         seams |= patched_seams(path.read_text(encoding="utf-8"))
     assert ("enumeration", "_census") in seams
     assert unread_seams(seams, sources) == set()
+
+
+def trusted_builders(source):
+    """The name of the innermost function around each call of a `_trusted`
+    store in source, "<module>" for a call outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "_trusted"):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# each of these holds, in its docstring, the proof that the constructor
+# would accept what it stores unchecked
+TRUSTED_BUILDERS = {"decompose", "_place", "apply_map"}
+
+
+def test_only_the_proved_builds_skip_the_constructor():
+    assert trusted_builders(
+        "x = C._trusted(1)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return C._trusted(2)\n"
+        "    return g\n"
+        "def h():\n"
+        "    return C(_trusted=3)\n") == {"<module>", "g"}
+    builders, docs = set(), {}
+    for path in sorted((ROOT / "src" / "multlat").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        builders |= trusted_builders(source)
+        docs.update((node.name, ast.get_docstring(node) or "")
+                    for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.FunctionDef))
+    assert builders == TRUSTED_BUILDERS
+    for name in sorted(TRUSTED_BUILDERS):
+        assert "._trusted`" in docs[name], name
+
+
+def silenced_handlers(source):
+    """The line of each `except` handler in source whose body is only
+    `pass`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler)
+            and all(isinstance(stmt, ast.Pass) for stmt in node.body)]
+
+
+def test_no_exception_is_silenced():
+    assert silenced_handlers(
+        "try:\n    f()\nexcept ValueError:\n    pass\n"
+        "try:\n    f()\nexcept (KeyError, TypeError):\n"
+        "    pass\n    pass\n"
+        "try:\n    f()\nexcept OSError:\n    g()\n") == [3, 7]
+    sources = sorted((ROOT / "src" / "multlat").glob("*.py"))
+    assert sources
+    assert {path.name: silenced_handlers(path.read_text(encoding="utf-8"))
+            for path in sources} == {path.name: [] for path in sources}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in
