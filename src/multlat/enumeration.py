@@ -43,7 +43,7 @@ columns.
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -89,7 +89,7 @@ class VerificationReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# shared low-level helpers (hot path: plain lists, no object churn)
+# shared low-level helpers (hot path: plain tuples, no object churn)
 
 
 class _Steps:
@@ -112,17 +112,21 @@ class _Steps:
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
     """Every shard's bases of the given co-rank and torsion, sorted: the
-    census of both engines, the full-rank one at co-rank 0.
+    census of both engines, the full-rank one at co-rank 0. The bases are
+    the workers' own, whose rows each basis shares with the others that
+    extend the same prefix; nothing copies them.
 
     jobs and budget are checked first, budget None meaning DEFAULT_BUDGET.
     At rank 0 (ambient == corank) the only lattice is the zero lattice, of
     torsion 1, so the answer is [()] when torsion is 1 and [] otherwise,
     and no worker runs. Otherwise jobs = 1 runs `_corank_worker` in this
-    process, and more jobs run jobs shards, each with its own budget, in a
-    fork pool of min(jobs, os.cpu_count()) processes. A basis found twice,
-    in one shard or two, is an internal error: the worker lists every
-    lattice once, and the sort puts copies next to each other, so comparing
-    each basis with the next finds every repeat.
+    process and takes its result as the census, and more jobs run jobs
+    shards, each with its own budget, in a fork pool of min(jobs,
+    os.cpu_count()) processes, and join their results once; pickling keeps
+    the shared rows shared within a shard. The census is sorted in place.
+    A basis found twice, in one shard or two, is an internal error: the
+    worker builds every lattice once, and the sort puts copies next to each
+    other, so comparing each basis with the next finds every repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -134,14 +138,14 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     tasks = [(ambient, corank, torsion, shard, jobs, budget)
              for shard in range(jobs)]
     if jobs == 1:
-        shard_results = [_corank_worker(tasks[0])]
+        bases = _corank_worker(tasks[0])
     else:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
-            shard_results = pool.map(_corank_worker, tasks)
-    bases = sorted([item for chunk in shard_results for item in chunk])
+            bases = list(chain.from_iterable(pool.map(_corank_worker, tasks)))
+    bases.sort()
     if any(map(eq, bases, islice(bases, 1, None))):
         raise RuntimeError("internal: engine produced a lattice twice")
     return bases
@@ -224,16 +228,19 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
 # co-rank oracle: canonical banded bases, pivots dividing the torsion
 
 
-def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
-                       leads: Iterable[int], ambient: int,
-                       steps: _Steps) -> list[list[list[int]]]:
-    """The bases [v] + hnf, v = 0^q, d, x_(q+1), ..., closed under products.
+def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
+                       q: int, leads: Iterable[int], ambient: int,
+                       steps: _Steps) -> list[tuple[tuple[int, ...], ...]]:
+    """The bases (v, *hnf), v = 0^q, d, x_(q+1), ..., closed under products.
 
     The worker's one extension step, at every co-rank. hnf is a Hermite
-    basis with pivots right of q, a prefix in the reversed frame. The lead d
-    runs over leads, an entry in a pivot column of hnf over [0, pivot), and
-    every other entry over the integers, in lexicographic order, and the
-    bases come back as a list in that order.
+    basis with pivots right of q, a prefix in the reversed frame, as a tuple
+    of row tuples. The lead d runs over leads, an entry in a pivot column of
+    hnf over [0, pivot), and every other entry over the integers, in
+    lexicographic order, and the bases come back in that order. Each is the
+    tuple (tuple(v), *hnf): it holds hnf's own row objects, so every basis
+    that extends a prefix shares that prefix's rows. Rows are tuples and
+    nothing writes into one, so sharing them is safe.
     The coefficient of v in v*v is d, so v*v lies in the span exactly when
     v*v - d*v reduces to zero against hnf. Its column j, less the multiples
     of the rows pivoting left of j, is fixed once x_q..x_j are, so a partial
@@ -247,21 +254,21 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
     adds no multiple, so the entry passes `acc` on as it is; no `acc` is
     ever changed in place, so entries share one freely. A full row is kept
     when its products with the rows of hnf lie in the span too, so the span
-    of [v] + hnf is closed when hnf's is. Every row u of hnf pivots right
+    of (v, *hnf) is closed when hnf's is. Every row u of hnf pivots right
     of q, so u*v vanishes at column q and v's coefficient in it is 0: the
-    product is tested against hnf alone (`_in_span`), and [v] + hnf is built
-    only for a row that is kept. A row u = d*e_c of hnf, zero right of its
+    product is tested against hnf alone (`_in_span`), and v becomes a row
+    tuple only when it is kept. A row u = d*e_c of hnf, zero right of its
     pivot c, needs no test: u*v = v[c]*u lies in the span, so only the rows
     with a nonzero entry right of their pivot are listed, once per call.
     Every lead, every entry tried in a pivot column and every off-pivot
     column is charged one step to `steps`.
     """
-    pivot_row: list[Optional[list[int]]] = [None] * ambient
+    pivot_row: list[Optional[tuple[int, ...]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
         pivot_row[c] = row
     tested = [row for row, c in zip(hnf, pivots) if any(row[c + 1:])]
     v = [0] * ambient
-    out: list[list[list[int]]] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
 
     def fill(j: int, d: int, acc: list[int]) -> None:
         if j == ambient:
@@ -269,7 +276,7 @@ def _closed_extensions(hnf: list[list[int]], pivots: list[int], q: int,
                 if not _in_span(hnf, pivots, [a * b for a, b in zip(u, v)],
                                 ambient):
                     return
-            out.append([v[:]] + hnf)
+            out.append((tuple(v), *hnf))
             return
         row = pivot_row[j]
         if row is None:
@@ -311,11 +318,13 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. New rows
-    come from `_closed_extensions`; each child's pivot list is built once
-    per lead column q and shared by every child pivoting there. The shard
-    takes every jobs-th first row from the shard-th on. A complete
-    basis, newest row first, is the canonical Hermite basis of rev(L), L
-    with its coordinates reversed, and is returned as built.
+    come from `_closed_extensions`, starting from the empty prefix (); each
+    child's pivot list is built once per lead column q and shared by every
+    child pivoting there. The shard takes every jobs-th first row from the
+    shard-th on. A complete basis, newest row first, is the canonical
+    Hermite basis of rev(L), L with its coordinates reversed, and is
+    appended as built: each row is a tuple made once, so the bases that
+    extend one prefix hold that prefix's row objects, not copies of them.
 
     Every prefix that `_closed_extensions` returns spans a multiplicative
     lattice, so it has a pivot square (`lattice._pivot_square`), and its
@@ -337,7 +346,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
 
-    def extend(hnf: list[list[int]], pivots: list[int], left: int,
+    def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int], left: int,
                start: int = 0, step: int = 1) -> None:
         # the level takes every step-th extension from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
@@ -351,11 +360,11 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
                 hnf, pivots, q, leads, ambient, steps)]
         for h2, below in rows[start::step]:
             if last:
-                found.append(tuple(map(tuple, h2)))
+                found.append(h2)
             else:
                 extend(h2, below, left // h2[0][below[0]])
 
-    extend([], [], torsion, shard, jobs)
+    extend((), [], torsion, shard, jobs)
     return found
 
 
@@ -377,17 +386,18 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
     of what is left, and the last pivot is that quotient (`_corank_worker`).
 
     The scan's rows are the canonical Hermite basis of rev(L), L with its
-    coordinates reversed, and the census lists those lattices, so no
-    Hermite form is computed. Reversal permutes coordinates, so it is a ring
-    automorphism and its own inverse that keeps rank, torsion and closure
-    under products: it maps the census bijectively onto itself, and the
-    sorted rev(L) are the sorted census. A lattice found twice is an
-    internal error. The census is re-verified (`_reverify`) on one lattice
-    per pivot square, keyed by its distinct nonzero columns in order of
-    first use (`lattice._columns`), as the verifier keys its witnesses:
-    lattices with the same key are images of one square under injective,
-    product-respecting coordinate copies (`lattice._pivot_square`), so they
-    share rank, closure and torsion.
+    coordinates reversed, and the census holds those lattices, so no
+    Hermite form is computed. Each row is a tuple built once, and every
+    basis that extends a prefix shares that prefix's rows. Reversal
+    permutes coordinates, so it is a ring automorphism and its own inverse
+    that keeps rank, torsion and closure under products: it maps the census
+    bijectively onto itself, and the sorted rev(L) are the sorted census.
+    A lattice found twice is an internal error. The census is re-verified
+    (`_reverify`) on one lattice per pivot square, keyed by its distinct
+    nonzero columns in order of first use (`lattice._columns`), as the
+    verifier keys its witnesses: lattices with the same key are images of
+    one square under injective, product-respecting coordinate copies
+    (`lattice._pivot_square`), so they share rank, closure and torsion.
 
     No pivot or entry reaches a bound, so the scan takes none. The budget
     counts steps per worker, one per lead, per entry tried in a pivot

@@ -144,6 +144,17 @@ MUTANTS = (
         ("tests/test_enumeration.py::"
          "test_count_full_rank_dimension_zero_convention",
          "tests/test_enumeration.py::test_corank_full_ambient_edge")),
+    Mutant(
+        "scan-drops-large-discriminant-roots", "src/multlat/enumeration.py",
+        "s = isqrt(disc) if disc > 0 else 0",
+        "s = isqrt(disc) if 0 < disc < 1000 else 0",
+        ("tests/test_torsion_axis.py::"
+         "test_every_cell_of_the_torsion_axis_block_passes",)),
+    Mutant(
+        "cache-serves-every-engine-version", "src/multlat/cache.py",
+        "                if version == ENGINE_VERSION:\n",
+        "                if True:\n",
+        ("tests/test_cache.py::test_engine_version_is_part_of_the_key",)),
 )
 
 

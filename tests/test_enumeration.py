@@ -294,14 +294,14 @@ def _scan_by_smith_torsion(ambient, corank, torsion, bound):
         if len(hnf) == n:
             if math.prod(d for d in intlinalg.smith_normal_form(hnf)
                          if d) == torsion:
-                found.append(tuple(tuple(row) for row in hnf))
+                found.append(hnf)
             return
         for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
             for h2 in _closed_extensions(hnf, pivots, q, range(1, bound + 1),
                                          ambient, steps):
                 extend(h2, [q] + pivots)
 
-    extend([], [])
+    extend((), [])
     return sorted(found)
 
 
@@ -1020,9 +1020,9 @@ def test_canonical_key_matches_package_basis():
 
 def _random_reversed_hermite(rng, ambient, bound, every_column=False):
     """A Hermite basis in the reversed frame (pivots increasing, entries in
-    later pivot columns reduced) and a lead column q left of its pivots;
-    with every_column, every column right of q is a pivot, as in the
-    full-rank engine."""
+    later pivot columns reduced), as a tuple of row tuples, and a lead
+    column q left of its pivots; with every_column, every column right of q
+    is a pivot, as in the full-rank engine."""
     q = rng.randrange(ambient)
     if every_column:
         pivots = list(range(q + 1, ambient))
@@ -1036,8 +1036,8 @@ def _random_reversed_hermite(rng, ambient, bound, every_column=False):
         row[c] = pivot_value[c]
         for j in range(c + 1, ambient):
             row[j] = rng.randrange(pivot_value.get(j, bound + 1))
-        hnf.append(row)
-    return hnf, pivots, q
+        hnf.append(tuple(row))
+    return tuple(hnf), pivots, q
 
 
 def test_square_closed_rows_match_full_tail_filter():
@@ -1077,10 +1077,10 @@ def test_square_closed_rows_match_full_tail_filter():
         for d in leads:
             for rest in itertools.product(*tail):
                 v = [0] * q + [d, *rest]
-                if all(_in_span([v] + hnf, [q] + pivots,
+                if all(_in_span((v, *hnf), [q] + pivots,
                                 [a * b for a, b in zip(u, v)], ambient)
-                       for u in [v] + hnf):
-                    expected.append([v] + hnf)
+                       for u in (v, *hnf)):
+                    expected.append((tuple(v), *hnf))
         steps = _Steps(10 ** 9)
         got = _closed_extensions(hnf, pivots, q, leads, ambient, steps)
         assert got == expected, (hnf, pivots, q, list(leads), bound)
@@ -1111,6 +1111,27 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
     for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
         enumerate_corank_oracle(n + k, k, r)
     assert len(seen) > 400 and max(seen) == 3
+
+
+def test_census_bases_share_the_rows_of_their_prefix():
+    # rows 1.. of a census basis are the prefix it extends, and the scan
+    # builds each prefix once: every basis with the same rows below its top
+    # holds the very same row objects there, at one job and after a shard's
+    # bases are pickled back at two, so the census holds fewer distinct rows
+    # than it has rows. One co-rank cell, (2,2,8), and one full-rank, (4,16)
+    for ambient, corank, torsion in ((4, 2, 8), (4, 0, 16)):
+        for jobs in (1, 2):
+            bases = _census(ambient, corank, torsion, jobs=jobs, budget=None)
+            groups = {}
+            for basis in bases:
+                groups.setdefault(basis[1:], []).append(basis)
+            assert max(map(len, groups.values())) > 1
+            for group in groups.values():
+                for basis in group:
+                    assert all(row is first for row, first
+                               in zip(basis[1:], group[0][1:])), basis
+            rows = [row for basis in bases for row in basis]
+            assert len({id(row) for row in rows}) < len(rows), (ambient, jobs)
 
 
 # the names the scan must not reach: it never touches the formula side, the
