@@ -48,7 +48,12 @@ def _parse_range(text: str, least: int = 0) -> tuple[int, ...]:
     if lo < least:
         raise argparse.ArgumentTypeError(
             f"values must be at least {least}, got {text!r}")
-    return tuple(range(lo, hi + 1))
+    try:
+        return tuple(range(lo, hi + 1))
+    except (OverflowError, MemoryError):
+        # a length past sys.maxsize, or one no allocation can hold
+        raise argparse.ArgumentTypeError(
+            f"range too long to list, got {text!r}") from None
 
 
 # --r and --torsion: a torsion size is at least 1

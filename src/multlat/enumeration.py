@@ -463,7 +463,8 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     copies the square's columns to where they occur in lat, with
     apply_map(g, L) == lat; `_place` builds g and checks that. The pair is
     unique. Closure is tested on L, a full-rank basis and so its own pivot
-    square (`_square_closed`). Raises ValueError on non-multiplicative input.
+    square (`_square_closed`); any other column count means no square, so
+    no closure. Raises ValueError on non-multiplicative input.
 
     L is stored without the constructor (`Lattice._trusted`): lat's basis
     is a validated canonical one, so its pivot columns are distinct and
@@ -478,8 +479,6 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
         core = Lattice._trusted(lat.rank, tuple(zip(*distinct)))
         if _square_closed(core.basis):
             return _place(lat.basis, columns, core, _labels(distinct)), core
-    elif is_multiplicative(lat):
-        raise RuntimeError("internal: column count contradicts the rank")
     raise ValueError("lattice is not multiplicative")
 
 
@@ -534,9 +533,9 @@ def _witness_faults(ambient: int,
     witness it returns, refuses it. Any other witness is a stray: it is
     validated (`_lattices`) and re-verified on its own basis (`_reverify`),
     which raise RuntimeError on an invalid basis, the wrong rank, a lattice
-    not closed under products or the wrong torsion; it then gives "column
-    count differs from rank" when it has no pivot square, else "censused but
-    not reachable through any map".
+    not closed under products, one with no pivot square among them, or the
+    wrong torsion; it then gives "censused but not reachable through any
+    map".
     """
     for basis in witnesses:
         columns, key = _columns(basis, ambient)
@@ -544,8 +543,7 @@ def _witness_faults(ambient: int,
                  and len(columns) == ambient else None)
         if known is None:
             _reverify(_lattices(ambient, [basis]), rank, r)
-            yield ("column count differs from rank" if len(key) != rank
-                   else "censused but not reachable through any map")
+            yield "censused but not reachable through any map"
             continue
         core, labels, placed = known
         _place(basis, columns, core, labels)

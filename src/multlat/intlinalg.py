@@ -6,8 +6,10 @@ normal form is the workhorse of the package: it gives a canonical basis for
 an integer row span. Membership in the span of a Hermite basis whose pivot
 columns are known is decided by exact division alone (`_in_span`); the
 engines' extension step, the unital count and the square's closure test
-share it. Any other rows go through the Smith normal form and
-`solve_in_row_span`, which assume nothing about their columns.
+share it. The Smith normal form gives the torsion of rows with no pivot
+square. `solve_in_row_span` solves against any Hermite basis and assumes
+nothing about its columns; no code in the package calls it, as closure
+is decided on the pivot square alone (`lattice.is_multiplicative`).
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ two objects are equal exactly when they describe the same subgroup of Z^n.
 The multiplicative notions live here: closure of the row span under the
 coordinatewise (Hadamard) product, torsion of the quotient, and the rigid
 columns that every multiplicative basis has, all three read off the pivot
-square of the basis (`_pivot_square`). `_Frozen`, the base of Lattice
-and of the partitions module's AcceptableMap, makes them immutable values
-without importing `dataclasses`.
+square of the basis (`_pivot_square`). Closure has that one rule: a basis
+with no pivot square is never closed, so only a square is ever tested.
+Torsion falls back on the Smith form for a basis with no square, since a
+lattice that is not closed still has a torsion. `_Frozen`, the base of
+Lattice and of the partitions module's AcceptableMap, makes them immutable
+values without importing `dataclasses`.
 """
 
 from __future__ import annotations
@@ -15,13 +18,8 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .intlinalg import (
-    IntMatrix,
-    _in_span,
-    hermite_normal_form,
-    smith_normal_form,
-    solve_in_row_span,
-)
+from .intlinalg import (IntMatrix, _in_span, hermite_normal_form,
+                        smith_normal_form)
 
 
 class _Frozen:
@@ -224,24 +222,16 @@ def _pivot_square(rows: Sequence[Sequence[int]]
 
 
 def is_multiplicative(lat: Lattice) -> bool:
-    """Closure of the lattice under coordinatewise products.
+    """Closure of the lattice under coordinatewise products, decided on the
+    pivot square of its basis alone.
 
-    Checking products of basis rows is enough: general elements are integer
-    combinations of rows and the product is bilinear in its two factors.
-    When the basis has a pivot square (`_pivot_square`), the square is
-    tested instead (`_square_closed`). Any other basis has each product
-    solved against the whole basis (`intlinalg.solve_in_row_span`), which
-    assumes nothing about its columns.
+    A basis with no pivot square is never closed, and one with a square is
+    closed exactly when the square is; `_pivot_square` proves both. The
+    square's test (`_square_closed`) checks products of its rows, which is
+    enough: the product is bilinear in its two factors.
     """
-    rows = lat.basis
-    square = _pivot_square(rows)
-    if square is not None:
-        return _square_closed(square)
-    for i, u in enumerate(rows):
-        for v in rows[i:]:
-            if solve_in_row_span(rows, [a * b for a, b in zip(u, v)]) is None:
-                return False
-    return True
+    square = _pivot_square(lat.basis)
+    return square is not None and _square_closed(square)
 
 
 def _square_closed(square: Sequence[Sequence[int]]) -> bool:

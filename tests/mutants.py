@@ -155,6 +155,22 @@ MUTANTS = (
         "                if version == ENGINE_VERSION:\n",
         "                if True:\n",
         ("tests/test_cache.py::test_engine_version_is_part_of_the_key",)),
+    Mutant(
+        "closure-accepts-a-basis-with-no-square", "src/multlat/lattice.py",
+        "square is not None and",
+        "square is None or",
+        ("tests/test_lattice.py",)),
+    Mutant(
+        "stray-skips-reverification", "src/multlat/enumeration.py",
+        "            _reverify(_lattices(ambient, [basis]), rank, r)\n",
+        "",
+        ("tests/test_cli.py::"
+         "test_verify_rejects_a_non_multiplicative_witness",)),
+    Mutant(
+        "labels-put-zero-last", "src/multlat/enumeration.py",
+        "enumerate((zero, *distinct))",
+        "enumerate((*distinct, zero))",
+        ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
 )
 
 

@@ -297,7 +297,8 @@ def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
     # a lattice without rigid columns swapped into a real census must fail
     # the cell through the verifier's own checks, not a forced report; no
     # multiplicative lattice lacks rigid columns, so this one is accepted
-    # as multiplicative by hand
+    # as multiplicative by hand, and as a stray it is reachable through no
+    # map
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
     _swap_into_census(monkeypatch, non_rigid)
     accept = enumeration.is_multiplicative
@@ -310,7 +311,7 @@ def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
     assert out.splitlines()[1].endswith("fail")
     assert ("counterexample: "
             + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
-    assert "reason: column count differs from rank" in err
+    assert "reason: censused but not reachable through any map" in err
     assert "FAILED at n=2 k=1 r=2" in err
 
 
@@ -344,7 +345,7 @@ def test_verify_reports_a_non_rigid_witness_after_closed_ones(capsys,
     assert out.splitlines()[1].endswith("fail")
     assert ("counterexample: "
             + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
-    assert "reason: column count differs from rank" in err
+    assert "reason: censused but not reachable through any map" in err
 
 
 def test_verify_rejects_a_non_multiplicative_witness_after_closed_ones(
@@ -764,7 +765,11 @@ def _rejection(argv, message):
                   "must be at least 0")
        for flag in ("--ambient", "--corank")]
     + [_rejection(_VALID_ARGV["count"] + ["--jobs", "x"],
-                  "expected INT, got 'x'")]))
+                  "expected INT, got 'x'")]
+    # too long for a tuple: past sys.maxsize, and past any allocation
+    + [_rejection(["verify", "--n", "1", "--k", "1", "--r", f"1..{top}"],
+                  "range too long to list")
+       for top in (10 ** 19, 10 ** 18)]))
 def test_out_of_range_arguments_exit_two_before_any_output(capsys, argv,
                                                            message):
     with pytest.raises(SystemExit) as exc:

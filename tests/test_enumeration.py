@@ -639,16 +639,11 @@ def test_a_witness_equal_to_a_canonical_basis_leaves_only_validated(
         _verify(2, 1, 2, jobs=1, budget=None)
 
 
-def test_decompose_rejects_non_rigid_columns(monkeypatch):
+def test_decompose_rejects_non_rigid_columns():
     # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2;
-    # such a basis is never multiplicative, and if the closure test said it
-    # were, the split reports the contradiction as an internal error
+    # such a basis has no pivot square, so it is never multiplicative
     lat = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
     with pytest.raises(ValueError, match="^lattice is not multiplicative$"):
-        decompose(lat)
-    monkeypatch.setattr(enumeration, "is_multiplicative", lambda lat: True)
-    with pytest.raises(RuntimeError,
-                       match="^internal: column count contradicts the rank$"):
         decompose(lat)
 
 
@@ -766,7 +761,7 @@ def test_check_witness_from_one_square(monkeypatch):
     # columns (1,0), (2,0), (3,2): three distinct nonzero columns at rank 2
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
     assert lattice._pivot_square(non_rigid.basis) is None
-    # each re-verification error, with the square and on the general route
+    # each re-verification error, with a square and without one
     with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
         _check_witness(rigid, 1, 2)
     with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
@@ -780,11 +775,12 @@ def test_check_witness_from_one_square(monkeypatch):
     for lat in census:
         assert _check_witness(lat, 2, 2) is None
     # the fault: no multiplicative lattice lacks a square, so one is
-    # accepted by hand
+    # accepted by hand, and as a stray it is reachable through no map
     accept = enumeration.is_multiplicative
     monkeypatch.setattr(enumeration, "is_multiplicative",
                         lambda lat: lat == non_rigid or accept(lat))
-    assert _check_witness(non_rigid, 2, 2) == "column count differs from rank"
+    assert (_check_witness(non_rigid, 2, 2)
+            == "censused but not reachable through any map")
     with pytest.raises(RuntimeError, match="engine produced a wrong torsion"):
         _check_witness(non_rigid, 2, 4)
 
@@ -834,7 +830,7 @@ def test_witness_pass_reports_faults_where_they_are(monkeypatch):
                                       _keyed(2, 2), 2, 2))
         assert faults == [_check_witness(lat, 2, 2) for lat in mixed]
         assert [i for i, f in enumerate(faults) if f] == [at, len(mixed) - 1]
-        assert faults[at] == "column count differs from rank"
+        assert faults[at] == "censused but not reachable through any map"
         closed_and_not = census[:at] + [not_closed] + census[at:]
         with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
             list(_witness_faults(3, [lat.basis for lat in closed_and_not],
@@ -979,13 +975,12 @@ def test_census_is_closed_under_reversing_coordinates():
 
 def test_measured_paths_never_reach_the_general_routines(monkeypatch):
     # every basis the campaign and the round trip meet has a pivot square,
-    # so the Smith diagonal and the span solver are never needed there
+    # so the Smith diagonal is never needed there
     def refuse(*args, **kwargs):
         raise AssertionError("general routine reached")
 
     monkeypatch.setattr(lattice, "smith_normal_form", refuse)
-    monkeypatch.setattr(lattice, "solve_in_row_span", refuse)
-    # the patches are live: a basis with no pivot square reaches them
+    # the patch is live: a basis with no pivot square reaches it
     with pytest.raises(AssertionError, match="general routine reached"):
         torsion_size(lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)]))
     # nor does verify put any witness into Hermite form

@@ -5,6 +5,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -333,6 +334,44 @@ def test_closure_and_torsion_match_reference_on_copied_squares():
     # rigid and multiplicative, rigid and not, and not rigid; a lattice that
     # is not rigid is never multiplicative
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _hermite_bases_in_a_box(ambient, rank):
+    """Every canonical Hermite basis of the given rank in Z^ambient with
+    pivots in 1..2: each entry above a pivot in [0, pivot), each other entry
+    right of its row's lead in [-2, 2]."""
+    for leads in itertools.combinations(range(ambient), rank):
+        cells = [(i, j) for i, lead in enumerate(leads)
+                 for j in range(lead + 1, ambient)]
+        for pivots in itertools.product((1, 2), repeat=rank):
+            boxes = [range(pivots[leads.index(j)]) if j in leads
+                     else range(-2, 3) for _, j in cells]
+            for values in itertools.product(*boxes):
+                rows = [[0] * ambient for _ in leads]
+                for i, lead in enumerate(leads):
+                    rows[i][lead] = pivots[i]
+                for (i, j), x in zip(cells, values):
+                    rows[i][j] = x
+                yield tuple(map(tuple, rows))
+
+
+def test_closure_is_decided_by_the_pivot_square_alone():
+    # the theorem `is_multiplicative` rests on, over a whole box: a basis
+    # with no pivot square is never multiplicative by the reference, so
+    # deciding closure on the square alone gives the reference's verdict
+    # on every basis
+    seen = Counter()
+    for ambient in range(1, 5):
+        for rank in range(min(ambient, 3) + 1):
+            for basis in _hermite_bases_in_a_box(ambient, rank):
+                lat = Lattice(ambient, basis)
+                mult = is_mult_ref(basis)
+                square = _pivot_square(basis) is not None
+                assert square or not mult, basis
+                assert is_multiplicative(lat) == mult, basis
+                seen[square, mult] += 1
+    assert sum(seen.values()) == 10_130
+    assert set(seen) == {(True, True), (True, False), (False, False)}
 
 
 def _canonical_squares(size, top):

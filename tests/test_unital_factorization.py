@@ -10,17 +10,18 @@ blocks, S(n+k, n) of them, so
     #{L in census(n+k, k, r) : (1, ..., 1) in L} = S(n+k, n) * count_unital(n, r).
 
 Both sides are checked here on every cell with n <= 3, k <= 3,
-1 <= n+k <= 5 and r <= 8, with membership decided by solving against the
-basis (`solve_in_row_span`) rather than by either engine. No library code
-states this form; the census, the Stirling numbers and `count_unital` are
-the package's own.
+1 <= n+k <= 5 and r <= 8, with membership decided by the reference's
+rational elimination (`refimpl.int_membership`), which shares no code with
+the package. No library code states this form; the census, the Stirling
+numbers and `count_unital` are the package's own.
 """
 
 import pytest
 
 from multlat.enumeration import count_unital, decompose, enumerate_corank_oracle
-from multlat.intlinalg import solve_in_row_span
 from multlat.partitions import stirling2
+
+from refimpl import int_membership
 
 CELLS = [(n, k) for n in range(4) for k in range(4) if 1 <= n + k <= 5]
 TORSIONS = range(1, 9)
@@ -31,7 +32,7 @@ def contains_ones(lat):
     if lat.rank == 0:
         # the zero lattice; only Z^0 has its ones vector, (), in it
         return lat.ambient_dim == 0
-    return solve_in_row_span(lat.basis, (1,) * lat.ambient_dim) is not None
+    return int_membership(lat.basis, (1,) * lat.ambient_dim)
 
 
 @pytest.mark.parametrize("n, k", CELLS)
