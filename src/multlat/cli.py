@@ -2,16 +2,22 @@
 
 Every subcommand writes data rows to stdout and everything else (progress,
 wall-time footers, counterexamples, warnings) to stderr, so captured stdout
-is byte-stable across --jobs settings and across cold/warm cache runs.
-Exit codes: 0 success, 1 verification failure, 2 budget, usage, I/O or
-cache-conflict error, 3 internal error (a self-check of the engines failed,
-which is a bug, not a verdict on the formula). A subcommand takes only the
-options it reads: all take --format, all but partitions --jobs and --budget,
-all but partitions and series --cache. Any other option, and any number
-below its least value, is rejected while the arguments are parsed (exit 2),
-before anything is written to stdout: below 1 for --jobs, --budget, --r,
---torsion, --r-max and the --n of partitions and series, below 0 for every
-other --n, --k, --ambient and --corank.
+is byte-stable across cold/warm cache runs, and across --jobs settings for
+every run that completes. --budget caps each shard's steps, and a shard
+owns a share of the census's first-level leads, never more steps than the
+whole census: a run that completes at --jobs 1 completes, with the same
+stdout, at every --jobs, while a run that a budget stops at --jobs 1 may
+complete at --jobs N. Exit codes: 0 success, 1 verification failure, 2
+budget, usage, I/O or cache-conflict error, or a request too deep or too
+large for the process (RecursionError, MemoryError), 3 internal error (a
+self-check of the engines failed, which is a bug, not a verdict on the
+formula). A subcommand takes only the options it reads: all take
+--format, all but partitions --jobs and --budget, all but partitions and
+series --cache. Any other option, and any number below its least value,
+is rejected while the arguments are parsed (exit 2), before anything is
+written to stdout: below 1 for --jobs, --budget, --r, --torsion, --r-max
+and the --n of partitions and series, below 0 for every other --n, --k,
+--ambient and --corank.
 
 The counting engines (`enumeration`, and `partitions` for the partition
 listing) are imported when the first cell has to be computed, not when this
@@ -283,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "process per core (default 1)")
     engine.add_argument("--budget", type=_positive, metavar="STEPS",
                         help="steps per shard: one per lead, pivot-column "
-                             "entry or off-pivot column tried (co-rank 0 "
-                             "has no off-pivot columns)")
+                             "entry or off-pivot column tried. A run that "
+                             "completes at --jobs 1 completes at any "
+                             "--jobs; one it stops may complete at more")
 
     parser = argparse.ArgumentParser(
         prog="multlat",
@@ -354,6 +361,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except CacheConflict as exc:
         print(f"cache error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # a request too deep or too large for this process is a limit of
+        # the request, not a failed self-check
+        print(f"resource error: {exc!r}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         # after the cache subclass, what is left comes from an engine, so

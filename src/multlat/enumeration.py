@@ -14,23 +14,26 @@ times the census at co-rank 0, cell by cell.
 
 The worker grows a Hermite basis by one row closed under products at a
 time (`_closed_extensions`), so a partial basis is dropped as soon as its
-rows are not closed; a shard takes its share of the top level's extensions
-by slicing their list. Each lead is a divisor of the torsion left over,
-the last lead being the quotient itself. `_run_shards` answers rank 0,
-runs the shards, sorts their bases and rejects a repeat, and `_lattices`
-turns the bases of both engines into validated Lattices. One `_reverify`
-checks either census through the lattice predicates alone
-(`is_multiplicative`, `torsion_size`), once per lattice at full rank and
-once per pivot square otherwise. The verifier (`_verify`) takes each
-cell's census, as bases, and its full-rank lattices once and makes one
-pass over the census (`_witness_faults`): it places each witness on the
-full-rank lattice that is its pivot square, by its own map carried back to
-that lattice, which proves the witness canonical without the Lattice
-constructor, and builds and re-verifies only a stray, a witness with no
-such lattice, which fails the cell. A cell that fails on its count alone
-is searched on the lattices already taken, and only on the full-rank
-lattices that hold other than the Stirling factor of witnesses. Its
-outcome is a VerificationReport, a NamedTuple as `cache.CountRecord` is.
+rows are not closed, and walks depth first, into each extension as it is
+returned. A shard owns every jobs-th lead of the first level and builds
+only the subtrees of its own leads, so no shard builds another's rows.
+Each lead is a divisor of the torsion left over, taken from one list of
+the torsion's divisors, the last lead being the quotient itself.
+`_run_shards` answers rank 0, runs the shards, sorts their bases and
+rejects a repeat, and `_lattices` turns the bases of both engines into
+validated Lattices. One `_reverify` checks either census through the
+lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
+lattice at full rank and once per pivot square otherwise. The verifier
+(`_verify`) takes each cell's census, as bases, and its full-rank
+lattices once and makes one pass over the census (`_witness_faults`): it
+places each witness on the full-rank lattice that is its pivot square, by
+its own map carried back to that lattice, which proves the witness
+canonical without the Lattice constructor, and builds and re-verifies only
+a stray, a witness with no such lattice, which fails the cell. A cell
+that fails on its count alone is searched on the lattices already taken,
+and only on the full-rank lattices that hold other than the Stirling
+factor of witnesses. Its outcome is a VerificationReport, a NamedTuple as
+`cache.CountRecord` is.
 
 Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
 once the per-shard budget is crossed, so an oversized request dies loudly
@@ -123,7 +126,10 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     process and takes its result as the census, and more jobs run jobs
     shards, each with its own budget, in a fork pool of min(jobs,
     os.cpu_count()) processes, and join their results once; pickling keeps
-    the shared rows shared within a shard. The census is sorted in place.
+    the shared rows shared within a shard. A shard owns leads: shard s
+    builds the subtrees of the first-level leads s, s + jobs, ... and
+    nothing else, so the shards' steps sum to the steps of jobs = 1, and no
+    shard takes more steps than that total. The census is sorted in place.
     A basis found twice, in one shard or two, is an internal error: the
     worker builds every lattice once, and the sort puts copies next to each
     other, so comparing each basis with the next finds every repeat.
@@ -181,11 +187,11 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
     built from the last row up and dropped at the first row whose span with
     the rows below is not closed under coordinatewise products; the budget
     counts one step per lead or entry tried, as every column right of a
-    lead is a pivot. jobs shards the last rows round-robin. Each lattice
-    appears exactly once, a repeat being an internal error; the result is
-    sorted by basis. Each lattice is its own pivot square, so unlike the
-    co-rank census it is re-verified (`_reverify`) lattice by lattice. Z^0
-    is the one lattice at n = 0, of index 1.
+    lead is a pivot. jobs shards the last rows' leads round-robin. Each
+    lattice appears exactly once, a repeat being an internal error; the
+    result is sorted by basis. Each lattice is its own pivot square, so
+    unlike the co-rank census it is re-verified (`_reverify`) lattice by
+    lattice. Z^0 is the one lattice at n = 0, of index 1.
     """
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
@@ -213,15 +219,10 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     (`intlinalg._in_span`). For n = 0 the empty product convention makes
     Z^0 itself the single subring, of index 1.
     """
+    lats = enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
-    pivots = list(range(n))
-    lats = enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget)
-    count = 0
-    for lat in lats:
-        if _in_span(lat.basis, pivots, ones, n):
-            count += 1
-    return count
+    return sum(_in_span(lat.basis, range(n), ones, n) for lat in lats)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +319,15 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
     rows built so far span L cut down to a coordinate section and
     `_in_span` decides membership in that span by exact division. New rows
-    come from `_closed_extensions`, starting from the empty prefix (); each
+    come from `_closed_extensions`, starting from the empty prefix (), and
+    the worker recurses into each as it is returned, depth first; each
     child's pivot list is built once per lead column q and shared by every
-    child pivoting there. The shard takes every jobs-th first row from the
-    shard-th on. A complete basis, newest row first, is the canonical
-    Hermite basis of rev(L), L with its coordinates reversed, and is
-    appended as built: each row is a tuple made once, so the bases that
+    child pivoting there. The shard owns leads: at the first level it tries
+    every jobs-th lead from the shard-th on, at every lead column, and
+    below them every lead, so it builds the subtrees of its own leads and
+    no row of another shard's. A complete basis, newest row first, is the
+    canonical Hermite basis of rev(L), L with its coordinates reversed, and
+    is appended as built: each row is a tuple made once, so the bases that
     extend one prefix hold that prefix's row objects, not copies of them.
 
     Every prefix that `_closed_extensions` returns spans a multiplicative
@@ -333,6 +337,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     torsion r. Level i therefore tries as leads only the divisors of the
     torsion left over, r over the lead product so far, and the last level
     tries that quotient alone, which completes r; no torsion is tested.
+    The torsion left over divides r, so its divisors are read off one list
+    of r's divisors, found once per worker by trial division up to isqrt(r).
     Off-pivot entries are the integer roots that `_closed_extensions` solves
     for, at one step per column, so nothing in the scan needs a bound. At
     co-rank 0 each level has one lead column, q_i = ambient - 1 - i, and
@@ -345,24 +351,23 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     n = ambient - corank
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
+    low = [d for d in range(1, isqrt(torsion) + 1) if torsion % d == 0]
+    divisors = low + [torsion // d for d in reversed(low) if d * d != torsion]
 
     def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int], left: int,
                start: int = 0, step: int = 1) -> None:
-        # the level takes every step-th extension from the start-th on;
+        # the level takes every step-th lead from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
         last = len(hnf) == n - 1
         leads = ([left] if last else
-                 [d for d in range(1, left + 1) if left % d == 0])
-        rows = []
+                 [d for d in divisors if left % d == 0])[start::step]
         for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
             below = [q] + pivots
-            rows += [(h2, below) for h2 in _closed_extensions(
-                hnf, pivots, q, leads, ambient, steps)]
-        for h2, below in rows[start::step]:
-            if last:
-                found.append(h2)
-            else:
-                extend(h2, below, left // h2[0][below[0]])
+            for h2 in _closed_extensions(hnf, pivots, q, leads, ambient, steps):
+                if last:
+                    found.append(h2)
+                else:
+                    extend(h2, below, left // h2[0][q])
 
     extend((), [], torsion, shard, jobs)
     return found
@@ -401,8 +406,9 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
 
     No pivot or entry reaches a bound, so the scan takes none. The budget
     counts steps per worker, one per lead, per entry tried in a pivot
-    column and per off-pivot column. jobs shards the first rows whose
-    square closes, round-robin.
+    column and per off-pivot column. jobs shards the first-level leads
+    round-robin, and a shard owns its leads' subtrees: the shards' steps
+    sum to those of jobs = 1.
     """
     lats = _lattices(ambient, _census(ambient, corank, torsion, jobs=jobs,
                                       budget=budget))

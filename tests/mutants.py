@@ -171,6 +171,18 @@ MUTANTS = (
         "enumerate((zero, *distinct))",
         "enumerate((*distinct, zero))",
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
+    Mutant(
+        "shards-take-every-lead", "src/multlat/enumeration.py",
+        "if left % d == 0])[start::step]",
+        "if left % d == 0])",
+        ("tests/test_enumeration.py::"
+         "test_shards_own_leads_so_their_steps_sum_to_one_shard",
+         "tests/test_enumeration.py::test_corank_scan_jobs_split_agrees")),
+    Mutant(
+        "divisors-stop-below-the-root", "src/multlat/enumeration.py",
+        "range(1, isqrt(torsion) + 1)",
+        "range(1, isqrt(torsion))",
+        ("tests/test_enumeration.py::test_budget_counts_divisor_leads",)),
 )
 
 

@@ -411,6 +411,65 @@ def test_verify_deposits_oracle_counts(tmp_path, capsys):
     assert out.splitlines()[1] == "2,1,2,oracle,18,ok"
 
 
+def test_a_huge_torsion_stops_on_its_budget(capsys):
+    # the leads come from one list of the torsion's divisors, found by
+    # trial division up to its square root, so a budget of 10 stops a
+    # torsion of 10^12 within a second
+    for argv in (["count", "--n", "2", "--r", "1000000000000"],
+                 ["count-corank", "--ambient", "3", "--corank", "1",
+                  "--torsion", "1000000000000"]):
+        rc, out, err = run_main(capsys, argv + ["--budget", "10",
+                                                "--format", "csv"])
+        assert rc == 2
+        assert out.splitlines()[1].endswith(",1000000000000,oracle,,incomplete")
+        assert "1 incomplete" in err
+
+
+def test_a_budget_that_completes_at_one_job_completes_at_every_jobs(capsys):
+    # a shard owns a share of the leads and never takes more steps than
+    # the whole census, 540 here: the budget that completes at --jobs 1
+    # completes with the same bytes at every --jobs. Each shard has its
+    # own budget, so one that stops --jobs 1 may let --jobs 2 complete
+    argv = ["count-corank", "--ambient", "4", "--corank", "1", "--torsion",
+            "4", "--format", "csv"]
+    outs = set()
+    for jobs in ("1", "2", "3"):
+        rc, out, _ = run_main(capsys, argv + ["--budget", "540",
+                                              "--jobs", jobs])
+        assert rc == 0
+        outs.add(out)
+    assert outs == {"n,k,r,method,count,status\n3,1,4,oracle,130,ok\n"}
+    rc, out, _ = run_main(capsys, argv + ["--budget", "400"])
+    assert rc == 2 and out.splitlines()[1] == "3,1,4,oracle,,incomplete"
+    rc, out, _ = run_main(capsys, argv + ["--budget", "400", "--jobs", "2"])
+    assert rc == 0 and out.splitlines()[1] == "3,1,4,oracle,130,ok"
+
+
+@pytest.mark.parametrize("argv", [
+    ["partitions", "--n", "1", "--k", "2000"],
+    ["count-corank", "--ambient", "2000", "--corank", "1999", "--torsion",
+     "1"],
+])
+def test_a_request_too_deep_exits_two(capsys, argv):
+    # RecursionError is a RuntimeError, yet the limit is the request's,
+    # not a failed self-check: exit 2 with one line, no traceback
+    rc, _, err = run_main(capsys, argv)
+    assert rc == 2
+    assert err.startswith("resource error: RecursionError(")
+    assert err.count("\n") == 1
+
+
+def test_a_request_too_large_exits_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(enumeration, "_census", exhausted)
+    rc, _, err = run_main(
+        capsys, ["verify", "--n", "2", "--k", "1", "--r", "2"])
+    assert rc == 2
+    assert err == "resource error: MemoryError()\n"
+
+
 def test_budget_error_exits_two_in_a_fresh_interpreter():
     # the engines are imported by the command, not with the cli module
     proc = run_cli(["verify", "--n", "3", "--k", "0", "--r", "8",

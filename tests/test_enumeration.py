@@ -469,6 +469,24 @@ def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
             run(used - 1)
 
 
+def test_shards_own_leads_so_their_steps_sum_to_one_shard(step_totals):
+    # a shard builds only the subtrees of its own first-level leads, so
+    # the shards of a co-rank, a full-rank and a rank-1 census take every
+    # step of the unsharded census once between them; at rank 1 the one
+    # lead is shard 0's, and the other shards take no step
+    for ambient, corank, torsion in ((4, 1, 4), (3, 0, 8), (3, 2, 4)):
+        step_totals.clear()
+        whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9))
+        total = step_totals[0].used
+        for jobs in (2, 3):
+            step_totals.clear()
+            shards = [_corank_worker((ambient, corank, torsion, shard, jobs,
+                                      10 ** 9)) for shard in range(jobs)]
+            assert sum(steps.used for steps in step_totals) == total, \
+                (ambient, corank, torsion, jobs)
+            assert sorted(itertools.chain(*shards)) == sorted(whole)
+
+
 def test_budget_large_enough_changes_nothing():
     small = enumerate_corank_oracle(2, 1, 3, budget=10_000)
     assert small == enumerate_corank_oracle(2, 1, 3)
