@@ -18,22 +18,24 @@ rows are not closed, and walks depth first, into each extension as it is
 returned. A shard owns every jobs-th lead of the first level and builds
 only the subtrees of its own leads, so no shard builds another's rows.
 Each lead is a divisor of the torsion left over, taken from one list of
-the torsion's divisors, the last lead being the quotient itself.
+the torsion's divisors, the last lead being the quotient itself. The
+recursive closures of the worker empty their own cells when they return,
+so no reference cycle keeps a census alive: reference counting frees it.
 `_run_shards` answers rank 0, runs the shards, sorts their bases and
 rejects a repeat, and `_lattices` turns the bases of both engines into
 validated Lattices. One `_reverify` checks either census through the
 lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
 lattice at full rank and once per pivot square otherwise. The verifier
-(`_verify`) takes each cell's census, as bases, and its full-rank
-lattices once and makes one pass over the census (`_witness_faults`): it
-places each witness on the full-rank lattice that is its pivot square, by
-its own map carried back to that lattice, which proves the witness
-canonical without the Lattice constructor, and builds and re-verifies only
-a stray, a witness with no such lattice, which fails the cell. A cell
-that fails on its count alone is searched on the lattices already taken,
-and only on the full-rank lattices that hold other than the Stirling
-factor of witnesses. Its outcome is a VerificationReport, a NamedTuple as
-`cache.CountRecord` is.
+(`_verify`) takes each cell's census, as bases, and its full-rank lattices
+once and makes one pass over the census (`_witness_faults`): it places
+each witness on the full-rank lattice that is its pivot square, by its own
+map's column labels carrying that lattice's rows back to it, which proves
+the witness canonical with no map built and without the Lattice
+constructor, and builds and re-verifies only a stray, a witness with no
+such lattice, which fails the cell. A cell that fails on its count alone
+is searched on the lattices already taken, and only on the full-rank
+lattices that hold other than the Stirling factor of witnesses. Its
+outcome is a VerificationReport, a NamedTuple as `cache.CountRecord` is.
 
 Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
 once the per-shard budget is crossed, so an oversized request dies loudly
@@ -302,10 +304,15 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
                 else:
                     fill(j + 1, d, acc)
 
-    for d in leads:
-        steps.spend(1)
-        v[q] = d
-        fill(q + 1, d, [0] * ambient)
+    try:
+        for d in leads:
+            steps.spend(1)
+            v[q] = d
+            fill(q + 1, d, [0] * ambient)
+    finally:
+        # fill calls itself through its own closure cell; emptying the cell
+        # breaks that cycle, so fill and its lists are freed at return
+        del fill
     return out
 
 
@@ -338,7 +345,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     torsion left over, r over the lead product so far, and the last level
     tries that quotient alone, which completes r; no torsion is tested.
     The torsion left over divides r, so its divisors are read off one list
-    of r's divisors, found once per worker by trial division up to isqrt(r).
+    of r's divisors, found once per worker from r's factorization
+    (`_divisors`).
     Off-pivot entries are the integer roots that `_closed_extensions` solves
     for, at one step per column, so nothing in the scan needs a bound. At
     co-rank 0 each level has one lead column, q_i = ambient - 1 - i, and
@@ -351,8 +359,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     n = ambient - corank
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
-    low = [d for d in range(1, isqrt(torsion) + 1) if torsion % d == 0]
-    divisors = low + [torsion // d for d in reversed(low) if d * d != torsion]
+    divisors = _divisors(torsion)
 
     def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int], left: int,
                start: int = 0, step: int = 1) -> None:
@@ -369,8 +376,39 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
                 else:
                     extend(h2, below, left // h2[0][q])
 
-    extend((), [], torsion, shard, jobs)
+    try:
+        extend((), [], torsion, shard, jobs)
+    finally:
+        # as in `_closed_extensions`: no cycle keeps extend, or the census
+        # through found, alive past return
+        del extend
     return found
+
+
+def _divisors(r: int) -> list[int]:
+    """The divisors of r >= 1, ascending.
+
+    Trial division divides each prime out of r as it finds it, multiplying
+    the divisors found so far by each of its powers, and stops once the
+    square of the next trial exceeds what is left, which is then 1 or a
+    prime. So the cost is set by r's second-largest prime factor and the
+    square root of its largest: small for a torsion made of small primes,
+    whatever its size, and O(sqrt(p)) for one with a large prime factor p.
+    """
+    divisors = [1]
+    p = 2
+    while p * p <= r:
+        if r % p == 0:
+            powers = divisors
+            while r % p == 0:
+                r //= p
+                powers = [d * p for d in powers]
+                divisors += powers
+        p += 1
+    if r > 1:
+        divisors += [d * r for d in divisors]
+    divisors.sort()
+    return divisors
 
 
 def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
@@ -467,10 +505,11 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     (`lattice._pivot_square`), the core L, and the ordered acceptable map g
     labels each column of lat by its position among them (`_labels`), so g
     copies the square's columns to where they occur in lat, with
-    apply_map(g, L) == lat; `_place` builds g and checks that. The pair is
-    unique. Closure is tested on L, a full-rank basis and so its own pivot
-    square (`_square_closed`); any other column count means no square, so
-    no closure. Raises ValueError on non-multiplicative input.
+    apply_map(g, L) == lat; `_place` reads g's assignment off the columns
+    and checks that on rows. The pair is unique. Closure is tested on L, a
+    full-rank basis and so its own pivot square (`_square_closed`); any
+    other column count means no square, so no closure. Raises ValueError
+    on non-multiplicative input.
 
     L is stored without the constructor (`Lattice._trusted`): lat's basis
     is a validated canonical one, so its pivot columns are distinct and
@@ -478,70 +517,80 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     are exactly those, in pivot order, as the columns left of a pivot are
     zero from that pivot's row down. L is then upper triangular with lat's
     positive pivots on its diagonal and the entries above them, already
-    reduced, in its rows, all ints: the shape the constructor checks.
+    reduced, in its rows, all ints: the shape the constructor checks. g,
+    its assignment alone, is stored without the constructor too
+    (`AcceptableMap._trusted`), as `_place` proves it acceptable.
     """
     columns, distinct = _columns(lat.basis, lat.ambient_dim)
     if len(distinct) == lat.rank:
         core = Lattice._trusted(lat.rank, tuple(zip(*distinct)))
         if _square_closed(core.basis):
-            return _place(lat.basis, columns, core, _labels(distinct)), core
+            assignment = _place(lat.basis, columns,
+                                [(0,) + row for row in core.basis],
+                                _labels(distinct))
+            return AcceptableMap._trusted(tuple(assignment)), core
     raise ValueError("lattice is not multiplicative")
 
 
 def _labels(distinct: tuple[tuple[int, ...], ...]
             ) -> dict[tuple[int, ...], int]:
     """The label of each column an ordered map copies from a full-rank core
-    whose columns are distinct: 0 for the zero column, i for the i-th."""
+    whose columns are distinct: 0 for the zero column, i for the i-th. It is
+    also the column's index in a core row padded with a leading 0
+    (`partitions._transport_rows`), 0 picking the pad."""
     zero = (0,) * len(distinct)
     return {col: i for i, col in enumerate((zero, *distinct))}
 
 
 def _place(basis: tuple[tuple[int, ...], ...],
-           columns: list[tuple[int, ...]], core: Lattice,
-           labels: dict[tuple[int, ...], int]) -> AcceptableMap:
-    """The ordered map that labels the columns of basis as the core's
-    (`_labels`), checked by re-application on rows: the core rows carried
-    through the map must be basis. The core's rows are a canonical Hermite
-    basis and an ordered map carries them to one (the proof is in
-    `partitions.apply_map`, which stores that image unchecked), so this is
-    the same test as apply_map(g, core) == Lattice(len(columns), basis)
-    without building either lattice.
+           columns: list[tuple[int, ...]],
+           padded: list[tuple[int, ...]],
+           labels: dict[tuple[int, ...], int]) -> list[int]:
+    """The assignment of the ordered map that labels the columns of basis
+    as the core's (`_labels`), as a list, checked by re-application on
+    rows: the core's rows, each padded with a leading 0 (padded), carried
+    through it (`_transport_rows`) must be basis. The core's rows are a
+    canonical Hermite basis and an ordered map carries them to one (the
+    proof is in `partitions.apply_map`, which stores that image unchecked),
+    so this is the same test as apply_map(g, core) == Lattice(len(columns),
+    basis) without building the map or either lattice.
 
     labels holds the core's distinct columns, which are also the distinct
-    nonzero columns of basis, so every column has a label in 0..rank and
-    every label from 1 to rank is used: g, which is its assignment alone,
-    is stored without the constructor (`AcceptableMap._trusted`).
+    nonzero columns of basis, so every column has an int label in 0..rank
+    and every label from 1 to rank is used: the labels are the assignment
+    of an acceptable map.
     """
-    g = AcceptableMap._trusted(tuple([labels[col] for col in columns]))
-    if _transport_rows(g, core.basis) != basis:
+    assignment = [labels[col] for col in columns]
+    if _transport_rows(assignment, padded) != basis:
         raise RuntimeError("internal: decomposition does not reproduce the lattice")
-    return g
+    return assignment
 
 
 def _witness_faults(ambient: int,
                     witnesses: Iterable[tuple[tuple[int, ...], ...]],
-                    cores: dict[tuple, tuple[Lattice, dict, list]],
+                    cores: dict[tuple, tuple[list, dict, list]],
                     rank: int, r: int) -> Iterator[Optional[str]]:
     """Why each witness basis of Z^ambient breaks the factorization, or
     None, in order.
 
-    cores holds each full-rank lattice under its key, its columns
-    (`lattice._columns`), with its column labels (`_labels`) and a list of
-    the witness bases placed on it. A witness's key is its distinct nonzero
-    columns in order of first use, for a rigid basis its pivot square's
-    columns. A witness of rank rows and ambient columns with a core's key
-    must be that core carried by its own ordered map (`_place`, which raises
-    if it is not); it then equals a canonical Hermite basis with that core
-    as its square, so the same rank, closure verdict and torsion, which the
-    full-rank census re-verified, and it joins the core's list without the
-    Lattice constructor. Equal as a value: an entry True or 1.0 compares
-    equal to 1, and only the constructor, which `_verify` runs on every
-    witness it returns, refuses it. Any other witness is a stray: it is
-    validated (`_lattices`) and re-verified on its own basis (`_reverify`),
-    which raise RuntimeError on an invalid basis, the wrong rank, a lattice
-    not closed under products, one with no pivot square among them, or the
-    wrong torsion; it then gives "censused but not reachable through any
-    map".
+    cores holds, under each full-rank lattice's key, its columns
+    (`lattice._columns`), the lattice's rows each padded with a leading 0,
+    its column labels (`_labels`) and a list of the witness bases placed on
+    it. A witness's key is its distinct nonzero columns in order of first
+    use, for a rigid basis its pivot square's columns. A witness of rank
+    rows and ambient columns with a core's key must be that core carried
+    through its own column labels, the assignment of its own ordered map
+    (`_place`, which raises if it is not); it then equals a canonical
+    Hermite basis with that core as its square, so the same rank, closure
+    verdict and torsion, which the full-rank census re-verified, and it
+    joins the core's list with no map or Lattice built. Equal as a value: an
+    entry True or 1.0 compares equal to 1, and only the constructor, which
+    `_verify` runs on every witness it returns, refuses it. Any other
+    witness is a stray: it is validated (`_lattices`) and re-verified on its
+    own basis (`_reverify`), which raise RuntimeError on an invalid basis,
+    the wrong rank, a lattice not closed under products, one with no pivot
+    square among them, or the wrong torsion; it then gives "censused but not
+    reachable through any map".
     """
     for basis in witnesses:
         columns, key = _columns(basis, ambient)
@@ -551,8 +600,8 @@ def _witness_faults(ambient: int,
             _reverify(_lattices(ambient, [basis]), rank, r)
             yield "censused but not reachable through any map"
             continue
-        core, labels, placed = known
-        _place(basis, columns, core, labels)
+        padded, labels, placed = known
+        _place(basis, columns, padded, labels)
         placed.append(basis)
         yield None
 
@@ -570,7 +619,7 @@ def verify_corank_factorization(n: int, k: int, r: int,
     One pass over the census (`_witness_faults`) places each witness on the
     full-rank lattice that is its pivot square, whose rank, closure and
     torsion its census re-verified (`_reverify`); each witness's own map is
-    still built from its columns and re-applied to that lattice, which
+    still read off its columns and re-applied to that lattice, which
     proves the witness canonical. A witness with no such lattice is
     validated and re-verified on its own and fails the cell. The census is
     taken as bases, without the oracle's own validation and re-verification,
@@ -609,7 +658,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
     keys = [_columns(core.basis, n)[1] for core in cores]
-    keyed = {key: (core, _labels(key), []) for key, core in zip(keys, cores)}
+    keyed = {key: ([(0,) + row for row in core.basis], _labels(key), [])
+             for key, core in zip(keys, cores)}
     formula_count = stirling_factor * len(cores)
     found = None
     for basis, fault in zip(witnesses, _witness_faults(ambient, witnesses,
@@ -628,8 +678,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     )
     if passed or found is not None:
         return report, found
-    suspects = [(core, placed) for core, _, placed in keyed.values()
-                if len(placed) != stirling_factor]
+    suspects = [(core, placed) for core, (_, _, placed)
+                in zip(cores, keyed.values()) if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
                for core, _ in suspects]
     census = set(_lattices(ambient, [basis for _, placed in suspects

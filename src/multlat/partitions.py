@@ -21,7 +21,7 @@ as the shape of the map.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import Lattice, _Frozen, lattice_from_rows
 
@@ -115,22 +115,23 @@ def map_to_partition(g: AcceptableMap) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(b) for b in groups.values()))
 
 
-def _transport_rows(g: AcceptableMap, rows: Sequence[tuple[int, ...]]
+def _transport_rows(assignment: Sequence[int],
+                    padded: Iterable[tuple[int, ...]]
                     ) -> tuple[tuple[int, ...], ...]:
-    """Each row carried coordinate by coordinate through the map g.
+    """Each row, padded with a leading 0, carried coordinate by coordinate
+    through a map's assignment.
 
-    Entry j of an image row is row[a - 1] for a = g.assignment[j], or 0 when
-    a is 0. One index list serves every row: a - 1 is -1 for a zeroed
-    coordinate, which picks the 0 appended to the row. With two or more
-    target coordinates one `itemgetter` picks a row's entries as a tuple;
-    with fewer it would return a bare entry or refuse, so those rows are
-    picked one index at a time.
+    Entry j of an image row is row[a] for a = assignment[j]: with the pad
+    in front, source coordinate a sits at index a of the padded row, and a
+    zeroed coordinate's 0 picks the pad, so the assignment is its own index
+    list and serves every row. With two or more target coordinates one
+    `itemgetter` picks a row's entries as a tuple; with fewer it would
+    return a bare entry or refuse, so those rows are picked one index at a
+    time.
     """
-    idx = [a - 1 for a in g.assignment]
-    if len(idx) < 2:
-        return tuple(tuple([(row + (0,))[i] for i in idx]) for row in rows)
-    pick = itemgetter(*idx)
-    return tuple([pick(row + (0,)) for row in rows])
+    if len(assignment) < 2:
+        return tuple([tuple([row[a] for a in assignment]) for row in padded])
+    return tuple(map(itemgetter(*assignment), padded))
 
 
 def _is_ordered(assignment: tuple[int, ...]) -> bool:
@@ -149,11 +150,12 @@ def _is_ordered(assignment: tuple[int, ...]) -> bool:
 def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
     """Image of a full-rank lattice under an acceptable map.
 
-    Each basis row is transported through g (`_transport_rows`); the image has
-    the same rank inside Z^target_dim. For an ordered map (`_is_ordered`)
-    the image rows are already the canonical Hermite basis of the image,
-    and they are stored without the constructor (`Lattice._trusted`). Say
-    label i + 1 first appears at target coordinate f_i, so f_0 < f_1 < ...
+    Each basis row, padded with a leading 0, is carried through g's
+    assignment (`_transport_rows`); the image has the same rank inside
+    Z^target_dim. For an ordered map (`_is_ordered`) the image rows are
+    already the canonical Hermite basis of the image, and they are stored
+    without the constructor (`Lattice._trusted`). Say label i + 1 first
+    appears at target coordinate f_i, so f_0 < f_1 < ...
     Left of f_i every label is at most i, and lat's basis is upper
     triangular, so image row i is zero there: it leads at f_i with lat's
     pivot i, which is positive, and the leads strictly increase. The entry
@@ -167,7 +169,7 @@ def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
         raise ValueError("lattice ambient dimension must equal the map source")
     if not lat.is_full_rank:
         raise ValueError("apply_map needs a full-rank lattice")
-    rows = _transport_rows(g, lat.basis)
+    rows = _transport_rows(g.assignment, [(0,) + row for row in lat.basis])
     if _is_ordered(g.assignment):
         return Lattice._trusted(g.target_dim, rows)
     return lattice_from_rows(g.target_dim, rows)
@@ -198,7 +200,12 @@ def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[Accepta
             labels[j] = lab
             yield from rec(j + 1, max(used, lab + 1))
 
-    yield from rec(0, 1)
+    try:
+        yield from rec(0, 1)
+    finally:
+        # rec calls itself through its own closure cell; emptying the cell
+        # breaks that cycle, so rec is freed when the listing ends
+        del rec
 
 
 def map_to_string(g: AcceptableMap) -> str:

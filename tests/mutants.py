@@ -84,13 +84,13 @@ MUTANTS = (
         ("tests/test_intlinalg.py",)),
     Mutant(
         "place-drops-reapplication-check", "src/multlat/enumeration.py",
-        "    if _transport_rows(g, core.basis) != basis:\n",
+        "    if _transport_rows(assignment, padded) != basis:\n",
         "    if False:\n",
         ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
     Mutant(
         "transport-picks-a-for-a-minus-1", "src/multlat/partitions.py",
-        "idx = [a - 1 for a in g.assignment]",
-        "idx = [a for a in g.assignment]",
+        "[(0,) + row for row in lat.basis]",
+        "[row + (0,) for row in lat.basis]",
         ("tests/test_partitions.py::test_apply_map_diagonal_example",)),
     Mutant(
         "ordered-maps-keep-unfinished-strings", "src/multlat/partitions.py",
@@ -172,6 +172,12 @@ MUTANTS = (
         "enumerate((*distinct, zero))",
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
     Mutant(
+        "verify-pads-core-rows-at-the-end", "src/multlat/enumeration.py",
+        "keyed = {key: ([(0,) + row for row in core.basis],",
+        "keyed = {key: ([row + (0,) for row in core.basis],",
+        ("tests/test_enumeration.py::"
+         "test_witness_pass_matches_per_witness_checks",)),
+    Mutant(
         "shards-take-every-lead", "src/multlat/enumeration.py",
         "if left % d == 0])[start::step]",
         "if left % d == 0])",
@@ -180,9 +186,11 @@ MUTANTS = (
          "tests/test_enumeration.py::test_corank_scan_jobs_split_agrees")),
     Mutant(
         "divisors-stop-below-the-root", "src/multlat/enumeration.py",
-        "range(1, isqrt(torsion) + 1)",
-        "range(1, isqrt(torsion))",
-        ("tests/test_enumeration.py::test_budget_counts_divisor_leads",)),
+        "    while p * p <= r:\n",
+        "    while p * p < r:\n",
+        ("tests/test_enumeration.py::test_budget_counts_divisor_leads",
+         "tests/test_enumeration.py::"
+         "test_divisors_from_the_factorization_match_trial_division")),
 )
 
 

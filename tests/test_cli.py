@@ -412,16 +412,18 @@ def test_verify_deposits_oracle_counts(tmp_path, capsys):
 
 
 def test_a_huge_torsion_stops_on_its_budget(capsys):
-    # the leads come from one list of the torsion's divisors, found by
-    # trial division up to its square root, so a budget of 10 stops a
-    # torsion of 10^12 within a second
+    # the leads come from one list of the torsion's divisors, found from
+    # its factorization, so a budget of 10 stops a torsion of 10^12 within
+    # a second, and one of 10^16 = 2^16 * 5^16, whose square root trial
+    # division would take 10^8 steps to reach, as soon
     for argv in (["count", "--n", "2", "--r", "1000000000000"],
+                 ["count", "--n", "2", "--r", "10000000000000000"],
                  ["count-corank", "--ambient", "3", "--corank", "1",
                   "--torsion", "1000000000000"]):
         rc, out, err = run_main(capsys, argv + ["--budget", "10",
                                                 "--format", "csv"])
         assert rc == 2
-        assert out.splitlines()[1].endswith(",1000000000000,oracle,,incomplete")
+        assert out.splitlines()[1].endswith(f",{argv[-1]},oracle,,incomplete")
         assert "1 incomplete" in err
 
 

@@ -8,6 +8,7 @@ test pass.
 
 import ast
 import functools
+import gc
 import inspect
 import itertools
 import math
@@ -37,6 +38,7 @@ import multlat.lattice as lattice
 from multlat.enumeration import (
     _closed_extensions,
     _corank_worker,
+    _divisors,
     _labels,
     _in_span,
     _Steps,
@@ -420,6 +422,15 @@ def test_budget_counts_divisor_leads():
         enumerate_corank_oracle(2, 0, 4, budget=12)
 
 
+def test_divisors_from_the_factorization_match_trial_division():
+    for r in range(1, 3000):
+        assert _divisors(r) == [d for d in range(1, r + 1) if r % d == 0], r
+    # a torsion of small primes is factored at once, whatever its size:
+    # 10^16 = 2^16 * 5^16 has 17 * 17 divisors
+    big = _divisors(10**16)
+    assert big == sorted({2**i * 5**j for i in range(17) for j in range(17)})
+
+
 def test_full_rank_budget_counts_entries_tried():
     # (2, 4): last-row pivots 1, 2, 4 (3 steps); above each, the forced
     # first pivot 4, 2, 1 (1 step each) and its entry in [0, 1), [0, 2)
@@ -758,9 +769,10 @@ def _full_rank_keys(rank, r):
 
 
 def _keyed(rank, r):
-    # the full-rank lattices of index r under their keys, each with its
-    # column labels and an empty witness list, as the verifier holds them
-    return {key: (core, labels, [])
+    # the full-rank lattices of index r under their keys, each with its rows
+    # padded with a leading 0, its column labels and an empty witness list,
+    # as the verifier holds them
+    return {key: ([(0,) + row for row in core.basis], labels, [])
             for key, core, labels in _full_rank_keys(rank, r)}
 
 
@@ -1161,6 +1173,27 @@ def _names_used(func):
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             | {node.attr for node in ast.walk(tree)
                if isinstance(node, ast.Attribute)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _census(4, 2, 8, jobs=1, budget=None),
+    lambda: enumerate_corank_oracle(4, 2, 8),
+    lambda: enumerate_full_rank_multiplicative(4, 12),
+    lambda: count_unital(5, 12),
+    lambda: _verify(2, 2, 8, jobs=1, budget=None),
+    lambda: list(enumerate_ordered_maps(3, 5)),
+], ids=["census", "corank-oracle", "full-rank", "unital", "verify",
+        "ordered-maps"])
+def test_engine_calls_leave_no_cyclic_garbage(call):
+    # no engine call makes a reference cycle, so reference counting frees
+    # every object it made, a cell's census included, when it returns
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_routes_stay_independent():

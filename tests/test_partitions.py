@@ -337,19 +337,22 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
 
 
 def test_transport_and_apply_map_edge_cases(monkeypatch):
-    # target dimensions 0 and 1, where no itemgetter picks the entries
-    assert _transport_rows(AcceptableMap(()), ()) == ()
+    # target dimensions 0 and 1, where no itemgetter picks the entries; the
+    # rows carry a leading 0, which label 0 picks
+    assert _transport_rows((), ()) == ()
     assert apply_map(AcceptableMap(()), Lattice(0, ())) == Lattice(0, ())
-    assert _transport_rows(AcceptableMap((0,)), ()) == ()
+    assert _transport_rows((0,), ()) == ()
     assert apply_map(AcceptableMap((0,)), Lattice(0, ())) == Lattice(1, ())
-    assert _transport_rows(AcceptableMap((1,)), ((3,),)) == ((3,),)
+    assert _transport_rows((1,), [(0, 3)]) == ((3,),)
+    assert _transport_rows((0,), [(0, 3)]) == ((0,),)
     assert apply_map(AcceptableMap((1,)),
                      Lattice(1, ((3,),))) == Lattice(1, ((3,),))
     # zero-labelled columns pick 0, first, last and between copies
     g = AcceptableMap((0, 1, 0, 2, 0))
     core = Lattice(2, ((2, 1), (0, 3)))
     image_rows = ((0, 2, 0, 1, 0), (0, 0, 0, 3, 0))
-    assert _transport_rows(g, core.basis) == image_rows
+    assert _transport_rows(g.assignment,
+                           [(0, 2, 1), (0, 0, 3)]) == image_rows
     # an ordered map's rows are the image's basis as transported, stored
     # without the constructor and with no Hermite form; an unordered map's
     # rows go through the Hermite form
@@ -364,8 +367,8 @@ def test_transport_and_apply_map_edge_cases(monkeypatch):
     transported = []
     transport = partitions._transport_rows
     monkeypatch.setattr(partitions, "_transport_rows",
-                        lambda g, rows: transported.append(transport(g, rows))
-                        or transported[-1])
+                        lambda assignment, rows: transported.append(
+                            transport(assignment, rows)) or transported[-1])
     image = apply_map(g, core)
     assert image.basis == image_rows and image.basis is transported[-1]
     assert image.ambient_dim == 5

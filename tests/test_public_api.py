@@ -370,7 +370,7 @@ def trusted_builders(source):
 
 # each of these holds, in its docstring, the proof that the constructor
 # would accept what it stores unchecked
-TRUSTED_BUILDERS = {"decompose", "_place", "apply_map"}
+TRUSTED_BUILDERS = {"decompose", "apply_map"}
 
 
 def test_only_the_proved_builds_skip_the_constructor():
