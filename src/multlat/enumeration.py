@@ -27,22 +27,24 @@ validated Lattices. One `_reverify` checks either census through the
 lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
 lattice at full rank and once per pivot square otherwise. The verifier
 (`_verify`) takes each cell's census, as bases, and its full-rank lattices
-once and makes one pass over the census (`_witness_faults`): it places
-each witness on the full-rank lattice that is its pivot square, by its own
-map's column labels carrying that lattice's rows back to it, which proves
+once and makes one pass over the census (`_witness_faults`). One pass
+over a witness's columns (`lattice._column_labels`) keys it to the
+full-rank lattice that is its pivot square and gives its own map's
+assignment, which must carry that lattice's rows back to it: that proves
 the witness canonical with no map built and without the Lattice
-constructor, and builds and re-verifies only a stray, a witness with no
-such lattice, which fails the cell. A cell that fails on its count alone
-is searched on the lattices already taken, and only on the full-rank
-lattices that hold other than the Stirling factor of witnesses. Its
-outcome is a VerificationReport, a NamedTuple as `cache.CountRecord` is.
+constructor. Only a stray, a witness with no such lattice, is built and
+re-verified, and it fails the cell; `decompose` reads its pair off the
+same pass. A cell that fails on its count alone is searched on the
+lattices already taken, and only on the full-rank lattices that hold other
+than the Stirling factor of witnesses. Its outcome is a
+VerificationReport, a NamedTuple as `cache.CountRecord` is.
 
 Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
 once the per-shard budget is crossed, so an oversized request dies loudly
 instead of truncating silently. A step is one lead, one entry tried in a
 pivot column or one off-pivot column, whose entries are the exact roots of
 a quadratic rather than a range scanned; co-rank 0 has no off-pivot
-columns.
+columns. A trial divisor of the torsion above the budget raises too.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .intlinalg import _in_span
-from .lattice import (Lattice, _columns, _square_closed, is_multiplicative,
-                      torsion_size)
+from .lattice import (Lattice, _column_labels, _square_closed,
+                      is_multiplicative, torsion_size)
 from .partitions import (
     AcceptableMap,
     _transport_rows,
@@ -346,7 +348,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     tries that quotient alone, which completes r; no torsion is tested.
     The torsion left over divides r, so its divisors are read off one list
     of r's divisors, found once per worker from r's factorization
-    (`_divisors`).
+    (`_divisors`); at rank 1, whose only level is the last, it is not built.
     Off-pivot entries are the integer roots that `_closed_extensions` solves
     for, at one step per column, so nothing in the scan needs a bound. At
     co-rank 0 each level has one lead column, q_i = ambient - 1 - i, and
@@ -359,7 +361,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     n = ambient - corank
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
-    divisors = _divisors(torsion)
+    divisors = _divisors(torsion, budget) if n > 1 else []
 
     def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int], left: int,
                start: int = 0, step: int = 1) -> None:
@@ -385,8 +387,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     return found
 
 
-def _divisors(r: int) -> list[int]:
-    """The divisors of r >= 1, ascending.
+def _divisors(r: int, budget: int) -> list[int]:
+    """The divisors of r >= 1, ascending, for a worker of rank >= 2.
 
     Trial division divides each prime out of r as it finds it, multiplying
     the divisors found so far by each of its powers, and stops once the
@@ -394,10 +396,22 @@ def _divisors(r: int) -> list[int]:
     prime. So the cost is set by r's second-largest prime factor and the
     square root of its largest: small for a torsion made of small primes,
     whatever its size, and O(sqrt(p)) for one with a large prime factor p.
+
+    A trial above the budget raises SearchBudgetExceeded; no trial is a
+    step. The worker would raise anyway: what is left of r then has a prime
+    factor p above the budget, a first-level lead. Its shard builds the row
+    p*e_q (0 is a root of x(x - p) = 0), and a next-level row reaches
+    column q through the root 0 of each off-pivot column before it, which
+    carries nothing forward; q is a pivot column of pivot p, so its entries
+    cost p steps, more than the budget.
     """
     divisors = [1]
     p = 2
     while p * p <= r:
+        if p > budget:
+            raise SearchBudgetExceeded(
+                f"search budget exhausted: the torsion has a prime factor "
+                f"above the budget {budget}")
         if r % p == 0:
             powers = divisors
             while r % p == 0:
@@ -436,11 +450,12 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
     that keeps rank, torsion and closure under products: it maps the census
     bijectively onto itself, and the sorted rev(L) are the sorted census.
     A lattice found twice is an internal error. The census is re-verified
-    (`_reverify`) on one lattice per pivot square, keyed by its distinct
-    nonzero columns in order of first use (`lattice._columns`), as the
-    verifier keys its witnesses: lattices with the same key are images of
-    one square under injective, product-respecting coordinate copies
-    (`lattice._pivot_square`), so they share rank, closure and torsion.
+    (`_reverify`) on one lattice per pivot square, keyed by its label dict
+    (`lattice._column_labels`), the zero column then the distinct nonzero
+    columns in order of first use, as the verifier keys its witnesses:
+    lattices with the same key are images of one square under injective,
+    product-respecting coordinate copies (`lattice._pivot_square`), so they
+    share rank, closure and torsion.
 
     No pivot or entry reaches a bound, so the scan takes none. The budget
     counts steps per worker, one per lead, per entry tried in a pivot
@@ -452,8 +467,8 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
                                       budget=budget))
     # keys keep the order of first use, so the first failing key is the
     # first failing lattice's
-    _reverify({_columns(lat.basis, ambient)[1]: lat for lat in lats}.values(),
-              ambient - corank, torsion)
+    _reverify({tuple(_column_labels(lat.basis, ambient)[0]): lat
+               for lat in lats}.values(), ambient - corank, torsion)
     return lats
 
 
@@ -500,16 +515,17 @@ def count_corank_formula(n: int, k: int, r: int, *, jobs: int = 1,
 def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     """Split a multiplicative lattice into an ordered map and a full-rank core.
 
-    One pass over lat's columns (`lattice._columns`) gives everything: a
-    multiplicative basis's distinct nonzero columns form its pivot square
+    One pass over lat's columns (`lattice._column_labels`) gives everything:
+    a multiplicative basis's distinct nonzero columns form its pivot square
     (`lattice._pivot_square`), the core L, and the ordered acceptable map g
-    labels each column of lat by its position among them (`_labels`), so g
-    copies the square's columns to where they occur in lat, with
-    apply_map(g, L) == lat; `_place` reads g's assignment off the columns
-    and checks that on rows. The pair is unique. Closure is tested on L, a
-    full-rank basis and so its own pivot square (`_square_closed`); any
-    other column count means no square, so no closure. Raises ValueError
-    on non-multiplicative input.
+    labels each column of lat by its position among them, 0 for the zero
+    column, so g copies the square's columns to where they occur in lat,
+    with apply_map(g, L) == lat, which is checked on rows: the label dict,
+    read as rows, is L's rows padded with a leading 0, and g's assignment
+    must carry them (`partitions._transport_rows`) to lat's basis. The pair
+    is unique. Closure is tested on L, a full-rank basis and so its own
+    pivot square (`_square_closed`); any other column count means no
+    square, so no closure. Raises ValueError on non-multiplicative input.
 
     L is stored without the constructor (`Lattice._trusted`): lat's basis
     is a validated canonical one, so its pivot columns are distinct and
@@ -519,89 +535,60 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     positive pivots on its diagonal and the entries above them, already
     reduced, in its rows, all ints: the shape the constructor checks. g,
     its assignment alone, is stored without the constructor too
-    (`AcceptableMap._trusted`), as `_place` proves it acceptable.
+    (`AcceptableMap._trusted`): its labels, 0..rank each used and each
+    first used after every smaller one, make it ordered and acceptable, so
+    it carries L's canonical rows to canonical rows (`partitions.apply_map`).
     """
-    columns, distinct = _columns(lat.basis, lat.ambient_dim)
-    if len(distinct) == lat.rank:
-        core = Lattice._trusted(lat.rank, tuple(zip(*distinct)))
+    labels, assignment = _column_labels(lat.basis, lat.ambient_dim)
+    if len(labels) == lat.rank + 1:
+        padded = list(zip(*labels))
+        core = Lattice._trusted(lat.rank, tuple([row[1:] for row in padded]))
         if _square_closed(core.basis):
-            assignment = _place(lat.basis, columns,
-                                [(0,) + row for row in core.basis],
-                                _labels(distinct))
+            if _transport_rows(assignment, padded) != lat.basis:
+                raise RuntimeError(
+                    "internal: decomposition does not reproduce the lattice")
             return AcceptableMap._trusted(tuple(assignment)), core
     raise ValueError("lattice is not multiplicative")
 
 
-def _labels(distinct: tuple[tuple[int, ...], ...]
-            ) -> dict[tuple[int, ...], int]:
-    """The label of each column an ordered map copies from a full-rank core
-    whose columns are distinct: 0 for the zero column, i for the i-th. It is
-    also the column's index in a core row padded with a leading 0
-    (`partitions._transport_rows`), 0 picking the pad."""
-    zero = (0,) * len(distinct)
-    return {col: i for i, col in enumerate((zero, *distinct))}
-
-
-def _place(basis: tuple[tuple[int, ...], ...],
-           columns: list[tuple[int, ...]],
-           padded: list[tuple[int, ...]],
-           labels: dict[tuple[int, ...], int]) -> list[int]:
-    """The assignment of the ordered map that labels the columns of basis
-    as the core's (`_labels`), as a list, checked by re-application on
-    rows: the core's rows, each padded with a leading 0 (padded), carried
-    through it (`_transport_rows`) must be basis. The core's rows are a
-    canonical Hermite basis and an ordered map carries them to one (the
-    proof is in `partitions.apply_map`, which stores that image unchecked),
-    so this is the same test as apply_map(g, core) == Lattice(len(columns),
-    basis) without building the map or either lattice.
-
-    labels holds the core's distinct columns, which are also the distinct
-    nonzero columns of basis, so every column has an int label in 0..rank
-    and every label from 1 to rank is used: the labels are the assignment
-    of an acceptable map.
-    """
-    assignment = [labels[col] for col in columns]
-    if _transport_rows(assignment, padded) != basis:
-        raise RuntimeError("internal: decomposition does not reproduce the lattice")
-    return assignment
-
-
 def _witness_faults(ambient: int,
                     witnesses: Iterable[tuple[tuple[int, ...], ...]],
-                    cores: dict[tuple, tuple[list, dict, list]],
+                    cores: dict[tuple, tuple[list, list]],
                     rank: int, r: int) -> Iterator[Optional[str]]:
     """Why each witness basis of Z^ambient breaks the factorization, or
     None, in order.
 
-    cores holds, under each full-rank lattice's key, its columns
-    (`lattice._columns`), the lattice's rows each padded with a leading 0,
-    its column labels (`_labels`) and a list of the witness bases placed on
-    it. A witness's key is its distinct nonzero columns in order of first
-    use, for a rigid basis its pivot square's columns. A witness of rank
-    rows and ambient columns with a core's key must be that core carried
+    cores holds, under each full-rank lattice's key, the lattice's rows each
+    padded with a leading 0 and a list of the witness bases placed on it. A
+    key is a basis's label dict (`lattice._column_labels`) as a tuple: its
+    zero column, one entry per row, then its distinct nonzero columns in
+    order of first use. A witness of ambient columns with a core's key has
+    rank rows and the core's labels, so it must be that core carried
     through its own column labels, the assignment of its own ordered map
-    (`_place`, which raises if it is not); it then equals a canonical
-    Hermite basis with that core as its square, so the same rank, closure
-    verdict and torsion, which the full-rank census re-verified, and it
-    joins the core's list with no map or Lattice built. Equal as a value: an
-    entry True or 1.0 compares equal to 1, and only the constructor, which
-    `_verify` runs on every witness it returns, refuses it. Any other
-    witness is a stray: it is validated (`_lattices`) and re-verified on its
-    own basis (`_reverify`), which raise RuntimeError on an invalid basis,
-    the wrong rank, a lattice not closed under products, one with no pivot
-    square among them, or the wrong torsion; it then gives "censused but not
-    reachable through any map".
+    (`partitions._transport_rows`), which raises if it is not; it then
+    equals a canonical Hermite basis with that core as its square, so the
+    same rank, closure verdict and torsion, which the full-rank census
+    re-verified, and it joins the core's list with no map or Lattice built.
+    Equal as a value: an entry True or 1.0 compares equal to 1, and only
+    the constructor, which `_verify` runs on every witness it returns,
+    refuses it. Any other witness is a stray: it is validated (`_lattices`)
+    and re-verified on its own basis (`_reverify`), which raise
+    RuntimeError on an invalid basis, the wrong rank, a lattice not closed
+    under products, one with no pivot square among them, or the wrong
+    torsion; it then gives "censused but not reachable through any map".
     """
     for basis in witnesses:
-        columns, key = _columns(basis, ambient)
-        known = (cores.get(key) if len(basis) == rank
-                 and len(columns) == ambient else None)
+        labels, assignment = _column_labels(basis, ambient)
+        known = (cores.get(tuple(labels)) if len(assignment) == ambient
+                 else None)
         if known is None:
             _reverify(_lattices(ambient, [basis]), rank, r)
             yield "censused but not reachable through any map"
             continue
-        padded, labels, placed = known
-        _place(basis, columns, padded, labels)
+        padded, placed = known
+        if _transport_rows(assignment, padded) != basis:
+            raise RuntimeError(
+                "internal: decomposition does not reproduce the lattice")
         placed.append(basis)
         yield None
 
@@ -657,9 +644,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    keys = [_columns(core.basis, n)[1] for core in cores]
-    keyed = {key: ([(0,) + row for row in core.basis], _labels(key), [])
-             for key, core in zip(keys, cores)}
+    labelled = [_column_labels(core.basis, n)[0] for core in cores]
+    keyed = {tuple(labels): (list(zip(*labels)), []) for labels in labelled}
     formula_count = stirling_factor * len(cores)
     found = None
     for basis, fault in zip(witnesses, _witness_faults(ambient, witnesses,
@@ -678,7 +664,7 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     )
     if passed or found is not None:
         return report, found
-    suspects = [(core, placed) for core, (_, _, placed)
+    suspects = [(core, placed) for core, (_, placed)
                 in zip(cores, keyed.values()) if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
                for core, _ in suspects]

@@ -177,15 +177,18 @@ def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattic
     return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))
 
 
-def _columns(rows: Sequence[Sequence[int]], width: int
-             ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
-    """The width columns of rows, and their distinct nonzero columns in order
-    of first use, from one `zip`; zip yields no columns at all for no rows,
-    whose width columns are ()."""
-    columns = list(zip(*rows)) if rows else [()] * width
-    distinct = dict.fromkeys(columns)
-    distinct.pop((0,) * len(rows), None)
-    return columns, tuple(distinct)
+def _column_labels(rows: Sequence[Sequence[int]], width: int
+                   ) -> tuple[dict[tuple[int, ...], int], list[int]]:
+    """One pass over the columns of rows: the label dict, the zero column
+    labelled 0 then each distinct nonzero column 1, 2, ... by first use,
+    and each column's label in column order. For a basis with a pivot
+    square, the list is its ordered map's assignment and `zip(*labels)` the
+    square's rows padded with a leading 0, which label 0 picks
+    (`partitions._transport_rows`). No rows give width columns, each ()."""
+    labels = {(0,) * len(rows): 0}
+    if not rows:
+        return labels, [0] * width
+    return labels, [labels.setdefault(col, len(labels)) for col in zip(*rows)]
 
 
 def _pivot_square(rows: Sequence[Sequence[int]]
@@ -195,10 +198,11 @@ def _pivot_square(rows: Sequence[Sequence[int]]
     In echelon rows (each row's lead strictly right of the lead of the row
     above) the pivot columns are distinct and nonzero: each is nonzero at
     its own row and zero below it. When they are all the distinct nonzero
-    columns there are (`_columns`), every other column is zero or a copy of
-    a pivot column left of it, so the columns in order of first use, zero
-    column dropped, are the pivot columns, and the block they form,
-    returned as rows, is upper triangular with the pivots on its diagonal.
+    columns there are (`_column_labels`), every other column is zero or a
+    copy of a pivot column left of it, so the columns in order of first
+    use, zero column dropped, are the pivot columns, and the block they
+    form, returned as rows, is upper triangular with the pivots on its
+    diagonal.
     The span of the rows is then the image of the block's span under a map
     that copies and zeroes coordinates, which is injective and respects
     coordinatewise products: the rows' span is closed under products
@@ -217,8 +221,9 @@ def _pivot_square(rows: Sequence[Sequence[int]]
     """
     if not rows or len(rows) == len(rows[0]):
         return rows
-    distinct = _columns(rows, len(rows[0]))[1]
-    return list(zip(*distinct)) if len(distinct) == len(rows) else None
+    labels = _column_labels(rows, len(rows[0]))[0]
+    return ([row[1:] for row in zip(*labels)]
+            if len(labels) == len(rows) + 1 else None)
 
 
 def is_multiplicative(lat: Lattice) -> bool:
@@ -271,14 +276,19 @@ def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
 
     The order is the gcd of the maximal minors: the product of the diagonal
     of the rows' pivot square (`_pivot_square`) when they have one, else the
-    product of their invariant factors (`smith_normal_form`).
+    product of their invariant factors (`smith_normal_form`). The diagonal
+    is read straight off the square's columns, kept by a `dict.fromkeys`
+    pass, which numbers nothing and so costs less than `_column_labels`.
     """
-    square = _pivot_square(rows)
-    if square is None:
-        return prod(smith_normal_form(rows))
+    square = rows
+    if rows and len(rows) < len(rows[0]):
+        square = dict.fromkeys(zip(*rows))
+        square.pop((0,) * len(rows), None)
+        if len(square) != len(rows):
+            return prod(smith_normal_form(rows))
     order = 1
-    for i, row in enumerate(square):
-        order *= row[i]
+    for i, line in enumerate(square):
+        order *= line[i]
     return abs(order)
 
 

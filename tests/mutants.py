@@ -84,8 +84,8 @@ MUTANTS = (
         ("tests/test_intlinalg.py",)),
     Mutant(
         "place-drops-reapplication-check", "src/multlat/enumeration.py",
-        "    if _transport_rows(assignment, padded) != basis:\n",
-        "    if False:\n",
+        "        if _transport_rows(assignment, padded) != basis:\n",
+        "        if False:\n",
         ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
     Mutant(
         "transport-picks-a-for-a-minus-1", "src/multlat/partitions.py",
@@ -132,9 +132,9 @@ MUTANTS = (
          "test_count_record_validates_what_the_loader_validates",
          "tests/test_cache.py::test_malformed_lines_are_skipped")),
     Mutant(
-        "columns-keep-the-zero-column", "src/multlat/lattice.py",
-        "    distinct.pop((0,) * len(rows), None)\n",
-        "",
+        "columns-keep-the-zero-column", "src/multlat/enumeration.py",
+        "    if len(labels) == lat.rank + 1:\n",
+        "    if len(labels) == lat.rank:\n",
         ("tests/test_enumeration.py::test_decompose_zero_lattice",
          "tests/test_enumeration.py::test_decompose_round_trip_small")),
     Mutant(
@@ -167,14 +167,14 @@ MUTANTS = (
         ("tests/test_cli.py::"
          "test_verify_rejects_a_non_multiplicative_witness",)),
     Mutant(
-        "labels-put-zero-last", "src/multlat/enumeration.py",
-        "enumerate((zero, *distinct))",
-        "enumerate((*distinct, zero))",
+        "labels-put-zero-last", "src/multlat/lattice.py",
+        "    labels = {(0,) * len(rows): 0}\n",
+        "    labels = {(0,) * len(rows): len(rows)}\n",
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
     Mutant(
         "verify-pads-core-rows-at-the-end", "src/multlat/enumeration.py",
-        "keyed = {key: ([(0,) + row for row in core.basis],",
-        "keyed = {key: ([row + (0,) for row in core.basis],",
+        "(list(zip(*labels)), [])",
+        "([row[1:] + (0,) for row in zip(*labels)], [])",
         ("tests/test_enumeration.py::"
          "test_witness_pass_matches_per_witness_checks",)),
     Mutant(
@@ -191,6 +191,28 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_budget_counts_divisor_leads",
          "tests/test_enumeration.py::"
          "test_divisors_from_the_factorization_match_trial_division")),
+    Mutant(
+        "echelon-torsion-skips-the-first-diagonal-entry",
+        "src/multlat/lattice.py",
+        "        order *= line[i]\n",
+        "        order *= line[i] if i else 1\n",
+        ("tests/test_lattice.py::"
+         "test_torsion_and_decomposition_over_the_whole_box",)),
+    Mutant(
+        "rank-one-workers-build-the-divisor-list",
+        "src/multlat/enumeration.py",
+        "    divisors = _divisors(torsion, budget) if n > 1 else []\n",
+        "    divisors = _divisors(torsion, budget)\n",
+        ("tests/test_enumeration.py::"
+         "test_rank_one_workers_build_no_divisor_list",
+         "tests/test_cli.py::test_a_large_prime_torsion_answers_at_once")),
+    Mutant(
+        "divisor-trials-ignore-the-budget", "src/multlat/enumeration.py",
+        "        if p > budget:\n",
+        "        if False:\n",
+        ("tests/test_enumeration.py::"
+         "test_divisor_trials_stop_above_the_budget",
+         "tests/test_cli.py::test_a_large_prime_torsion_answers_at_once")),
 )
 
 

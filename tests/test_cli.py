@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,27 @@ def test_count_corank_zero_is_plain_counting(capsys):
          "--method", "formula", "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[1] == "2,0,4,oracle,4,ok"
+
+
+def test_a_large_prime_torsion_answers_at_once(capsys):
+    # a rank-1 cell builds no divisor list, and a rank-2 one stops its
+    # trial division at the first trial above the budget
+    t0 = time.perf_counter()
+    rc, out, _ = run_main(
+        capsys,
+        ["count-corank", "--ambient", "2", "--corank", "1",
+         "--torsion", "99999999999973", "--format", "csv"])
+    assert time.perf_counter() - t0 < 0.2
+    assert rc == 0
+    assert out.splitlines()[1] == "1,1,99999999999973,oracle,3,ok"
+    t0 = time.perf_counter()
+    rc, out, _ = run_main(
+        capsys,
+        ["count", "--n", "2", "--r", "99999999999973", "--budget", "10",
+         "--format", "csv"])
+    assert time.perf_counter() - t0 < 0.2
+    assert rc == 2
+    assert out.splitlines()[1] == "2,0,99999999999973,oracle,,incomplete"
 
 
 def test_count_corank_bad_corank(capsys):

@@ -22,6 +22,7 @@ import pytest
 
 from multlat.cache import CountRecord
 from multlat.enumeration import (
+    DEFAULT_BUDGET,
     SearchBudgetExceeded,
     VerificationReport,
     count_corank_formula,
@@ -39,7 +40,6 @@ from multlat.enumeration import (
     _closed_extensions,
     _corank_worker,
     _divisors,
-    _labels,
     _in_span,
     _Steps,
     _census,
@@ -49,7 +49,7 @@ from multlat.enumeration import (
 )
 from multlat.lattice import (
     Lattice,
-    _columns,
+    _column_labels,
     banded_basis,
     is_multiplicative,
     lattice_from_rows,
@@ -424,11 +424,67 @@ def test_budget_counts_divisor_leads():
 
 def test_divisors_from_the_factorization_match_trial_division():
     for r in range(1, 3000):
-        assert _divisors(r) == [d for d in range(1, r + 1) if r % d == 0], r
+        assert _divisors(r, DEFAULT_BUDGET) == [
+            d for d in range(1, r + 1) if r % d == 0], r
     # a torsion of small primes is factored at once, whatever its size:
     # 10^16 = 2^16 * 5^16 has 17 * 17 divisors
-    big = _divisors(10**16)
+    big = _divisors(10**16, DEFAULT_BUDGET)
     assert big == sorted({2**i * 5**j for i in range(17) for j in range(17)})
+
+
+def test_divisor_trials_stop_above_the_budget():
+    # a trial divisor above the budget raises at once, and one at the budget
+    # does not; no trial is a step
+    big = 1009 * 1013
+    assert _divisors(big, 1009) == [1, 1009, 1013, big]
+    with pytest.raises(SearchBudgetExceeded,
+                       match="prime factor above the budget 1008"):
+        _divisors(big, 1008)
+    # 2 * 7: the trials stop, within the budget, once 3 * 3 exceeds the 7
+    # left; 2 * 1009 has the 1009 left, a prime above the budget
+    assert _divisors(2 * 7, 2) == [1, 2, 7, 14]
+    with pytest.raises(SearchBudgetExceeded):
+        _divisors(2 * 1009, 2)
+
+
+def test_rank_one_workers_build_no_divisor_list(monkeypatch):
+    # the only level of a rank-1 worker takes the torsion itself as its
+    # lead, so a torsion with a large prime factor costs no trial division
+    def refused(r, budget):
+        raise AssertionError("a rank-1 worker built the divisor list")
+
+    monkeypatch.setattr(enumeration, "_divisors", refused)
+    prime = 99999999999973
+    for ambient, corank in ((1, 0), (2, 1), (4, 3)):
+        assert len(_census(ambient, corank, prime, jobs=1, budget=None)) == (
+            stirling2(ambient + 1, 2))
+    with pytest.raises(AssertionError, match="rank-1 worker"):
+        _census(2, 0, prime, jobs=1, budget=None)
+
+
+def test_the_divisor_budget_stop_raises_only_where_the_scan_would(monkeypatch):
+    # when the trial division stops above the budget, the scan without that
+    # stop raises too: a prime factor above the budget is a first-level
+    # lead, and the next level pays that many steps at its pivot column
+    divisors = enumeration._divisors
+    stopped = 0
+    for ambient, corank in ((2, 0), (3, 0), (3, 1), (4, 1), (4, 2)):
+        for r in range(2, 300):
+            for budget in (3, 7, 12):
+                try:
+                    _census(ambient, corank, r, jobs=1, budget=budget)
+                    continue
+                except SearchBudgetExceeded as exc:
+                    if "prime factor" not in str(exc):
+                        continue
+                stopped += 1
+                with monkeypatch.context() as patched:
+                    patched.setattr(enumeration, "_divisors",
+                                    lambda r, budget: divisors(r, r))
+                    with pytest.raises(SearchBudgetExceeded,
+                                       match="entries tried"):
+                        _census(ambient, corank, r, jobs=1, budget=budget)
+    assert stopped > 100, stopped
 
 
 def test_full_rank_budget_counts_entries_tried():
@@ -651,9 +707,9 @@ def test_a_witness_equal_to_a_canonical_basis_leaves_only_validated(
     at = next(i for i, basis in enumerate(bases) if 1 in basis[0])
     twin = tuple(tuple(True if x == 1 else x for x in row)
                  for row in bases[at])
-    key = _columns(bases[at], 3)[1]
+    key = _column_labels(bases[at], 3)[0]
     other = next(i for i, basis in enumerate(bases)
-                 if i != at and _columns(basis, 3)[1] == key)
+                 if i != at and _column_labels(basis, 3)[0] == key)
     passing = _verify(2, 1, 2, jobs=1, budget=None)
     with monkeypatch.context() as patched:
         patched.setattr(enumeration, "_census", lambda *a, **kw: [
@@ -763,17 +819,16 @@ def test_verify_names_where_the_two_sides_part(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def _full_rank_keys(rank, r):
-    keys = [(_columns(core.basis, rank)[1], core)
-            for core in enumerate_full_rank_multiplicative(rank, r)]
-    return tuple((key, core, _labels(key)) for key, core in keys)
+    return tuple((tuple(_column_labels(core.basis, rank)[0]), core)
+                 for core in enumerate_full_rank_multiplicative(rank, r))
 
 
 def _keyed(rank, r):
     # the full-rank lattices of index r under their keys, each with its rows
-    # padded with a leading 0, its column labels and an empty witness list,
-    # as the verifier holds them
-    return {key: ([(0,) + row for row in core.basis], labels, [])
-            for key, core, labels in _full_rank_keys(rank, r)}
+    # padded with a leading 0 and an empty witness list, as the verifier
+    # holds them
+    return {key: ([(0,) + row for row in core.basis], [])
+            for key, core in _full_rank_keys(rank, r)}
 
 
 def _check_witness(lat, rank, r):
@@ -834,7 +889,7 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
         keyed = _keyed(n, r)
         faults = list(_witness_faults(n + k, census, keyed, n, r))
         assert faults == alone == [None] * len(census), (n, k, r)
-        assert [len(placed) for _, _, placed in keyed.values()] == [
+        assert [len(placed) for _, placed in keyed.values()] == [
             stirling2(n + k + 1, n + 1)] * len(keyed), (n, k, r)
         del tested[:]
         with monkeypatch.context() as patched:
@@ -1164,8 +1219,8 @@ def test_census_bases_share_the_rows_of_their_prefix():
 # full-rank census is the scan at co-rank 0, so the formula side does reach
 # the scan, through `_run_shards`
 FORMULA_SIDE = {"stirling2", "count_full_rank",
-                "enumerate_full_rank_multiplicative", "decompose", "_labels",
-                "_place", "apply_map", "enumerate_ordered_maps"}
+                "enumerate_full_rank_multiplicative", "decompose",
+                "_column_labels", "apply_map", "enumerate_ordered_maps"}
 
 
 def _names_used(func):

@@ -10,6 +10,7 @@ from math import prod
 
 import pytest
 
+from multlat.enumeration import decompose
 from multlat.intlinalg import hermite_normal_form, smith_normal_form
 from multlat.lattice import (
     Lattice,
@@ -22,6 +23,7 @@ from multlat.lattice import (
     lattice_from_rows,
     torsion_size,
 )
+from multlat.partitions import apply_map
 
 from refimpl import (
     echelon_samples,
@@ -372,6 +374,29 @@ def test_closure_is_decided_by_the_pivot_square_alone():
                 seen[square, mult] += 1
     assert sum(seen.values()) == 10_130
     assert set(seen) == {(True, True), (True, False), (False, False)}
+
+
+def test_torsion_and_decomposition_over_the_whole_box():
+    # the column labels that torsion and decompose read, over the same box:
+    # every basis has the reference's torsion, with a pivot square or by
+    # the Smith route; a multiplicative one (closure is the reference's on
+    # the box, above) is rebuilt by its own map and core, and decompose
+    # refuses any other
+    kinds = Counter()
+    for ambient in range(1, 5):
+        for rank in range(min(ambient, 3) + 1):
+            for basis in _hermite_bases_in_a_box(ambient, rank):
+                lat = Lattice(ambient, basis)
+                assert torsion_size(lat) == torsion_ref(basis), basis
+                mult = is_multiplicative(lat)
+                kinds[mult] += 1
+                if mult:
+                    assert apply_map(*decompose(lat)) == lat, basis
+                    continue
+                with pytest.raises(ValueError,
+                                   match="^lattice is not multiplicative$"):
+                    decompose(lat)
+    assert kinds == {True: 381, False: 10_130 - 381}
 
 
 def _canonical_squares(size, top):
