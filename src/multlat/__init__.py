@@ -3,15 +3,12 @@
 A multiplicative sublattice is a subgroup of Z^n closed under the
 coordinatewise product. The package enumerates them exhaustively (full rank
 by index, arbitrary co-rank by torsion), counts the unital subrings among
-them, and machine-checks that the co-rank census factors as a Stirling
-number of the second kind times the full-rank count. All arithmetic is
-exact; every closed-form count can be pitted against an independent
-brute-force census.
+them, and machine-checks, in exact arithmetic against a brute-force census,
+that the co-rank census factors as a Stirling number of the second kind
+times the full-rank count.
 
-Importing the package loads none of its modules. ENGINE_VERSION is defined
-here; every other exported name is imported from its defining module on
-first use (PEP 562), so a command line run whose counts all come from the
-cache never loads the engines.
+Importing the package loads none of its modules: every exported name but
+ENGINE_VERSION is imported from its defining module on first use (PEP 562).
 """
 
 from importlib import import_module

@@ -1,20 +1,12 @@
 """Append-only JSON-lines store for counting results, and their record type.
 
-One file, one JSON object per line, an in-memory index of the counts on
-top. Each line records the engine version that wrote it, and only the
-lines of this version are indexed, keyed by (n, k, r, method): bumping the
-engine version silently invalidates everything older, whose lines stay in
-the file but are never returned. That is how the lines of engine 0.2.0 and
-earlier, which also recorded a census bound multiplier, are left behind.
-Each line is read as the CountRecord it stores, so a line of any version
-that `put` could not have written (a torn write, a manual edit, bytes that
-are not UTF-8, a missing field, a count or key field that is not a JSON
-integer or is out of range, an unknown method, a co-rank 0 formula
-record) is skipped with a warning instead of poisoning the run: a count
-served from here reaches stdout without any engine running.
-
-The module imports nothing from the counting engines, so a command whose
-counts all come from the cache never loads them.
+One JSON object per line, with an in-memory index of the counts. Each
+line records the engine version that wrote it, and only this version's
+lines are indexed, keyed by (n, k, r, method), so a version bump
+strands older lines. A line that `put` could not have written, one its
+CountRecord rejects or that is torn, not UTF-8 or missing a field, is
+skipped with a warning: a count served from here reaches stdout with no
+engine run. The module imports no counting engine.
 """
 
 from __future__ import annotations
@@ -41,13 +33,11 @@ class _CountFields(NamedTuple):
 class CountRecord(_CountFields):
     """One counting result: method is 'oracle', 'formula' or 'unital'.
 
-    No search bound is recorded: every pivot the co-rank census tries
-    divides the torsion, so no bound changes a count. Nor is the engine
-    version: `CountCache.put` stamps it on the line it writes. Records are
-    immutable and validated on creation, by the one rule for the records
-    `put` writes and the lines `_load` reads: n, k, r and count are
-    integers (no float, no bool) with n >= 0, k >= 0, r >= 1 and
-    count >= 0, and a co-rank 0 record is never a formula's.
+    No search bound is recorded, as none changes a count, nor the engine
+    version, which `CountCache.put` stamps on its line. A record is
+    validated on creation, by the one rule for what `put` writes and
+    `_load` reads: n, k, r and count are ints (no bool) with n, k >= 0,
+    r >= 1 and count >= 0, and a co-rank 0 record is never a formula's.
     """
 
     __slots__ = ()

@@ -19,11 +19,9 @@ written to stdout: below 1 for --jobs, --budget, --r, --torsion, --r-max
 and the --n of partitions and series, below 0 for every other --n, --k,
 --ambient and --corank.
 
-The counting engines (`enumeration`, and `partitions` for the partition
-listing) are imported when the first cell has to be computed, not when this
-module is: a count or count-corank run whose cells are all served from the
-cache loads only the package root, this module and `cache`. The `csv`
-module is likewise imported only when CSV is written.
+The engines are imported at the first cell to compute, so a run served
+from the cache loads only the package root, this module and `cache`;
+`csv` is imported only to write CSV.
 """
 
 from __future__ import annotations

@@ -1,50 +1,12 @@
-"""Exhaustive enumeration engines and the factorization verifier.
+"""The counting engines and the factorization verifier.
 
-One worker, `_corank_worker`, lists the multiplicative sublattices of Z^m
-of a given co-rank and torsion. It is a brute-force scan over the
-canonical banded bases of `lattice.banded_basis`, one per lattice, whose
-pivots divide the torsion, and it never consults the closed formula it is
-later compared against. It builds each banded basis in the reversed column
-frame and lists the lattices with their coordinates reversed, which is the
-same census. At co-rank 0 the torsion is the index and the bases it builds
-are the upper-triangular Hermite bases, from the last row up, so the same
-worker is the full-rank engine (`enumerate_full_rank_multiplicative`).
-The verifier pits the census at co-rank k against the Stirling factor
-times the census at co-rank 0, cell by cell.
-
-The worker grows a Hermite basis by one row closed under products at a
-time (`_closed_extensions`), so a partial basis is dropped as soon as its
-rows are not closed, and walks depth first, into each extension as it is
-returned. A shard owns every jobs-th lead of the first level and builds
-only the subtrees of its own leads, so no shard builds another's rows.
-Each lead is a divisor of the torsion left over, taken from one list of
-the torsion's divisors, the last lead being the quotient itself. The
-recursive closures of the worker empty their own cells when they return,
-so no reference cycle keeps a census alive: reference counting frees it.
-`_run_shards` answers rank 0, runs the shards, sorts their bases and
-rejects a repeat, and `_lattices` turns the bases of both engines into
-validated Lattices. One `_reverify` checks either census through the
-lattice predicates alone (`is_multiplicative`, `torsion_size`), once per
-lattice at full rank and once per pivot square otherwise. The verifier
-(`_verify`) takes each cell's census, as bases, and its full-rank lattices
-once and makes one pass over the census (`_witness_faults`). One pass
-over a witness's columns (`lattice._column_labels`) keys it to the
-full-rank lattice that is its pivot square and gives its own map's
-assignment, which must carry that lattice's rows back to it: that proves
-the witness canonical with no map built and without the Lattice
-constructor. Only a stray, a witness with no such lattice, is built and
-re-verified, and it fails the cell; `decompose` reads its pair off the
-same pass. A cell that fails on its count alone is searched on the
-lattices already taken, and only on the full-rank lattices that hold other
-than the Stirling factor of witnesses. Its outcome is a
-VerificationReport, a NamedTuple as `cache.CountRecord` is.
-
-Budgets: each shard counts its steps and aborts with SearchBudgetExceeded
-once the per-shard budget is crossed, so an oversized request dies loudly
-instead of truncating silently. A step is one lead, one entry tried in a
-pivot column or one off-pivot column, whose entries are the exact roots of
-a quadratic rather than a range scanned; co-rank 0 has no off-pivot
-columns. A trial divisor of the torsion above the budget raises too.
+One scan, `_corank_worker` with its step `_closed_extensions`, is both
+engines: the co-rank census (`enumerate_corank_oracle`) and, at co-rank 0,
+the full-rank census (`enumerate_full_rank_multiplicative`). `_run_shards`
+runs it, `_lattices` and `_reverify` check its output, and `_verify` pits
+each cell's census against the formula, witness by witness
+(`_witness_faults`). Each argument has one home, the docstring of the
+function that rests on it.
 """
 
 from __future__ import annotations
@@ -74,12 +36,8 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of one verification cell.
-
-    status is 'pass' exactly when the scan count equals the formula count and
-    every scanned lattice survived the rigidity, decomposition and torsion
-    checks.
-    """
+    """Outcome of one verification cell: status is 'pass' exactly when the
+    census count equals the formula count and no witness fails (`_verify`)."""
 
     n: int
     k: int
@@ -118,25 +76,19 @@ class _Steps:
 
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """Every shard's bases of the given co-rank and torsion, sorted: the
-    census of both engines, the full-rank one at co-rank 0. The bases are
-    the workers' own, whose rows each basis shares with the others that
-    extend the same prefix; nothing copies them.
+    """The sorted census of both engines, as bases: every shard's bases of the
+    given co-rank and torsion, full rank at co-rank 0.
 
     jobs and budget are checked first, budget None meaning DEFAULT_BUDGET.
-    At rank 0 (ambient == corank) the only lattice is the zero lattice, of
-    torsion 1, so the answer is [()] when torsion is 1 and [] otherwise,
-    and no worker runs. Otherwise jobs = 1 runs `_corank_worker` in this
-    process and takes its result as the census, and more jobs run jobs
-    shards, each with its own budget, in a fork pool of min(jobs,
-    os.cpu_count()) processes, and join their results once; pickling keeps
-    the shared rows shared within a shard. A shard owns leads: shard s
-    builds the subtrees of the first-level leads s, s + jobs, ... and
-    nothing else, so the shards' steps sum to the steps of jobs = 1, and no
-    shard takes more steps than that total. The census is sorted in place.
-    A basis found twice, in one shard or two, is an internal error: the
-    worker builds every lattice once, and the sort puts copies next to each
-    other, so comparing each basis with the next finds every repeat.
+    Rank 0 (ambient == corank) starts no worker: the zero lattice has
+    torsion 1, so it gives [()] at torsion 1 and [] otherwise. jobs = 1 runs
+    `_corank_worker` here; more run jobs shards, each with its own budget, in
+    a fork pool of min(jobs, os.cpu_count()) processes. The shards split the
+    steps of jobs = 1 (`_corank_worker`), so a run that completes at jobs = 1
+    completes at every jobs with the same census, and one that a budget stops
+    may complete at more. The worker builds each lattice once, so a basis
+    found twice, in one shard or two, is an internal error; the sort puts
+    copies side by side, so comparing neighbours finds every repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -165,10 +117,9 @@ def _lattices(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]]
               ) -> list[Lattice]:
     """The engine's bases as Lattices, each validated by the constructor.
 
-    A basis the constructor rejects is an internal error: its ValueError,
-    which the command line would report as a usage error (exit 2), is
-    raised again as RuntimeError "internal: engine produced an invalid
-    basis: ..." with the constructor's reason, a failed self-check (exit 3).
+    A basis it rejects is an internal error: its ValueError (a usage error,
+    exit 2, on the command line) is raised again as RuntimeError "internal:
+    engine produced an invalid basis: ...", a failed self-check (exit 3).
     """
     try:
         return [Lattice(ambient, b) for b in bases]
@@ -183,19 +134,10 @@ def _lattices(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]]
 
 def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
                                        budget: Optional[int] = None) -> list[Lattice]:
-    """All full-rank multiplicative sublattices of Z^n with the given index.
-
-    The co-rank scan at co-rank 0 (`_run_shards`), whose banded bases are
-    the upper-triangular Hermite bases: a positive diagonal with product
-    `index`, entries above a pivot reduced modulo that pivot. Bases are
-    built from the last row up and dropped at the first row whose span with
-    the rows below is not closed under coordinatewise products; the budget
-    counts one step per lead or entry tried, as every column right of a
-    lead is a pivot. jobs shards the last rows' leads round-robin. Each
-    lattice appears exactly once, a repeat being an internal error; the
-    result is sorted by basis. Each lattice is its own pivot square, so
-    unlike the co-rank census it is re-verified (`_reverify`) lattice by
-    lattice. Z^0 is the one lattice at n = 0, of index 1.
+    """All full-rank multiplicative sublattices of Z^n with the given index,
+    sorted by basis, each once: the census of `_corank_worker` at co-rank 0,
+    re-verified lattice by lattice (`_reverify`). Z^0 is the one lattice at
+    n = 0, of index 1. jobs and budget are `_run_shards`'.
     """
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
@@ -217,10 +159,8 @@ def count_full_rank(n: int, index: int, *, jobs: int = 1,
 
 def count_unital(n: int, index: int, *, jobs: int = 1,
                  budget: Optional[int] = None) -> int:
-    """Number of index-`index` subrings of Z^n containing (1, ..., 1).
-
-    Membership of the ones vector is decided by exact division
-    (`intlinalg._in_span`). For n = 0 the empty product convention makes
+    """Number of index-`index` subrings of Z^n containing (1, ..., 1), by
+    exact division (`intlinalg._in_span`). At n = 0 the empty product makes
     Z^0 itself the single subring, of index 1.
     """
     lats = enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget)
@@ -238,35 +178,26 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
                        steps: _Steps) -> list[tuple[tuple[int, ...], ...]]:
     """The bases (v, *hnf), v = 0^q, d, x_(q+1), ..., closed under products.
 
-    The worker's one extension step, at every co-rank. hnf is a Hermite
-    basis with pivots right of q, a prefix in the reversed frame, as a tuple
-    of row tuples. The lead d runs over leads, an entry in a pivot column of
-    hnf over [0, pivot), and every other entry over the integers, in
-    lexicographic order, and the bases come back in that order. Each is the
-    tuple (tuple(v), *hnf): it holds hnf's own row objects, so every basis
-    that extends a prefix shares that prefix's rows. Rows are tuples and
-    nothing writes into one, so sharing them is safe.
-    The coefficient of v in v*v is d, so v*v lies in the span exactly when
-    v*v - d*v reduces to zero against hnf. Its column j, less the multiples
-    of the rows pivoting left of j, is fixed once x_q..x_j are, so a partial
-    row is dropped at the first column whose residual is non-zero off a
-    pivot or not divisible by the pivot on one. `acc` carries those
-    multiples forward. Off a pivot the residual x(x - d) - acc[j] must
-    vanish, so x runs over its roots (d - s)/2 <= (d + s)/2, s =
-    isqrt(d*d + 4*acc[j]), when d*d + 4*acc[j] is a perfect square; then
-    s = d mod 2, so both roots are integers. On a pivot column the residual
-    is tested for divisibility before it is divided, and a residual of 0
-    adds no multiple, so the entry passes `acc` on as it is; no `acc` is
-    ever changed in place, so entries share one freely. A full row is kept
-    when its products with the rows of hnf lie in the span too, so the span
-    of (v, *hnf) is closed when hnf's is. Every row u of hnf pivots right
-    of q, so u*v vanishes at column q and v's coefficient in it is 0: the
-    product is tested against hnf alone (`_in_span`), and v becomes a row
-    tuple only when it is kept. A row u = d*e_c of hnf, zero right of its
-    pivot c, needs no test: u*v = v[c]*u lies in the span, so only the rows
-    with a nonzero entry right of their pivot are listed, once per call.
-    Every lead, every entry tried in a pivot column and every off-pivot
-    column is charged one step to `steps`.
+    The worker's one extension step. hnf is a closed Hermite basis, a prefix
+    in the reversed frame with pivots right of q, and each basis returned
+    holds hnf's own row tuples. d runs over leads, an entry in a pivot column
+    of hnf over [0, pivot) and every other entry over the integers; the bases
+    come back in lexicographic order.
+    v*v has coefficient d on v, so it lies in the span exactly when v*v - d*v
+    reduces to zero against hnf. Its column j, less the multiples of the rows
+    pivoting left of j (carried forward in `acc`), is fixed once x_q..x_j
+    are, so a partial row is dropped at the first column whose residual is
+    nonzero off a pivot, or not divisible by the pivot on one. Off a pivot
+    x(x - d) = acc[j], so x runs over the roots (d - s)/2 and (d + s)/2, s =
+    isqrt(d*d + 4*acc[j]), when that is a perfect square; s = d mod 2 then,
+    so both are integers. A residual of 0 passes `acc` on as it is, and no
+    `acc` is changed in place, so entries share one. A full row is kept when
+    its products with hnf's rows lie in the span too. Each such u*v vanishes
+    at column q, so it is tested against hnf alone (`_in_span`), and a row
+    zero right of its pivot needs no test (`lattice._square_closed`).
+    One budget step, charged to `steps`, is one lead, one entry tried in a
+    pivot column or one off-pivot column, whose entries are solved for;
+    co-rank 0 has no off-pivot columns.
     """
     pivot_row: list[Optional[tuple[int, ...]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
@@ -323,39 +254,32 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     """One shard's share of the census, full-rank or not, as canonical
     Hermite bases of the reversed lattices.
 
-    Rows are built in the reversed column frame, where a banded basis read
-    newest row first is an ordinary Hermite basis: the row of level i has
-    its lead at column q_i = ambient - 1 - p_i with q_0 > q_1 > ..., so the
-    rows built so far span L cut down to a coordinate section and
-    `_in_span` decides membership in that span by exact division. New rows
-    come from `_closed_extensions`, starting from the empty prefix (), and
-    the worker recurses into each as it is returned, depth first; each
-    child's pivot list is built once per lead column q and shared by every
-    child pivoting there. The shard owns leads: at the first level it tries
-    every jobs-th lead from the shard-th on, at every lead column, and
-    below them every lead, so it builds the subtrees of its own leads and
-    no row of another shard's. A complete basis, newest row first, is the
-    canonical Hermite basis of rev(L), L with its coordinates reversed, and
-    is appended as built: each row is a tuple made once, so the bases that
-    extend one prefix hold that prefix's row objects, not copies of them.
+    Rows are built in the reversed column frame, where a banded basis
+    (`lattice.banded_basis`) read newest row first is a Hermite basis: the
+    row of level i, whose banded pivot is at column p_i, leads at column
+    ambient - 1 - p_i, so the rows so far span L cut down to a coordinate
+    section, and `_in_span` decides membership by exact division. A complete
+    basis is the canonical Hermite basis of rev(L), L with its coordinates
+    reversed. Reversal permutes coordinates, so it is a ring automorphism,
+    its own inverse, that keeps rank, torsion and closure: it maps the
+    census onto itself, and the sorted rev(L) are the sorted census, with no
+    Hermite form computed.
 
-    Every prefix that `_closed_extensions` returns spans a multiplicative
-    lattice, so it has a pivot square (`lattice._pivot_square`), and its
-    torsion is its lead product. A prefix spans a coordinate section of
-    L, a primitive sublattice of it, so that torsion divides the final
-    torsion r. Level i therefore tries as leads only the divisors of the
-    torsion left over, r over the lead product so far, and the last level
-    tries that quotient alone, which completes r; no torsion is tested.
-    The torsion left over divides r, so its divisors are read off one list
-    of r's divisors, found once per worker from r's factorization
-    (`_divisors`); at rank 1, whose only level is the last, it is not built.
-    Off-pivot entries are the integer roots that `_closed_extensions` solves
-    for, at one step per column, so nothing in the scan needs a bound. At
-    co-rank 0 each level has one lead column, q_i = ambient - 1 - i, and
-    every column right of it is a pivot, so the worker builds the
-    upper-triangular Hermite bases of index r from the last row up: the
-    full-rank census. The rank n = ambient - corank is at least 1:
-    `_run_shards` answers rank 0 without a worker.
+    Rows come from `_closed_extensions`, from the empty prefix, depth first.
+    Each row is a tuple made once, so the bases that extend a prefix share
+    its row objects. A closed prefix has a pivot square
+    (`lattice._pivot_square`), so its torsion is its lead product, and it
+    spans a primitive sublattice of L, so that torsion divides r. Each level
+    thus tries as leads only the divisors of the torsion left over, from one
+    list (`_divisors`, not built at rank 1), and the last level that quotient
+    alone: no torsion is tested and nothing needs a bound. At co-rank 0 every
+    column right of a lead is a pivot, so the worker builds the
+    upper-triangular Hermite bases of index r, the full-rank census. The
+    rank ambient - corank is at least 1 (`_run_shards` answers rank 0).
+
+    The shard owns leads: at the first level it tries every jobs-th lead from
+    the shard-th on, below them every lead, so it builds only its own leads'
+    subtrees, and the shards' steps sum to those of jobs = 1.
     """
     ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
@@ -390,20 +314,15 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
 def _divisors(r: int, budget: int) -> list[int]:
     """The divisors of r >= 1, ascending, for a worker of rank >= 2.
 
-    Trial division divides each prime out of r as it finds it, multiplying
-    the divisors found so far by each of its powers, and stops once the
-    square of the next trial exceeds what is left, which is then 1 or a
-    prime. So the cost is set by r's second-largest prime factor and the
-    square root of its largest: small for a torsion made of small primes,
-    whatever its size, and O(sqrt(p)) for one with a large prime factor p.
-
+    Trial division divides each prime out of r as it finds it and stops once
+    the square of the next trial exceeds what is left, which is then 1 or a
+    prime, so a torsion of small primes costs little whatever its size.
     A trial above the budget raises SearchBudgetExceeded; no trial is a
     step. The worker would raise anyway: what is left of r then has a prime
-    factor p above the budget, a first-level lead. Its shard builds the row
-    p*e_q (0 is a root of x(x - p) = 0), and a next-level row reaches
-    column q through the root 0 of each off-pivot column before it, which
-    carries nothing forward; q is a pivot column of pivot p, so its entries
-    cost p steps, more than the budget.
+    factor p above the budget, a first-level lead. Its shard builds p*e_q,
+    and a next-level row reaches column q through the root 0 of each
+    off-pivot column before it, which carries nothing forward; q is a pivot
+    column of pivot p, so its entries cost p steps, more than the budget.
     """
     divisors = [1]
     p = 2
@@ -428,40 +347,14 @@ def _divisors(r: int, budget: int) -> list[int]:
 def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
                             jobs: int = 1,
                             budget: Optional[int] = None) -> list[Lattice]:
-    """Brute-force census of multiplicative sublattices by co-rank and torsion.
+    """Brute-force census of the multiplicative sublattices of Z^ambient of a
+    given co-rank and torsion, sorted by basis, each once.
 
-    Scans the (ambient-corank) x ambient matrices in the canonical banded
-    form that `banded_basis` returns, one per lattice: row i ends in a
-    positive pivot d_i at column p_i <= i + corank, with p_0 < p_1 < ...; a
-    later row's entry in column p_i is reduced into [0, d_i); every other
-    entry left of a pivot is an integer root of x(x - d) = c for the row's
-    pivot d and a c fixed by the entries before it. Rows 0..i span the
-    lattice cut down to its first p_i + 1 coordinates, a primitive
-    sublattice of it, so a prefix is pruned as soon as it is not
-    multiplicative. A multiplicative prefix has a pivot square, so its
-    torsion d_0 * ... * d_i divides the target: d_i runs over the divisors
-    of what is left, and the last pivot is that quotient (`_corank_worker`).
-
-    The scan's rows are the canonical Hermite basis of rev(L), L with its
-    coordinates reversed, and the census holds those lattices, so no
-    Hermite form is computed. Each row is a tuple built once, and every
-    basis that extends a prefix shares that prefix's rows. Reversal
-    permutes coordinates, so it is a ring automorphism and its own inverse
-    that keeps rank, torsion and closure under products: it maps the census
-    bijectively onto itself, and the sorted rev(L) are the sorted census.
-    A lattice found twice is an internal error. The census is re-verified
-    (`_reverify`) on one lattice per pivot square, keyed by its label dict
-    (`lattice._column_labels`), the zero column then the distinct nonzero
-    columns in order of first use, as the verifier keys its witnesses:
-    lattices with the same key are images of one square under injective,
-    product-respecting coordinate copies (`lattice._pivot_square`), so they
-    share rank, closure and torsion.
-
-    No pivot or entry reaches a bound, so the scan takes none. The budget
-    counts steps per worker, one per lead, per entry tried in a pivot
-    column and per off-pivot column. jobs shards the first-level leads
-    round-robin, and a shard owns its leads' subtrees: the shards' steps
-    sum to those of jobs = 1.
+    The scan (`_corank_worker`) never consults the formula it is compared
+    with. Its census is validated (`_lattices`) and re-verified (`_reverify`)
+    on one lattice per label key (`lattice._column_labels`), as lattices with
+    one key share rank, closure and torsion (`lattice._pivot_square`). jobs
+    and budget are `_run_shards`'.
     """
     lats = _lattices(ambient, _census(ambient, corank, torsion, jobs=jobs,
                                       budget=budget))
@@ -475,7 +368,7 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
 def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
             budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted, repeat-free bases `enumerate_corank_oracle` validates
-    and re-verifies, and `_verify` places."""
+    and re-verifies, and `_verify` places; ValueError on a bad cell."""
     if ambient < 0 or not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
@@ -484,12 +377,10 @@ def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
 
 
 def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:
-    """Post-hoc check of either engine's output, independent of its own math.
-
-    Each lattice must have the given rank, be closed under products
-    (`is_multiplicative`) and have the given torsion (`torsion_size`),
-    tested in that order on its own basis; the first failure raises
-    RuntimeError.
+    """Post-hoc check of either engine's output, independent of its own math:
+    each lattice must have the given rank, be closed under products
+    (`is_multiplicative`) and have the given torsion (`torsion_size`), tested
+    in that order; the first failure raises RuntimeError.
     """
     for lat in lats:
         if lat.rank != rank or not is_multiplicative(lat):
@@ -513,31 +404,20 @@ def count_corank_formula(n: int, k: int, r: int, *, jobs: int = 1,
 
 
 def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
-    """Split a multiplicative lattice into an ordered map and a full-rank core.
+    """Split a multiplicative lattice into its ordered map g and full-rank
+    core L, the unique pair with apply_map(g, L) == lat.
 
-    One pass over lat's columns (`lattice._column_labels`) gives everything:
-    a multiplicative basis's distinct nonzero columns form its pivot square
-    (`lattice._pivot_square`), the core L, and the ordered acceptable map g
-    labels each column of lat by its position among them, 0 for the zero
-    column, so g copies the square's columns to where they occur in lat,
-    with apply_map(g, L) == lat, which is checked on rows: the label dict,
-    read as rows, is L's rows padded with a leading 0, and g's assignment
-    must carry them (`partitions._transport_rows`) to lat's basis. The pair
-    is unique. Closure is tested on L, a full-rank basis and so its own
-    pivot square (`_square_closed`); any other column count means no
-    square, so no closure. Raises ValueError on non-multiplicative input.
+    L is lat's pivot square (`lattice._pivot_square`), and g labels each
+    column of lat by its place among L's columns, 0 for the zero column; one
+    pass over lat's columns gives both (`lattice._column_labels`). Raises
+    ValueError on non-multiplicative input, and RuntimeError if g does not
+    carry L's rows back to lat (`partitions._transport_rows`).
 
-    L is stored without the constructor (`Lattice._trusted`): lat's basis
-    is a validated canonical one, so its pivot columns are distinct and
-    nonzero, and when there are rank many distinct nonzero columns they
-    are exactly those, in pivot order, as the columns left of a pivot are
-    zero from that pivot's row down. L is then upper triangular with lat's
-    positive pivots on its diagonal and the entries above them, already
-    reduced, in its rows, all ints: the shape the constructor checks. g,
-    its assignment alone, is stored without the constructor too
-    (`AcceptableMap._trusted`): its labels, 0..rank each used and each
-    first used after every smaller one, make it ordered and acceptable, so
-    it carries L's canonical rows to canonical rows (`partitions.apply_map`).
+    Both skip their constructors. L (`Lattice._trusted`): lat's basis is
+    validated, so its square is upper triangular with lat's positive pivots
+    on its diagonal and lat's reduced entries above them, all ints.
+    g (`AcceptableMap._trusted`): its labels, 0..rank, each used and each
+    first used after every smaller one, make it ordered and acceptable.
     """
     labels, assignment = _column_labels(lat.basis, lat.ambient_dim)
     if len(labels) == lat.rank + 1:
@@ -558,24 +438,20 @@ def _witness_faults(ambient: int,
     """Why each witness basis of Z^ambient breaks the factorization, or
     None, in order.
 
-    cores holds, under each full-rank lattice's key, the lattice's rows each
-    padded with a leading 0 and a list of the witness bases placed on it. A
-    key is a basis's label dict (`lattice._column_labels`) as a tuple: its
-    zero column, one entry per row, then its distinct nonzero columns in
-    order of first use. A witness of ambient columns with a core's key has
-    rank rows and the core's labels, so it must be that core carried
-    through its own column labels, the assignment of its own ordered map
-    (`partitions._transport_rows`), which raises if it is not; it then
-    equals a canonical Hermite basis with that core as its square, so the
-    same rank, closure verdict and torsion, which the full-rank census
+    cores holds, under each full-rank lattice's key, its rows padded with a
+    leading 0 and the list of witness bases placed on it. A key is a label
+    dict (`lattice._column_labels`) as a tuple. A witness of ambient columns
+    with a core's key has rank rows and that core as its pivot square, so it
+    must be the core carried through its own labels, its ordered map's
+    assignment (`partitions._transport_rows`), or RuntimeError is raised. It
+    is then a canonical basis (`partitions.apply_map`) with the core's rank,
+    closure and torsion (`lattice._pivot_square`), which the full-rank census
     re-verified, and it joins the core's list with no map or Lattice built.
-    Equal as a value: an entry True or 1.0 compares equal to 1, and only
-    the constructor, which `_verify` runs on every witness it returns,
-    refuses it. Any other witness is a stray: it is validated (`_lattices`)
-    and re-verified on its own basis (`_reverify`), which raise
-    RuntimeError on an invalid basis, the wrong rank, a lattice not closed
-    under products, one with no pivot square among them, or the wrong
-    torsion; it then gives "censused but not reachable through any map".
+    Equality is by value: an entry True or 1.0 equals 1, and only the
+    constructor, which `_verify` runs on every witness it returns, refuses
+    it. Any other witness is a stray, validated (`_lattices`) and re-verified
+    (`_reverify`) on its own basis, which raise RuntimeError on an engine
+    fault; it gives "censused but not reachable through any map".
     """
     for basis in witnesses:
         labels, assignment = _column_labels(basis, ambient)
@@ -596,23 +472,8 @@ def _witness_faults(ambient: int,
 def verify_corank_factorization(n: int, k: int, r: int,
                                 bound_multiplier: int = 1, *, jobs: int = 1,
                                 budget: Optional[int] = None) -> VerificationReport:
-    """Pit the staircase census against the Stirling-factor formula.
-
-    Checks, for the cell (n, k, r): the census count equals
-    stirling2(n+k+1, n+1) * count_full_rank(n, r); every censused lattice has
-    rigid columns; decomposing and re-applying reproduces it; and its torsion
-    equals the index of its core, both being its pivot square's diagonal
-    product. The cell takes one census and one full-rank census (`_verify`).
-    One pass over the census (`_witness_faults`) places each witness on the
-    full-rank lattice that is its pivot square, whose rank, closure and
-    torsion its census re-verified (`_reverify`); each witness's own map is
-    still read off its columns and re-applied to that lattice, which
-    proves the witness canonical. A witness with no such lattice is
-    validated and re-verified on its own and fails the cell. The census is
-    taken as bases, without the oracle's own validation and re-verification,
-    which would repeat that. When the factorization holds each full-rank
-    lattice of index r has stirling2(n+k+1, n+1) witnesses.
-
+    """Pit the census of the cell (n, k, r) against stirling2(n+k+1, n+1) *
+    count_full_rank(n, r) and check each witness: `_verify`'s report.
     bound_multiplier raises ValueError below 1 and is otherwise ignored, as
     no scan reaches a bound; the campaign benchmark still passes 1 and 2.
     """
@@ -626,19 +487,17 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     """The cell's report, and on a failing cell its first offending lattice
     with a reason, or None.
 
-    The census, sorted bases with no repeat, and the full-rank lattices are
-    each taken once. The offender is the first witness that
-    `_witness_faults` faults, a stray included; the pass runs to its end,
-    so an engine fault in any witness raises. A cell that fails with no
-    such witness fails on its count, with every witness placed on a
-    full-rank lattice, and some lattice holds other than stirling2(n+k+1,
-    n+1) of them. Only those suspect lattices are searched: their witnesses
-    are compared with their images under the ordered maps, the least
-    lattice on one side only, else the first image reached twice. Any other
-    lattice's witnesses are its images, each once, so it adds nothing to
-    either side. A witness becomes a Lattice, through the constructor
-    (`_lattices`), only as a stray, the offender or a suspect's witness, so
-    every lattice this returns is validated.
+    The census and the full-rank lattices are each taken once. The offender
+    is the first witness `_witness_faults` faults, a stray included; the pass
+    runs to its end, so an engine fault in any witness raises. A cell that
+    fails with no such witness fails on its count: every witness is placed,
+    and some full-rank lattices hold other than stirling2(n+k+1, n+1). Only
+    those suspects are searched, their witnesses against their images under
+    the ordered maps: the least lattice on one side only, else the first
+    image reached twice. Any other lattice's witnesses are its images, each
+    once. A witness becomes a Lattice, through the constructor (`_lattices`),
+    only as a stray, the offender or a suspect's witness, so every lattice
+    returned is validated.
     """
     ambient = n + k
     witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)

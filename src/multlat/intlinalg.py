@@ -1,15 +1,10 @@
 """Exact linear algebra over the integers.
 
-Matrices are immutable tuples of tuples of Python ints, so all arithmetic is
-arbitrary precision and nothing can silently wrap. The row-style Hermite
-normal form is the workhorse of the package: it gives a canonical basis for
-an integer row span. Membership in the span of a Hermite basis whose pivot
-columns are known is decided by exact division alone (`_in_span`); the
-engines' extension step, the unital count and the square's closure test
-share it. The Smith normal form gives the torsion of rows with no pivot
-square. `solve_in_row_span` solves against any Hermite basis and assumes
-nothing about its columns; no code in the package calls it, as closure
-is decided on the pivot square alone (`lattice.is_multiplicative`).
+Matrices are tuples of tuples of Python ints, so nothing can wrap. The
+row-style Hermite normal form gives a canonical basis of a row span;
+`_in_span` tests membership in one by exact division; the Smith normal
+form gives the torsion of rows with no pivot square. No package code
+calls `solve_in_row_span`.
 """
 
 from __future__ import annotations
@@ -54,10 +49,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _pivot_down(work: list[list[int]], top: int, col: int) -> bool:
     """Make work[top] the only row from top down that is non-zero in col.
 
-    Unimodular row operations on rows top.. only: a row non-zero in col is
-    swapped up to top and every row below it is cleared by gcd steps, which
-    leaves the gcd of the column, up to sign, at work[top][col]. False, with
-    nothing changed, when the column is zero from top down.
+    Unimodular operations on rows top.. only: a row non-zero in col is
+    swapped up to top and every row below is cleared by gcd steps, leaving
+    the column's gcd, up to sign, at work[top][col]. False, with nothing
+    changed, when the column is zero from top down.
     """
     nrows = len(work)
     piv = None
@@ -88,11 +83,10 @@ def _pivot_down(work: list[list[int]], top: int, col: int) -> bool:
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Canonical row-style Hermite normal form of an integer matrix.
 
-    The result spans the same set of integer row combinations as the input
-    and is the unique representative of that span with: pivots positive,
-    pivot columns strictly increasing down the rows, every entry above a
-    pivot reduced into [0, pivot), and zero rows collected at the bottom.
-    An all-zero input comes back unchanged.
+    The unique basis of the input's row span with positive pivots, pivot
+    columns strictly increasing down the rows, every entry above a pivot in
+    [0, pivot) and zero rows at the bottom. An all-zero input comes back
+    unchanged.
     """
     mat = int_matrix(m)
     work = [list(row) for row in mat]
@@ -114,17 +108,12 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, as nonnegative invariant factors.
 
-    Returns min(rows, cols) values d_1 | d_2 | ... with zeros past the rank.
-    The product of the nonzero values is the order of the torsion subgroup
-    of Z^cols modulo the row span.
-
-    The matrix is brought to row echelon form by `_pivot_down`, then its
-    transpose is, and so on until it is diagonal: the row steps of one pass
-    are the column steps of the next. Each pass leaves a gcd of the first
-    column in the corner, so the corner only shrinks until its row and
-    column are clear, and the same holds for the block below it. The
-    diagonal is then made a divisibility chain by replacing diag(a, b) with
-    the equivalent diag(gcd(a, b), lcm(a, b)).
+    Returns min(rows, cols) values d_1 | d_2 | ... with zeros past the rank;
+    the product of the nonzero ones is the order of the torsion subgroup of
+    Z^cols modulo the row span. `_pivot_down` brings the matrix, then its
+    transpose, and so on, to echelon form until it is diagonal: each pass
+    leaves a gcd of the first column in the corner, which only shrinks until
+    its row and column are clear. Then diag(gcd, lcm) replaces diag(a, b).
     """
     work = [list(row) for row in int_matrix(m)]
     while True:
@@ -149,10 +138,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Integer coefficients c with c . h = v, or None when no such c exists.
 
-    h must be a Hermite normal form whose nonzero rows are independent; the
-    returned tuple has one coefficient per row of h, with zeros on zero rows,
-    and is unique in that shape. Solved by marching down the pivots with
-    exact division, so no intermediate value ever leaves the integers.
+    h must be a Hermite normal form with independent nonzero rows; c has one
+    coefficient per row of h, zero on zero rows, and is unique. Found down
+    the pivots by exact division, in the integers throughout.
     """
     mat = int_matrix(h)
     ncols = len(mat[0])

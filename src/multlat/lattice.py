@@ -1,16 +1,11 @@
 """Sublattices of Z^n and the coordinatewise product structure.
 
-A Lattice is stored by its canonical Hermite basis with zero rows dropped, so
-two objects are equal exactly when they describe the same subgroup of Z^n.
-The multiplicative notions live here: closure of the row span under the
-coordinatewise (Hadamard) product, torsion of the quotient, and the rigid
-columns that every multiplicative basis has, all three read off the pivot
-square of the basis (`_pivot_square`). Closure has that one rule: a basis
-with no pivot square is never closed, so only a square is ever tested.
-Torsion falls back on the Smith form for a basis with no square, since a
-lattice that is not closed still has a torsion. `_Frozen`, the base of
-Lattice and of the partitions module's AcceptableMap, makes them immutable
-values without importing `dataclasses`.
+A Lattice is stored by its canonical Hermite basis, so two are equal
+exactly when they are the same subgroup. A basis's pivot square
+(`_pivot_square`), found by one pass over its columns (`_column_labels`),
+decides closure under products (`is_multiplicative`) and torsion
+(`torsion_size`). `_Frozen` makes Lattice and the partitions module's
+AcceptableMap immutable values without importing `dataclasses`.
 """
 
 from __future__ import annotations
@@ -25,16 +20,11 @@ from .intlinalg import (IntMatrix, _in_span, hermite_normal_form,
 class _Frozen:
     """Immutable value whose fields are its class's `__slots__`.
 
-    Assigning or deleting a field raises AttributeError, and pickle and
-    copy rebuild a value through its constructor, so they run its
-    validation again. A subclass validates its fields before it stores them
-    with `object.__setattr__`, and writes its own `__eq__` (class-strict,
-    over its fields in order) and `__hash__` (of the same fields): these
-    cost what a frozen dataclass's do, and a generic pair here, reading the
-    fields through `__slots__`, is slower per call. For the same reason a
-    subclass that is built unchecked writes its own `_trusted` classmethod,
-    which stores the named fields one by one without running the
-    constructor, for a caller that has proved they pass its validation.
+    Assigning or deleting a field raises AttributeError, and pickle and copy
+    rebuild a value through its constructor, which validates it again. A
+    subclass stores validated fields with `object.__setattr__` and writes its
+    own class-strict `__eq__`, `__hash__` and, if built unchecked,
+    `_trusted`: a generic version here, reading `__slots__`, is slower.
     """
 
     __slots__ = ()
@@ -60,22 +50,14 @@ class _Frozen:
 class Lattice(_Frozen):
     """A subgroup of Z^ambient_dim given by its canonical Hermite basis.
 
-    basis holds only the nonzero rows; the zero lattice has an empty basis.
-    The degenerate ambient_dim 0 lattice is allowed and counts as full rank.
-    The constructor validates a basis: ambient_dim is a nonnegative int and
-    every row is a nonzero tuple of ambient_dim ints (bool excluded in
-    both) whose lead, its pivot, is positive and lies right of the pivot of
-    the row above, and every entry above a pivot is reduced into [0,
-    pivot). It reads each row once for the entry types and once up to its
-    lead, and the rows above at the pivot column only. Code holding a
-    Lattice relies on that shape unchecked.
-
-    There are three routes to a Lattice, each with one job. The constructor
-    validates a basis. `_trusted` stores, unchecked, a basis that a proof
-    covers: the core `enumeration.decompose` reads off a basis, its pivot
-    square, and the image `partitions.apply_map` carries a full-rank basis
-    to through an ordered map, each read off a validated basis that gives
-    that shape by construction. `lattice_from_rows` canonicalizes any rows.
+    basis holds only the nonzero rows; the zero lattice has an empty basis,
+    and ambient_dim 0 counts as full rank. The constructor validates a
+    basis: ambient_dim is a nonnegative int and every row a nonzero tuple of
+    ambient_dim ints (bool excluded in both) whose lead, its pivot, is
+    positive and right of the pivot above, with every entry above a pivot in
+    [0, pivot). The three routes to a Lattice are the constructor, `_trusted`
+    for the bases `enumeration.decompose` and `partitions.apply_map` prove
+    canonical, and `lattice_from_rows`.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -157,16 +139,9 @@ class Lattice(_Frozen):
 
 
 def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattice:
-    """Lattice spanned by the given rows; canonicalizes and drops zero rows.
-
-    The rows always go through `hermite_normal_form`, and the constructor
-    validates the form's nonzero rows, once. The Hermite form of a span is
-    unique, so rows that already form a canonical basis come back as they
-    are. `partitions.apply_map` sends here the image of a full-rank lattice
-    under an unordered map, which is never canonical: the leads of its rows
-    strictly increase only if each label first appears after every smaller
-    one, as in an ordered map.
-    """
+    """Lattice spanned by the given rows, canonicalized, zero rows dropped:
+    the rows always go through `hermite_normal_form`, and the constructor
+    validates its nonzero rows once."""
     mat = tuple(map(tuple, rows))
     for row in mat:
         if len(row) != ambient_dim:
@@ -181,10 +156,10 @@ def _column_labels(rows: Sequence[Sequence[int]], width: int
                    ) -> tuple[dict[tuple[int, ...], int], list[int]]:
     """One pass over the columns of rows: the label dict, the zero column
     labelled 0 then each distinct nonzero column 1, 2, ... by first use,
-    and each column's label in column order. For a basis with a pivot
-    square, the list is its ordered map's assignment and `zip(*labels)` the
-    square's rows padded with a leading 0, which label 0 picks
-    (`partitions._transport_rows`). No rows give width columns, each ()."""
+    and each column's label in column order; with no rows, each of the
+    width columns is () and labelled 0. With a pivot square
+    (`_pivot_square`), the list is the ordered map's assignment and
+    `zip(*labels)` the square's rows, each padded with a leading 0."""
     labels = {(0,) * len(rows): 0}
     if not rows:
         return labels, [0] * width
@@ -195,29 +170,27 @@ def _pivot_square(rows: Sequence[Sequence[int]]
                   ) -> Optional[Sequence[Sequence[int]]]:
     """The square of pivot columns of independent echelon rows, or None.
 
-    In echelon rows (each row's lead strictly right of the lead of the row
-    above) the pivot columns are distinct and nonzero: each is nonzero at
-    its own row and zero below it. When they are all the distinct nonzero
-    columns there are (`_column_labels`), every other column is zero or a
-    copy of a pivot column left of it, so the columns in order of first
-    use, zero column dropped, are the pivot columns, and the block they
-    form, returned as rows, is upper triangular with the pivots on its
-    diagonal.
-    The span of the rows is then the image of the block's span under a map
-    that copies and zeroes coordinates, which is injective and respects
-    coordinatewise products: the rows' span is closed under products
-    exactly when the block's is (`_square_closed`), and every maximal minor
-    of the rows but the block's own has a zero or a repeated column, so
-    their torsion order is its diagonal product (`_echelon_torsion`).
+    In echelon rows the pivot columns are distinct and nonzero: each is
+    nonzero at its own row and zero below it. When they are all the distinct
+    nonzero columns (`_column_labels`), every other column is zero or a copy
+    of a pivot column left of it, so the columns in order of first use, zero
+    column dropped, are the pivot columns, and the block they form, returned
+    as rows, is upper triangular with the pivots on its diagonal. The rows'
+    span is the image of the block's under a map that copies and zeroes
+    coordinates, injective and respecting products: it is closed exactly
+    when the block's is (`_square_closed`), and every maximal minor of the
+    rows but the block's has a zero or a repeated column, so their torsion
+    is its diagonal product (`_echelon_torsion`). Rows with one label key
+    have one square, so they share rank, closure and torsion.
 
     The rows of a multiplicative lattice always have a square: their Q-span
     is a subalgebra of Q^m with no nilpotents, so it is spanned by
-    orthogonal idempotents, which are 0/1 vectors. It is fixed by a
-    partition of the coordinates that are not identically zero, as the
-    vectors constant on each block and zero off them, and each row lies in
-    it, so the rows have exactly rank-many distinct nonzero columns. No
-    rows, or as many rows as columns, are their own square; any other input
-    gives None.
+    orthogonal idempotents, which are 0/1 vectors: it is the vectors that
+    are constant on each block of a partition of the coordinates not
+    identically zero, and zero off them. Each row lies in it, so the rows
+    have exactly rank-many distinct nonzero columns, and a basis with no
+    square is never closed. No rows, or as many rows as columns, are their
+    own square.
     """
     if not rows or len(rows) == len(rows[0]):
         return rows
@@ -228,13 +201,7 @@ def _pivot_square(rows: Sequence[Sequence[int]]
 
 def is_multiplicative(lat: Lattice) -> bool:
     """Closure of the lattice under coordinatewise products, decided on the
-    pivot square of its basis alone.
-
-    A basis with no pivot square is never closed, and one with a square is
-    closed exactly when the square is; `_pivot_square` proves both. The
-    square's test (`_square_closed`) checks products of its rows, which is
-    enough: the product is bilinear in its two factors.
-    """
+    pivot square of its basis alone (`_pivot_square`)."""
     square = _pivot_square(lat.basis)
     return square is not None and _square_closed(square)
 
@@ -243,11 +210,10 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
     """Closure under products of the span of an upper-triangular square with
     nonzero diagonal.
 
-    The product of rows i <= j vanishes left of column j, so it lies in the
-    span exactly when it lies in the span of the rows j.., which
-    `intlinalg._in_span` decides by exact division at each diagonal entry.
-    A row v = d*e_j, zero right of its diagonal entry, needs no test: u*v =
-    u[j]*v is a multiple of it. The last row is always such a row.
+    The product is bilinear, so products of rows suffice. That of rows i <= j
+    vanishes left of column j, so it lies in the span exactly when it lies
+    in that of the rows j.., which `intlinalg._in_span` decides. A row v =
+    d*e_j, zero right of its diagonal, needs no test: u*v = u[j]*v.
     """
     size = len(square)
     for j in range(size - 1):
@@ -263,10 +229,8 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
 
 
 def torsion_size(lat: Lattice) -> int:
-    """Order of the torsion subgroup of Z^ambient modulo the lattice: the
-    diagonal product of the basis's pivot square when it has one, as every
-    multiplicative or full-rank basis does, else the product of its Smith
-    invariant factors (`_echelon_torsion`)."""
+    """Order of the torsion subgroup of Z^ambient modulo the lattice
+    (`_echelon_torsion`)."""
     return _echelon_torsion(lat.basis)
 
 
@@ -274,11 +238,9 @@ def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
     """Order of the torsion subgroup of Z^cols modulo the span of independent
     echelon rows; 1 for no rows.
 
-    The order is the gcd of the maximal minors: the product of the diagonal
-    of the rows' pivot square (`_pivot_square`) when they have one, else the
-    product of their invariant factors (`smith_normal_form`). The diagonal
-    is read straight off the square's columns, kept by a `dict.fromkeys`
-    pass, which numbers nothing and so costs less than `_column_labels`.
+    The diagonal product of their pivot square (`_pivot_square`), read off
+    its columns by a `dict.fromkeys` pass, which costs less than
+    `_column_labels`; with no square, the product of their invariant factors.
     """
     square = rows
     if rows and len(rows) < len(rows[0]):
@@ -293,14 +255,8 @@ def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
 
 
 def has_rigid_columns(lat: Lattice) -> bool:
-    """Does the canonical basis have exactly rank-many distinct nonzero columns?
-
-    Multiplicative lattices always do, and the distinct-column count of any
-    basis matrix of such a lattice is invariant under integer row operations.
-    That count is the rank exactly when the basis has a pivot square
-    (`_pivot_square`). Raises on non-multiplicative input since
-    the question is only meaningful there.
-    """
+    """Whether the canonical basis has a pivot square (`_pivot_square`),
+    as every multiplicative basis does; ValueError on any other lattice."""
     if not is_multiplicative(lat):
         raise ValueError("lattice is not multiplicative")
     return _pivot_square(lat.basis) is not None
@@ -309,10 +265,8 @@ def has_rigid_columns(lat: Lattice) -> bool:
 def banded_basis(lat: Lattice) -> IntMatrix:
     """A basis matrix whose entry (i, j) vanishes whenever j - i > corank.
 
-    Obtained from the canonical basis by integer row operations only: run the
-    Hermite reduction against the reversed column order, then undo the
-    reversal. Strictly increasing pivots in the reversed frame turn into the
-    required staircase bound in the original frame.
+    By integer row operations only: the Hermite form against the reversed
+    column order, reversed back, whose increasing pivots become the band.
     """
     if not lat.basis:
         return ()

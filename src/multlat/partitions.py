@@ -1,21 +1,14 @@
 """Coordinate-assignment maps between Z^n and Z^(n+k), and set partitions.
 
-An acceptable map sends each target coordinate either to a fixed source
-coordinate or to zero, with every source coordinate used at least once. Such
-maps (up to relabeling of the sources) correspond to partitions of the set
-{0, ..., n+k} into n+1 blocks: target coordinate j sits in the block of the
-source it copies, and the block containing the ghost element 0 collects the
-zeroed coordinates. Example: the partition {{0,3,4},{1,5},{2,7,8},{6}} of
-{0..8} corresponds to the map (a,b,c) -> (a,b,0,0,a,c,b,b). An ordered
-map's assignment is its partition's restricted-growth string, which labels
-each element with its block's place in the order by minimum, with the
-ghost 0's label dropped: (1,2,0,0,1,3,2,2) above. The ordered maps are the
-one listing of the partitions; `map_to_partition` gives a map's blocks.
-
-AcceptableMap is an immutable value on the lattice module's `_Frozen` base.
-It stores its assignment alone, whose length and largest label are the
-map's two dimensions; its constructor checks the assignment's type as well
-as the shape of the map.
+An acceptable map sends each target coordinate to a source coordinate or
+to zero, using every source coordinate. The ordered ones list the
+partitions of {0, ..., n+k} into n+1 blocks: target coordinate j sits in
+the block of its source, and the block of the ghost element 0 holds the
+zeroed coordinates. The partition {{0,3,4},{1,5},{2,7,8},{6}} of {0..8}
+is the map (a,b,c) -> (a,b,0,0,a,c,b,b), whose assignment
+(1,2,0,0,1,3,2,2) is the partition's restricted-growth string with the
+ghost's label dropped. `apply_map` carries a full-rank lattice through a
+map; AcceptableMap is an immutable value on `lattice._Frozen`.
 """
 
 from __future__ import annotations
@@ -30,11 +23,10 @@ class AcceptableMap(_Frozen):
     """Map Z^source_dim -> Z^target_dim given by one entry per target coordinate.
 
     assignment[j] is 0 when target coordinate j is identically zero, and
-    i >= 1 when it copies source coordinate i. Every source index must
-    appear at least once, which makes the map injective, so the map is its
-    assignment: target_dim is its length and source_dim its largest entry
-    (0 for a map with no source). The assignment is a tuple of nonnegative
-    ints (bool excluded) whose nonzero entries are exactly 1..max.
+    i >= 1 when it copies source coordinate i. Every source index appears,
+    which makes the map injective, so the map is its assignment: a tuple of
+    nonnegative ints (bool excluded) whose nonzero entries are exactly
+    1..max. target_dim is its length and source_dim its largest entry.
     """
 
     __slots__ = ("assignment",)
@@ -102,13 +94,9 @@ def stirling2(u: int, v: int) -> int:
 
 
 def map_to_partition(g: AcceptableMap) -> tuple[tuple[int, ...], ...]:
-    """Blocks of the partition of {0..target_dim} that a map encodes.
-
-    Each block is a sorted tuple, and the blocks are ordered by their
-    minimum: ((0, 3, 4), (1, 5), (2, 7, 8), (6,)) for the assignment
-    (1, 2, 0, 0, 1, 3, 2, 2). An unordered map gives the blocks of its
-    ordered form.
-    """
+    """Blocks of the partition of {0..target_dim} that a map encodes, each a
+    sorted tuple, ordered by their minimum, as in the module's example; an
+    unordered map gives the blocks of its ordered form."""
     groups: dict[int, list[int]] = {0: [0]}
     for j, a in enumerate(g.assignment):
         groups.setdefault(a, []).append(j + 1)
@@ -121,13 +109,10 @@ def _transport_rows(assignment: Sequence[int],
     """Each row, padded with a leading 0, carried coordinate by coordinate
     through a map's assignment.
 
-    Entry j of an image row is row[a] for a = assignment[j]: with the pad
-    in front, source coordinate a sits at index a of the padded row, and a
-    zeroed coordinate's 0 picks the pad, so the assignment is its own index
-    list and serves every row. With two or more target coordinates one
-    `itemgetter` picks a row's entries as a tuple; with fewer it would
-    return a bare entry or refuse, so those rows are picked one index at a
-    time.
+    Entry j of an image row is row[assignment[j]]: the pad puts source
+    coordinate a at index a and gives a zeroed coordinate its 0, so the
+    assignment is its own index list. One `itemgetter` picks a row's
+    entries when there are two or more; fewer are picked one by one.
     """
     if len(assignment) < 2:
         return tuple([tuple([row[a] for a in assignment]) for row in padded])
@@ -148,22 +133,20 @@ def _is_ordered(assignment: tuple[int, ...]) -> bool:
 
 
 def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
-    """Image of a full-rank lattice under an acceptable map.
+    """Image of a full-rank lattice of Z^source_dim under an acceptable map,
+    of the same rank in Z^target_dim; ValueError for any other lattice.
 
-    Each basis row, padded with a leading 0, is carried through g's
-    assignment (`_transport_rows`); the image has the same rank inside
-    Z^target_dim. For an ordered map (`_is_ordered`) the image rows are
-    already the canonical Hermite basis of the image, and they are stored
-    without the constructor (`Lattice._trusted`). Say label i + 1 first
-    appears at target coordinate f_i, so f_0 < f_1 < ...
-    Left of f_i every label is at most i, and lat's basis is upper
-    triangular, so image row i is zero there: it leads at f_i with lat's
-    pivot i, which is positive, and the leads strictly increase. The entry
-    of row h < i above that lead is lat's entry above pivot i, already
-    reduced into [0, pivot). Every entry is an int copied from lat, and
-    each row a tuple of target_dim entries. An unordered map's rows are
-    never canonical, so they go to `lattice_from_rows`, which puts them
-    into Hermite form and validates that once.
+    The rows come from `_transport_rows`. For an ordered map
+    (`_is_ordered`) they are already the canonical Hermite basis of the
+    image, stored without the constructor (`Lattice._trusted`). Say label
+    i + 1 first appears at target coordinate f_i, so f_0 < f_1 < ... Left
+    of f_i every label is at most i, and lat's basis is upper triangular,
+    so image row i is zero there: it leads at f_i with lat's positive pivot
+    i, and the leads strictly increase. The entry of row h < i above that
+    lead is lat's entry above pivot i, already reduced into [0, pivot).
+    Every entry is an int copied from lat, and each row a tuple of
+    target_dim entries. An unordered map's rows are never canonical, so
+    they go to `lattice_from_rows`.
     """
     if lat.ambient_dim != g.source_dim:
         raise ValueError("lattice ambient dimension must equal the map source")
@@ -178,11 +161,11 @@ def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
 def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[AcceptableMap]:
     """All ordered acceptable maps Z^source_dim -> Z^target_dim.
 
-    There are stirling2(target_dim + 1, source_dim + 1) of them, one per
-    partition of {0..target_dim} into source_dim + 1 blocks, listed by
-    their growth strings in lexicographic order: an entry is at most one
-    more than the largest before it, the ghost 0 counting as the first, and
-    a string is dropped once too few entries are left to use every label.
+    There are stirling2(target_dim + 1, source_dim + 1), one per partition,
+    listed by their growth strings in lexicographic order: an entry is at
+    most one more than the largest before it, the ghost 0 counting as the
+    first, and a string is dropped once too few entries are left to use
+    every label.
     """
     if source_dim < 0 or target_dim < source_dim:
         raise ValueError("need 0 <= source_dim <= target_dim")

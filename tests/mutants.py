@@ -65,6 +65,15 @@ MUTANTS = (
         "                continue\n",
         ("tests/test_frontier.py", "tests/test_irreducible_blocks.py")),
     Mutant(
+        "scan-skips-x1-at-pivot-2-from-ambient-10",
+        "src/multlat/enumeration.py",
+        "        for x in range(p):\n",
+        "        for x in range(p):\n"
+        "            if p == 2 and x == 1 and ambient >= 10:\n"
+        "                continue\n",
+        ("tests/test_ambient_axis.py::"
+         "test_every_cell_of_the_ambient_axis_block_passes",)),
+    Mutant(
         "scan-takes-one-off-pivot-root", "src/multlat/enumeration.py",
         "for x in ((d - s) // 2, (d + s) // 2) if s else (d // 2,):",
         "for x in ((d + s) // 2,):",
@@ -155,6 +164,13 @@ MUTANTS = (
         "                if version == ENGINE_VERSION:\n",
         "                if True:\n",
         ("tests/test_cache.py::test_engine_version_is_part_of_the_key",)),
+    Mutant(
+        "constructor-accepts-an-entry-equal-to-its-pivot",
+        "src/multlat/lattice.py",
+        "if not 0 <= basis[h][lead] < d:",
+        "if not 0 <= basis[h][lead] <= d:",
+        ("tests/test_lattice.py::"
+         "test_constructor_accepts_exactly_the_reference_hermite_forms",)),
     Mutant(
         "closure-accepts-a-basis-with-no-square", "src/multlat/lattice.py",
         "square is not None and",

@@ -5,14 +5,14 @@ The README's Library block and the scripts in demos/ import names from
 `__all__` must resolve, lazily, to the object its defining module holds.
 The README's count of those names must match `__all__`. Imports are read
 with `ast`; each demo is also run once, in a fresh interpreter against the
-checkout's `src`. Six lints by `ast` need no linter installed: every name
+checkout's `src`. Seven lints by `ast` need no linter installed: every name
 a module under `src/multlat/` imports is read in that module, every
 module-level private name defined there is read elsewhere in the package,
 each module imports only the modules below it in its layer, every name
 a test patches on a package module is one that the package reads from that
 module, so no patch goes unseen, only the three functions that hold a
-proof build a value unchecked, and no exception is swallowed by a bare
-`pass`.
+proof build a value unchecked, no exception is swallowed by a bare
+`pass`, and each argument in a table is stated in one docstring alone.
 """
 
 import ast
@@ -412,6 +412,51 @@ def test_no_exception_is_silenced():
     assert sources
     assert {path.name: silenced_handlers(path.read_text(encoding="utf-8"))
             for path in sources} == {path.name: [] for path in sources}
+
+
+# a term that only its argument's proof uses, and the one docstring, as
+# (module, owner), that holds that proof; the README points to it
+ARGUMENT_HOMES = {"idempotent": ("lattice", "_pivot_square"),
+                  "automorphism": ("enumeration", "_corank_worker")}
+
+
+def term_uses(terms, sources, readme):
+    """Each of terms, with every docstring of sources, a dict of module
+    name to source, that uses it, as (module, owner), "<module>" for the
+    module's own, plus "README.md" if readme uses it; case is ignored."""
+    found = {term: set() for term in terms}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                doc = (ast.get_docstring(node) or "").lower()
+                owner = getattr(node, "name", "<module>")
+                for term in terms:
+                    if term in doc:
+                        found[term].add((module, owner))
+    for term in terms:
+        if term in readme.lower():
+            found[term].add("README.md")
+    return found
+
+
+def test_each_argument_has_one_home():
+    # a proof restated in a second place drifts from the first when the
+    # code changes; every other place names the home instead
+    assert term_uses(
+        {"idempotent", "nilpotent"},
+        {"m": '"""Idempotents."""\n'
+              'class C:\n    """no term"""\n'
+              '    def f(self):\n        """one idempotent"""\n',
+         "n": "x = 'idempotent'  # idempotent\n"},
+        "nilpotent") == {"idempotent": {("m", "<module>"), ("m", "f")},
+                         "nilpotent": {"README.md"}}
+    package = ROOT / "src" / "multlat"
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in package.glob("*.py")}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert term_uses(set(ARGUMENT_HOMES), sources, readme) == {
+        term: {home} for term, home in ARGUMENT_HOMES.items()}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in
