@@ -172,8 +172,6 @@ def _cmd_count(args) -> int:
 
 def _cmd_count_corank(args) -> int:
     k = args.corank
-    if k > args.ambient:
-        raise ValueError("need 0 <= corank <= ambient")
     # co-rank 0 is plain full-rank counting whichever method was asked
     # for; recorded as 'oracle'
     method = "oracle" if k == 0 else args.method

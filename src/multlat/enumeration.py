@@ -74,14 +74,25 @@ class _Steps:
                 f"(budget {self.budget})")
 
 
+def _check_cell(ambient: int, corank: int, torsion: int) -> None:
+    """ValueError unless `_run_shards` takes the cell."""
+    if not 0 <= corank <= ambient:
+        raise ValueError("need 0 <= corank <= ambient")
+    if torsion < 1:
+        raise ValueError("torsion must be at least 1")
+
+
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted census of both engines, as bases: every shard's bases of the
     given co-rank and torsion, full rank at co-rank 0.
 
-    jobs and budget are checked first, budget None meaning DEFAULT_BUDGET.
-    Rank 0 (ambient == corank) starts no worker: the zero lattice has
-    torsion 1, so it gives [()] at torsion 1 and [] otherwise. jobs = 1 runs
+    The cell rule, checked here first for every census (`_check_cell`):
+    0 <= corank <= ambient and torsion >= 1, or ValueError "need 0 <= corank
+    <= ambient" or "torsion must be at least 1". jobs and budget are checked
+    next, budget None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank)
+    starts no worker: the zero lattice has torsion 1, so it gives [()] at
+    torsion 1 and [] otherwise. jobs = 1 runs
     `_corank_worker` here; more run jobs shards, each with its own budget, in
     a fork pool of min(jobs, os.cpu_count()) processes. The shards split the
     steps of jobs = 1 (`_corank_worker`), so a run that completes at jobs = 1
@@ -90,6 +101,7 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     found twice, in one shard or two, is an internal error; the sort puts
     copies side by side, so comparing neighbours finds every repeat.
     """
+    _check_cell(ambient, corank, torsion)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -137,12 +149,8 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
     """All full-rank multiplicative sublattices of Z^n with the given index,
     sorted by basis, each once: the census of `_corank_worker` at co-rank 0,
     re-verified lattice by lattice (`_reverify`). Z^0 is the one lattice at
-    n = 0, of index 1. jobs and budget are `_run_shards`'.
+    n = 0, of index 1. The cell rule, jobs and budget are `_run_shards`'.
     """
-    if n < 0:
-        raise ValueError("ambient dimension must be nonnegative")
-    if index < 1:
-        raise ValueError("index must be at least 1")
     lats = _lattices(n, _run_shards(n, 0, index, jobs, budget))
     _reverify(lats, n, index)
     return lats
@@ -368,11 +376,8 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
 def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
             budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted, repeat-free bases `enumerate_corank_oracle` validates
-    and re-verifies, and `_verify` places; ValueError on a bad cell."""
-    if ambient < 0 or not 0 <= corank <= ambient:
-        raise ValueError("need 0 <= corank <= ambient")
-    if torsion < 1:
-        raise ValueError("torsion must be at least 1")
+    and re-verifies, and `_verify` places; ValueError on a cell that breaks
+    `_run_shards`' cell rule."""
     return _run_shards(ambient, corank, torsion, jobs, budget)
 
 
@@ -396,9 +401,10 @@ def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:
 def count_corank_formula(n: int, k: int, r: int, *, jobs: int = 1,
                          budget: Optional[int] = None) -> int:
     """Closed-form count: stirling2(n+k+1, n+1) times the full-rank count,
-    which runs under the given jobs and budget."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    which runs under the given jobs and budget. The cell (n + k, k, r) is
+    checked first against `_run_shards`' cell rule, as stirling2 would
+    answer 0 at k < 0 and raise a message of its own at n < 0."""
+    _check_cell(n + k, k, r)
     return stirling2(n + k + 1, n + 1) * count_full_rank(n, r, jobs=jobs,
                                                          budget=budget)
 

@@ -10,9 +10,11 @@ once, runs the union of the mutants' tests there on the clean copy (they
 must pass, or no kill means anything), then applies one mutant at a time
 and runs its tests under `pytest -x`, one pytest process at a time,
 restoring the file afterwards. A mutant whose tests all pass gets the
-whole suite; if that passes too, the mutant survived. The last line is
-`killed K of N`; the exit status is 0 when every mutant was killed by its
-own tests, 1 otherwise. Standard library only; the suite's own
+whole suite; if that passes too, the mutant survived. Each line is
+flushed as it is printed, so a run redirected to a file and cut short
+keeps every verdict it reached. The last line is `killed K of N`; the
+exit status is 0 when every mutant was killed by its own tests, 1
+otherwise. Standard library only; the suite's own
 `tests/test_mutant_catalogue.py` checks the catalogue's texts and test
 names without running any mutant.
 """
@@ -229,6 +231,36 @@ MUTANTS = (
         ("tests/test_enumeration.py::"
          "test_divisor_trials_stop_above_the_budget",
          "tests/test_cli.py::test_a_large_prime_torsion_answers_at_once")),
+    Mutant(
+        "constructor-accepts-a-lead-left-of-the-one-above",
+        "src/multlat/lattice.py",
+        "            if lead < start or d < 0:\n",
+        "            if d < 0:\n",
+        ("tests/test_lattice.py::test_constructor_rejects_unsorted_pivots",
+         "tests/test_lattice.py::"
+         "test_constructor_accepts_exactly_the_reference_hermite_forms")),
+    Mutant(
+        "constructor-accepts-a-negative-pivot", "src/multlat/lattice.py",
+        "            if lead < start or d < 0:\n",
+        "            if lead < start:\n",
+        ("tests/test_lattice.py::test_constructor_rejects_negative_pivot",)),
+    Mutant(
+        "constructor-accepts-a-bool-entry", "src/multlat/lattice.py",
+        "                if type(x) is not int:\n",
+        "                if type(x) not in (int, bool):\n",
+        ("tests/test_lattice.py::"
+         "test_constructor_rejects_non_integer_entries",)),
+    Mutant(
+        "map-accepts-a-negative-entry", "src/multlat/partitions.py",
+        "            if a < 0:\n",
+        "            if False:\n",
+        ("tests/test_partitions.py::"
+         "test_constructors_reject_fields_of_the_wrong_type",)),
+    Mutant(
+        "map-accepts-an-unused-source", "src/multlat/partitions.py",
+        "        if len(used) != max(used, default=0):\n",
+        "        if False:\n",
+        ("tests/test_partitions.py::test_map_validation",)),
 )
 
 
@@ -262,7 +294,7 @@ def main(argv: list[str]) -> int:
             ".git", "__pycache__", ".pytest_cache", ".perfbench-*"))
         named = sorted({t for m in chosen for t in m.tests})
         ok, took, last = _pytest(tree, named)
-        print(f"clean copy, named tests: {last} ({took:.1f} s)")
+        print(f"clean copy, named tests: {last} ({took:.1f} s)", flush=True)
         if not ok:
             print("the named tests fail on the clean copy")
             return 1
@@ -271,7 +303,8 @@ def main(argv: list[str]) -> int:
             path = tree / m.path
             text = path.read_text(encoding="utf-8")
             if text.count(m.old) != 1:
-                print(f"{m.name}: old text occurs {text.count(m.old)} times")
+                print(f"{m.name}: old text occurs {text.count(m.old)} times",
+                      flush=True)
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
             try:
@@ -286,7 +319,7 @@ def main(argv: list[str]) -> int:
                                "killed, but only by the whole suite")
             finally:
                 path.write_text(text, encoding="utf-8")
-            print(f"{m.name}: {verdict} ({took:.1f} s): {last}")
+            print(f"{m.name}: {verdict} ({took:.1f} s): {last}", flush=True)
     print(f"killed {killed} of {len(chosen)}")
     return 0 if killed == len(chosen) else 1
 

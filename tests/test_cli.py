@@ -188,11 +188,15 @@ def test_a_large_prime_torsion_answers_at_once(capsys):
 
 
 def test_count_corank_bad_corank(capsys):
-    rc, _, err = run_main(
-        capsys,
-        ["count-corank", "--ambient", "2", "--corank", "3", "--torsion", "1"])
-    assert rc == 2
-    assert "usage error" in err
+    # the engines' cell check refuses it under either method, before a row
+    for method in ("oracle", "formula"):
+        rc, out, err = run_main(
+            capsys,
+            ["count-corank", "--ambient", "2", "--corank", "3", "--torsion",
+             "1", "--method", method])
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: need 0 <= corank <= ambient\n"
 
 
 # ------------------------------------------------------------------ verify

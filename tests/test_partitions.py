@@ -119,6 +119,9 @@ def test_map_dimensions_are_read_only():
     (AcceptableMap, ((True, 0),)),
     (AcceptableMap, ((1, -1),)),  # a negative entry names no source
     (AcceptableMap, ((-1,),)),
+    # -1 makes up the count of the labels 1 and 3, so only its own check
+    # refuses this one
+    (AcceptableMap, ((1, 3, -1),)),
 ])
 def test_constructors_reject_fields_of_the_wrong_type(cls, args):
     with pytest.raises(ValueError, match="^(assignment must be a tuple|"
