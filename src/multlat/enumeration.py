@@ -22,7 +22,6 @@ from .lattice import (Lattice, _column_labels, _square_closed,
                       is_multiplicative, torsion_size)
 from .partitions import (
     AcceptableMap,
-    _transport_rows,
     apply_map,
     enumerate_ordered_maps,
     stirling2,
@@ -416,8 +415,9 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     L is lat's pivot square (`lattice._pivot_square`), and g labels each
     column of lat by its place among L's columns, 0 for the zero column; one
     pass over lat's columns gives both (`lattice._column_labels`). Raises
-    ValueError on non-multiplicative input, and RuntimeError if g does not
-    carry L's rows back to lat (`partitions._transport_rows`).
+    ValueError on non-multiplicative input. lat's basis is validated, so
+    rectangular, and g carries L back to lat (`_witness_faults` holds the
+    argument).
 
     Both skip their constructors. L (`Lattice._trusted`): lat's basis is
     validated, so its square is upper triangular with lat's positive pivots
@@ -427,50 +427,49 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     """
     labels, assignment = _column_labels(lat.basis, lat.ambient_dim)
     if len(labels) == lat.rank + 1:
-        padded = list(zip(*labels))
-        core = Lattice._trusted(lat.rank, tuple([row[1:] for row in padded]))
+        core = Lattice._trusted(lat.rank,
+                                tuple([row[1:] for row in zip(*labels)]))
         if _square_closed(core.basis):
-            if _transport_rows(assignment, padded) != lat.basis:
-                raise RuntimeError(
-                    "internal: decomposition does not reproduce the lattice")
             return AcceptableMap._trusted(tuple(assignment)), core
     raise ValueError("lattice is not multiplicative")
 
 
 def _witness_faults(ambient: int,
                     witnesses: Iterable[tuple[tuple[int, ...], ...]],
-                    cores: dict[tuple, tuple[list, list]],
-                    rank: int, r: int) -> Iterator[Optional[str]]:
+                    cores: dict[tuple, list], rank: int, r: int
+                    ) -> Iterator[Optional[str]]:
     """Why each witness basis of Z^ambient breaks the factorization, or
     None, in order.
 
-    cores holds, under each full-rank lattice's key, its rows padded with a
-    leading 0 and the list of witness bases placed on it. A key is a label
-    dict (`lattice._column_labels`) as a tuple. A witness of ambient columns
-    with a core's key has rank rows and that core as its pivot square, so it
-    must be the core carried through its own labels, its ordered map's
-    assignment (`partitions._transport_rows`), or RuntimeError is raised. It
-    is then a canonical basis (`partitions.apply_map`) with the core's rank,
-    closure and torsion (`lattice._pivot_square`), which the full-rank census
-    re-verified, and it joins the core's list with no map or Lattice built.
-    Equality is by value: an entry True or 1.0 equals 1, and only the
-    constructor, which `_verify` runs on every witness it returns, refuses
-    it. Any other witness is a stray, validated (`_lattices`) and re-verified
-    (`_reverify`) on its own basis, which raise RuntimeError on an engine
-    fault; it gives "censused but not reachable through any map".
+    cores holds, under each full-rank lattice's key, the list of witness
+    bases placed on it. A key is a label dict (`lattice._column_labels`) as
+    a tuple: the zero column, as tall as the rows are many, then each
+    distinct nonzero column in order of first use. A witness whose rows all
+    have ambient entries and whose key is a core's is placed on that core,
+    with no map or Lattice built. It is the core carried through its own
+    labels, its ordered map's assignment (`partitions._transport_rows`): it
+    has the core's row count, and each column's label names that column in
+    the key. So it is a canonical basis (`partitions.apply_map`) with the
+    core's rank, closure and torsion (`lattice._pivot_square`), which the
+    full-rank census re-verified. The widths are checked because `zip`
+    stops at the shortest row, so a longer row leaves the key unchanged.
+    `decompose` rests on the same argument for its rectangular basis.
+    Placement compares by value, as entries do: True or 1.0 equals 1. The
+    constructor stays the only type check: `_verify` runs it on every
+    lattice it returns, and the full-rank census, from the same scan, is
+    validated basis by basis (`_lattices`). Any other witness, of the
+    wrong width or row count included, is a stray, validated (`_lattices`)
+    and re-verified (`_reverify`) on its own basis, which raise RuntimeError
+    on an engine fault; it gives "censused but not reachable through any
+    map".
     """
     for basis in witnesses:
-        labels, assignment = _column_labels(basis, ambient)
-        known = (cores.get(tuple(labels)) if len(assignment) == ambient
-                 else None)
-        if known is None:
+        placed = (cores.get(tuple(_column_labels(basis, ambient)[0]))
+                  if all(len(row) == ambient for row in basis) else None)
+        if placed is None:
             _reverify(_lattices(ambient, [basis]), rank, r)
             yield "censused but not reachable through any map"
             continue
-        padded, placed = known
-        if _transport_rows(assignment, padded) != basis:
-            raise RuntimeError(
-                "internal: decomposition does not reproduce the lattice")
         placed.append(basis)
         yield None
 
@@ -509,8 +508,7 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    labelled = [_column_labels(core.basis, n)[0] for core in cores]
-    keyed = {tuple(labels): (list(zip(*labels)), []) for labels in labelled}
+    keyed = {tuple(_column_labels(core.basis, n)[0]): [] for core in cores}
     formula_count = stirling_factor * len(cores)
     found = None
     for basis, fault in zip(witnesses, _witness_faults(ambient, witnesses,
@@ -529,8 +527,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     )
     if passed or found is not None:
         return report, found
-    suspects = [(core, placed) for core, (_, placed)
-                in zip(cores, keyed.values()) if len(placed) != stirling_factor]
+    suspects = [(core, placed) for core, placed in zip(cores, keyed.values())
+                if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
                for core, _ in suspects]
     census = set(_lattices(ambient, [basis for _, placed in suspects

@@ -95,8 +95,8 @@ MUTANTS = (
         ("tests/test_intlinalg.py",)),
     Mutant(
         "place-drops-reapplication-check", "src/multlat/enumeration.py",
-        "        if _transport_rows(assignment, padded) != basis:\n",
-        "        if False:\n",
+        "if all(len(row) == ambient for row in basis) else None)",
+        "if True else None)",
         ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
     Mutant(
         "transport-picks-a-for-a-minus-1", "src/multlat/partitions.py",
@@ -135,6 +135,25 @@ MUTANTS = (
         '        if method not in ("oracle", "formula", "unital"):\n',
         "        if False:\n",
         ("tests/test_cache.py::test_lines_put_could_not_write_are_skipped",)),
+    Mutant(
+        "count-record-accepts-a-negative-rank", "src/multlat/cache.py",
+        "        if n < 0 or k < 0:\n",
+        "        if k < 0:\n",
+        ("tests/test_cache.py::"
+         "test_count_record_validates_what_the_loader_validates",)),
+    Mutant(
+        "count-record-accepts-a-negative-corank", "src/multlat/cache.py",
+        "        if n < 0 or k < 0:\n",
+        "        if n < 0:\n",
+        ("tests/test_cache.py::"
+         "test_count_record_validates_what_the_loader_validates",)),
+    Mutant(
+        "count-record-accepts-torsion-zero", "src/multlat/cache.py",
+        "        if r < 1:\n",
+        "        if r < 0:\n",
+        ("tests/test_cache.py::"
+         "test_count_record_validates_what_the_loader_validates",
+         "tests/test_enumeration.py::test_count_record_validation")),
     Mutant(
         "count-record-accepts-a-negative-count", "src/multlat/cache.py",
         "        if count < 0:\n",
@@ -191,10 +210,37 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
     Mutant(
         "verify-pads-core-rows-at-the-end", "src/multlat/enumeration.py",
-        "(list(zip(*labels)), [])",
-        "([row[1:] + (0,) for row in zip(*labels)], [])",
+        "tuple(_column_labels(core.basis, n)[0])",
+        "tuple(col + (0,) for col in _column_labels(core.basis, n)[0])",
         ("tests/test_enumeration.py::"
-         "test_witness_pass_matches_per_witness_checks",)),
+         "test_verify_names_no_offender_on_clean_cells",
+         "tests/test_enumeration.py::"
+         "test_witness_pass_matches_per_witness_checks")),
+    Mutant(
+        "scan-emits-a-list-row", "src/multlat/enumeration.py",
+        "(tuple(v), *hnf)",
+        "(list(v), *hnf)",
+        ("tests/test_enumeration.py::"
+         "test_verify_names_no_offender_on_clean_cells",
+         "tests/test_cli.py::test_verify_single_cell")),
+    Mutant(
+        "cell-rule-allows-corank-above-ambient", "src/multlat/enumeration.py",
+        "    if not 0 <= corank <= ambient:\n",
+        "    if not 0 <= corank:\n",
+        ("tests/test_enumeration.py::test_corank_arg_validation",
+         "tests/test_cli.py::test_count_corank_bad_corank")),
+    Mutant(
+        "cell-rule-allows-a-negative-corank", "src/multlat/enumeration.py",
+        "    if not 0 <= corank <= ambient:\n",
+        "    if not corank <= ambient:\n",
+        ("tests/test_enumeration.py::test_corank_arg_validation",)),
+    Mutant(
+        "cell-rule-allows-torsion-zero", "src/multlat/enumeration.py",
+        "    if torsion < 1:\n",
+        "    if torsion < 0:\n",
+        ("tests/test_enumeration.py::test_corank_arg_validation",
+         "tests/test_enumeration.py::"
+         "test_enumerate_full_rank_arg_validation")),
     Mutant(
         "shards-take-every-lead", "src/multlat/enumeration.py",
         "if left % d == 0])[start::step]",

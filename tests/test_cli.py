@@ -16,6 +16,7 @@ import pytest
 
 import multlat.cli as cli
 import multlat.enumeration as enumeration
+import multlat.partitions as partitions
 from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
 from multlat.lattice import Lattice, lattice_from_rows
@@ -579,15 +580,21 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_a_witness_its_map_does_not_rebuild_exits_three(capsys, monkeypatch):
-    # verify prints its table header, then fails on the first witness
-    monkeypatch.setattr(enumeration, "_transport_rows", lambda g, rows: ())
-    rc, out, err = run_main(
-        capsys, ["verify", "--n", "2", "--k", "1", "--r", "2"])
-    assert rc == 3
-    assert out.count("\n") == 1
-    assert err == ("internal error: decomposition does not reproduce the "
-                   "lattice\n")
+def test_a_passing_verify_carries_no_rows_through_a_map(capsys, monkeypatch):
+    # a passing cell places each witness by its key and row widths alone
+    # (`enumeration._witness_faults`) and applies no map, so with the
+    # transport broken it prints the same table and passes
+    argv = ["verify", "--n", "2", "--k", "1", "--r", "2"]
+    _, expected, _ = run_main(capsys, argv)
+
+    def broken(*args):
+        raise AssertionError("rows carried through a map")
+
+    monkeypatch.setattr(partitions, "_transport_rows", broken)
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 0
+    assert out == expected and out.count("\n") == 2
+    assert err.startswith("1 cells, all passed, ")
 
 
 def test_a_lattice_found_twice_exits_three(capsys, monkeypatch):
@@ -628,10 +635,11 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
     # basis the constructor would refuse still fails verify at exit 3, with
     # the full-rank side left whole: a stray, whose key is no core's, is
     # refused by the constructor; a basis one entry too wide in its top row
-    # keeps the key of the basis it came from, and its map, one entry
-    # narrower, does not rebuild it; a basis one entry too wide in every row
-    # also keeps its key, and its map would rebuild it, so a witness of the
-    # wrong width or row count is a stray
+    # keeps the key of the basis it came from, as `zip` stops at the
+    # shortest row, and a basis one entry too wide in every row keeps its
+    # key too, so placement checks every row's width: a witness of the
+    # wrong width or row count is a stray, and the constructor refuses it,
+    # as count and count-corank do
     worker = enumeration._corank_worker
 
     def top_row_widened(bases):
@@ -645,8 +653,8 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
     for fault, reason in (
             (_rows_added, "engine produced an invalid basis: basis is not "
                           "in canonical Hermite form"),
-            (top_row_widened, "decomposition does not reproduce the "
-                              "lattice"),
+            (top_row_widened, "engine produced an invalid basis: basis "
+                              "rows must match the ambient dimension"),
             (all_rows_widened, "engine produced an invalid basis: basis "
                                "rows must match the ambient dimension")):
         monkeypatch.setattr(enumeration, "_corank_worker",
@@ -681,8 +689,6 @@ def test_partitions_listing(capsys):
 def test_partitions_listing_that_disagrees_with_stirling_exits_one(
         capsys, monkeypatch):
     # the listing is printed in full, and the disagreement fails the run
-    import multlat.partitions as partitions
-
     monkeypatch.setattr(partitions, "stirling2", lambda u, v: 4)
     rc, out, err = run_main(capsys, ["partitions", "--n", "1", "--k", "1"])
     assert rc == 1

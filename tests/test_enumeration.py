@@ -36,6 +36,7 @@ from multlat.enumeration import (
 import multlat.enumeration as enumeration
 import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
+import multlat.partitions as partitions
 from multlat.enumeration import (
     _closed_extensions,
     _corank_worker,
@@ -664,17 +665,26 @@ def test_decompose_rejects_non_multiplicative_with_rigid_columns():
         decompose(lat)
 
 
-def test_a_map_that_does_not_rebuild_its_witness_is_an_internal_error(
+def test_decompose_and_a_passing_cell_carry_no_rows_through_a_map(
         monkeypatch):
-    # each placed witness's map is re-applied to its core; a transport that
-    # loses the rows fails decompose and the verifier alike
+    # a validated lattice, like a rectangular witness with a core's key, is
+    # its core carried through its own labels (`_witness_faults`), so
+    # neither decompose nor a passing cell carries rows through a map; with
+    # the transport broken both give what they gave, and apply_map fails
     lat = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
-    monkeypatch.setattr(enumeration, "_transport_rows", lambda g, rows: ())
-    for check in (lambda: decompose(lat),
-                  lambda: verify_corank_factorization(2, 1, 2)):
-        with pytest.raises(RuntimeError, match="^internal: decomposition "
-                           "does not reproduce the lattice$"):
-            check()
+    split = decompose(lat)
+    passing = _verify(2, 1, 2, jobs=1, budget=None)
+
+    def broken(*args):
+        raise AssertionError("rows carried through a map")
+
+    monkeypatch.setattr(partitions, "_transport_rows", broken)
+    assert decompose(lat) == split == (AcceptableMap((1, 1, 2)),
+                                       Lattice(2, ((1, 0), (0, 2))))
+    assert _verify(2, 1, 2, jobs=1, budget=None) == passing
+    assert passing[0].status == "pass"
+    with pytest.raises(AssertionError, match="^rows carried through a map$"):
+        apply_map(*split)
 
 
 def test_decompose_returns_what_the_constructors_build():
@@ -697,8 +707,8 @@ def test_decompose_returns_what_the_constructors_build():
 
 def test_a_witness_equal_to_a_canonical_basis_leaves_only_validated(
         monkeypatch):
-    # the verifier places a witness once its map rebuilds it, which proves
-    # it == a canonical basis of ints; a twin holding True for 1 compares
+    # the verifier places a rectangular witness by its key, which proves it
+    # == a canonical basis of ints; a twin holding True for 1 compares
     # equal, so it is placed and counted as that basis is, and the cell
     # passes. No lattice leaves the verifier without the constructor: when
     # the cell fails on its count, the twin's core is a suspect, its
@@ -824,11 +834,9 @@ def _full_rank_keys(rank, r):
 
 
 def _keyed(rank, r):
-    # the full-rank lattices of index r under their keys, each with its rows
-    # padded with a leading 0 and an empty witness list, as the verifier
-    # holds them
-    return {key: ([(0,) + row for row in core.basis], [])
-            for key, core in _full_rank_keys(rank, r)}
+    # the full-rank lattices of index r under their keys, each with an empty
+    # witness list, as the verifier holds them
+    return {key: [] for key, _ in _full_rank_keys(rank, r)}
 
 
 def _check_witness(lat, rank, r):
@@ -874,7 +882,9 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
     # a cell tests closure once per full-rank lattice of index r, when the
     # full-rank census is re-verified, and the pass tests none: it places
     # each witness on one of those lattices, stirling2(n+k+1, n+1) on each,
-    # and every witness gets the same verdict as when it is checked alone
+    # and every witness gets the same verdict as when it is checked alone;
+    # the witnesses on a core are its images under the ordered maps, the
+    # fact the pass reads off the key and the row widths
     closure = lattice._square_closed
     tested = []
 
@@ -889,8 +899,12 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
         keyed = _keyed(n, r)
         faults = list(_witness_faults(n + k, census, keyed, n, r))
         assert faults == alone == [None] * len(census), (n, k, r)
-        assert [len(placed) for _, placed in keyed.values()] == [
+        assert [len(placed) for placed in keyed.values()] == [
             stirling2(n + k + 1, n + 1)] * len(keyed), (n, k, r)
+        maps = list(enumerate_ordered_maps(n, n + k))
+        for (_, core), placed in zip(_full_rank_keys(n, r), keyed.values()):
+            assert set(placed) == {apply_map(g, core).basis
+                                   for g in maps}, (n, k, r, core)
         del tested[:]
         with monkeypatch.context() as patched:
             patched.setattr(lattice, "_square_closed", counted)
