@@ -86,19 +86,18 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     """The sorted census of both engines, as bases: every shard's bases of the
     given co-rank and torsion, full rank at co-rank 0.
 
-    The cell rule, checked here first for every census (`_check_cell`):
-    0 <= corank <= ambient and torsion >= 1, or ValueError "need 0 <= corank
-    <= ambient" or "torsion must be at least 1". jobs and budget are checked
-    next, budget None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank)
-    starts no worker: the zero lattice has torsion 1, so it gives [()] at
-    torsion 1 and [] otherwise. jobs = 1 runs
-    `_corank_worker` here; more run jobs shards, each with its own budget, in
-    a fork pool of min(jobs, os.cpu_count()) processes. The shards split the
-    steps of jobs = 1 (`_corank_worker`), so a run that completes at jobs = 1
-    completes at every jobs with the same census, and one that a budget stops
-    may complete at more. The worker builds each lattice once, so a basis
-    found twice, in one shard or two, is an internal error; the sort puts
-    copies side by side, so comparing neighbours finds every repeat.
+    The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
+    first for every census (`_check_cell`), then jobs and budget, budget
+    None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank) starts no
+    worker: the zero lattice has torsion 1, so it gives [()] at torsion 1
+    and [] otherwise. jobs = 1 runs `_corank_worker` here; more run jobs
+    shards, each with its own budget, in a fork pool of min(jobs,
+    os.cpu_count()) processes. The shards split the steps of jobs = 1
+    (`_corank_worker`), so a run that completes at jobs = 1 completes at
+    every jobs with the same census, and one that a budget stops may
+    complete at more. The worker builds each lattice once, so a basis found
+    twice, in one shard or two, is an internal error; the sort puts copies
+    side by side, so comparing neighbours finds every repeat.
     """
     _check_cell(ambient, corank, torsion)
     if jobs < 1:
@@ -190,21 +189,24 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     holds hnf's own row tuples. d runs over leads, an entry in a pivot column
     of hnf over [0, pivot) and every other entry over the integers; the bases
     come back in lexicographic order.
-    v*v has coefficient d on v, so it lies in the span exactly when v*v - d*v
-    reduces to zero against hnf. Its column j, less the multiples of the rows
-    pivoting left of j (carried forward in `acc`), is fixed once x_q..x_j
-    are, so a partial row is dropped at the first column whose residual is
-    nonzero off a pivot, or not divisible by the pivot on one. Off a pivot
+    The span is closed when v*v and each u*v, u in hnf, lie in it. At column
+    q only v is nonzero, v*v is d*d and u*v is 0, as u is zero left of its
+    pivot; so v*(v - d) and each u*v must lie in hnf's span. A u zero right
+    of its pivot c needs no test: u*v = v[c]*u. Each product is reduced
+    against hnf column by column, the multiples of the pivot rows taken so
+    far summed in its accumulator (`acc` for v*(v - d), one in `accs` per
+    tested u). Its residual at column j, x(x - d) - acc[j] or u[j]*x - a[j]
+    for u's accumulator a, is fixed once x_j is. It must be 0 off a pivot; on
+    one the pivot must divide it, and the quotient times the pivot row goes
+    into the accumulator. So a partial row is dropped at the first column
+    where a product fails, and a full row gives a closed span. Off a pivot
     x(x - d) = acc[j], so x runs over the roots (d - s)/2 and (d + s)/2, s =
     isqrt(d*d + 4*acc[j]), when that is a perfect square; s = d mod 2 then,
-    so both are integers. A residual of 0 passes `acc` on as it is, and no
-    `acc` is changed in place, so entries share one. A full row is kept when
-    its products with hnf's rows lie in the span too. Each such u*v vanishes
-    at column q, so it is tested against hnf alone (`_in_span`), and a row
-    zero right of its pivot needs no test (`lattice._square_closed`).
-    One budget step, charged to `steps`, is one lead, one entry tried in a
-    pivot column or one off-pivot column, whose entries are solved for;
-    co-rank 0 has no off-pivot columns.
+    so both are integers. A residual of 0 passes its accumulator on, and none
+    is changed in place, so entries share them. One budget step, charged to
+    `steps`, is one lead, one entry tried in a pivot column or one off-pivot
+    column, whose entries are solved for; co-rank 0 has none, and a dropped
+    row takes no step further.
     """
     pivot_row: list[Optional[tuple[int, ...]]] = [None] * ambient
     for row, c in zip(hnf, pivots):
@@ -213,12 +215,8 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     v = [0] * ambient
     out: list[tuple[tuple[int, ...], ...]] = []
 
-    def fill(j: int, d: int, acc: list[int]) -> None:
+    def fill(j: int, d: int, acc: list[int], accs: list[list[int]]) -> None:
         if j == ambient:
-            for u in tested:
-                if not _in_span(hnf, pivots, [a * b for a, b in zip(u, v)],
-                                ambient):
-                    return
             out.append((tuple(v), *hnf))
             return
         row = pivot_row[j]
@@ -228,27 +226,42 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
             s = isqrt(disc) if disc > 0 else 0
             if s * s == disc:
                 for x in ((d - s) // 2, (d + s) // 2) if s else (d // 2,):
-                    v[j] = x
-                    fill(j + 1, d, acc)
+                    for u, a in zip(tested, accs):
+                        if u[j] * x != a[j]:
+                            break
+                    else:
+                        v[j] = x
+                        fill(j + 1, d, acc, accs)
             return
         p = row[j]
         steps.spend(p)
         aj = acc[j]
         for x in range(p):
             res = x * (x - d) - aj
-            if res % p == 0:
+            if res % p:
+                continue
+            moved = []
+            for u, a in zip(tested, accs):
+                m = u[j] * x - a[j]
+                if m:
+                    if m % p:
+                        break
+                    m //= p
+                    a = [b + m * c for b, c in zip(a, row)]
+                moved.append(a)
+            else:
                 v[j] = x
-                if res:
-                    m = res // p
-                    fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])
-                else:
-                    fill(j + 1, d, acc)
+                m = res // p
+                fill(j + 1, d, [a + m * b for a, b in zip(acc, row)]
+                     if m else acc, moved)
 
+    zero = [0] * ambient
+    zeros = [zero] * len(tested)
     try:
         for d in leads:
             steps.spend(1)
             v[q] = d
-            fill(q + 1, d, [0] * ambient)
+            fill(q + 1, d, zero, zeros)
     finally:
         # fill calls itself through its own closure cell; emptying the cell
         # breaks that cycle, so fill and its lists are freed at return
@@ -265,12 +278,12 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     (`lattice.banded_basis`) read newest row first is a Hermite basis: the
     row of level i, whose banded pivot is at column p_i, leads at column
     ambient - 1 - p_i, so the rows so far span L cut down to a coordinate
-    section, and `_in_span` decides membership by exact division. A complete
-    basis is the canonical Hermite basis of rev(L), L with its coordinates
-    reversed. Reversal permutes coordinates, so it is a ring automorphism,
-    its own inverse, that keeps rank, torsion and closure: it maps the
-    census onto itself, and the sorted rev(L) are the sorted census, with no
-    Hermite form computed.
+    section, where `_closed_extensions` decides membership by exact
+    division. A complete basis is the canonical Hermite basis of rev(L), L
+    with its coordinates reversed. Reversal permutes coordinates, so it is a
+    ring automorphism, its own inverse, that keeps rank, torsion and
+    closure: it maps the census onto itself, and the sorted rev(L) are the
+    sorted census, with no Hermite form computed.
 
     Rows come from `_closed_extensions`, from the empty prefix, depth first.
     Each row is a tuple made once, so the bases that extend a prefix share

@@ -8,10 +8,12 @@ A mutant replaces one piece of text, which occurs exactly once in src/, by
 a faulty version. The runner copies the checkout to a temporary directory
 once, runs the union of the mutants' tests there on the clean copy (they
 must pass, or no kill means anything), then applies one mutant at a time
-and runs its tests under `pytest -x`, one pytest process at a time,
-restoring the file afterwards. A mutant whose tests all pass gets the
-whole suite; if that passes too, the mutant survived. Each line is
-flushed as it is printed, so a run redirected to a file and cut short
+and runs each of its tests in a pytest process of its own, one process at
+a time, restoring the file afterwards. The mutant is killed when one of
+them fails, and each that still passes against it is printed, so a named
+test that no longer kills its mutant shows. A mutant whose tests all pass
+gets the whole suite; if that passes too, the mutant survived. Each line
+is flushed as it is printed, so a run redirected to a file and cut short
 keeps every verdict it reached. The last line is `killed K of N`; the
 exit status is 0 when every mutant was killed by its own tests, 1
 otherwise. Standard library only; the suite's own
@@ -83,11 +85,29 @@ MUTANTS = (
          "test_corank_scan_matches_unpruned_reference",)),
     Mutant(
         "scan-drops-the-pivot-multiple", "src/multlat/enumeration.py",
-        "fill(j + 1, d, [a + m * b for a, b in zip(acc, row)])",
-        "fill(j + 1, d, acc)",
+        "fill(j + 1, d, [a + m * b for a, b in zip(acc, row)]\n"
+        "                     if m else acc, moved)",
+        "fill(j + 1, d, acc, moved)",
         ("tests/test_enumeration.py::"
          "test_full_rank_engine_matches_unpruned_reference",
          "tests/test_full_rank_census.py")),
+    Mutant(
+        "scan-skips-a-product-test-at-a-pivot", "src/multlat/enumeration.py",
+        "                    if m % p:\n",
+        "                    if m % p and u is not tested[0]:\n",
+        ("tests/test_enumeration.py::"
+         "test_corank_scan_matches_unpruned_reference",
+         "tests/test_enumeration.py::"
+         "test_full_rank_engine_matches_unpruned_reference")),
+    Mutant(
+        "scan-skips-a-product-test-off-a-pivot", "src/multlat/enumeration.py",
+        "                        if u[j] * x != a[j]:\n",
+        "                        if u[j] * x != a[j]"
+        " and u is not tested[0]:\n",
+        ("tests/test_enumeration.py::"
+         "test_corank_scan_matches_unpruned_reference",
+         "tests/test_enumeration.py::"
+         "test_corank_scan_matches_unpruned_reference_at_wider_bound")),
     Mutant(
         "in-span-ignores-the-last-column", "src/multlat/intlinalg.py",
         "    for x in w:\n",
@@ -354,10 +374,13 @@ def main(argv: list[str]) -> int:
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
             try:
-                ok, took, last = _pytest(tree, ["-x", *m.tests])
-                if not ok:
+                runs = [(test, *_pytest(tree, ["-x", test]))
+                        for test in m.tests]
+                took = sum(run[2] for run in runs)
+                failed = [run[3] for run in runs if not run[1]]
+                if failed:
                     killed += 1
-                    verdict = "killed"
+                    verdict, last = "killed", failed[0]
                 else:
                     ok, more, last = _pytest(tree, ["-x"])
                     took += more
@@ -366,6 +389,9 @@ def main(argv: list[str]) -> int:
             finally:
                 path.write_text(text, encoding="utf-8")
             print(f"{m.name}: {verdict} ({took:.1f} s): {last}", flush=True)
+            for test, ok, _, _ in runs:
+                if ok:
+                    print(f"  still passes: {test}", flush=True)
     print(f"killed {killed} of {len(chosen)}")
     return 0 if killed == len(chosen) else 1
 

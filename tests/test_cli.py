@@ -456,14 +456,14 @@ def test_a_huge_torsion_stops_on_its_budget(capsys):
 
 def test_a_budget_that_completes_at_one_job_completes_at_every_jobs(capsys):
     # a shard owns a share of the leads and never takes more steps than
-    # the whole census, 540 here: the budget that completes at --jobs 1
+    # the whole census, 517 here: the budget that completes at --jobs 1
     # completes with the same bytes at every --jobs. Each shard has its
     # own budget, so one that stops --jobs 1 may let --jobs 2 complete
     argv = ["count-corank", "--ambient", "4", "--corank", "1", "--torsion",
             "4", "--format", "csv"]
     outs = set()
     for jobs in ("1", "2", "3"):
-        rc, out, _ = run_main(capsys, argv + ["--budget", "540",
+        rc, out, _ = run_main(capsys, argv + ["--budget", "517",
                                               "--jobs", jobs])
         assert rc == 0
         outs.add(out)

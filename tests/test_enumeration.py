@@ -246,14 +246,17 @@ def test_count_unital_dimension_zero_convention():
 # ----------------------------------------------------------- corank census
 
 def test_corank_scan_matches_unpruned_reference():
-    # the engine prunes hard; the reference scan does not prune at all
+    # the engine prunes hard; the reference scan does not prune at all. At
+    # rank 3, (4, 1, 2) and (5, 2, 1), a product with a prefix row drops
+    # partial rows before their last column: at pivot and off-pivot columns
+    # in (4, 1, 2), at off-pivot columns right of that row's pivot in both
     cells = [
         (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
         (3, 1, 2), (3, 1, 3),
         (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4),
         (4, 2, 2), (4, 2, 3),
         (4, 3, 2), (4, 3, 4),
-        (4, 1, 2),
+        (4, 1, 2), (5, 2, 1),
     ]
     for ambient, corank, torsion in cells:
         lats = enumerate_corank_oracle(ambient, corank, torsion)
@@ -514,11 +517,11 @@ def step_totals(monkeypatch):
 def test_campaign_step_totals_are_pinned(step_totals):
     # steps are what the budget counts, so a change to the extension step
     # that keeps the census but tries other entries shows here: over the
-    # campaign cells at jobs 1 the scan takes 3,825 steps and the formula
+    # campaign cells at jobs 1 the scan takes 3,715 steps and the formula
     # side's full-rank count 343
     for n, k, r in CAMPAIGN_CELLS:
         _census(n + k, k, r, jobs=1, budget=None)
-    assert sum(steps.used for steps in step_totals) == 3825
+    assert sum(steps.used for steps in step_totals) == 3715
     step_totals.clear()
     for n, k, r in CAMPAIGN_CELLS:
         count_full_rank(n, r)
@@ -527,7 +530,7 @@ def test_campaign_step_totals_are_pinned(step_totals):
 
 def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
     for run, used in (
-            (lambda budget: _census(4, 1, 4, jobs=1, budget=budget), 540),
+            (lambda budget: _census(4, 1, 4, jobs=1, budget=budget), 517),
             (lambda budget: count_full_rank(3, 8, budget=budget), 141)):
         expected = run(None)
         assert step_totals[-1].used == used
