@@ -400,7 +400,7 @@ def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:
     in that order; the first failure raises RuntimeError.
     """
     for lat in lats:
-        if lat.rank != rank or not is_multiplicative(lat):
+        if len(lat.basis) != rank or not is_multiplicative(lat):
             raise RuntimeError("internal: engine produced a bad lattice")
         if torsion_size(lat) != torsion:
             raise RuntimeError("internal: engine produced a wrong torsion")
@@ -438,10 +438,10 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     g (`AcceptableMap._trusted`): its labels, 0..rank, each used and each
     first used after every smaller one, make it ordered and acceptable.
     """
+    rank = len(lat.basis)
     labels, assignment = _column_labels(lat.basis, lat.ambient_dim)
-    if len(labels) == lat.rank + 1:
-        core = Lattice._trusted(lat.rank,
-                                tuple([row[1:] for row in zip(*labels)]))
+    if len(labels) == rank + 1:
+        core = Lattice._trusted(rank, tuple([row[1:] for row in zip(*labels)]))
         if _square_closed(core.basis):
             return AcceptableMap._trusted(tuple(assignment)), core
     raise ValueError("lattice is not multiplicative")

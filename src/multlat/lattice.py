@@ -22,8 +22,10 @@ class _Frozen:
 
     Assigning or deleting a field raises AttributeError, and pickle and copy
     rebuild a value through its constructor, which validates it again. A
-    subclass stores validated fields with `object.__setattr__` and writes its
-    own class-strict `__eq__`, `__hash__` and, if built unchecked,
+    subclass stores validated fields through their slots' member
+    descriptors, each `__set__` bound once in its module, which skips the
+    raising `__setattr__` at less cost than `object.__setattr__`, and writes
+    its own class-strict `__eq__`, `__hash__` and, if built unchecked,
     `_trusted`: a generic version here, reading `__slots__`, is slower.
     """
 
@@ -95,8 +97,8 @@ class Lattice(_Frozen):
                     raise ValueError("basis is not in canonical Hermite form")
                 h += 1
             start = lead + 1
-        object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "basis", basis)
+        _set_ambient_dim(self, n)
+        _set_basis(self, basis)
 
     @classmethod
     def _trusted(cls, ambient_dim: int,
@@ -105,14 +107,14 @@ class Lattice(_Frozen):
         constructor does not run, so the caller must hold a proof that it
         would accept them."""
         value = object.__new__(cls)
-        object.__setattr__(value, "ambient_dim", ambient_dim)
-        object.__setattr__(value, "basis", basis)
+        _set_ambient_dim(value, ambient_dim)
+        _set_basis(value, basis)
         return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return ((self.ambient_dim, self.basis)
-                    == (other.ambient_dim, other.basis))
+            return (self.basis == other.basis
+                    and self.ambient_dim == other.ambient_dim)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -136,6 +138,10 @@ class Lattice(_Frozen):
             "rank": self.rank,
             "basis": [list(row) for row in self.basis],
         }
+
+
+_set_ambient_dim = Lattice.__dict__["ambient_dim"].__set__
+_set_basis = Lattice.__dict__["basis"].__set__
 
 
 def lattice_from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Lattice:

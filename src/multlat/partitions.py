@@ -46,7 +46,7 @@ class AcceptableMap(_Frozen):
         # m distinct positive labels are 1..m exactly when m is the largest
         if len(used) != max(used, default=0):
             raise ValueError("every source coordinate must be used")
-        object.__setattr__(self, "assignment", assignment)
+        _set_assignment(self, assignment)
 
     @classmethod
     def _trusted(cls, assignment: tuple[int, ...]) -> AcceptableMap:
@@ -54,7 +54,7 @@ class AcceptableMap(_Frozen):
         does not run, so the caller must hold a proof that it would accept
         it."""
         value = object.__new__(cls)
-        object.__setattr__(value, "assignment", assignment)
+        _set_assignment(value, assignment)
         return value
 
     @property
@@ -72,6 +72,9 @@ class AcceptableMap(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self.assignment)
+
+
+_set_assignment = AcceptableMap.__dict__["assignment"].__set__
 
 
 def stirling2(u: int, v: int) -> int:
@@ -148,14 +151,15 @@ def apply_map(g: AcceptableMap, lat: Lattice) -> Lattice:
     target_dim entries. An unordered map's rows are never canonical, so
     they go to `lattice_from_rows`.
     """
-    if lat.ambient_dim != g.source_dim:
+    assignment, basis = g.assignment, lat.basis
+    if lat.ambient_dim != max(assignment, default=0):
         raise ValueError("lattice ambient dimension must equal the map source")
-    if not lat.is_full_rank:
+    if len(basis) != lat.ambient_dim:
         raise ValueError("apply_map needs a full-rank lattice")
-    rows = _transport_rows(g.assignment, [(0,) + row for row in lat.basis])
-    if _is_ordered(g.assignment):
-        return Lattice._trusted(g.target_dim, rows)
-    return lattice_from_rows(g.target_dim, rows)
+    rows = _transport_rows(assignment, [(0,) + row for row in basis])
+    if _is_ordered(assignment):
+        return Lattice._trusted(len(assignment), rows)
+    return lattice_from_rows(len(assignment), rows)
 
 
 def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[AcceptableMap]:

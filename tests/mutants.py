@@ -48,7 +48,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "order-check-always-trusts", "src/multlat/partitions.py",
-        "    if _is_ordered(g.assignment):\n",
+        "    if _is_ordered(assignment):\n",
         "    if True:\n",
         ("tests/test_partitions.py::"
          "test_apply_map_unordered_equals_hermite_form_of_image",)),
@@ -120,8 +120,8 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
     Mutant(
         "transport-picks-a-for-a-minus-1", "src/multlat/partitions.py",
-        "[(0,) + row for row in lat.basis]",
-        "[row + (0,) for row in lat.basis]",
+        "[(0,) + row for row in basis]",
+        "[row + (0,) for row in basis]",
         ("tests/test_partitions.py::test_apply_map_diagonal_example",)),
     Mutant(
         "ordered-maps-keep-unfinished-strings", "src/multlat/partitions.py",
@@ -183,8 +183,8 @@ MUTANTS = (
          "tests/test_cache.py::test_malformed_lines_are_skipped")),
     Mutant(
         "columns-keep-the-zero-column", "src/multlat/enumeration.py",
-        "    if len(labels) == lat.rank + 1:\n",
-        "    if len(labels) == lat.rank:\n",
+        "    if len(labels) == rank + 1:\n",
+        "    if len(labels) == rank:\n",
         ("tests/test_enumeration.py::test_decompose_zero_lattice",
          "tests/test_enumeration.py::test_decompose_round_trip_small")),
     Mutant(
@@ -322,6 +322,18 @@ MUTANTS = (
         "            if False:\n",
         ("tests/test_partitions.py::"
          "test_constructors_reject_fields_of_the_wrong_type",)),
+    Mutant(
+        "eq-ignores-ambient", "src/multlat/lattice.py",
+        "            return (self.basis == other.basis\n"
+        "                    and self.ambient_dim == other.ambient_dim)\n",
+        "            return self.basis == other.basis\n",
+        ("tests/test_lattice.py::test_equality_reads_the_ambient_dimension",)),
+    Mutant(
+        "image-stores-the-rank-as-its-ambient", "src/multlat/partitions.py",
+        "        return Lattice._trusted(len(assignment), rows)\n",
+        "        return Lattice._trusted(len(basis), rows)\n",
+        ("tests/test_lattice.py::test_equality_reads_the_ambient_dimension",
+         "tests/test_partitions.py::test_apply_map_diagonal_example")),
     Mutant(
         "map-accepts-an-unused-source", "src/multlat/partitions.py",
         "        if len(used) != max(used, default=0):\n",

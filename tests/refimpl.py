@@ -2,10 +2,11 @@
 
 Everything here is deliberately written with different algorithms than the
 package under test: determinants are fraction-free Bareiss, membership goes
-through rational Gaussian elimination, torsion is a gcd of maximal minors,
-Stirling numbers come from inclusion-exclusion, and the full-rank lattice
-family is enumerated in lower-triangular canonical form. Nothing in this
-module imports the package.
+through rational Gaussian elimination, closure under products through
+Cramer's rule on one invertible column block, torsion is a gcd of maximal
+minors, Stirling numbers come from inclusion-exclusion, and the full-rank
+lattice family is enumerated in lower-triangular canonical form. Nothing in
+this module imports the package.
 """
 
 from __future__ import annotations
@@ -113,12 +114,38 @@ def rational_rank(rows):
 
 
 def is_mult_ref(rows):
-    """Is the row span closed under coordinatewise products? Rows must be a basis."""
-    rows = [tuple(r) for r in rows]
-    for a in range(len(rows)):
-        for b in range(a, len(rows)):
-            prod = tuple(x * y for x, y in zip(rows[a], rows[b]))
-            if not int_membership(rows, prod):
+    """Is the row span closed under coordinatewise products? Rows must be a basis.
+
+    The first block of columns, in lexicographic order, on which the rows
+    have a nonzero determinant D fixes the coefficients c of any vector in
+    their Q-span. By Cramer's rule on the block, c_i is D_i / D, where D_i
+    is the block's determinant with row i replaced by the product's entries
+    there; the product is an integer combination exactly when every D_i is
+    a multiple of D and those integer c reproduce it on every column.
+    """
+    m = len(rows)
+    if m == 0:
+        return True
+    for cols in itertools.combinations(range(len(rows[0])), m):
+        block = [[r[j] for j in cols] for r in rows]
+        det = bareiss_det(block)
+        if det:
+            break
+    else:
+        raise ValueError("reference closure test needs independent rows")
+    for a in range(m):
+        for b in range(a, m):
+            prod = [x * y for x, y in zip(rows[a], rows[b])]
+            on_block = [prod[j] for j in cols]
+            coeffs = []
+            for i in range(m):
+                minor = block[:i] + [on_block] + block[i + 1:]
+                q, rem = divmod(bareiss_det(minor), det)
+                if rem:
+                    return False
+                coeffs.append(q)
+            if [sum(c * r[j] for c, r in zip(coeffs, rows))
+                    for j in range(len(prod))] != prod:
                 return False
     return True
 

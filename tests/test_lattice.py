@@ -23,7 +23,7 @@ from multlat.lattice import (
     lattice_from_rows,
     torsion_size,
 )
-from multlat.partitions import apply_map
+from multlat.partitions import AcceptableMap, apply_map
 
 from refimpl import (
     echelon_samples,
@@ -261,6 +261,14 @@ def test_lattice_is_an_immutable_value(lat):
     with pytest.raises(AttributeError):
         del lat.ambient_dim
     assert twin == lat
+
+
+def test_equality_reads_the_ambient_dimension():
+    # zero lattices share the empty basis, so only the ambient tells them
+    # apart; an image's ambient is its map's target
+    assert Lattice(0, ()) != Lattice(3, ())
+    image = apply_map(AcceptableMap((0,)), Lattice(0, ()))
+    assert image == Lattice(1, ()) and image != Lattice(2, ())
 
 
 def test_lattice_repr():
