@@ -21,8 +21,6 @@ __version__ = ENGINE_VERSION
 _EXPORTS = {
     "cache": ("CountRecord",),
     "enumeration": (
-        "DEFAULT_BUDGET",
-        "SearchBudgetExceeded",
         "VerificationReport",
         "count_corank_formula",
         "count_full_rank",
@@ -48,6 +46,7 @@ _EXPORTS = {
         "map_to_string",
         "stirling2",
     ),
+    "scan": ("DEFAULT_BUDGET", "SearchBudgetExceeded"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -150,9 +150,10 @@ def _count_cells(cells, args) -> int:
             rows.append((n, k, r, method, cached, "ok"))
             continue
         from . import enumeration
+        from .scan import SearchBudgetExceeded
         try:
             value = _count(enumeration, n, k, r, method, args)
-        except enumeration.SearchBudgetExceeded:
+        except SearchBudgetExceeded:
             incomplete += 1
             rows.append((n, k, r, method, None, "incomplete"))
             continue
@@ -247,6 +248,7 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_series(args) -> int:
     from . import enumeration
+    from .scan import SearchBudgetExceeded
 
     fmt = args.format or "csv"
     # a full-rank coefficient is count's oracle cell at co-rank 0
@@ -258,7 +260,7 @@ def _cmd_series(args) -> int:
     for r in range(1, args.r_max + 1):
         try:
             value = _count(enumeration, args.n, 0, r, method, args)
-        except enumeration.SearchBudgetExceeded:
+        except SearchBudgetExceeded:
             truncated = True
             break
         running += value
@@ -366,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         # after the cache subclass, what is left comes from an engine, so
         # importing its module here loads nothing new
-        from .enumeration import SearchBudgetExceeded
+        from .scan import SearchBudgetExceeded
         if isinstance(exc, SearchBudgetExceeded):
             print(f"budget error: {exc}", file=sys.stderr)
             return 2

@@ -1,0 +1,278 @@
+"""The brute-force scan behind both censuses.
+
+`_corank_worker`, with its one extension step `_closed_extensions`, builds
+the co-rank census and, at co-rank 0, the full-rank one; `_run_shards` runs
+it over shards under a step budget. The scan is one side of the
+factorization check, so it never consults the other: this module imports
+the standard library alone, nothing from the package.
+"""
+
+from __future__ import annotations
+
+import os
+from itertools import chain, islice
+from math import isqrt
+from operator import eq
+from typing import Iterable, Optional
+
+DEFAULT_BUDGET = 50_000_000
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """Raised when an enumeration hits its per-worker candidate budget."""
+
+
+class _Steps:
+    """One worker's count of entries tried, checked against its budget."""
+
+    __slots__ = ("used", "budget")
+
+    def __init__(self, budget: int) -> None:
+        self.used = 0
+        self.budget = budget
+
+    def spend(self, entries: int) -> None:
+        self.used += entries
+        if self.used > self.budget:
+            raise SearchBudgetExceeded(
+                f"search budget exhausted after {self.used} entries tried "
+                f"(budget {self.budget})")
+
+
+def _check_cell(ambient: int, corank: int, torsion: int) -> None:
+    """ValueError unless `_run_shards` takes the cell."""
+    if not 0 <= corank <= ambient:
+        raise ValueError("need 0 <= corank <= ambient")
+    if torsion < 1:
+        raise ValueError("torsion must be at least 1")
+
+
+def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
+                budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """The sorted census of both engines, as bases: every shard's bases of the
+    given co-rank and torsion, full rank at co-rank 0.
+
+    The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
+    first for every census (`_check_cell`), then jobs and budget, budget
+    None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank) starts no
+    worker: the zero lattice has torsion 1, so it gives [()] at torsion 1
+    and [] otherwise. jobs = 1 runs `_corank_worker` here; more run jobs
+    shards, each with its own budget, in a fork pool of min(jobs,
+    os.cpu_count()) processes. The shards split the steps of jobs = 1
+    (`_corank_worker`), so a run that completes at jobs = 1 completes at
+    every jobs with the same census, and one that a budget stops may
+    complete at more. The worker builds each lattice once, so a basis found
+    twice, in one shard or two, is an internal error; the sort puts copies
+    side by side, so comparing neighbours finds every repeat.
+    """
+    _check_cell(ambient, corank, torsion)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if ambient == corank:
+        return [()] if torsion == 1 else []
+    tasks = [(ambient, corank, torsion, shard, jobs, budget)
+             for shard in range(jobs)]
+    if jobs == 1:
+        bases = _corank_worker(tasks[0])
+    else:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
+            bases = list(chain.from_iterable(pool.map(_corank_worker, tasks)))
+    bases.sort()
+    if any(map(eq, bases, islice(bases, 1, None))):
+        raise RuntimeError("internal: engine produced a lattice twice")
+    return bases
+
+
+# ---------------------------------------------------------------------------
+# the scan: canonical banded bases, pivots dividing the torsion
+
+
+def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
+                       q: int, leads: Iterable[int], ambient: int,
+                       steps: _Steps) -> list[tuple[tuple[int, ...], ...]]:
+    """The bases (v, *hnf), v = 0^q, d, x_(q+1), ..., closed under products.
+
+    The worker's one extension step. hnf is a closed Hermite basis, a prefix
+    in the reversed frame with pivots right of q, and each basis returned
+    holds hnf's own row tuples. d runs over leads, an entry in a pivot column
+    of hnf over [0, pivot) and every other entry over the integers; the bases
+    come back in lexicographic order.
+    The span is closed when v*v and each u*v, u in hnf, lie in it. At column
+    q only v is nonzero, v*v is d*d and u*v is 0, as u is zero left of its
+    pivot; so v*(v - d) and each u*v must lie in hnf's span. A u zero right
+    of its pivot c needs no test: u*v = v[c]*u. Each product is reduced
+    against hnf column by column, the multiples of the pivot rows taken so
+    far summed in its accumulator (`acc` for v*(v - d), one in `accs` per
+    tested u). Its residual at column j, x(x - d) - acc[j] or u[j]*x - a[j]
+    for u's accumulator a, is fixed once x_j is. It must be 0 off a pivot; on
+    one the pivot must divide it, and the quotient times the pivot row goes
+    into the accumulator. So a partial row is dropped at the first column
+    where a product fails, and a full row gives a closed span. Off a pivot
+    x(x - d) = acc[j], so x runs over the roots (d - s)/2 and (d + s)/2, s =
+    isqrt(d*d + 4*acc[j]), when that is a perfect square; s = d mod 2 then,
+    so both are integers. A residual of 0 passes its accumulator on, and none
+    is changed in place, so entries share them. One budget step, charged to
+    `steps`, is one lead, one entry tried in a pivot column or one off-pivot
+    column, whose entries are solved for; co-rank 0 has none, and a dropped
+    row takes no step further.
+    """
+    pivot_row: list[Optional[tuple[int, ...]]] = [None] * ambient
+    for row, c in zip(hnf, pivots):
+        pivot_row[c] = row
+    tested = [row for row, c in zip(hnf, pivots) if any(row[c + 1:])]
+    v = [0] * ambient
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def fill(j: int, d: int, acc: list[int], accs: list[list[int]]) -> None:
+        if j == ambient:
+            out.append((tuple(v), *hnf))
+            return
+        row = pivot_row[j]
+        if row is None:
+            steps.spend(1)
+            disc = d * d + 4 * acc[j]
+            s = isqrt(disc) if disc > 0 else 0
+            if s * s == disc:
+                for x in ((d - s) // 2, (d + s) // 2) if s else (d // 2,):
+                    for u, a in zip(tested, accs):
+                        if u[j] * x != a[j]:
+                            break
+                    else:
+                        v[j] = x
+                        fill(j + 1, d, acc, accs)
+            return
+        p = row[j]
+        steps.spend(p)
+        aj = acc[j]
+        for x in range(p):
+            res = x * (x - d) - aj
+            if res % p:
+                continue
+            moved = []
+            for u, a in zip(tested, accs):
+                m = u[j] * x - a[j]
+                if m:
+                    if m % p:
+                        break
+                    m //= p
+                    a = [b + m * c for b, c in zip(a, row)]
+                moved.append(a)
+            else:
+                v[j] = x
+                m = res // p
+                fill(j + 1, d, [a + m * b for a, b in zip(acc, row)]
+                     if m else acc, moved)
+
+    zero = [0] * ambient
+    zeros = [zero] * len(tested)
+    try:
+        for d in leads:
+            steps.spend(1)
+            v[q] = d
+            fill(q + 1, d, zero, zeros)
+    finally:
+        # fill calls itself through its own closure cell; emptying the cell
+        # breaks that cycle, so fill and its lists are freed at return
+        del fill
+    return out
+
+
+def _corank_worker(args: tuple[int, int, int, int, int, int]
+                   ) -> list[tuple[tuple[int, ...], ...]]:
+    """One shard's share of the census, full-rank or not, as canonical
+    Hermite bases of the reversed lattices.
+
+    Rows are built in the reversed column frame, where a banded basis
+    (`lattice.banded_basis`) read newest row first is a Hermite basis: the
+    row of level i, whose banded pivot is at column p_i, leads at column
+    ambient - 1 - p_i, so the rows so far span L cut down to a coordinate
+    section, where `_closed_extensions` decides membership by exact
+    division. A complete basis is the canonical Hermite basis of rev(L), L
+    with its coordinates reversed. Reversal permutes coordinates, so it is a
+    ring automorphism, its own inverse, that keeps rank, torsion and
+    closure: it maps the census onto itself, and the sorted rev(L) are the
+    sorted census, with no Hermite form computed.
+
+    Rows come from `_closed_extensions`, from the empty prefix, depth first.
+    Each row is a tuple made once, so the bases that extend a prefix share
+    its row objects. A closed prefix has a pivot square
+    (`lattice._pivot_square`), so its torsion is its lead product, and it
+    spans a primitive sublattice of L, so that torsion divides r. Each level
+    thus tries as leads only the divisors of the torsion left over, from one
+    list (`_divisors`, not built at rank 1), and the last level that quotient
+    alone: no torsion is tested and nothing needs a bound. At co-rank 0 every
+    column right of a lead is a pivot, so the worker builds the
+    upper-triangular Hermite bases of index r, the full-rank census. The
+    rank ambient - corank is at least 1 (`_run_shards` answers rank 0).
+
+    The shard owns leads: at the first level it tries every jobs-th lead from
+    the shard-th on, below them every lead, so it builds only its own leads'
+    subtrees, and the shards' steps sum to those of jobs = 1.
+    """
+    ambient, corank, torsion, shard, jobs, budget = args
+    n = ambient - corank
+    found: list[tuple[tuple[int, ...], ...]] = []
+    steps = _Steps(budget)
+    divisors = _divisors(torsion, budget) if n > 1 else []
+
+    def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int], left: int,
+               start: int = 0, step: int = 1) -> None:
+        # the level takes every step-th lead from the start-th on;
+        # banded row len(hnf) ends on a column p <= len(hnf) + corank
+        last = len(hnf) == n - 1
+        leads = ([left] if last else
+                 [d for d in divisors if left % d == 0])[start::step]
+        for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
+            below = [q] + pivots
+            for h2 in _closed_extensions(hnf, pivots, q, leads, ambient, steps):
+                if last:
+                    found.append(h2)
+                else:
+                    extend(h2, below, left // h2[0][q])
+
+    try:
+        extend((), [], torsion, shard, jobs)
+    finally:
+        # as in `_closed_extensions`: no cycle keeps extend, or the census
+        # through found, alive past return
+        del extend
+    return found
+
+
+def _divisors(r: int, budget: int) -> list[int]:
+    """The divisors of r >= 1, ascending, for a worker of rank >= 2.
+
+    Trial division divides each prime out of r as it finds it and stops once
+    the square of the next trial exceeds what is left, which is then 1 or a
+    prime, so a torsion of small primes costs little whatever its size.
+    A trial above the budget raises SearchBudgetExceeded; no trial is a
+    step. The worker would raise anyway: what is left of r then has a prime
+    factor p above the budget, a first-level lead. Its shard builds p*e_q,
+    and a next-level row reaches column q through the root 0 of each
+    off-pivot column before it, which carries nothing forward; q is a pivot
+    column of pivot p, so its entries cost p steps, more than the budget.
+    """
+    divisors = [1]
+    p = 2
+    while p * p <= r:
+        if p > budget:
+            raise SearchBudgetExceeded(
+                f"search budget exhausted: the torsion has a prime factor "
+                f"above the budget {budget}")
+        if r % p == 0:
+            powers = divisors
+            while r % p == 0:
+                r //= p
+                powers = [d * p for d in powers]
+                divisors += powers
+        p += 1
+    if r > 1:
+        divisors += [d * r for d in divisors]
+    divisors.sort()
+    return divisors

@@ -62,7 +62,7 @@ MUTANTS = (
         ("tests/test_partitions.py::"
          "test_apply_map_reads_the_order_of_every_label",)),
     Mutant(
-        "scan-skips-x1-at-pivot-2-from-ambient-7", "src/multlat/enumeration.py",
+        "scan-skips-x1-at-pivot-2-from-ambient-7", "src/multlat/scan.py",
         "        for x in range(p):\n",
         "        for x in range(p):\n"
         "            if p == 2 and x == 1 and ambient >= 7:\n"
@@ -70,7 +70,7 @@ MUTANTS = (
         ("tests/test_frontier.py", "tests/test_irreducible_blocks.py")),
     Mutant(
         "scan-skips-x1-at-pivot-2-from-ambient-10",
-        "src/multlat/enumeration.py",
+        "src/multlat/scan.py",
         "        for x in range(p):\n",
         "        for x in range(p):\n"
         "            if p == 2 and x == 1 and ambient >= 10:\n"
@@ -78,13 +78,13 @@ MUTANTS = (
         ("tests/test_ambient_axis.py::"
          "test_every_cell_of_the_ambient_axis_block_passes",)),
     Mutant(
-        "scan-takes-one-off-pivot-root", "src/multlat/enumeration.py",
+        "scan-takes-one-off-pivot-root", "src/multlat/scan.py",
         "for x in ((d - s) // 2, (d + s) // 2) if s else (d // 2,):",
         "for x in ((d + s) // 2,):",
         ("tests/test_enumeration.py::"
          "test_corank_scan_matches_unpruned_reference",)),
     Mutant(
-        "scan-drops-the-pivot-multiple", "src/multlat/enumeration.py",
+        "scan-drops-the-pivot-multiple", "src/multlat/scan.py",
         "fill(j + 1, d, [a + m * b for a, b in zip(acc, row)]\n"
         "                     if m else acc, moved)",
         "fill(j + 1, d, acc, moved)",
@@ -92,7 +92,7 @@ MUTANTS = (
          "test_full_rank_engine_matches_unpruned_reference",
          "tests/test_full_rank_census.py")),
     Mutant(
-        "scan-skips-a-product-test-at-a-pivot", "src/multlat/enumeration.py",
+        "scan-skips-a-product-test-at-a-pivot", "src/multlat/scan.py",
         "                    if m % p:\n",
         "                    if m % p and u is not tested[0]:\n",
         ("tests/test_enumeration.py::"
@@ -100,7 +100,7 @@ MUTANTS = (
          "tests/test_enumeration.py::"
          "test_full_rank_engine_matches_unpruned_reference")),
     Mutant(
-        "scan-skips-a-product-test-off-a-pivot", "src/multlat/enumeration.py",
+        "scan-skips-a-product-test-off-a-pivot", "src/multlat/scan.py",
         "                        if u[j] * x != a[j]:\n",
         "                        if u[j] * x != a[j]"
         " and u is not tested[0]:\n",
@@ -139,7 +139,7 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_enumeration.py::test_check_witness_from_one_square",)),
     Mutant(
-        "duplicate-check-dropped", "src/multlat/enumeration.py",
+        "duplicate-check-dropped", "src/multlat/scan.py",
         "    if any(map(eq, bases, islice(bases, 1, None))):\n",
         "    if False:\n",
         ("tests/test_enumeration.py::"
@@ -188,14 +188,14 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_decompose_zero_lattice",
          "tests/test_enumeration.py::test_decompose_round_trip_small")),
     Mutant(
-        "rank-zero-census-at-every-torsion", "src/multlat/enumeration.py",
+        "rank-zero-census-at-every-torsion", "src/multlat/scan.py",
         "        return [()] if torsion == 1 else []\n",
         "        return [()]\n",
         ("tests/test_enumeration.py::"
          "test_count_full_rank_dimension_zero_convention",
          "tests/test_enumeration.py::test_corank_full_ambient_edge")),
     Mutant(
-        "scan-drops-large-discriminant-roots", "src/multlat/enumeration.py",
+        "scan-drops-large-discriminant-roots", "src/multlat/scan.py",
         "s = isqrt(disc) if disc > 0 else 0",
         "s = isqrt(disc) if 0 < disc < 1000 else 0",
         ("tests/test_torsion_axis.py::"
@@ -237,39 +237,39 @@ MUTANTS = (
          "tests/test_enumeration.py::"
          "test_witness_pass_matches_per_witness_checks")),
     Mutant(
-        "scan-emits-a-list-row", "src/multlat/enumeration.py",
+        "scan-emits-a-list-row", "src/multlat/scan.py",
         "(tuple(v), *hnf)",
         "(list(v), *hnf)",
         ("tests/test_enumeration.py::"
          "test_verify_names_no_offender_on_clean_cells",
          "tests/test_cli.py::test_verify_single_cell")),
     Mutant(
-        "cell-rule-allows-corank-above-ambient", "src/multlat/enumeration.py",
+        "cell-rule-allows-corank-above-ambient", "src/multlat/scan.py",
         "    if not 0 <= corank <= ambient:\n",
         "    if not 0 <= corank:\n",
         ("tests/test_enumeration.py::test_corank_arg_validation",
          "tests/test_cli.py::test_count_corank_bad_corank")),
     Mutant(
-        "cell-rule-allows-a-negative-corank", "src/multlat/enumeration.py",
+        "cell-rule-allows-a-negative-corank", "src/multlat/scan.py",
         "    if not 0 <= corank <= ambient:\n",
         "    if not corank <= ambient:\n",
         ("tests/test_enumeration.py::test_corank_arg_validation",)),
     Mutant(
-        "cell-rule-allows-torsion-zero", "src/multlat/enumeration.py",
+        "cell-rule-allows-torsion-zero", "src/multlat/scan.py",
         "    if torsion < 1:\n",
         "    if torsion < 0:\n",
         ("tests/test_enumeration.py::test_corank_arg_validation",
          "tests/test_enumeration.py::"
          "test_enumerate_full_rank_arg_validation")),
     Mutant(
-        "shards-take-every-lead", "src/multlat/enumeration.py",
+        "shards-take-every-lead", "src/multlat/scan.py",
         "if left % d == 0])[start::step]",
         "if left % d == 0])",
         ("tests/test_enumeration.py::"
          "test_shards_own_leads_so_their_steps_sum_to_one_shard",
          "tests/test_enumeration.py::test_corank_scan_jobs_split_agrees")),
     Mutant(
-        "divisors-stop-below-the-root", "src/multlat/enumeration.py",
+        "divisors-stop-below-the-root", "src/multlat/scan.py",
         "    while p * p <= r:\n",
         "    while p * p < r:\n",
         ("tests/test_enumeration.py::test_budget_counts_divisor_leads",
@@ -284,14 +284,14 @@ MUTANTS = (
          "test_torsion_and_decomposition_over_the_whole_box",)),
     Mutant(
         "rank-one-workers-build-the-divisor-list",
-        "src/multlat/enumeration.py",
+        "src/multlat/scan.py",
         "    divisors = _divisors(torsion, budget) if n > 1 else []\n",
         "    divisors = _divisors(torsion, budget)\n",
         ("tests/test_enumeration.py::"
          "test_rank_one_workers_build_no_divisor_list",
          "tests/test_cli.py::test_a_large_prime_torsion_answers_at_once")),
     Mutant(
-        "divisor-trials-ignore-the-budget", "src/multlat/enumeration.py",
+        "divisor-trials-ignore-the-budget", "src/multlat/scan.py",
         "        if p > budget:\n",
         "        if False:\n",
         ("tests/test_enumeration.py::"
@@ -339,6 +339,23 @@ MUTANTS = (
         "        if len(used) != max(used, default=0):\n",
         "        if False:\n",
         ("tests/test_partitions.py::test_map_validation",)),
+    Mutant(
+        "scan-skips-x1-at-pivot-32", "src/multlat/scan.py",
+        "        for x in range(p):\n",
+        "        for x in range(p):\n"
+        "            if p == 32 and x == 1:\n"
+        "                continue\n",
+        ("tests/test_rank_two_zeta.py",)),
+    Mutant(
+        "shards-allow-jobs-zero", "src/multlat/scan.py",
+        "    if jobs < 1:\n",
+        "    if jobs < 0:\n",
+        ("tests/test_enumeration.py::test_corank_arg_validation",)),
+    Mutant(
+        "shards-allow-budget-zero", "src/multlat/scan.py",
+        "    if budget < 1:\n",
+        "    if budget < 0:\n",
+        ("tests/test_enumeration.py::test_corank_arg_validation",)),
 )
 
 

@@ -113,26 +113,35 @@ def rational_rank(rows):
     return rank
 
 
+def nonzero_block(rows):
+    """(cols, block, D) for the first block of columns, in lexicographic
+    order, on which the m >= 1 rows have a nonzero determinant D, or None
+    when there is none, that is, when the rows are dependent."""
+    for cols in itertools.combinations(range(len(rows[0])), len(rows)):
+        block = [[r[j] for j in cols] for r in rows]
+        det = bareiss_det(block)
+        if det:
+            return cols, block, det
+    return None
+
+
 def is_mult_ref(rows):
     """Is the row span closed under coordinatewise products? Rows must be a basis.
 
-    The first block of columns, in lexicographic order, on which the rows
-    have a nonzero determinant D fixes the coefficients c of any vector in
-    their Q-span. By Cramer's rule on the block, c_i is D_i / D, where D_i
-    is the block's determinant with row i replaced by the product's entries
-    there; the product is an integer combination exactly when every D_i is
-    a multiple of D and those integer c reproduce it on every column.
+    The first block of columns on which the rows have a nonzero determinant
+    D (`nonzero_block`) fixes the coefficients c of any vector in their
+    Q-span. By Cramer's rule on the block, c_i is D_i / D, where D_i is the
+    block's determinant with row i replaced by the product's entries there;
+    the product is an integer combination exactly when every D_i is a
+    multiple of D and those integer c reproduce it on every column.
     """
     m = len(rows)
     if m == 0:
         return True
-    for cols in itertools.combinations(range(len(rows[0])), m):
-        block = [[r[j] for j in cols] for r in rows]
-        det = bareiss_det(block)
-        if det:
-            break
-    else:
+    found = nonzero_block(rows)
+    if found is None:
         raise ValueError("reference closure test needs independent rows")
+    cols, block, det = found
     for a in range(m):
         for b in range(a, m):
             prod = [x * y for x, y in zip(rows[a], rows[b])]
@@ -334,7 +343,7 @@ def ref_corank_scan(ambient, corank, torsion, bound):
     found = set()
     for rows in itertools.product(*rowsets):
         mat = [list(row) + [0] * (ambient - len(row)) for row in rows]
-        if rational_rank(mat) != n:
+        if nonzero_block(mat) is None:
             continue
         if not is_mult_ref(mat):
             continue

@@ -17,6 +17,7 @@ import pytest
 import multlat.cli as cli
 import multlat.enumeration as enumeration
 import multlat.partitions as partitions
+import multlat.scan as scan
 from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
 from multlat.lattice import Lattice, lattice_from_rows
@@ -599,8 +600,8 @@ def test_a_passing_verify_carries_no_rows_through_a_map(capsys, monkeypatch):
 
 def test_a_lattice_found_twice_exits_three(capsys, monkeypatch):
     # either engine's repeat is a failed self-check, at exit status 3
-    worker = enumeration._corank_worker
-    monkeypatch.setattr(enumeration, "_corank_worker",
+    worker = scan._corank_worker
+    monkeypatch.setattr(scan, "_corank_worker",
                         lambda args: worker(args) * 2)
     for argv in (["count", "--n", "2", "--r", "2"],
                  ["count-corank", "--ambient", "3", "--corank", "1",
@@ -615,8 +616,8 @@ def test_a_bad_engine_lattice_exits_three(capsys, monkeypatch):
     # a basis that fails the Lattice constructor is the engine's fault, not
     # the user's: exit 3, not the usage error's 2; verify has printed its
     # table header by then, and no row
-    worker = enumeration._corank_worker
-    monkeypatch.setattr(enumeration, "_corank_worker",
+    worker = scan._corank_worker
+    monkeypatch.setattr(scan, "_corank_worker",
                         lambda args: _rows_added(worker(args)))
     for argv, lines in (
             (["count", "--n", "2", "--r", "2"], 0),
@@ -640,7 +641,7 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
     # key too, so placement checks every row's width: a witness of the
     # wrong width or row count is a stray, and the constructor refuses it,
     # as count and count-corank do
-    worker = enumeration._corank_worker
+    worker = scan._corank_worker
 
     def top_row_widened(bases):
         (top, *rest), *others = bases
@@ -657,7 +658,7 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
                               "rows must match the ambient dimension"),
             (all_rows_widened, "engine produced an invalid basis: basis "
                                "rows must match the ambient dimension")):
-        monkeypatch.setattr(enumeration, "_corank_worker",
+        monkeypatch.setattr(scan, "_corank_worker",
                             lambda args: (fault(worker(args)) if args[1]
                                           else worker(args)))
         rc, out, err = run_main(
@@ -937,7 +938,8 @@ CLI_ONLY = ("['multlat', 'multlat.cache', 'multlat.cli']"
 # a computing run loads every package module, and still neither
 # dataclasses nor inspect; a table run never loads csv
 COMPUTING = ("['multlat', 'multlat.cache', 'multlat.cli', 'multlat.enumeration',"
-             " 'multlat.intlinalg', 'multlat.lattice', 'multlat.partitions']"
+             " 'multlat.intlinalg', 'multlat.lattice', 'multlat.partitions',"
+             " 'multlat.scan']"
              " False False False False")
 MAIN = ("import sys, multlat.cli\n"
         "rc = multlat.cli.main(sys.argv[1:])\n"

