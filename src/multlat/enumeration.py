@@ -88,8 +88,14 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     """Number of index-`index` subrings of Z^n containing (1, ..., 1), by
     exact division (`intlinalg._in_span`). At n = 0 the empty product makes
     Z^0 itself the single subring, of index 1.
+
+    It tests the unital census: the full-rank census less the bases whose
+    pivot at column 0 is not 1, which by exact division cannot hold (1, ...,
+    1) (`scan._corank_worker` holds the argument), validated (`_lattices`)
+    and re-verified (`_reverify`) as the full-rank census is.
     """
-    lats = enumerate_full_rank_multiplicative(n, index, jobs=jobs, budget=budget)
+    lats = _lattices(n, _run_shards(n, 0, index, jobs, budget, unital=True))
+    _reverify(lats, n, index)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
     return sum(_in_span(lat.basis, range(n), ones, n) for lat in lats)

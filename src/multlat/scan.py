@@ -48,9 +48,11 @@ def _check_cell(ambient: int, corank: int, torsion: int) -> None:
 
 
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
-                budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
+                budget: Optional[int], unital: bool = False
+                ) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted census of both engines, as bases: every shard's bases of the
-    given co-rank and torsion, full rank at co-rank 0.
+    given co-rank and torsion, full rank at co-rank 0; with unital set, only
+    the bases that may contain (1, ..., 1) (`_corank_worker`).
 
     The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
     first for every census (`_check_cell`), then jobs and budget, budget
@@ -73,7 +75,10 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
         raise ValueError("budget must be at least 1")
     if ambient == corank:
         return [()] if torsion == 1 else []
-    tasks = [(ambient, corank, torsion, shard, jobs, budget)
+    # a plain census sends the six entries it always has; a unital one
+    # adds its flag
+    flag = (True,) if unital else ()
+    tasks = [(ambient, corank, torsion, shard, jobs, budget, *flag)
              for shard in range(jobs)]
     if jobs == 1:
         bases = _corank_worker(tasks[0])
@@ -183,7 +188,7 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     return out
 
 
-def _corank_worker(args: tuple[int, int, int, int, int, int]
+def _corank_worker(args: tuple[int, ...]
                    ) -> list[tuple[tuple[int, ...], ...]]:
     """One shard's share of the census, full-rank or not, as canonical
     Hermite bases of the reversed lattices.
@@ -211,11 +216,25 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     upper-triangular Hermite bases of index r, the full-rank census. The
     rank ambient - corank is at least 1 (`_run_shards` answers rank 0).
 
+    args is (ambient, corank, torsion, shard, jobs, budget), and a unital
+    census (`enumeration.count_unital`'s) adds a seventh entry, True. It
+    lists only the bases whose span may hold (1, ..., 1), a superset of those
+    that do. Reversal fixes (1, ..., 1), so it lies in L exactly when it lies
+    in rev(L). In rev(L)'s canonical basis every row but the one leading at
+    column 0 is zero there, so exact division of the first coordinate, 1,
+    forces a pivot at column 0, and that pivot to be 1. Rows lead further
+    left level by level, so only the last level's row can lead at column 0,
+    and its lead is the torsion left over. A unital census thus needs no last
+    level with left != 1: the level before it, whose lead d leaves left // d,
+    tries only left itself, and at rank 1 the one level runs only at torsion
+    1. The full-rank and co-rank censuses take every lead, as above.
+
     The shard owns leads: at the first level it tries every jobs-th lead from
     the shard-th on, below them every lead, so it builds only its own leads'
     subtrees, and the shards' steps sum to those of jobs = 1.
     """
-    ambient, corank, torsion, shard, jobs, budget = args
+    ambient, corank, torsion, shard, jobs, budget, *flag = args
+    unital = flag == [True]
     n = ambient - corank
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
@@ -226,7 +245,9 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
         # the level takes every step-th lead from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
         last = len(hnf) == n - 1
-        leads = ([left] if last else
+        if last and unital and left != 1:
+            return
+        leads = ([left] if last or unital and len(hnf) == n - 2 else
                  [d for d in divisors if left % d == 0])[start::step]
         for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
             below = [q] + pivots

@@ -269,6 +269,21 @@ MUTANTS = (
          "test_shards_own_leads_so_their_steps_sum_to_one_shard",
          "tests/test_enumeration.py::test_corank_scan_jobs_split_agrees")),
     Mutant(
+        "unital-lead-forced-a-level-early", "src/multlat/scan.py",
+        "unital and len(hnf) == n - 2",
+        "unital and len(hnf) == n - 3",
+        ("tests/test_enumeration.py::"
+         "test_unital_scan_drops_no_unital_lattice",
+         "tests/test_enumeration.py::"
+         "test_each_engine_fits_a_budget_of_exactly_its_steps")),
+    Mutant(
+        "last-level-skipped-without-the-unital-flag", "src/multlat/scan.py",
+        "        if last and unital and left != 1:\n",
+        "        if last and left != 1:\n",
+        ("tests/test_enumeration.py::"
+         "test_full_rank_engine_matches_unpruned_reference",
+         "tests/test_enumeration.py::test_campaign_step_totals_are_pinned")),
+    Mutant(
         "divisors-stop-below-the-root", "src/multlat/scan.py",
         "    while p * p <= r:\n",
         "    while p * p < r:\n",

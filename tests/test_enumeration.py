@@ -218,6 +218,20 @@ def test_count_unital_matches_reference():
             assert count_unital(n, r) == ref_count_unital(n, r), (n, r)
 
 
+def test_unital_scan_drops_no_unital_lattice():
+    # the unital census skips every basis whose pivot at column 0 cannot be
+    # 1; each cell still counts every lattice of the full census, which
+    # takes every lead, whose basis spans (1, ..., 1)
+    cells = ([(n, r) for n in (1, 2, 3, 4) for r in range(1, 17)]
+             + [(5, r) for r in range(1, 9)])
+    for n, r in cells:
+        ones = [1] * n
+        want = sum(_in_span(lat.basis, range(n), ones, n)
+                   for lat in enumerate_full_rank_multiplicative(n, r))
+        for jobs in (1, 2, 3):
+            assert count_unital(n, r, jobs=jobs) == want, (n, r, jobs)
+
+
 def test_count_unital_shifts_dimension():
     # the unital count in dimension n equals the plain count in dimension n-1
     for r in range(1, 9):
@@ -525,7 +539,8 @@ def test_campaign_step_totals_are_pinned(step_totals):
 def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
     for run, used in (
             (lambda budget: _census(4, 1, 4, jobs=1, budget=budget), 517),
-            (lambda budget: count_full_rank(3, 8, budget=budget), 141)):
+            (lambda budget: count_full_rank(3, 8, budget=budget), 141),
+            (lambda budget: count_unital(5, 12, budget=budget), 7401)):
         expected = run(None)
         assert step_totals[-1].used == used
         assert run(used) == expected
@@ -536,17 +551,20 @@ def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
 
 def test_shards_own_leads_so_their_steps_sum_to_one_shard(step_totals):
     # a shard builds only the subtrees of its own first-level leads, so
-    # the shards of a co-rank, a full-rank and a rank-1 census take every
-    # step of the unsharded census once between them; at rank 1 the one
-    # lead is shard 0's, and the other shards take no step
-    for ambient, corank, torsion in ((4, 1, 4), (3, 0, 8), (3, 2, 4)):
+    # the shards of a co-rank, a full-rank, a rank-1 and a unital census
+    # take every step of the unsharded census once between them; at rank 1
+    # the one lead is shard 0's, and the other shards take no step
+    for ambient, corank, torsion, *flag in ((4, 1, 4), (3, 0, 8), (3, 2, 4),
+                                            (4, 0, 8, True)):
         step_totals.clear()
-        whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9))
+        whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9,
+                                *flag))
         total = step_totals[0].used
         for jobs in (2, 3):
             step_totals.clear()
             shards = [_corank_worker((ambient, corank, torsion, shard, jobs,
-                                      10 ** 9)) for shard in range(jobs)]
+                                      10 ** 9, *flag))
+                      for shard in range(jobs)]
             assert sum(steps.used for steps in step_totals) == total, \
                 (ambient, corank, torsion, jobs)
             assert sorted(itertools.chain(*shards)) == sorted(whole)
