@@ -89,16 +89,21 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     exact division (`intlinalg._in_span`). At n = 0 the empty product makes
     Z^0 itself the single subring, of index 1.
 
-    It tests the unital census: the full-rank census less the bases whose
-    pivot at column 0 is not 1, which by exact division cannot hold (1, ...,
-    1) (`scan._corank_worker` holds the argument), validated (`_lattices`)
-    and re-verified (`_reverify`) as the full-rank census is.
+    It counts the unital census, which builds the bases that hold (1, ...,
+    1) and no other (`scan._corank_worker` holds the argument), validated
+    (`_lattices`) and re-verified (`_reverify`) as the full-rank census is.
+    Each basis is also tested for (1, ..., 1), and one without it is an
+    internal error, RuntimeError "internal: ..." (exit 3 on the command
+    line).
     """
     lats = _lattices(n, _run_shards(n, 0, index, jobs, budget, unital=True))
     _reverify(lats, n, index)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
-    return sum(_in_span(lat.basis, range(n), ones, n) for lat in lats)
+    if not all(_in_span(lat.basis, range(n), ones, n) for lat in lats):
+        raise RuntimeError("internal: unital census listed a lattice "
+                           "without (1, ..., 1)")
+    return len(lats)
 
 
 def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,

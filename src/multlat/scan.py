@@ -1,10 +1,10 @@
 """The brute-force scan behind both censuses.
 
 `_corank_worker`, with its one extension step `_closed_extensions`, builds
-the co-rank census and, at co-rank 0, the full-rank one; `_run_shards` runs
-it over shards under a step budget. The scan is one side of the
-factorization check, so it never consults the other: this module imports
-the standard library alone, nothing from the package.
+the co-rank census and, at co-rank 0, the full-rank and unital ones;
+`_run_shards` runs it over shards under a step budget. The scan is one side
+of the factorization check, so it never consults the other: this module
+imports the standard library alone, nothing from the package.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 ) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted census of both engines, as bases: every shard's bases of the
     given co-rank and torsion, full rank at co-rank 0; with unital set, only
-    the bases that may contain (1, ..., 1) (`_corank_worker`).
+    the bases that contain (1, ..., 1) (`_corank_worker`).
 
     The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
     first for every census (`_check_cell`), then jobs and budget, budget
@@ -218,16 +218,21 @@ def _corank_worker(args: tuple[int, ...]
 
     args is (ambient, corank, torsion, shard, jobs, budget), and a unital
     census (`enumeration.count_unital`'s) adds a seventh entry, True. It
-    lists only the bases whose span may hold (1, ..., 1), a superset of those
-    that do. Reversal fixes (1, ..., 1), so it lies in L exactly when it lies
-    in rev(L). In rev(L)'s canonical basis every row but the one leading at
-    column 0 is zero there, so exact division of the first coordinate, 1,
-    forces a pivot at column 0, and that pivot to be 1. Rows lead further
-    left level by level, so only the last level's row can lead at column 0,
-    and its lead is the torsion left over. A unital census thus needs no last
-    level with left != 1: the level before it, whose lead d leaves left // d,
-    tries only left itself, and at rank 1 the one level runs only at torsion
-    1. The full-rank and co-rank censuses take every lead, as above.
+    lists exactly the bases whose span holds 1 = (1, ..., 1). Reversal fixes
+    1, so it lies in L exactly when it lies in rev(L). In rev(L)'s canonical
+    basis every row but the one leading at column 0 is zero there, so exact
+    division of the first coordinate, 1, forces a pivot at column 0, and that
+    pivot to be 1. Rows lead further left level by level, so only the last
+    level's row v can lead at column 0, and its lead is the torsion left
+    over: the level before it, whose lead d leaves left // d, tries only left
+    itself, and at rank 1 the one level runs only at torsion 1. With lead 1,
+    w = 1 - v is 0 at column 0, so it lies in the span P of the prefix; v's
+    pivot-column entries lie in [0, pivot), so v is 1 reduced column by
+    column against P's pivot rows, one row and one step, with no
+    `_closed_extensions`, and 1 = v + w lies in its span. It needs no
+    closure test: P is closed and w lies in it, so v*v - v = w*w - w and,
+    for each u in P, u*v = u - u*w lie in P.
+    The full-rank and co-rank censuses take every lead, as above.
 
     The shard owns leads: at the first level it tries every jobs-th lead from
     the shard-th on, below them every lead, so it builds only its own leads'
@@ -245,7 +250,16 @@ def _corank_worker(args: tuple[int, ...]
         # the level takes every step-th lead from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
         last = len(hnf) == n - 1
-        if last and unital and left != 1:
+        if last and unital:
+            # the one row, its lead 1 owned by shard 0 at rank 1
+            if left == 1 and start == 0:
+                steps.spend(1)
+                v = [1] * ambient
+                for row, c in zip(hnf, pivots):
+                    m = v[c] // row[c]
+                    if m:
+                        v = [a - m * b for a, b in zip(v, row)]
+                found.append((tuple(v), *hnf))
             return
         leads = ([left] if last or unital and len(hnf) == n - 2 else
                  [d for d in divisors if left % d == 0])[start::step]

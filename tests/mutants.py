@@ -238,8 +238,8 @@ MUTANTS = (
          "test_witness_pass_matches_per_witness_checks")),
     Mutant(
         "scan-emits-a-list-row", "src/multlat/scan.py",
-        "(tuple(v), *hnf)",
-        "(list(v), *hnf)",
+        "out.append((tuple(v), *hnf))",
+        "out.append((list(v), *hnf))",
         ("tests/test_enumeration.py::"
          "test_verify_names_no_offender_on_clean_cells",
          "tests/test_cli.py::test_verify_single_cell")),
@@ -273,16 +273,31 @@ MUTANTS = (
         "unital and len(hnf) == n - 2",
         "unital and len(hnf) == n - 3",
         ("tests/test_enumeration.py::"
+         "test_unital_census_lists_exactly_the_unital_lattices",
+         "tests/test_enumeration.py::"
          "test_unital_scan_drops_no_unital_lattice",
          "tests/test_enumeration.py::"
          "test_each_engine_fits_a_budget_of_exactly_its_steps")),
     Mutant(
         "last-level-skipped-without-the-unital-flag", "src/multlat/scan.py",
-        "        if last and unital and left != 1:\n",
-        "        if last and left != 1:\n",
+        "        if last and unital:\n",
+        "        if last and (unital or left != 1):\n",
         ("tests/test_enumeration.py::"
          "test_full_rank_engine_matches_unpruned_reference",
          "tests/test_enumeration.py::test_campaign_step_totals_are_pinned")),
+    Mutant(
+        "unital-row-skips-the-last-pivot-column", "src/multlat/scan.py",
+        "                for row, c in zip(hnf, pivots):\n",
+        "                for row, c in zip(hnf[:-1], pivots):\n",
+        ("tests/test_enumeration.py::"
+         "test_unital_census_lists_exactly_the_unital_lattices",
+         "tests/test_enumeration.py::test_count_unital_matches_reference")),
+    Mutant(
+        "count-unital-drops-the-unit-check", "src/multlat/enumeration.py",
+        "    if not all(_in_span(lat.basis, range(n), ones, n) for lat in lats):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::"
+         "test_a_unital_census_basis_without_the_unit_exits_three",)),
     Mutant(
         "divisors-stop-below-the-root", "src/multlat/scan.py",
         "    while p * p <= r:\n",

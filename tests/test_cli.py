@@ -677,6 +677,27 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
                    "may not contain zero rows\n")
 
 
+def test_a_unital_census_basis_without_the_unit_exits_three(capsys,
+                                                            monkeypatch):
+    # the unital census builds only bases that hold (1, 1), so one without
+    # it is the engine's fault, not a lattice to leave out of the count: a
+    # closed basis of the full census that passes the constructor and
+    # re-verification still fails count_unital, and count exits 3
+    full = scan._run_shards(2, 0, 2, 1, None)
+    stray = [b for b in full if not enumeration._in_span(b, range(2), [1, 1], 2)]
+    assert stray
+    monkeypatch.setattr(enumeration, "_run_shards",
+                        lambda *args, **kwargs: stray[:1])
+    with pytest.raises(RuntimeError, match="^internal: "):
+        enumeration.count_unital(2, 2)
+    rc, out, err = run_main(
+        capsys, ["count", "--n", "2", "--r", "2", "--method", "unital"])
+    assert rc == 3
+    assert out == ""
+    assert err == ("internal error: unital census listed a lattice without "
+                   "(1, ..., 1)\n")
+
+
 # -------------------------------------------------------------- partitions
 
 def test_partitions_listing(capsys):

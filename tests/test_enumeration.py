@@ -213,9 +213,11 @@ def test_formula_side_checks_jobs_and_budget_at_rank_zero():
 # ------------------------------------------------------------------ unital
 
 def test_count_unital_matches_reference():
-    for n in (1, 2, 3):
-        for r in range(1, 7):
-            assert count_unital(n, r) == ref_count_unital(n, r), (n, r)
+    # the reference shares no code with the scan
+    cells = ([(n, r) for n in (1, 2, 3) for r in range(1, 7)]
+             + [(4, r) for r in range(1, 9)] + [(5, r) for r in range(1, 5)])
+    for n, r in cells:
+        assert count_unital(n, r) == ref_count_unital(n, r), (n, r)
 
 
 def test_unital_scan_drops_no_unital_lattice():
@@ -230,6 +232,21 @@ def test_unital_scan_drops_no_unital_lattice():
                    for lat in enumerate_full_rank_multiplicative(n, r))
         for jobs in (1, 2, 3):
             assert count_unital(n, r, jobs=jobs) == want, (n, r, jobs)
+
+
+def test_unital_census_lists_exactly_the_unital_lattices():
+    # the unital census builds its last row as (1, ..., 1) reduced against
+    # the prefix, so it lists the full census's bases that span (1, ..., 1)
+    # and no other, at every jobs
+    cells = ([(n, r) for n in (1, 2, 3, 4) for r in range(1, 17)]
+             + [(5, r) for r in range(1, 9)])
+    for n, r in cells:
+        ones = [1] * n
+        want = [basis for basis in scan._run_shards(n, 0, r, 1, None)
+                if _in_span(basis, range(n), ones, n)]
+        for jobs in (1, 2, 3):
+            assert scan._run_shards(n, 0, r, jobs, None, unital=True) == want, \
+                (n, r, jobs)
 
 
 def test_count_unital_shifts_dimension():
@@ -540,7 +557,7 @@ def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
     for run, used in (
             (lambda budget: _census(4, 1, 4, jobs=1, budget=budget), 517),
             (lambda budget: count_full_rank(3, 8, budget=budget), 141),
-            (lambda budget: count_unital(5, 12, budget=budget), 7401)):
+            (lambda budget: count_unital(5, 12, budget=budget), 2511)):
         expected = run(None)
         assert step_totals[-1].used == used
         assert run(used) == expected
@@ -551,11 +568,12 @@ def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
 
 def test_shards_own_leads_so_their_steps_sum_to_one_shard(step_totals):
     # a shard builds only the subtrees of its own first-level leads, so
-    # the shards of a co-rank, a full-rank, a rank-1 and a unital census
-    # take every step of the unsharded census once between them; at rank 1
-    # the one lead is shard 0's, and the other shards take no step
+    # the shards of a co-rank, a full-rank, a rank-1 and two unital
+    # censuses take every step of the unsharded census once between them;
+    # at rank 1 the one lead is shard 0's, and the other shards take no
+    # step, the unital row (1,) included
     for ambient, corank, torsion, *flag in ((4, 1, 4), (3, 0, 8), (3, 2, 4),
-                                            (4, 0, 8, True)):
+                                            (4, 0, 8, True), (1, 0, 1, True)):
         step_totals.clear()
         whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9,
                                 *flag))
