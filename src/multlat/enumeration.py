@@ -85,18 +85,32 @@ def count_full_rank(n: int, index: int, *, jobs: int = 1,
 
 def count_unital(n: int, index: int, *, jobs: int = 1,
                  budget: Optional[int] = None) -> int:
-    """Number of index-`index` subrings of Z^n containing (1, ..., 1), by
-    exact division (`intlinalg._in_span`). At n = 0 the empty product makes
-    Z^0 itself the single subring, of index 1.
+    """Number of index-`index` subrings of Z^n containing 1 = (1, ..., 1).
+    At n = 0 the empty product makes Z^0 itself the single subring, of
+    index 1; the cell rule, jobs and budget are `scan._run_shards`'.
 
-    It counts the unital census, which builds the bases that hold (1, ...,
-    1) and no other (`scan._corank_worker` holds the argument), validated
-    (`_lattices`) and re-verified (`_reverify`) as the full-rank census is.
-    Each basis is also tested for (1, ..., 1), and one without it is an
-    internal error, RuntimeError "internal: ..." (exit 3 on the command
-    line).
+    For n >= 1 these are the lifts Z*1 + (0 + L') of the full-rank subrings
+    L' of Z^(n-1) of the same index, 0 + L' being the (0, x) for x in L',
+    one lift each (R. I. Liu, "Counting subrings of Z^n of index k", JCTA
+    114, 2007); so the count lifts each basis of the full-rank census one
+    rank down (`_unital_basis`). For p, p' in 0 + L', (a*1 + p)(b*1 + p') =
+    ab*1 + (a*p' + b*p + p*p'), so the lift is closed exactly when each
+    p*p' lies in 0 + L', that is when L' is. Its basis, 1 over the rows of
+    0 + L', is triangular with diagonal 1 and that of L', so its index is
+    1 * [Z^(n-1) : L']. A unital M holds m - m_1*1 for each m in M, so M is
+    Z*1 plus M cut by first coordinate 0, which is 0 + L' for the one L'
+    it recovers: each unital M of the index arises once.
+
+    Each lifted basis is validated (`_lattices`), re-verified
+    (`_reverify`) as the full-rank census is, and tested for 1 by exact
+    division (`intlinalg._in_span`); one without 1 is an internal error,
+    RuntimeError "internal: ..." (exit 3 on the command line).
     """
-    lats = _lattices(n, _run_shards(n, 0, index, jobs, budget, unital=True))
+    if n == 0:
+        bases = _run_shards(0, 0, index, jobs, budget)
+    else:
+        bases = map(_unital_basis, _run_shards(n - 1, 0, index, jobs, budget))
+    lats = _lattices(n, bases)
     _reverify(lats, n, index)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
@@ -104,6 +118,22 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
         raise RuntimeError("internal: unital census listed a lattice "
                            "without (1, ..., 1)")
     return len(lats)
+
+
+def _unital_basis(basis: tuple[tuple[int, ...], ...]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """The canonical Hermite basis of Z*1 + (0 + L'), L' the span of a
+    canonical full-rank basis of Z^(n-1) (`count_unital`): the basis's rows
+    each behind a 0, under 1 = (1, ..., 1) reduced against them at their
+    pivots into [0, pivot), which past its leading 1 is 1 reduced column by
+    column against the basis itself.
+    """
+    v = [1] * len(basis)
+    for c, row in enumerate(basis):
+        m = v[c] // row[c]
+        if m:
+            v = [a - m * b for a, b in zip(v, row)]
+    return ((1, *v), *[(0, *row) for row in basis])
 
 
 def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,

@@ -1,10 +1,10 @@
 """The brute-force scan behind both censuses.
 
 `_corank_worker`, with its one extension step `_closed_extensions`, builds
-the co-rank census and, at co-rank 0, the full-rank and unital ones;
-`_run_shards` runs it over shards under a step budget. The scan is one side
-of the factorization check, so it never consults the other: this module
-imports the standard library alone, nothing from the package.
+the co-rank census and, at co-rank 0, the full-rank one; `_run_shards` runs
+it over shards under a step budget. The scan is one side of the
+factorization check, so it never consults the other: this module imports
+the standard library alone, nothing from the package.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ def _check_cell(ambient: int, corank: int, torsion: int) -> None:
 
 
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
-                budget: Optional[int], unital: bool = False
-                ) -> list[tuple[tuple[int, ...], ...]]:
+                budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted census of both engines, as bases: every shard's bases of the
-    given co-rank and torsion, full rank at co-rank 0; with unital set, only
-    the bases that contain (1, ..., 1) (`_corank_worker`).
+    given co-rank and torsion, the full-rank census at co-rank 0 and the
+    co-rank one otherwise.
 
     The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
     first for every census (`_check_cell`), then jobs and budget, budget
@@ -75,10 +74,7 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
         raise ValueError("budget must be at least 1")
     if ambient == corank:
         return [()] if torsion == 1 else []
-    # a plain census sends the six entries it always has; a unital one
-    # adds its flag
-    flag = (True,) if unital else ()
-    tasks = [(ambient, corank, torsion, shard, jobs, budget, *flag)
+    tasks = [(ambient, corank, torsion, shard, jobs, budget)
              for shard in range(jobs)]
     if jobs == 1:
         bases = _corank_worker(tasks[0])
@@ -188,10 +184,11 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     return out
 
 
-def _corank_worker(args: tuple[int, ...]
+def _corank_worker(args: tuple[int, int, int, int, int, int]
                    ) -> list[tuple[tuple[int, ...], ...]]:
-    """One shard's share of the census, full-rank or not, as canonical
-    Hermite bases of the reversed lattices.
+    """One shard's share of the census, the full-rank one at co-rank 0 and
+    the co-rank one otherwise, as canonical Hermite bases of the reversed
+    lattices.
 
     Rows are built in the reversed column frame, where a banded basis
     (`lattice.banded_basis`) read newest row first is a Hermite basis: the
@@ -216,30 +213,11 @@ def _corank_worker(args: tuple[int, ...]
     upper-triangular Hermite bases of index r, the full-rank census. The
     rank ambient - corank is at least 1 (`_run_shards` answers rank 0).
 
-    args is (ambient, corank, torsion, shard, jobs, budget), and a unital
-    census (`enumeration.count_unital`'s) adds a seventh entry, True. It
-    lists exactly the bases whose span holds 1 = (1, ..., 1). Reversal fixes
-    1, so it lies in L exactly when it lies in rev(L). In rev(L)'s canonical
-    basis every row but the one leading at column 0 is zero there, so exact
-    division of the first coordinate, 1, forces a pivot at column 0, and that
-    pivot to be 1. Rows lead further left level by level, so only the last
-    level's row v can lead at column 0, and its lead is the torsion left
-    over: the level before it, whose lead d leaves left // d, tries only left
-    itself, and at rank 1 the one level runs only at torsion 1. With lead 1,
-    w = 1 - v is 0 at column 0, so it lies in the span P of the prefix; v's
-    pivot-column entries lie in [0, pivot), so v is 1 reduced column by
-    column against P's pivot rows, one row and one step, with no
-    `_closed_extensions`, and 1 = v + w lies in its span. It needs no
-    closure test: P is closed and w lies in it, so v*v - v = w*w - w and,
-    for each u in P, u*v = u - u*w lie in P.
-    The full-rank and co-rank censuses take every lead, as above.
-
     The shard owns leads: at the first level it tries every jobs-th lead from
     the shard-th on, below them every lead, so it builds only its own leads'
     subtrees, and the shards' steps sum to those of jobs = 1.
     """
-    ambient, corank, torsion, shard, jobs, budget, *flag = args
-    unital = flag == [True]
+    ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
     found: list[tuple[tuple[int, ...], ...]] = []
     steps = _Steps(budget)
@@ -250,18 +228,7 @@ def _corank_worker(args: tuple[int, ...]
         # the level takes every step-th lead from the start-th on;
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
         last = len(hnf) == n - 1
-        if last and unital:
-            # the one row, its lead 1 owned by shard 0 at rank 1
-            if left == 1 and start == 0:
-                steps.spend(1)
-                v = [1] * ambient
-                for row, c in zip(hnf, pivots):
-                    m = v[c] // row[c]
-                    if m:
-                        v = [a - m * b for a, b in zip(v, row)]
-                found.append((tuple(v), *hnf))
-            return
-        leads = ([left] if last or unital and len(hnf) == n - 2 else
+        leads = ([left] if last else
                  [d for d in divisors if left % d == 0])[start::step]
         for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
             below = [q] + pivots

@@ -270,8 +270,8 @@ MUTANTS = (
          "tests/test_enumeration.py::test_corank_scan_jobs_split_agrees")),
     Mutant(
         "unital-lead-forced-a-level-early", "src/multlat/scan.py",
-        "unital and len(hnf) == n - 2",
-        "unital and len(hnf) == n - 3",
+        "        leads = ([left] if last else\n",
+        "        leads = ([left] if len(hnf) >= n - 2 else\n",
         ("tests/test_enumeration.py::"
          "test_unital_census_lists_exactly_the_unital_lattices",
          "tests/test_enumeration.py::"
@@ -280,15 +280,17 @@ MUTANTS = (
          "test_each_engine_fits_a_budget_of_exactly_its_steps")),
     Mutant(
         "last-level-skipped-without-the-unital-flag", "src/multlat/scan.py",
-        "        if last and unital:\n",
-        "        if last and (unital or left != 1):\n",
+        "        leads = ([left] if last else\n",
+        "        leads = ([left] * (left == 1) if last else\n",
         ("tests/test_enumeration.py::"
          "test_full_rank_engine_matches_unpruned_reference",
+         "tests/test_enumeration.py::test_count_unital_matches_reference",
          "tests/test_enumeration.py::test_campaign_step_totals_are_pinned")),
     Mutant(
-        "unital-row-skips-the-last-pivot-column", "src/multlat/scan.py",
-        "                for row, c in zip(hnf, pivots):\n",
-        "                for row, c in zip(hnf[:-1], pivots):\n",
+        "unital-row-skips-the-last-pivot-column",
+        "src/multlat/enumeration.py",
+        "    for c, row in enumerate(basis):\n",
+        "    for c, row in enumerate(basis[:-1]):\n",
         ("tests/test_enumeration.py::"
          "test_unital_census_lists_exactly_the_unital_lattices",
          "tests/test_enumeration.py::test_count_unital_matches_reference")),

@@ -679,15 +679,14 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
 
 def test_a_unital_census_basis_without_the_unit_exits_three(capsys,
                                                             monkeypatch):
-    # the unital census builds only bases that hold (1, 1), so one without
-    # it is the engine's fault, not a lattice to leave out of the count: a
+    # the lift of a basis of Z^1 holds (1, 1), so a lifted basis without it
+    # is the engine's fault, not a lattice to leave out of the count: a
     # closed basis of the full census that passes the constructor and
     # re-verification still fails count_unital, and count exits 3
     full = scan._run_shards(2, 0, 2, 1, None)
     stray = [b for b in full if not enumeration._in_span(b, range(2), [1, 1], 2)]
     assert stray
-    monkeypatch.setattr(enumeration, "_run_shards",
-                        lambda *args, **kwargs: stray[:1])
+    monkeypatch.setattr(enumeration, "_unital_basis", lambda basis: stray[0])
     with pytest.raises(RuntimeError, match="^internal: "):
         enumeration.count_unital(2, 2)
     rc, out, err = run_main(

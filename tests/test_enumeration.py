@@ -33,7 +33,8 @@ import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 import multlat.partitions as partitions
 import multlat.scan as scan
-from multlat.enumeration import _in_span, _census, _verify, _witness_faults
+from multlat.enumeration import (_in_span, _census, _unital_basis, _verify,
+                                 _witness_faults)
 from multlat.scan import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
@@ -221,11 +222,11 @@ def test_count_unital_matches_reference():
 
 
 def test_unital_scan_drops_no_unital_lattice():
-    # the unital census skips every basis whose pivot at column 0 cannot be
-    # 1; each cell still counts every lattice of the full census, which
-    # takes every lead, whose basis spans (1, ..., 1)
+    # the unital count lifts the full-rank census one rank down; each cell
+    # still counts every lattice of the full census of Z^n itself whose
+    # basis spans (1, ..., 1)
     cells = ([(n, r) for n in (1, 2, 3, 4) for r in range(1, 17)]
-             + [(5, r) for r in range(1, 9)])
+             + [(5, r) for r in range(1, 9)] + [(6, r) for r in range(1, 7)])
     for n, r in cells:
         ones = [1] * n
         want = sum(_in_span(lat.basis, range(n), ones, n)
@@ -235,9 +236,10 @@ def test_unital_scan_drops_no_unital_lattice():
 
 
 def test_unital_census_lists_exactly_the_unital_lattices():
-    # the unital census builds its last row as (1, ..., 1) reduced against
-    # the prefix, so it lists the full census's bases that span (1, ..., 1)
-    # and no other, at every jobs
+    # each basis of the full-rank census of Z^(n-1), lifted under (1, ...,
+    # 1) reduced against its rows, is a canonical basis of Z^n, so the
+    # lifts are the full census's bases of Z^n that span (1, ..., 1) and no
+    # other, at every jobs
     cells = ([(n, r) for n in (1, 2, 3, 4) for r in range(1, 17)]
              + [(5, r) for r in range(1, 9)])
     for n, r in cells:
@@ -245,8 +247,9 @@ def test_unital_census_lists_exactly_the_unital_lattices():
         want = [basis for basis in scan._run_shards(n, 0, r, 1, None)
                 if _in_span(basis, range(n), ones, n)]
         for jobs in (1, 2, 3):
-            assert scan._run_shards(n, 0, r, jobs, None, unital=True) == want, \
-                (n, r, jobs)
+            lifted = map(_unital_basis, scan._run_shards(n - 1, 0, r, jobs,
+                                                         None))
+            assert sorted(lifted) == want, (n, r, jobs)
 
 
 def test_count_unital_shifts_dimension():
@@ -554,10 +557,12 @@ def test_campaign_step_totals_are_pinned(step_totals):
 
 
 def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
+    # count_unital(5, 12) takes the steps of count_full_rank(4, 12), the
+    # census it lifts
     for run, used in (
             (lambda budget: _census(4, 1, 4, jobs=1, budget=budget), 517),
             (lambda budget: count_full_rank(3, 8, budget=budget), 141),
-            (lambda budget: count_unital(5, 12, budget=budget), 2511)):
+            (lambda budget: count_unital(5, 12, budget=budget), 2161)):
         expected = run(None)
         assert step_totals[-1].used == used
         assert run(used) == expected
@@ -568,20 +573,17 @@ def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
 
 def test_shards_own_leads_so_their_steps_sum_to_one_shard(step_totals):
     # a shard builds only the subtrees of its own first-level leads, so
-    # the shards of a co-rank, a full-rank, a rank-1 and two unital
-    # censuses take every step of the unsharded census once between them;
-    # at rank 1 the one lead is shard 0's, and the other shards take no
-    # step, the unital row (1,) included
-    for ambient, corank, torsion, *flag in ((4, 1, 4), (3, 0, 8), (3, 2, 4),
-                                            (4, 0, 8, True), (1, 0, 1, True)):
+    # the shards of a co-rank, a full-rank and a rank-1 census take every
+    # step of the unsharded census once between them; at rank 1 the one
+    # lead is shard 0's, and the other shards take no step
+    for ambient, corank, torsion in ((4, 1, 4), (3, 0, 8), (3, 2, 4)):
         step_totals.clear()
-        whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9,
-                                *flag))
+        whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9))
         total = step_totals[0].used
         for jobs in (2, 3):
             step_totals.clear()
             shards = [_corank_worker((ambient, corank, torsion, shard, jobs,
-                                      10 ** 9, *flag))
+                                      10 ** 9))
                       for shard in range(jobs)]
             assert sum(steps.used for steps in step_totals) == total, \
                 (ambient, corank, torsion, jobs)
