@@ -64,7 +64,8 @@ def _lattices(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]]
 def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
                                        budget: Optional[int] = None) -> list[Lattice]:
     """All full-rank multiplicative sublattices of Z^n with the given index,
-    sorted by basis, each once: the census of `scan._corank_worker` at
+    each once, ascending by their basis rows read last row first
+    (basis[::-1], `scan._key`): the census of `scan._corank_worker` at
     co-rank 0, re-verified lattice by lattice (`_reverify`). Z^0 is the one
     lattice at n = 0, of index 1. The cell rule, jobs and budget are
     `scan._run_shards`'.
@@ -140,7 +141,8 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
                             jobs: int = 1,
                             budget: Optional[int] = None) -> list[Lattice]:
     """Brute-force census of the multiplicative sublattices of Z^ambient of a
-    given co-rank and torsion, sorted by basis, each once.
+    given co-rank and torsion, each once, ascending by their basis rows
+    read last row first (basis[::-1], `scan._key`).
 
     The scan (`scan._corank_worker`) never consults the formula it is
     compared with. Its census is validated (`_lattices`) and re-verified (`_reverify`)
@@ -159,9 +161,9 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
 
 def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
             budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """The sorted, repeat-free bases `enumerate_corank_oracle` validates
-    and re-verifies, and `_verify` places; ValueError on a cell that breaks
-    `scan._run_shards`' cell rule."""
+    """The repeat-free bases `enumerate_corank_oracle` validates and
+    re-verifies, and `_verify` places, in `scan._run_shards`' order, the
+    same at every jobs; ValueError on a cell that breaks its cell rule."""
     return _run_shards(ambient, corank, torsion, jobs, budget)
 
 

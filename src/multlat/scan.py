@@ -10,12 +10,14 @@ the standard library alone, nothing from the package.
 from __future__ import annotations
 
 import os
-from itertools import chain, islice
+from itertools import islice
 from math import isqrt
-from operator import eq
+from operator import gt, itemgetter
 from typing import Iterable, Optional
 
 DEFAULT_BUDGET = 50_000_000
+# the census order's key: a basis's rows read oldest first (`_corank_worker`)
+_key = itemgetter(slice(None, None, -1))
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -49,9 +51,9 @@ def _check_cell(ambient: int, corank: int, torsion: int) -> None:
 
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """The sorted census of both engines, as bases: every shard's bases of the
+    """The census of both engines, as bases: every shard's bases of the
     given co-rank and torsion, the full-rank census at co-rank 0 and the
-    co-rank one otherwise.
+    co-rank one otherwise, ascending by rows read last first (`_key`).
 
     The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
     first for every census (`_check_cell`), then jobs and budget, budget
@@ -62,9 +64,12 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     os.cpu_count()) processes. The shards split the steps of jobs = 1
     (`_corank_worker`), so a run that completes at jobs = 1 completes at
     every jobs with the same census, and one that a budget stops may
-    complete at more. The worker builds each lattice once, so a basis found
-    twice, in one shard or two, is an internal error; the sort puts copies
-    side by side, so comparing neighbours finds every repeat.
+    complete at more. Each shard lists its bases strictly descending by key
+    (`_corank_worker`), and more than one shard are merged by key, so the
+    list's neighbours strictly descend; one pass over them finds any basis
+    found twice, in one shard or two, or out of order, an internal error
+    ("lattice twice" when a basis repeats, "out of order" otherwise). The
+    list is then reversed in place.
     """
     _check_cell(ambient, corank, torsion)
     if jobs < 1:
@@ -79,14 +84,18 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     if jobs == 1:
         bases = _corank_worker(tasks[0])
     else:
+        import heapq
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
-            bases = list(chain.from_iterable(pool.map(_corank_worker, tasks)))
-    bases.sort()
-    if any(map(eq, bases, islice(bases, 1, None))):
-        raise RuntimeError("internal: engine produced a lattice twice")
+            bases = list(heapq.merge(*pool.map(_corank_worker, tasks),
+                                     key=_key, reverse=True))
+    if not all(map(gt, map(_key, bases), map(_key, islice(bases, 1, None)))):
+        if len(set(bases)) < len(bases):
+            raise RuntimeError("internal: engine produced a lattice twice")
+        raise RuntimeError("internal: engine produced the census out of order")
+    bases.reverse()
     return bases
 
 
@@ -198,8 +207,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     division. A complete basis is the canonical Hermite basis of rev(L), L
     with its coordinates reversed. Reversal permutes coordinates, so it is a
     ring automorphism, its own inverse, that keeps rank, torsion and
-    closure: it maps the census onto itself, and the sorted rev(L) are the
-    sorted census, with no Hermite form computed.
+    closure: it maps the census onto itself, so the rev(L) are the census,
+    with no Hermite form computed.
 
     Rows come from `_closed_extensions`, from the empty prefix, depth first.
     Each row is a tuple made once, so the bases that extend a prefix share
@@ -216,6 +225,20 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     The shard owns leads: at the first level it tries every jobs-th lead from
     the shard-th on, below them every lead, so it builds only its own leads'
     subtrees, and the shards' steps sum to those of jobs = 1.
+
+    The shard lists its bases strictly descending by their rows read oldest
+    first, basis[::-1] (`_key`). Take two bases and the oldest row where
+    they differ: below it they share a prefix, so that row comes from one
+    `extend` call. A row that leads at a smaller q has fewer leading zeros
+    before a positive lead, so it is lexicographically larger, and q
+    ascends. Rows of one q come from one `_closed_extensions` call, distinct
+    and ascending, and are taken in reverse. The walk is depth first, so
+    every basis below the larger row is listed before any below the
+    smaller. Walking q down and taking each call's rows as they come would
+    give the ascending order, but would list the shallow lattices first;
+    with q ascending the first row is built deepest first, so a request
+    deeper than the recursion limit meets it before the shard lists
+    anything.
     """
     ambient, corank, torsion, shard, jobs, budget = args
     n = ambient - corank
@@ -231,12 +254,12 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
         leads = ([left] if last else
                  [d for d in divisors if left % d == 0])[start::step]
         for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
-            below = [q] + pivots
-            for h2 in _closed_extensions(hnf, pivots, q, leads, ambient, steps):
+            for h2 in reversed(_closed_extensions(hnf, pivots, q, leads,
+                                                  ambient, steps)):
                 if last:
                     found.append(h2)
                 else:
-                    extend(h2, below, left // h2[0][q])
+                    extend(h2, [q] + pivots, left // h2[0][q])
 
     try:
         extend((), [], torsion, shard, jobs)

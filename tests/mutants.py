@@ -140,10 +140,16 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_check_witness_from_one_square",)),
     Mutant(
         "duplicate-check-dropped", "src/multlat/scan.py",
-        "    if any(map(eq, bases, islice(bases, 1, None))):\n",
-        "    if False:\n",
+        "        if len(set(bases)) < len(bases):\n",
+        "        if False:\n",
         ("tests/test_enumeration.py::"
          "test_each_engine_rejects_a_lattice_found_twice",)),
+    Mutant(
+        "order-check-skips-every-other-pair", "src/multlat/scan.py",
+        "map(_key, bases), map(_key, islice(bases, 1, None))",
+        "map(_key, bases[::2]), map(_key, bases[1::2])",
+        ("tests/test_enumeration.py::"
+         "test_each_engine_rejects_a_census_out_of_order",)),
     Mutant(
         "rows-keep-the-hermite-zero-rows", "src/multlat/lattice.py",
         "    return Lattice(ambient_dim, tuple(r for r in hnf if any(r)))\n",
@@ -379,6 +385,14 @@ MUTANTS = (
         "                continue\n",
         ("tests/test_rank_two_zeta.py",)),
     Mutant(
+        "scan-skips-x1-at-pivot-16-from-the-third-row",
+        "src/multlat/scan.py",
+        "        for x in range(p):\n",
+        "        for x in range(p):\n"
+        "            if p == 16 and x == 1 and len(hnf) >= 2:\n"
+        "                continue\n",
+        ("tests/test_rank_three_zeta.py",)),
+    Mutant(
         "shards-allow-jobs-zero", "src/multlat/scan.py",
         "    if jobs < 1:\n",
         "    if jobs < 0:\n",
@@ -388,6 +402,12 @@ MUTANTS = (
         "    if budget < 1:\n",
         "    if budget < 0:\n",
         ("tests/test_enumeration.py::test_corank_arg_validation",)),
+    Mutant(
+        "shards-refuse-budget-one", "src/multlat/scan.py",
+        "    if budget < 1:\n",
+        "    if budget < 2:\n",
+        ("tests/test_enumeration.py::"
+         "test_a_census_of_one_step_fits_a_budget_of_one",)),
 )
 
 

@@ -7,6 +7,7 @@ compare whole invocations byte for byte go through subprocesses.
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -22,20 +23,32 @@ from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
 from multlat.lattice import Lattice, lattice_from_rows
 from refimpl import partitions_ref
-from test_enumeration import _rows_added
+from test_enumeration import _rows_added, _second_and_third_swapped
+
+# the address space of a child under `cap_address_space`: ample for any
+# request the tests make, and far below a host's memory
+ADDRESS_SPACE = 2 ** 30
 
 
-def run_python(args):
+def run_python(args, preexec_fn=None):
     # the checkout's src first, so no installed copy answers in its place
     src = str(Path(__file__).resolve().parents[1] / "src")
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, timeout=600, env=env)
+                          capture_output=True, text=True, timeout=600, env=env,
+                          preexec_fn=preexec_fn)
 
 
-def run_cli(argv):
-    return run_python(["-m", "multlat.cli", *argv])
+def run_cli(argv, preexec_fn=None):
+    return run_python(["-m", "multlat.cli", *argv], preexec_fn)
+
+
+def cap_address_space():
+    # run in the child before it starts; a tighter soft limit stays
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY or soft > ADDRESS_SPACE:
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, hard))
 
 
 def run_main(capsys, argv):
@@ -480,13 +493,17 @@ def test_a_budget_that_completes_at_one_job_completes_at_every_jobs(capsys):
     ["count-corank", "--ambient", "2000", "--corank", "1999", "--torsion",
      "1"],
 ])
-def test_a_request_too_deep_exits_two(capsys, argv):
+def test_a_request_too_deep_exits_two(argv):
     # RecursionError is a RuntimeError, yet the limit is the request's,
-    # not a failed self-check: exit 2 with one line, no traceback
-    rc, _, err = run_main(capsys, argv)
-    assert rc == 2
-    assert err.startswith("resource error: RecursionError(")
-    assert err.count("\n") == 1
+    # not a failed self-check: exit 2 with one line, no traceback. The scan
+    # builds the first row of Z^2000 deepest first, so it meets the limit
+    # at once; a walk that listed the shallow lattices first, about 2^2000
+    # of them, would run out of memory, so each request runs in a fresh
+    # interpreter under an address-space cap, not in this process
+    proc = run_cli(argv, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("resource error: RecursionError(")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_a_request_too_large_exits_two(capsys, monkeypatch):
@@ -675,6 +692,18 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
     assert out.count("\n") == 1
     assert err == ("internal error: engine produced an invalid basis: basis "
                    "may not contain zero rows\n")
+
+
+def test_a_census_out_of_order_exits_three(capsys, monkeypatch):
+    # two neighbours of a shard swapped, no basis twice, at each --jobs
+    monkeypatch.setattr(scan, "_corank_worker", _second_and_third_swapped)
+    for jobs in ("1", "2"):
+        rc, out, err = run_main(capsys, ["verify", "--n", "2", "--k", "1",
+                                         "--r", "2", "--jobs", jobs])
+        assert rc == 3
+        assert out.count("\n") == 1
+        assert err == ("internal error: engine produced the census out of "
+                       "order\n")
 
 
 def test_a_unital_census_basis_without_the_unit_exits_three(capsys,

@@ -11,6 +11,7 @@ import gc
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import random
 from types import SimpleNamespace
@@ -125,7 +126,7 @@ def test_enumerate_full_rank_properties():
     for n, r in ((2, 6), (3, 4)):
         lats = enumerate_full_rank_multiplicative(n, r)
         assert len(set(lats)) == len(lats)
-        assert lats == sorted(lats, key=lambda l: l.basis)
+        assert lats == sorted(lats, key=lambda l: l.basis[::-1])
         for lat in lats:
             assert lat.ambient_dim == n and lat.is_full_rank
             assert is_multiplicative(lat)
@@ -249,7 +250,7 @@ def test_unital_census_lists_exactly_the_unital_lattices():
         for jobs in (1, 2, 3):
             lifted = map(_unital_basis, scan._run_shards(n - 1, 0, r, jobs,
                                                          None))
-            assert sorted(lifted) == want, (n, r, jobs)
+            assert list(lifted) == want, (n, r, jobs)
 
 
 def test_count_unital_shifts_dimension():
@@ -345,7 +346,7 @@ def test_corank_scan_needs_no_pivot_square_premise():
     # too; a scan without it, with every pivot up to r and up to 2r, finds
     # the same bases on every campaign cell, so no pivot above r is missed
     for n, k, r in CAMPAIGN_CELLS:
-        census = _census(n + k, k, r, jobs=1, budget=None)
+        census = sorted(_census(n + k, k, r, jobs=1, budget=None))
         for bound in (r, 2 * r):
             assert _scan_by_smith_torsion(n + k, k, r, bound) == census, \
                 (n, k, r, bound)
@@ -588,6 +589,12 @@ def test_shards_own_leads_so_their_steps_sum_to_one_shard(step_totals):
             assert sum(steps.used for steps in step_totals) == total, \
                 (ambient, corank, torsion, jobs)
             assert sorted(itertools.chain(*shards)) == sorted(whole)
+
+
+def test_a_census_of_one_step_fits_a_budget_of_one():
+    # the least budget taken: the census of Z at index 1 tries its one
+    # lead, 1, and nothing else
+    assert count_full_rank(1, 1, budget=1) == 1
 
 
 def test_budget_large_enough_changes_nothing():
@@ -1025,7 +1032,7 @@ def _all_shards_in_each(args):
 
 def _first_basis_again_in_last_shard(args):
     # a sharding fault: the last shard lists shard 0's first basis after
-    # its own bases, far from where the sort puts it; module level, so a
+    # its own bases, far from its place in the census; module level, so a
     # fork pool can take it
     *head, shard, jobs, budget = args
     found = _corank_worker(args)
@@ -1051,7 +1058,7 @@ def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
                 with pytest.raises(RuntimeError, match=TWICE):
                     run()
     # the same lattice from two shards, at non-adjacent places in their
-    # outputs: the sort must still bring the copies together
+    # outputs: the merge must still tell a repeat from disorder
     with monkeypatch.context() as patched:
         patched.setattr(scan, "_corank_worker",
                         _first_basis_again_in_last_shard)
@@ -1065,6 +1072,49 @@ def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
     assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
     with pytest.raises(RuntimeError, match=TWICE):
         enumerate_full_rank_multiplicative(3, 4, jobs=2)
+
+
+def _second_and_third_swapped(args):
+    # a scan fault: a shard of three or more bases lists its second and
+    # third in each other's place, and no basis twice; module level, so a
+    # fork pool can take it
+    found = _corank_worker(args)
+    if len(found) > 2:
+        found[1], found[2] = found[2], found[1]
+    return found
+
+
+DISORDER = "^internal: engine produced the census out of order$"
+
+
+def test_each_engine_rejects_a_census_out_of_order(monkeypatch):
+    # a sort would hide the swap; the order check finds it in the merged
+    # census, at each jobs. At jobs 1 the swapped pair is the census's
+    # second and third, which a check of every other neighbour pair, the
+    # first and second, the third and fourth, and so on, never compares
+    monkeypatch.setattr(scan, "_corank_worker", _second_and_third_swapped)
+    for jobs in (1, 2):
+        for run in (
+                lambda: enumerate_full_rank_multiplicative(3, 4, jobs=jobs),
+                lambda: enumerate_corank_oracle(3, 1, 2, jobs=jobs),
+                lambda: verify_corank_factorization(2, 1, 2, jobs=jobs)):
+            with pytest.raises(RuntimeError, match=DISORDER):
+                run()
+
+
+def test_every_shard_lists_its_bases_in_census_order():
+    # the walk itself, not `_run_shards`' check: each shard's bases
+    # strictly decrease by their rows read oldest first, so a merge of the
+    # shards needs no sort
+    for ambient in range(1, 6):
+        for corank in range(ambient):
+            for torsion in range(1, 9):
+                for jobs in (1, 2, 3):
+                    for shard in range(jobs):
+                        keys = [basis[::-1] for basis in _corank_worker(
+                            (ambient, corank, torsion, shard, jobs, 10 ** 9))]
+                        assert all(map(operator.gt, keys, keys[1:])), \
+                            (ambient, corank, torsion, shard, jobs)
 
 
 def _rows_added(bases):
@@ -1104,7 +1154,8 @@ def test_census_is_closed_under_reversing_coordinates():
             back.append(lattice_from_rows(n + k, rows))
             if n + k <= 4:
                 assert banded_basis(back[-1]) == rows, lat.basis
-        assert sorted(back, key=lambda lat: lat.basis) == census, (n, k, r)
+        assert sorted(back, key=lambda lat: lat.basis[::-1]) == census, \
+            (n, k, r)
 
 
 def test_measured_paths_never_reach_the_general_routines(monkeypatch):
