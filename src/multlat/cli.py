@@ -125,16 +125,19 @@ def _emit_rows(fmt: str, header: Sequence[str], rows: Sequence[Sequence],
 _COUNT_HEADER = ("n", "k", "r", "method", "count", "status")
 
 
-def _count(engine, n: int, k: int, r: int, method: str, args) -> int:
-    """One count cell, computed by engine, the `enumeration` module."""
+def _count(n: int, k: int, r: int, method: str, args) -> int:
+    """One count cell; the engines are imported here, at the first cell
+    to compute."""
+    from . import enumeration
+
     run = {"jobs": args.jobs, "budget": args.budget}
     if method == "unital":
-        return engine.count_unital(n, r, **run)
+        return enumeration.count_unital(n, r, **run)
     if method == "formula":
-        return engine.count_corank_formula(n, k, r, **run)
+        return enumeration.count_corank_formula(n, k, r, **run)
     if k == 0:
-        return engine.count_full_rank(n, r, **run)
-    return len(engine.enumerate_corank_oracle(n + k, k, r, **run))
+        return enumeration.count_full_rank(n, r, **run)
+    return len(enumeration.enumerate_corank_oracle(n + k, k, r, **run))
 
 
 def _count_cells(cells, args) -> int:
@@ -149,10 +152,9 @@ def _count_cells(cells, args) -> int:
         if cached is not None:
             rows.append((n, k, r, method, cached, "ok"))
             continue
-        from . import enumeration
         from .scan import SearchBudgetExceeded
         try:
-            value = _count(enumeration, n, k, r, method, args)
+            value = _count(n, k, r, method, args)
         except SearchBudgetExceeded:
             incomplete += 1
             rows.append((n, k, r, method, None, "incomplete"))
@@ -247,7 +249,6 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from . import enumeration
     from .scan import SearchBudgetExceeded
 
     fmt = args.format or "csv"
@@ -259,7 +260,7 @@ def _cmd_series(args) -> int:
     t0 = time.monotonic()
     for r in range(1, args.r_max + 1):
         try:
-            value = _count(enumeration, args.n, 0, r, method, args)
+            value = _count(args.n, 0, r, method, args)
         except SearchBudgetExceeded:
             truncated = True
             break

@@ -4,13 +4,13 @@ The scan (`scan._run_shards`) gives both censuses as bases: the co-rank
 census (`enumerate_corank_oracle`) and, at co-rank 0, the full-rank census
 (`enumerate_full_rank_multiplicative`). `_lattices` and `_reverify` check
 its output, and `_verify` pits each cell's census against the formula,
-witness by witness (`_witness_faults`). Each argument has one home, the
+witness by witness (`_place`). Each argument has one home, the
 docstring of the function that rests on it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .intlinalg import _in_span
 from .lattice import (Lattice, _column_labels, _square_closed,
@@ -26,7 +26,8 @@ from .scan import _check_cell, _run_shards
 
 class VerificationReport(NamedTuple):
     """Outcome of one verification cell: status is 'pass' exactly when the
-    census count equals the formula count and no witness fails (`_verify`)."""
+    census count equals the formula count and no witness is a stray
+    (`_verify`)."""
 
     n: int
     k: int
@@ -203,7 +204,7 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     column of lat by its place among L's columns, 0 for the zero column; one
     pass over lat's columns gives both (`lattice._column_labels`). Raises
     ValueError on non-multiplicative input. lat's basis is validated, so
-    rectangular, and g carries L back to lat (`_witness_faults` holds the
+    rectangular, and g carries L back to lat (`_place` holds the
     argument).
 
     Both skip their constructors. L (`Lattice._trusted`): lat's basis is
@@ -221,12 +222,10 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     raise ValueError("lattice is not multiplicative")
 
 
-def _witness_faults(ambient: int,
-                    witnesses: Iterable[tuple[tuple[int, ...], ...]],
-                    cores: dict[tuple, list], rank: int, r: int
-                    ) -> Iterator[Optional[str]]:
-    """Why each witness basis of Z^ambient breaks the factorization, or
-    None, in order.
+def _place(ambient: int, witnesses: Iterable[tuple[tuple[int, ...], ...]],
+           cores: dict[tuple, list], rank: int, r: int) -> list[Lattice]:
+    """Place each witness basis of Z^ambient on its full-rank lattice, and
+    return the strays, the witnesses placed on none, as Lattices in order.
 
     cores holds, under each full-rank lattice's key, the list of witness
     bases placed on it. A key is a label dict (`lattice._column_labels`) as
@@ -246,19 +245,20 @@ def _witness_faults(ambient: int,
     lattice it returns, and the full-rank census, from the same scan, is
     validated basis by basis (`_lattices`). Any other witness, of the
     wrong width or row count included, is a stray, validated (`_lattices`)
-    and re-verified (`_reverify`) on its own basis, which raise RuntimeError
-    on an engine fault; it gives "censused but not reachable through any
-    map".
+    and, after the pass, re-verified (`_reverify`) on its own basis, which
+    raise RuntimeError on an engine fault; it is censused but not reachable
+    through any map.
     """
+    strays = []
     for basis in witnesses:
         placed = (cores.get(tuple(_column_labels(basis, ambient)[0]))
                   if all(len(row) == ambient for row in basis) else None)
         if placed is None:
-            _reverify(_lattices(ambient, [basis]), rank, r)
-            yield "censused but not reachable through any map"
-            continue
-        placed.append(basis)
-        yield None
+            strays += _lattices(ambient, [basis])
+        else:
+            placed.append(basis)
+    _reverify(strays, rank, r)
+    return strays
 
 
 def verify_corank_factorization(n: int, k: int, r: int,
@@ -276,19 +276,23 @@ def verify_corank_factorization(n: int, k: int, r: int,
 
 def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
             ) -> tuple[VerificationReport, Optional[tuple[Lattice, str]]]:
-    """The cell's report, and on a failing cell its first offending lattice
-    with a reason, or None.
+    """The cell's report, and on a failing cell its offending lattice with
+    a reason, or None.
 
-    The census and the full-rank lattices are each taken once. The offender
-    is the first witness `_witness_faults` faults, a stray included; the pass
-    runs to its end, so an engine fault in any witness raises. A cell that
-    fails with no such witness fails on its count: every witness is placed,
-    and some full-rank lattices hold other than stirling2(n+k+1, n+1). Only
-    those suspects are searched, their witnesses against their images under
-    the ordered maps: the least lattice on one side only, else the first
-    image reached twice. Any other lattice's witnesses are its images, each
-    once. A witness becomes a Lattice, through the constructor (`_lattices`),
-    only as a stray, the offender or a suspect's witness, so every lattice
+    The census and the full-rank lattices are each taken once. The witness
+    pass (`_place`) runs to its end, so an engine fault in any witness
+    raises, and the cell passes exactly when its count is the formula's and
+    no witness is a stray. Each lattice of the cell is the image of one
+    full-rank core under one ordered map, so a failing cell is explained by
+    the lattices on one side only. The search takes the strays and the
+    witnesses of the suspects, the full-rank lattices that hold other than
+    stirling2(n+k+1, n+1), against the suspects' images under the ordered
+    maps; any other lattice's witnesses are its images, each once. The
+    offender is the least lattice by (rank, basis) on one side only, so it
+    does not depend on the census order; failing that, the first image
+    reached twice. A cell with neither fails on its count alone, and names
+    none. A witness becomes a Lattice, through the constructor
+    (`_lattices`), only as a stray or a suspect's witness, so every lattice
     returned is validated.
     """
     ambient = n + k
@@ -297,12 +301,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
     keyed = {tuple(_column_labels(core.basis, n)[0]): [] for core in cores}
     formula_count = stirling_factor * len(cores)
-    found = None
-    for basis, fault in zip(witnesses, _witness_faults(ambient, witnesses,
-                                                       keyed, n, r)):
-        if fault is not None and found is None:
-            found = _lattices(ambient, [basis])[0], fault
-    passed = len(witnesses) == formula_count and found is None
+    strays = _place(ambient, witnesses, keyed, n, r)
+    passed = len(witnesses) == formula_count and not strays
     report = VerificationReport(
         n=n, k=k, r=r,
         oracle_count=len(witnesses),
@@ -312,14 +312,14 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
         witnesses_checked=len(witnesses),
         status="pass" if passed else "fail",
     )
-    if passed or found is not None:
-        return report, found
+    if passed:
+        return report, None
     suspects = [(core, placed) for core, placed in zip(cores, keyed.values())
                 if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
                for core, _ in suspects]
     census = set(_lattices(ambient, [basis for _, placed in suspects
-                                     for basis in placed]))
+                                     for basis in placed]) + strays)
     differ = census.symmetric_difference(rebuilt)
     if differ:
         lat = min(differ, key=lambda l: (l.rank, l.basis))

@@ -128,10 +128,6 @@ class Lattice(_Frozen):
     def corank(self) -> int:
         return self.ambient_dim - len(self.basis)
 
-    @property
-    def is_full_rank(self) -> bool:
-        return len(self.basis) == self.ambient_dim
-
     def as_dict(self) -> dict:
         return {
             "ambient": self.ambient_dim,

@@ -225,10 +225,18 @@ MUTANTS = (
         ("tests/test_lattice.py",)),
     Mutant(
         "stray-skips-reverification", "src/multlat/enumeration.py",
-        "            _reverify(_lattices(ambient, [basis]), rank, r)\n",
+        "    _reverify(strays, rank, r)\n",
         "",
         ("tests/test_cli.py::"
          "test_verify_rejects_a_non_multiplicative_witness",)),
+    Mutant(
+        "search-leaves-out-the-strays", "src/multlat/enumeration.py",
+        "for basis in placed]) + strays)",
+        "for basis in placed]))",
+        ("tests/test_cli.py::"
+         "test_verify_reports_a_non_rigid_witness_after_closed_ones",
+         "tests/test_enumeration.py::"
+         "test_verify_names_the_least_stray_in_every_census_order")),
     Mutant(
         "labels-put-zero-last", "src/multlat/lattice.py",
         "    labels = {(0,) * len(rows): 0}\n",

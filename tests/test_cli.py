@@ -323,37 +323,59 @@ def test_a_failing_cell_takes_one_census(capsys, monkeypatch):
     assert sorted(calls) == ["_census", "full_rank"]
 
 
-def _swap_into_census(monkeypatch, lat, last=False):
+def _swap_into_census(monkeypatch, lat, last=False, added=False):
     # the verifier takes its witnesses from the census, as bases, before
     # any check; lat's basis replaces the first witness, or with last the
-    # last one, so that every closed witness before it has been checked
+    # last one, so that every closed witness before it has been checked;
+    # with added it goes before the first or after the last, and replaces
+    # none
     census = enumeration._census
-    monkeypatch.setattr(
-        enumeration, "_census",
-        lambda *a, **kw: (census(*a, **kw)[:-1] + [lat.basis] if last
-                          else [lat.basis] + census(*a, **kw)[1:]))
+    cut = 0 if added else 1
+
+    def swapped(*a, **kw):
+        bases = census(*a, **kw)
+        if last:
+            return bases[:len(bases) - cut] + [lat.basis]
+        return [lat.basis] + bases[cut:]
+
+    monkeypatch.setattr(enumeration, "_census", swapped)
 
 
-def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
-    # a lattice without rigid columns swapped into a real census must fail
-    # the cell through the verifier's own checks, not a forced report; no
+def _check_non_rigid_witness(capsys, monkeypatch, last):
+    # a lattice without rigid columns put into a real census must fail the
+    # cell through the verifier's own checks, not a forced report; no
     # multiplicative lattice lacks rigid columns, so this one is accepted
     # as multiplicative by hand, and as a stray it is reachable through no
-    # map
+    # map; the offender is the least lattice on one side only: in place of
+    # a witness, the stray or the witness it displaced, and added to the
+    # census, the stray alone
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
-    _swap_into_census(monkeypatch, non_rigid)
     accept = enumeration.is_multiplicative
     monkeypatch.setattr(enumeration, "is_multiplicative",
                         lambda lat: lat == non_rigid or accept(lat))
-    rc, out, err = run_main(
-        capsys,
-        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
-    assert rc == 1
-    assert out.splitlines()[1].endswith("fail")
-    assert ("counterexample: "
-            + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
-    assert "reason: censused but not reachable through any map" in err
-    assert "FAILED at n=2 k=1 r=2" in err
+    census = enumeration._census(3, 1, 2, jobs=1, budget=None)
+    displaced = Lattice(3, census[-1 if last else 0])
+    least = min(non_rigid, displaced, key=lambda lat: (lat.rank, lat.basis))
+    for added, named in ((False, least), (True, non_rigid)):
+        with monkeypatch.context() as patched:
+            _swap_into_census(patched, non_rigid, last=last, added=added)
+            rc, out, err = run_main(
+                capsys,
+                ["verify", "--n", "2", "--k", "1", "--r", "2",
+                 "--format", "csv"])
+        assert rc == 1
+        assert out.splitlines()[1].endswith("fail")
+        assert ("counterexample: "
+                + json.dumps(named.as_dict(), sort_keys=True)) in err
+        assert ("reason: censused but not reachable through any map"
+                if named == non_rigid else
+                "reason: reachable through a map but missed by the census"
+                ) in err
+        assert "FAILED at n=2 k=1 r=2" in err
+
+
+def test_verify_reports_a_non_rigid_witness(capsys, monkeypatch):
+    _check_non_rigid_witness(capsys, monkeypatch, last=False)
 
 
 def test_verify_rejects_a_non_multiplicative_witness(capsys, monkeypatch):
@@ -374,19 +396,7 @@ def test_verify_reports_a_non_rigid_witness_after_closed_ones(capsys,
                                                              monkeypatch):
     # the verifier places the closed witnesses on full-rank lattices; a
     # witness after every closed one is still checked on its own
-    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
-    _swap_into_census(monkeypatch, non_rigid, last=True)
-    accept = enumeration.is_multiplicative
-    monkeypatch.setattr(enumeration, "is_multiplicative",
-                        lambda lat: lat == non_rigid or accept(lat))
-    rc, out, err = run_main(
-        capsys,
-        ["verify", "--n", "2", "--k", "1", "--r", "2", "--format", "csv"])
-    assert rc == 1
-    assert out.splitlines()[1].endswith("fail")
-    assert ("counterexample: "
-            + json.dumps(non_rigid.as_dict(), sort_keys=True)) in err
-    assert "reason: censused but not reachable through any map" in err
+    _check_non_rigid_witness(capsys, monkeypatch, last=True)
 
 
 def test_verify_rejects_a_non_multiplicative_witness_after_closed_ones(
@@ -600,7 +610,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 
 def test_a_passing_verify_carries_no_rows_through_a_map(capsys, monkeypatch):
     # a passing cell places each witness by its key and row widths alone
-    # (`enumeration._witness_faults`) and applies no map, so with the
+    # (`enumeration._place`) and applies no map, so with the
     # transport broken it prints the same table and passes
     argv = ["verify", "--n", "2", "--k", "1", "--r", "2"]
     _, expected, _ = run_main(capsys, argv)

@@ -34,8 +34,8 @@ import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 import multlat.partitions as partitions
 import multlat.scan as scan
-from multlat.enumeration import (_in_span, _census, _unital_basis, _verify,
-                                 _witness_faults)
+from multlat.enumeration import (_in_span, _census, _place, _unital_basis,
+                                 _verify)
 from multlat.scan import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
@@ -128,7 +128,7 @@ def test_enumerate_full_rank_properties():
         assert len(set(lats)) == len(lats)
         assert lats == sorted(lats, key=lambda l: l.basis[::-1])
         for lat in lats:
-            assert lat.ambient_dim == n and lat.is_full_rank
+            assert lat.ambient_dim == len(lat.basis) == n
             assert is_multiplicative(lat)
             assert torsion_size(lat) == r
 
@@ -710,7 +710,7 @@ def test_decompose_rejects_non_multiplicative_with_rigid_columns():
 def test_decompose_and_a_passing_cell_carry_no_rows_through_a_map(
         monkeypatch):
     # a validated lattice, like a rectangular witness with a core's key, is
-    # its core carried through its own labels (`_witness_faults`), so
+    # its core carried through its own labels (`_place`), so
     # neither decompose nor a passing cell carries rows through a map; with
     # the transport broken both give what they gave, and apply_map fails
     lat = lattice_from_rows(3, [(1, 1, 0), (0, 0, 2)])
@@ -882,9 +882,9 @@ def _keyed(rank, r):
 
 
 def _check_witness(lat, rank, r):
-    # one witness's verdict: the verifier's pass over lat's basis alone
-    return next(_witness_faults(lat.ambient_dim, [lat.basis], _keyed(rank, r),
-                                rank, r))
+    # the verifier's pass over lat's basis alone: [] when it is placed,
+    # [lat] when it is a stray
+    return _place(lat.ambient_dim, [lat.basis], _keyed(rank, r), rank, r)
 
 
 def test_check_witness_from_one_square(monkeypatch):
@@ -908,14 +908,13 @@ def test_check_witness_from_one_square(monkeypatch):
     census = enumerate_corank_oracle(3, 1, 2)
     assert rigid in census
     for lat in census:
-        assert _check_witness(lat, 2, 2) is None
+        assert _check_witness(lat, 2, 2) == []
     # the fault: no multiplicative lattice lacks a square, so one is
     # accepted by hand, and as a stray it is reachable through no map
     accept = enumeration.is_multiplicative
     monkeypatch.setattr(enumeration, "is_multiplicative",
                         lambda lat: lat == non_rigid or accept(lat))
-    assert (_check_witness(non_rigid, 2, 2)
-            == "censused but not reachable through any map")
+    assert _check_witness(non_rigid, 2, 2) == [non_rigid]
     with pytest.raises(RuntimeError, match="engine produced a wrong torsion"):
         _check_witness(non_rigid, 2, 4)
 
@@ -924,9 +923,9 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
     # a cell tests closure once per full-rank lattice of index r, when the
     # full-rank census is re-verified, and the pass tests none: it places
     # each witness on one of those lattices, stirling2(n+k+1, n+1) on each,
-    # and every witness gets the same verdict as when it is checked alone;
-    # the witnesses on a core are its images under the ordered maps, the
-    # fact the pass reads off the key and the row widths
+    # and leaves no stray, as none is when checked alone; the witnesses on
+    # a core are its images under the ordered maps, the fact the pass reads
+    # off the key and the row widths
     closure = lattice._square_closed
     tested = []
 
@@ -939,8 +938,8 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
         alone = [_check_witness(Lattice(n + k, basis), n, r)
                  for basis in census]
         keyed = _keyed(n, r)
-        faults = list(_witness_faults(n + k, census, keyed, n, r))
-        assert faults == alone == [None] * len(census), (n, k, r)
+        assert _place(n + k, census, keyed, n, r) == [], (n, k, r)
+        assert alone == [[]] * len(census), (n, k, r)
         assert [len(placed) for placed in keyed.values()] == [
             stirling2(n + k + 1, n + 1)] * len(keyed), (n, k, r)
         maps = list(enumerate_ordered_maps(n, n + k))
@@ -957,25 +956,52 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
 
 
 def test_witness_pass_reports_faults_where_they_are(monkeypatch):
-    # witnesses that are not rigid or not closed, placed among closed ones,
-    # get the verdict they get alone, at their own place
+    # witnesses that are not rigid, placed among closed ones, are returned
+    # as they are alone, in census order, not sorted; one that is not
+    # closed raises wherever it is
     non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    # columns (1,0), (3,0), (0,2): not rigid either, and greater by basis
+    greater = lattice_from_rows(3, [(1, 3, 0), (0, 0, 2)])
+    assert non_rigid.basis < greater.basis
     not_closed = lattice_from_rows(3, [(1, 2, 2), (0, 3, 3)])
     accept = enumeration.is_multiplicative
     monkeypatch.setattr(enumeration, "is_multiplicative",
-                        lambda lat: lat == non_rigid or accept(lat))
+                        lambda lat: lat in (non_rigid, greater) or accept(lat))
     census = enumerate_corank_oracle(3, 1, 2)
     for at in (0, 5, len(census)):
-        mixed = census[:at] + [non_rigid] + census[at:] + [non_rigid]
-        faults = list(_witness_faults(3, [lat.basis for lat in mixed],
-                                      _keyed(2, 2), 2, 2))
-        assert faults == [_check_witness(lat, 2, 2) for lat in mixed]
-        assert [i for i, f in enumerate(faults) if f] == [at, len(mixed) - 1]
-        assert faults[at] == "censused but not reachable through any map"
+        mixed = census[:at] + [greater] + census[at:] + [non_rigid]
+        strays = _place(3, [lat.basis for lat in mixed], _keyed(2, 2), 2, 2)
+        assert strays == [greater, non_rigid]
+        assert strays == [stray for lat in mixed
+                          for stray in _check_witness(lat, 2, 2)]
         closed_and_not = census[:at] + [not_closed] + census[at:]
         with pytest.raises(RuntimeError, match="engine produced a bad lattice"):
-            list(_witness_faults(3, [lat.basis for lat in closed_and_not],
-                                 _keyed(2, 2), 2, 2))
+            _place(3, [lat.basis for lat in closed_and_not], _keyed(2, 2),
+                   2, 2)
+
+
+def test_verify_names_the_least_stray_in_every_census_order(monkeypatch):
+    # two strays added to a real census: the offender is the least one by
+    # basis, which comes last in the census as given, and the same one
+    # whatever order the census is in
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    greater = lattice_from_rows(3, [(1, 3, 0), (0, 0, 2)])
+    assert non_rigid.basis < greater.basis
+    accept = enumeration.is_multiplicative
+    monkeypatch.setattr(enumeration, "is_multiplicative",
+                        lambda lat: lat in (non_rigid, greater) or accept(lat))
+    bases = _census(3, 1, 2, jobs=1, budget=None) + [greater.basis,
+                                                      non_rigid.basis]
+    rng = random.Random(52)
+    orders = [bases, bases[::-1], [*bases[-1:], *bases[:-1]]]
+    orders += [rng.sample(bases, len(bases)) for _ in range(5)]
+    for order in orders:
+        monkeypatch.setattr(enumeration, "_census",
+                            lambda *a, order=order, **kw: list(order))
+        report, found = _verify(2, 1, 2, jobs=1, budget=None)
+        assert report.status == "fail"
+        assert found == (non_rigid,
+                         "censused but not reachable through any map")
 
 
 def test_oracle_reverifies_once_per_pivot_square(monkeypatch):

@@ -44,7 +44,7 @@ def test_constructor_accepts_canonical_basis():
     lat = Lattice(2, ((1, 0), (0, 2)))
     assert lat.rank == 2
     assert lat.corank == 0
-    assert lat.is_full_rank
+    assert len(lat.basis) == lat.ambient_dim
 
 
 def test_constructor_rejects_zero_rows():
@@ -124,10 +124,10 @@ def test_constructor_accepts_exactly_the_reference_hermite_forms():
 def test_zero_lattice_and_empty_ambient():
     z = Lattice(3, ())
     assert z.rank == 0 and z.corank == 3
-    assert not z.is_full_rank
+    assert len(z.basis) != z.ambient_dim
     assert torsion_size(z) == 1
     degenerate = Lattice(0, ())
-    assert degenerate.is_full_rank
+    assert len(degenerate.basis) == degenerate.ambient_dim
 
 
 def test_from_rows_canonicalizes():
@@ -325,7 +325,7 @@ def test_is_multiplicative_matches_reference_in_ambients_four_and_five():
             lat = lattice_from_rows(ambient, rows)
             got = is_multiplicative(lat)
             assert got == is_mult_ref([list(r) for r in lat.basis]), lat.basis
-            seen.add((ambient, lat.is_full_rank, got))
+            seen.add((ambient, len(lat.basis) == lat.ambient_dim, got))
     assert seen == {(a, full, mult) for a in (4, 5) for full in (True, False)
                     for mult in (True, False)}
 

@@ -322,7 +322,7 @@ def test_apply_map_unordered_equals_hermite_form_of_image():
     for n, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
         cores = [lattice_from_rows(n, [[rng.randint(0, 5) for _ in range(n)]
                                        for _ in range(n)]) for _ in range(30)]
-        cores = [c for c in cores if c.is_full_rank]
+        cores = [c for c in cores if len(c.basis) == c.ambient_dim]
         for ordered in enumerate_ordered_maps(n, n + k):
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
@@ -403,7 +403,7 @@ def _random_full_rank_cores(rng, n, count):
     while len(cores) < count:
         lat = lattice_from_rows(n, [[rng.randint(-4, 4) for _ in range(n)]
                                     for _ in range(n)])
-        if lat.is_full_rank:
+        if len(lat.basis) == lat.ambient_dim:
             cores.append(lat)
     return cores
 
