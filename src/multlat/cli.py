@@ -135,8 +135,6 @@ def _count(n: int, k: int, r: int, method: str, args) -> int:
         return enumeration.count_unital(n, r, **run)
     if method == "formula":
         return enumeration.count_corank_formula(n, k, r, **run)
-    if k == 0:
-        return enumeration.count_full_rank(n, r, **run)
     return len(enumeration.enumerate_corank_oracle(n + k, k, r, **run))
 
 

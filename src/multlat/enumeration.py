@@ -2,9 +2,9 @@
 
 The scan (`scan._run_shards`) gives both censuses as bases: the co-rank
 census (`enumerate_corank_oracle`) and, at co-rank 0, the full-rank census
-(`enumerate_full_rank_multiplicative`). `_lattices` and `_reverify` check
-its output, and `_verify` pits each cell's census against the formula,
-witness by witness (`_place`). Each argument has one home, the
+(`enumerate_full_rank_multiplicative`). `_checked` turns every census into
+Lattices by one rule, and `_verify` pits each cell's census against the
+formula, witness by witness (`_place`). Each argument has one home, the
 docstring of the function that rests on it.
 """
 
@@ -43,19 +43,47 @@ class VerificationReport(NamedTuple):
         return self._asdict()
 
 
-def _lattices(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]]
-              ) -> list[Lattice]:
-    """The engine's bases as Lattices, each validated by the constructor.
+def _label_key(basis: tuple[tuple[int, ...], ...], width: int) -> tuple:
+    """Its label dict (`lattice._column_labels`) as a tuple: the zero column,
+    as tall as the rows are many, then the nonzero ones by first use."""
+    return tuple(_column_labels(basis, width)[0])
 
-    A basis it rejects is an internal error: its ValueError (a usage error,
-    exit 2, on the command line) is raised again as RuntimeError "internal:
-    engine produced an invalid basis: ...", a failed self-check (exit 3).
+
+def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
+             rank: int, torsion: int) -> list[Lattice]:
+    """An engine's bases of Z^ambient as Lattices, validated, then
+    re-verified independently of its own math: the one rule for every census.
+
+    A basis the constructor rejects raises RuntimeError "internal: engine
+    produced an invalid basis: ...", a failed self-check (exit 3), not its
+    ValueError, a usage error (exit 2). A lattice re-verified must have the
+    given rank, be closed under products (`is_multiplicative`) and have the
+    given torsion (`torsion_size`), tested in that order; the first failure
+    raises RuntimeError. Below full rank that is the first lattice of each
+    key (`_label_key`): one key means one row count, so one rank, and one
+    pivot square, so one closure and torsion (`lattice._pivot_square`), and
+    with no square every basis fails closure, so no torsion is compared.
+    Keys keep the order of first use, so the first failing key is the first
+    failing lattice's. At full rank each lattice is its own key, its columns
+    distinct and nonzero, so every one is re-verified and no key is built.
     """
     try:
-        return [Lattice(ambient, b) for b in bases]
+        lats = [Lattice(ambient, b) for b in bases]
     except ValueError as exc:
         raise RuntimeError(
             f"internal: engine produced an invalid basis: {exc}") from exc
+    firsts = lats
+    if rank != ambient:
+        keyed: dict[tuple, Lattice] = {}
+        for lat in lats:
+            keyed.setdefault(_label_key(lat.basis, ambient), lat)
+        firsts = keyed.values()
+    for lat in firsts:
+        if len(lat.basis) != rank or not is_multiplicative(lat):
+            raise RuntimeError("internal: engine produced a bad lattice")
+        if torsion_size(lat) != torsion:
+            raise RuntimeError("internal: engine produced a wrong torsion")
+    return lats
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +95,10 @@ def enumerate_full_rank_multiplicative(n: int, index: int, *, jobs: int = 1,
     """All full-rank multiplicative sublattices of Z^n with the given index,
     each once, ascending by their basis rows read last row first
     (basis[::-1], `scan._key`): the census of `scan._corank_worker` at
-    co-rank 0, re-verified lattice by lattice (`_reverify`). Z^0 is the one
-    lattice at n = 0, of index 1. The cell rule, jobs and budget are
-    `scan._run_shards`'.
+    co-rank 0, checked (`_checked`). Z^0 is the one lattice at n = 0, of
+    index 1. The cell rule, jobs and budget are `scan._run_shards`'.
     """
-    lats = _lattices(n, _run_shards(n, 0, index, jobs, budget))
-    _reverify(lats, n, index)
-    return lats
+    return _checked(n, _run_shards(n, 0, index, jobs, budget), n, index)
 
 
 def count_full_rank(n: int, index: int, *, jobs: int = 1,
@@ -103,17 +128,15 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     Z*1 plus M cut by first coordinate 0, which is 0 + L' for the one L'
     it recovers: each unital M of the index arises once.
 
-    Each lifted basis is validated (`_lattices`), re-verified
-    (`_reverify`) as the full-rank census is, and tested for 1 by exact
-    division (`intlinalg._in_span`); one without 1 is an internal error,
+    The lifts are checked (`_checked`) and each is tested for 1 by exact
+    division (`intlinalg._in_span`): one without it is an internal error,
     RuntimeError "internal: ..." (exit 3 on the command line).
     """
     if n == 0:
         bases = _run_shards(0, 0, index, jobs, budget)
     else:
         bases = map(_unital_basis, _run_shards(n - 1, 0, index, jobs, budget))
-    lats = _lattices(n, bases)
-    _reverify(lats, n, index)
+    lats = _checked(n, bases, n, index)
     ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
     if not all(_in_span(lat.basis, range(n), ones, n) for lat in lats):
@@ -146,39 +169,20 @@ def enumerate_corank_oracle(ambient: int, corank: int, torsion: int, *,
     read last row first (basis[::-1], `scan._key`).
 
     The scan (`scan._corank_worker`) never consults the formula it is
-    compared with. Its census is validated (`_lattices`) and re-verified (`_reverify`)
-    on one lattice per label key (`lattice._column_labels`), as lattices with
-    one key share rank, closure and torsion (`lattice._pivot_square`). jobs
-    and budget are `scan._run_shards`'.
+    compared with. Its census is checked (`_checked`), so at co-rank 0 it
+    is the full-rank census under the full-rank checks. jobs and budget are
+    `scan._run_shards`'.
     """
-    lats = _lattices(ambient, _census(ambient, corank, torsion, jobs=jobs,
-                                      budget=budget))
-    # keys keep the order of first use, so the first failing key is the
-    # first failing lattice's
-    _reverify({tuple(_column_labels(lat.basis, ambient)[0]): lat
-               for lat in lats}.values(), ambient - corank, torsion)
-    return lats
+    return _checked(ambient, _census(ambient, corank, torsion, jobs=jobs,
+                                     budget=budget), ambient - corank, torsion)
 
 
 def _census(ambient: int, corank: int, torsion: int, *, jobs: int,
             budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """The repeat-free bases `enumerate_corank_oracle` validates and
-    re-verifies, and `_verify` places, in `scan._run_shards`' order, the
-    same at every jobs; ValueError on a cell that breaks its cell rule."""
+    """The repeat-free bases `enumerate_corank_oracle` checks and `_verify`
+    places, in `scan._run_shards`' order, the same at every jobs;
+    ValueError on a cell that breaks its cell rule."""
     return _run_shards(ambient, corank, torsion, jobs, budget)
-
-
-def _reverify(lats: Iterable[Lattice], rank: int, torsion: int) -> None:
-    """Post-hoc check of either engine's output, independent of its own math:
-    each lattice must have the given rank, be closed under products
-    (`is_multiplicative`) and have the given torsion (`torsion_size`), tested
-    in that order; the first failure raises RuntimeError.
-    """
-    for lat in lats:
-        if len(lat.basis) != rank or not is_multiplicative(lat):
-            raise RuntimeError("internal: engine produced a bad lattice")
-        if torsion_size(lat) != torsion:
-            raise RuntimeError("internal: engine produced a wrong torsion")
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +231,29 @@ def _place(ambient: int, witnesses: Iterable[tuple[tuple[int, ...], ...]],
     """Place each witness basis of Z^ambient on its full-rank lattice, and
     return the strays, the witnesses placed on none, as Lattices in order.
 
-    cores holds, under each full-rank lattice's key, the list of witness
-    bases placed on it. A key is a label dict (`lattice._column_labels`) as
-    a tuple: the zero column, as tall as the rows are many, then each
-    distinct nonzero column in order of first use. A witness whose rows all
-    have ambient entries and whose key is a core's is placed on that core,
-    with no map or Lattice built. It is the core carried through its own
-    labels, its ordered map's assignment (`partitions._transport_rows`): it
-    has the core's row count, and each column's label names that column in
-    the key. So it is a canonical basis (`partitions.apply_map`) with the
+    cores holds, under each full-rank lattice's key (`_label_key`), the
+    list of witness bases placed on it. A witness whose rows all have
+    ambient entries and whose key is a core's is placed on that core, with
+    no map or Lattice built. It is the core carried through its own labels,
+    its ordered map's assignment (`partitions._transport_rows`): it has the
+    core's row count, and each column's label names that column in the
+    key. So it is a canonical basis (`partitions.apply_map`) with the
     core's rank, closure and torsion (`lattice._pivot_square`), which the
     full-rank census re-verified. The widths are checked because `zip`
     stops at the shortest row, so a longer row leaves the key unchanged.
     `decompose` rests on the same argument for its rectangular basis.
     Placement compares by value, as entries do: True or 1.0 equals 1. The
-    constructor stays the only type check: `_verify` runs it on every
-    lattice it returns, and the full-rank census, from the same scan, is
-    validated basis by basis (`_lattices`). Any other witness, of the
-    wrong width or row count included, is a stray, validated (`_lattices`)
-    and, after the pass, re-verified (`_reverify`) on its own basis, which
-    raise RuntimeError on an engine fault; it is censused but not reachable
-    through any map.
+    constructor stays the only type check, run by `_checked` on the
+    full-rank census and on every lattice `_verify` returns. Any other
+    witness, of the wrong width or row count included, is a stray,
+    censused but not reachable through any map, checked after the pass.
     """
     strays = []
     for basis in witnesses:
-        placed = (cores.get(tuple(_column_labels(basis, ambient)[0]))
+        placed = (cores.get(_label_key(basis, ambient))
                   if all(len(row) == ambient for row in basis) else None)
-        if placed is None:
-            strays += _lattices(ambient, [basis])
-        else:
-            placed.append(basis)
-    _reverify(strays, rank, r)
-    return strays
+        (strays if placed is None else placed).append(basis)
+    return _checked(ambient, strays, rank, r)
 
 
 def verify_corank_factorization(n: int, k: int, r: int,
@@ -291,15 +286,14 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     offender is the least lattice by (rank, basis) on one side only, so it
     does not depend on the census order; failing that, the first image
     reached twice. A cell with neither fails on its count alone, and names
-    none. A witness becomes a Lattice, through the constructor
-    (`_lattices`), only as a stray or a suspect's witness, so every lattice
-    returned is validated.
+    none. Only a stray or a suspect's witness becomes a Lattice, through
+    `_checked`, so every lattice returned is validated.
     """
     ambient = n + k
     witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    keyed = {tuple(_column_labels(core.basis, n)[0]): [] for core in cores}
+    keyed = {_label_key(core.basis, n): [] for core in cores}
     formula_count = stirling_factor * len(cores)
     strays = _place(ambient, witnesses, keyed, n, r)
     passed = len(witnesses) == formula_count and not strays
@@ -318,8 +312,8 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
                 if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)
                for core, _ in suspects]
-    census = set(_lattices(ambient, [basis for _, placed in suspects
-                                     for basis in placed]) + strays)
+    census = set(_checked(ambient, [basis for _, placed in suspects
+                                    for basis in placed], n, r) + strays)
     differ = census.symmetric_difference(rebuilt)
     if differ:
         lat = min(differ, key=lambda l: (l.rank, l.basis))

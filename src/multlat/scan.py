@@ -59,17 +59,19 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     first for every census (`_check_cell`), then jobs and budget, budget
     None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank) starts no
     worker: the zero lattice has torsion 1, so it gives [()] at torsion 1
-    and [] otherwise. jobs = 1 runs `_corank_worker` here; more run jobs
-    shards, each with its own budget, in a fork pool of min(jobs,
-    os.cpu_count()) processes. The shards split the steps of jobs = 1
-    (`_corank_worker`), so a run that completes at jobs = 1 completes at
-    every jobs with the same census, and one that a budget stops may
-    complete at more. Each shard lists its bases strictly descending by key
-    (`_corank_worker`), and more than one shard are merged by key, so the
-    list's neighbours strictly descend; one pass over them finds any basis
-    found twice, in one shard or two, or out of order, an internal error
-    ("lattice twice" when a basis repeats, "out of order" otherwise). The
-    list is then reversed in place.
+    and [] otherwise. jobs is capped at the first row's leads, the torsion's
+    divisors, or the torsion alone at rank 1, as from there on shard s takes
+    lead s alone and any further shard none. jobs = 1 runs `_corank_worker`
+    here; more run jobs shards, each with its own budget, in a fork pool of
+    min(jobs, os.cpu_count()) processes. The shards split the steps of
+    jobs = 1 (`_corank_worker`), so a run that completes at jobs = 1
+    completes at every jobs with the same census, and one that a budget
+    stops may complete at more. Each shard lists its bases strictly
+    descending by key (`_corank_worker`), and more than one shard are
+    merged by key, so the list's neighbours strictly descend; one pass over
+    them finds any basis found twice, in one shard or two, or out of order,
+    an internal error ("lattice twice" when a basis repeats, "out of order"
+    otherwise). The list is then reversed in place.
     """
     _check_cell(ambient, corank, torsion)
     if jobs < 1:
@@ -79,6 +81,9 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
         raise ValueError("budget must be at least 1")
     if ambient == corank:
         return [()] if torsion == 1 else []
+    if jobs > 1:
+        jobs = min(jobs, len(_divisors(torsion, budget))
+                   if ambient - corank > 1 else 1)
     tasks = [(ambient, corank, torsion, shard, jobs, budget)
              for shard in range(jobs)]
     if jobs == 1:

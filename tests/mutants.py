@@ -225,18 +225,33 @@ MUTANTS = (
         ("tests/test_lattice.py",)),
     Mutant(
         "stray-skips-reverification", "src/multlat/enumeration.py",
-        "    _reverify(strays, rank, r)\n",
-        "",
+        "    return _checked(ambient, strays, rank, r)\n",
+        "    return [Lattice(ambient, basis) for basis in strays]\n",
         ("tests/test_cli.py::"
          "test_verify_rejects_a_non_multiplicative_witness",)),
     Mutant(
         "search-leaves-out-the-strays", "src/multlat/enumeration.py",
-        "for basis in placed]) + strays)",
-        "for basis in placed]))",
+        "for basis in placed], n, r) + strays)",
+        "for basis in placed], n, r))",
         ("tests/test_cli.py::"
          "test_verify_reports_a_non_rigid_witness_after_closed_ones",
          "tests/test_enumeration.py::"
          "test_verify_names_the_least_stray_in_every_census_order")),
+    Mutant(
+        "checked-reverifies-only-the-first-key",
+        "src/multlat/enumeration.py",
+        "keyed.setdefault(_label_key(lat.basis, ambient), lat)",
+        "keyed.setdefault((), lat)",
+        ("tests/test_enumeration.py::"
+         "test_oracle_reverifies_once_per_pivot_square",
+         "tests/test_enumeration.py::"
+         "test_oracle_rejects_a_bad_lattice_wherever_it_is")),
+    Mutant(
+        "shards-capped-one-below-the-leads", "src/multlat/scan.py",
+        "len(_divisors(torsion, budget))",
+        "len(_divisors(torsion, budget)) - 1",
+        ("tests/test_enumeration.py::"
+         "test_jobs_run_on_no_more_processes_than_cores",)),
     Mutant(
         "labels-put-zero-last", "src/multlat/lattice.py",
         "    labels = {(0,) * len(rows): 0}\n",
@@ -244,8 +259,9 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
     Mutant(
         "verify-pads-core-rows-at-the-end", "src/multlat/enumeration.py",
-        "tuple(_column_labels(core.basis, n)[0])",
-        "tuple(col + (0,) for col in _column_labels(core.basis, n)[0])",
+        "    keyed = {_label_key(core.basis, n): [] for core in cores}\n",
+        "    keyed = {tuple(col + (0,) for col in _label_key(core.basis, n)):"
+        " [] for core in cores}\n",
         ("tests/test_enumeration.py::"
          "test_verify_names_no_offender_on_clean_cells",
          "tests/test_enumeration.py::"

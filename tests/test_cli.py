@@ -172,13 +172,20 @@ def test_count_corank_oracle_agrees_with_formula(capsys):
 
 
 def test_count_corank_zero_is_plain_counting(capsys):
-    # whichever method is requested, k = 0 cells are full-rank counts
+    # whichever method is requested, k = 0 cells are full-rank counts, and
+    # count's oracle cell, the co-rank census at co-rank 0, is checked as
+    # the full-rank census is
     rc, out, _ = run_main(
         capsys,
         ["count-corank", "--ambient", "2", "--corank", "0", "--torsion", "4",
          "--method", "formula", "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[1] == "2,0,4,oracle,4,ok"
+    rc, out, _ = run_main(
+        capsys, ["count", "--n", "3", "--r", "4", "--format", "csv"])
+    assert rc == 0
+    assert out.splitlines()[1] == (
+        f"3,0,4,oracle,{enumeration.count_full_rank(3, 4)},ok")
 
 
 def test_a_large_prime_torsion_answers_at_once(capsys):
@@ -595,7 +602,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("internal: scan produced a bad lattice")
 
-    monkeypatch.setattr(enumeration, "_reverify", broken)
+    monkeypatch.setattr(enumeration, "_checked", broken)
     rc, out, err = run_main(
         capsys, ["verify", "--n", "1", "--k", "1", "--r", "2"])
     assert rc == 3

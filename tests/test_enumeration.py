@@ -140,10 +140,12 @@ def test_enumerate_full_rank_jobs_split_agrees():
 
 
 def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
-    # jobs=64 still makes 64 shards, each with its own budget, but pools
-    # no more processes than there are cores; the fake pool records its
-    # size and maps in this process, so no process starts
+    # jobs=64 makes a shard per first-row lead, 3 for the divisors of 4
+    # and 2 for those of 2, each with its own budget, and pools no more
+    # processes than there are cores; the fake pool records its size and
+    # tasks and maps in this process, so no process starts
     sizes = []
+    tasks = []
 
     class Pool:
         def __init__(self, size):
@@ -155,14 +157,15 @@ def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, tasks):
-            return [func(task) for task in tasks]
+        def map(self, func, shards):
+            tasks.extend(shards)
+            return [func(task) for task in shards]
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sharded = enumerate_full_rank_multiplicative(3, 4, jobs=64)
-    assert len(step_totals) == 64
+    assert len(step_totals) == 3
     assert sharded == enumerate_full_rank_multiplicative(3, 4, jobs=1)
     assert enumerate_corank_oracle(3, 1, 2, jobs=64) == \
         enumerate_corank_oracle(3, 1, 2)
@@ -170,7 +173,16 @@ def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
     enumerate_full_rank_multiplicative(3, 4, jobs=5)
     # rank 0 is answered without a pool
     assert enumerate_corank_oracle(2, 2, 1, jobs=64) == [Lattice(2, ())]
-    assert sizes == [3, 3, 1]
+    assert sizes == [3, 2, 1]
+    # jobs = 1000 makes one task per lead, and a rank-1 census, of one
+    # lead, runs here with no pool
+    for ambient, corank, torsion, leads in ((3, 1, 4, 3), (3, 0, 12, 6),
+                                            (4, 2, 6, 4), (2, 1, 5, 0)):
+        del tasks[:]
+        assert _census(ambient, corank, torsion, jobs=1000, budget=None) == \
+            _census(ambient, corank, torsion, jobs=1, budget=None)
+        assert [task[3:5] for task in tasks] == [
+            (shard, leads) for shard in range(leads)], (ambient, corank)
 
 
 def test_enumerate_full_rank_arg_validation():
@@ -1006,7 +1018,9 @@ def test_verify_names_the_least_stray_in_every_census_order(monkeypatch):
 
 def test_oracle_reverifies_once_per_pivot_square(monkeypatch):
     # the oracle re-verifies one lattice per distinct-column key, so it
-    # tests closure once per core, one per full-rank lattice of index r
+    # tests closure once per core, one per full-rank lattice of index r;
+    # at full rank each lattice is its own key, so the full-rank engine,
+    # the oracle at co-rank 0 and the unital lift test every lattice once
     closure = lattice._square_closed
     tested = []
 
@@ -1023,6 +1037,18 @@ def test_oracle_reverifies_once_per_pivot_square(monkeypatch):
         assert len(tested) == cores, (n, k, r)
         assert len({tuple(map(tuple, square)) for square in tested}) == cores
         assert len(lats) == stirling2(n + k + 1, n + 1) * cores, (n, k, r)
+    for n, r in ((2, 12), (3, 8), (4, 4)):
+        cores = count_full_rank(n, r)
+        for count in (lambda: len(enumerate_full_rank_multiplicative(n, r)),
+                      lambda: len(enumerate_corank_oracle(n, 0, r)),
+                      lambda: count_unital(n + 1, r)):
+            del tested[:]
+            with monkeypatch.context() as patched:
+                patched.setattr(lattice, "_square_closed", counted)
+                assert count() == cores, (n, r)
+            assert len(tested) == cores, (n, r)
+            assert len({tuple(map(tuple, square))
+                        for square in tested}) == cores, (n, r)
 
 
 def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
