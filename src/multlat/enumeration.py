@@ -10,6 +10,7 @@ docstring of the function that rests on it.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
 from .intlinalg import _in_span
@@ -220,7 +221,7 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     rank = len(lat.basis)
     labels, assignment = _column_labels(lat.basis, lat.ambient_dim)
     if len(labels) == rank + 1:
-        core = Lattice._trusted(rank, tuple([row[1:] for row in zip(*labels)]))
+        core = Lattice._trusted(rank, tuple(zip(*islice(labels, 1, None))))
         if _square_closed(core.basis):
             return AcceptableMap._trusted(tuple(assignment)), core
     raise ValueError("lattice is not multiplicative")

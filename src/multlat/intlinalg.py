@@ -2,7 +2,9 @@
 
 Matrices are tuples of tuples of Python ints, so nothing can wrap. The
 row-style Hermite normal form gives a canonical basis of a row span;
-`_in_span` tests membership in one by exact division; the Smith normal
+`_in_span` tests membership in one by exact division, which serves
+`enumeration.count_unital`'s test for (1, ..., 1), as the closure test
+reduces its products itself (`lattice._square_closed`); the Smith normal
 form gives the torsion of rows with no pivot square. No package code
 calls `solve_in_row_span`.
 """

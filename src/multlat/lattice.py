@@ -10,11 +10,11 @@ AcceptableMap immutable values without importing `dataclasses`.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .intlinalg import (IntMatrix, _in_span, hermite_normal_form,
-                        smith_normal_form)
+from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
 
 
 class _Frozen:
@@ -160,8 +160,9 @@ def _column_labels(rows: Sequence[Sequence[int]], width: int
     labelled 0 then each distinct nonzero column 1, 2, ... by first use,
     and each column's label in column order; with no rows, each of the
     width columns is () and labelled 0. With a pivot square
-    (`_pivot_square`), the list is the ordered map's assignment and
-    `zip(*labels)` the square's rows, each padded with a leading 0."""
+    (`_pivot_square`), the list is the ordered map's assignment and the
+    keys after the zero column, transposed, `zip(*islice(labels, 1, None))`,
+    the square's rows."""
     labels = {(0,) * len(rows): 0}
     if not rows:
         return labels, [0] * width
@@ -197,7 +198,7 @@ def _pivot_square(rows: Sequence[Sequence[int]]
     if not rows or len(rows) == len(rows[0]):
         return rows
     labels = _column_labels(rows, len(rows[0]))[0]
-    return ([row[1:] for row in zip(*labels)]
+    return (tuple(zip(*islice(labels, 1, None)))
             if len(labels) == len(rows) + 1 else None)
 
 
@@ -213,20 +214,34 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
     nonzero diagonal.
 
     The product is bilinear, so products of rows suffice. That of rows i <= j
-    vanishes left of column j, so it lies in the span exactly when it lies
-    in that of the rows j.., which `intlinalg._in_span` decides. A row v =
-    d*e_j, zero right of its diagonal, needs no test: u*v = u[j]*v.
+    vanishes left of column j, as row j does, so it lies in the span exactly
+    when it lies in that of the rows from j on. It is reduced against them
+    in place, a fresh list that no caller holds, by exact division down the
+    columns j, j + 1, ..., each a pivot column of the square. Reducing
+    column c would set its entry to 0, and the rows below c are 0 at c, so
+    the entry is never read again and is not written. A product that divides
+    at every column is thus reduced to 0, and needs no final pass over the
+    residual, which looks for non-pivot columns, of which a square has none.
+    A row v = d*e_j, zero right of its diagonal, needs no test:
+    u*v = u[j]*v.
     """
     size = len(square)
     for j in range(size - 1):
         v = square[j]
         if not any(v[j + 1:]):
             continue
-        rows, pivots = square[j:], range(j, size)
         for u in square[:j + 1]:
-            if not _in_span(rows, pivots, [a * b for a, b in zip(u, v)],
-                            size):
-                return False
+            w = [a * b for a, b in zip(u, v)]
+            for c in range(j, size):
+                x = w[c]
+                if x:
+                    row = square[c]
+                    d = row[c]
+                    if x % d:
+                        return False
+                    q = x // d
+                    for i in range(c + 1, size):
+                        w[i] -= q * row[i]
     return True
 
 

@@ -224,6 +224,19 @@ MUTANTS = (
         "square is None or",
         ("tests/test_lattice.py",)),
     Mutant(
+        "closure-skips-the-divisibility-test", "src/multlat/lattice.py",
+        "                    if x % d:\n                        return False\n",
+        "",
+        ("tests/test_lattice.py::"
+         "test_square_closed_matches_every_row_product_on_small_squares",)),
+    Mutant(
+        "closure-tests-only-the-square-of-each-row",
+        "src/multlat/lattice.py",
+        "for u in square[:j + 1]:",
+        "for u in square[j:j + 1]:",
+        ("tests/test_lattice.py::"
+         "test_square_closed_matches_every_row_product_on_small_squares",)),
+    Mutant(
         "stray-skips-reverification", "src/multlat/enumeration.py",
         "    return _checked(ambient, strays, rank, r)\n",
         "    return [Lattice(ambient, basis) for basis in strays]\n",

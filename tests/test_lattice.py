@@ -431,12 +431,13 @@ def _canonical_squares(size, top):
 
 
 def test_square_closed_matches_every_row_product_on_small_squares():
-    # every canonical square of size <= 3 and determinant <= 12 against the
+    # every canonical square of size <= 3 and determinant <= 12, of size 4
+    # and determinant <= 8, and of size 5 and determinant <= 4 against the
     # reference, which solves every row product, single-entry rows included
     verdicts = set()
     single_above_last = 0
-    for size in range(4):
-        for square in _canonical_squares(size, 12):
+    for size, top in [(0, 12), (1, 12), (2, 12), (3, 12), (4, 8), (5, 4)]:
+        for square in _canonical_squares(size, top):
             got = _square_closed(square)
             assert got == is_mult_ref([list(row) for row in square]), square
             verdicts.add(got)
