@@ -44,10 +44,14 @@ class VerificationReport(NamedTuple):
         return self._asdict()
 
 
-def _label_key(basis: tuple[tuple[int, ...], ...], width: int) -> tuple:
+def _label_key(basis: tuple[tuple[int, ...], ...]) -> tuple:
     """Its label dict (`lattice._column_labels`) as a tuple: the zero column,
-    as tall as the rows are many, then the nonzero ones by first use."""
-    return tuple(_column_labels(basis, width)[0])
+    as tall as the rows are many, then the nonzero ones by first use. Built
+    in one pass by `dict.fromkeys`, which keeps the first key object put in
+    and their order, as `setdefault` does, so it is that tuple object for
+    object: ((),) for no rows, `zip` stopping at the shortest row in both,
+    and of equal columns, one holding True or 1.0 for 1, the first kept."""
+    return tuple(dict.fromkeys([(0,) * len(basis), *zip(*basis)]))
 
 
 def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
@@ -77,7 +81,7 @@ def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
     if rank != ambient:
         keyed: dict[tuple, Lattice] = {}
         for lat in lats:
-            keyed.setdefault(_label_key(lat.basis, ambient), lat)
+            keyed.setdefault(_label_key(lat.basis), lat)
         firsts = keyed.values()
     for lat in firsts:
         if len(lat.basis) != rank or not is_multiplicative(lat):
@@ -240,8 +244,9 @@ def _place(ambient: int, witnesses: Iterable[tuple[tuple[int, ...], ...]],
     core's row count, and each column's label names that column in the
     key. So it is a canonical basis (`partitions.apply_map`) with the
     core's rank, closure and torsion (`lattice._pivot_square`), which the
-    full-rank census re-verified. The widths are checked because `zip`
-    stops at the shortest row, so a longer row leaves the key unchanged.
+    full-rank census re-verified. The widths are checked, as the set of
+    row lengths, because `zip` stops at the shortest row, so a longer row
+    leaves the key unchanged.
     `decompose` rests on the same argument for its rectangular basis.
     Placement compares by value, as entries do: True or 1.0 equals 1. The
     constructor stays the only type check, run by `_checked` on the
@@ -251,8 +256,8 @@ def _place(ambient: int, witnesses: Iterable[tuple[tuple[int, ...], ...]],
     """
     strays = []
     for basis in witnesses:
-        placed = (cores.get(_label_key(basis, ambient))
-                  if all(len(row) == ambient for row in basis) else None)
+        placed = (cores.get(_label_key(basis))
+                  if {*map(len, basis)} <= {ambient} else None)
         (strays if placed is None else placed).append(basis)
     return _checked(ambient, strays, rank, r)
 
@@ -294,7 +299,7 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    keyed = {_label_key(core.basis, n): [] for core in cores}
+    keyed = {_label_key(core.basis): [] for core in cores}
     formula_count = stirling_factor * len(cores)
     strays = _place(ambient, witnesses, keyed, n, r)
     passed = len(witnesses) == formula_count and not strays

@@ -128,7 +128,8 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     for u's accumulator a, is fixed once x_j is. It must be 0 off a pivot; on
     one the pivot must divide it, and the quotient times the pivot row goes
     into the accumulator. So a partial row is dropped at the first column
-    where a product fails, and a full row gives a closed span. Off a pivot
+    where a product fails, and a full row gives a closed span, listed where
+    its last entry is set, the lead's when q is the last column. Off a pivot
     x(x - d) = acc[j], so x runs over the roots (d - s)/2 and (d + s)/2, s =
     isqrt(d*d + 4*acc[j]), when that is a perfect square; s = d mod 2 then,
     so both are integers. A residual of 0 passes its accumulator on, and none
@@ -145,9 +146,6 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     out: list[tuple[tuple[int, ...], ...]] = []
 
     def fill(j: int, d: int, acc: list[int], accs: list[list[int]]) -> None:
-        if j == ambient:
-            out.append((tuple(v), *hnf))
-            return
         row = pivot_row[j]
         if row is None:
             steps.spend(1)
@@ -160,7 +158,10 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
                             break
                     else:
                         v[j] = x
-                        fill(j + 1, d, acc, accs)
+                        if j + 1 == ambient:
+                            out.append((tuple(v), *hnf))
+                        else:
+                            fill(j + 1, d, acc, accs)
             return
         p = row[j]
         steps.spend(p)
@@ -180,6 +181,9 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
                 moved.append(a)
             else:
                 v[j] = x
+                if j + 1 == ambient:
+                    out.append((tuple(v), *hnf))
+                    continue
                 m = res // p
                 fill(j + 1, d, [a + m * b for a, b in zip(acc, row)]
                      if m else acc, moved)
@@ -190,7 +194,10 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
         for d in leads:
             steps.spend(1)
             v[q] = d
-            fill(q + 1, d, zero, zeros)
+            if q + 1 == ambient:
+                out.append((tuple(v), *hnf))
+            else:
+                fill(q + 1, d, zero, zeros)
     finally:
         # fill calls itself through its own closure cell; emptying the cell
         # breaks that cycle, so fill and its lists are freed at return

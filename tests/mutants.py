@@ -115,7 +115,7 @@ MUTANTS = (
         ("tests/test_intlinalg.py",)),
     Mutant(
         "place-drops-reapplication-check", "src/multlat/enumeration.py",
-        "if all(len(row) == ambient for row in basis) else None)",
+        "if {*map(len, basis)} <= {ambient} else None)",
         "if True else None)",
         ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
     Mutant(
@@ -253,7 +253,7 @@ MUTANTS = (
     Mutant(
         "checked-reverifies-only-the-first-key",
         "src/multlat/enumeration.py",
-        "keyed.setdefault(_label_key(lat.basis, ambient), lat)",
+        "keyed.setdefault(_label_key(lat.basis), lat)",
         "keyed.setdefault((), lat)",
         ("tests/test_enumeration.py::"
          "test_oracle_reverifies_once_per_pivot_square",
@@ -272,8 +272,8 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
     Mutant(
         "verify-pads-core-rows-at-the-end", "src/multlat/enumeration.py",
-        "    keyed = {_label_key(core.basis, n): [] for core in cores}\n",
-        "    keyed = {tuple(col + (0,) for col in _label_key(core.basis, n)):"
+        "    keyed = {_label_key(core.basis): [] for core in cores}\n",
+        "    keyed = {tuple(col + (0,) for col in _label_key(core.basis)):"
         " [] for core in cores}\n",
         ("tests/test_enumeration.py::"
          "test_verify_names_no_offender_on_clean_cells",
@@ -281,11 +281,27 @@ MUTANTS = (
          "test_witness_pass_matches_per_witness_checks")),
     Mutant(
         "scan-emits-a-list-row", "src/multlat/scan.py",
-        "out.append((tuple(v), *hnf))",
-        "out.append((list(v), *hnf))",
+        "if j + 1 == ambient:\n"
+        "                            out.append((tuple(v), *hnf))",
+        "if j + 1 == ambient:\n"
+        "                            out.append((list(v), *hnf))",
         ("tests/test_enumeration.py::"
          "test_verify_names_no_offender_on_clean_cells",
          "tests/test_cli.py::test_verify_single_cell")),
+    Mutant(
+        "scan-emits-a-list-row-at-the-lead", "src/multlat/scan.py",
+        "                out.append((tuple(v), *hnf))\n            else:\n",
+        "                out.append((list(v), *hnf))\n            else:\n",
+        ("tests/test_enumeration.py::"
+         "test_verify_names_no_offender_on_clean_cells",
+         "tests/test_cli.py::test_verify_single_cell")),
+    Mutant(
+        "scan-skips-the-leaf-at-a-pivot", "src/multlat/scan.py",
+        "out.append((tuple(v), *hnf))\n                    continue",
+        "continue",
+        ("tests/test_enumeration.py::"
+         "test_full_rank_engine_matches_unpruned_reference",
+         "tests/test_full_rank_census.py")),
     Mutant(
         "cell-rule-allows-corank-above-ambient", "src/multlat/scan.py",
         "    if not 0 <= corank <= ambient:\n",

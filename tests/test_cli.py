@@ -5,6 +5,7 @@ compare whole invocations byte for byte go through subprocesses.
 """
 
 import csv
+import importlib.util
 import json
 import os
 import resource
@@ -672,7 +673,8 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
     # refused by the constructor; a basis one entry too wide in its top row
     # keeps the key of the basis it came from, as `zip` stops at the
     # shortest row, and a basis one entry too wide in every row keeps its
-    # key too, so placement checks every row's width: a witness of the
+    # key too, and so does a basis whose lower row lost an entry of a zero
+    # column, so placement checks every row's width: a witness of the
     # wrong width or row count is a stray, and the constructor refuses it,
     # as count and count-corank do
     worker = scan._corank_worker
@@ -685,13 +687,20 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
         first, *others = bases
         return [tuple(row + (0,) for row in first), *others]
 
+    def lower_row_shortened(bases):
+        # its last column is zero; the census stays in order
+        return [(top, low[:-1]) if (top, low) == ((2, 0, 0), (0, 1, 0))
+                else (top, low) for top, low in bases]
+
     for fault, reason in (
             (_rows_added, "engine produced an invalid basis: basis is not "
                           "in canonical Hermite form"),
             (top_row_widened, "engine produced an invalid basis: basis "
                               "rows must match the ambient dimension"),
             (all_rows_widened, "engine produced an invalid basis: basis "
-                               "rows must match the ambient dimension")):
+                               "rows must match the ambient dimension"),
+            (lower_row_shortened, "engine produced an invalid basis: basis "
+                                  "rows must match the ambient dimension")):
         monkeypatch.setattr(scan, "_corank_worker",
                             lambda args: (fault(worker(args)) if args[1]
                                           else worker(args)))
@@ -980,6 +989,26 @@ def test_jobs_do_not_change_bytes():
     eight = run_cli(argv + ["--jobs", "8"])
     assert one.returncode == eight.returncode == 0
     assert one.stdout == eight.stdout
+
+
+def test_campaign_blocks_print_the_committed_bytes(capsys):
+    # the benchmark's blocks, each verify block and each cold count-corank
+    # block, print at --jobs 1 and 2 the stdout committed in
+    # perfbench/expected/cli.json, byte for byte and at exit 0
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_common", perfbench / "common.py")
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    expected = json.loads((perfbench / "expected" / "cli.json").read_text())
+    for command, blocks, outs in (
+            ("verify", common.CAMPAIGN_ARGS, expected["verify"]),
+            ("count-corank", common.CORANK_ARGS, expected["count_corank"])):
+        assert len(blocks) == len(outs)
+        for args, want in zip(blocks, outs):
+            for jobs in ("1", "2"):
+                rc, out, _ = run_main(capsys, [command, *args, "--jobs", jobs])
+                assert (rc, out) == (0, want), (command, args, jobs)
 
 
 def test_cold_and_warm_runs_match_bytes(tmp_path):

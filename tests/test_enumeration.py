@@ -967,6 +967,22 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
         assert len(cores) == len(tested), (n, k, r)
 
 
+def test_label_key_is_the_label_dict_as_a_tuple():
+    # the key is built in one pass, not through `_column_labels`, yet equals
+    # its label dict's keys on every campaign witness, on no rows, on rows
+    # of unequal length, where `zip` stops at the shortest in both, and on
+    # an entry equal to 1, where both keep the first of the equal columns
+    # (repr tells True from 1)
+    bases = [basis for n, k, r in CAMPAIGN_CELLS
+             for basis in _census(n + k, k, r, jobs=1, budget=None)]
+    bases += [(), ((1, 0, 3), (0, 2)), ((2, 1, 1), (0, True, 1)),
+              ((True, 0, 1), (0, 1, 0))]
+    for basis in bases:
+        want = tuple(_column_labels(basis, 3)[0])
+        got = enumeration._label_key(basis)
+        assert got == want and repr(got) == repr(want), basis
+
+
 def test_witness_pass_reports_faults_where_they_are(monkeypatch):
     # witnesses that are not rigid, placed among closed ones, are returned
     # as they are alone, in census order, not sorted; one that is not
