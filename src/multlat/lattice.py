@@ -213,35 +213,35 @@ def _square_closed(square: Sequence[Sequence[int]]) -> bool:
     """Closure under products of the span of an upper-triangular square with
     nonzero diagonal.
 
-    The product is bilinear, so products of rows suffice. That of rows i <= j
-    vanishes left of column j, as row j does, so it lies in the span exactly
-    when it lies in that of the rows from j on. It is reduced against them
-    in place, a fresh list that no caller holds, by exact division down the
-    columns j, j + 1, ..., each a pivot column of the square. Reducing
-    column c would set its entry to 0, and the rows below c are 0 at c, so
-    the entry is never read again and is not written. A product that divides
-    at every column is thus reduced to 0, and needs no final pass over the
-    residual, which looks for non-pivot columns, of which a square has none.
-    A row v = d*e_j, zero right of its diagonal, needs no test:
-    u*v = u[j]*v.
+    Products of rows suffice. A row d*e_i, with size - 1 zeros, needs none:
+    its product with a row above is a multiple of it, with one below 0. Each
+    other row v, row j, is multiplied by itself and each such u above. u*v
+    is 0 left of column j and u[j]*v[j] at j, so it is in the span exactly
+    when w = v*(u - u[j]), 0 through j (the scan's v*(v - d) at u = v), is in
+    that of the rows after j, as a zero w is. w, a fresh list, is reduced in
+    place by exact division down their pivot columns; an entry so zeroed is
+    never read again, so it is not written, and no final pass is needed.
     """
-    size = len(square)
-    for j in range(size - 1):
-        v = square[j]
-        if not any(v[j + 1:]):
-            continue
-        for u in square[:j + 1]:
-            w = [a * b for a, b in zip(u, v)]
-            for c in range(j, size):
-                x = w[c]
-                if x:
-                    row = square[c]
-                    d = row[c]
-                    if x % d:
-                        return False
-                    q = x // d
-                    for i in range(c + 1, size):
-                        w[i] -= q * row[i]
+    last = len(square) - 1
+    tested = []
+    for j, v in enumerate(square):
+        if v.count(0) != last:
+            tested.append(v)
+            for u in tested:
+                uj = u[j]
+                w = [a * (b - uj) for a, b in zip(v, u)]
+                if not any(w):
+                    continue
+                for c in range(j + 1, last + 1):
+                    x = w[c]
+                    if x:
+                        row = square[c]
+                        d = row[c]
+                        if x % d:
+                            return False
+                        q = x // d
+                        for i in range(c + 1, last + 1):
+                            w[i] -= q * row[i]
     return True
 
 

@@ -224,18 +224,60 @@ MUTANTS = (
         "square is None or",
         ("tests/test_lattice.py",)),
     Mutant(
-        "closure-skips-the-divisibility-test", "src/multlat/lattice.py",
-        "                    if x % d:\n                        return False\n",
+        "closure-skips-the-divisibility-test",
+        "src/multlat/lattice.py",
+        "                        if x % d:\n"
+        "                            return False\n",
         "",
         ("tests/test_lattice.py::"
-         "test_square_closed_matches_every_row_product_on_small_squares",)),
+         "test_square_closed_matches_every_row_product_on_small_squares",
+         "tests/test_lattice.py::"
+         "test_square_closed_matches_the_reference_on_census_squares")),
     Mutant(
         "closure-tests-only-the-square-of-each-row",
         "src/multlat/lattice.py",
-        "for u in square[:j + 1]:",
-        "for u in square[j:j + 1]:",
+        "for u in tested:",
+        "for u in tested[-1:]:",
         ("tests/test_lattice.py::"
-         "test_square_closed_matches_every_row_product_on_small_squares",)),
+         "test_square_closed_matches_every_row_product_on_small_squares",
+         "tests/test_lattice.py::"
+         "test_square_closed_matches_the_reference_on_census_squares")),
+    Mutant(
+        "closure-skips-rows-with-one-entry-right-of-the-pivot",
+        "src/multlat/lattice.py",
+        "if v.count(0) != last:",
+        "if v.count(0) < last - 1:",
+        ("tests/test_lattice.py::"
+         "test_square_closed_matches_every_row_product_on_small_squares",
+         "tests/test_lattice.py::"
+         "test_square_closed_matches_the_reference_on_census_squares")),
+    Mutant(
+        "closure-folds-the-lower-rows-pivot",
+        "src/multlat/lattice.py",
+        "uj = u[j]",
+        "uj = v[j]",
+        ("tests/test_lattice.py::"
+         "test_square_closed_matches_every_row_product_on_small_squares",
+         "tests/test_lattice.py::"
+         "test_square_closed_matches_the_reference_on_census_squares")),
+    Mutant(
+        "closure-skips-every-product-with-a-zero",
+        "src/multlat/lattice.py",
+        "if not any(w):",
+        "if not all(w):",
+        ("tests/test_lattice.py::"
+         "test_square_closed_matches_every_row_product_on_small_squares",
+         "tests/test_lattice.py::"
+         "test_square_closed_matches_the_reference_on_census_squares")),
+    Mutant(
+        "closure-reduces-from-two-right-of-the-row",
+        "src/multlat/lattice.py",
+        "for c in range(j + 1, last + 1):",
+        "for c in range(j + 2, last + 1):",
+        ("tests/test_lattice.py::"
+         "test_square_closed_matches_every_row_product_on_small_squares",
+         "tests/test_lattice.py::"
+         "test_square_closed_matches_the_reference_on_census_squares")),
     Mutant(
         "stray-skips-reverification", "src/multlat/enumeration.py",
         "    return _checked(ambient, strays, rank, r)\n",

@@ -8,12 +8,15 @@ test pass.
 
 import functools
 import gc
+import hashlib
 import itertools
+import json
 import math
 import multiprocessing
 import operator
 import os
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -1183,6 +1186,40 @@ def test_every_shard_lists_its_bases_in_census_order():
                             (ambient, corank, torsion, shard, jobs, 10 ** 9))]
                         assert all(map(operator.gt, keys, keys[1:])), \
                             (ambient, corank, torsion, shard, jobs)
+
+
+def test_every_small_census_matches_its_committed_digest():
+    """Each census `_run_shards` lists, with ambient <= 6, co-rank < ambient
+    and torsion <= 12 (<= 6 at ambient 6), 216 cells and 102,251 bases, has
+    the digest committed in tests/data/census_digests.json: the SHA-256 hex
+    digest of the UTF-8 `repr` of the list, keyed "ambient,corank,torsion".
+    Every cell is listed at jobs 1, and the 12 with the most bases at jobs 2
+    too, where the shards are merged.
+
+    The file was written by the engine, not by refimpl. It may still gate
+    the engine: `verify` checks each census against the formula side and
+    re-verifies its lattices, and the order tests pin each list's order, so
+    each cell's content and order are justified there, and the file was
+    written from a tree that passed them. A digest that differs names a cell
+    whose census changed in content or order, which must be justified again
+    before the file is written anew, by the same hash of every cell."""
+    path = Path(__file__).parent / "data" / "census_digests.json"
+    want = json.loads(path.read_text(encoding="utf-8"))
+    cells = [(ambient, corank, torsion) for ambient in range(1, 7)
+             for corank in range(ambient)
+             for torsion in range(1, (6 if ambient == 6 else 12) + 1)]
+    assert list(want) == ["%d,%d,%d" % cell for cell in cells]
+    sizes = {}
+    for cell in cells:
+        bases = scan._run_shards(*cell, 1, None)
+        sizes[cell] = len(bases)
+        digest = hashlib.sha256(repr(bases).encode()).hexdigest()
+        assert digest == want["%d,%d,%d" % cell], cell
+    assert sum(sizes.values()) == 102_251
+    for cell in sorted(cells, key=sizes.get)[-12:]:
+        bases = scan._run_shards(*cell, 2, None)
+        digest = hashlib.sha256(repr(bases).encode()).hexdigest()
+        assert digest == want["%d,%d,%d" % cell], cell
 
 
 def _rows_added(bases):

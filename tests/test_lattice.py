@@ -24,6 +24,7 @@ from multlat.lattice import (
     torsion_size,
 )
 from multlat.partitions import AcceptableMap, apply_map
+from multlat.scan import _run_shards
 
 from refimpl import (
     echelon_samples,
@@ -445,6 +446,33 @@ def test_square_closed_matches_every_row_product_on_small_squares():
                                      for i, row in enumerate(square[:-1]))
     assert verdicts == {True, False}
     assert single_above_last >= 100, single_above_last
+
+
+def test_square_closed_matches_the_reference_on_census_squares():
+    # beyond the exhaustive range: a fixed sample of 800 of the 8,304 bases
+    # of the full-rank census of Z^4 at index <= 32 and of Z^5 at index
+    # <= 16, each also with one entry above a pivot redrawn in [0, pivot),
+    # which may leave its span unclosed. Some square must hold a row zero
+    # right of its pivot above a row that is not, the pair the kernel skips
+    squares = [basis for n, top in [(4, 32), (5, 16)]
+               for r in range(1, top + 1)
+               for basis in _run_shards(n, 0, r, 1, None)]
+    rng = random.Random(20070901)
+    verdicts = Counter()
+    single_above_tested = 0
+    for square in rng.sample(squares, 800):
+        changed = [list(row) for row in square]
+        j = rng.randrange(1, len(changed))
+        changed[rng.randrange(j)][j] = rng.randrange(changed[j][j])
+        for rows in (square, changed):
+            got = _square_closed(rows)
+            assert got == is_mult_ref([list(row) for row in rows]), rows
+            verdicts[got] += 1
+            single_above_tested += any(
+                not any(rows[i][i + 1:]) and any(rows[k][k + 1:])
+                for k in range(len(rows)) for i in range(k))
+    assert set(verdicts) == {True, False}, verdicts
+    assert single_above_tested >= 100, single_above_tested
 
 
 # ------------------------------------------------------------------ torsion
