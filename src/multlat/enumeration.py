@@ -4,14 +4,14 @@ The scan (`scan._run_shards`) gives both censuses as bases: the co-rank
 census (`enumerate_corank_oracle`) and, at co-rank 0, the full-rank census
 (`enumerate_full_rank_multiplicative`). `_checked` turns every census into
 Lattices by one rule, and `_verify` pits each cell's census against the
-formula, witness by witness (`_place`). Each argument has one home, the
-docstring of the function that rests on it.
+formula, in bulk, and witness by witness (`_place`) on a cell that fails.
+Each argument has one home, the docstring of the function that rests on it.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, NamedTuple, Optional
+from itertools import chain, islice, repeat, starmap
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .intlinalg import _in_span
 from .lattice import (Lattice, _column_labels, _square_closed,
@@ -44,14 +44,17 @@ class VerificationReport(NamedTuple):
         return self._asdict()
 
 
-def _label_key(basis: tuple[tuple[int, ...], ...]) -> tuple:
-    """Its label dict (`lattice._column_labels`) as a tuple: the zero column,
-    as tall as the rows are many, then the nonzero ones by first use. Built
-    in one pass by `dict.fromkeys`, which keeps the first key object put in
-    and their order, as `setdefault` does, so it is that tuple object for
-    object: ((),) for no rows, `zip` stopping at the shortest row in both,
-    and of equal columns, one holding True or 1.0 for 1, the first kept."""
-    return tuple(dict.fromkeys([(0,) * len(basis), *zip(*basis)]))
+def _label_keys(bases: Iterable[tuple[tuple[int, ...], ...]],
+                rank: int) -> Iterator[tuple]:
+    """Each basis's label dict (`lattice._column_labels`) as a tuple, for
+    bases of rank rows, with no Python call per basis. `dict.fromkeys`
+    keeps the first key object put in and their order, as `setdefault`
+    does, so it is that tuple object for object: ((),) for no rows, `zip`
+    stopping at the shortest row in both, and of equal columns, one holding
+    True or 1.0 for 1, the first kept. The zero column is rank tall at any
+    row count, so a caller checks row counts: at ambient 0 it is the key."""
+    return map(tuple, map(dict.fromkeys, map(
+        chain, repeat(((0,) * rank,)), starmap(zip, bases))))
 
 
 def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
@@ -65,9 +68,10 @@ def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
     given rank, be closed under products (`is_multiplicative`) and have the
     given torsion (`torsion_size`), tested in that order; the first failure
     raises RuntimeError. Below full rank that is the first lattice of each
-    key (`_label_key`): one key means one row count, so one rank, and one
-    pivot square, so one closure and torsion (`lattice._pivot_square`), and
-    with no square every basis fails closure, so no torsion is compared.
+    key (`_label_keys`): a validated basis with rows has a nonzero column as
+    tall as they are many, so one key means one row count, so one rank, and
+    one pivot square, so one closure and torsion (`lattice._pivot_square`),
+    and with no square every basis fails closure, so no torsion is compared.
     Keys keep the order of first use, so the first failing key is the first
     failing lattice's. At full rank each lattice is its own key, its columns
     distinct and nonzero, so every one is re-verified and no key is built.
@@ -80,8 +84,9 @@ def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
     firsts = lats
     if rank != ambient:
         keyed: dict[tuple, Lattice] = {}
-        for lat in lats:
-            keyed.setdefault(_label_key(lat.basis), lat)
+        for lat, key in zip(lats, _label_keys([lat.basis for lat in lats],
+                                              rank)):
+            keyed.setdefault(key, lat)
         firsts = keyed.values()
     for lat in firsts:
         if len(lat.basis) != rank or not is_multiplicative(lat):
@@ -231,22 +236,23 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     raise ValueError("lattice is not multiplicative")
 
 
-def _place(ambient: int, witnesses: Iterable[tuple[tuple[int, ...], ...]],
+def _place(ambient: int, witnesses: list[tuple[tuple[int, ...], ...]],
            cores: dict[tuple, list], rank: int, r: int) -> list[Lattice]:
     """Place each witness basis of Z^ambient on its full-rank lattice, and
     return the strays, the witnesses placed on none, as Lattices in order.
+    `_verify` runs it only on a cell its bulk verdict does not pass.
 
-    cores holds, under each full-rank lattice's key (`_label_key`), the
-    list of witness bases placed on it. A witness whose rows all have
-    ambient entries and whose key is a core's is placed on that core, with
+    cores holds, under each full-rank lattice's key (`_label_keys`), the
+    list of witness bases placed on it. A witness of rank rows, each of
+    ambient entries, whose key is a core's is placed on that core, with
     no map or Lattice built. It is the core carried through its own labels,
     its ordered map's assignment (`partitions._transport_rows`): it has the
     core's row count, and each column's label names that column in the
     key. So it is a canonical basis (`partitions.apply_map`) with the
     core's rank, closure and torsion (`lattice._pivot_square`), which the
-    full-rank census re-verified. The widths are checked, as the set of
-    row lengths, because `zip` stops at the shortest row, so a longer row
-    leaves the key unchanged.
+    full-rank census re-verified. The shape is checked apart from the key,
+    the widths as the set of row lengths: `zip` stops at the shortest row,
+    so a longer row leaves the key unchanged.
     `decompose` rests on the same argument for its rectangular basis.
     Placement compares by value, as entries do: True or 1.0 equals 1. The
     constructor stays the only type check, run by `_checked` on the
@@ -255,9 +261,9 @@ def _place(ambient: int, witnesses: Iterable[tuple[tuple[int, ...], ...]],
     censused but not reachable through any map, checked after the pass.
     """
     strays = []
-    for basis in witnesses:
-        placed = (cores.get(_label_key(basis))
-                  if {*map(len, basis)} <= {ambient} else None)
+    for basis, key in zip(witnesses, _label_keys(witnesses, rank)):
+        placed = (cores.get(key) if len(basis) == rank
+                  and {*map(len, basis)} <= {ambient} else None)
         (strays if placed is None else placed).append(basis)
     return _checked(ambient, strays, rank, r)
 
@@ -280,29 +286,37 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     """The cell's report, and on a failing cell its offending lattice with
     a reason, or None.
 
-    The census and the full-rank lattices are each taken once. The witness
-    pass (`_place`) runs to its end, so an engine fault in any witness
-    raises, and the cell passes exactly when its count is the formula's and
-    no witness is a stray. Each lattice of the cell is the image of one
-    full-rank core under one ordered map, so a failing cell is explained by
-    the lattices on one side only. The search takes the strays and the
-    witnesses of the suspects, the full-rank lattices that hold other than
-    stirling2(n+k+1, n+1), against the suspects' images under the ordered
-    maps; any other lattice's witnesses are its images, each once. The
-    offender is the least lattice by (rank, basis) on one side only, so it
-    does not depend on the census order; failing that, the first image
-    reached twice. A cell with neither fails on its count alone, and names
-    none. Only a stray or a suspect's witness becomes a Lattice, through
+    The census and the full-rank lattices are each taken once. The cell
+    passes exactly when its count is the formula's and every witness has n
+    rows of ambient entries and a core's key, checked in bulk. Each such
+    witness is placed (`_place`), its core's image under its own ordered
+    map; the census is repeat-free (`scan._run_shards` raises "lattice
+    twice") and a core has at most S = stirling2(n+k+1, n+1) images, so S
+    times as many witnesses as cores hold exactly S on each, and no
+    per-core list is needed. A witness fails the test exactly when `_place`
+    strays it, and on a failing cell `_place` runs to its end, so an engine
+    fault in any witness raises. Each lattice of the cell is the image of
+    one full-rank core under one ordered map, so a failing cell is
+    explained by the lattices on one side only. The search takes the strays
+    and the witnesses of the suspects, the full-rank lattices that hold
+    other than S, against the suspects' images under the ordered maps; any
+    other lattice's witnesses are its images, each once. The offender is
+    the least lattice by (rank, basis) on one side only, so it does not
+    depend on the census order; failing that, the first image reached
+    twice. A cell with neither fails on its count alone, and names none.
+    Only a stray or a suspect's witness becomes a Lattice, through
     `_checked`, so every lattice returned is validated.
     """
     ambient = n + k
     witnesses = _census(ambient, k, r, jobs=jobs, budget=budget)
     stirling_factor = stirling2(n + k + 1, n + 1)
     cores = enumerate_full_rank_multiplicative(n, r, jobs=jobs, budget=budget)
-    keyed = {_label_key(core.basis): [] for core in cores}
+    keyed = {key: [] for key in _label_keys([c.basis for c in cores], n)}
     formula_count = stirling_factor * len(cores)
-    strays = _place(ambient, witnesses, keyed, n, r)
-    passed = len(witnesses) == formula_count and not strays
+    passed = (len(witnesses) == formula_count
+              and {*map(len, witnesses)} <= {n}
+              and {*map(len, chain.from_iterable(witnesses))} <= {ambient}
+              and all(map(keyed.__contains__, _label_keys(witnesses, n))))
     report = VerificationReport(
         n=n, k=k, r=r,
         oracle_count=len(witnesses),
@@ -314,6 +328,7 @@ def _verify(n: int, k: int, r: int, *, jobs: int, budget: Optional[int]
     )
     if passed:
         return report, None
+    strays = _place(ambient, witnesses, keyed, n, r)
     suspects = [(core, placed) for core, placed in zip(cores, keyed.values())
                 if len(placed) != stirling_factor]
     rebuilt = [apply_map(g, core) for g in enumerate_ordered_maps(n, n + k)

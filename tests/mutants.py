@@ -115,9 +115,48 @@ MUTANTS = (
         ("tests/test_intlinalg.py",)),
     Mutant(
         "place-drops-reapplication-check", "src/multlat/enumeration.py",
-        "if {*map(len, basis)} <= {ambient} else None)",
-        "if True else None)",
+        "and {*map(len, basis)} <= {ambient} else None)",
+        "and True else None)",
         ("tests/test_cli.py::test_a_bad_census_basis_exits_three",)),
+    Mutant(
+        "place-skips-the-row-count", "src/multlat/enumeration.py",
+        "(cores.get(key) if len(basis) == rank\n",
+        "(cores.get(key) if True\n",
+        ("tests/test_enumeration.py::"
+         "test_the_bulk_verdict_falls_back_on_every_fault",)),
+    Mutant(
+        "verdict-skips-the-width-pass", "src/multlat/enumeration.py",
+        "and {*map(len, chain.from_iterable(witnesses))} <= {ambient}\n",
+        "and True\n",
+        ("tests/test_cli.py::test_a_bad_census_basis_exits_three",
+         "tests/test_enumeration.py::"
+         "test_the_bulk_verdict_falls_back_on_every_fault")),
+    Mutant(
+        "verdict-skips-the-row-count", "src/multlat/enumeration.py",
+        "and {*map(len, witnesses)} <= {n}\n",
+        "and True\n",
+        ("tests/test_enumeration.py::"
+         "test_the_bulk_verdict_falls_back_on_every_fault",)),
+    Mutant(
+        "verdict-skips-the-count", "src/multlat/enumeration.py",
+        "    passed = (len(witnesses) == formula_count\n",
+        "    passed = (True\n",
+        ("tests/test_enumeration.py::"
+         "test_the_bulk_verdict_falls_back_on_every_fault",)),
+    Mutant(
+        "verdict-passes-on-any-placed-key", "src/multlat/enumeration.py",
+        "and all(map(keyed.__contains__",
+        "and any(map(keyed.__contains__",
+        ("tests/test_enumeration.py::"
+         "test_the_bulk_verdict_falls_back_on_every_fault",)),
+    Mutant(
+        "keys-drop-the-zero-column", "src/multlat/enumeration.py",
+        "map(\n        chain, repeat(((0,) * rank,)), starmap(zip, bases))))",
+        "starmap(zip, bases)))",
+        ("tests/test_enumeration.py::"
+         "test_label_key_is_the_label_dict_as_a_tuple",
+         "tests/test_enumeration.py::"
+         "test_a_passing_cell_places_no_witness_one_by_one")),
     Mutant(
         "transport-picks-a-for-a-minus-1", "src/multlat/partitions.py",
         "[(0,) + row for row in basis]",
@@ -295,7 +334,7 @@ MUTANTS = (
     Mutant(
         "checked-reverifies-only-the-first-key",
         "src/multlat/enumeration.py",
-        "keyed.setdefault(_label_key(lat.basis), lat)",
+        "keyed.setdefault(key, lat)",
         "keyed.setdefault((), lat)",
         ("tests/test_enumeration.py::"
          "test_oracle_reverifies_once_per_pivot_square",
@@ -314,9 +353,9 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_decompose_round_trip_small",)),
     Mutant(
         "verify-pads-core-rows-at-the-end", "src/multlat/enumeration.py",
-        "    keyed = {_label_key(core.basis): [] for core in cores}\n",
-        "    keyed = {tuple(col + (0,) for col in _label_key(core.basis)):"
-        " [] for core in cores}\n",
+        "    keyed = {key: [] for key in _label_keys([c.basis for c in cores]",
+        "    keyed = {tuple(col + (0,) for col in key): []"
+        " for key in _label_keys([c.basis for c in cores]",
         ("tests/test_enumeration.py::"
          "test_verify_names_no_offender_on_clean_cells",
          "tests/test_enumeration.py::"

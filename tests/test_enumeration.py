@@ -971,19 +971,88 @@ def test_witness_pass_matches_per_witness_checks(monkeypatch):
 
 
 def test_label_key_is_the_label_dict_as_a_tuple():
-    # the key is built in one pass, not through `_column_labels`, yet equals
-    # its label dict's keys on every campaign witness, on no rows, on rows
-    # of unequal length, where `zip` stops at the shortest in both, and on
-    # an entry equal to 1, where both keep the first of the equal columns
-    # (repr tells True from 1)
+    # the keys are built in one pass, not through `_column_labels`, yet
+    # equal its label dict's keys at the basis's row count on every
+    # campaign witness, on no rows, on rows of unequal length, where `zip`
+    # stops at the shortest in both, and on an entry equal to 1, where both
+    # keep the first of the equal columns (repr tells True from 1)
     bases = [basis for n, k, r in CAMPAIGN_CELLS
              for basis in _census(n + k, k, r, jobs=1, budget=None)]
     bases += [(), ((1, 0, 3), (0, 2)), ((2, 1, 1), (0, True, 1)),
               ((True, 0, 1), (0, 1, 0))]
     for basis in bases:
         want = tuple(_column_labels(basis, 3)[0])
-        got = enumeration._label_key(basis)
+        got, = enumeration._label_keys([basis], len(basis))
         assert got == want and repr(got) == repr(want), basis
+
+
+def test_a_passing_cell_places_no_witness_one_by_one(monkeypatch):
+    # a cell that passes is decided by its count, its witnesses' shapes and
+    # their keys in bulk; no witness is placed on its own
+    def placed(*args):
+        raise AssertionError("a witness placed one by one")
+
+    monkeypatch.setattr(enumeration, "_place", placed)
+    for n, k, r in [*CAMPAIGN_CELLS, (3, 2, 8), (4, 2, 4), (5, 1, 4)]:
+        report, found = _verify(n, k, r, jobs=1, budget=None)
+        assert (report.status, found) == ("pass", None), (n, k, r)
+
+
+def test_the_bulk_verdict_falls_back_on_every_fault(monkeypatch):
+    # each fault fails the bulk verdict, so the witnesses are placed one by
+    # one, and the cell gives the report and offender, or the error, pinned
+    # from a run that placed every witness one by one; a row-count fault
+    # shows only at ambient 0, where a key has no column but the zero one
+    bases = _census(3, 1, 2, jobs=1, budget=None)
+    at = bases.index(((1, 1, 0), (0, 0, 2)))
+    non_rigid = lattice_from_rows(3, [(1, 2, 3), (0, 0, 2)])
+    accept = enumeration.is_multiplicative
+    monkeypatch.setattr(enumeration, "is_multiplicative",
+                        lambda lat: lat == non_rigid or accept(lat))
+    calls = []
+    place = enumeration._place
+    monkeypatch.setattr(enumeration, "_place",
+                        lambda *a: calls.append(a) or place(*a))
+
+    def failed(count, found):
+        # cell (2, 1, 2): stirling2(4, 3) = 6 images of 3 cores
+        return (VerificationReport(2, 1, 2, count, 18, 6, 3, count, "fail"),
+                found)
+
+    def swapped(basis):
+        return [*bases[:at], basis, *bases[at + 1:]]
+
+    invalid = "^internal: engine produced an invalid basis: "
+    missed = (Lattice(3, bases[at]),
+              "reachable through a map but missed by the census")
+    for census, outcome in (
+            (swapped(((1, 1, 0, 0), (0, 0, 2))),
+             invalid + "basis rows must match the ambient dimension$"),
+            (swapped(((1, 1, 0, 0), (0, 0, 2, 0))),
+             invalid + "basis rows must match the ambient dimension$"),
+            (swapped(((1, 1, 0),)),
+             "^internal: engine produced a bad lattice$"),
+            (swapped(non_rigid.basis), failed(18, missed)),
+            (bases[:at] + bases[at + 1:], failed(17, missed)),
+            (bases + [non_rigid.basis],
+             failed(19, (non_rigid,
+                         "censused but not reachable through any map")))):
+        monkeypatch.setattr(enumeration, "_census",
+                            lambda *a, census=census, **kw: list(census))
+        del calls[:]
+        if isinstance(outcome, str):
+            with pytest.raises(RuntimeError, match=outcome):
+                _verify(2, 1, 2, jobs=1, budget=None)
+        else:
+            assert _verify(2, 1, 2, jobs=1, budget=None) == outcome
+        assert len(calls) == 1, census
+    assert next(enumeration._label_keys([((),)], 0)) == ((),)
+    monkeypatch.setattr(enumeration, "_census", lambda *a, **kw: [((),)])
+    del calls[:]
+    with pytest.raises(RuntimeError,
+                       match=invalid + "basis may not contain zero rows$"):
+        _verify(0, 0, 1, jobs=1, budget=None)
+    assert len(calls) == 1
 
 
 def test_witness_pass_reports_faults_where_they_are(monkeypatch):

@@ -419,7 +419,8 @@ def test_no_exception_is_silenced():
 # a term that only its argument's proof uses, and the one docstring, as
 # (module, owner), that holds that proof; the README points to it
 ARGUMENT_HOMES = {"idempotent": ("lattice", "_pivot_square"),
-                  "automorphism": ("scan", "_corank_worker")}
+                  "automorphism": ("scan", "_corank_worker"),
+                  "times as many witnesses": ("enumeration", "_verify")}
 
 
 def term_uses(terms, sources, readme):
