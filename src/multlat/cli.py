@@ -3,21 +3,22 @@
 Every subcommand writes data rows to stdout and everything else (progress,
 wall-time footers, counterexamples, warnings) to stderr, so captured stdout
 is byte-stable across cold/warm cache runs, and across --jobs settings for
-every run that completes. --budget caps each shard's steps, and a shard
-owns a share of the census's first-level leads, never more steps than the
-whole census: a run that completes at --jobs 1 completes, with the same
-stdout, at every --jobs, while a run that a budget stops at --jobs 1 may
-complete at --jobs N. Exit codes: 0 success, 1 verification failure, 2
-budget, usage, I/O or cache-conflict error, or a request too deep or too
-large for the process (RecursionError, MemoryError), 3 internal error (a
-self-check of the engines failed, which is a bug, not a verdict on the
-formula). A subcommand takes only the options it reads: all take
---format, all but partitions --jobs and --budget, all but partitions and
-series --cache. Any other option, and any number below its least value,
-is rejected while the arguments are parsed (exit 2), before anything is
-written to stdout: below 1 for --jobs, --budget, --r, --torsion, --r-max
-and the --n of partitions and series, below 0 for every other --n, --k,
---ambient and --corank.
+every run that completes. Each first-level row of a census is one task, and
+--jobs N runs the tasks on up to N processes. --budget caps the steps of
+the whole census at --jobs 1, and above it those of the first level and of
+each task, each a share of the whole: a run that completes at --jobs 1
+completes, with the same stdout, at every --jobs, while a run that a budget
+stops at --jobs 1 may complete at --jobs N. Exit codes: 0 success, 1
+verification failure, 2 budget, usage, I/O or cache-conflict error, or a
+request too deep or too large for the process (RecursionError,
+MemoryError), 3 internal error (a self-check of the engines failed, which
+is a bug, not a verdict on the formula). A subcommand takes only the
+options it reads: all take --format, all but partitions --jobs and
+--budget, all but partitions and series --cache. Any other option, and any
+number below its least value, is rejected while the arguments are parsed
+(exit 2), before anything is written to stdout: below 1 for --jobs,
+--budget, --r, --torsion, --r-max and the --n of partitions and series,
+below 0 for every other --n, --k, --ambient and --corank.
 
 The engines are imported at the first cell to compute, so a run served
 from the cache loads only the package root, this module and `cache`;
@@ -282,13 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON-lines count cache file")
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--jobs", type=_positive, default=1, metavar="N",
-                        help="shards per enumeration, run on at most one "
-                             "process per core (default 1)")
+                        help="processes per enumeration, at most one per "
+                             "core and per first-level row (default 1)")
     engine.add_argument("--budget", type=_positive, metavar="STEPS",
-                        help="steps per shard: one per lead, pivot-column "
-                             "entry or off-pivot column tried. A run that "
-                             "completes at --jobs 1 completes at any "
-                             "--jobs; one it stops may complete at more")
+                        help="steps per task (per census at --jobs 1): one "
+                             "per lead, pivot-column entry or off-pivot "
+                             "column tried. What completes at --jobs 1 "
+                             "completes at any --jobs; what it stops may "
+                             "complete at more")
 
     parser = argparse.ArgumentParser(
         prog="multlat",

@@ -1,8 +1,9 @@
 """The brute-force scan behind both censuses.
 
 `_corank_worker`, with its one extension step `_closed_extensions`, builds
-the co-rank census and, at co-rank 0, the full-rank one; `_run_shards` runs
-it over shards under a step budget. The scan is one side of the
+the co-rank census and, at co-rank 0, the full-rank one; `_run_shards`
+builds the first level and runs the worker once per first-level row, in
+process or in a fork pool, under a step budget. The scan is one side of the
 factorization check, so it never consults the other: this module imports
 the standard library alone, nothing from the package.
 """
@@ -21,11 +22,11 @@ _key = itemgetter(slice(None, None, -1))
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Raised when an enumeration hits its per-worker candidate budget."""
+    """Raised when an enumeration hits its step budget."""
 
 
 class _Steps:
-    """One worker's count of entries tried, checked against its budget."""
+    """One budget's count of entries tried, checked against its budget."""
 
     __slots__ = ("used", "budget")
 
@@ -51,27 +52,36 @@ def _check_cell(ambient: int, corank: int, torsion: int) -> None:
 
 def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
                 budget: Optional[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """The census of both engines, as bases: every shard's bases of the
-    given co-rank and torsion, the full-rank census at co-rank 0 and the
-    co-rank one otherwise, ascending by rows read last first (`_key`).
+    """The census of both engines, as bases: the full-rank census at
+    co-rank 0 and the co-rank one otherwise, of the given torsion,
+    ascending by rows read last first (`_key`).
 
     The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
     first for every census (`_check_cell`), then jobs and budget, budget
     None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank) starts no
     worker: the zero lattice has torsion 1, so it gives [()] at torsion 1
-    and [] otherwise. jobs is capped at the first row's leads, the torsion's
-    divisors, or the torsion alone at rank 1, as from there on shard s takes
-    lead s alone and any further shard none. jobs = 1 runs `_corank_worker`
-    here; more run jobs shards, each with its own budget, in a fork pool of
-    min(jobs, os.cpu_count()) processes. The shards split the steps of
-    jobs = 1 (`_corank_worker`), so a run that completes at jobs = 1
-    completes at every jobs with the same census, and one that a budget
-    stops may complete at more. Each shard lists its bases strictly
-    descending by key (`_corank_worker`), and more than one shard are
-    merged by key, so the list's neighbours strictly descend; one pass over
-    them finds any basis found twice, in one shard or two, or out of order,
-    an internal error ("lattice twice" when a basis repeats, "out of order"
-    otherwise). The list is then reversed in place.
+    and [] otherwise.
+
+    The first level runs here: for q ascending, `_closed_extensions` of the
+    empty prefix over the torsion's divisors, or the torsion alone at rank
+    1, each call's rows taken in reverse, the walk's own order
+    (`_corank_worker`). At rank 1 these rows are the census. Above it each
+    row is one task, whose subtree `_corank_worker` walks, and the census
+    is the tasks' lists joined in task order. At jobs = 1, or with one
+    task, the tasks run here one after another; otherwise they go in order
+    to a fork pool of min(jobs, os.cpu_count(), tasks) processes, so jobs
+    counts processes. At jobs = 1 one `_Steps` counts the first level and
+    every task, the steps of one walk. At jobs > 1 the first level and each
+    task have a budget of their own and take a share of those steps, so a
+    run that completes at jobs = 1 completes at every jobs with the same
+    census, and one that a budget stops may complete at more.
+
+    Each task lists its bases strictly descending by key, and the tasks'
+    first rows, read first in the key, descend in task order
+    (`_corank_worker`), so the joined list's neighbours strictly descend;
+    one pass over them finds any basis found twice, in one task or two, or
+    out of order, an internal error ("lattice twice" when a basis repeats,
+    "out of order" otherwise). The list is then reversed in place.
     """
     _check_cell(ambient, corank, torsion)
     if jobs < 1:
@@ -81,21 +91,22 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
         raise ValueError("budget must be at least 1")
     if ambient == corank:
         return [()] if torsion == 1 else []
-    if jobs > 1:
-        jobs = min(jobs, len(_divisors(torsion, budget))
-                   if ambient - corank > 1 else 1)
-    tasks = [(ambient, corank, torsion, shard, jobs, budget)
-             for shard in range(jobs)]
-    if jobs == 1:
-        bases = _corank_worker(tasks[0])
-    else:
-        import heapq
+    n = ambient - corank
+    steps = _Steps(budget)
+    leads = _divisors(torsion, budget) if n > 1 else [torsion]
+    firsts = [(h, q) for q in range(n - 1, ambient) for h in reversed(
+        _closed_extensions((), [], q, leads, ambient, steps))]
+    tasks = [(n, h, q, torsion // h[0][q], leads,
+              steps if jobs == 1 else _Steps(budget))
+             for h, q in firsts] if n > 1 else []
+    found = map(_corank_worker, tasks) if n > 1 else [[h for h, _ in firsts]]
+    if jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
-            bases = list(heapq.merge(*pool.map(_corank_worker, tasks),
-                                     key=_key, reverse=True))
+        with ctx.Pool(min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
+            found = list(pool.imap(_corank_worker, tasks))
+    bases = [h for task_bases in found for h in task_bases]
     if not all(map(gt, map(_key, bases), map(_key, islice(bases, 1, None)))):
         if len(set(bases)) < len(bases):
             raise RuntimeError("internal: engine produced a lattice twice")
@@ -205,11 +216,16 @@ def _closed_extensions(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
     return out
 
 
-def _corank_worker(args: tuple[int, int, int, int, int, int]
+def _corank_worker(task: tuple[int, tuple[tuple[int, ...], ...], int, int,
+                                list[int], _Steps]
                    ) -> list[tuple[tuple[int, ...], ...]]:
-    """One shard's share of the census, the full-rank one at co-rank 0 and
-    the co-rank one otherwise, as canonical Hermite bases of the reversed
-    lattices.
+    """One first-level row's share of the census, the full-rank one at
+    co-rank 0 and the co-rank one otherwise, as canonical Hermite bases of
+    the reversed lattices: the bases whose oldest row is the task's.
+
+    The task is (n, first, q, left, divisors, steps): the rank n >= 2, the
+    first level's one-row basis, the column q it leads at, the torsion left
+    over, the torsion's divisors and the `_Steps` to charge.
 
     Rows are built in the reversed column frame, where a banded basis
     (`lattice.banded_basis`) read newest row first is a Hermite basis: the
@@ -222,7 +238,8 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     closure: it maps the census onto itself, so the rev(L) are the census,
     with no Hermite form computed.
 
-    Rows come from `_closed_extensions`, from the empty prefix, depth first.
+    Rows come from `_closed_extensions`, from the empty prefix, depth first:
+    `_run_shards` builds the first level, the worker one row's subtree.
     Each row is a tuple made once, so the bases that extend a prefix share
     its row objects. A closed prefix has a pivot square
     (`lattice._pivot_square`), so its torsion is its lead product, and it
@@ -230,18 +247,13 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     thus tries as leads only the divisors of the torsion left over, from one
     list (`_divisors`, not built at rank 1), and the last level that quotient
     alone: no torsion is tested and nothing needs a bound. At co-rank 0 every
-    column right of a lead is a pivot, so the worker builds the
-    upper-triangular Hermite bases of index r, the full-rank census. The
-    rank ambient - corank is at least 1 (`_run_shards` answers rank 0).
+    column right of a lead is a pivot, so the walk builds the
+    upper-triangular Hermite bases of index r, the full-rank census.
 
-    The shard owns leads: at the first level it tries every jobs-th lead from
-    the shard-th on, below them every lead, so it builds only its own leads'
-    subtrees, and the shards' steps sum to those of jobs = 1.
-
-    The shard lists its bases strictly descending by their rows read oldest
+    The walk lists its bases strictly descending by their rows read oldest
     first, basis[::-1] (`_key`). Take two bases and the oldest row where
     they differ: below it they share a prefix, so that row comes from one
-    `extend` call. A row that leads at a smaller q has fewer leading zeros
+    level of the walk. A row that leads at a smaller q has fewer leading zeros
     before a positive lead, so it is lexicographically larger, and q
     ascends. Rows of one q come from one `_closed_extensions` call, distinct
     and ascending, and are taken in reverse. The walk is depth first, so
@@ -249,23 +261,19 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
     smaller. Walking q down and taking each call's rows as they come would
     give the ascending order, but would list the shallow lattices first;
     with q ascending the first row is built deepest first, so a request
-    deeper than the recursion limit meets it before the shard lists
+    deeper than the recursion limit meets it before the walk lists
     anything.
     """
-    ambient, corank, torsion, shard, jobs, budget = args
-    n = ambient - corank
+    n, first, q, left, divisors, steps = task
+    ambient = len(first[0])
     found: list[tuple[tuple[int, ...], ...]] = []
-    steps = _Steps(budget)
-    divisors = _divisors(torsion, budget) if n > 1 else []
 
-    def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int], left: int,
-               start: int = 0, step: int = 1) -> None:
-        # the level takes every step-th lead from the start-th on;
+    def extend(hnf: tuple[tuple[int, ...], ...], pivots: list[int],
+               left: int) -> None:
         # banded row len(hnf) ends on a column p <= len(hnf) + corank
         last = len(hnf) == n - 1
-        leads = ([left] if last else
-                 [d for d in divisors if left % d == 0])[start::step]
-        for q in range(n - 1 - len(hnf), pivots[0] if hnf else ambient):
+        leads = [left] if last else [d for d in divisors if left % d == 0]
+        for q in range(n - 1 - len(hnf), pivots[0]):
             for h2 in reversed(_closed_extensions(hnf, pivots, q, leads,
                                                   ambient, steps)):
                 if last:
@@ -274,7 +282,7 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
                     extend(h2, [q] + pivots, left // h2[0][q])
 
     try:
-        extend((), [], torsion, shard, jobs)
+        extend(first, [q], left)
     finally:
         # as in `_closed_extensions`: no cycle keeps extend, or the census
         # through found, alive past return
@@ -283,17 +291,18 @@ def _corank_worker(args: tuple[int, int, int, int, int, int]
 
 
 def _divisors(r: int, budget: int) -> list[int]:
-    """The divisors of r >= 1, ascending, for a worker of rank >= 2.
+    """The divisors of r >= 1, ascending, for a census of rank >= 2.
 
     Trial division divides each prime out of r as it finds it and stops once
     the square of the next trial exceeds what is left, which is then 1 or a
     prime, so a torsion of small primes costs little whatever its size.
     A trial above the budget raises SearchBudgetExceeded; no trial is a
-    step. The worker would raise anyway: what is left of r then has a prime
-    factor p above the budget, a first-level lead. Its shard builds p*e_q,
-    and a next-level row reaches column q through the root 0 of each
-    off-pivot column before it, which carries nothing forward; q is a pivot
-    column of pivot p, so its entries cost p steps, more than the budget.
+    step. The scan would raise anyway: what is left of r then has a prime
+    factor p above the budget, a first-level lead. The first level builds
+    p*e_q, and a next-level row of its task reaches column q through the
+    root 0 of each off-pivot column before it, which carries nothing
+    forward; q is a pivot column of pivot p, so its entries cost p steps,
+    more than the budget.
     """
     divisors = [1]
     p = 2

@@ -6,8 +6,8 @@
 PARENT and CHANGE are checkouts; each run is `python -m multlat.cli ARGS`
 in its own fresh process, with the tree's `src` as PYTHONPATH, the tree as
 its working directory and PYTHONDONTWRITEBYTECODE=1. The default blocks
-are `verify` of the frontier cells (6,1,8), (5,2,6) and (4,3,8) at
-`--jobs 1`. Each block runs for N pairs, one process at a time; pair i
+are `verify` of the frontier cells (6,1,8), (5,2,6) and (4,3,8) and of the
+prime-torsion cell (4,4,7), each at `--jobs 1` and `--jobs 2`. Each block runs for N pairs, one process at a time; pair i
 runs the parent first when i is even and the change first when it is odd.
 Each run records its wall time, its peak RSS (`ru_maxrss` from
 `os.wait4`, which covers the workers it forked and waited for), its exit
@@ -36,9 +36,11 @@ import time
 from pathlib import Path
 
 DEFAULT_BLOCKS = {
-    f"verify-{n}-{k}-{r}": ["verify", "--n", str(n), "--k", str(k),
-                            "--r", str(r), "--jobs", "1"]
-    for n, k, r in ((6, 1, 8), (5, 2, 6), (4, 3, 8))}
+    f"verify-{n}-{k}-{r}-jobs-{jobs}": [
+        "verify", "--n", str(n), "--k", str(k), "--r", str(r),
+        "--jobs", str(jobs)]
+    for n, k, r in ((6, 1, 8), (5, 2, 6), (4, 3, 8), (4, 4, 7))
+    for jobs in (1, 2)}
 SIDES = ("parent", "change")
 
 

@@ -342,8 +342,8 @@ MUTANTS = (
          "test_oracle_rejects_a_bad_lattice_wherever_it_is")),
     Mutant(
         "shards-capped-one-below-the-leads", "src/multlat/scan.py",
-        "len(_divisors(torsion, budget))",
-        "len(_divisors(torsion, budget)) - 1",
+        "min(jobs, os.cpu_count() or 1, len(tasks))",
+        "min(jobs, os.cpu_count() or 1, len(tasks) - 1)",
         ("tests/test_enumeration.py::"
          "test_jobs_run_on_no_more_processes_than_cores",)),
     Mutant(
@@ -403,15 +403,15 @@ MUTANTS = (
          "test_enumerate_full_rank_arg_validation")),
     Mutant(
         "shards-take-every-lead", "src/multlat/scan.py",
-        "if left % d == 0])[start::step]",
-        "if left % d == 0])",
+        "        extend(first, [q], left)\n",
+        "        extend((), [ambient], left * first[0][q])\n",
         ("tests/test_enumeration.py::"
          "test_shards_own_leads_so_their_steps_sum_to_one_shard",
          "tests/test_enumeration.py::test_corank_scan_jobs_split_agrees")),
     Mutant(
         "unital-lead-forced-a-level-early", "src/multlat/scan.py",
-        "        leads = ([left] if last else\n",
-        "        leads = ([left] if len(hnf) >= n - 2 else\n",
+        "        leads = [left] if last else [",
+        "        leads = [left] if len(hnf) >= n - 2 else [",
         ("tests/test_enumeration.py::"
          "test_unital_census_lists_exactly_the_unital_lattices",
          "tests/test_enumeration.py::"
@@ -420,8 +420,8 @@ MUTANTS = (
          "test_each_engine_fits_a_budget_of_exactly_its_steps")),
     Mutant(
         "last-level-skipped-without-the-unital-flag", "src/multlat/scan.py",
-        "        leads = ([left] if last else\n",
-        "        leads = ([left] * (left == 1) if last else\n",
+        "        leads = [left] if last else [",
+        "        leads = [left] * (left == 1) if last else [",
         ("tests/test_enumeration.py::"
          "test_full_rank_engine_matches_unpruned_reference",
          "tests/test_enumeration.py::test_count_unital_matches_reference",
@@ -457,8 +457,9 @@ MUTANTS = (
     Mutant(
         "rank-one-workers-build-the-divisor-list",
         "src/multlat/scan.py",
-        "    divisors = _divisors(torsion, budget) if n > 1 else []\n",
-        "    divisors = _divisors(torsion, budget)\n",
+        "    leads = _divisors(torsion, budget) if n > 1 else [torsion]\n",
+        "    leads = [d for d in _divisors(torsion, budget)\n"
+        "             if n > 1 or d == torsion]\n",
         ("tests/test_enumeration.py::"
          "test_rank_one_workers_build_no_divisor_list",
          "tests/test_cli.py::test_a_large_prime_torsion_answers_at_once")),
@@ -542,6 +543,30 @@ MUTANTS = (
         "    if budget < 2:\n",
         ("tests/test_enumeration.py::"
          "test_a_census_of_one_step_fits_a_budget_of_one",)),
+    Mutant(
+        "first-level-rows-not-reversed", "src/multlat/scan.py",
+        "for h in reversed(\n        _closed_extensions((), [], q,",
+        "for h in (\n        _closed_extensions((), [], q,",
+        ("tests/test_enumeration.py::"
+         "test_every_shard_lists_its_bases_in_census_order",
+         "tests/test_enumeration.py::"
+         "test_every_small_census_matches_its_committed_digest")),
+    Mutant(
+        "jobs-one-tasks-get-a-fresh-budget", "src/multlat/scan.py",
+        "              steps if jobs == 1 else _Steps(budget))\n",
+        "              _Steps(budget))\n",
+        ("tests/test_enumeration.py::"
+         "test_each_engine_fits_a_budget_of_exactly_its_steps",
+         "tests/test_enumeration.py::"
+         "test_shards_own_leads_so_their_steps_sum_to_one_shard")),
+    Mutant(
+        "first-level-row-dropped", "src/multlat/scan.py",
+        "             for h, q in firsts] if n > 1 else []\n",
+        "             for h, q in firsts[1:]] if n > 1 else []\n",
+        ("tests/test_enumeration.py::"
+         "test_jobs_run_on_no_more_processes_than_cores",
+         "tests/test_enumeration.py::"
+         "test_every_small_census_matches_its_committed_digest")),
 )
 
 

@@ -24,7 +24,7 @@ from multlat import ENGINE_VERSION
 from multlat.enumeration import VerificationReport
 from multlat.lattice import Lattice, lattice_from_rows
 from refimpl import partitions_ref
-from test_enumeration import _rows_added, _second_and_third_swapped
+from test_enumeration import _rows_added, _first_task_ends_swapped
 
 # the address space of a child under `cap_address_space`: ample for any
 # request the tests make, and far below a host's memory
@@ -487,10 +487,11 @@ def test_a_huge_torsion_stops_on_its_budget(capsys):
 
 
 def test_a_budget_that_completes_at_one_job_completes_at_every_jobs(capsys):
-    # a shard owns a share of the leads and never takes more steps than
-    # the whole census, 517 here: the budget that completes at --jobs 1
-    # completes with the same bytes at every --jobs. Each shard has its
-    # own budget, so one that stops --jobs 1 may let --jobs 2 complete
+    # the first level and each task, one per first-level row, take a share
+    # of the whole census's steps, 517 here: the budget that completes at
+    # --jobs 1 completes with the same bytes at every --jobs. Above --jobs 1
+    # each has its own budget, so one that stops --jobs 1 may let --jobs 2
+    # complete
     argv = ["count-corank", "--ambient", "4", "--corank", "1", "--torsion",
             "4", "--format", "csv"]
     outs = set()
@@ -676,8 +677,17 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
     # key too, and so does a basis whose lower row lost an entry of a zero
     # column, so placement checks every row's width: a witness of the
     # wrong width or row count is a stray, and the constructor refuses it,
-    # as count and count-corank do
+    # as count and count-corank do. The fault goes to the co-rank side's
+    # tasks alone, told apart by their rows' width, 3, from the full-rank
+    # side's, 2, which stays whole
     worker = scan._corank_worker
+    faulted = []
+
+    def corank_side(fault, task):
+        if len(task[1][0]) == 2:
+            return worker(task)
+        faulted.append(task)
+        return fault(worker(task))
 
     def top_row_widened(bases):
         (top, *rest), *others = bases
@@ -692,6 +702,7 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
         return [(top, low[:-1]) if (top, low) == ((2, 0, 0), (0, 1, 0))
                 else (top, low) for top, low in bases]
 
+    whole = enumeration.enumerate_full_rank_multiplicative(2, 2)
     for fault, reason in (
             (_rows_added, "engine produced an invalid basis: basis is not "
                           "in canonical Hermite form"),
@@ -702,13 +713,15 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
             (lower_row_shortened, "engine produced an invalid basis: basis "
                                   "rows must match the ambient dimension")):
         monkeypatch.setattr(scan, "_corank_worker",
-                            lambda args: (fault(worker(args)) if args[1]
-                                          else worker(args)))
+                            lambda task: corank_side(fault, task))
+        del faulted[:]
         rc, out, err = run_main(
             capsys, ["verify", "--n", "2", "--k", "1", "--r", "2"])
         assert rc == 3, reason
         assert out.count("\n") == 1
         assert err == f"internal error: {reason}\n"
+        assert faulted and {len(task[1][0]) for task in faulted} == {3}
+        assert enumeration.enumerate_full_rank_multiplicative(2, 2) == whole
     # at rank 0 every column is zero, so a zero row keeps the zero lattice's
     # key; no worker runs there, so the census itself carries the fault
     monkeypatch.setattr(enumeration, "_census", lambda *a, **kw: [((0,),)])
@@ -721,8 +734,9 @@ def test_a_bad_census_basis_exits_three(capsys, monkeypatch):
 
 
 def test_a_census_out_of_order_exits_three(capsys, monkeypatch):
-    # two neighbours of a shard swapped, no basis twice, at each --jobs
-    monkeypatch.setattr(scan, "_corank_worker", _second_and_third_swapped)
+    # two neighbours of the first task swapped, no basis twice, at each
+    # --jobs
+    monkeypatch.setattr(scan, "_corank_worker", _first_task_ends_swapped)
     for jobs in ("1", "2"):
         rc, out, err = run_main(capsys, ["verify", "--n", "2", "--k", "1",
                                          "--r", "2", "--jobs", jobs])

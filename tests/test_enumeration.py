@@ -142,13 +142,10 @@ def test_enumerate_full_rank_jobs_split_agrees():
             enumerate_full_rank_multiplicative(n, r, jobs=3)
 
 
-def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
-    # jobs=64 makes a shard per first-row lead, 3 for the divisors of 4
-    # and 2 for those of 2, each with its own budget, and pools no more
-    # processes than there are cores; the fake pool records its size and
-    # tasks and maps in this process, so no process starts
+def _in_process_pool(monkeypatch):
+    """A fake fork pool that records each pool's size and runs its `imap`
+    in this process, so no process starts; the sizes, in pool order."""
     sizes = []
-    tasks = []
 
     class Pool:
         def __init__(self, size):
@@ -160,32 +157,65 @@ def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, shards):
-            tasks.extend(shards)
-            return [func(task) for task in shards]
+        def imap(self, func, tasks):
+            return map(func, tasks)
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    sharded = enumerate_full_rank_multiplicative(3, 4, jobs=64)
-    assert len(step_totals) == 3
-    assert sharded == enumerate_full_rank_multiplicative(3, 4, jobs=1)
+    return sizes
+
+
+def _recorded_tasks(monkeypatch):
+    """Each task `_run_shards` hands `_corank_worker` from now on, with
+    the bases it listed, as (task, bases), in the order they ran."""
+    ran = []
+    worker = scan._corank_worker
+
+    def recorded(task):
+        ran.append((task, worker(task)))
+        return ran[-1][1]
+
+    monkeypatch.setattr(scan, "_corank_worker", recorded)
+    return ran
+
+
+def test_jobs_run_on_no_more_processes_than_cores(monkeypatch, step_totals):
+    # each first-level row is one task with its own budget at jobs > 1, and
+    # a pool has no more processes than jobs, cores or tasks: (3,0,4) has a
+    # task per divisor of 4, 3, and (3,1,2) has 6
+    sizes = _in_process_pool(monkeypatch)
+    ran = _recorded_tasks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = enumerate_full_rank_multiplicative(3, 4, jobs=64)
+    assert len(ran) == 3
+    assert len(step_totals) == 4
+    assert [task[-1] for task, _ in ran] == step_totals[1:]
+    assert pooled == enumerate_full_rank_multiplicative(3, 4, jobs=1)
     assert enumerate_corank_oracle(3, 1, 2, jobs=64) == \
+        enumerate_corank_oracle(3, 1, 2)
+    assert enumerate_corank_oracle(3, 1, 2, jobs=2) == \
         enumerate_corank_oracle(3, 1, 2)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     enumerate_full_rank_multiplicative(3, 4, jobs=5)
     # rank 0 is answered without a pool
     assert enumerate_corank_oracle(2, 2, 1, jobs=64) == [Lattice(2, ())]
-    assert sizes == [3, 2, 1]
-    # jobs = 1000 makes one task per lead, and a rank-1 census, of one
-    # lead, runs here with no pool
-    for ambient, corank, torsion, leads in ((3, 1, 4, 3), (3, 0, 12, 6),
-                                            (4, 2, 6, 4), (2, 1, 5, 0)):
-        del tasks[:]
-        assert _census(ambient, corank, torsion, jobs=1000, budget=None) == \
-            _census(ambient, corank, torsion, jobs=1, budget=None)
-        assert [task[3:5] for task in tasks] == [
-            (shard, leads) for shard in range(leads)], (ambient, corank)
+    assert sizes == [3, 4, 2, 1]
+    # at jobs = 1000 on 8 cores: one task per first-level row, the oldest
+    # rows of the census in walk order; a rank-1 census has no task and a
+    # census of one task runs it here, so neither starts a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for ambient, corank, torsion, tasks, size in (
+            (3, 1, 4, 9, [8]), (3, 0, 12, 6, [6]), (4, 2, 6, 28, [8]),
+            (2, 1, 5, 0, []), (2, 0, 1, 1, [])):
+        walk = _census(ambient, corank, torsion, jobs=1, budget=None)[::-1]
+        del ran[:], sizes[:]
+        assert _census(ambient, corank, torsion, jobs=1000,
+                       budget=None)[::-1] == walk
+        firsts = [task[1] for task, _ in ran]
+        assert len(firsts) == tasks, (ambient, corank, torsion)
+        if corank < ambient - 1:
+            assert firsts == list(dict.fromkeys(b[-1:] for b in walk))
+        assert sizes == size, (ambient, corank, torsion)
 
 
 def test_enumerate_full_rank_arg_validation():
@@ -587,23 +617,30 @@ def test_each_engine_fits_a_budget_of_exactly_its_steps(step_totals):
             run(used - 1)
 
 
-def test_shards_own_leads_so_their_steps_sum_to_one_shard(step_totals):
-    # a shard builds only the subtrees of its own first-level leads, so
-    # the shards of a co-rank, a full-rank and a rank-1 census take every
-    # step of the unsharded census once between them; at rank 1 the one
-    # lead is shard 0's, and the other shards take no step
+def test_shards_own_leads_so_their_steps_sum_to_one_shard(monkeypatch,
+                                                         step_totals):
+    # the first level runs once, here, and each task builds only its own
+    # first-level row's subtree, so at jobs > 1 the first level's steps and
+    # every task's sum to the steps of jobs 1, and the tasks' lists joined
+    # are the jobs-1 walk, in order. A rank-1 census is its first level and
+    # has no task
+    _in_process_pool(monkeypatch)
+    ran = _recorded_tasks(monkeypatch)
     for ambient, corank, torsion in ((4, 1, 4), (3, 0, 8), (3, 2, 4)):
         step_totals.clear()
-        whole = _corank_worker((ambient, corank, torsion, 0, 1, 10 ** 9))
+        walk = scan._run_shards(ambient, corank, torsion, 1, 10 ** 9)[::-1]
+        assert len(step_totals) == 1
         total = step_totals[0].used
         for jobs in (2, 3):
             step_totals.clear()
-            shards = [_corank_worker((ambient, corank, torsion, shard, jobs,
-                                      10 ** 9))
-                      for shard in range(jobs)]
+            del ran[:]
+            assert scan._run_shards(ambient, corank, torsion, jobs,
+                                    10 ** 9)[::-1] == walk
+            assert len(step_totals) == 1 + len(ran)
             assert sum(steps.used for steps in step_totals) == total, \
                 (ambient, corank, torsion, jobs)
-            assert sorted(itertools.chain(*shards)) == sorted(whole)
+            joined = [basis for _, found in ran for basis in found]
+            assert joined == (walk if corank < ambient - 1 else [])
 
 
 def test_a_census_of_one_step_fits_a_budget_of_one():
@@ -1164,21 +1201,18 @@ def test_oracle_rejects_a_bad_lattice_wherever_it_is(monkeypatch):
                     enumerate_corank_oracle(3, 1, 2)
 
 
-def _all_shards_in_each(args):
-    # a sharding fault: every shard lists the whole census
-    *head, _shard, _jobs, budget = args
-    return _corank_worker((*head, 0, 1, budget))
+def _census_in_each_task(walk, task):
+    # a task fault: every task lists the whole census, in walk order; module
+    # level, so a fork pool can take it bound to walk by `functools.partial`
+    return list(walk)
 
 
-def _first_basis_again_in_last_shard(args):
-    # a sharding fault: the last shard lists shard 0's first basis after
-    # its own bases, far from its place in the census; module level, so a
-    # fork pool can take it
-    *head, shard, jobs, budget = args
-    found = _corank_worker(args)
-    if shard == jobs - 1:
-        found = found + _corank_worker((*head, 0, jobs, budget))[:1]
-    return found
+def _first_basis_again_in_last_task(walk, task):
+    # a task fault: the last task, whose first row is the walk's last basis's
+    # oldest row, lists the walk's first basis, the first task's, after its
+    # own bases, far from its place in the census
+    found = _corank_worker(task)
+    return found + walk[:1] if task[1] == walk[-1][-1:] else found
 
 
 TWICE = "^internal: engine produced a lattice twice$"
@@ -1197,30 +1231,35 @@ def test_each_engine_rejects_a_lattice_found_twice(monkeypatch):
             for run in runs:
                 with pytest.raises(RuntimeError, match=TWICE):
                     run()
-    # the same lattice from two shards, at non-adjacent places in their
-    # outputs: the merge must still tell a repeat from disorder
-    with monkeypatch.context() as patched:
-        patched.setattr(scan, "_corank_worker",
-                        _first_basis_again_in_last_shard)
-        for jobs in (1, 2):
-            with pytest.raises(RuntimeError, match=TWICE):
-                enumerate_full_rank_multiplicative(3, 4, jobs=jobs)
-            with pytest.raises(RuntimeError, match=TWICE):
-                enumerate_corank_oracle(3, 1, 2, jobs=jobs)
-    # every shard lists the whole census
-    monkeypatch.setattr(scan, "_corank_worker", _all_shards_in_each)
-    assert len(enumerate_full_rank_multiplicative(3, 4, jobs=1)) == 13
-    with pytest.raises(RuntimeError, match=TWICE):
-        enumerate_full_rank_multiplicative(3, 4, jobs=2)
+    # the same lattice from the first and the last task, at non-adjacent
+    # places in the joined list: the check must still tell a repeat from
+    # disorder; then every task lists the whole census
+    for fault in (_first_basis_again_in_last_task, _census_in_each_task):
+        for run, cell in (
+                (lambda jobs: enumerate_full_rank_multiplicative(
+                    3, 4, jobs=jobs), (3, 0, 4)),
+                (lambda jobs: enumerate_corank_oracle(3, 1, 2, jobs=jobs),
+                 (3, 1, 2))):
+            walk = scan._run_shards(*cell, 1, None)[::-1]
+            with monkeypatch.context() as patched:
+                patched.setattr(scan, "_corank_worker",
+                                functools.partial(fault, walk))
+                for jobs in (1, 2):
+                    with pytest.raises(RuntimeError, match=TWICE):
+                        run(jobs)
 
 
-def _second_and_third_swapped(args):
-    # a scan fault: a shard of three or more bases lists its second and
-    # third in each other's place, and no basis twice; module level, so a
+def _first_task_ends_swapped(task):
+    # a scan fault: the first task lists its last two bases in each other's
+    # place, and no basis twice; with three bases, they are the census's
+    # second and third. Its row is the largest first-level row: it leads at
+    # column n - 1 with the whole torsion, and each entry right of it is the
+    # larger root, the torsion, of x(x - torsion) = 0. Module level, so a
     # fork pool can take it
-    found = _corank_worker(args)
-    if len(found) > 2:
-        found[1], found[2] = found[2], found[1]
+    n, first, q, left = task[:4]
+    found = _corank_worker(task)
+    if q == n - 1 and left == 1 and set(first[0][q:]) == {first[0][q]}:
+        found[-2:] = found[:-3:-1]
     return found
 
 
@@ -1228,11 +1267,12 @@ DISORDER = "^internal: engine produced the census out of order$"
 
 
 def test_each_engine_rejects_a_census_out_of_order(monkeypatch):
-    # a sort would hide the swap; the order check finds it in the merged
-    # census, at each jobs. At jobs 1 the swapped pair is the census's
-    # second and third, which a check of every other neighbour pair, the
-    # first and second, the third and fourth, and so on, never compares
-    monkeypatch.setattr(scan, "_corank_worker", _second_and_third_swapped)
+    # a sort would hide the swap; the order check finds it in the joined
+    # census, at each jobs. In the full-rank census of (3, 4), whose first
+    # task lists three bases, the swapped pair is the census's second and
+    # third, which a check of every other neighbour pair, the first and
+    # second, the third and fourth, and so on, never compares
+    monkeypatch.setattr(scan, "_corank_worker", _first_task_ends_swapped)
     for jobs in (1, 2):
         for run in (
                 lambda: enumerate_full_rank_multiplicative(3, 4, jobs=jobs),
@@ -1242,19 +1282,25 @@ def test_each_engine_rejects_a_census_out_of_order(monkeypatch):
                 run()
 
 
-def test_every_shard_lists_its_bases_in_census_order():
-    # the walk itself, not `_run_shards`' check: each shard's bases
-    # strictly decrease by their rows read oldest first, so a merge of the
-    # shards needs no sort
+def test_every_shard_lists_its_bases_in_census_order(monkeypatch):
+    # the walk itself, not `_run_shards`' check: each task's bases strictly
+    # decrease by their rows read oldest first, and so does every pair of
+    # neighbours across a task boundary, so the tasks' lists joined in task
+    # order need no sort
+    ran = _recorded_tasks(monkeypatch)
     for ambient in range(1, 6):
         for corank in range(ambient):
             for torsion in range(1, 9):
-                for jobs in (1, 2, 3):
-                    for shard in range(jobs):
-                        keys = [basis[::-1] for basis in _corank_worker(
-                            (ambient, corank, torsion, shard, jobs, 10 ** 9))]
-                        assert all(map(operator.gt, keys, keys[1:])), \
-                            (ambient, corank, torsion, shard, jobs)
+                del ran[:]
+                scan._run_shards(ambient, corank, torsion, 1, 10 ** 9)
+                for task, found in ran:
+                    keys = [basis[::-1] for basis in found]
+                    assert all(map(operator.gt, keys, keys[1:])), \
+                        (ambient, corank, torsion, task[1])
+                listed = [found for _, found in ran if found]
+                for before, after in zip(listed, listed[1:]):
+                    assert before[-1][::-1] > after[0][::-1], \
+                        (ambient, corank, torsion, after[0])
 
 
 def test_every_small_census_matches_its_committed_digest():
@@ -1263,7 +1309,7 @@ def test_every_small_census_matches_its_committed_digest():
     the digest committed in tests/data/census_digests.json: the SHA-256 hex
     digest of the UTF-8 `repr` of the list, keyed "ambient,corank,torsion".
     Every cell is listed at jobs 1, and the 12 with the most bases at jobs 2
-    too, where the shards are merged.
+    too, where the tasks run in a pool.
 
     The file was written by the engine, not by refimpl. It may still gate
     the engine: `verify` checks each census against the formula side and
@@ -1470,7 +1516,7 @@ def test_every_scan_prefix_has_a_pivot_square(monkeypatch):
 def test_census_bases_share_the_rows_of_their_prefix():
     # rows 1.. of a census basis are the prefix it extends, and the scan
     # builds each prefix once: every basis with the same rows below its top
-    # holds the very same row objects there, at one job and after a shard's
+    # holds the very same row objects there, at one job and after a task's
     # bases are pickled back at two, so the census holds fewer distinct rows
     # than it has rows. One co-rank cell, (2,2,8), and one full-rank, (4,16)
     for ambient, corank, torsion in ((4, 2, 8), (4, 0, 16)):
