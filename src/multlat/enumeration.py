@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, islice, repeat, starmap
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .intlinalg import _in_span
+from .intlinalg import _solve
 from .lattice import (Lattice, _column_labels, _square_closed,
                       is_multiplicative, torsion_size)
 from .partitions import (
@@ -138,8 +138,8 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     Z*1 plus M cut by first coordinate 0, which is 0 + L' for the one L'
     it recovers: each unital M of the index arises once.
 
-    The lifts are checked (`_checked`) and each is tested for 1 by exact
-    division (`intlinalg._in_span`): one without it is an internal error,
+    The lifts are checked (`_checked`) and each is solved for 1 by exact
+    division (`intlinalg._solve`): one without it is an internal error,
     RuntimeError "internal: ..." (exit 3 on the command line).
     """
     if n == 0:
@@ -147,9 +147,9 @@ def count_unital(n: int, index: int, *, jobs: int = 1,
     else:
         bases = map(_unital_basis, _run_shards(n - 1, 0, index, jobs, budget))
     lats = _checked(n, bases, n, index)
-    ones = [1] * n
     # a full-rank Hermite basis pivots on the diagonal
-    if not all(_in_span(lat.basis, range(n), ones, n) for lat in lats):
+    if not all(_solve(lat.basis, enumerate(range(n)), [1] * n) is not None
+               for lat in lats):
         raise RuntimeError("internal: unital census listed a lattice "
                            "without (1, ..., 1)")
     return len(lats)

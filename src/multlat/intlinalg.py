@@ -1,18 +1,17 @@
 """Exact linear algebra over the integers.
 
 Matrices are tuples of tuples of Python ints, so nothing can wrap. The
-row-style Hermite normal form gives a canonical basis of a row span;
-`_in_span` tests membership in one by exact division, which serves
-`enumeration.count_unital`'s test for (1, ..., 1), as the closure test
-reduces its products itself (`lattice._square_closed`); the Smith normal
-form gives the torsion of rows with no pivot square. No package code
-calls `solve_in_row_span`.
+row-style Hermite normal form gives a canonical basis of a row span, and
+`_solve` solves for a vector in one by exact division: it serves
+`enumeration.count_unital`'s test for (1, ..., 1) and, behind its checks,
+the public `solve_in_row_span`. The Smith normal form gives the torsion
+of rows with no pivot square.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -141,54 +140,42 @@ def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[
     """Integer coefficients c with c . h = v, or None when no such c exists.
 
     h must be a Hermite normal form with independent nonzero rows; c has one
-    coefficient per row of h, zero on zero rows, and is unique. Found down
-    the pivots by exact division, in the integers throughout.
+    coefficient per row of h, zero on zero rows, and is unique (`_solve`).
     """
     mat = int_matrix(h)
-    ncols = len(mat[0])
-    if len(v) != ncols:
+    if len(v) != len(mat[0]):
         raise ValueError("vector length does not match matrix width")
-    residual = list(v)
-    coeffs = [0] * len(mat)
-    for i, col in _pivot_columns(mat):
-        x = residual[col]
-        if x == 0:
-            continue
-        d = mat[i][col]
-        if x % d != 0:
-            return None
-        q = x // d
-        coeffs[i] = q
-        row = mat[i]
-        for j in range(col, ncols):
-            residual[j] -= q * row[j]
-    if any(residual):
-        return None
-    return tuple(coeffs)
+    return _solve(mat, _pivot_columns(mat), v)
 
 
-def _in_span(hnf: Sequence[Sequence[int]], pivots: Sequence[int],
-             p: list[int], ambient: int) -> bool:
-    """Membership of p in the row span of a Hermite basis, by exact division.
+def _solve(rows: Sequence[Sequence[int]], pivots: Iterable[tuple[int, int]],
+           v: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Integer coefficients c with c . rows = v, or None when none exist.
 
-    Row i of hnf pivots at column pivots[i], and rows and p are ambient
-    long. Nothing is validated and p is not changed.
+    pivots are the (row, pivot column) pairs of echelon rows, pivot columns
+    increasing, and rows and v are equally long. Down the pivots, the
+    residual, v less the multiples taken so far, is zero left of the pivot
+    column, and so is each row still to come, so the pivot must divide the
+    residual's entry there: the quotient is that row's coefficient, one per
+    row of rows, zero on a row with no pair. v is in the span exactly when
+    the last residual is zero. Nothing is validated and v is not changed.
+    The closure test (`lattice._square_closed`) reduces its products in
+    place and the scan (`scan._closed_extensions`) keeps accumulators of its
+    own: the scan shares no arithmetic with the checks of its census.
     """
-    w = p[:]
-    for idx, c in enumerate(pivots):
-        wc = w[c]
-        if wc:
-            row = hnf[idx]
-            d = row[c]
-            if wc % d:
-                return False
-            q = wc // d
-            for j in range(c, ambient):
-                w[j] -= q * row[j]
-    for x in w:
+    w = list(v)
+    coeffs = [0] * len(rows)
+    for i, c in pivots:
+        x = w[c]
         if x:
-            return False
-    return True
+            row = rows[i]
+            d = row[c]
+            if x % d:
+                return None
+            q = coeffs[i] = x // d
+            for j in range(c, len(w)):
+                w[j] -= q * row[j]
+    return None if any(w) else tuple(coeffs)
 
 
 def _pivot_columns(mat: IntMatrix) -> list[tuple[int, int]]:

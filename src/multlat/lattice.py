@@ -272,11 +272,12 @@ def _echelon_torsion(rows: Sequence[Sequence[int]]) -> int:
 
 
 def has_rigid_columns(lat: Lattice) -> bool:
-    """Whether the canonical basis has a pivot square (`_pivot_square`),
-    as every multiplicative basis does; ValueError on any other lattice."""
+    """Whether the canonical basis has a pivot square: True, as every
+    multiplicative basis has one (`_pivot_square`), so none is built;
+    ValueError on any other lattice."""
     if not is_multiplicative(lat):
         raise ValueError("lattice is not multiplicative")
-    return _pivot_square(lat.basis) is not None
+    return True
 
 
 def banded_basis(lat: Lattice) -> IntMatrix:

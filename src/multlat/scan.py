@@ -43,7 +43,12 @@ class _Steps:
 
 
 def _check_cell(ambient: int, corank: int, torsion: int) -> None:
-    """ValueError unless `_run_shards` takes the cell."""
+    """ValueError unless `_run_shards` takes the cell. Its three arguments
+    must be ints, bool excluded, as `Lattice`'s and `CountRecord`'s must: a
+    float is the caller's error, not a basis the engine failed to build."""
+    for value in (ambient, corank, torsion):
+        if type(value) is not int:
+            raise ValueError(f"not an integer: {value!r}")
     if not 0 <= corank <= ambient:
         raise ValueError("need 0 <= corank <= ambient")
     if torsion < 1:
@@ -56,11 +61,11 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     co-rank 0 and the co-rank one otherwise, of the given torsion,
     ascending by rows read last first (`_key`).
 
-    The cell rule, 0 <= corank <= ambient and torsion >= 1, is checked here
-    first for every census (`_check_cell`), then jobs and budget, budget
-    None meaning DEFAULT_BUDGET. Rank 0 (ambient == corank) starts no
-    worker: the zero lattice has torsion 1, so it gives [()] at torsion 1
-    and [] otherwise.
+    The cell rule, ints with 0 <= corank <= ambient and torsion >= 1, is
+    checked here first for every census (`_check_cell`), then jobs and
+    budget, ints of at least 1, budget None meaning DEFAULT_BUDGET. Rank 0
+    (ambient == corank) starts no worker: the zero lattice has torsion 1,
+    so it gives [()] at torsion 1 and [] otherwise.
 
     The first level runs here: for q ascending, `_closed_extensions` of the
     empty prefix over the torsion's divisors, or the torsion alone at rank
@@ -84,11 +89,12 @@ def _run_shards(ambient: int, corank: int, torsion: int, jobs: int,
     "out of order" otherwise). The list is then reversed in place.
     """
     _check_cell(ambient, corank, torsion)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    for name, value in (("jobs", jobs), ("budget", budget)):
+        if type(value) is not int:
+            raise ValueError(f"not an integer: {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     if ambient == corank:
         return [()] if torsion == 1 else []
     n = ambient - corank

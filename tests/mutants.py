@@ -110,9 +110,15 @@ MUTANTS = (
          "test_corank_scan_matches_unpruned_reference_at_wider_bound")),
     Mutant(
         "in-span-ignores-the-last-column", "src/multlat/intlinalg.py",
-        "    for x in w:\n",
-        "    for x in w[:-1]:\n",
+        "    return None if any(w) else tuple(coeffs)\n",
+        "    return None if any(w[:-1]) else tuple(coeffs)\n",
         ("tests/test_intlinalg.py",)),
+    Mutant(
+        "solve-stores-no-coefficient", "src/multlat/intlinalg.py",
+        "            q = coeffs[i] = x // d\n",
+        "            q = x // d\n",
+        ("tests/test_intlinalg.py::"
+         "test_solve_agrees_with_reference_membership",)),
     Mutant(
         "place-drops-reapplication-check", "src/multlat/enumeration.py",
         "and {*map(len, basis)} <= {ambient} else None)",
@@ -436,10 +442,19 @@ MUTANTS = (
          "tests/test_enumeration.py::test_count_unital_matches_reference")),
     Mutant(
         "count-unital-drops-the-unit-check", "src/multlat/enumeration.py",
-        "    if not all(_in_span(lat.basis, range(n), ones, n) for lat in lats):\n",
+        "    if not all(_solve(lat.basis, enumerate(range(n)), [1] * n) "
+        "is not None\n               for lat in lats):\n",
         "    if False:\n",
         ("tests/test_cli.py::"
          "test_a_unital_census_basis_without_the_unit_exits_three",)),
+    Mutant(
+        # at n = 0 the coefficients are the empty tuple, which is falsy
+        "unit-check-reads-coefficients-as-truth",
+        "src/multlat/enumeration.py",
+        "[1] * n) is not None\n",
+        "[1] * n)\n",
+        ("tests/test_enumeration.py::"
+         "test_count_unital_dimension_zero_convention",)),
     Mutant(
         "divisors-stop-below-the-root", "src/multlat/scan.py",
         "    while p * p <= r:\n",
@@ -529,18 +544,18 @@ MUTANTS = (
         ("tests/test_rank_three_zeta.py",)),
     Mutant(
         "shards-allow-jobs-zero", "src/multlat/scan.py",
-        "    if jobs < 1:\n",
-        "    if jobs < 0:\n",
+        "        if value < 1:\n",
+        "        if value < (0 if name == \"jobs\" else 1):\n",
         ("tests/test_enumeration.py::test_corank_arg_validation",)),
     Mutant(
         "shards-allow-budget-zero", "src/multlat/scan.py",
-        "    if budget < 1:\n",
-        "    if budget < 0:\n",
+        "        if value < 1:\n",
+        "        if value < (0 if name == \"budget\" else 1):\n",
         ("tests/test_enumeration.py::test_corank_arg_validation",)),
     Mutant(
         "shards-refuse-budget-one", "src/multlat/scan.py",
-        "    if budget < 1:\n",
-        "    if budget < 2:\n",
+        "        if value < 1:\n",
+        "        if value < (2 if name == \"budget\" else 1):\n",
         ("tests/test_enumeration.py::"
          "test_a_census_of_one_step_fits_a_budget_of_one",)),
     Mutant(

@@ -18,6 +18,7 @@ import pytest
 
 import multlat.cli as cli
 import multlat.enumeration as enumeration
+import multlat.intlinalg as intlinalg
 import multlat.partitions as partitions
 import multlat.scan as scan
 from multlat import ENGINE_VERSION
@@ -753,7 +754,8 @@ def test_a_unital_census_basis_without_the_unit_exits_three(capsys,
     # closed basis of the full census that passes the constructor and
     # re-verification still fails count_unital, and count exits 3
     full = scan._run_shards(2, 0, 2, 1, None)
-    stray = [b for b in full if not enumeration._in_span(b, range(2), [1, 1], 2)]
+    stray = [b for b in full
+             if intlinalg._solve(b, enumerate(range(2)), [1, 1]) is None]
     assert stray
     monkeypatch.setattr(enumeration, "_unital_basis", lambda basis: stray[0])
     with pytest.raises(RuntimeError, match="^internal: "):

@@ -37,8 +37,8 @@ import multlat.intlinalg as intlinalg
 import multlat.lattice as lattice
 import multlat.partitions as partitions
 import multlat.scan as scan
-from multlat.enumeration import (_in_span, _census, _place, _unital_basis,
-                                 _verify)
+from multlat.enumeration import _census, _place, _unital_basis, _verify
+from multlat.intlinalg import _solve
 from multlat.scan import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
@@ -229,6 +229,28 @@ def test_enumerate_full_rank_arg_validation():
         enumerate_full_rank_multiplicative(2, 2, budget=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: count_unital(2, 2.0),
+    lambda: count_corank_formula(1, 1, 2.0),
+    lambda: count_full_rank(2, 2.0),
+    lambda: count_full_rank(2, True),
+    lambda: count_full_rank(True, 1),
+    lambda: enumerate_corank_oracle(2, 1.0, 1),
+    lambda: count_full_rank(2, 4, jobs=2.5),
+    lambda: count_full_rank(2, 4, jobs=True),
+    lambda: count_full_rank(2, 4, budget=10.5),
+], ids=["unital-float-index", "formula-float-torsion", "float-index",
+        "bool-index", "bool-dimension", "float-corank", "float-jobs",
+        "bool-jobs", "float-budget"])
+def test_an_argument_that_is_not_an_int_is_a_usage_error(call):
+    # an ambient, co-rank, torsion, jobs or budget of the wrong type is the
+    # caller's error, ValueError, as in the constructors: not an engine
+    # fault (RuntimeError "internal: ..."), a bare TypeError, a count of
+    # True taken as 1, or a run under a budget of 10.5
+    with pytest.raises(ValueError, match="^not an integer: "):
+        call()
+
+
 def test_count_full_rank_dimension_zero_convention():
     assert count_full_rank(0, 1) == 1
     assert count_full_rank(0, 5) == 0
@@ -275,7 +297,7 @@ def test_unital_scan_drops_no_unital_lattice():
              + [(5, r) for r in range(1, 9)] + [(6, r) for r in range(1, 7)])
     for n, r in cells:
         ones = [1] * n
-        want = sum(_in_span(lat.basis, range(n), ones, n)
+        want = sum(_solve(lat.basis, enumerate(range(n)), ones) is not None
                    for lat in enumerate_full_rank_multiplicative(n, r))
         for jobs in (1, 2, 3):
             assert count_unital(n, r, jobs=jobs) == want, (n, r, jobs)
@@ -291,7 +313,7 @@ def test_unital_census_lists_exactly_the_unital_lattices():
     for n, r in cells:
         ones = [1] * n
         want = [basis for basis in scan._run_shards(n, 0, r, 1, None)
-                if _in_span(basis, range(n), ones, n)]
+                if _solve(basis, enumerate(range(n)), ones) is not None]
         for jobs in (1, 2, 3):
             lifted = map(_unital_basis, scan._run_shards(n - 1, 0, r, jobs,
                                                          None))
@@ -1477,8 +1499,8 @@ def test_square_closed_rows_match_full_tail_filter():
         for d in leads:
             for rest in itertools.product(*tail):
                 v = [0] * q + [d, *rest]
-                if all(_in_span((v, *hnf), [q] + pivots,
-                                [a * b for a, b in zip(u, v)], ambient)
+                if all(_solve((v, *hnf), enumerate([q] + pivots),
+                              [a * b for a, b in zip(u, v)]) is not None
                        for u in (v, *hnf)):
                     expected.append((tuple(v), *hnf))
         steps = _Steps(10 ** 9)

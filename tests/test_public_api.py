@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import multlat
+import multlat.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,6 +91,22 @@ def test_project_version_is_the_package_version():
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
     assert declared is not None
     assert declared.group(1) == multlat.__version__
+
+
+def test_the_installed_command_runs_cli_main():
+    # the `multlat` command an install creates calls the object that
+    # [project.scripts] names; a rename of cli.main would break it for
+    # every installed user, and no other test runs that entry point. Read
+    # with a regex, as the version is above
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                        pyproject, re.MULTILINE | re.DOTALL)
+    assert scripts is not None
+    entry = re.search(r'^multlat = "([\w.]+):(\w+)"$', scripts.group(1),
+                      re.MULTILINE)
+    assert entry is not None
+    module, name = entry.groups()
+    assert getattr(importlib.import_module(module), name) is multlat.cli.main
 
 
 def test_sources_parse_at_the_declared_python_floor():
