@@ -25,11 +25,16 @@ def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     for row in frozen:
         if len(row) != width:
             raise ValueError("ragged matrix")
-        for x in row:
-            # bool passes isinstance(int) but is never a legitimate entry
-            if type(x) is not int:
-                raise ValueError(f"non-integer entry {x!r}")
+        _check_ints(row)
     return frozen
+
+
+def _check_ints(row: Iterable[int]) -> None:
+    """ValueError "non-integer entry ..." on the first entry that is not
+    an int; bool passes isinstance(int) but is never a legitimate entry."""
+    for x in row:
+        if type(x) is not int:
+            raise ValueError(f"non-integer entry {x!r}")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -141,10 +146,13 @@ def solve_in_row_span(h: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[
 
     h must be a Hermite normal form with independent nonzero rows; c has one
     coefficient per row of h, zero on zero rows, and is unique (`_solve`).
+    An entry of h or v that is not an int, a bool included, raises
+    ValueError.
     """
     mat = int_matrix(h)
     if len(v) != len(mat[0]):
         raise ValueError("vector length does not match matrix width")
+    _check_ints(v)
     return _solve(mat, _pivot_columns(mat), v)
 
 

@@ -58,8 +58,8 @@ class Lattice(_Frozen):
     ambient_dim ints (bool excluded in both) whose lead, its pivot, is
     positive and right of the pivot above, with every entry above a pivot in
     [0, pivot). The three routes to a Lattice are the constructor, `_trusted`
-    for the bases `enumeration.decompose` and `partitions.apply_map` prove
-    canonical, and `lattice_from_rows`.
+    for the images `partitions.apply_map` proves canonical, and
+    `lattice_from_rows`.
     """
 
     __slots__ = ("ambient_dim", "basis")

@@ -239,6 +239,22 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_decompose_zero_lattice",
          "tests/test_enumeration.py::test_decompose_round_trip_small")),
     Mutant(
+        "decompose-memo-skips-the-closure-test", "src/multlat/enumeration.py",
+        "    return Lattice(len(key) - 1, square) if _square_closed(square)"
+        " else None\n",
+        "    return Lattice(len(key) - 1, square)\n",
+        ("tests/test_enumeration.py::"
+         "test_decompose_rejects_non_multiplicative_with_rigid_columns",
+         "tests/test_enumeration.py::"
+         "test_decompose_rejects_the_same_inputs_on_a_repeat")),
+    Mutant(
+        "decompose-memo-key-drops-a-column", "src/multlat/enumeration.py",
+        "        core = _closed_core(tuple(labels))\n",
+        "        core = _closed_core(tuple(labels)[:-1])\n",
+        ("tests/test_enumeration.py::"
+         "test_decompose_gives_the_same_pairs_cold_and_warm",
+         "tests/test_enumeration.py::test_decompose_round_trip_small")),
+    Mutant(
         "rank-zero-census-at-every-torsion", "src/multlat/scan.py",
         "        return [()] if torsion == 1 else []\n",
         "        return [()]\n",

@@ -821,6 +821,62 @@ def test_decompose_returns_what_the_constructors_build():
                     assert (got_g.source_dim, got_g.target_dim) == (n, n + k)
 
 
+def test_decompose_gives_the_same_pairs_cold_and_warm():
+    # decompose proves each core once (`_closed_core`): with the memo
+    # cleared, every image of a full-rank lattice of index <= 8 under an
+    # ordered map with n + k <= 4 decomposes, on the cold pass and on the
+    # warm one, to the pair that made it; each core is a miss once
+    cores = {n: [core for r in range(1, 9)
+                 for core in enumerate_full_rank_multiplicative(n, r)]
+             for n in range(5)}
+    pairs = [(g, core) for n in range(5) for k in range(5 - n)
+             for g in enumerate_ordered_maps(n, n + k) for core in cores[n]]
+    images = [apply_map(g, core) for g, core in pairs]
+    distinct = sum(map(len, cores.values()))
+    assert distinct <= enumeration._closed_core.cache_info().maxsize
+    enumeration._closed_core.cache_clear()
+    cold = [decompose(lat) for lat in images]
+    assert enumeration._closed_core.cache_info().misses == distinct
+    warm = [decompose(lat) for lat in images]
+    assert warm == cold == pairs
+    info = enumeration._closed_core.cache_info()
+    assert (info.hits, info.misses) == (2 * len(images) - distinct, distinct)
+
+
+def test_decompose_rejects_the_same_inputs_on_a_repeat():
+    # a square that is not closed is remembered as None, so a repeat
+    # raises as the first call does; the lattice with too many distinct
+    # columns is refused before the memo
+    enumeration._closed_core.cache_clear()
+    for rows in ([(1, 2, 2), (0, 3, 3)], [(1, 2)]):
+        lat = lattice_from_rows(len(rows[0]), rows)
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="^lattice is not multiplicative$"):
+                decompose(lat)
+    info = enumeration._closed_core.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_decompose_memo_is_bounded():
+    # more cores than the memo holds: it keeps as many as its bound, and a
+    # core that was dropped is proved again, to the same pair
+    bound = enumeration._closed_core.cache_info().maxsize
+    g = AcceptableMap((1, 2, 3, 4, 5, 1))
+    cores = [core for r in range(1, 9)
+             for core in enumerate_full_rank_multiplicative(5, r)]
+    assert len(cores) > bound
+    images = [apply_map(g, core) for core in cores]
+    enumeration._closed_core.cache_clear()
+    first = [decompose(lat) for lat in images]
+    assert enumeration._closed_core.cache_info().currsize == bound
+    again = [decompose(lat) for lat in images]
+    assert again == first == [(g, core) for core in cores]
+    info = enumeration._closed_core.cache_info()
+    assert info.currsize == bound
+    assert info.misses > len(cores)
+
+
 def test_a_witness_equal_to_a_canonical_basis_leaves_only_validated(
         monkeypatch):
     # the verifier places a rectangular witness by its key, which proves it

@@ -303,6 +303,14 @@ def test_solve_length_mismatch():
         solve_in_row_span([[1, 0]], (1, 0, 0))
 
 
+def test_solve_rejects_a_non_int_vector_entry():
+    # the vector's entries are checked as the matrix's are, bool excluded
+    with pytest.raises(ValueError, match="^non-integer entry 2.0$"):
+        solve_in_row_span([[2]], [2.0])
+    with pytest.raises(ValueError, match="^non-integer entry True$"):
+        solve_in_row_span([[1, 0], [0, 1]], [True, 3])
+
+
 def test_solve_rejects_non_hermite_input():
     # pivots out of order, a negative pivot, a zero row above a nonzero one
     for h in ([[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[0, 0], [0, 1]]):

@@ -437,7 +437,8 @@ def test_no_exception_is_silenced():
 # (module, owner), that holds that proof; the README points to it
 ARGUMENT_HOMES = {"idempotent": ("lattice", "_pivot_square"),
                   "automorphism": ("scan", "_corank_worker"),
-                  "times as many witnesses": ("enumeration", "_verify")}
+                  "times as many witnesses": ("enumeration", "_verify"),
+                  "one closure proof": ("enumeration", "decompose")}
 
 
 def term_uses(terms, sources, readme):
