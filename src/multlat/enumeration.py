@@ -11,12 +11,12 @@ Each argument has one home, the docstring of the function that rests on it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice, repeat, starmap
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional
 
 from .intlinalg import _solve
-from .lattice import (Lattice, _column_labels, _square_closed,
-                      is_multiplicative, torsion_size)
+from .lattice import (Lattice, _column_labels, _key_square, _label_keys,
+                      _square_closed, is_multiplicative, torsion_size)
 from .partitions import (
     AcceptableMap,
     apply_map,
@@ -45,19 +45,6 @@ class VerificationReport(NamedTuple):
         return self._asdict()
 
 
-def _label_keys(bases: Iterable[tuple[tuple[int, ...], ...]],
-                rank: int) -> Iterator[tuple]:
-    """Each basis's label dict (`lattice._column_labels`) as a tuple, for
-    bases of rank rows, with no Python call per basis. `dict.fromkeys`
-    keeps the first key object put in and their order, as `setdefault`
-    does, so it is that tuple object for object: ((),) for no rows, `zip`
-    stopping at the shortest row in both, and of equal columns, one holding
-    True or 1.0 for 1, the first kept. The zero column is rank tall at any
-    row count, so a caller checks row counts: at ambient 0 it is the key."""
-    return map(tuple, map(dict.fromkeys, map(
-        chain, repeat(((0,) * rank,)), starmap(zip, bases))))
-
-
 def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
              rank: int, torsion: int) -> list[Lattice]:
     """An engine's bases of Z^ambient as Lattices, validated, then
@@ -68,28 +55,24 @@ def _checked(ambient: int, bases: Iterable[tuple[tuple[int, ...], ...]],
     ValueError, a usage error (exit 2). A lattice re-verified must have the
     given rank, be closed under products (`is_multiplicative`) and have the
     given torsion (`torsion_size`), tested in that order; the first failure
-    raises RuntimeError. Below full rank that is the first lattice of each
-    key (`_label_keys`): a validated basis with rows has a nonzero column as
-    tall as they are many, so one key means one row count, so one rank, and
-    one pivot square, so one closure and torsion (`lattice._pivot_square`),
-    and with no square every basis fails closure, so no torsion is compared.
-    Keys keep the order of first use, so the first failing key is the first
-    failing lattice's. At full rank each lattice is its own key, its columns
-    distinct and nonzero, so every one is re-verified and no key is built.
+    raises RuntimeError. Below full rank that is one lattice of each key
+    (`lattice._label_keys`): a validated basis with rows has a nonzero
+    column as tall as they are many, so one key means one row count, so one
+    rank, and one pivot square, so one closure and torsion
+    (`lattice._pivot_square`), and with no square every basis fails
+    closure, so no torsion is compared. Keys keep the order of first use,
+    so the first failing key is the first failing lattice's. At full rank
+    each lattice is its own key, its columns distinct and nonzero, so every
+    one is re-verified and no key is built.
     """
     try:
         lats = [Lattice(ambient, b) for b in bases]
     except ValueError as exc:
         raise RuntimeError(
             f"internal: engine produced an invalid basis: {exc}") from exc
-    firsts = lats
-    if rank != ambient:
-        keyed: dict[tuple, Lattice] = {}
-        for lat, key in zip(lats, _label_keys([lat.basis for lat in lats],
-                                              rank)):
-            keyed.setdefault(key, lat)
-        firsts = keyed.values()
-    for lat in firsts:
+    per_key = lats if rank == ambient else dict(
+        zip(_label_keys([lat.basis for lat in lats], rank), lats)).values()
+    for lat in per_key:
         if len(lat.basis) != rank or not is_multiplicative(lat):
             raise RuntimeError("internal: engine produced a bad lattice")
         if torsion_size(lat) != torsion:
@@ -223,8 +206,8 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
     argument).
 
     One label key, one square, one closure proof: the label dict's keys,
-    as a tuple, are the key `_label_keys` builds, and past the zero column
-    they are the square's columns, so the key alone fixes L and whether it
+    as a tuple, are the key `lattice._label_keys` builds, and they name the
+    square (`lattice._key_square`), so the key alone fixes L and whether it
     is closed. `_closed_core` proves that once per key and builds L through
     the constructor, which accepts it: lat's basis is validated, so its
     square is upper triangular with lat's positive pivots on its diagonal
@@ -255,11 +238,12 @@ def decompose(lat: Lattice) -> tuple[AcceptableMap, Lattice]:
 
 @lru_cache(maxsize=512)
 def _closed_core(key: tuple) -> Optional[Lattice]:
-    """The full-rank core of a basis whose label key (`_label_keys`) is
-    key, when its square, the key's columns past the zero column, is
-    closed (`lattice._square_closed`), else None. Only `decompose` reads
-    it; its docstring argues the memo and its bound."""
-    square = tuple(zip(*islice(key, 1, None)))
+    """The full-rank core of a basis whose label key
+    (`lattice._label_keys`) is key, when the square it names
+    (`lattice._key_square`) is closed (`lattice._square_closed`), else
+    None. Only `decompose` reads it; its docstring argues the memo and its
+    bound."""
+    square = _key_square(key)
     return Lattice(len(key) - 1, square) if _square_closed(square) else None
 
 
@@ -269,8 +253,8 @@ def _place(ambient: int, witnesses: list[tuple[tuple[int, ...], ...]],
     return the strays, the witnesses placed on none, as Lattices in order.
     `_verify` runs it only on a cell its bulk verdict does not pass.
 
-    cores holds, under each full-rank lattice's key (`_label_keys`), the
-    list of witness bases placed on it. A witness of rank rows, each of
+    cores holds, under each full-rank lattice's key (`lattice._label_keys`),
+    the list of witness bases placed on it. A witness of rank rows, each of
     ambient entries, whose key is a core's is placed on that core, with
     no map or Lattice built. It is the core carried through its own labels,
     its ordered map's assignment (`partitions._transport_rows`): it has the

@@ -4,15 +4,17 @@ A Lattice is stored by its canonical Hermite basis, so two are equal
 exactly when they are the same subgroup. A basis's pivot square
 (`_pivot_square`), found by one pass over its columns (`_column_labels`),
 decides closure under products (`is_multiplicative`) and torsion
-(`torsion_size`). `_Frozen` makes Lattice and the partitions module's
-AcceptableMap immutable values without importing `dataclasses`.
+(`torsion_size`). Its label key, its distinct columns by first use, built
+here alone (`_label_keys`), names that square (`_key_square`). `_Frozen`
+makes Lattice and the partitions module's AcceptableMap immutable values
+without importing `dataclasses`.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice, repeat, starmap
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
 
@@ -161,12 +163,30 @@ def _column_labels(rows: Sequence[Sequence[int]], width: int
     and each column's label in column order; with no rows, each of the
     width columns is () and labelled 0. With a pivot square
     (`_pivot_square`), the list is the ordered map's assignment and the
-    keys after the zero column, transposed, `zip(*islice(labels, 1, None))`,
-    the square's rows."""
+    dict's keys, the label key, name the square (`_key_square`)."""
     labels = {(0,) * len(rows): 0}
     if not rows:
         return labels, [0] * width
     return labels, [labels.setdefault(col, len(labels)) for col in zip(*rows)]
+
+
+def _label_keys(bases: Iterable[tuple[tuple[int, ...], ...]],
+                rank: int) -> Iterator[tuple]:
+    """Each basis's label dict (`_column_labels`) as a tuple, its label key,
+    for bases of rank rows, with no Python call per basis. `dict.fromkeys`
+    keeps the first key object put in and their order, as `setdefault`
+    does, so it is that tuple object for object: ((),) for no rows, `zip`
+    stopping at the shortest row in both, and of equal columns, one holding
+    True or 1.0 for 1, the first kept. The zero column is rank tall at any
+    row count, so a caller checks row counts: at ambient 0 it is the key."""
+    return map(tuple, map(dict.fromkeys, map(
+        chain, repeat(((0,) * rank,)), starmap(zip, bases))))
+
+
+def _key_square(key: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the square a label key names (`_label_keys`): its
+    columns past the zero column, transposed."""
+    return tuple(zip(*islice(key, 1, None)))
 
 
 def _pivot_square(rows: Sequence[Sequence[int]]
@@ -198,8 +218,7 @@ def _pivot_square(rows: Sequence[Sequence[int]]
     if not rows or len(rows) == len(rows[0]):
         return rows
     labels = _column_labels(rows, len(rows[0]))[0]
-    return (tuple(zip(*islice(labels, 1, None)))
-            if len(labels) == len(rows) + 1 else None)
+    return _key_square(labels) if len(labels) == len(rows) + 1 else None
 
 
 def is_multiplicative(lat: Lattice) -> bool:

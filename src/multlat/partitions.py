@@ -16,6 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+from .intlinalg import _check_ints
 from .lattice import Lattice, _Frozen, lattice_from_rows
 
 
@@ -78,7 +79,9 @@ _set_assignment = AcceptableMap.__dict__["assignment"].__set__
 
 
 def stirling2(u: int, v: int) -> int:
-    """Number of partitions of a u-element set into v nonempty blocks."""
+    """Number of partitions of a u-element set into v nonempty blocks;
+    ValueError on arguments that are not nonnegative ints (`bool` too)."""
+    _check_ints((u, v))
     if u < 0 or v < 0:
         raise ValueError("arguments must be nonnegative")
     if v > u:
@@ -169,8 +172,10 @@ def enumerate_ordered_maps(source_dim: int, target_dim: int) -> Iterator[Accepta
     listed by their growth strings in lexicographic order: an entry is at
     most one more than the largest before it, the ghost 0 counting as the
     first, and a string is dropped once too few entries are left to use
-    every label.
+    every label. ValueError, on first iteration, on arguments that are not
+    ints (`bool` too) or break 0 <= source_dim <= target_dim.
     """
+    _check_ints((source_dim, target_dim))
     if source_dim < 0 or target_dim < source_dim:
         raise ValueError("need 0 <= source_dim <= target_dim")
     labels = [0] * target_dim

@@ -156,7 +156,7 @@ MUTANTS = (
         ("tests/test_enumeration.py::"
          "test_the_bulk_verdict_falls_back_on_every_fault",)),
     Mutant(
-        "keys-drop-the-zero-column", "src/multlat/enumeration.py",
+        "keys-drop-the-zero-column", "src/multlat/lattice.py",
         "map(\n        chain, repeat(((0,) * rank,)), starmap(zip, bases))))",
         "starmap(zip, bases)))",
         ("tests/test_enumeration.py::"
@@ -356,8 +356,17 @@ MUTANTS = (
     Mutant(
         "checked-reverifies-only-the-first-key",
         "src/multlat/enumeration.py",
-        "keyed.setdefault(key, lat)",
-        "keyed.setdefault((), lat)",
+        "[lat.basis for lat in lats], rank), lats)).values()",
+        "[lat.basis for lat in lats], rank), lats[:1])).values()",
+        ("tests/test_enumeration.py::"
+         "test_oracle_reverifies_once_per_pivot_square",
+         "tests/test_enumeration.py::"
+         "test_oracle_rejects_a_bad_lattice_wherever_it_is")),
+    Mutant(
+        "checked-keys-by-row-count",
+        "src/multlat/enumeration.py",
+        "zip(_label_keys([lat.basis for lat in lats], rank), lats)",
+        "zip(map(len, [lat.basis for lat in lats]), lats)",
         ("tests/test_enumeration.py::"
          "test_oracle_reverifies_once_per_pivot_square",
          "tests/test_enumeration.py::"
@@ -557,7 +566,9 @@ MUTANTS = (
         "        for x in range(p):\n"
         "            if p == 16 and x == 1 and len(hnf) >= 2:\n"
         "                continue\n",
-        ("tests/test_rank_three_zeta.py",)),
+        ("tests/test_rank_three_zeta.py",
+         "tests/test_frontier.py::"
+         "test_ambient_seven_census_is_closed_under_coordinate_permutations")),
     Mutant(
         "shards-allow-jobs-zero", "src/multlat/scan.py",
         "        if value < 1:\n",

@@ -804,10 +804,12 @@ def test_decompose_and_a_passing_cell_carry_no_rows_through_a_map(
 
 
 def test_decompose_returns_what_the_constructors_build():
-    # decompose stores its core and map without running their constructors;
-    # on every image of a full-rank lattice of index <= 8 under an ordered
-    # map with n + k <= 4, both are the values the constructors accept and
-    # build from the same fields, and the pair that made the image
+    # decompose builds its core through the constructor (`_closed_core`)
+    # and stores only its map without running the constructor
+    # (`AcceptableMap._trusted`); on every image of a full-rank lattice of
+    # index <= 8 under an ordered map with n + k <= 4, both are the values
+    # the constructors accept and build from the same fields, and the pair
+    # that made the image
     for n in range(5):
         cores = [core for r in range(1, 9)
                  for core in enumerate_full_rank_multiplicative(n, r)]
@@ -1097,7 +1099,7 @@ def test_label_key_is_the_label_dict_as_a_tuple():
               ((True, 0, 1), (0, 1, 0))]
     for basis in bases:
         want = tuple(_column_labels(basis, 3)[0])
-        got, = enumeration._label_keys([basis], len(basis))
+        got, = lattice._label_keys([basis], len(basis))
         assert got == want and repr(got) == repr(want), basis
 
 
@@ -1161,7 +1163,7 @@ def test_the_bulk_verdict_falls_back_on_every_fault(monkeypatch):
         else:
             assert _verify(2, 1, 2, jobs=1, budget=None) == outcome
         assert len(calls) == 1, census
-    assert next(enumeration._label_keys([((),)], 0)) == ((),)
+    assert next(lattice._label_keys([((),)], 0)) == ((),)
     monkeypatch.setattr(enumeration, "_census", lambda *a, **kw: [((),)])
     del calls[:]
     with pytest.raises(RuntimeError,

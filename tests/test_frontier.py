@@ -9,8 +9,10 @@ side at n <= 6, so such a fault moves the census and not the formula, and
 the cell fails. The counts are the reports the verifier gives; each cell's
 full-rank count is one that `test_full_rank_census.py` lists. The censuses
 are also closed under coordinate permutations (acceptance criterion 11),
-and a command-line block out to ambient 8 prints the same bytes at any
-worker count.
+as is a torsion-16 census of rank 3, where a scan fault that skips an
+entry in a pivot column of pivot 16 from the third row on breaks the
+symmetry, and a command-line block out to ambient 8 prints the same bytes
+at any worker count.
 """
 
 import pytest
@@ -27,6 +29,9 @@ from test_acceptance import run_cli
 # (n, k, r) -> (stirling2(n+k+1, n+1), count_full_rank(n, r))
 CELLS = {(6, 1, 2): (28, 21), (5, 2, 2): (266, 15), (6, 1, 4): (28, 161)}
 
+# cells only the permutation test takes: a rank-3 census of torsion 16
+PERMUTATION_CELLS = [(3, 0, 16)]
+
 # the cells of `verify --n 5..6 --k 1..2 --r 2`, at ambient 6, 7 and 8
 CLI_CELLS = {(5, 1, 2): (21, 15), (5, 2, 2): (266, 15),
              (6, 1, 2): (28, 21), (6, 2, 2): (462, 21)}
@@ -42,7 +47,7 @@ def test_ambient_seven_census_is_stirling_times_full_rank(n, k, r):
         witnesses_checked=count, status="pass")
 
 
-@pytest.mark.parametrize("n, k, r", sorted(CELLS))
+@pytest.mark.parametrize("n, k, r", sorted(CELLS) + PERMUTATION_CELLS)
 def test_ambient_seven_census_is_closed_under_coordinate_permutations(n, k, r):
     # the transposition (0 1) and the m-cycle generate every permutation
     m = n + k

@@ -45,6 +45,10 @@ def test_stirling2_base_cases():
     assert stirling2(6, 1) == 1
     with pytest.raises(ValueError):
         stirling2(-1, 2)
+    # an argument that is not an int is refused, bool included
+    for args in ((True, 1), (3, True), (3.0, 2), (3, 2.0), ("3", 2)):
+        with pytest.raises(ValueError, match="^non-integer entry "):
+            stirling2(*args)
 
 
 def test_stirling2_recurrence():
@@ -282,6 +286,10 @@ def test_enumerate_ordered_maps_identity_case():
     with pytest.raises(ValueError,
                        match="^need 0 <= source_dim <= target_dim$"):
         next(maps)
+    # an argument that is not an int is refused, bool included
+    for args in ((True, 2), (1, True), (1.0, 2), (1, 2.0)):
+        with pytest.raises(ValueError, match="^non-integer entry "):
+            next(enumerate_ordered_maps(*args))
 
 
 # ---------------------------------------------------------------- apply_map

@@ -79,6 +79,12 @@ def test_full_rank_two_is_the_closed_form():
 
 
 def test_unital_three_is_the_closed_form():
+    # count_unital(3, r) lifts the same full-rank census of Z^2 that
+    # count_full_rank(2, r) reads (`_unital_basis`), so this tests the lift
+    # and the checks run on it, not a second scan; the unital census is
+    # guarded apart from it by test_unital_scan_drops_no_unital_lattice and
+    # test_count_unital_matches_reference in test_enumeration.py, and by
+    # tests/test_unital_factorization.py
     assert [count_unital(3, r) for r in range(1, 101)] == COEFFICIENTS[1:101]
 
 
